@@ -222,13 +222,15 @@ func TestJSONTrace(t *testing.T) {
 	if env.Trace.Engine != "sequential" || env.Trace.Outcome != "ok" || env.Trace.Rounds <= 0 {
 		t.Fatalf("trace = %+v", env.Trace)
 	}
-	names := make(map[string]bool)
+	// One span per stage, each under its own name: the scenario layer's
+	// materialization and the engine's arena setup no longer share one.
+	names := make(map[string]int)
 	for _, s := range env.Trace.Spans {
-		names[s.Name] = true
+		names[s.Name]++
 	}
-	for _, want := range []string{"setup", "rounds", "decode"} {
-		if !names[want] {
-			t.Fatalf("trace spans missing %q: %+v", want, env.Trace.Spans)
+	for _, want := range []string{"materialize", "setup", "rounds", "decode"} {
+		if names[want] != 1 {
+			t.Fatalf("trace has %d %q spans, want 1: %+v", names[want], want, env.Trace.Spans)
 		}
 	}
 
@@ -252,7 +254,7 @@ func TestRunTraced(t *testing.T) {
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			out := captureStdout(t, func() error { return run(args) })
-			for _, want := range []string{"stages (engine=sequential", "rounds", "setup"} {
+			for _, want := range []string{"stages (engine=sequential", "materialize", "setup", "rounds"} {
 				if !strings.Contains(string(out), want) {
 					t.Fatalf("trace output missing %q:\n%s", want, out)
 				}

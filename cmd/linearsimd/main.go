@@ -102,6 +102,22 @@ func accessLogger(format string, w io.Writer) (func(serve.AccessRecord), error) 
 	}
 }
 
+// Connection timeouts of the service listener. A client that connects
+// and never finishes its request headers, or parks an idle keep-alive
+// connection, is dropped instead of holding a goroutine and a file
+// descriptor forever. There is deliberately no WriteTimeout (and so no
+// whole-request ReadTimeout): runs, sweeps and campaign posts are
+// legitimately long, and a write deadline would cut their responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the service's http.Server around h.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
+}
+
 // run parses args, binds the listen address, and serves until a
 // termination signal. A non-nil ready channel receives the bound
 // address once the server is listening (used by tests to grab an
@@ -168,7 +184,7 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler(), readHeaderTimeout, idleTimeout)
 	log.Printf("linearsimd: serving on http://%s", ln.Addr())
 	srv.SetReady(true)
 	if ready != nil {

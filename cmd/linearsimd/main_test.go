@@ -315,3 +315,54 @@ func TestPprofOptIn(t *testing.T) {
 	}
 	sigterm(t, errc)
 }
+
+// TestSilentClientIsDropped pins the listener's header deadline: a
+// client that opens a connection and never sends its request headers is
+// disconnected, while a well-behaved client on the same server is
+// served. Before the timeouts the silent connection was held forever.
+func TestSilentClientIsDropped(t *testing.T) {
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("daemon timeouts unset: header %v, idle %v", readHeaderTimeout, idleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	hs := newHTTPServer(srv.Handler(), 100*time.Millisecond, time.Second)
+	done := make(chan error, 1)
+	go func() { done <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-done
+	}()
+
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if _, err := silent.Write([]byte("POST /v1/run HTTP/1.1\r\nHost: x\r\n")); err != nil { // headers never finish
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz beside a silent client = %d", resp.StatusCode)
+	}
+
+	// The server closes the silent connection once the header deadline
+	// passes: the read ends (408 body then EOF) long before the guard
+	// deadline below.
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(silent); err != nil {
+		t.Fatalf("silent connection still open after %v: %v", time.Since(start), err)
+	}
+}

@@ -28,6 +28,7 @@ type AEA struct {
 	flooded   bool // sent the rumor-1 flood already
 	pending   bool // flood at the next Send
 	probing   *probe.Probing
+	out       outbox
 
 	decided    bool
 	decision   bool
@@ -99,12 +100,7 @@ func (a *AEA) sendPart1(round int) []sim.Envelope {
 	if (first && a.candidate && !a.flooded) || a.pending {
 		a.flooded = true
 		a.pending = false
-		nbrs := a.top.Little.Neighbors(a.id)
-		out := make([]sim.Envelope, 0, len(nbrs))
-		for _, to := range nbrs {
-			out = append(out, sim.Envelope{From: a.id, To: to, Payload: sim.Bit(true)})
-		}
-		return out
+		return a.out.fanOut(a.id, a.top.Little.Neighbors(a.id), sim.Bit(true))
 	}
 	return nil
 }
@@ -113,24 +109,14 @@ func (a *AEA) sendPart2() []sim.Envelope {
 	if a.probing == nil {
 		return nil
 	}
-	targets := a.probing.SendTargets()
-	out := make([]sim.Envelope, 0, len(targets))
-	for _, to := range targets {
-		out = append(out, sim.Envelope{From: a.id, To: to, Payload: sim.Probe{Rumor: sim.Bit(a.candidate)}})
-	}
-	return out
+	return a.out.fanOut(a.id, a.probing.SendTargets(), sim.Probe{Rumor: sim.Bit(a.candidate)})
 }
 
 func (a *AEA) sendPart3() []sim.Envelope {
 	if !a.top.IsLittle(a.id) || !a.decided {
 		return nil
 	}
-	related := a.top.RelatedOf(a.id)
-	out := make([]sim.Envelope, 0, len(related))
-	for _, to := range related {
-		out = append(out, sim.Envelope{From: a.id, To: to, Payload: sim.Bit(a.decision)})
-	}
-	return out
+	return a.out.fanOut(a.id, a.top.RelatedOf(a.id), sim.Bit(a.decision))
 }
 
 // Deliver implements sim.Protocol.

@@ -26,6 +26,7 @@ type SCV struct {
 	adopted bool // adopted in the previous Part 1 round → forward next Send
 
 	inquirers  []int // inquiry senders of the current phase's first round
+	out        outbox
 	standalone bool
 	halted     bool
 
@@ -67,18 +68,18 @@ func (s *SCV) phaseAt(round int) (phase int, first bool) {
 	return off / 2, off%2 == 0
 }
 
-// inquiryTargets returns the nodes that an undecided node inquires in
-// the given phase: G_{phase+1} neighbors for the growing-graph phases,
-// every little node for the final fallback phase.
-func (s *SCV) inquiryTargets(phase int) []int {
+// sendInquiries returns an undecided node's inquiries of the given
+// phase: to its G_{phase+1} neighbors in the growing-graph phases, to
+// every little node in the final fallback phase.
+func (s *SCV) sendInquiries(phase int) []sim.Envelope {
 	if phase >= s.phases { // fallback
-		targets := make([]int, 0, s.top.L)
-		for i := 0; i < s.top.L; i++ {
-			if i != s.id {
-				targets = append(targets, i)
+		s.out.reset(s.top.L)
+		for to := 0; to < s.top.L; to++ {
+			if to != s.id {
+				s.out.add(s.id, to, sim.Inquiry{})
 			}
 		}
-		return targets
+		return s.out
 	}
 	overlay, err := s.top.Inquiry.Phase(phase + 1)
 	if err != nil {
@@ -86,7 +87,7 @@ func (s *SCV) inquiryTargets(phase int) []int {
 		// failure here means the topology itself is unusable.
 		panic("consensus: inquiry overlay unavailable: " + err.Error())
 	}
-	return overlay.Neighbors(s.id)
+	return s.out.fanOut(s.id, overlay.Neighbors(s.id), sim.Inquiry{})
 }
 
 // Send implements sim.Protocol.
@@ -99,35 +100,20 @@ func (s *SCV) Send(round int) []sim.Envelope {
 			return nil
 		}
 		s.adopted = false
-		nbrs := s.top.Broadcast.Neighbors(s.id)
-		out := make([]sim.Envelope, 0, len(nbrs))
-		for _, to := range nbrs {
-			out = append(out, sim.Envelope{From: s.id, To: to, Payload: sim.Bit(s.value)})
-		}
-		return out
+		return s.out.fanOut(s.id, s.top.Broadcast.Neighbors(s.id), sim.Bit(s.value))
 	case round < s.p2End:
-		_, first := s.phaseAt(round)
+		phase, first := s.phaseAt(round)
 		if first {
 			s.inquirers = s.inquirers[:0]
 			if s.decided {
 				return nil
 			}
-			phase, _ := s.phaseAt(round)
-			targets := s.inquiryTargets(phase)
-			out := make([]sim.Envelope, 0, len(targets))
-			for _, to := range targets {
-				out = append(out, sim.Envelope{From: s.id, To: to, Payload: sim.Inquiry{}})
-			}
-			return out
+			return s.sendInquiries(phase)
 		}
 		if !s.decided || len(s.inquirers) == 0 {
 			return nil
 		}
-		out := make([]sim.Envelope, 0, len(s.inquirers))
-		for _, to := range s.inquirers {
-			out = append(out, sim.Envelope{From: s.id, To: to, Payload: sim.Bit(s.value)})
-		}
-		return out
+		return s.out.fanOut(s.id, s.inquirers, sim.Bit(s.value))
 	default:
 		return nil
 	}

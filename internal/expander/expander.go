@@ -149,12 +149,25 @@ type Options struct {
 	Implicit bool
 }
 
-// New constructs a verified expander overlay on n vertices.
+// defaultSeedRotations is the re-seeding bound when
+// Options.MaxSeedRotations is zero.
+const defaultSeedRotations = 16
+
+// New returns a verified expander overlay on n vertices.
 //
 // For n ≤ Degree+1 the overlay degenerates to the complete graph K_n,
 // which is the best possible expander and keeps every protocol correct
 // on tiny instances.
+//
+// New is memoized (see cache.go): equal arguments may return the same
+// *Overlay, shared with every other caller. Overlays are immutable;
+// callers must not modify one.
 func New(n int, opts Options) (*Overlay, error) {
+	return overlays.get(n, opts)
+}
+
+// build constructs and verifies the overlay New(n, opts) names.
+func build(n int, opts Options) (*Overlay, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("expander: overlay needs n > 0, got %d", n)
 	}
@@ -168,7 +181,7 @@ func New(n int, opts Options) (*Overlay, error) {
 	}
 	rotations := opts.MaxSeedRotations
 	if rotations == 0 {
-		rotations = 16
+		rotations = defaultSeedRotations
 	}
 
 	if opts.Implicit && opts.Family != FamilyShift {
@@ -234,7 +247,7 @@ const lambdaExactCap = 1 << 15
 func newShift(n, d int, opts Options) (*Overlay, error) {
 	rotations := opts.MaxSeedRotations
 	if rotations == 0 {
-		rotations = 16
+		rotations = defaultSeedRotations
 	}
 	var lastErr error
 	for attempt := 0; attempt < rotations; attempt++ {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"lineartime/internal/rng"
 )
@@ -91,18 +92,23 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	r := rng.New(seed)
 	const maxAttempts = 32
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if g, ok := pairingModel(n, d, r); ok {
-			return g, nil
+		if pairs, ok := pairingModel(n, d, r); ok {
+			return regularFromPairs(n, d, pairs), nil
 		}
 	}
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d,d=%d,seed=%d) failed after %d attempts",
 		n, d, seed, maxAttempts)
 }
 
+// pair is one edge of a configuration-model sample.
+type pair struct{ u, v int }
+
 // pairingModel draws one configuration-model sample and repairs bad
 // pairs (self-loops, duplicate edges) by swapping endpoints with
-// randomly chosen other pairs. Returns ok=false if repair stalls.
-func pairingModel(n, d int, r *rng.SplitMix64) (*Graph, bool) {
+// randomly chosen other pairs. On ok the n·d/2 pairs are distinct
+// non-loop edges covering every vertex exactly d times; ok=false means
+// repair stalled.
+func pairingModel(n, d int, r *rng.SplitMix64) ([]pair, bool) {
 	m := n * d / 2
 	points := make([]int, n*d)
 	for v := 0; v < n; v++ {
@@ -112,7 +118,6 @@ func pairingModel(n, d int, r *rng.SplitMix64) (*Graph, bool) {
 	}
 	r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
 
-	type pair struct{ u, v int }
 	pairs := make([]pair, m)
 	for i := 0; i < m; i++ {
 		pairs[i] = pair{points[2*i], points[2*i+1]}
@@ -175,10 +180,25 @@ func pairingModel(n, d int, r *rng.SplitMix64) (*Graph, bool) {
 		// and stays good by the check above, so only i needs re-check,
 		// which the loop head performs.
 	}
-	b := NewBuilder(n)
-	for _, p := range pairs {
-		b.AddEdge(p.u, p.v)
+	return pairs, true
+}
+
+// regularFromPairs builds the d-regular simple graph whose edges are
+// pairingModel's repaired pairs. Every vertex owns exactly d endpoints,
+// so the n sorted adjacency lists are filled straight into one backing
+// array, each clipped to its own d words.
+func regularFromPairs(n, d int, pairs []pair) *Graph {
+	flat := make([]int, n*d)
+	adj := make([][]int, n)
+	for v := range adj {
+		adj[v] = flat[v*d : v*d : (v+1)*d]
 	}
-	g := b.Build()
-	return g, g.IsRegular(d)
+	for _, p := range pairs {
+		adj[p.u] = append(adj[p.u], p.v)
+		adj[p.v] = append(adj[p.v], p.u)
+	}
+	for _, a := range adj {
+		slices.Sort(a)
+	}
+	return &Graph{n: n, adj: adj}
 }

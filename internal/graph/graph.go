@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"lineartime/internal/bitset"
 )
@@ -80,6 +81,16 @@ func (b *Builder) Build() *Graph {
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
+
+// Bytes returns the heap footprint of the graph: the struct, one slice
+// header per vertex and the adjacency words those slices own.
+func (g *Graph) Bytes() int64 {
+	size := int64(unsafe.Sizeof(*g)) + int64(cap(g.adj))*int64(unsafe.Sizeof(g.adj[0]))
+	for _, a := range g.adj {
+		size += int64(cap(a)) * int64(unsafe.Sizeof(a[0]))
+	}
+	return size
+}
 
 // Neighbors returns the sorted adjacency list of v. The returned slice
 // is owned by the graph; callers must not modify it.

@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"lineartime/internal/bitset"
+	"lineartime/internal/rng"
 )
 
 func setOf(n int, members ...int) *bitset.Set {
@@ -274,5 +276,57 @@ func TestMinMaxDegree(t *testing.T) {
 	g := b.Build()
 	if g.MaxDegree() != 3 || g.MinDegree() != 1 {
 		t.Fatalf("min/max degree = %d/%d, want 1/3", g.MinDegree(), g.MaxDegree())
+	}
+}
+
+// TestRegularFromPairsMatchesBuilder pins the direct adjacency fill of
+// RandomRegular against the Builder path it replaced, on randomized
+// (n, d, seed): identical sorted lists, and the RNG stream untouched
+// (both sides consume the same draws, so equal outputs across retries
+// mean the stream did not move).
+func TestRegularFromPairsMatchesBuilder(t *testing.T) {
+	r := rng.New(0xC0FFEE)
+	for trial := 0; trial < 100; trial++ {
+		n := 4 + r.Intn(120)
+		d := 1 + r.Intn(n/2)
+		if n*d%2 != 0 {
+			d--
+		}
+		if d == 0 {
+			continue
+		}
+		seed := r.Uint64()
+
+		// The old construction: repaired pairs through Builder, accepted
+		// only when the deduplicated result is d-regular.
+		var want *Graph
+		ref := rng.New(seed)
+		for attempt := 0; attempt < 32 && want == nil; attempt++ {
+			pairs, ok := pairingModel(n, d, ref)
+			if !ok {
+				continue
+			}
+			b := NewBuilder(n)
+			for _, p := range pairs {
+				b.AddEdge(p.u, p.v)
+			}
+			if want = b.Build(); !want.IsRegular(d) {
+				t.Fatalf("n=%d d=%d seed=%d: repaired pairs are not a simple d-regular graph", n, d, seed)
+			}
+		}
+
+		got, err := RandomRegular(n, d, seed)
+		if (err != nil) != (want == nil) {
+			t.Fatalf("n=%d d=%d seed=%d: err=%v, Builder path built=%v", n, d, seed, err, want != nil)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(got.adj, want.adj) {
+			t.Fatalf("n=%d d=%d seed=%d: adjacency differs from the Builder path", n, d, seed)
+		}
+		if got.Bytes() != int64(32+24*n+8*n*d) {
+			t.Fatalf("n=%d d=%d: Bytes = %d", n, d, got.Bytes())
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // This file is the implicit-topology substrate: a Neighborhood is any
 // generator of sorted adjacency lists, and a seeded shift (circulant)
@@ -122,6 +125,12 @@ func (s *Shift) Degree(int) int { return s.deg }
 
 // MaxDegree implements Neighborhood.
 func (s *Shift) MaxDegree() int { return s.deg }
+
+// Bytes returns the heap footprint of the generator: O(d) words, never
+// anything per vertex.
+func (s *Shift) Bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + int64(cap(s.gens))*int64(unsafe.Sizeof(s.gens[0]))
+}
 
 // Generators returns the connection set (ascending, each in [1, n/2]).
 // The slice is owned by the Shift; callers must not modify it.

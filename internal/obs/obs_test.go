@@ -205,6 +205,7 @@ func TestRegistryValue(t *testing.T) {
 func TestEngineTracer(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewEngineTracer(reg)
+	tr.StageDuration(StageMaterialize, 5*time.Millisecond)
 	tr.StageDuration(StageSetup, 2*time.Millisecond)
 	tr.StageDuration(StageRounds, 10*time.Millisecond)
 	tr.RunDone(EngineSliced, OutcomeOK, 12, 15*time.Millisecond)
@@ -224,6 +225,12 @@ func TestEngineTracer(t *testing.T) {
 	if v, ok := reg.Value("lineartime_run_stage_duration_seconds",
 		L{"stage", "setup"}); !ok || v != 1 {
 		t.Errorf("setup stage observations = %g, %v", v, ok)
+	}
+	// The scenario layer's materialization is its own pre-registered
+	// stage, not a second observation under the engine's "setup".
+	if v, ok := reg.Value("lineartime_run_stage_duration_seconds",
+		L{"stage", "materialize"}); !ok || v != 1 {
+		t.Errorf("materialize stage observations = %g, %v", v, ok)
 	}
 }
 
@@ -248,7 +255,8 @@ func TestSpanTracer(t *testing.T) {
 // TestEnumStrings keeps the label vocabulary stable — these strings
 // are metric label values and part of the scrape contract.
 func TestEnumStrings(t *testing.T) {
-	if StageDecode.String() != "decode" || StageMerge.String() != "merge" {
+	if StageSetup.String() != "setup" || StageMaterialize.String() != "materialize" ||
+		StageDecode.String() != "decode" || StageMerge.String() != "merge" {
 		t.Error("stage labels changed")
 	}
 	if EngineCastSliced.String() != "cast_sliced" || EngineParallel.String() != "parallel" {

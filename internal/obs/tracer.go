@@ -6,8 +6,10 @@ import (
 )
 
 // Stage identifies one phase of a scenario run. The engines report
-// StageSetup and StageRounds; the scenario layer adds StageDecode
-// (result materialisation) and StageMerge (sliced lane fan-in).
+// StageSetup (arena reset) and StageRounds; the scenario layer adds
+// StageMaterialize before them (spec → overlays, protocol stack and
+// fault layer), and StageDecode (result materialisation) or StageMerge
+// (sliced lane fan-in) after.
 type Stage uint8
 
 const (
@@ -15,6 +17,7 @@ const (
 	StageRounds
 	StageDecode
 	StageMerge
+	StageMaterialize
 	numStages
 )
 
@@ -29,6 +32,8 @@ func (s Stage) String() string {
 		return "decode"
 	case StageMerge:
 		return "merge"
+	case StageMaterialize:
+		return "materialize"
 	}
 	return "unknown"
 }

@@ -68,8 +68,8 @@ type Runner struct{}
 // Execute, and returns the unified report.
 func (Runner) Run(sp Spec) (*Report, error) {
 	// The runner reports its own stages around the engine's: the spec
-	// materialization (topology + protocol stack + fault layer) counts
-	// as setup, the outcome evaluation as decode. The engine reports
+	// materialization (topology + protocol stack + fault layer) as
+	// materialize, the outcome evaluation as decode. The engine reports
 	// its internal setup/rounds split through the same tracer.
 	tr := sp.Tracer
 	var t0 time.Time
@@ -98,7 +98,7 @@ func (Runner) Run(sp Spec) (*Report, error) {
 		slack = defaultRoundSlack
 	}
 	if tr != nil {
-		tr.StageDuration(obs.StageSetup, time.Since(t0))
+		tr.StageDuration(obs.StageMaterialize, time.Since(t0))
 	}
 	res, err := Execute(sim.Config{
 		Protocols:   sys.ps,

@@ -220,10 +220,10 @@ type Spec struct {
 	// Exec selects the engine.
 	Exec Parallelism
 
-	// Tracer optionally receives stage-level timings (setup, rounds,
-	// decode, merge) and the run outcome; it works on every engine.
-	// Runtime-only: excluded from Key, so traced and untraced runs of
-	// the same scenario share a cache identity.
+	// Tracer optionally receives stage-level timings (materialize,
+	// setup, rounds, decode, merge) and the run outcome; it works on
+	// every engine. Runtime-only: excluded from Key, so traced and
+	// untraced runs of the same scenario share a cache identity.
 	Tracer obs.RunTracer
 	// Observer optionally receives per-message engine events
 	// (sequential engine only — see sim.Observer). Runtime-only:

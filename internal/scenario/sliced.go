@@ -256,7 +256,7 @@ func runSlicedChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, e
 
 	sys := consensus.NewSlicedFlooding(shape.N, shape.T, len(idx), shape.BoolInputs)
 	if tr != nil {
-		tr.StageDuration(obs.StageSetup, time.Since(t0))
+		tr.StageDuration(obs.StageMaterialize, time.Since(t0))
 	}
 	res, err := rt.RunSliced(sim.SlicedConfig{
 		System:    sys,
@@ -354,7 +354,7 @@ func runSlicedGossipChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Rep
 		return
 	}
 	if tr != nil {
-		tr.StageDuration(obs.StageSetup, time.Since(t0))
+		tr.StageDuration(obs.StageMaterialize, time.Since(t0))
 	}
 	res, err := rt.RunSliced(sim.SlicedConfig{
 		System:    sys,

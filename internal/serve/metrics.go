@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lineartime/internal/campaign"
+	"lineartime/internal/expander"
 	"lineartime/internal/obs"
 )
 
@@ -81,6 +82,27 @@ func newServeMetrics(s *Server) *serveMetrics {
 		"Result-cache resident bytes.", func() float64 { return float64(c.Bytes()) })
 	reg.GaugeFunc("lineartime_cache_capacity_bytes",
 		"Result-cache byte budget.", func() float64 { return float64(c.Capacity()) })
+
+	// The overlay cache is process-wide (expander.New memoizes), so
+	// these read the one instance every run in this process shares.
+	reg.CounterFunc("lineartime_overlay_cache_hits_total",
+		"Overlay requests served without a build.",
+		func() int64 { return expander.Stats().Hits })
+	reg.CounterFunc("lineartime_overlay_cache_misses_total",
+		"Overlay builds (first sights, second sights and re-builds after eviction).",
+		func() int64 { return expander.Stats().Misses })
+	reg.CounterFunc("lineartime_overlay_cache_evictions_total",
+		"Overlay-cache LRU evictions.",
+		func() int64 { return expander.Stats().Evictions })
+	reg.GaugeFunc("lineartime_overlay_cache_entries",
+		"Overlays resident in the overlay cache.",
+		func() float64 { return float64(expander.Stats().Entries) })
+	reg.GaugeFunc("lineartime_overlay_cache_bytes",
+		"Bytes of resident overlays.",
+		func() float64 { return float64(expander.Stats().Bytes) })
+	reg.GaugeFunc("lineartime_overlay_cache_capacity_bytes",
+		"Overlay-cache byte budget.",
+		func() float64 { return float64(expander.Stats().Capacity) })
 
 	reg.CounterFunc("lineartime_coalesced_total",
 		"Requests served by joining an identical in-flight run.",

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -77,9 +78,19 @@ func TestMetricsNamingConvention(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("registry has no families")
 	}
+	have := make(map[string]bool, len(names))
 	for _, name := range names {
+		have[name] = true
 		if !strings.HasPrefix(name, "lineartime_") {
 			t.Errorf("family %q lacks the lineartime_ prefix", name)
+		}
+	}
+	// The two caches expose the same six families under their own stem.
+	for _, stem := range []string{"lineartime_cache_", "lineartime_overlay_cache_"} {
+		for _, suffix := range []string{"hits_total", "misses_total", "evictions_total", "entries", "bytes", "capacity_bytes"} {
+			if !have[stem+suffix] {
+				t.Errorf("family %s%s not registered", stem, suffix)
+			}
 		}
 	}
 }
@@ -146,6 +157,12 @@ func TestStatszMatchesMetrics(t *testing.T) {
 		{"lineartime_cache_hits_total", float64(st.Cache.Hits)},
 		{"lineartime_cache_misses_total", float64(st.Cache.Misses)},
 		{"lineartime_cache_entries", float64(st.Cache.Entries)},
+		{"lineartime_overlay_cache_hits_total", float64(st.OverlayCache.Hits)},
+		{"lineartime_overlay_cache_misses_total", float64(st.OverlayCache.Misses)},
+		{"lineartime_overlay_cache_evictions_total", float64(st.OverlayCache.Evictions)},
+		{"lineartime_overlay_cache_entries", float64(st.OverlayCache.Entries)},
+		{"lineartime_overlay_cache_bytes", float64(st.OverlayCache.Bytes)},
+		{"lineartime_overlay_cache_capacity_bytes", float64(st.OverlayCache.Capacity)},
 		{"lineartime_coalesced_total", float64(st.Coalesced)},
 		{"lineartime_queue_completed_total", float64(st.Queue.Completed)},
 		{"lineartime_campaign_jobs_capacity", float64(st.Campaigns.Capacity)},
@@ -156,5 +173,52 @@ func TestStatszMatchesMetrics(t *testing.T) {
 	}
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("cache counters after miss+hit: %+v", st.Cache)
+	}
+	if st.OverlayCache.Misses == 0 || st.OverlayCache.Capacity <= 0 {
+		t.Fatalf("overlay cache counters after a run: %+v", st.OverlayCache)
+	}
+}
+
+// TestOverlayCacheObservable drives the two load shapes the overlay
+// cache separates and reads the verdict off /statsz. The cache is
+// process-wide, so the test uses seeds no other test does and judges
+// deltas.
+func TestOverlayCacheObservable(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	run := func(seed, faultSeed uint64) {
+		t.Helper()
+		resp := postRun(t, ts.URL, RunRequest{
+			Scenario: "consensus/few-crashes", N: 60, T: 10, Seed: seed,
+			Fault: fmt.Sprintf("random-crashes:count=5,horizon=16,seed=%d", faultSeed),
+		})
+		if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run = %d %s", resp.StatusCode, body)
+		}
+	}
+
+	// Every result-cache key distinct, one recurring overlay set: the
+	// overlays are admitted at their second sight and hit from then on.
+	before := s.Stats().OverlayCache
+	for fault := uint64(1); fault <= 4; fault++ {
+		run(0x0be5e17ab1e, fault)
+	}
+	recurring := s.Stats().OverlayCache
+	if recurring.Hits <= before.Hits || recurring.Entries <= before.Entries {
+		t.Fatalf("recurring overlays not cached: %+v -> %+v", before, recurring)
+	}
+	if recurring.Bytes > recurring.Capacity {
+		t.Fatalf("overlay cache over budget: %+v", recurring)
+	}
+
+	// A fresh seed per request: nothing recurs, nothing is retained.
+	for seed := uint64(0); seed < 4; seed++ {
+		run(0xf4e5400000+seed, 1)
+	}
+	fresh := s.Stats().OverlayCache
+	if fresh.Entries != recurring.Entries || fresh.Bytes != recurring.Bytes {
+		t.Fatalf("fresh seeds retained overlays: %+v -> %+v", recurring, fresh)
+	}
+	if fresh.Misses <= recurring.Misses {
+		t.Fatalf("fresh seeds did not build: %+v -> %+v", recurring, fresh)
 	}
 }

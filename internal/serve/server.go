@@ -151,6 +151,7 @@ type ScenarioInfo struct {
 type Stats struct {
 	UptimeSeconds float64    `json:"uptime_seconds"`
 	Cache         CacheStats `json:"cache"`
+	OverlayCache  CacheStats `json:"overlay_cache"`
 	Coalesced     int64      `json:"coalesced"`
 	Queue         QueueStats `json:"queue"`
 	Campaigns     JobsStats  `json:"campaigns"`
@@ -233,17 +234,22 @@ func (s *Server) Stats() Stats {
 		v, _ := s.metrics.reg.Value(name)
 		return v
 	}
+	// Both caches export the same six families under their own stem.
+	cache := func(stem string) CacheStats {
+		return CacheStats{
+			Hits:      iv(stem + "hits_total"),
+			Misses:    iv(stem + "misses_total"),
+			Evictions: iv(stem + "evictions_total"),
+			Entries:   iv(stem + "entries"),
+			Bytes:     iv(stem + "bytes"),
+			Capacity:  iv(stem + "capacity_bytes"),
+		}
+	}
 	return Stats{
 		UptimeSeconds: fv("lineartime_uptime_seconds"),
-		Cache: CacheStats{
-			Hits:      iv("lineartime_cache_hits_total"),
-			Misses:    iv("lineartime_cache_misses_total"),
-			Evictions: iv("lineartime_cache_evictions_total"),
-			Entries:   iv("lineartime_cache_entries"),
-			Bytes:     iv("lineartime_cache_bytes"),
-			Capacity:  iv("lineartime_cache_capacity_bytes"),
-		},
-		Coalesced: iv("lineartime_coalesced_total"),
+		Cache:         cache("lineartime_cache_"),
+		OverlayCache:  cache("lineartime_overlay_cache_"),
+		Coalesced:     iv("lineartime_coalesced_total"),
 		Queue: QueueStats{
 			Workers:   int(iv("lineartime_queue_workers")),
 			Depth:     int(iv("lineartime_queue_depth")),
