@@ -111,6 +111,15 @@ type benchPoint struct {
 	// node.
 	HeapResidentBytes int64   `json:"heap_resident_bytes,omitempty"`
 	BytesPerNode      float64 `json:"bytes_per_node,omitempty"`
+
+	// Go, GOMAXPROCS and NumCPU repeat the report's machine fields on
+	// the row, so a row re-measured on another box than the rest of
+	// the committed file carries its own context.
+	Go         string `json:"go,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
+
+	floorCap float64 // the point table's re-based -floor gate, not reported
 }
 
 // slicedSpec is the multi-seed benchmark workload: the flooding
@@ -695,7 +704,7 @@ func run(args []string, stdout *os.File) error {
 	quick := fs.Bool("quick", false, "tiny sizes (CI smoke)")
 	budgetMs := fs.Int("budget", 100, "max-feasible-n time budget, ms per round")
 	maxprocs := fs.Int("maxprocs", 0, "override GOMAXPROCS for the measuring run (0 = leave as is)")
-	floor := fs.Float64("floor", 0, "fail unless every sliced row's speedup_vs_scalar_per_seed reaches this factor (0 = no check)")
+	floor := fs.Float64("floor", 0, "fail unless every sliced row's speedup_vs_scalar_per_seed reaches this factor, or the row's own re-based floor where the point table sets a lower one (0 = no check)")
 	only := fs.String("only", "", `restrict the measurement: "sliced" runs only the multi-seed scalar/sliced families (the CI perf-floor smoke)`)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -768,17 +777,20 @@ func run(args []string, stdout *os.File) error {
 	type slicedPt struct {
 		engine         string
 		n, t, seedsPer int
+		// floorCap re-bases the -floor gate for one row: the row is
+		// asked for min(-floor, floorCap); 0 leaves the flag's value.
+		floorCap float64
 	}
 	slicedPoints := []slicedPt{
 		// The headline multi-seed shape: 64 seeds at n=1000 — the
 		// acceptance comparison of the bit-sliced engine.
-		{"scalar-per-seed", 1000, 16, 64},
-		{"sliced", 1000, 16, 64},
+		{"scalar-per-seed", 1000, 16, 64, 0},
+		{"sliced", 1000, 16, 64, 0},
 	}
 	if *quick {
 		slicedPoints = []slicedPt{
-			{"scalar-per-seed", 64, 8, 16},
-			{"sliced", 64, 8, 16},
+			{"scalar-per-seed", 64, 8, 16, 0},
+			{"sliced", 64, 8, 16, 0},
 		}
 	}
 	for _, p := range slicedPoints {
@@ -786,18 +798,25 @@ func run(args []string, stdout *os.File) error {
 		if err != nil {
 			return fmt.Errorf("%s n=%d: %w", p.engine, p.n, err)
 		}
+		bp.floorCap = p.floorCap
 		rep.Benchmarks = append(rep.Benchmarks, bp)
 	}
 	gossipPoints := []slicedPt{
 		// The fault-swept gossip headline: one expander topology, a
 		// word of crash adversaries per batch.
-		{"scalar-per-seed-gossip", 1000, 16, 64},
-		{"sliced-gossip", 1000, 16, 64},
+		{"scalar-per-seed-gossip", 1000, 16, 64, 0},
+		{"sliced-gossip", 1000, 16, 64, 0},
 	}
 	if *quick {
+		// The CI gate on the gossip row is re-based, not 8: the row
+		// divides by the scalar gossip stack, whose merges are
+		// word-parallel too, so lane-slicing buys less here than over
+		// the flooding comparator. 0.6 × the 3.09–3.29× measured when
+		// the scalar path was rewritten, and above 1 — sliced must
+		// still beat scalar.
 		gossipPoints = []slicedPt{
-			{"scalar-per-seed-gossip", 64, 8, 16},
-			{"sliced-gossip", 64, 8, 16},
+			{"scalar-per-seed-gossip", 64, 8, 16, 0},
+			{"sliced-gossip", 64, 8, 16, 1.8},
 		}
 	}
 	for _, p := range gossipPoints {
@@ -805,6 +824,7 @@ func run(args []string, stdout *os.File) error {
 		if err != nil {
 			return fmt.Errorf("%s n=%d: %w", p.engine, p.n, err)
 		}
+		bp.floorCap = p.floorCap
 		rep.Benchmarks = append(rep.Benchmarks, bp)
 	}
 	for _, p := range implicitPoints {
@@ -815,6 +835,10 @@ func run(args []string, stdout *os.File) error {
 		rep.Benchmarks = append(rep.Benchmarks, bp)
 	}
 	fillSpeedups(rep.Benchmarks)
+	for i := range rep.Benchmarks {
+		p := &rep.Benchmarks[i]
+		p.Go, p.GOMAXPROCS, p.NumCPU = rep.Go, rep.GOMAXPROCS, rep.NumCPU
+	}
 	if *floor > 0 {
 		checked := 0
 		for _, p := range rep.Benchmarks {
@@ -822,8 +846,12 @@ func run(args []string, stdout *os.File) error {
 				continue
 			}
 			checked++
-			if p.SpeedupVsScalarPerSeed < *floor {
-				return fmt.Errorf("%s: speedup_vs_scalar_per_seed %.2f below floor %.2f", p.Name, p.SpeedupVsScalarPerSeed, *floor)
+			want := *floor
+			if p.floorCap > 0 && p.floorCap < want {
+				want = p.floorCap
+			}
+			if p.SpeedupVsScalarPerSeed < want {
+				return fmt.Errorf("%s: speedup_vs_scalar_per_seed %.2f below floor %.2f", p.Name, p.SpeedupVsScalarPerSeed, want)
 			}
 		}
 		if checked == 0 {

@@ -260,7 +260,7 @@ func measure(client *http.Client, addr string, base serve.RunRequest, concurrenc
 				start := time.Now()
 				var status int
 				var cacheHdr string
-				gaveUp := false
+				gaveUp, cutOff := false, false
 				for attempt := 0; ; attempt++ {
 					resp, err := client.Post(addr+"/v1/run", "application/json", bytes.NewReader(body))
 					if err != nil {
@@ -276,8 +276,14 @@ func measure(client *http.Client, addr string, base serve.RunRequest, concurrenc
 					}
 					// Backpressure is transient: back off and retry the same
 					// request instead of failing it, up to the attempt cap
-					// (and never past the measurement window).
-					if attempt >= maxRetryAttempts || !time.Now().Before(deadline) {
+					// (and never past the measurement window: a request the
+					// window closes on mid-retry has not exhausted its
+					// retries, so it leaves the measurement uncounted).
+					if !time.Now().Before(deadline) {
+						cutOff = true
+						break
+					}
+					if attempt >= maxRetryAttempts {
 						gaveUp = true
 						break
 					}
@@ -290,6 +296,8 @@ func measure(client *http.Client, addr string, base serve.RunRequest, concurrenc
 				}
 				elapsed := time.Since(start)
 				switch {
+				case cutOff:
+					continue
 				case gaveUp:
 					rejected.Add(1)
 					continue

@@ -75,6 +75,28 @@ func (s *Set) UnionWith(other *Set) {
 	}
 }
 
+// UnionNew adds every element of other to s and calls fn, in increasing
+// order, for each element s did not hold before. The merge works a word
+// at a time — fresh = other &^ s — so its cost is the number of words
+// plus the number of fresh elements, not the size of other. It panics
+// if capacities differ, as UnionWith does.
+func (s *Set) UnionNew(other *Set, fn func(i int)) {
+	if other.n != s.n {
+		panic("bitset: capacity mismatch in UnionNew")
+	}
+	for wi, w := range other.words {
+		fresh := w &^ s.words[wi]
+		if fresh == 0 {
+			continue
+		}
+		s.words[wi] |= fresh
+		for fresh != 0 {
+			fn(wi*64 + bits.TrailingZeros64(fresh))
+			fresh &= fresh - 1
+		}
+	}
+}
+
 // IntersectWith removes from s every element not in other.
 func (s *Set) IntersectWith(other *Set) {
 	if other.n != s.n {

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,4 +216,60 @@ func TestForEachMatchesElements(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestUnionNewMatchesBitAtATime pins the word-parallel merge against
+// the bit-at-a-time reference it replaced — visit other's members in
+// order, add and report the ones s lacks — on random sets of every
+// density, at capacities on both sides of a word boundary.
+func TestUnionNewMatchesBitAtATime(t *testing.T) {
+	r := rng.New(0xB175)
+	for _, n := range []int{1, 63, 64, 65, 128, 1000} {
+		for trial := 0; trial < 200; trial++ {
+			s, other := New(n), New(n)
+			ps, po := r.Intn(101), r.Intn(101) // membership percentages, 0 and 100 included
+			for i := 0; i < n; i++ {
+				if r.Intn(100) < ps {
+					s.Add(i)
+				}
+				if r.Intn(100) < po {
+					other.Add(i)
+				}
+			}
+			want, wantOther := s.Clone(), other.Clone()
+			var wantFresh []int
+			other.ForEach(func(i int) {
+				if !want.Contains(i) {
+					want.Add(i)
+					wantFresh = append(wantFresh, i)
+				}
+			})
+
+			var fresh []int
+			s.UnionNew(other, func(i int) { fresh = append(fresh, i) })
+			if !s.Equal(want) {
+				t.Fatalf("n=%d: UnionNew = %v, want %v", n, s, want)
+			}
+			if !slices.Equal(fresh, wantFresh) {
+				t.Fatalf("n=%d: fresh = %v, want %v", n, fresh, wantFresh)
+			}
+			if !other.Equal(wantOther) {
+				t.Fatalf("n=%d: UnionNew wrote to its argument", n)
+			}
+			if s.Count() > n {
+				t.Fatalf("n=%d: bits above capacity set", n)
+			}
+		}
+	}
+}
+
+func TestUnionNewCapacityMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UnionNew across capacities did not panic")
+		}
+	}()
+	// Same word count, different capacity: the check is on n, not on
+	// the backing length.
+	New(65).UnionNew(New(128), func(int) {})
 }

@@ -28,7 +28,7 @@ type AEA struct {
 	flooded   bool // sent the rumor-1 flood already
 	pending   bool // flood at the next Send
 	probing   *probe.Probing
-	out       outbox
+	out       sim.Outbox
 
 	decided    bool
 	decision   bool
@@ -100,7 +100,7 @@ func (a *AEA) sendPart1(round int) []sim.Envelope {
 	if (first && a.candidate && !a.flooded) || a.pending {
 		a.flooded = true
 		a.pending = false
-		return a.out.fanOut(a.id, a.top.Little.Neighbors(a.id), sim.Bit(true))
+		return a.out.FanOut(a.id, a.top.Little.Neighbors(a.id), sim.Bit(true))
 	}
 	return nil
 }
@@ -109,14 +109,14 @@ func (a *AEA) sendPart2() []sim.Envelope {
 	if a.probing == nil {
 		return nil
 	}
-	return a.out.fanOut(a.id, a.probing.SendTargets(), sim.Probe{Rumor: sim.Bit(a.candidate)})
+	return a.out.FanOut(a.id, a.probing.SendTargets(), sim.Probe{Rumor: sim.Bit(a.candidate)})
 }
 
 func (a *AEA) sendPart3() []sim.Envelope {
 	if !a.top.IsLittle(a.id) || !a.decided {
 		return nil
 	}
-	return a.out.fanOut(a.id, a.top.RelatedOf(a.id), sim.Bit(a.decision))
+	return a.out.FanOut(a.id, a.top.RelatedOf(a.id), sim.Bit(a.decision))
 }
 
 // Deliver implements sim.Protocol.

@@ -26,7 +26,7 @@ type SCV struct {
 	adopted bool // adopted in the previous Part 1 round → forward next Send
 
 	inquirers  []int // inquiry senders of the current phase's first round
-	out        outbox
+	out        sim.Outbox
 	standalone bool
 	halted     bool
 
@@ -73,10 +73,10 @@ func (s *SCV) phaseAt(round int) (phase int, first bool) {
 // every little node in the final fallback phase.
 func (s *SCV) sendInquiries(phase int) []sim.Envelope {
 	if phase >= s.phases { // fallback
-		s.out.reset(s.top.L)
+		s.out.Reset(s.top.L)
 		for to := 0; to < s.top.L; to++ {
 			if to != s.id {
-				s.out.add(s.id, to, sim.Inquiry{})
+				s.out.Add(s.id, to, sim.Inquiry{})
 			}
 		}
 		return s.out
@@ -87,7 +87,7 @@ func (s *SCV) sendInquiries(phase int) []sim.Envelope {
 		// failure here means the topology itself is unusable.
 		panic("consensus: inquiry overlay unavailable: " + err.Error())
 	}
-	return s.out.fanOut(s.id, overlay.Neighbors(s.id), sim.Inquiry{})
+	return s.out.FanOut(s.id, overlay.Neighbors(s.id), sim.Inquiry{})
 }
 
 // Send implements sim.Protocol.
@@ -100,7 +100,7 @@ func (s *SCV) Send(round int) []sim.Envelope {
 			return nil
 		}
 		s.adopted = false
-		return s.out.fanOut(s.id, s.top.Broadcast.Neighbors(s.id), sim.Bit(s.value))
+		return s.out.FanOut(s.id, s.top.Broadcast.Neighbors(s.id), sim.Bit(s.value))
 	case round < s.p2End:
 		phase, first := s.phaseAt(round)
 		if first {
@@ -113,7 +113,7 @@ func (s *SCV) Send(round int) []sim.Envelope {
 		if !s.decided || len(s.inquirers) == 0 {
 			return nil
 		}
-		return s.out.fanOut(s.id, s.inquirers, sim.Bit(s.value))
+		return s.out.FanOut(s.id, s.inquirers, sim.Bit(s.value))
 	default:
 		return nil
 	}

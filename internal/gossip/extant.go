@@ -19,11 +19,13 @@ type Rumor uint64
 const RumorBits = 64
 
 // ExtantSet is a node's view: for each node name either a proper pair
-// (the rumor) or nil (unknown). The zero value is unusable; use
-// NewExtantSet.
+// (the rumor) or nil (unknown). Pairs are immutable once proper (§5),
+// so a view only grows. The zero value is unusable; use NewExtantSet.
 type ExtantSet struct {
 	known  *bitset.Set
 	rumors []Rumor
+	count  int        // |known|, kept so sizing a message is O(1)
+	snap   *ExtantSet // last Snapshot; current while snap.count == count
 }
 
 // NewExtantSet returns an extant set over n nodes with every pair nil.
@@ -32,13 +34,14 @@ func NewExtantSet(n int) *ExtantSet {
 }
 
 // Update records the proper pair (node, rumor); later updates for the
-// same node are ignored (pairs are immutable once proper, §5).
+// same node are ignored.
 func (e *ExtantSet) Update(node int, rumor Rumor) {
 	if e.known.Contains(node) {
 		return
 	}
 	e.known.Add(node)
 	e.rumors[node] = rumor
+	e.count++
 }
 
 // Present reports whether node has a proper pair at this extant set.
@@ -48,21 +51,75 @@ func (e *ExtantSet) Present(node int) bool { return e.known.Contains(node) }
 func (e *ExtantSet) Rumor(node int) Rumor { return e.rumors[node] }
 
 // Count returns the number of proper pairs.
-func (e *ExtantSet) Count() int { return e.known.Count() }
+func (e *ExtantSet) Count() int { return e.count }
 
 // Known returns a copy of the membership set.
 func (e *ExtantSet) Known() *bitset.Set { return e.known.Clone() }
 
-// MergeFrom absorbs every proper pair of other that is nil here.
+// MergeFrom absorbs every proper pair of other that is nil here. The
+// membership merge runs a word at a time and rumors are copied only
+// for the pairs that are new, so absorbing a set that teaches nothing
+// — the common case once rumors have spread — costs n/64 word
+// operations.
 func (e *ExtantSet) MergeFrom(other *ExtantSet) {
-	other.known.ForEach(func(node int) {
-		e.Update(node, other.rumors[node])
+	e.known.UnionNew(other.known, func(node int) {
+		e.rumors[node] = other.rumors[node]
+		e.count++
 	})
 }
 
 // Clone returns an independent copy.
 func (e *ExtantSet) Clone() *ExtantSet {
-	return &ExtantSet{known: e.known.Clone(), rumors: append([]Rumor(nil), e.rumors...)}
+	return &ExtantSet{known: e.known.Clone(), rumors: append([]Rumor(nil), e.rumors...), count: e.count}
+}
+
+// Snapshot returns a copy of e for a message payload. The copy is
+// never written again — a delayed message parks in the engine's delay
+// ring for rounds and the parallel engine hands one payload to many
+// receivers at once — so it is shared by every message the node sends
+// until e next grows: a view only grows, hence an unchanged count
+// means an unchanged view, and only a changed one is cloned again.
+func (e *ExtantSet) Snapshot() *ExtantSet {
+	if e.snap == nil || e.snap.count != e.count {
+		e.snap = e.Clone()
+	}
+	return e.snap
+}
+
+// CompletionSet is a little node's Part 2 bookkeeping: the nodes its
+// extant set is known to have been pushed to, by itself or by a little
+// node whose completion set it merged while probing. Like a view it
+// only grows. The zero value is unusable; use NewCompletionSet.
+type CompletionSet struct {
+	set  *bitset.Set
+	snap *bitset.Set // last Snapshot; current while equal to set
+}
+
+// NewCompletionSet returns an empty completion set over n nodes.
+func NewCompletionSet(n int) *CompletionSet {
+	return &CompletionSet{set: bitset.New(n)}
+}
+
+// Add marks node covered and reports whether it was not before.
+func (c *CompletionSet) Add(node int) bool {
+	if c.set.Contains(node) {
+		return false
+	}
+	c.set.Add(node)
+	return true
+}
+
+// MergeFrom absorbs a received completion set.
+func (c *CompletionSet) MergeFrom(other *bitset.Set) { c.set.UnionWith(other) }
+
+// Snapshot returns a copy of the set for a message payload, under
+// ExtantSet.Snapshot's rule: never written again, cloned again only
+// once the set has grown.
+func (c *CompletionSet) Snapshot() *bitset.Set {
+	if c.snap == nil || !c.snap.Equal(c.set) {
+		c.snap = c.set.Clone()
+	}
+	return c.snap
 }
 
 // Payload types of the gossip protocol. Sizes follow the paper's
@@ -85,7 +142,7 @@ type ExtantPayload struct {
 
 // SizeBits implements sim.Payload.
 func (p ExtantPayload) SizeBits() int {
-	return p.Set.known.Len() + RumorBits*p.Set.Count()
+	return p.Set.known.Len() + RumorBits*p.Set.count
 }
 
 // CompletionPayload carries a completion set (Part 2 bookkeeping).

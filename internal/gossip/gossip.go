@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
 	"lineartime/internal/probe"
 	"lineartime/internal/sim"
@@ -24,7 +23,9 @@ type Gossip struct {
 	top *consensus.Topology
 
 	extant     *ExtantSet
-	completion []bool // completion set; little nodes only
+	completion *CompletionSet // little nodes only
+	self       sim.Payload    // the node's own pair, boxed once
+	out        sim.Outbox
 
 	probing      *probe.Probing
 	survivedPrev bool  // survived the previous phase's probing
@@ -46,6 +47,7 @@ func New(id int, top *consensus.Topology, rumor Rumor) *Gossip {
 		survivedPrev: true,
 	}
 	g.extant.Update(id, rumor)
+	g.self = PairPayload{Node: id, Value: rumor}
 	gamma := top.Little.P.Gamma
 	g.phases = ceilLog2(top.N)
 	if g.phases < 1 {
@@ -56,8 +58,8 @@ func New(id int, top *consensus.Topology, rumor Rumor) *Gossip {
 	g.p2End = 2 * g.p1End
 	if top.IsLittle(id) {
 		g.probing = probe.New(top.Little.Neighbors(id), gamma, top.Little.P.Delta)
-		g.completion = make([]bool, top.N)
-		g.completion[id] = true
+		g.completion = NewCompletionSet(top.N)
+		g.completion.Add(id)
 	}
 	return g
 }
@@ -107,33 +109,24 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 		if !little || (phase > 0 && !g.survivedPrev) {
 			return nil
 		}
+		g.out.Reset(0)
 		if part == 1 {
-			var out []sim.Envelope
 			for _, u := range g.overlayFor(phase) {
 				if !g.extant.Present(u) {
-					out = append(out, sim.Envelope{From: g.id, To: u, Payload: sim.Inquiry{}})
+					g.out.Add(g.id, u, sim.Inquiry{})
 				}
 			}
-			return out
+			return g.out
 		}
-		var out []sim.Envelope
-		var snapshot *ExtantSet
 		for _, u := range g.overlayFor(phase) {
-			if !g.completion[u] {
-				g.completion[u] = true
-				if snapshot == nil {
-					snapshot = g.extant.Clone()
-				}
-				out = append(out, sim.Envelope{From: g.id, To: u, Payload: ExtantPayload{Set: snapshot}})
+			if g.completion.Add(u) {
+				g.out.Add(g.id, u, ExtantPayload{Set: g.extant.Snapshot()})
 			}
 		}
-		return out
+		return g.out
 	case 1: // response round (Part 1 only)
 		if part == 1 && len(g.inquirers) > 0 {
-			out := make([]sim.Envelope, 0, len(g.inquirers))
-			for _, to := range g.inquirers {
-				out = append(out, sim.Envelope{From: g.id, To: to, Payload: PairPayload{Node: g.id, Value: Rumor(g.extant.Rumor(g.id))}})
-			}
+			out := g.out.FanOut(g.id, g.inquirers, g.self)
 			g.inquirers = g.inquirers[:0]
 			return out
 		}
@@ -147,29 +140,11 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 			return nil
 		}
 		// One snapshot shared by all targets: receivers only read it.
-		var payload sim.Payload
 		if part == 1 {
-			payload = ExtantPayload{Set: g.extant.Clone()}
-		} else {
-			payload = CompletionPayload{Set: completionToSet(g.completion)}
+			return g.out.FanOut(g.id, targets, ExtantPayload{Set: g.extant.Snapshot()})
 		}
-		out := make([]sim.Envelope, 0, len(targets))
-		for _, to := range targets {
-			out = append(out, sim.Envelope{From: g.id, To: to, Payload: payload})
-		}
-		return out
+		return g.out.FanOut(g.id, targets, CompletionPayload{Set: g.completion.Snapshot()})
 	}
-}
-
-// completionToSet snapshots a completion vector as a bit set.
-func completionToSet(completion []bool) *bitset.Set {
-	s := bitset.New(len(completion))
-	for i, ok := range completion {
-		if ok {
-			s.Add(i)
-		}
-	}
-	return s
 }
 
 // Deliver implements sim.Protocol.
@@ -212,7 +187,7 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 					g.extant.MergeFrom(p.Set)
 				case CompletionPayload:
 					count++
-					p.Set.ForEach(func(v int) { g.completion[v] = true })
+					g.completion.MergeFrom(p.Set)
 				}
 			}
 			g.probing.Observe(count)

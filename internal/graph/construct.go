@@ -7,15 +7,27 @@ import (
 	"lineartime/internal/rng"
 )
 
-// Complete returns the complete graph K_n.
+// Complete returns the complete graph K_n. Every vertex's sorted
+// adjacency is 0..n-1 without itself, so the lists are written straight
+// into one backing array, each clipped to its own n-1 words.
 func Complete(n int) *Graph {
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v)
-		}
+	if n < 0 {
+		panic("graph: negative vertex count")
 	}
-	return b.Build()
+	adj := make([][]int, n)
+	d := n - 1
+	flat := make([]int, n*d)
+	for u := range adj {
+		row := flat[u*d : (u+1)*d : (u+1)*d]
+		for v := 0; v < u; v++ {
+			row[v] = v
+		}
+		for v := u + 1; v < n; v++ {
+			row[v-1] = v
+		}
+		adj[u] = row
+	}
+	return &Graph{n: n, adj: adj}
 }
 
 // Cycle returns the n-cycle (n >= 3), or a path/edge for tiny n.

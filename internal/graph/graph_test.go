@@ -330,3 +330,24 @@ func TestRegularFromPairsMatchesBuilder(t *testing.T) {
 		}
 	}
 }
+
+// TestCompleteMatchesBuilder pins the direct adjacency fill of Complete
+// against the Builder path it replaced, including the empty (non-nil)
+// lists of K_0 and K_1 and sizes either side of a word boundary.
+func TestCompleteMatchesBuilder(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 64, 65, 128, 193} {
+		b := NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				b.AddEdge(u, v)
+			}
+		}
+		want, got := b.Build(), Complete(n)
+		if got.n != want.n || !reflect.DeepEqual(got.adj, want.adj) {
+			t.Fatalf("n=%d: Complete differs from the Builder path", n)
+		}
+		if got.NumEdges() != n*(n-1)/2 {
+			t.Fatalf("n=%d: %d edges", n, got.NumEdges())
+		}
+	}
+}

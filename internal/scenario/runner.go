@@ -415,29 +415,39 @@ func materializeGossip(sp Spec) (*system, error) {
 	}
 
 	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &GossipOutcome{
-			Extant:   make([]map[int]uint64, n),
-			Complete: true,
-		}
-		for i := 0; i < n; i++ {
-			if res.Crashed.Contains(i) {
-				continue
-			}
-			e := extants[i]()
-			view := make(map[int]uint64, e.Count())
-			e.Known().ForEach(func(j int) { view[j] = uint64(e.Rumor(j)) })
-			out.Extant[i] = view
-			for j := 0; j < n; j++ {
-				if !res.Crashed.Contains(j) {
-					if _, ok := view[j]; !ok {
-						out.Complete = false
-					}
-				}
-			}
-		}
-		rep.Gossip = out
+		rep.Gossip = gossipOutcome(n, res.Crashed,
+			func(i int) *bitset.Set { return extants[i]().Known() },
+			func(i, j int) uint64 { return uint64(extants[i]().Rumor(j)) })
 	}
 	return sys, nil
+}
+
+// gossipOutcome decodes a finished gossip run into its outcome. For a
+// surviving node i, known(i) is the membership of i's extant set (read
+// before the next call, so the caller may reuse one set) and
+// rumor(i, j) the rumor i holds for a member j. The run is complete
+// when every survivor's membership covers the survivors, one word at a
+// time.
+func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, rumor func(i, j int) uint64) *GossipOutcome {
+	out := &GossipOutcome{
+		Extant:   make([]map[int]uint64, n),
+		Complete: true,
+	}
+	survivors := crashed.Clone()
+	survivors.Complement()
+	for i := 0; i < n; i++ {
+		if crashed.Contains(i) {
+			continue
+		}
+		members := known(i)
+		view := make(map[int]uint64, members.Count())
+		members.ForEach(func(j int) { view[j] = rumor(i, j) })
+		out.Extant[i] = view
+		if !survivors.SubsetOf(members) {
+			out.Complete = false
+		}
+	}
+	return out
 }
 
 func materializeCheckpointing(sp Spec) (*system, error) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
 	"lineartime/internal/gossip"
 	"lineartime/internal/obs"
@@ -484,33 +485,17 @@ func gossipLaneReport(sp Spec, sys *gossip.SlicedGossip, lane int, lr *sim.LaneR
 	rep.Metrics.PerPart = perPart
 
 	bit := uint64(1) << lane
-	out := &GossipOutcome{
-		Extant:   make([]map[int]uint64, sp.N),
-		Complete: true,
-	}
-	for i := 0; i < sp.N; i++ {
-		if lr.Crashed.Contains(i) {
-			continue
-		}
-		// Pre-size the view to its exact cardinality: the views carry
-		// n entries each at full propagation, and letting the map grow
-		// incrementally costs more than the whole sliced run.
-		count := 0
-		for j := 0; j < sp.N; j++ {
-			if sys.Known(i, j)&bit != 0 {
-				count++
+	members := bitset.New(sp.N)
+	rep.Gossip = gossipOutcome(sp.N, lr.Crashed,
+		func(i int) *bitset.Set {
+			members.Clear()
+			for j := 0; j < sp.N; j++ {
+				if sys.Known(i, j)&bit != 0 {
+					members.Add(j)
+				}
 			}
-		}
-		view := make(map[int]uint64, count)
-		for j := 0; j < sp.N; j++ {
-			if sys.Known(i, j)&bit != 0 {
-				view[j] = sp.Rumors[j]
-			} else if out.Complete && !lr.Crashed.Contains(j) {
-				out.Complete = false
-			}
-		}
-		out.Extant[i] = view
-	}
-	rep.Gossip = out
+			return members
+		},
+		func(_, j int) uint64 { return sp.Rumors[j] })
 	return rep
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
 	"lineartime/internal/expander"
 	"lineartime/internal/gossip"
@@ -124,7 +123,7 @@ type SPGossip struct {
 	schedule *GossipSchedule
 
 	extant     *gossip.ExtantSet
-	completion []bool
+	completion *gossip.CompletionSet // little nodes only
 
 	probing      *probe.Probing
 	survivedPrev bool
@@ -133,9 +132,6 @@ type SPGossip struct {
 	// inquired[k] marks that inquiry-overlay neighbor k inquired this
 	// node in the current phase.
 	inquired []bool
-	// pushSnapshot is the extant snapshot shared by this phase's pushes.
-	pushSnapshot      *gossip.ExtantSet
-	pushSnapshotPhase int
 
 	halted bool
 }
@@ -144,17 +140,16 @@ type SPGossip struct {
 func NewSPGossip(id int, schedule *GossipSchedule, rumor gossip.Rumor) *SPGossip {
 	top := schedule.Top
 	g := &SPGossip{
-		id:                id,
-		schedule:          schedule,
-		extant:            gossip.NewExtantSet(top.N),
-		survivedPrev:      true,
-		pushSnapshotPhase: -1,
+		id:           id,
+		schedule:     schedule,
+		extant:       gossip.NewExtantSet(top.N),
+		survivedPrev: true,
 	}
 	g.extant.Update(id, rumor)
 	if top.IsLittle(id) {
 		g.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
-		g.completion = make([]bool, top.N)
-		g.completion[id] = true
+		g.completion = gossip.NewCompletionSet(top.N)
+		g.completion.Add(id)
 	}
 	return g
 }
@@ -218,13 +213,8 @@ func (g *SPGossip) Send(round int) []sim.Envelope {
 			return nil
 		}
 		to := g.neighborAt(b, off)
-		if to >= 0 && !g.completion[to] {
-			g.completion[to] = true
-			if g.pushSnapshotPhase != b.phase {
-				g.pushSnapshot = g.extant.Clone()
-				g.pushSnapshotPhase = b.phase
-			}
-			return []sim.Envelope{{From: g.id, To: to, Payload: gossip.ExtantPayload{Set: g.pushSnapshot}}}
+		if to >= 0 && g.completion.Add(to) {
+			return []sim.Envelope{{From: g.id, To: to, Payload: gossip.ExtantPayload{Set: g.extant.Snapshot()}}}
 		}
 	case blockProbe:
 		if !g.little() {
@@ -239,9 +229,9 @@ func (g *SPGossip) Send(round int) []sim.Envelope {
 			if to := g.littleNeighborAt(slot); to >= 0 {
 				var payload sim.Payload
 				if b.part == 1 {
-					payload = gossip.ExtantPayload{Set: g.extant.Clone()}
+					payload = gossip.ExtantPayload{Set: g.extant.Snapshot()}
 				} else {
-					payload = gossip.CompletionPayload{Set: completionSet(g.completion)}
+					payload = gossip.CompletionPayload{Set: g.completion.Snapshot()}
 				}
 				return []sim.Envelope{{From: g.id, To: to, Payload: payload}}
 			}
@@ -327,7 +317,7 @@ func (g *SPGossip) Deliver(round int, inbox []sim.Envelope) {
 						g.extant.MergeFrom(p.Set)
 					case gossip.CompletionPayload:
 						g.probeRecv++
-						p.Set.ForEach(func(v int) { g.completion[v] = true })
+						g.completion.MergeFrom(p.Set)
 					}
 				}
 				d := g.schedule.Top.Little.P.Degree
@@ -360,17 +350,6 @@ func (g *SPGossip) neighborIndex(b *gossipBlock, from int) int {
 
 // Halted implements sim.Protocol.
 func (g *SPGossip) Halted() bool { return g.halted }
-
-// completionSet snapshots a completion vector as a bit set.
-func completionSet(completion []bool) *bitset.Set {
-	s := bitset.New(len(completion))
-	for i, ok := range completion {
-		if ok {
-			s.Add(i)
-		}
-	}
-	return s
-}
 
 var (
 	_ sim.Protocol = (*SPGossip)(nil)
