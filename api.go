@@ -300,7 +300,8 @@ type GossipReport struct {
 	Metrics Metrics
 	Crashed []int
 	// Extant[i] maps node names to rumors as decided by node i (nil
-	// for crashed nodes).
+	// for crashed nodes). The views are read-only: nodes that decided
+	// equal views may share one map.
 	Extant []map[int]uint64
 	// Complete reports whether every surviving node's extant set
 	// contains every surviving node's rumor.

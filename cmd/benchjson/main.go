@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,7 +81,7 @@ func buildSystem(n, fanout, horizon int) (sim.Config, []*broadcaster) {
 // benchPoint is one measured engine configuration.
 type benchPoint struct {
 	Name         string  `json:"name"`
-	Engine       string  `json:"engine"` // "sequential" | "parallel" | "reuse" | "reuse-parallel" | "scalar-per-seed" | "sliced" | "scalar-per-seed-gossip" | "sliced-gossip" | "implicit-sequential" | "implicit-parallel" | "implicit-sliced"
+	Engine       string  `json:"engine"` // "sequential" | "parallel" | "reuse" | "reuse-parallel" | "scalar-per-seed" | "sliced" | "scalar-per-seed-gossip" | "sliced-gossip" | "scalar-per-seed-gossip-links" | "sliced-gossip-links" | "implicit-sequential" | "implicit-parallel" | "implicit-sliced"
 	N            int     `json:"n"`
 	Fanout       int     `json:"fanout"`
 	Rounds       int     `json:"rounds"`
@@ -206,15 +207,29 @@ func measureSliced(engine string, n, t, seeds int) (benchPoint, error) {
 // gossip/expander shape shared by every lane — same topology seed, so
 // the whole batch forms one sliced group — with per-lane random-crash
 // adversaries, so the lanes genuinely diverge in crash sets, rounds
-// and traffic instead of measuring a degenerate identical batch.
-func gossipSpecs(n, t, seeds int) []scenario.Spec {
+// and traffic instead of measuring a degenerate identical batch. With
+// links set the lanes cycle the three link-fault families instead —
+// omission at 1–5 %, delay up to 1 or 2 rounds, a partition window —
+// the faulted sliced path: lane kernels, the delay ring and its sender
+// sort, merges of re-sent snapshots.
+func gossipSpecs(n, t, seeds int, links bool) []scenario.Spec {
 	base := scenario.MustLookup("gossip/expander").Spec(n, t, 1)
 	sps := make([]scenario.Spec, seeds)
 	for i := range sps {
 		sps[i] = base
-		sps[i].Fault = scenario.FaultModel{
-			Kind: scenario.RandomCrashes, Count: t, Horizon: t + 2, Seed: uint64(1001 + i),
+		f := scenario.FaultModel{Kind: scenario.RandomCrashes, Count: t, Horizon: t + 2}
+		if links {
+			switch i % 3 {
+			case 0:
+				f = scenario.FaultModel{Kind: scenario.OmissionFaults, Rate: 0.01 * float64(1+i%5)}
+			case 1:
+				f = scenario.FaultModel{Kind: scenario.DelayedLinks, Delay: 1 + i/3%2}
+			default:
+				f = scenario.FaultModel{Kind: scenario.PartitionWindow, WindowStart: 1 + i%4, WindowEnd: 2 + i%4 + i/3%4}
+			}
 		}
+		f.Seed = uint64(1001 + i)
+		sps[i].Fault = f
 	}
 	return sps
 }
@@ -223,12 +238,14 @@ func gossipSpecs(n, t, seeds int) []scenario.Spec {
 // shape: "scalar-per-seed-gossip" runs the lanes as sequential
 // scenario.Run calls (one op = seeds full scalar gossip simulations);
 // "sliced-gossip" evaluates the same specs as one
-// scenario.ExecuteBatch call riding the bit-sliced gossip machine.
+// scenario.ExecuteBatch call riding the bit-sliced gossip machine. A
+// "-links" suffix on either swaps the crash lanes for link-fault lanes.
 func measureSlicedGossip(engine string, n, t, seeds int) (benchPoint, error) {
-	sps := gossipSpecs(n, t, seeds)
+	flavour, links := strings.CutSuffix(engine, "-links")
+	sps := gossipSpecs(n, t, seeds, links)
 	var runErr error
 	var body func(b *testing.B)
-	switch engine {
+	switch flavour {
 	case "scalar-per-seed-gossip":
 		body = func(b *testing.B) {
 			b.ReportAllocs()
@@ -530,11 +547,8 @@ func fillSpeedups(points []benchPoint) {
 			seq = base("reuse", p.N, p.Fanout)
 		case "implicit-parallel":
 			seq = base("implicit-sequential", p.N, p.Fanout)
-		case "sliced", "sliced-gossip":
-			scalar := "scalar-per-seed"
-			if p.Engine == "sliced-gossip" {
-				scalar = "scalar-per-seed-gossip"
-			}
+		case "sliced", "sliced-gossip", "sliced-gossip-links":
+			scalar := "scalar-per-seed" + strings.TrimPrefix(p.Engine, "sliced")
 			for j := range points {
 				q := &points[j]
 				if q.Engine == scalar && q.N == p.N && q.SeedsPerOp == p.SeedsPerOp && q.SimsPerSec > 0 {
@@ -806,6 +820,10 @@ func run(args []string, stdout *os.File) error {
 		// word of crash adversaries per batch.
 		{"scalar-per-seed-gossip", 1000, 16, 64, 0},
 		{"sliced-gossip", 1000, 16, 64, 0},
+		// The same shape under link faults: the path the crash rows
+		// never enter.
+		{"scalar-per-seed-gossip-links", 1000, 16, 64, 0},
+		{"sliced-gossip-links", 1000, 16, 64, 0},
 	}
 	if *quick {
 		// The CI gate on the gossip row is re-based, not 8: the row
@@ -813,10 +831,14 @@ func run(args []string, stdout *os.File) error {
 		// word-parallel too, so lane-slicing buys less here than over
 		// the flooding comparator. 0.6 × the 3.09–3.29× measured when
 		// the scalar path was rewritten, and above 1 — sliced must
-		// still beat scalar.
+		// still beat scalar. The link-fault row is gated the same way
+		// at 0.6 × the 4.10–4.34× measured when the lane kernels landed
+		// (1.75–1.82× with one FilterLink call per lane per message).
 		gossipPoints = []slicedPt{
 			{"scalar-per-seed-gossip", 64, 8, 16, 0},
 			{"sliced-gossip", 64, 8, 16, 1.8},
+			{"scalar-per-seed-gossip-links", 64, 8, 16, 0},
+			{"sliced-gossip-links", 64, 8, 16, 2.4},
 		}
 	}
 	for _, p := range gossipPoints {

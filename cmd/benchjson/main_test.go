@@ -26,11 +26,11 @@ func TestBenchJSONQuick(t *testing.T) {
 	if rep.Schema != "lineartime/bench_sim/v5" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	if len(rep.Benchmarks) != 10 {
-		t.Fatalf("benchmarks = %d, want 10 (3 broadcaster + 2 multi-seed + 2 gossip + 3 implicit)", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 12 {
+		t.Fatalf("benchmarks = %d, want 12 (3 broadcaster + 2 multi-seed + 4 gossip + 3 implicit)", len(rep.Benchmarks))
 	}
 	var sawParallel, sawReuse, sawScalarPerSeed, sawSliced bool
-	var sawGossipScalar, sawGossipSliced bool
+	var sawGossipScalar, sawGossipSliced, sawLinksScalar, sawLinksSliced bool
 	var sawImplicitSeq, sawImplicitPar, sawImplicitSliced bool
 	for _, bp := range rep.Benchmarks {
 		if bp.NsPerRound <= 0 || bp.MsgsPerRound <= 0 {
@@ -70,6 +70,19 @@ func TestBenchJSONQuick(t *testing.T) {
 			if bp.SpeedupVsScalarPerSeed <= 0 {
 				t.Fatalf("sliced-gossip row missing speedup_vs_scalar_per_seed: %+v", bp)
 			}
+		case "scalar-per-seed-gossip-links":
+			sawLinksScalar = true
+			if bp.SeedsPerOp <= 0 || bp.SimsPerSec <= 0 {
+				t.Fatalf("scalar-per-seed-gossip-links row missing seed accounting: %+v", bp)
+			}
+		case "sliced-gossip-links":
+			sawLinksSliced = true
+			if bp.SeedsPerOp <= 0 || bp.SimsPerSec <= 0 {
+				t.Fatalf("sliced-gossip-links row missing seed accounting: %+v", bp)
+			}
+			if bp.SpeedupVsScalarPerSeed <= 0 {
+				t.Fatalf("sliced-gossip-links row missing speedup_vs_scalar_per_seed: %+v", bp)
+			}
 		case "implicit-sequential":
 			sawImplicitSeq = true
 			if bp.HeapResidentBytes <= 0 || bp.BytesPerNode <= 0 {
@@ -93,7 +106,7 @@ func TestBenchJSONQuick(t *testing.T) {
 	if !sawScalarPerSeed || !sawSliced {
 		t.Fatalf("missing multi-seed rows: %+v", rep.Benchmarks)
 	}
-	if !sawGossipScalar || !sawGossipSliced {
+	if !sawGossipScalar || !sawGossipSliced || !sawLinksScalar || !sawLinksSliced {
 		t.Fatalf("missing gossip multi-seed rows: %+v", rep.Benchmarks)
 	}
 	if !sawImplicitSeq || !sawImplicitPar || !sawImplicitSliced {
@@ -159,12 +172,13 @@ func TestBenchJSONOnlySlicedFloor(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if len(rep.Benchmarks) != 4 {
-		t.Fatalf("benchmarks = %d, want 4 (2 multi-seed + 2 gossip)", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 6 {
+		t.Fatalf("benchmarks = %d, want 6 (2 multi-seed + 4 gossip)", len(rep.Benchmarks))
 	}
 	for _, bp := range rep.Benchmarks {
 		switch bp.Engine {
-		case "scalar-per-seed", "sliced", "scalar-per-seed-gossip", "sliced-gossip":
+		case "scalar-per-seed", "sliced", "scalar-per-seed-gossip", "sliced-gossip",
+			"scalar-per-seed-gossip-links", "sliced-gossip-links":
 		default:
 			t.Fatalf("-only sliced measured engine %q", bp.Engine)
 		}

@@ -25,7 +25,13 @@ import (
 // The snapshot reproduces the scalar Clone-at-send semantics (a
 // receiver merges the sender's state as of the send round, not its
 // live state), and the ring keeps a slot alive until the last delayed
-// copy of its round's messages can arrive. Rumor values are not stored
+// copy of its round's messages can arrive. Sets only grow, and for the
+// γ probing rounds of a phase a little node mostly re-sends a set its
+// neighbours already merged, so every snapshot carries a version —
+// bumped only when the set grew since the node's last snapshot — and a
+// receiver that already merged that version in a message's lanes skips
+// the merge: it could not change anything (laneSets). Rumor values are
+// not stored
 // at all: first-write-wins updates make every copy of node u's pair
 // equal to u's own rumor, so presence bits suffice and callers
 // reconstruct values from the per-lane inputs.
@@ -57,22 +63,132 @@ type SlicedGossip struct {
 	inqNbrs    [][][]int
 	littleNbrs [][]int
 
-	known   []uint64 // [v*n+u]: lanes in which v's extant set has u
-	comp    []uint64 // [i*n+u], i < L: lanes in which i's completion set has u
+	ext     laneSets // extant sets, one per node
+	comp    laneSets // completion sets, one per little node
 	haltedW []uint64 // per node: lanes halted
 	inqFrom [][]inqEntry
 
 	prob *probe.Sliced
 
-	// Snapshot ring: column (slot, i<L) holds i's extant (resp.
-	// completion) planes as of its last send into that slot, and
-	// snapCnt the per-lane extant cardinality for wire accounting.
-	snapExt  []uint64
-	snapComp []uint64
-	snapCnt  [][64]int64
+	// snapCnt[slot*L+i] is the per-lane cardinality of the extant
+	// snapshot in that ring column, for wire accounting.
+	snapCnt [][64]int64
 
 	snapCtr  bitset.LaneCounter
 	probeCtr bitset.LaneCounter
+}
+
+// laneSets is one family of per-node sets — extant or completion — as
+// 64-lane planes, together with its snapshot ring and the versions that
+// make re-sent snapshots free to receive.
+type laneSets struct {
+	n, L int
+	// live[row*n+u] is the lanes in which row's set has u; grown[row]
+	// the lanes in which that set grew since row's last snapshot, and
+	// full[row] the lanes in which it held all n names at row's last
+	// merge.
+	live  []uint64
+	grown []uint64
+	full  []uint64
+	// Little node i's content has version ver[i] (bumped at a snapshot
+	// iff the set grew since the previous one); ring column slot*L+i
+	// holds snap[(slot*L+i)*n:][:n] at version snapVer[slot*L+i], 0
+	// meaning nothing written this run.
+	ver     []uint32
+	snap    []uint64
+	snapVer []uint32
+	// seen[row*L+i] is the last version of i's set merged into row's,
+	// and the lanes it was merged in.
+	seen []seenSnap
+}
+
+type seenSnap struct {
+	lanes uint64
+	ver   uint32
+}
+
+func newLaneSets(rows, n, L, ringSize int) laneSets {
+	return laneSets{
+		n: n, L: L,
+		live:    make([]uint64, rows*n),
+		grown:   make([]uint64, rows),
+		full:    make([]uint64, rows),
+		ver:     make([]uint32, L),
+		snap:    make([]uint64, ringSize*L*n),
+		snapVer: make([]uint32, ringSize*L),
+		seen:    make([]seenSnap, rows*L),
+	}
+}
+
+// reset empties every set and forgets every version. Ring columns need
+// no clearing: snapVer 0 marks them unwritten.
+func (s *laneSets) reset() {
+	clear(s.live)
+	clear(s.grown)
+	clear(s.full)
+	clear(s.ver)
+	clear(s.snapVer)
+	clear(s.seen)
+}
+
+// add puts u into row's set in the given lanes.
+func (s *laneSets) add(row, u int, lanes uint64) {
+	p := &s.live[row*s.n+u]
+	s.grown[row] |= lanes &^ *p
+	*p |= lanes
+}
+
+// snapshot makes ring column (slot, i) hold little node i's set as of
+// now and returns it; fresh reports whether the column had to be
+// rewritten (false: it already held the current version).
+func (s *laneSets) snapshot(slot, i int) (col []uint64, fresh bool) {
+	if s.grown[i] != 0 {
+		s.grown[i] = 0
+		s.ver[i]++
+	}
+	c := slot*s.L + i
+	col = s.snap[c*s.n:][:s.n]
+	if s.snapVer[c] == s.ver[i] {
+		return col, false
+	}
+	s.snapVer[c] = s.ver[i]
+	copy(col, s.live[i*s.n:][:s.n])
+	return col, true
+}
+
+// merge ORs the snapshot m names into row's set, confined to the lanes
+// eff the message arrived in. Sets only grow, so a lane in which row
+// already merged this version of the sender's set — or already holds
+// every name — cannot change and is skipped; for a re-sent snapshot
+// that is the whole message.
+func (s *laneSets) merge(row int, m *sim.SlicedMsg, eff uint64) {
+	if eff &^= s.full[row]; eff == 0 {
+		return
+	}
+	c := int(m.Tag>>tagSlotShift)*s.L + int(m.From)
+	seen := &s.seen[row*s.L+int(m.From)]
+	if v := s.snapVer[c]; seen.ver != v {
+		*seen = seenSnap{lanes: eff, ver: v}
+	} else {
+		if eff &^= seen.lanes; eff == 0 {
+			return
+		}
+		seen.lanes |= eff
+	}
+	src := s.snap[c*s.n:][:s.n]
+	dst := s.live[row*s.n:][:len(src)]
+	var grew uint64
+	full := ^uint64(0)
+	for u, w := range src {
+		w &= eff
+		d := dst[u]
+		grew |= w &^ d
+		d |= w
+		dst[u] = d
+		full &= d
+	}
+	s.grown[row] |= grew
+	s.full[row] = full
 }
 
 // inqEntry is one Part 1 inquiry awaiting a response: the inquirer and
@@ -143,12 +259,10 @@ func NewSlicedGossip(top *consensus.Topology, lanes, maxDelay int) (*SlicedGossi
 	}
 	g.prob = probe.NewSliced(L, g.delta)
 
-	g.known = make([]uint64, n*n)
-	g.comp = make([]uint64, L*n)
+	g.ext = newLaneSets(n, n, L, g.ringSize)
+	g.comp = newLaneSets(L, n, L, g.ringSize)
 	g.haltedW = make([]uint64, n)
 	g.inqFrom = make([][]inqEntry, n)
-	g.snapExt = make([]uint64, g.ringSize*L*n)
-	g.snapComp = make([]uint64, g.ringSize*L*n)
 	g.snapCnt = make([][64]int64, g.ringSize*L)
 	g.Reset()
 	return g, nil
@@ -157,20 +271,21 @@ func NewSlicedGossip(top *consensus.Topology, lanes, maxDelay int) (*SlicedGossi
 // Reset rearms the machine for a fresh run over the same topology and
 // lane count, allocation-free: every node knows only its own pair,
 // little nodes have completed only themselves, nobody halted or
-// paused. Snapshot slots need no clearing — a run only reads slots its
-// own sends wrote.
+// paused, and no snapshot version or merged-lanes record of the
+// previous run survives. Snapshot slots need no clearing — a run only
+// reads slots its own sends wrote.
 func (g *SlicedGossip) Reset() {
-	clear(g.known)
-	clear(g.comp)
+	g.ext.reset()
+	g.comp.reset()
 	clear(g.haltedW)
 	for i := range g.inqFrom {
 		g.inqFrom[i] = g.inqFrom[i][:0]
 	}
 	for v := 0; v < g.n; v++ {
-		g.known[v*g.n+v] = g.all
+		g.ext.add(v, v, g.all)
 	}
 	for i := 0; i < g.L; i++ {
-		g.comp[i*g.n+i] = g.all
+		g.comp.add(i, i, g.all)
 	}
 	g.prob.Reset(g.all)
 }
@@ -187,7 +302,7 @@ func (g *SlicedGossip) ScheduleLength() int { return g.p2End }
 // Known returns the lanes in which node v's extant set contains u —
 // the per-lane decided output, read by the batch runner to materialize
 // reports.
-func (g *SlicedGossip) Known(v, u int) uint64 { return g.known[v*g.n+u] }
+func (g *SlicedGossip) Known(v, u int) uint64 { return g.ext.live[v*g.n+u] }
 
 // position decomposes a round into (part, phase, offset-in-phase),
 // mirroring Gossip.position.
@@ -220,28 +335,22 @@ func (g *SlicedGossip) PartAt(round int) string {
 
 func (g *SlicedGossip) slot(round int) int { return round % g.ringSize }
 
-// snapshotExtant copies node's extant planes into the slot's column
-// and records the per-lane cardinality for wire-size accounting.
+// snapshotExtant snapshots node's extant planes into the slot's column
+// and, when the column changed, records the per-lane cardinality for
+// wire-size accounting. (Completion payloads have lane-independent
+// wire size, one bitmap, so they need no such record.)
 func (g *SlicedGossip) snapshotExtant(slot, node int) {
-	src := g.known[node*g.n:][:g.n]
-	col := g.snapExt[(slot*g.L+node)*g.n:][:g.n]
+	col, fresh := g.ext.snapshot(slot, node)
+	if !fresh {
+		return
+	}
 	g.snapCtr.Reset()
-	for u := range src {
-		col[u] = src[u]
-		g.snapCtr.Add(src[u])
+	for _, w := range col {
+		g.snapCtr.Add(w)
 	}
 	cnt := &g.snapCnt[slot*g.L+node]
 	*cnt = [64]int64{}
 	g.snapCtr.Flush(cnt)
-}
-
-// snapshotComp copies node's completion planes into the slot's column.
-// Completion payloads have lane-independent wire size (one bitmap), so
-// no cardinality is recorded.
-func (g *SlicedGossip) snapshotComp(slot, node int) {
-	src := g.comp[node*g.n:][:g.n]
-	col := g.snapComp[(slot*g.L+node)*g.n:][:g.n]
-	copy(col, src)
 }
 
 // SlicedSend implements sim.SlicedSystem, mirroring Gossip.Send per
@@ -267,7 +376,7 @@ func (g *SlicedGossip) SlicedSend(round, node int, active uint64, out []sim.Slic
 		base := node * g.n
 		if part == 1 {
 			for _, u := range g.inqNbrs[phase][node] {
-				if m := gate &^ g.known[base+u]; m != 0 {
+				if m := gate &^ g.ext.live[base+u]; m != 0 {
 					out = append(out, sim.SlicedMsg{From: int32(node), To: int32(u), Lanes: m, Tag: tagInquiry})
 				}
 			}
@@ -277,8 +386,8 @@ func (g *SlicedGossip) SlicedSend(round, node int, active uint64, out []sim.Slic
 		tag := uint32(tagExtant | slot<<tagSlotShift)
 		var need uint64
 		for _, u := range g.inqNbrs[phase][node] {
-			if m := gate &^ g.comp[base+u]; m != 0 {
-				g.comp[base+u] |= m
+			if m := gate &^ g.comp.live[base+u]; m != 0 {
+				g.comp.add(node, u, m)
 				need |= m
 				out = append(out, sim.SlicedMsg{From: int32(node), To: int32(u), Lanes: m, Tag: tag})
 			}
@@ -310,33 +419,13 @@ func (g *SlicedGossip) SlicedSend(round, node int, active uint64, out []sim.Slic
 			g.snapshotExtant(slot, node)
 			tag = uint32(tagExtant | slot<<tagSlotShift)
 		} else {
-			g.snapshotComp(slot, node)
+			g.comp.snapshot(slot, node)
 			tag = uint32(tagCompletion | slot<<tagSlotShift)
 		}
 		for _, u := range nbrs {
 			out = append(out, sim.SlicedMsg{From: int32(node), To: int32(u), Lanes: send, Tag: tag})
 		}
 		return out, 0
-	}
-}
-
-// mergeExtant ORs the sender's snapshotted extant planes into node's,
-// confined to the lanes the message arrived in.
-func (g *SlicedGossip) mergeExtant(node int, m *sim.SlicedMsg, eff uint64) {
-	src := g.snapExt[(int(m.Tag>>tagSlotShift)*g.L+int(m.From))*g.n:][:g.n]
-	dst := g.known[node*g.n:][:g.n]
-	for u := range dst {
-		dst[u] |= src[u] & eff
-	}
-}
-
-// mergeComp ORs the sender's snapshotted completion planes into
-// node's. Callers guarantee node < L.
-func (g *SlicedGossip) mergeComp(node int, m *sim.SlicedMsg, eff uint64) {
-	src := g.snapComp[(int(m.Tag>>tagSlotShift)*g.L+int(m.From))*g.n:][:g.n]
-	dst := g.comp[node*g.n:][:g.n]
-	for u := range dst {
-		dst[u] |= src[u] & eff
 	}
 }
 
@@ -367,7 +456,7 @@ func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim
 				continue
 			}
 			if eff := m.Lanes & active; eff != 0 {
-				g.mergeExtant(node, m, eff)
+				g.ext.merge(node, m, eff)
 			}
 		}
 	case off == 1: // response arrivals (Part 1 only)
@@ -379,7 +468,7 @@ func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim
 				}
 				// The responder sends its own pair, whose value is
 				// determined by the sender name — presence is the state.
-				g.known[node*g.n+int(m.From)] |= m.Lanes & active
+				g.ext.add(node, int(m.From), m.Lanes&active)
 			}
 		}
 	default: // probing rounds
@@ -394,10 +483,10 @@ func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim
 				switch m.Tag & tagTypeMask {
 				case tagExtant:
 					g.probeCtr.Add(eff)
-					g.mergeExtant(node, m, eff)
+					g.ext.merge(node, m, eff)
 				case tagCompletion:
 					g.probeCtr.Add(eff)
-					g.mergeComp(node, m, eff)
+					g.comp.merge(node, m, eff)
 				}
 			}
 			g.prob.Observe(node, &g.probeCtr, active)

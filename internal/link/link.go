@@ -8,7 +8,10 @@
 // flight. Every verdict is a pure function of (seed, round, from, to),
 // computed by a stateless hash, so a fault value is safe to share
 // between runs and produces identical transcripts on the sequential
-// and parallel engines regardless of evaluation order.
+// and parallel engines regardless of evaluation order. Each model also
+// declares that function in closed form (sim.KernelFilter), which lets
+// the bit-sliced engine answer for 64 lanes of faults with one word
+// kernel per family instead of one FilterLink call per lane.
 package link
 
 import (
@@ -17,21 +20,14 @@ import (
 	"lineartime/internal/sim"
 )
 
-// mix hashes (seed, round, from, to) into a uniform uint64 with a
-// splitmix64-style finalizer. Statelessness is the point: verdicts
-// depend only on the link coordinates, never on how many envelopes
-// were filtered before.
+// mix hashes (seed, round, from, to) into a uniform uint64.
+// Statelessness is the point: verdicts depend only on the link
+// coordinates, never on how many envelopes were filtered before. The
+// hash is sim's link hash — a seed-independent key and a per-seed
+// finish — so these scalar verdicts and the sliced engine's lane
+// kernels share one definition of it.
 func mix(seed uint64, round int, from, to sim.NodeID) uint64 {
-	x := seed
-	x ^= uint64(round) * 0x9e3779b97f4a7c15
-	x ^= uint64(from) * 0xbf58476d1ce4e5b9
-	x ^= uint64(to) * 0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.LinkHashFinish(seed ^ sim.LinkHashKey(round, from, to))
 }
 
 // Omission drops each envelope independently with a fixed per-link
@@ -68,7 +64,12 @@ func (o *Omission) FilterLink(round int, env sim.Envelope) sim.Verdict {
 // MaxDelay implements sim.LinkFilter; omission never delays.
 func (*Omission) MaxDelay() int { return 0 }
 
-var _ sim.LinkFilter = (*Omission)(nil)
+// LinkKernel implements sim.KernelFilter.
+func (o *Omission) LinkKernel() sim.LinkKernel {
+	return sim.LinkKernel{Kind: sim.KernelOmission, Seed: o.seed, Threshold: o.threshold}
+}
+
+var _ sim.KernelFilter = (*Omission)(nil)
 
 // Partition splits the network into two sides for the round window
 // [Start, End): nodes 0..Cut-1 on one side, the rest on the other.
@@ -99,7 +100,12 @@ func (p *Partition) FilterLink(round int, env sim.Envelope) sim.Verdict {
 // MaxDelay implements sim.LinkFilter; a partition never delays.
 func (*Partition) MaxDelay() int { return 0 }
 
-var _ sim.LinkFilter = (*Partition)(nil)
+// LinkKernel implements sim.KernelFilter.
+func (p *Partition) LinkKernel() sim.LinkKernel {
+	return sim.LinkKernel{Kind: sim.KernelPartition, Start: p.start, End: p.end, Cut: p.cut}
+}
+
+var _ sim.KernelFilter = (*Partition)(nil)
 
 // Delay delivers each envelope a seeded pseudo-random number of rounds
 // late, uniform on [0, d] per link and round — the adversarial
@@ -132,4 +138,9 @@ func (d *Delay) FilterLink(round int, env sim.Envelope) sim.Verdict {
 // MaxDelay implements sim.LinkFilter.
 func (d *Delay) MaxDelay() int { return d.d }
 
-var _ sim.LinkFilter = (*Delay)(nil)
+// LinkKernel implements sim.KernelFilter.
+func (d *Delay) LinkKernel() sim.LinkKernel {
+	return sim.LinkKernel{Kind: sim.KernelDelay, Seed: d.seed, Delay: d.d}
+}
+
+var _ sim.KernelFilter = (*Delay)(nil)

@@ -427,7 +427,8 @@ func materializeGossip(sp Spec) (*system, error) {
 // before the next call, so the caller may reuse one set) and
 // rumor(i, j) the rumor i holds for a member j. The run is complete
 // when every survivor's membership covers the survivors, one word at a
-// time.
+// time. Nodes whose views are equal — same members, same rumor values —
+// get the same map: a complete run decodes into one view, not n.
 func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, rumor func(i, j int) uint64) *GossipOutcome {
 	out := &GossipOutcome{
 		Extant:   make([]map[int]uint64, n),
@@ -435,17 +436,47 @@ func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, ru
 	}
 	survivors := crashed.Clone()
 	survivors.Complement()
+	// The distinct views so far; rumors[j] mirrors view[j] for the
+	// members, so matching a node against a view costs no map lookups.
+	type distinctView struct {
+		members *bitset.Set
+		rumors  []uint64
+		view    map[int]uint64
+	}
+	var views []distinctView
 	for i := 0; i < n; i++ {
 		if crashed.Contains(i) {
 			continue
 		}
 		members := known(i)
-		view := make(map[int]uint64, members.Count())
-		members.ForEach(func(j int) { view[j] = rumor(i, j) })
-		out.Extant[i] = view
 		if !survivors.SubsetOf(members) {
 			out.Complete = false
 		}
+		for _, v := range views {
+			if !v.members.Equal(members) {
+				continue
+			}
+			same := true
+			members.ForEach(func(j int) { same = same && rumor(i, j) == v.rumors[j] })
+			if same {
+				out.Extant[i] = v.view
+				break
+			}
+		}
+		if out.Extant[i] != nil {
+			continue
+		}
+		v := distinctView{
+			members: members.Clone(),
+			rumors:  make([]uint64, n),
+			view:    make(map[int]uint64, members.Count()),
+		}
+		members.ForEach(func(j int) {
+			v.rumors[j] = rumor(i, j)
+			v.view[j] = v.rumors[j]
+		})
+		views = append(views, v)
+		out.Extant[i] = v.view
 	}
 	return out
 }

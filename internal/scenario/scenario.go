@@ -280,7 +280,8 @@ type ConsensusOutcome struct {
 // GossipOutcome summarizes a gossip run.
 type GossipOutcome struct {
 	// Extant[i] maps node names to rumors as decided by node i (nil
-	// for crashed nodes).
+	// for crashed nodes). The views are read-only: nodes that decided
+	// equal views may share one map.
 	Extant []map[int]uint64 `json:"extant"`
 	// Complete reports whether every surviving node's extant set
 	// contains every surviving node's rumor.

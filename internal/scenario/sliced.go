@@ -126,7 +126,9 @@ func RunSeeds(sp Spec, seeds []uint64) ([]*Report, []error) {
 // specs of the same shape are grouped into 64-lane sliced engine runs,
 // everything else runs through the scalar Runner. Results are returned
 // in input order and are identical — reports and errors both — to
-// running each spec individually through Run.
+// running each spec individually through Run. Gossip views
+// (GossipOutcome.Extant) are read-only: equal views of a report share
+// one map.
 func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	reports := make([]*Report, len(sps))
 	errs := make([]error, len(sps))
@@ -153,20 +155,18 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 		rt := runtimes.Get().(*sim.Runtime)
 		for _, k := range order {
 			idx := groups[k]
-			if k.problem == Gossip && len(idx) < 2 {
-				// A gossip group needs a shared topology; a lone lane
-				// gains nothing from the word engine (its n² plane setup
-				// and n-word merges serve one replica), so the scalar
-				// path is both faster and trivially exact.
-				scalar = append(scalar, idx...)
-				continue
-			}
 			for base := 0; base < len(idx); base += sim.MaxLanes {
-				end := base + sim.MaxLanes
-				if end > len(idx) {
-					end = len(idx)
+				chunk := idx[base:min(base+sim.MaxLanes, len(idx))]
+				if k.problem == Gossip && len(chunk) < 2 {
+					// A lone gossip lane — a singleton group, or the tail
+					// of a group of 64k+1 — gains nothing from the word
+					// engine (its n² plane setup and n-word merges serve
+					// one replica), so the scalar path is both faster and
+					// trivially exact.
+					scalar = append(scalar, chunk...)
+					continue
 				}
-				runSlicedChunk(rt, sps, idx[base:end], reports, errs)
+				runSlicedChunk(rt, sps, chunk, reports, errs)
 			}
 		}
 		runtimes.Put(rt)

@@ -1,9 +1,15 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"lineartime/internal/bitset"
+	"lineartime/internal/obs"
 )
 
 // sameOutcome pins a batch result against its scalar counterpart:
@@ -185,5 +191,157 @@ func TestExecuteBatchInvalidSpec(t *testing.T) {
 	_, wantErr := Run(bad)
 	if wantErr == nil || errs[1] == nil || wantErr.Error() != errs[1].Error() {
 		t.Fatalf("bad spec error diverged: scalar %v, batch %v", wantErr, errs[1])
+	}
+}
+
+// engineLog is a RunTracer that records which engines reported a run.
+type engineLog struct{ engines []obs.Engine }
+
+func (*engineLog) StageDuration(obs.Stage, time.Duration) {}
+
+func (l *engineLog) RunDone(e obs.Engine, _ obs.Outcome, _ int, _ time.Duration) {
+	l.engines = append(l.engines, e)
+}
+
+// TestGossipBatchLoneTailRunsScalar pins the lone-lane rule per chunk,
+// not per group: a same-shape gossip group of 64k+1 specs fills k
+// sliced runs and its one-spec tail takes the scalar path (a 1-lane
+// word run pays the n² plane setup for a single replica). Every chunk
+// reports through its first spec's tracer, so the tail spec's own
+// tracer tells which engine ran it. Results equal scalar either way.
+func TestGossipBatchLoneTailRunsScalar(t *testing.T) {
+	const n, tt = 40, 6
+	base := MustLookup("gossip/expander").Spec(n, tt, 3)
+	for _, count := range []int{65, 129} {
+		specs := make([]Spec, count)
+		logs := make([]*engineLog, count)
+		for i := range specs {
+			specs[i] = base
+			specs[i].Fault = FaultModel{Kind: OmissionFaults, Rate: 0.1, Seed: uint64(50 + i)}
+			logs[i] = &engineLog{}
+			specs[i].Tracer = logs[i]
+			if keyOf(specs[i]) != keyOf(base) {
+				t.Fatalf("spec %d left the group", i)
+			}
+		}
+		reports, errs := ExecuteBatch(specs)
+		for i, sp := range specs {
+			sp.Tracer = nil
+			wantRep, wantErr := Run(sp)
+			sameOutcome(t, fmt.Sprintf("%d specs, spec %d", count, i), wantRep, wantErr, reports[i], errs[i])
+		}
+		for i, l := range logs {
+			var want []obs.Engine
+			switch {
+			case i == count-1:
+				want = []obs.Engine{obs.EngineSequential}
+			case i%64 == 0:
+				want = []obs.Engine{obs.EngineSliced}
+			}
+			if !reflect.DeepEqual(l.engines, want) {
+				t.Fatalf("%d specs: spec %d's tracer saw engines %v, want %v", count, i, l.engines, want)
+			}
+		}
+	}
+}
+
+// TestGossipOutcomeSharesEqualViews pins the shared lane views against
+// the decode that gave every survivor its own map: nodes whose views
+// are equal — same members and same rumor values — hold one map,
+// nodes that differ in either do not, crashed nodes stay nil, and the
+// outcome is DeepEqual and JSON-byte-identical to the unshared one.
+func TestGossipOutcomeSharesEqualViews(t *testing.T) {
+	const n = 70
+	crashed := bitset.New(n)
+	crashed.Add(3)
+	crashed.Add(40)
+	// Three member sets: everyone (the complete view), the survivors
+	// only, and a partial one that misses survivor 69 — so the run is
+	// incomplete. Node 11 has the complete members but holds a different
+	// rumor for node 5.
+	full, alive, partial := bitset.New(n), bitset.New(n), bitset.New(n)
+	for j := 0; j < n; j++ {
+		full.Add(j)
+		if !crashed.Contains(j) {
+			alive.Add(j)
+			if j != 69 {
+				partial.Add(j)
+			}
+		}
+	}
+	known := func(i int) *bitset.Set {
+		switch {
+		case i%5 == 1:
+			return alive
+		case i%7 == 2:
+			return partial
+		default:
+			return full
+		}
+	}
+	rumor := func(i, j int) uint64 {
+		if i == 11 && j == 5 {
+			return 999
+		}
+		return uint64(1000 + j)
+	}
+
+	want := &GossipOutcome{Extant: make([]map[int]uint64, n), Complete: false}
+	for i := 0; i < n; i++ {
+		if crashed.Contains(i) {
+			continue
+		}
+		view := make(map[int]uint64)
+		known(i).ForEach(func(j int) { view[j] = rumor(i, j) })
+		want.Extant[i] = view
+	}
+	got := gossipOutcome(n, crashed, known, rumor)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("shared outcome diverged from the unshared decode")
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantJSON, gotJSON) {
+		t.Fatalf("shared outcome encodes differently from the unshared decode")
+	}
+
+	distinct := make(map[uintptr]int)
+	for i, view := range got.Extant {
+		if crashed.Contains(i) {
+			if view != nil {
+				t.Fatalf("crashed node %d has a view", i)
+			}
+			continue
+		}
+		p := reflect.ValueOf(view).Pointer()
+		if first, ok := distinct[p]; ok {
+			if !reflect.DeepEqual(got.Extant[first], view) || !known(first).Equal(known(i)) {
+				t.Fatalf("nodes %d and %d share a map but not a view", first, i)
+			}
+		} else {
+			distinct[p] = i
+		}
+	}
+	// full, full-with-999, alive, partial.
+	if len(distinct) != 4 {
+		t.Fatalf("%d distinct maps for 4 distinct views", len(distinct))
+	}
+
+	// All survivors complete: one view, not n.
+	complete := gossipOutcome(n, crashed, func(int) *bitset.Set { return alive }, func(_, j int) uint64 { return uint64(j) })
+	if !complete.Complete {
+		t.Fatal("all-survivor views must be complete")
+	}
+	first := reflect.ValueOf(complete.Extant[0]).Pointer()
+	for i, view := range complete.Extant {
+		if !crashed.Contains(i) && reflect.ValueOf(view).Pointer() != first {
+			t.Fatalf("node %d of a complete run has its own map", i)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sort"
 	"testing"
@@ -670,6 +671,170 @@ func TestSlicedEngineMatchesScalarPerLane(t *testing.T) {
 	}
 	if settleRounds[0] != horizon {
 		t.Fatalf("fault-free lane settled at %d rounds, want %d", settleRounds[0], horizon)
+	}
+}
+
+// declLink is a link filter written in the kernel vocabulary: its
+// FilterLink is the documented meaning of its LinkKernel, spelled out
+// per envelope, so the sliced engine may answer for it with a word
+// kernel (internal/link's models have this shape; they cannot be
+// imported here).
+type declLink struct {
+	NoFailures
+	k LinkKernel
+}
+
+func (d declLink) FilterLink(round int, env Envelope) Verdict {
+	h := LinkHashFinish(d.k.Seed ^ LinkHashKey(round, env.From, env.To))
+	switch d.k.Kind {
+	case KernelOmission:
+		if h < d.k.Threshold {
+			return Drop
+		}
+	case KernelDelay:
+		return DelayBy(int(h % uint64(d.k.Delay+1)))
+	case KernelPartition:
+		if round >= d.k.Start && round < d.k.End && (env.From < d.k.Cut) != (env.To < d.k.Cut) {
+			return Drop
+		}
+	}
+	return Deliver
+}
+
+func (d declLink) MaxDelay() int {
+	if d.k.Kind == KernelDelay {
+		return d.k.Delay
+	}
+	return 0
+}
+
+func (d declLink) LinkKernel() LinkKernel { return d.k }
+
+// declCrashLink adds a declarative crash schedule to a declLink: a
+// kernel lane with node-level crashes (planCrash's node level shadows
+// the NoFailures embedded one level deeper in declLink).
+type declCrashLink struct {
+	planCrash
+	declLink
+}
+
+// slicedFault is the full sliceable fault surface.
+type slicedFault interface {
+	LinkFilter
+	CrashPlan
+}
+
+// opaqueLink hides whatever kernel its filter declares (f is a named
+// field, so no LinkKernel method is promoted): the lane keeps the
+// engine's per-lane FilterLink loop.
+type opaqueLink struct{ f slicedFault }
+
+func (o opaqueLink) FilterSend(round int, from NodeID, out []Envelope) ([]Envelope, bool) {
+	return o.f.FilterSend(round, from, out)
+}
+func (o opaqueLink) CrashEvents() []CrashEvent                  { return o.f.CrashEvents() }
+func (o opaqueLink) FilterLink(round int, env Envelope) Verdict { return o.f.FilterLink(round, env) }
+func (o opaqueLink) MaxDelay() int                              { return o.f.MaxDelay() }
+
+// TestSlicedKernelLanesMatchOpaqueLanes pins the lane kernels inside
+// the engine: a 64-lane batch in which most lanes declare a kernel —
+// omission, delays through every modulus arm (d up to 5, so arrivals
+// cross the deciding round), partitions sharing and not sharing a cut,
+// kernels combined with crash schedules — next to filter-free lanes and
+// lanes whose filter declares nothing, must equal, lane for lane, the
+// same batch with every filter wrapped opaque (the per-lane FilterLink
+// loop with all of its validation), and both must equal the scalar
+// engine.
+func TestSlicedKernelLanesMatchOpaqueLanes(t *testing.T) {
+	const n, tBound, lanes = 48, 8, 64
+	horizon := tBound + 2
+	maxRounds := horizon + 8
+	inputs := make([]bool, n)
+	for i := range inputs {
+		inputs[i] = i%5 == 0
+	}
+	laneFault := func(lane int) slicedFault {
+		seed := uint64(7000 + lane*131)
+		var k LinkKernel
+		switch lane % 8 {
+		case 0:
+			return nil
+		case 1:
+			return hashLink{d: 2, seed: seed} // declares nothing
+		case 2:
+			k = LinkKernel{Kind: KernelOmission, Seed: seed, Threshold: 1 << 61} // 12.5 %
+		case 3:
+			k = LinkKernel{Kind: KernelDelay, Seed: seed, Delay: 1 + lane/8%5}
+		case 4:
+			k = LinkKernel{Kind: KernelPartition, Start: lane / 8 % 3, End: 2 + lane/8, Cut: n / 2}
+		case 5:
+			k = LinkKernel{Kind: KernelPartition, Start: 0, End: horizon, Cut: lane}
+		case 6:
+			k = LinkKernel{Kind: KernelDelay, Seed: seed, Delay: 2}
+		default:
+			return declCrashLink{
+				planCrash: planCrash{events: laneCrashEvents(n, n/6, horizon, seed)},
+				declLink:  declLink{k: LinkKernel{Kind: KernelOmission, Seed: seed, Threshold: 1 << 62}},
+			}
+		}
+		return declLink{k: k}
+	}
+
+	run := func(wrap bool) (*wordFlood, *SlicedResult, uint64) {
+		faults := make([]LinkFault, lanes)
+		for lane := range faults {
+			if f := laneFault(lane); f != nil {
+				if wrap {
+					f = opaqueLink{f: f}
+				}
+				faults[lane] = f
+			}
+		}
+		w := newWordFlood(n, tBound, lanes, inputs)
+		rt := NewRuntime()
+		res, err := rt.RunSliced(SlicedConfig{System: w, Lanes: lanes, MaxRounds: maxRounds, Faults: faults})
+		if err != nil {
+			t.Fatalf("sliced run (opaque=%v): %v", wrap, err)
+		}
+		return w, res, rt.sl.kern.lanes
+	}
+	wk, kern, kernLanes := run(false)
+	wo, opaque, opaqueKernLanes := run(true)
+
+	var declared uint64
+	for lane := 0; lane < lanes; lane++ {
+		if _, ok := laneFault(lane).(KernelFilter); ok {
+			declared |= uint64(1) << lane
+		}
+	}
+	if kernLanes != declared || bits.OnesCount64(declared) != 48 || opaqueKernLanes != 0 {
+		t.Fatalf("kernel lanes: mixed run %#x, opaque run %#x, declared %#x", kernLanes, opaqueKernLanes, declared)
+	}
+	if !reflect.DeepEqual(kern.Lanes, opaque.Lanes) || !reflect.DeepEqual(wk, wo) {
+		for lane := range kern.Lanes {
+			if !reflect.DeepEqual(kern.Lanes[lane], opaque.Lanes[lane]) {
+				t.Fatalf("lane %d (%T) diverged:\nkernel %+v\nopaque %+v", lane, laneFault(lane), kern.Lanes[lane], opaque.Lanes[lane])
+			}
+		}
+		t.Fatal("system state diverged between the kernel and the opaque run")
+	}
+
+	for lane := 0; lane < lanes; lane++ {
+		nodes := make([]*consFlood, n)
+		ps := make([]Protocol, n)
+		for i := range ps {
+			nodes[i] = &consFlood{id: i, n: n, t: tBound, candidate: inputs[i], pending: inputs[i]}
+			ps[i] = nodes[i]
+		}
+		var fault LinkFault
+		if f := laneFault(lane); f != nil {
+			fault = f
+		}
+		want, err := Run(Config{Protocols: ps, Fault: fault, MaxRounds: maxRounds})
+		if err != nil {
+			t.Fatalf("lane %d: scalar run: %v", lane, err)
+		}
+		compareLane(t, fmt.Sprintf("lane %d", lane), want, &kern.Lanes[lane], nodes, wk, uint64(1)<<lane)
 	}
 }
 

@@ -21,14 +21,17 @@ import (
 // The engine executes a SlicedSystem — a lane-parallel program — rather
 // than 64 copies of a scalar Protocol, so only protocols with a sliced
 // implementation run here (consensus.SlicedFlooding is the canonical
-// one; scenario.RunBatch picks the engine). Everything a lane can do
+// one; scenario.ExecuteBatch picks the engine). Everything a lane can do
 // that word logic cannot express escapes: the system reports an escape
 // mask, the engine retires those lanes, and the caller re-runs them on
 // the scalar path and merges the results back by lane index. Per-lane
 // fault divergence stays on the fast path: crash schedules are applied
 // as per-lane keep-prefix truncation of the staged segment, and
 // link-level verdicts (omission / partition / delay) split each staged
-// word message into deliver-now, dropped and per-k delayed lane masks.
+// word message into deliver-now, dropped and per-k delayed lane masks —
+// by word kernels for filters that declare their verdict function
+// (KernelFilter, lanekernel.go), by one FilterLink call per lane for
+// the rest.
 //
 // Equivalence contract (pinned by engines_equiv_test.go and the
 // scenario-level suite): for every lane, the sliced run produces
@@ -271,11 +274,15 @@ type slicedState struct {
 	escaped uint64
 	settled uint64
 
-	// Per-lane link filters (nil entries for filter-free lanes) and the
-	// per-lane delay bound each filter declared.
+	// Link level. Filters that declare a kernel are compiled into kern;
+	// the rest sit in filters (nil entries elsewhere) with the per-lane
+	// delay bound each declared, and filtered is their lane mask. linked
+	// is every lane with a link filter of either kind.
+	kern         laneKernels
 	filters      [64]LinkFilter
 	laneMaxDelay [64]int
 	filtered     uint64
+	linked       uint64
 	maxDelay     int
 	ring         *slicedRing
 
@@ -289,14 +296,14 @@ type slicedState struct {
 	roundsDone [64]int
 
 	staged     []SlicedMsg
+	sorted     []SlicedMsg // sortBySender's second buffer
 	inbox      []SlicedMsg
 	counts     []int32
 	offs       []int32
 	crashedNow []nodeLanes
 
-	// Per-msg delay scratch: lane/bit masks per delay distance k.
+	// Per-msg delay scratch: the lanes delaying it by k, per distance k.
 	delayLanes []uint64
-	delayBits  []uint64
 
 	// Metrics: the vertical per-lane message counter, flushed once per
 	// round into the per-lane series.
@@ -341,6 +348,7 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 	s.active = s.all
 	s.escaped, s.settled = 0, 0
 
+	s.kern.reset()
 	s.filtered = 0
 	s.maxDelay = 0
 	s.crashes = s.crashes[:0]
@@ -373,14 +381,18 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 			if d < 0 {
 				return fmt.Errorf("sim: link filter declares negative MaxDelay %d", d)
 			}
-			s.filters[lane] = lf
-			s.filtered |= uint64(1) << lane
-			s.laneMaxDelay[lane] = d
 			if d > s.maxDelay {
 				s.maxDelay = d
 			}
+			if kf, ok := lf.(KernelFilter); ok && s.kern.add(lane, kf.LinkKernel(), d) {
+				continue
+			}
+			s.filters[lane] = lf
+			s.filtered |= uint64(1) << lane
+			s.laneMaxDelay[lane] = d
 		}
 	}
+	s.linked = s.filtered | s.kern.lanes
 	slices.SortFunc(s.crashes, func(a, b slicedCrash) int {
 		if a.round != b.round {
 			return int(a.round - b.round)
@@ -400,9 +412,7 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 		s.ring = nil
 	}
 	s.delayLanes = growSlice(s.delayLanes, s.maxDelay+1)
-	s.delayBits = growSlice(s.delayBits, s.maxDelay+1)
 	clear(s.delayLanes)
-	clear(s.delayBits)
 
 	s.crashedL = growSlice(s.crashedL, n)
 	s.haltedL = growSlice(s.haltedL, n)
@@ -514,6 +524,7 @@ func (s *slicedState) round(r int) error {
 	evs := s.crashes[evLo:s.crashCur]
 	evCur := 0
 	s.crashedNow = s.crashedNow[:0]
+	s.kern.beginRound(r)
 
 	// Send phase: one SlicedSend per node with any alive lane, then the
 	// node's crash events truncate per-lane keep prefixes, traffic is
@@ -564,7 +575,7 @@ func (s *slicedState) round(r int) error {
 				}
 			}
 		}
-		if s.filtered != 0 && len(seg) > 0 {
+		if s.linked != 0 && len(seg) > 0 {
 			if err := s.filterSegment(r, seg); err != nil {
 				return err
 			}
@@ -591,7 +602,7 @@ func (s *slicedState) round(r int) error {
 		// Delayed arrivals were staged ahead of the round's fresh sends;
 		// the stable sender sort restores per-lane delivery order (same
 		// contract as sortStagedBySender).
-		slices.SortStableFunc(s.staged, func(a, b SlicedMsg) int { return int(a.From) - int(b.From) })
+		s.sortBySender()
 	}
 	s.place()
 
@@ -670,51 +681,89 @@ func truncateLanePrefix(seg []SlicedMsg, b uint64, keep int) {
 	}
 }
 
-// filterSegment routes a node's staged segment through the per-lane
-// link filters: for each message, lanes without a filter deliver
-// as-is; each filtered lane's verdict moves its bit into the
-// deliver-now mask, drops it, or parks it in the ring at distance k.
+// filterSegment routes a node's staged segment through the link level:
+// for each message, lanes without a filter deliver as-is, the kernels
+// answer for all of their lanes in one call, and each remaining
+// filtered lane's FilterLink verdict is validated like the scalar
+// engine's; a lane's bit then stays in the deliver-now mask, is
+// dropped, or parks in the ring at distance k.
 func (s *slicedState) filterSegment(r int, seg []SlicedMsg) error {
 	for i := range seg {
 		m := &seg[i]
-		fl := m.Lanes & s.filtered
-		if fl == 0 {
+		if m.Lanes&s.linked == 0 {
 			continue
 		}
 		now := m.Lanes &^ s.filtered
-		env := Envelope{From: NodeID(m.From), To: NodeID(m.To)}
-		var delayed uint64
-		for w := fl; w != 0; w &= w - 1 {
-			lane := bits.TrailingZeros64(w)
-			b := uint64(1) << lane
-			env.Payload = Bit(m.Bits&b != 0)
-			v := s.filters[lane].FilterLink(r, env)
-			switch {
-			case v == Deliver:
-				now |= b
-			case v == Drop:
-				// Lost in the network.
-			case v < Drop:
-				return fmt.Errorf("sim: link fault returned invalid verdict %d", int(v))
-			default:
-				k := int(v)
-				if k > s.laneMaxDelay[lane] {
-					return fmt.Errorf("sim: link fault delayed an envelope by %d rounds, beyond its MaxDelay of %d", k, s.laneMaxDelay[lane])
+		var late uint64
+		if m.Lanes&s.kern.lanes != 0 {
+			var drop uint64
+			drop, late = s.kern.split(r, m.From, m.To, m.Lanes, s.delayLanes)
+			now &^= drop
+		}
+		if fl := m.Lanes & s.filtered; fl != 0 {
+			env := Envelope{From: NodeID(m.From), To: NodeID(m.To)}
+			for w := fl; w != 0; w &= w - 1 {
+				lane := bits.TrailingZeros64(w)
+				b := uint64(1) << lane
+				env.Payload = Bit(m.Bits&b != 0)
+				v := s.filters[lane].FilterLink(r, env)
+				switch {
+				case v == Deliver:
+					now |= b
+				case v == Drop:
+					// Lost in the network.
+				case v < Drop:
+					return fmt.Errorf("sim: link fault returned invalid verdict %d", int(v))
+				default:
+					k := int(v)
+					if k > s.laneMaxDelay[lane] {
+						return fmt.Errorf("sim: link fault delayed an envelope by %d rounds, beyond its MaxDelay of %d", k, s.laneMaxDelay[lane])
+					}
+					s.delayLanes[k] |= b
+					late |= b
 				}
-				s.delayLanes[k] |= b
-				s.delayBits[k] |= m.Bits & b
-				delayed |= uint64(1) << k
 			}
 		}
-		for w := delayed; w != 0; w &= w - 1 {
-			k := bits.TrailingZeros64(w)
-			s.ring.push(r+k, SlicedMsg{From: m.From, To: m.To, Lanes: s.delayLanes[k], Bits: s.delayBits[k], Tag: m.Tag})
-			s.delayLanes[k], s.delayBits[k] = 0, 0
+		if late != 0 {
+			now &^= late
+			for k := 1; k <= s.maxDelay; k++ {
+				if l := s.delayLanes[k]; l != 0 {
+					s.ring.push(r+k, SlicedMsg{From: m.From, To: m.To, Lanes: l, Bits: m.Bits & l, Tag: m.Tag})
+				}
+				s.delayLanes[k] = 0
+			}
 		}
 		m.Lanes = now
 		m.Bits &= now
 	}
 	return nil
+}
+
+// sortBySender is a stable counting sort of the staged buffer on From,
+// into the arena's second buffer: O(messages + n) where a comparison
+// sort paid a log factor on every round with delayed arrivals. Messages
+// whose lane mask emptied are dropped on the way, as place would.
+func (s *slicedState) sortBySender() {
+	offs := s.offs[:s.n+1]
+	clear(offs)
+	for i := range s.staged {
+		if s.staged[i].Lanes != 0 {
+			offs[s.staged[i].From+1]++
+		}
+	}
+	for i := 0; i < s.n; i++ {
+		offs[i+1] += offs[i]
+	}
+	s.sorted = growSlice(s.sorted, int(offs[s.n]))
+	for i := range s.staged {
+		m := &s.staged[i]
+		if m.Lanes == 0 {
+			continue
+		}
+		s.sorted[offs[m.From]] = *m
+		offs[m.From]++
+	}
+	s.staged, s.sorted = s.sorted, s.staged
 }
 
 // place scatters the staged buffer into per-destination inbox segments
