@@ -208,6 +208,7 @@ func TestJSONTrace(t *testing.T) {
 			Engine  string `json:"engine"`
 			Outcome string `json:"outcome"`
 			Rounds  int    `json:"rounds"`
+			Ran     int    `json:"rounds_executed"`
 			Spans   []struct {
 				Name string `json:"name"`
 			} `json:"spans"`
@@ -221,6 +222,10 @@ func TestJSONTrace(t *testing.T) {
 	}
 	if env.Trace.Engine != "sequential" || env.Trace.Outcome != "ok" || env.Trace.Rounds <= 0 {
 		t.Fatalf("trace = %+v", env.Trace)
+	}
+	// Gossip machines are not Sleepers: every simulated round executes.
+	if env.Trace.Ran != env.Trace.Rounds {
+		t.Fatalf("gossip trace executed %d of %d rounds", env.Trace.Ran, env.Trace.Rounds)
 	}
 	// One span per stage, each under its own name: the scenario layer's
 	// materialization and the engine's arena setup no longer share one.
@@ -254,7 +259,7 @@ func TestRunTraced(t *testing.T) {
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			out := captureStdout(t, func() error { return run(args) })
-			for _, want := range []string{"stages (engine=sequential", "materialize", "setup", "rounds"} {
+			for _, want := range []string{"stages (engine=sequential", "rounds executed", "materialize", "setup", "rounds"} {
 				if !strings.Contains(string(out), want) {
 					t.Fatalf("trace output missing %q:\n%s", want, out)
 				}

@@ -193,4 +193,33 @@ func (a *AEA) deliverPart3(inbox []sim.Envelope) {
 // Halted implements sim.Protocol.
 func (a *AEA) Halted() bool { return a.halted }
 
-var _ sim.Protocol = (*AEA)(nil)
+// QuietUntil implements sim.Sleeper. A non-little node only listens (for
+// its little node's Part 3 notification), so it sleeps to the end of
+// the schedule. A little node is awake while it has a flood to send,
+// through all of probing — probe.Observe counts rounds — and in Part 3
+// if it has a decision to announce; once its flood is out, the rest of
+// Part 1's 5t−1 rounds is silence unless a rumor arrives.
+func (a *AEA) QuietUntil(round int) int {
+	end := a.p3End
+	if a.standalone {
+		end-- // the last round's Deliver halts
+	}
+	round = max(round, a.base)
+	switch {
+	case round >= end:
+		return round
+	case !a.top.IsLittle(a.id):
+		return end
+	case round < a.p1End:
+		if a.pending || (round == a.base && a.candidate && !a.flooded) {
+			return round
+		}
+		return a.p1End
+	case round < a.p2End || a.decided:
+		return round
+	default:
+		return end
+	}
+}
+
+var _ sim.Sleeper = (*AEA)(nil)

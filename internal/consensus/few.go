@@ -76,4 +76,54 @@ func (f *FewCrashes) maybeHandoff(round int) {
 // Halted implements sim.Protocol.
 func (f *FewCrashes) Halted() bool { return f.halted }
 
-var _ sim.Protocol = (*FewCrashes)(nil)
+// QuietUntil implements sim.Sleeper: the running sub-protocol's answer,
+// clamped to the hand-off round (whose Send moves the AEA decision into
+// SCV) and to the last round, whose Deliver halts.
+func (f *FewCrashes) QuietUntil(round int) int {
+	if h := f.aea.End(); round < h {
+		return min(f.aea.QuietUntil(round), h)
+	}
+	if !f.handoff {
+		return round
+	}
+	return min(f.scv.QuietUntil(round), f.end-1)
+}
+
+// outboxCaps returns the envelopes node id's AEA and SCV machines send
+// in their widest regular round: a little node floods and probes its
+// little neighbors and notifies its related nodes (other nodes send
+// nothing in AEA); SCV Part 1 forwards to the broadcast neighbors.
+// SCV Part 2's inquiries and replies may exceed that, and then grow
+// the buffer like any sim.Outbox.
+func (tp *Topology) outboxCaps(id int) (aea, scv int) {
+	if tp.IsLittle(id) {
+		related := (tp.N - id - 1) / tp.L
+		aea = max(tp.Little.Neighborhood().Degree(id), related)
+	}
+	return aea, tp.Broadcast.Neighborhood().Degree(id)
+}
+
+// OutboxSlabLen returns the length of the envelope slab from which
+// CarveOutboxes can cut every machine of a Few-Crashes-Consensus
+// system its send buffers.
+func (tp *Topology) OutboxSlabLen() int {
+	total := 0
+	for id := 0; id < tp.N; id++ {
+		aea, scv := tp.outboxCaps(id)
+		total += aea + scv
+	}
+	return total
+}
+
+// CarveOutboxes makes the front of slab the machine's two send buffers
+// and returns the rest, so a whole system sends out of one allocation
+// (of OutboxSlabLen envelopes) its owner can recycle once the run's
+// outcome is read. Without it the buffers are allocated on first use.
+func (f *FewCrashes) CarveOutboxes(slab []sim.Envelope) []sim.Envelope {
+	aea, scv := f.top.outboxCaps(f.id)
+	f.aea.out = slab[:0:aea]
+	f.scv.out = slab[aea : aea : aea+scv]
+	return slab[aea+scv:]
+}
+
+var _ sim.Sleeper = (*FewCrashes)(nil)

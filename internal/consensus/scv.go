@@ -165,4 +165,30 @@ func (s *SCV) Deliver(round int, inbox []sim.Envelope) {
 // Halted implements sim.Protocol.
 func (s *SCV) Halted() bool { return s.halted }
 
-var _ sim.Protocol = (*SCV)(nil)
+// QuietUntil implements sim.Sleeper. A node with a freshly adopted
+// value is awake (it forwards at the next Send); an undecided node
+// waits out Part 1 and then wakes for each phase's inquiry round; a
+// decided node with no inquirers to answer sleeps to the end — stale
+// inquirers keep it awake until the next phase's Send drops them.
+func (s *SCV) QuietUntil(round int) int {
+	end := s.p2End
+	if s.standalone {
+		end-- // the last round's Deliver halts
+	}
+	round = max(round, s.base)
+	switch {
+	case round >= end || s.adopted || len(s.inquirers) > 0:
+		return round
+	case s.decided:
+		return end
+	case round < s.p1End:
+		return s.p1End
+	default:
+		if _, first := s.phaseAt(round); first {
+			return round
+		}
+		return min(round+1, end)
+	}
+}
+
+var _ sim.Sleeper = (*SCV)(nil)

@@ -7,6 +7,7 @@
 package crash
 
 import (
+	"math"
 	"sort"
 
 	"lineartime/internal/rng"
@@ -26,63 +27,66 @@ type Event struct {
 // paper's existential adversary: tests construct the exact pattern a
 // proof reasons about.
 type Schedule struct {
-	byRound map[int][]Event
-	total   int
+	// byNode[id] is node id's one crash (nodes are de-duplicated, so a
+	// per-node table is exact); round == never marks a node that is
+	// not scheduled.
+	byNode []nodeCrash
+	// events is the declarative form, sorted by (round, node), built
+	// once so CrashEvents costs the engines nothing per run.
+	events []sim.CrashEvent
 }
+
+type nodeCrash struct{ round, keep int }
+
+const never = math.MinInt
 
 // NewSchedule builds a schedule from events. Multiple events may share
 // a round; duplicate nodes are allowed and ignored after the first.
+// Events naming a negative node can never fire and are dropped.
 func NewSchedule(events []Event) *Schedule {
-	s := &Schedule{byRound: make(map[int][]Event, len(events))}
-	seen := make(map[sim.NodeID]bool, len(events))
+	size := 0
 	for _, e := range events {
-		if seen[e.Node] {
+		size = max(size, e.Node+1)
+	}
+	s := &Schedule{byNode: make([]nodeCrash, size)}
+	for i := range s.byNode {
+		s.byNode[i].round = never
+	}
+	for _, e := range events {
+		if e.Node < 0 || s.byNode[e.Node].round != never {
 			continue
 		}
-		seen[e.Node] = true
-		s.byRound[e.Round] = append(s.byRound[e.Round], e)
-		s.total++
+		s.byNode[e.Node] = nodeCrash{round: e.Round, keep: e.Keep}
+		s.events = append(s.events, sim.CrashEvent{Node: e.Node, Round: e.Round, Keep: e.Keep})
 	}
-	for r := range s.byRound {
-		evs := s.byRound[r]
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Node < evs[j].Node })
-	}
+	sort.Slice(s.events, func(i, j int) bool {
+		a, b := s.events[i], s.events[j]
+		if a.Round != b.Round {
+			return a.Round < b.Round
+		}
+		return a.Node < b.Node
+	})
 	return s
 }
 
 // Total returns the number of scheduled crashes.
-func (s *Schedule) Total() int { return s.total }
+func (s *Schedule) Total() int { return len(s.events) }
 
 // FilterSend implements sim.LinkFault.
 func (s *Schedule) FilterSend(round int, from sim.NodeID, outbox []sim.Envelope) ([]sim.Envelope, bool) {
-	for _, e := range s.byRound[round] {
-		if e.Node != from {
-			continue
-		}
-		if e.Keep < 0 || e.Keep >= len(outbox) {
-			return outbox, true
-		}
-		return outbox[:e.Keep], true
+	if uint(from) >= uint(len(s.byNode)) || s.byNode[from].round != round {
+		return outbox, false
 	}
-	return outbox, false
+	if keep := s.byNode[from].keep; keep >= 0 && keep < len(outbox) {
+		return outbox[:keep], true
+	}
+	return outbox, true
 }
 
 // CrashEvents implements sim.CrashPlan: the schedule is its own
-// declarative form. Events are returned sorted by (round, node).
-func (s *Schedule) CrashEvents() []sim.CrashEvent {
-	rounds := make([]int, 0, len(s.byRound))
-	for r := range s.byRound {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	events := make([]sim.CrashEvent, 0, s.total)
-	for _, r := range rounds {
-		for _, e := range s.byRound[r] {
-			events = append(events, sim.CrashEvent{Node: e.Node, Round: e.Round, Keep: e.Keep})
-		}
-	}
-	return events
-}
+// declarative form. Events are returned sorted by (round, node); the
+// slice is shared across calls and must not be modified.
+func (s *Schedule) CrashEvents() []sim.CrashEvent { return s.events }
 
 var _ sim.LinkFault = (*Schedule)(nil)
 var _ sim.CrashPlan = (*Schedule)(nil)

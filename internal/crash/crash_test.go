@@ -1,8 +1,11 @@
 package crash
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"lineartime/internal/rng"
 	"lineartime/internal/sim"
 )
 
@@ -157,5 +160,87 @@ func TestIsolateBlocksContact(t *testing.T) {
 	out, crash = a.FilterSend(3, 5, []sim.Envelope{{From: 5, To: victim, Payload: sim.Bit(true)}})
 	if crash || len(out) != 1 {
 		t.Fatal("exhausted adversary still intercepting")
+	}
+}
+
+// mapSchedule is the map-per-round Schedule this package shipped
+// before the per-node table, kept as the reference the table is
+// compared against.
+type mapSchedule struct{ byRound map[int][]Event }
+
+func newMapSchedule(events []Event) *mapSchedule {
+	s := &mapSchedule{byRound: make(map[int][]Event)}
+	seen := make(map[sim.NodeID]bool)
+	for _, e := range events {
+		if seen[e.Node] {
+			continue
+		}
+		seen[e.Node] = true
+		s.byRound[e.Round] = append(s.byRound[e.Round], e)
+	}
+	for _, evs := range s.byRound {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Node < evs[j].Node })
+	}
+	return s
+}
+
+func (s *mapSchedule) FilterSend(round int, from sim.NodeID, outbox []sim.Envelope) ([]sim.Envelope, bool) {
+	for _, e := range s.byRound[round] {
+		if e.Node != from {
+			continue
+		}
+		if e.Keep < 0 || e.Keep >= len(outbox) {
+			return outbox, true
+		}
+		return outbox[:e.Keep], true
+	}
+	return outbox, false
+}
+
+func (s *mapSchedule) CrashEvents() []sim.CrashEvent {
+	rounds := make([]int, 0, len(s.byRound))
+	for r := range s.byRound {
+		rounds = append(rounds, r)
+	}
+	sort.Ints(rounds)
+	var events []sim.CrashEvent
+	for _, r := range rounds {
+		for _, e := range s.byRound[r] {
+			events = append(events, sim.CrashEvent{Node: e.Node, Round: e.Round, Keep: e.Keep})
+		}
+	}
+	return events
+}
+
+// TestScheduleMatchesMapReference: random schedules — duplicate nodes,
+// keeps below zero, zero, inside and beyond the outbox — give the
+// verdicts and the declared events of the map-based reference, for
+// every (round, sender) including senders outside the table.
+func TestScheduleMatchesMapReference(t *testing.T) {
+	const n, horizon, width = 24, 12, 5
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rng.New(seed)
+		events := make([]Event, r.Intn(2*n))
+		for i := range events {
+			events[i] = Event{Node: r.Intn(n), Round: r.Intn(horizon), Keep: r.Intn(width+4) - 2}
+		}
+		got, want := NewSchedule(events), newMapSchedule(events)
+		if !reflect.DeepEqual(got.CrashEvents(), want.CrashEvents()) {
+			t.Fatalf("seed %d: CrashEvents diverged:\n got %v\nwant %v", seed, got.CrashEvents(), want.CrashEvents())
+		}
+		if got.Total() != len(want.CrashEvents()) {
+			t.Fatalf("seed %d: Total = %d, want %d", seed, got.Total(), len(want.CrashEvents()))
+		}
+		for round := -1; round <= horizon; round++ {
+			for from := -2; from < n+3; from++ {
+				out := envs(max(from, 0), width)
+				gotOut, gotCrash := got.FilterSend(round, from, out)
+				wantOut, wantCrash := want.FilterSend(round, from, out)
+				if gotCrash != wantCrash || len(gotOut) != len(wantOut) {
+					t.Fatalf("seed %d round %d from %d: (%d kept, crash=%v), want (%d, %v)",
+						seed, round, from, len(gotOut), gotCrash, len(wantOut), wantCrash)
+				}
+			}
+		}
 	}
 }

@@ -107,6 +107,11 @@ type RunTracer interface {
 	// RunDone records a completed run: which engine, how it ended,
 	// how many rounds it took, and its wall-clock duration.
 	RunDone(e Engine, o Outcome, rounds int, d time.Duration)
+	// RoundsExecuted splits the simulated rounds of a completed
+	// sequential- or parallel-engine run (the only engines that can
+	// fast-forward over silent rounds; see sim.Sleeper) into those the
+	// engine stepped and those it skipped.
+	RoundsExecuted(executed, skipped int)
 }
 
 // EngineTracer is the metrics-backed RunTracer: pre-registered handles
@@ -117,6 +122,8 @@ type EngineTracer struct {
 	runs     [numEngines][numOutcomes]*Counter
 	rounds   *Histogram
 	duration *Histogram
+	executed *Counter
+	skipped  *Counter
 }
 
 // NewEngineTracer registers the engine-run metric families on reg and
@@ -145,6 +152,9 @@ func NewEngineTracer(reg *Registry) *EngineTracer {
 		"lineartime_run_duration_seconds",
 		"End-to-end wall-clock seconds per simulation run.",
 		LatencyBuckets())
+	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, by whether the engine stepped them or fast-forwarded them as silent."
+	t.executed = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "executed"})
+	t.skipped = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "skipped"})
 	return t
 }
 
@@ -164,6 +174,12 @@ func (t *EngineTracer) RunDone(e Engine, o Outcome, rounds int, d time.Duration)
 	t.duration.Observe(d.Seconds())
 }
 
+// RoundsExecuted implements RunTracer.
+func (t *EngineTracer) RoundsExecuted(executed, skipped int) {
+	t.executed.Add(int64(executed))
+	t.skipped.Add(int64(skipped))
+}
+
 // Span is one recorded stage timing inside a Trace.
 type Span struct {
 	Name       string  `json:"name"`
@@ -173,11 +189,14 @@ type Span struct {
 // Trace is the JSON-facing transcript of one run's stage timings,
 // emitted by cmd/linearsim under the envelope's "trace" key.
 type Trace struct {
-	Engine     string  `json:"engine"`
-	Outcome    string  `json:"outcome"`
-	Rounds     int     `json:"rounds"`
-	DurationMS float64 `json:"duration_ms"`
-	Spans      []Span  `json:"spans"`
+	Engine  string `json:"engine"`
+	Outcome string `json:"outcome"`
+	Rounds  int    `json:"rounds"`
+	// RoundsExecuted is how many of Rounds the engine stepped; the rest
+	// were fast-forwarded as silent.
+	RoundsExecuted int     `json:"rounds_executed,omitempty"`
+	DurationMS     float64 `json:"duration_ms"`
+	Spans          []Span  `json:"spans"`
 }
 
 // SpanTracer is a RunTracer that collects stage timings into a Trace
@@ -208,6 +227,13 @@ func (t *SpanTracer) RunDone(e Engine, o Outcome, rounds int, d time.Duration) {
 	t.trace.Outcome = o.String()
 	t.trace.Rounds = rounds
 	t.trace.DurationMS = float64(d.Nanoseconds()) / 1e6
+	t.mu.Unlock()
+}
+
+// RoundsExecuted implements RunTracer.
+func (t *SpanTracer) RoundsExecuted(executed, _ int) {
+	t.mu.Lock()
+	t.trace.RoundsExecuted = executed
 	t.mu.Unlock()
 }
 

@@ -60,6 +60,34 @@ func Execute(cfg sim.Config, p Parallelism) (*sim.Result, error) {
 	return res.Clone(), nil
 }
 
+// sendSlabs recycles the few-crashes stack's send buffers: a run's
+// ≈2n per-machine sim.Outboxes are cut from one envelope slab
+// (consensus.CarveOutboxes) instead of being allocated on each
+// machine's first send. A pooled slab is all zero — release clears what
+// the run wrote — so it pins no payload between runs.
+var sendSlabs sync.Pool
+
+type sendSlab struct{ buf []sim.Envelope }
+
+func getSendSlab(n int) *sendSlab {
+	s, _ := sendSlabs.Get().(*sendSlab)
+	if s == nil || cap(s.buf) < n {
+		s = &sendSlab{buf: make([]sim.Envelope, n)}
+	}
+	s.buf = s.buf[:n]
+	return s
+}
+
+// release clears the slab and returns it to the pool; a nil slab (a
+// stack that borrowed none) is a no-op.
+func (s *sendSlab) release() {
+	if s == nil {
+		return
+	}
+	clear(s.buf)
+	sendSlabs.Put(s)
+}
+
 // Runner materializes Specs into engine runs. It is stateless; the
 // zero value is ready to use.
 type Runner struct{}
@@ -67,6 +95,15 @@ type Runner struct{}
 // Run materializes the spec into a sim.Config, executes it through
 // Execute, and returns the unified report.
 func (Runner) Run(sp Spec) (*Report, error) {
+	rep, _, err := runSpec(sp, nil)
+	return rep, err
+}
+
+// runSpec is Run with a seam for the package's tests: wrap, when set,
+// replaces the protocol stack the engine drives (the outcome is still
+// decoded from the machines materialize built), and the engine's
+// result is returned beside the report.
+func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.Result, error) {
 	// The runner reports its own stages around the engine's: the spec
 	// materialization (topology + protocol stack + fault layer) as
 	// materialize, the outcome evaluation as decode. The engine reports
@@ -77,21 +114,24 @@ func (Runner) Run(sp Spec) (*Report, error) {
 		t0 = time.Now()
 	}
 	if sp.N <= 0 {
-		return nil, fmt.Errorf("scenario: n=%d must be positive", sp.N)
+		return nil, nil, fmt.Errorf("scenario: n=%d must be positive", sp.N)
 	}
 	if _, err := sp.topologyMode(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := sp.Fault.validate(sp); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sys, err := materialize(sp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	// Runs once the outcome is decoded: finish reads the machines, and
+	// nothing in the report aliases their buffers.
+	defer sys.slab.release()
 	fault, err := sp.Fault.LinkFault(sp.N, sp.T, sys.little, sp.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	slack := sp.RoundSlack
 	if slack <= 0 {
@@ -100,8 +140,12 @@ func (Runner) Run(sp Spec) (*Report, error) {
 	if tr != nil {
 		tr.StageDuration(obs.StageMaterialize, time.Since(t0))
 	}
+	ps := sys.ps
+	if wrap != nil {
+		ps = wrap(ps)
+	}
 	res, err := Execute(sim.Config{
-		Protocols:   sys.ps,
+		Protocols:   ps,
 		PartLabeler: partLabelerOf(sys.ps),
 		Fault:       fault,
 		Byzantine:   sys.byz,
@@ -111,7 +155,7 @@ func (Runner) Run(sp Spec) (*Report, error) {
 		Tracer:      tr,
 	}, sp.Exec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var t1 time.Time
 	if tr != nil {
@@ -131,7 +175,7 @@ func (Runner) Run(sp Spec) (*Report, error) {
 	if tr != nil {
 		tr.StageDuration(obs.StageDecode, time.Since(t1))
 	}
-	return rep, nil
+	return rep, res, nil
 }
 
 // Run executes the spec on the default Runner.
@@ -179,6 +223,9 @@ type system struct {
 	little int
 	// finish evaluates the problem-specific outcome into the report.
 	finish func(res *sim.Result, rep *Report)
+	// slab, when set, holds the machines' send buffers; once it is
+	// released the machines must not run again.
+	slab *sendSlab
 }
 
 // materialize builds the protocol stack for the spec.
@@ -270,8 +317,11 @@ func materializeConsensus(sp Spec) (*system, error) {
 			return nil, err
 		}
 		sys.little = top.L
+		sys.slab = getSendSlab(top.OutboxSlabLen())
+		rest := sys.slab.buf
 		for i := 0; i < n; i++ {
 			m := consensus.NewFewCrashes(i, top, inputs[i])
+			rest = m.CarveOutboxes(rest)
 			ps[i], ds[i] = m, m
 			sys.schedule = m.ScheduleLength()
 		}

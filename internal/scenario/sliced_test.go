@@ -199,6 +199,8 @@ type engineLog struct{ engines []obs.Engine }
 
 func (*engineLog) StageDuration(obs.Stage, time.Duration) {}
 
+func (*engineLog) RoundsExecuted(int, int) {}
+
 func (l *engineLog) RunDone(e obs.Engine, _ obs.Outcome, _ int, _ time.Duration) {
 	l.engines = append(l.engines, e)
 }

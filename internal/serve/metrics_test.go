@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"lineartime/internal/obs"
 )
 
 // TestMetricsExposition drives one miss and one hit through /v1/run and
@@ -93,6 +95,13 @@ func TestMetricsNamingConvention(t *testing.T) {
 			}
 		}
 	}
+	// Executed and skipped rounds are two children of one family: their
+	// sum is the rounds simulated, so no second name can drift from it.
+	for _, state := range []string{"executed", "skipped"} {
+		if _, ok := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state}); !ok {
+			t.Errorf("lineartime_engine_rounds_total{state=%q} not registered", state)
+		}
+	}
 }
 
 // TestDrainStateObservable walks the SIGTERM sequence: after BeginDrain
@@ -176,6 +185,17 @@ func TestStatszMatchesMetrics(t *testing.T) {
 	}
 	if st.OverlayCache.Misses == 0 || st.OverlayCache.Capacity <= 0 {
 		t.Fatalf("overlay cache counters after a run: %+v", st.OverlayCache)
+	}
+	// One engine run happened (the second request was a cache hit): its
+	// simulated rounds split into executed and skipped ones, and a
+	// fault-free few-crashes run is mostly silence.
+	for state, got := range map[string]int64{"executed": st.Engine.RoundsExecuted, "skipped": st.Engine.RoundsSkipped} {
+		if v, ok := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state}); !ok || int64(v) != got {
+			t.Errorf("lineartime_engine_rounds_total{state=%q}: registry %v (present %v) != statsz %d", state, v, ok, got)
+		}
+	}
+	if st.Engine.RoundsExecuted <= 0 || st.Engine.RoundsSkipped <= st.Engine.RoundsExecuted {
+		t.Fatalf("engine rounds after one few-crashes run: %+v", st.Engine)
 	}
 }
 

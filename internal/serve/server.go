@@ -154,7 +154,16 @@ type Stats struct {
 	OverlayCache  CacheStats `json:"overlay_cache"`
 	Coalesced     int64      `json:"coalesced"`
 	Queue         QueueStats `json:"queue"`
+	Engine        RoundStats `json:"engine"`
 	Campaigns     JobsStats  `json:"campaigns"`
+}
+
+// RoundStats splits the rounds the sequential and parallel engines
+// simulated into those they stepped node by node and those they
+// fast-forwarded as silent (sim.Sleeper).
+type RoundStats struct {
+	RoundsExecuted int64 `json:"rounds_executed"`
+	RoundsSkipped  int64 `json:"rounds_skipped"`
 }
 
 // ErrorBody is the structured error envelope of every non-2xx
@@ -234,6 +243,10 @@ func (s *Server) Stats() Stats {
 		v, _ := s.metrics.reg.Value(name)
 		return v
 	}
+	roundsIn := func(state string) int64 {
+		v, _ := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state})
+		return int64(v)
+	}
 	// Both caches export the same six families under their own stem.
 	cache := func(stem string) CacheStats {
 		return CacheStats{
@@ -257,6 +270,10 @@ func (s *Server) Stats() Stats {
 			Rejected:  iv("lineartime_queue_rejected_total"),
 			Completed: iv("lineartime_queue_completed_total"),
 			Errored:   iv("lineartime_queue_errored_total"),
+		},
+		Engine: RoundStats{
+			RoundsExecuted: roundsIn("executed"),
+			RoundsSkipped:  roundsIn("skipped"),
 		},
 		Campaigns: JobsStats{
 			Capacity: int(iv("lineartime_campaign_jobs_capacity")),

@@ -87,6 +87,7 @@ func (rt *Runtime) Run(cfg Config) (*Result, error) {
 			rounds = res.Metrics.Rounds
 		}
 		tr.RunDone(obs.EngineSequential, runOutcome(err), rounds, now.Sub(t0))
+		tr.RoundsExecuted(rt.st.simulated-rt.st.skipped, rt.st.skipped)
 	}
 	return res, err
 }
@@ -151,6 +152,7 @@ func (rt *Runtime) RunParallel(cfg Config, workers int) (*Result, error) {
 			rounds = res.Metrics.Rounds
 		}
 		tr.RunDone(obs.EngineParallel, runOutcome(err), rounds, now.Sub(t0))
+		tr.RoundsExecuted(rt.st.simulated-rt.st.skipped, rt.st.skipped)
 	}
 	return res, err
 }

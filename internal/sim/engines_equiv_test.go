@@ -1015,3 +1015,287 @@ func TestRuntimeReuseMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// --- Quiet-round fast-forward ----------------------------------------
+
+// napNode is a randomized Sleeper: it sends a small burst, then naps
+// for a seeded span during which Send and empty Deliver calls leave it
+// untouched — so skipping them is unobservable — and it answers
+// QuietUntil honestly. A delivery may cut the nap short (a seeded
+// coin, so some deliveries are slept through), and every node halts in
+// its own round. Deliver folds the round into the accumulator: a
+// message fast-forwarded to the wrong round diverges the end state.
+type napNode struct {
+	id, n, haltAt int
+	single        bool
+	r             *rng.SplitMix64
+	wake          int
+	acc           uint64
+	halted        bool
+	out           []Envelope
+}
+
+func newNapNode(id, n, horizon int, single bool, seed uint64) *napNode {
+	f := &napNode{
+		id: id, n: n, haltAt: horizon + id%5, single: single,
+		r:   rng.New(seed ^ uint64(id)*0x9e3779b97f4a7c15),
+		acc: uint64(id) + 1,
+	}
+	f.wake = f.r.Intn(8) * f.r.Intn(2)
+	return f
+}
+
+func (f *napNode) Send(round int) []Envelope {
+	if round < f.wake {
+		return nil
+	}
+	f.out = f.out[:0]
+	fanout := 1 + f.r.Intn(3)
+	if f.single {
+		fanout = 1
+	}
+	for k := 0; k < fanout; k++ {
+		to := f.r.Intn(f.n - 1)
+		if to >= f.id {
+			to++
+		}
+		f.out = append(f.out, Envelope{From: f.id, To: to, Payload: fuzzPayload{bits: 1 + int(f.acc%7)}})
+	}
+	f.wake = round + 1 + f.r.Intn(128)*min(f.r.Intn(4), 1)
+	return f.out
+}
+
+func (f *napNode) Poll(round int) (NodeID, bool) { return (f.id + 1 + round) % f.n, true }
+
+func (f *napNode) Deliver(round int, inbox []Envelope) {
+	for _, env := range inbox {
+		f.acc = f.acc*0x100000001b3 ^ uint64(env.From)<<17 ^ uint64(round)<<3 ^ uint64(env.Payload.SizeBits())
+	}
+	if len(inbox) > 0 && f.r.Intn(3) == 0 {
+		f.wake = min(f.wake, round+1)
+	}
+	if round >= f.haltAt {
+		f.halted = true
+	}
+}
+
+func (f *napNode) Halted() bool { return f.halted }
+
+func (f *napNode) QuietUntil(round int) int { return min(f.wake, f.haltAt) }
+
+// awakeNode hides a napNode's QuietUntil: one of them makes a run
+// ineligible for the fast-forward.
+type awakeNode struct{ Protocol }
+
+func buildNaps(n, horizon int, single bool, seed uint64) ([]Protocol, []*napNode) {
+	ps := make([]Protocol, n)
+	ns := make([]*napNode, n)
+	for i := range ps {
+		ns[i] = newNapNode(i, n, horizon, single, seed)
+		ps[i] = ns[i]
+	}
+	return ps, ns
+}
+
+func compareNaps(t *testing.T, tag string, want, got *Result, wantNodes, gotNodes []*napNode) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+		t.Fatalf("%s: metrics diverged:\nreference %+v\n      got %+v", tag, want.Metrics, got.Metrics)
+	}
+	if !want.Crashed.Equal(got.Crashed) || !reflect.DeepEqual(want.HaltedAt, got.HaltedAt) {
+		t.Fatalf("%s: crash set or HaltedAt diverged:\nreference %v %v\n      got %v %v",
+			tag, want.Crashed.Elements(), want.HaltedAt, got.Crashed.Elements(), got.HaltedAt)
+	}
+	for i, w := range wantNodes {
+		g := gotNodes[i]
+		if w.acc != g.acc || w.wake != g.wake || w.halted != g.halted || *w.r != *g.r {
+			t.Fatalf("%s: node %d end state diverged", tag, i)
+		}
+	}
+}
+
+// napCase is one fault/config shape of the fast-forward tests; skips
+// says whether the run loop may jump over its silent rounds.
+type napCase struct {
+	name   string
+	skips  bool
+	single bool
+	config func(ps []Protocol, n, horizon int, seed uint64) Config
+}
+
+func napCases() []napCase {
+	base := func(ps []Protocol, horizon int) Config {
+		return Config{Protocols: ps, MaxRounds: horizon + 16,
+			PartLabeler: func(round int) string { return fmt.Sprintf("part%d", round/9) }}
+	}
+	plan := func(n, horizon int, seed uint64) planCrash {
+		return planCrash{events: laneCrashEvents(n, n/4, horizon, seed+17)}
+	}
+	return []napCase{
+		{name: "no-fault", skips: true, config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			return base(ps, horizon)
+		}},
+		{name: "crash-plan", skips: true, config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			cfg := base(ps, horizon)
+			cfg.Fault = plan(n, horizon, seed)
+			return cfg
+		}},
+		{name: "crash-plan+delay", skips: true, config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			cfg := base(ps, horizon)
+			cfg.Fault = planCrashLink{planCrash: plan(n, horizon, seed), link: hashLink{d: 3, seed: seed + 29}}
+			return cfg
+		}},
+		{name: "non-sleeper", config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			ps[n/2] = awakeNode{ps[n/2]}
+			return base(ps, horizon)
+		}},
+		{name: "opaque-fault", config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			cfg := base(ps, horizon)
+			cfg.Fault = newMultiCrash(n, n/4, horizon, seed+17)
+			return cfg
+		}},
+		{name: "byzantine", config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			cfg := base(ps, horizon)
+			cfg.Byzantine = bitset.New(n)
+			cfg.Byzantine.Add(int(seed) % n)
+			return cfg
+		}},
+		{name: "single-port", single: true, config: func(ps []Protocol, n, horizon int, seed uint64) Config {
+			cfg := base(ps, horizon)
+			cfg.SinglePort = true
+			return cfg
+		}},
+	}
+}
+
+// TestQuietSkipMatchesReference pins the fast-forwarding run loop — on
+// the sequential engine, the pool and a reused Runtime — against the
+// reference engine, which knows nothing of Sleepers and executes every
+// round: same Result, same machine end states. Eligible shapes must
+// actually skip; ineligible ones (a non-Sleeper machine, an opaque
+// fault, a Byzantine set, single-port) must execute every round.
+func TestQuietSkipMatchesReference(t *testing.T) {
+	rt := NewRuntime()
+	defer rt.Close()
+	for _, c := range napCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for _, seed := range []uint64{1, 2, 3, 5, 8, 13} {
+				n, horizon := 12+int(seed), 150
+				build := func() (Config, []*napNode) {
+					ps, nodes := buildNaps(n, horizon, c.single, seed)
+					return c.config(ps, n, horizon, seed), nodes
+				}
+				refCfg, refNodes := build()
+				ref, err := referenceRun(refCfg)
+				if err != nil {
+					t.Fatalf("seed %d: reference: %v", seed, err)
+				}
+
+				cfg, nodes := build()
+				st, err := newState(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := st.run()
+				if err != nil {
+					t.Fatalf("seed %d: sequential: %v", seed, err)
+				}
+				compareNaps(t, fmt.Sprintf("seed %d: sequential", seed), ref, res, refNodes, nodes)
+				if st.simulated != ref.Metrics.Rounds {
+					t.Fatalf("seed %d: simulated %d rounds, reference ran %d", seed, st.simulated, ref.Metrics.Rounds)
+				}
+				t.Logf("seed %d: skipped %d of %d rounds", seed, st.skipped, st.simulated)
+				if c.skips && st.skipped == 0 {
+					t.Fatalf("seed %d: an eligible run of %d rounds skipped none", seed, st.simulated)
+				}
+				if !c.skips && st.skipped != 0 {
+					t.Fatalf("seed %d: an ineligible run skipped %d of %d rounds", seed, st.skipped, st.simulated)
+				}
+
+				cfg, nodes = build()
+				res, err = rt.Run(cfg)
+				if err != nil {
+					t.Fatalf("seed %d: runtime: %v", seed, err)
+				}
+				compareNaps(t, fmt.Sprintf("seed %d: pooled run", seed), ref, res, refNodes, nodes)
+				if c.single {
+					continue
+				}
+				for _, workers := range []int{1, 3} {
+					cfg, nodes = build()
+					res, err = rt.RunParallel(cfg, workers)
+					if err != nil {
+						t.Fatalf("seed %d: pool(%d): %v", seed, workers, err)
+					}
+					compareNaps(t, fmt.Sprintf("seed %d: pool(%d)", seed, workers), ref, res, refNodes, nodes)
+				}
+			}
+		})
+	}
+}
+
+// scriptNode sends one message to each listed target in the listed
+// rounds and otherwise sleeps to its halting round; it logs the rounds
+// in which something was delivered to it.
+type scriptNode struct {
+	id, haltAt int
+	sendAt     map[int][]NodeID
+	got        []int
+	halted     bool
+	out        Outbox
+}
+
+func (s *scriptNode) Send(round int) []Envelope {
+	return s.out.FanOut(s.id, s.sendAt[round], Bit(true))
+}
+
+func (s *scriptNode) Deliver(round int, inbox []Envelope) {
+	if len(inbox) > 0 {
+		s.got = append(s.got, round)
+	}
+	s.halted = round >= s.haltAt
+}
+
+func (s *scriptNode) Halted() bool { return s.halted }
+
+func (s *scriptNode) QuietUntil(round int) int {
+	w := s.haltAt
+	for r := range s.sendAt {
+		if r >= round {
+			w = min(w, r)
+		}
+	}
+	return w
+}
+
+// TestQuietSkipWaitsForParkedMessages: while a delayed message sits in
+// the ring the run loop must keep stepping — every machine is asleep,
+// yet the arrival round has to execute — and it resumes skipping once
+// the ring has drained.
+func TestQuietSkipWaitsForParkedMessages(t *testing.T) {
+	nodes := []*scriptNode{
+		{id: 0, haltAt: 40, sendAt: map[int][]NodeID{2: {1}, 20: {2}}},
+		{id: 1, haltAt: 40},
+		{id: 2, haltAt: 40},
+	}
+	ps := make([]Protocol, len(nodes))
+	for i, nd := range nodes {
+		ps[i] = nd
+	}
+	st, err := newState(Config{Protocols: ps, MaxRounds: 50, Fault: delayAll{by: 3, bound: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nodes[1].got, []int{5}) || !reflect.DeepEqual(nodes[2].got, []int{23}) {
+		t.Fatalf("deliveries at %v and %v, want [5] and [23]", nodes[1].got, nodes[2].got)
+	}
+	// Executed: 2..5 and 20..23 (send, two parked rounds, arrival) and
+	// the halting round 40.
+	if res.Metrics.Rounds != 41 || st.simulated-st.skipped != 9 {
+		t.Fatalf("simulated %d rounds and executed %d, want 41 and 9", res.Metrics.Rounds, st.simulated-st.skipped)
+	}
+}

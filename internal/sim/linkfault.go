@@ -111,6 +111,16 @@ func (d *delayRing) reset() {
 	}
 }
 
+// empty reports whether no message is in flight.
+func (d *delayRing) empty() bool {
+	for _, slot := range d.slots {
+		if len(slot) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // push parks a packed message for delivery at the given arrival round.
 // The arrival must lie within (round, round+MaxDelay] of the current
 // round; the engine validates the verdict before pushing.

@@ -401,7 +401,7 @@ func (s *state) roundParallelFast(r int) error {
 			s.haltedAt[id] = r
 		}
 	}
-	s.executed++
+	s.simulated++
 	return nil
 }
 
@@ -458,6 +458,6 @@ func (s *state) roundParallelStitched(r int) error {
 		// this path, table 0).
 		s.releaseDelivered()
 	}
-	s.executed++
+	s.simulated++
 	return nil
 }

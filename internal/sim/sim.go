@@ -57,8 +57,9 @@ type Envelope struct {
 }
 
 // Protocol is the deterministic per-node state machine. The engine
-// calls Send then Deliver exactly once per round while the node is
-// alive and not halted.
+// calls Send, then Deliver, then Halted once per round while the node
+// is alive and not halted — in every round, unless every machine of the
+// run is also a Sleeper and the run loop may fast-forward (see Sleeper).
 type Protocol interface {
 	// Send returns the messages the node transmits at the given round.
 	// The engine copies the envelopes before the node's next Send, so
@@ -80,6 +81,28 @@ type Protocol interface {
 type Poller interface {
 	Protocol
 	Poll(round int) (from NodeID, ok bool)
+}
+
+// Sleeper is implemented by protocols that can tell when they next need
+// attention, which lets the run loop jump over rounds in which the
+// whole system is provably silent instead of polling every node every
+// round. QuietUntil(round) = w promises: if nothing is delivered to the
+// node in rounds [round, w), it sends nothing and does not halt in
+// those rounds, and skipping their Send/Deliver/Halted calls altogether
+// leaves it at round w in the state the calls (with empty inboxes)
+// would have. Returning round (or less) means awake. The promise is
+// re-asked after every executed round, so a machine never has to wake
+// itself on a delivery.
+//
+// Only the run loop shared by the sequential and the pool engine skips,
+// and only when every protocol is a Sleeper, the fault is a CrashPlan
+// (its declared crash rounds always execute in full), the run is
+// multi-port with no Byzantine set, and no message is parked in the
+// delay ring. Results, observer events and metrics are identical to
+// the round-by-round run; a Stepper never skips.
+type Sleeper interface {
+	Protocol
+	QuietUntil(round int) int
 }
 
 // Metrics aggregates the communication and time performance of a run,
@@ -199,7 +222,8 @@ func Run(cfg Config) (*Result, error) {
 
 // Stepper drives a run one round at a time, for experiments that
 // inspect protocol state between rounds (the lower-bound divergence
-// measurements of §8 / Theorem 13).
+// measurements of §8 / Theorem 13). Every Step executes its round in
+// full: a Stepper never fast-forwards over Sleepers' quiet rounds.
 type Stepper struct {
 	st    *state
 	round int
@@ -269,9 +293,18 @@ type state struct {
 	haltedAt []int
 	metrics  Metrics
 	scratch  scratch
-	// executed counts rounds run so far; PerRoundMessages is trimmed
-	// to this length in result().
-	executed int
+	// simulated counts the rounds of the run so far; PerRoundMessages
+	// is trimmed to this length in result(). skipped is the part of it
+	// the run loop fast-forwarded over without stepping any node.
+	simulated int
+	skipped   int
+	// sleepers holds the Sleeper views of the protocols when the run
+	// may fast-forward (see Sleeper), else it is empty; crashRounds is
+	// then the fault's declared crash rounds, ascending, and crashCur
+	// the first one not yet passed.
+	sleepers    []Sleeper
+	crashRounds []int
+	crashCur    int
 	// label caches the PartLabeler result for the current round;
 	// labelSet records whether it has been computed yet.
 	label    string
@@ -367,7 +400,8 @@ func (st *state) reset(cfg Config) error {
 	if st.perPart != nil {
 		clear(st.perPart)
 	}
-	st.executed = 0
+	st.simulated, st.skipped = 0, 0
+	st.resetSleepers()
 	st.label, st.labelSet = "", false
 	st.crashedNow = st.crashedNow[:0]
 	st.esc.reset()
@@ -394,6 +428,32 @@ func (st *state) reset(cfg Config) error {
 	return nil
 }
 
+// resetSleepers decides whether this run may fast-forward and, if so,
+// collects the Sleeper views and the declared crash rounds into the
+// arena's reusable buffers. The first non-Sleeper machine ends the scan,
+// so an ineligible run pays one failed type assertion.
+func (st *state) resetSleepers() {
+	st.sleepers = st.sleepers[:0]
+	st.crashRounds, st.crashCur = st.crashRounds[:0], 0
+	plan, ok := st.fault.(CrashPlan)
+	if !ok || st.cfg.SinglePort || st.cfg.Byzantine != nil {
+		return
+	}
+	for _, p := range st.cfg.Protocols {
+		sl, ok := p.(Sleeper)
+		if !ok {
+			clear(st.sleepers)
+			st.sleepers = st.sleepers[:0]
+			return
+		}
+		st.sleepers = append(st.sleepers, sl)
+	}
+	for _, e := range plan.CrashEvents() {
+		st.crashRounds = append(st.crashRounds, e.Round)
+	}
+	slices.Sort(st.crashRounds)
+}
+
 func (s *state) alive(id NodeID) bool {
 	return !s.crashed.Contains(id) && s.haltedAt[id] < 0
 }
@@ -404,6 +464,11 @@ func (s *state) run() (*Result, error) {
 			s.metrics.Rounds = r
 			return s.result(), nil
 		}
+		if len(s.sleepers) > 0 {
+			if r = s.skipQuiet(r); r >= s.cfg.MaxRounds {
+				break
+			}
+		}
 		if err := s.round(r); err != nil {
 			return nil, err
 		}
@@ -413,6 +478,34 @@ func (s *state) run() (*Result, error) {
 		return s.result(), nil
 	}
 	return nil, fmt.Errorf("%w (MaxRounds=%d)", ErrNoTermination, s.cfg.MaxRounds)
+}
+
+// skipQuiet returns the first round at or after r that has to run: the
+// earliest round some live node wakes in, the next declared crash round
+// (a crash is applied only by FilterSend, in a round executed in full),
+// or MaxRounds. The rounds jumped over count as simulated.
+func (s *state) skipQuiet(r int) int {
+	if s.ring != nil && !s.ring.empty() {
+		return r
+	}
+	for s.crashCur < len(s.crashRounds) && s.crashRounds[s.crashCur] < r {
+		s.crashCur++
+	}
+	w := s.cfg.MaxRounds
+	if s.crashCur < len(s.crashRounds) {
+		w = min(w, s.crashRounds[s.crashCur])
+	}
+	for id := 0; id < s.n && w > r; id++ {
+		if s.alive(id) {
+			w = min(w, s.sleepers[id].QuietUntil(r))
+		}
+	}
+	if w <= r {
+		return r
+	}
+	s.simulated += w - r
+	s.skipped += w - r
+	return w
 }
 
 // allDone reports run completion: every non-faulty node has halted or
@@ -561,7 +654,7 @@ func (s *state) round(r int) error {
 	if !single && s.ring != nil {
 		s.releaseDelivered()
 	}
-	s.executed++
+	s.simulated++
 	return nil
 }
 
@@ -663,6 +756,7 @@ func (s *state) detach() {
 	s.filter = nil
 	clear(s.pollers)
 	clear(s.spSlot)
+	clear(s.sleepers)
 	s.deliverBuf = s.deliverBuf[:cap(s.deliverBuf)]
 	clear(s.deliverBuf)
 	s.esc.reset()
@@ -690,6 +784,6 @@ func (s *state) result() *Result {
 		Crashed:  s.crashed,
 		HaltedAt: s.haltedAt,
 	}
-	s.res.Metrics.PerRoundMessages = s.metrics.PerRoundMessages[:s.executed]
+	s.res.Metrics.PerRoundMessages = s.metrics.PerRoundMessages[:s.simulated]
 	return &s.res
 }
