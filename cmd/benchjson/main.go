@@ -741,6 +741,12 @@ func run(args []string, stdout *os.File) error {
 		{"sequential", 256, 64, 20},
 		{"parallel", 1000, 8, 20},
 		{"parallel", 4096, 8, 20},
+		// The two shapes past the parallel fast path's crossover of
+		// ≈ 130 k messages per round (EXPERIMENTS.md "Sharded rounds").
+		{"sequential", 16384, 8, 20},
+		{"parallel", 16384, 8, 20},
+		{"sequential", 4096, 64, 20},
+		{"parallel", 4096, 64, 20},
 		{"reuse", 1000, 8, 20},
 		{"reuse", 4096, 8, 20},
 		{"reuse-parallel", 4096, 8, 20},

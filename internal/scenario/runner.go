@@ -3,6 +3,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,13 +90,9 @@ func (s *sendSlab) release() {
 	sendSlabs.Put(s)
 }
 
-// Runner materializes Specs into engine runs. It is stateless; the
-// zero value is ready to use.
-type Runner struct{}
-
 // Run materializes the spec into a sim.Config, executes it through
 // Execute, and returns the unified report.
-func (Runner) Run(sp Spec) (*Report, error) {
+func Run(sp Spec) (*Report, error) {
 	rep, _, err := runSpec(sp, nil)
 	return rep, err
 }
@@ -109,10 +107,7 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	// materialize, the outcome evaluation as decode. The engine reports
 	// its internal setup/rounds split through the same tracer.
 	tr := sp.Tracer
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if sp.N <= 0 {
 		return nil, nil, fmt.Errorf("scenario: n=%d must be positive", sp.N)
 	}
@@ -133,10 +128,6 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	if err != nil {
 		return nil, nil, err
 	}
-	slack := sp.RoundSlack
-	if slack <= 0 {
-		slack = defaultRoundSlack
-	}
 	if tr != nil {
 		tr.StageDuration(obs.StageMaterialize, time.Since(t0))
 	}
@@ -149,7 +140,7 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 		PartLabeler: partLabelerOf(sys.ps),
 		Fault:       fault,
 		Byzantine:   sys.byz,
-		MaxRounds:   sys.schedule + slack,
+		MaxRounds:   sys.schedule + slackOf(sp),
 		SinglePort:  sys.singlePort,
 		Observer:    sp.Observer,
 		Tracer:      tr,
@@ -157,20 +148,8 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	if err != nil {
 		return nil, nil, err
 	}
-	var t1 time.Time
-	if tr != nil {
-		t1 = time.Now()
-	}
-	rep := &Report{
-		Scenario:  sp.Name,
-		Problem:   sp.Problem,
-		Algorithm: sp.Algorithm,
-		Port:      sp.Port,
-		N:         sp.N,
-		T:         sp.T,
-		Metrics:   toMetrics(res),
-		Crashed:   res.Crashed.Elements(),
-	}
+	t1 := time.Now()
+	rep := newReport(sp, res.Metrics, res.Crashed)
 	sys.finish(res, rep)
 	if tr != nil {
 		tr.StageDuration(obs.StageDecode, time.Since(t1))
@@ -178,24 +157,31 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	return rep, res, nil
 }
 
-// Run executes the spec on the default Runner.
-func Run(sp Spec) (*Report, error) { return Runner{}.Run(sp) }
-
-func toMetrics(res *sim.Result) Metrics {
-	m := Metrics{
-		Rounds:      res.Metrics.Rounds,
-		Messages:    res.Metrics.Messages,
-		Bits:        res.Metrics.Bits,
-		ByzMessages: res.Metrics.ByzMessages,
-		ByzBits:     res.Metrics.ByzBits,
+// newReport starts the report of a finished run — scalar, or one lane
+// of a sliced one — with everything but the problem's outcome: the
+// spec's identity, the engine's metrics (the per-part map copied, and
+// left nil when empty) and the crash list.
+func newReport(sp Spec, m sim.Metrics, crashed *bitset.Set) *Report {
+	rep := &Report{
+		Scenario:  sp.Name,
+		Problem:   sp.Problem,
+		Algorithm: sp.Algorithm,
+		Port:      sp.Port,
+		N:         sp.N,
+		T:         sp.T,
+		Metrics: Metrics{
+			Rounds:      m.Rounds,
+			Messages:    m.Messages,
+			Bits:        m.Bits,
+			ByzMessages: m.ByzMessages,
+			ByzBits:     m.ByzBits,
+		},
+		Crashed: crashed.Elements(),
 	}
-	if len(res.Metrics.PerPart) > 0 {
-		m.PerPart = make(map[string]int64, len(res.Metrics.PerPart))
-		for k, v := range res.Metrics.PerPart {
-			m.PerPart[k] = v
-		}
+	if len(m.PerPart) > 0 {
+		rep.Metrics.PerPart = maps.Clone(m.PerPart)
 	}
-	return m
+	return rep
 }
 
 // partLabelerOf returns the schedule labeler shared by a run's
@@ -240,9 +226,13 @@ func materialize(sp Spec) (*system, error) {
 	case ByzantineConsensus:
 		return materializeByzantine(sp)
 	case AlmostEverywhere:
-		return materializeAEA(sp)
+		return materializeSubroutine(sp, func(i int, top *consensus.Topology, input bool) *consensus.AEA {
+			return consensus.NewAEA(i, top, input, 0, true)
+		})
 	case SpreadCommonValue:
-		return materializeSCV(sp)
+		return materializeSubroutine(sp, func(i int, top *consensus.Topology, input bool) *consensus.SCV {
+			return consensus.NewSCV(i, top, input, true, 0, true)
+		})
 	case MajorityVote:
 		return materializeMajority(sp)
 	default:
@@ -370,47 +360,49 @@ func materializeConsensus(sp Spec) (*system, error) {
 	}
 
 	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &ConsensusOutcome{
-			Decisions: make([]int, n),
-			Agreement: true,
-			Validity:  true,
-		}
-		any0, any1 := false, false
-		for _, in := range inputs {
-			if in {
-				any1 = true
-			} else {
-				any0 = true
-			}
-		}
-		first := -1
-		for i := 0; i < n; i++ {
-			out.Decisions[i] = -1
-			if res.Crashed.Contains(i) {
-				continue
-			}
-			v, ok := ds[i].Decision()
-			if !ok {
-				out.Agreement = false
-				continue
-			}
-			d := 0
-			if v {
-				d = 1
-			}
-			out.Decisions[i] = d
-			if first < 0 {
-				first = d
-			} else if first != d {
-				out.Agreement = false
-			}
-			if (d == 1 && !any1) || (d == 0 && !any0) {
-				out.Validity = false
-			}
-		}
-		rep.Consensus = out
+		rep.Consensus = consensusOutcome(n, res.Crashed, inputs,
+			func(i int) (bool, bool) { return ds[i].Decision() })
 	}
 	return sys, nil
+}
+
+// consensusOutcome decodes a finished consensus run into its outcome.
+// decision(i) is survivor i's decided value, ok=false while undecided.
+// Agreement: every survivor decided, and on one value. Validity: every
+// decided value is some node's input.
+func consensusOutcome(n int, crashed *bitset.Set, inputs []bool, decision func(i int) (value, ok bool)) *ConsensusOutcome {
+	out := &ConsensusOutcome{
+		Decisions: make([]int, n),
+		Agreement: true,
+		Validity:  true,
+	}
+	any0, any1 := slices.Contains(inputs, false), slices.Contains(inputs, true)
+	first := -1
+	for i := 0; i < n; i++ {
+		out.Decisions[i] = -1
+		if crashed.Contains(i) {
+			continue
+		}
+		v, ok := decision(i)
+		if !ok {
+			out.Agreement = false
+			continue
+		}
+		d := 0
+		if v {
+			d = 1
+		}
+		out.Decisions[i] = d
+		if first < 0 {
+			first = d
+		} else if first != d {
+			out.Agreement = false
+		}
+		if (d == 1 && !any1) || (d == 0 && !any0) {
+			out.Validity = false
+		}
+	}
+	return out
 }
 
 func materializeGossip(sp Spec) (*system, error) {
@@ -687,38 +679,53 @@ func materializeByzantine(sp Spec) (*system, error) {
 	return sys, nil
 }
 
-func materializeAEA(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	inputs := sp.BoolInputs
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
+// subroutineMachine is the surface shared by the paper's two consensus
+// subroutines, AEA and SCV.
+type subroutineMachine interface {
+	sim.Protocol
+	ScheduleLength() int
+	Decided() (value, ok bool)
+}
+
+// materializeSubroutine builds a subroutine run: one machine per node
+// over the t < n/5 topology, from the problem's constructor.
+func materializeSubroutine[M subroutineMachine](sp Spec, machine func(i int, top *consensus.Topology, input bool) M) (*system, error) {
+	n := sp.N
+	if len(sp.BoolInputs) != n {
+		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(sp.BoolInputs), n)
 	}
-	top, err := sp.newTopology(n, t)
+	top, err := sp.newTopology(n, sp.T)
 	if err != nil {
 		return nil, err
 	}
 	ps := make([]sim.Protocol, n)
-	ms := make([]*consensus.AEA, n)
+	ms := make([]M, n)
 	sys := &system{ps: ps, little: top.L}
 	for i := 0; i < n; i++ {
-		ms[i] = consensus.NewAEA(i, top, inputs[i], 0, true)
+		ms[i] = machine(i, top, sp.BoolInputs[i])
 		ps[i] = ms[i]
 		sys.schedule = ms[i].ScheduleLength()
 	}
 	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &SubroutineOutcome{AllDecided: true}
-		for i, m := range ms {
-			_, ok := m.Decided()
-			if !ok {
-				out.AllDecided = false
-			}
-			if ok && !res.Crashed.Contains(i) {
-				out.Deciders++
-			}
-		}
-		rep.Subroutine = out
+		rep.Subroutine = subroutineOutcome(res.Crashed, ms)
 	}
 	return sys, nil
+}
+
+// subroutineOutcome decodes a finished AEA or SCV run: whether every
+// machine decided, and how many of the deciders survived.
+func subroutineOutcome[M subroutineMachine](crashed *bitset.Set, ms []M) *SubroutineOutcome {
+	out := &SubroutineOutcome{AllDecided: true}
+	for i, m := range ms {
+		_, ok := m.Decided()
+		if !ok {
+			out.AllDecided = false
+		}
+		if ok && !crashed.Contains(i) {
+			out.Deciders++
+		}
+	}
+	return out
 }
 
 func materializeMajority(sp Spec) (*system, error) {
@@ -764,40 +771,6 @@ func materializeMajority(sp Spec) (*system, error) {
 			}
 		}
 		rep.Majority = out
-	}
-	return sys, nil
-}
-
-func materializeSCV(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	inputs := sp.BoolInputs
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
-	top, err := sp.newTopology(n, t)
-	if err != nil {
-		return nil, err
-	}
-	ps := make([]sim.Protocol, n)
-	ms := make([]*consensus.SCV, n)
-	sys := &system{ps: ps, little: top.L}
-	for i := 0; i < n; i++ {
-		ms[i] = consensus.NewSCV(i, top, inputs[i], true, 0, true)
-		ps[i] = ms[i]
-		sys.schedule = ms[i].ScheduleLength()
-	}
-	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &SubroutineOutcome{AllDecided: true}
-		for i, m := range ms {
-			_, ok := m.Decided()
-			if !ok {
-				out.AllDecided = false
-			}
-			if ok && !res.Crashed.Contains(i) {
-				out.Deciders++
-			}
-		}
-		rep.Subroutine = out
 	}
 	return sys, nil
 }

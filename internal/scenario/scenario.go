@@ -2,7 +2,7 @@
 // commands and the simulator: a Scenario is one cell of the paper's
 // evaluation matrix — problem × algorithm × fault model × port model ×
 // topology × size — expressed as a typed Spec, and a single generic
-// Runner materializes any Spec into a sim.Config, dispatches it through
+// Run materializes any Spec into a sim.Config, dispatches it through
 // the one engine choke point (Execute), and returns a unified Report.
 //
 // The package also keeps a registry of named scenario definitions
@@ -18,7 +18,7 @@
 // (consensus, gossip, checkpoint, byzantine, singleport, crash) and
 // below the root API and cmd/. Everything outside internal/sim that
 // needs an engine run goes through Execute, which is the only caller of
-// sim.Run and sim.RunParallel in the repository.
+// sim.Runtime.Run and RunParallel in the repository.
 package scenario
 
 import (

@@ -17,7 +17,7 @@ import (
 // batch analogue of Execute. A batch of Specs is partitioned into
 // sliceable groups — same shape, so up to 64 of them ride one engine
 // run as lanes — and a scalar remainder that runs through the ordinary
-// Runner, so callers get one uniform call for "run all of these" and
+// Run, so callers get one uniform call for "run all of these" and
 // the engine choice stays invisible: every report and error is
 // byte-for-byte what the scalar path would have produced for that Spec.
 
@@ -124,7 +124,7 @@ func RunSeeds(sp Spec, seeds []uint64) ([]*Report, []error) {
 
 // ExecuteBatch runs a batch of specs, slicing where possible: sliceable
 // specs of the same shape are grouped into 64-lane sliced engine runs,
-// everything else runs through the scalar Runner. Results are returned
+// everything else runs through the scalar Run. Results are returned
 // in input order and are identical — reports and errors both — to
 // running each spec individually through Run. Gossip views
 // (GossipOutcome.Extant) are read-only: equal views of a report share
@@ -139,7 +139,8 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	for i, sp := range sps {
 		// Anything that would fail Run's preconditions goes scalar so
 		// the caller sees the exact scalar error.
-		if !sliceable(sp) || sp.N <= 0 || !batchInputsOK(sp) ||
+		_, topologyErr := sp.topologyMode()
+		if !sliceable(sp) || sp.N <= 0 || !batchInputsOK(sp) || topologyErr != nil ||
 			sp.Fault.validate(sp) != nil {
 			scalar = append(scalar, i)
 			continue
@@ -166,7 +167,7 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 					scalar = append(scalar, chunk...)
 					continue
 				}
-				runSlicedChunk(rt, sps, chunk, reports, errs)
+				runSlicedChunk(rt, slicedProblemOf(sps[chunk[0]]), sps, chunk, reports, errs)
 			}
 		}
 		runtimes.Put(rt)
@@ -176,7 +177,7 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	return reports, errs
 }
 
-// runScalar runs the given spec indices through the scalar Runner,
+// runScalar runs the given spec indices through the scalar Run,
 // fanned across GOMAXPROCS workers (each worker lands on its own
 // pooled Runtime via Execute). Runs are independent and deterministic,
 // so scheduling cannot change any result.
@@ -212,146 +213,71 @@ func runScalar(sps []Spec, idx []int, reports []*Report, errs []error) {
 	wg.Wait()
 }
 
+// slicedProblem is what one natively lane-parallel problem contributes
+// to a sliced chunk, in the order the chunk runner needs it: the shared
+// topology's little-node count (the lanes' fault layers take it), then
+// the one system all lanes share, then each settled lane's report.
+type slicedProblem interface {
+	// open resolves what the lanes share ahead of their fault layers and
+	// returns the little count Run would pass for this stack.
+	open(shape Spec) (little int, err error)
+	// build constructs the shared system for the given number of lanes,
+	// whose link filters delay by at most maxDelay rounds, and returns it
+	// with its schedule length.
+	build(shape Spec, lanes, maxDelay int) (sim.SlicedSystem, int, error)
+	// decode mirrors Run's finish for one lane: the same report
+	// the scalar engine would have produced for sp.
+	decode(sp Spec, lane int, lr *sim.LaneResult) *Report
+}
+
+// slicedProblemOf returns a fresh adapter for a sliceable spec.
+func slicedProblemOf(sp Spec) slicedProblem {
+	if sp.Problem == Gossip {
+		return &slicedGossip{}
+	}
+	return &slicedFlooding{}
+}
+
 // runSlicedChunk executes up to 64 same-shape specs as the lanes of one
 // sliced engine run and materializes each lane into its spec's report.
 // Any failure to slice — a fault without a declarative crash plan, an
 // escaped lane, a topology that cannot be built — falls back to the
 // scalar runner for the affected specs, preserving exact scalar
-// results.
-func runSlicedChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, errs []error) {
-	if sps[idx[0]].Problem == Gossip {
-		runSlicedGossipChunk(rt, sps, idx, reports, errs)
-		return
-	}
-	fallback := func(lanes ...int) {
-		for _, lane := range lanes {
-			i := idx[lane]
+// results: the scalar engine is the authority on what the caller sees.
+func runSlicedChunk(rt *sim.Runtime, prob slicedProblem, sps []Spec, idx []int, reports []*Report, errs []error) {
+	fallback := func(specs []int) {
+		for _, i := range specs {
 			reports[i], errs[i] = Run(sps[i])
 		}
-	}
-	all := make([]int, len(idx))
-	for lane := range idx {
-		all[lane] = lane
 	}
 
 	shape := sps[idx[0]]
 	// The chunk reports through the first spec's tracer: lanes of one
 	// group share the run, so per-lane attribution is not meaningful.
 	tr := shape.Tracer
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	faults := make([]sim.LinkFault, len(idx))
-	for lane, i := range idx {
-		sp := sps[i]
-		// Flooding has no expander overlay, so little = 0 — exactly the
-		// value Runner.Run passes for this stack.
-		f, err := sp.Fault.LinkFault(sp.N, sp.T, 0, sp.Seed)
-		if err != nil {
-			fallback(all...)
-			return
-		}
-		faults[lane] = f
-	}
-
-	sys := consensus.NewSlicedFlooding(shape.N, shape.T, len(idx), shape.BoolInputs)
-	if tr != nil {
-		tr.StageDuration(obs.StageMaterialize, time.Since(t0))
-	}
-	res, err := rt.RunSliced(sim.SlicedConfig{
-		System:    sys,
-		Lanes:     len(idx),
-		MaxRounds: sys.ScheduleLength() + slackOf(shape),
-		Faults:    faults,
-		Tracer:    tr,
-	})
+	t0 := time.Now()
+	little, err := prob.open(shape)
 	if err != nil {
-		// ErrNotSliceable and config errors: the scalar engine is the
-		// authority on what the caller should see.
-		fallback(all...)
-		return
-	}
-
-	any0, any1 := false, false
-	for _, in := range shape.BoolInputs {
-		if in {
-			any1 = true
-		} else {
-			any0 = true
-		}
-	}
-	// Reports must be materialized before the Runtime's next sliced run:
-	// the lane results alias arena memory.
-	var t1 time.Time
-	if tr != nil {
-		t1 = time.Now()
-	}
-	var escaped []int
-	for lane, i := range idx {
-		lr := &res.Lanes[lane]
-		if lr.Escaped {
-			escaped = append(escaped, lane)
-			continue
-		}
-		if lr.Err != nil {
-			errs[i] = lr.Err
-			continue
-		}
-		reports[i] = laneReport(sps[i], sys, lane, lr, any0, any1)
-	}
-	if tr != nil {
-		tr.StageDuration(obs.StageMerge, time.Since(t1))
-	}
-	fallback(escaped...)
-}
-
-// runSlicedGossipChunk is runSlicedChunk's gossip arm: the lanes share
-// one expander topology (identical by group key) and one
-// gossip.SlicedGossip machine, with per-lane fault layers.
-func runSlicedGossipChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, errs []error) {
-	fallback := func(lanes ...int) {
-		for _, lane := range lanes {
-			i := idx[lane]
-			reports[i], errs[i] = Run(sps[i])
-		}
-	}
-	all := make([]int, len(idx))
-	for lane := range idx {
-		all[lane] = lane
-	}
-
-	shape := sps[idx[0]]
-	tr := shape.Tracer
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	top, err := shape.newTopology(shape.N, shape.T)
-	if err != nil {
-		fallback(all...)
+		fallback(idx)
 		return
 	}
 	faults := make([]sim.LinkFault, len(idx))
 	maxDelay := 0
 	for lane, i := range idx {
 		sp := sps[i]
-		f, err := sp.Fault.LinkFault(sp.N, sp.T, top.L, sp.Seed)
+		f, err := sp.Fault.LinkFault(sp.N, sp.T, little, sp.Seed)
 		if err != nil {
-			fallback(all...)
+			fallback(idx)
 			return
 		}
 		faults[lane] = f
 		if lf, ok := f.(sim.LinkFilter); ok {
-			if d := lf.MaxDelay(); d > maxDelay {
-				maxDelay = d
-			}
+			maxDelay = max(maxDelay, lf.MaxDelay())
 		}
 	}
-
-	sys, err := gossip.NewSlicedGossip(top, len(idx), maxDelay)
+	sys, schedule, err := prob.build(shape, len(idx), maxDelay)
 	if err != nil {
-		fallback(all...)
+		fallback(idx)
 		return
 	}
 	if tr != nil {
@@ -360,129 +286,106 @@ func runSlicedGossipChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Rep
 	res, err := rt.RunSliced(sim.SlicedConfig{
 		System:    sys,
 		Lanes:     len(idx),
-		MaxRounds: sys.ScheduleLength() + slackOf(shape),
+		MaxRounds: schedule + slackOf(shape),
 		Faults:    faults,
 		Tracer:    tr,
 	})
 	if err != nil {
-		fallback(all...)
+		// ErrNotSliceable and config errors.
+		fallback(idx)
 		return
 	}
 
-	var t1 time.Time
-	if tr != nil {
-		t1 = time.Now()
-	}
+	// Reports must be materialized before the Runtime's next sliced run:
+	// the lane results alias arena memory.
+	t1 := time.Now()
 	var escaped []int
 	for lane, i := range idx {
 		lr := &res.Lanes[lane]
-		if lr.Escaped {
-			escaped = append(escaped, lane)
-			continue
-		}
-		if lr.Err != nil {
+		switch {
+		case lr.Escaped:
+			escaped = append(escaped, i)
+		case lr.Err != nil:
 			errs[i] = lr.Err
-			continue
+		default:
+			reports[i] = prob.decode(sps[i], lane, lr)
 		}
-		reports[i] = gossipLaneReport(sps[i], sys, lane, lr)
 	}
 	if tr != nil {
 		tr.StageDuration(obs.StageMerge, time.Since(t1))
 	}
-	fallback(escaped...)
+	fallback(escaped)
 }
 
-// laneReport mirrors Runner.Run's consensus finish for one lane: same
-// metrics mapping, same crash list, same agreement/validity rules over
-// the lane's decisions.
-func laneReport(sp Spec, sys *consensus.SlicedFlooding, lane int, lr *sim.LaneResult, any0, any1 bool) *Report {
-	rep := &Report{
-		Scenario:  sp.Name,
-		Problem:   sp.Problem,
-		Algorithm: sp.Algorithm,
-		Port:      sp.Port,
-		N:         sp.N,
-		T:         sp.T,
-		Metrics: Metrics{
-			Rounds:   lr.Metrics.Rounds,
-			Messages: lr.Metrics.Messages,
-			Bits:     lr.Metrics.Bits,
-		},
-		Crashed: lr.Crashed.Elements(),
-	}
+// slicedFlooding adapts the flooding comparator: no topology (little is
+// 0, exactly the value Run passes for this stack), and the
+// scalar consensus decode over the lane's decision bits.
+type slicedFlooding struct {
+	sys *consensus.SlicedFlooding
+}
+
+func (*slicedFlooding) open(Spec) (int, error) { return 0, nil }
+
+func (p *slicedFlooding) build(shape Spec, lanes, _ int) (sim.SlicedSystem, int, error) {
+	p.sys = consensus.NewSlicedFlooding(shape.N, shape.T, lanes, shape.BoolInputs)
+	return p.sys, p.sys.ScheduleLength(), nil
+}
+
+func (p *slicedFlooding) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
+	rep := newReport(sp, lr.Metrics, lr.Crashed)
 	bit := uint64(1) << lane
-	out := &ConsensusOutcome{
-		Decisions: make([]int, sp.N),
-		Agreement: true,
-		Validity:  true,
-	}
-	first := -1
-	for i := 0; i < sp.N; i++ {
-		out.Decisions[i] = -1
-		if lr.Crashed.Contains(i) {
-			continue
-		}
-		decided, value := sys.DecisionLanes(i)
-		if decided&bit == 0 {
-			out.Agreement = false
-			continue
-		}
-		d := 0
-		if value&bit != 0 {
-			d = 1
-		}
-		out.Decisions[i] = d
-		if first < 0 {
-			first = d
-		} else if first != d {
-			out.Agreement = false
-		}
-		if (d == 1 && !any1) || (d == 0 && !any0) {
-			out.Validity = false
-		}
-	}
-	rep.Consensus = out
+	rep.Consensus = consensusOutcome(sp.N, lr.Crashed, sp.BoolInputs, func(i int) (bool, bool) {
+		decided, value := p.sys.DecisionLanes(i)
+		return value&bit != 0, decided&bit != 0
+	})
 	return rep
 }
 
-// gossipLaneReport mirrors Runner.Run's gossip finish for one lane:
-// the same metrics (with the per-part attribution the scalar
-// PartLabeler would have recorded, reconstructed from the per-round
-// series), the same extant views (rumor values come from the lane's
-// inputs — first-write-wins makes every copy of node j's pair equal to
-// j's own rumor) and the same completeness rule.
-func gossipLaneReport(sp Spec, sys *gossip.SlicedGossip, lane int, lr *sim.LaneResult) *Report {
-	rep := &Report{
-		Scenario:  sp.Name,
-		Problem:   sp.Problem,
-		Algorithm: sp.Algorithm,
-		Port:      sp.Port,
-		N:         sp.N,
-		T:         sp.T,
-		Metrics: Metrics{
-			Rounds:   lr.Metrics.Rounds,
-			Messages: lr.Metrics.Messages,
-			Bits:     lr.Metrics.Bits,
-		},
-		Crashed: lr.Crashed.Elements(),
+// slicedGossip adapts the paper's multi-port expander gossip: the lanes
+// share one expander topology (identical by group key) and one
+// gossip.SlicedGossip machine, with per-lane fault layers.
+type slicedGossip struct {
+	top *consensus.Topology
+	sys *gossip.SlicedGossip
+}
+
+func (p *slicedGossip) open(shape Spec) (little int, err error) {
+	if p.top, err = shape.newTopology(shape.N, shape.T); err != nil {
+		return 0, err
 	}
+	return p.top.L, nil
+}
+
+func (p *slicedGossip) build(_ Spec, lanes, maxDelay int) (_ sim.SlicedSystem, _ int, err error) {
+	if p.sys, err = gossip.NewSlicedGossip(p.top, lanes, maxDelay); err != nil {
+		return nil, 0, err
+	}
+	return p.sys, p.sys.ScheduleLength(), nil
+}
+
+// decode yields the scalar gossip finish for one lane: the same metrics
+// (with the per-part attribution the scalar PartLabeler would have
+// recorded, reconstructed from the per-round series), the same extant
+// views (rumor values come from the lane's inputs — first-write-wins
+// makes every copy of node j's pair equal to j's own rumor) and the same
+// completeness rule.
+func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
+	rep := newReport(sp, lr.Metrics, lr.Crashed)
 	// The scalar engine labels a round's traffic with the schedule
 	// part at the accounting point; rounds without traffic contribute
 	// nothing, and a run with no labeled traffic leaves PerPart nil
-	// (toMetrics copies only non-empty maps).
-	var perPart map[string]int64
+	// (newReport copies only non-empty maps).
 	for r, c := range lr.Metrics.PerRoundMessages {
 		if c == 0 {
 			continue
 		}
-		if label := sys.PartAt(r); label != "" {
-			if perPart == nil {
-				perPart = make(map[string]int64)
+		if label := p.sys.PartAt(r); label != "" {
+			if rep.Metrics.PerPart == nil {
+				rep.Metrics.PerPart = make(map[string]int64)
 			}
-			perPart[label] += c
+			rep.Metrics.PerPart[label] += c
 		}
 	}
-	rep.Metrics.PerPart = perPart
 
 	bit := uint64(1) << lane
 	members := bitset.New(sp.N)
@@ -490,7 +393,7 @@ func gossipLaneReport(sp Spec, sys *gossip.SlicedGossip, lane int, lr *sim.LaneR
 		func(i int) *bitset.Set {
 			members.Clear()
 			for j := 0; j < sp.N; j++ {
-				if sys.Known(i, j)&bit != 0 {
+				if p.sys.Known(i, j)&bit != 0 {
 					members.Add(j)
 				}
 			}

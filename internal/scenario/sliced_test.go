@@ -184,13 +184,19 @@ func TestExecuteBatchInvalidSpec(t *testing.T) {
 	good := MustLookup("consensus/flooding").Spec(24, 4, 1)
 	bad := good
 	bad.Fault = FaultModel{Kind: DelayedLinks, Delay: -1}
-	reports, errs := ExecuteBatch([]Spec{good, bad})
+	// Flooding builds no topology, but Run still rejects an unknown
+	// family; so must the batch.
+	lost := good
+	lost.Topology = "bogus"
+	reports, errs := ExecuteBatch([]Spec{good, bad, lost})
 	if errs[0] != nil || reports[0] == nil {
 		t.Fatalf("good spec failed: %v", errs[0])
 	}
-	_, wantErr := Run(bad)
-	if wantErr == nil || errs[1] == nil || wantErr.Error() != errs[1].Error() {
-		t.Fatalf("bad spec error diverged: scalar %v, batch %v", wantErr, errs[1])
+	for i, sp := range []Spec{bad, lost} {
+		_, wantErr := Run(sp)
+		if got := errs[i+1]; wantErr == nil || got == nil || wantErr.Error() != got.Error() || reports[i+1] != nil {
+			t.Fatalf("bad spec %d diverged: scalar %v, batch %v", i, wantErr, got)
+		}
 	}
 }
 

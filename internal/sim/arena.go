@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"time"
 
@@ -10,41 +11,34 @@ import (
 // Runtime is a reusable run arena: the full engine state — the CSR
 // scratch workspace, the wire-plane escape table, the single-port
 // rings and their n-sized idx tables, the delay ring, the metrics
-// arrays, and (for parallel runs) the worker pool with its shard-local
-// buffers — pooled across runs. The first run of a given shape grows
-// every buffer to its peak; the second and subsequent runs are
-// steady-state allocation-free, which is what makes repeated-run
-// workloads (sweeps, replications, benchmarks) cheap. A zero-ish
-// ~1.4MB-per-run rebuild cost at n=1000 drops to zero.
+// arrays, the parallel engines' shard buffers and the one worker pool
+// that runs their phases — pooled across runs. The first run of a
+// given shape grows every buffer to its peak; the second and subsequent
+// runs are steady-state allocation-free, which is what makes
+// repeated-run workloads (sweeps, replications, benchmarks) cheap. A
+// zero-ish ~1.4MB-per-run rebuild cost at n=1000 drops to zero.
+//
+// Every engine runs through the same bracket (span): the six RunX
+// methods differ only in which arena they reset and which loop they
+// run, and the package-level functions of the same names are one RunX
+// on a fresh Runtime that is closed before they return.
 //
 // A Runtime is not safe for concurrent use. Results it returns alias
 // arena memory and are valid only until the next run on the same
 // Runtime; use Result.Clone to keep one.
 type Runtime struct {
 	st *state
-	// sl holds the bit-sliced engine's arena (sliced.go), created on
-	// the first RunSliced and recycled across sliced runs.
-	sl *slicedState
-	// slot holds the persistent worker pool, created on the first
-	// RunParallel and kept across runs (workers stay parked on their
-	// job channels between runs). The indirection exists for the
-	// finalizer: one cleanup per Runtime is registered against the
-	// slot, so replacing the pool (worker-count change) does not
-	// accumulate registrations that would pin dead pools.
-	slot *poolSlot
-	// cs holds the neighborcast engine's arena (cast.go), created on
-	// the first RunCast/RunCastParallel and recycled across cast runs.
-	cs *castState
-	// csl holds the sliced neighborcast arena (castsliced.go).
+	// sl, cs and csl are the arenas of the bit-sliced (sliced.go), the
+	// neighborcast (cast.go) and the sliced neighborcast engine
+	// (castsliced.go), each created by its engine's first run.
+	sl  *slicedState
+	cs  *castState
 	csl *castSlicedState
-	// castSlot holds the neighborcast engine's persistent worker pool,
-	// with the same one-cleanup-per-Runtime indirection as slot.
-	castSlot *castPoolSlot
-}
-
-// poolSlot is the stable object the Runtime's cleanup watches.
-type poolSlot struct {
-	p *pool
+	// pool is the persistent worker pool of the parallel engines,
+	// created on the first RunParallel or RunCastParallel and kept
+	// across runs (workers stay parked on their job channels in
+	// between); a worker-count change restarts its workers in place.
+	pool *phasePool
 }
 
 // NewRuntime returns an empty arena. Close releases the worker pool
@@ -54,42 +48,114 @@ func NewRuntime() *Runtime {
 	return &Runtime{st: &state{}}
 }
 
+// workers returns the Runtime's pool running exactly w workers.
+func (rt *Runtime) workers(w int) *phasePool {
+	if rt.pool == nil {
+		rt.pool = &phasePool{}
+		// The pool's goroutines keep the pool and, during a phase, the
+		// engine state alive but not the Runtime itself, so a dropped
+		// Runtime still becomes unreachable and the cleanup reaps them.
+		runtime.AddCleanup(rt, (*phasePool).shutdown, rt.pool)
+	}
+	rt.pool.resize(w)
+	return rt.pool
+}
+
+// Close stops the arena's worker pool, if any, and waits for its
+// goroutines to exit. The Runtime remains usable; a later parallel run
+// starts fresh workers.
+func (rt *Runtime) Close() {
+	if rt.pool != nil {
+		rt.pool.shutdown()
+	}
+}
+
+// oneShot is the package-level entry points' lifecycle: run on a fresh
+// Runtime, stop its pool, and copy the result envelope out of the arena
+// so a retained result pins only the slices it references.
+func oneShot[R any](run func(*Runtime) (*R, error)) (*R, error) {
+	rt := NewRuntime()
+	defer rt.Close()
+	res, err := run(rt)
+	if err != nil {
+		return nil, err
+	}
+	r := *res
+	return &r, nil
+}
+
+// span is the run bracket shared by every engine entry point — begin,
+// ready(arena.reset(cfg)), the engine's loop, finish. It owns the tracer
+// protocol (one StageSetup, one StageRounds and one RunDone per run, or a
+// lone RunDone(OutcomeError) when the arena rejects the config) and the
+// arena's detach, so an idle pooled arena never pins a caller's protocol
+// system, finished or failed. The tracer is captured up front because
+// detach clears the arena's copy of the config; a nil tracer costs one
+// branch per call.
+type span struct {
+	tr     obs.RunTracer
+	engine obs.Engine
+	arena  interface{ detach() }
+	t0, t1 time.Time
+}
+
+func begin(tr obs.RunTracer, engine obs.Engine, arena interface{ detach() }) span {
+	sp := span{tr: tr, engine: engine, arena: arena}
+	if tr != nil {
+		sp.t0 = time.Now()
+	}
+	return sp
+}
+
+// ready closes the setup stage with the arena's verdict on the config.
+// A reset that fails has typically captured the config already, so the
+// arena is detached before the error is reported and returned.
+func (sp *span) ready(err error) error {
+	if err != nil {
+		sp.arena.detach()
+		if sp.tr != nil {
+			sp.tr.RunDone(sp.engine, obs.OutcomeError, 0, time.Since(sp.t0))
+		}
+		return err
+	}
+	if sp.tr != nil {
+		sp.t1 = time.Now()
+		sp.tr.StageDuration(obs.StageSetup, sp.t1.Sub(sp.t0))
+	}
+	return nil
+}
+
+// finish detaches the arena and reports the rounds stage and the run's
+// outcome; rounds is the round count the run reached.
+func (sp *span) finish(rounds int, err error) {
+	sp.arena.detach()
+	if sp.tr != nil {
+		now := time.Now()
+		sp.tr.StageDuration(obs.StageRounds, now.Sub(sp.t1))
+		sp.tr.RunDone(sp.engine, runOutcome(err), rounds, now.Sub(sp.t0))
+	}
+}
+
+// runOutcome classifies a run error for the tracer's outcome label.
+func runOutcome(err error) obs.Outcome {
+	switch {
+	case err == nil:
+		return obs.OutcomeOK
+	case errors.Is(err, ErrNoTermination):
+		return obs.OutcomeNoTermination
+	default:
+		return obs.OutcomeError
+	}
+}
+
 // Run executes the configured system on the sequential engine, reusing
 // the arena's buffers. See Runtime for the result-aliasing contract.
 func (rt *Runtime) Run(cfg Config) (*Result, error) {
-	// Capture the tracer before reset/detach: detach clears the
-	// captured cfg, and the nil fast path must stay branch-only.
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	if err := rt.st.reset(cfg); err != nil {
-		// reset already captured cfg; drop it so a pooled arena does
-		// not pin the caller's protocol system after a failed run.
-		rt.st.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineSequential, obs.OutcomeError, 0, time.Since(t0))
-		}
+	sp := begin(cfg.Tracer, obs.EngineSequential, rt.st)
+	if err := sp.ready(rt.st.reset(cfg)); err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
-	res, err := rt.st.run()
-	rt.st.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		rounds := cfg.MaxRounds
-		if res != nil {
-			rounds = res.Metrics.Rounds
-		}
-		tr.RunDone(obs.EngineSequential, runOutcome(err), rounds, now.Sub(t0))
-		tr.RoundsExecuted(rt.st.simulated-rt.st.skipped, rt.st.skipped)
-	}
-	return res, err
+	return rt.st.runIn(&sp)
 }
 
 // RunParallel executes the configured system on the sharded worker
@@ -97,75 +163,33 @@ func (rt *Runtime) Run(cfg Config) (*Result, error) {
 // constraints of the package-level RunParallel apply. See Runtime for
 // the result-aliasing contract.
 func (rt *Runtime) RunParallel(cfg Config, workers int) (*Result, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
+	st := rt.st
+	sp := begin(cfg.Tracer, obs.EngineParallel, st)
+	err := validateParallelConfig(cfg)
+	if err == nil {
+		err = st.reset(cfg)
 	}
-	if err := validateParallelConfig(cfg); err != nil {
-		if tr != nil {
-			tr.RunDone(obs.EngineParallel, obs.OutcomeError, 0, time.Since(t0))
-		}
+	// Link-filter runs keep the sequential round (see pool.go).
+	if err == nil && st.filter == nil {
+		st.par = st.shards.prepare(st, rt.workers(resolveWorkers(workers, st.n)))
+	}
+	if err := sp.ready(err); err != nil {
 		return nil, err
 	}
-	if err := rt.st.reset(cfg); err != nil {
-		rt.st.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineParallel, obs.OutcomeError, 0, time.Since(t0))
-		}
-		return nil, err
-	}
-	w := resolveWorkers(workers, rt.st.n)
-	if rt.slot == nil {
-		rt.slot = &poolSlot{}
-		// The pool's goroutines keep the pool, the slot and the state
-		// alive but not the Runtime itself, so a dropped Runtime still
-		// becomes unreachable and the cleanup reaps whatever pool the
-		// slot holds at that point.
-		runtime.AddCleanup(rt, func(s *poolSlot) {
-			if s.p != nil {
-				s.p.shutdown()
-			}
-		}, rt.slot)
-	}
-	switch pl := rt.slot.p; {
-	case pl == nil:
-		rt.slot.p = newPool(rt.st, w)
-	case pl.workers != w:
-		pl.shutdown()
-		rt.slot.p = newPool(rt.st, w)
-	default:
-		pl.prepare(rt.st)
-	}
-	rt.st.pool = rt.slot.p
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
-	res, err := rt.st.run()
-	rt.st.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		rounds := cfg.MaxRounds
-		if res != nil {
-			rounds = res.Metrics.Rounds
-		}
-		tr.RunDone(obs.EngineParallel, runOutcome(err), rounds, now.Sub(t0))
-		tr.RoundsExecuted(rt.st.simulated-rt.st.skipped, rt.st.skipped)
-	}
-	return res, err
+	return st.runIn(&sp)
 }
 
-// Close stops the arena's persistent worker pools, if any. The Runtime
-// remains usable; a later parallel run starts a fresh pool.
-func (rt *Runtime) Close() {
-	if rt.slot != nil && rt.slot.p != nil {
-		rt.slot.p.shutdown()
-		rt.slot.p = nil
+// runIn runs the round loop of a reset state inside sp and reports how
+// many of the run's rounds were executed and how many skipped.
+func (s *state) runIn(sp *span) (*Result, error) {
+	res, err := s.run()
+	rounds := s.cfg.MaxRounds
+	if res != nil {
+		rounds = res.Metrics.Rounds
 	}
-	if rt.castSlot != nil && rt.castSlot.p != nil {
-		rt.castSlot.p.shutdown()
-		rt.castSlot.p = nil
+	sp.finish(rounds, err)
+	if sp.tr != nil {
+		sp.tr.RoundsExecuted(s.simulated-s.skipped, s.skipped)
 	}
+	return res, err
 }

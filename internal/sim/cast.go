@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/graph"
@@ -104,7 +103,6 @@ type castState struct {
 	filter LinkFilter
 
 	n         int
-	maxDeg    int
 	maxRounds int
 	round     int // current round, read by pool workers
 
@@ -112,14 +110,15 @@ type castState struct {
 	active *bitset.Set // cast something this round
 	bits   *bitset.Set // the cast bit, meaningful where active
 
-	scratch   []int // neighbor regeneration buffer, cap ≥ MaxDegree
 	crashes   []crashEvent
 	nextCrash int
 	msgs      int64
 
-	// Per-worker state of the parallel engine: 64-aligned shard
-	// bounds (so two workers never write the same bitset word),
-	// per-worker neighbor scratch and message counters.
+	// Per-worker state (the sequential engine is one worker, the
+	// caller): 64-aligned shard bounds (so two workers never write the
+	// same bitset word), per-worker neighbor regeneration buffers
+	// (grown to the maximum degree by the first run), and per-worker
+	// message counters.
 	bounds   []int
 	wscratch [][]int
 	wmsgs    []int64
@@ -127,19 +126,29 @@ type castState struct {
 	res CastResult
 }
 
-func (cs *castState) reset(cfg CastConfig) error {
-	if cfg.System == nil || cfg.Topology == nil {
-		return fmt.Errorf("sim: neighborcast needs a System and a Topology")
+// castShape checks what both neighborcast engines (mode names the one
+// asking) require of a config and returns the node count.
+func castShape(mode string, sys interface{ N() int }, top graph.Neighborhood, maxRounds int) (int, error) {
+	if sys == nil || top == nil {
+		return 0, fmt.Errorf("sim: %s needs a System and a Topology", mode)
 	}
-	n := cfg.System.N()
-	if tn := cfg.Topology.N(); tn != n {
-		return fmt.Errorf("sim: neighborcast system has %d nodes but topology has %d", n, tn)
+	n := sys.N()
+	if tn := top.N(); tn != n {
+		return 0, fmt.Errorf("sim: %s system has %d nodes but topology has %d", mode, n, tn)
 	}
 	if n <= 0 {
-		return fmt.Errorf("sim: neighborcast needs n > 0, got %d", n)
+		return 0, fmt.Errorf("sim: %s needs n > 0, got %d", mode, n)
 	}
-	if cfg.MaxRounds <= 0 {
-		return fmt.Errorf("sim: neighborcast needs MaxRounds > 0, got %d", cfg.MaxRounds)
+	if maxRounds <= 0 {
+		return 0, fmt.Errorf("sim: %s needs MaxRounds > 0, got %d", mode, maxRounds)
+	}
+	return n, nil
+}
+
+func (cs *castState) reset(cfg CastConfig) error {
+	n, err := castShape("neighborcast", cfg.System, cfg.Topology, cfg.MaxRounds)
+	if err != nil {
+		return err
 	}
 	if cfg.Filter != nil {
 		if d := cfg.Filter.MaxDelay(); d != 0 {
@@ -158,10 +167,6 @@ func (cs *castState) reset(cfg CastConfig) error {
 		cs.bits.Clear()
 	}
 	cs.alive.Fill()
-	cs.maxDeg = cfg.Topology.MaxDegree()
-	if cap(cs.scratch) < cs.maxDeg {
-		cs.scratch = make([]int, 0, cs.maxDeg)
-	}
 	cs.crashes = cs.crashes[:0]
 	cs.nextCrash = 0
 	if cfg.Crash != nil {
@@ -256,13 +261,61 @@ func (cs *castState) absorbRange(r, lo, hi int, scratch []int) []int {
 	return scratch
 }
 
-// run executes the sequential neighborcast loop.
-func (cs *castState) run() *CastResult {
+// The parallel neighborcast engine shards the node range over the
+// Runtime's worker pool (phasePool, pool.go). Each round has two
+// barriers, matching the sequential engine's two halves: all workers
+// cast (publish into the shared bit planes), then all workers absorb
+// (gather from them). The cast half writes bitset words, so shard
+// boundaries are rounded up to multiples of 64: two workers never touch
+// the same machine word, and no atomics are needed. The absorb half only
+// reads the planes, and per-node system state is disjoint by the
+// CastSystem contract, so any partition is race-free there. The crash
+// seam and the Done check run serially on the caller between barriers.
+// Because Absorb(u) observes exactly the full round's casts either way,
+// the parallel engine is result-identical to the sequential one.
+
+// The neighborcast engine's phases.
+const (
+	castJobCast = iota
+	castJobAbsorb
+)
+
+// phase implements phaser: worker w's share of one half round.
+func (cs *castState) phase(kind, w int) {
+	lo, hi := cs.bounds[w], cs.bounds[w+1]
+	switch kind {
+	case castJobCast:
+		cs.wmsgs[w] = cs.castRange(cs.round, lo, hi)
+	case castJobAbsorb:
+		cs.wscratch[w] = cs.absorbRange(cs.round, lo, hi, cs.wscratch[w])
+	}
+}
+
+// shard computes 64-aligned shard bounds for w workers and sizes the
+// per-worker scratch and message accumulators, reusing prior capacity.
+func (cs *castState) shard(w int) {
+	cs.bounds = growSlice(cs.bounds, w+1)
+	for i := range cs.bounds {
+		cs.bounds[i] = min((i*cs.n/w+63)&^63, cs.n)
+	}
+	for len(cs.wscratch) < w {
+		cs.wscratch = append(cs.wscratch, nil)
+	}
+	cs.wmsgs = growSlice(cs.wmsgs, w)
+}
+
+// run executes the neighborcast loop, each half round as one phase over
+// the sharded pool — on the caller when p is nil.
+func (cs *castState) run(p *phasePool) *CastResult {
 	rounds := 0
 	for r := 0; r < cs.maxRounds; r++ {
 		cs.applyCrashes(r)
-		cs.msgs += cs.castRange(r, 0, cs.n)
-		cs.scratch = cs.absorbRange(r, 0, cs.n, cs.scratch)
+		cs.round = r
+		p.run(cs, castJobCast)
+		for _, m := range cs.wmsgs {
+			cs.msgs += m
+		}
+		p.run(cs, castJobAbsorb)
 		rounds = r + 1
 		if cs.sys.Done(rounds) {
 			break
@@ -282,37 +335,55 @@ func (cs *castState) run() *CastResult {
 // allocation-free. The returned result is owned by the arena and
 // valid until the next cast run on this Runtime.
 func (rt *Runtime) RunCast(cfg CastConfig) (*CastResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	return rt.runCast(cfg, obs.EngineCast, 0)
+}
+
+// RunCastParallel executes a neighborcast system on the sharded worker
+// pool, reusing the arena's buffers and its persistent workers. It is
+// result-identical to RunCast. The System's Cast/Absorb are called
+// concurrently for distinct nodes (see CastSystem), and a non-nil
+// Filter must be safe for concurrent FilterLink calls — the stateless
+// link models (e.g. seeded per-edge omission) are. The returned result
+// is owned by the arena and valid until the next cast run on this
+// Runtime.
+func (rt *Runtime) RunCastParallel(cfg CastConfig, workers int) (*CastResult, error) {
+	return rt.runCast(cfg, obs.EngineCastParallel, workers)
+}
+
+// runCast is both cast entry points: the sequential engine is a single
+// shard run on the caller, the parallel one takes the worker count.
+func (rt *Runtime) runCast(cfg CastConfig, engine obs.Engine, workers int) (*CastResult, error) {
 	if rt.cs == nil {
 		rt.cs = &castState{}
 	}
-	if err := rt.cs.reset(cfg); err != nil {
-		rt.cs.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineCast, obs.OutcomeError, 0, time.Since(t0))
+	cs := rt.cs
+	sp := begin(cfg.Tracer, engine, cs)
+	err := cs.reset(cfg)
+	var pool *phasePool
+	if err == nil {
+		w := 1
+		if engine == obs.EngineCastParallel {
+			w = resolveWorkers(workers, cs.n)
+			pool = rt.workers(w)
 		}
+		cs.shard(w)
+	}
+	if err := sp.ready(err); err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
-	res := rt.cs.run()
-	rt.cs.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		tr.RunDone(obs.EngineCast, obs.OutcomeOK, res.Rounds, now.Sub(t0))
-	}
+	res := cs.run(pool)
+	sp.finish(res.Rounds, nil)
 	return res, nil
 }
 
 // RunCast executes the configured neighborcast system on a fresh
 // arena.
 func RunCast(cfg CastConfig) (*CastResult, error) {
-	return NewRuntime().RunCast(cfg)
+	return oneShot(func(rt *Runtime) (*CastResult, error) { return rt.RunCast(cfg) })
+}
+
+// RunCastParallel executes the configured neighborcast system on a
+// fresh arena with the given worker count.
+func RunCastParallel(cfg CastConfig, workers int) (*CastResult, error) {
+	return oneShot(func(rt *Runtime) (*CastResult, error) { return rt.RunCastParallel(cfg, workers) })
 }

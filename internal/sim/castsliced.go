@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	mathbits "math/bits"
-	"time"
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/graph"
@@ -82,18 +81,9 @@ type castSlicedState struct {
 }
 
 func (s *castSlicedState) reset(cfg CastSlicedConfig) error {
-	if cfg.System == nil || cfg.Topology == nil {
-		return fmt.Errorf("sim: sliced neighborcast needs a System and a Topology")
-	}
-	n := cfg.System.N()
-	if tn := cfg.Topology.N(); tn != n {
-		return fmt.Errorf("sim: sliced neighborcast system has %d nodes but topology has %d", n, tn)
-	}
-	if n <= 0 {
-		return fmt.Errorf("sim: sliced neighborcast needs n > 0, got %d", n)
-	}
-	if cfg.MaxRounds <= 0 {
-		return fmt.Errorf("sim: sliced neighborcast needs MaxRounds > 0, got %d", cfg.MaxRounds)
+	n, err := castShape("sliced neighborcast", cfg.System, cfg.Topology, cfg.MaxRounds)
+	if err != nil {
+		return err
 	}
 	if cfg.Lanes <= 0 || cfg.Lanes > MaxLanes {
 		return fmt.Errorf("sim: sliced neighborcast Lanes must be in [1, %d], got %d", MaxLanes, cfg.Lanes)
@@ -162,37 +152,20 @@ func (s *castSlicedState) run() *CastSlicedResult {
 // The returned result aliases arena memory and is valid until the next
 // sliced cast run on this Runtime.
 func (rt *Runtime) RunCastSliced(cfg CastSlicedConfig) (*CastSlicedResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
 	if rt.csl == nil {
 		rt.csl = &castSlicedState{}
 	}
-	if err := rt.csl.reset(cfg); err != nil {
-		rt.csl.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineCastSliced, obs.OutcomeError, 0, time.Since(t0))
-		}
+	sp := begin(cfg.Tracer, obs.EngineCastSliced, rt.csl)
+	if err := sp.ready(rt.csl.reset(cfg)); err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
 	res := rt.csl.run()
-	rt.csl.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		tr.RunDone(obs.EngineCastSliced, obs.OutcomeOK, res.Rounds, now.Sub(t0))
-	}
+	sp.finish(res.Rounds, nil)
 	return res, nil
 }
 
 // RunCastSliced executes the configured sliced neighborcast system on
 // a fresh arena.
 func RunCastSliced(cfg CastSlicedConfig) (*CastSlicedResult, error) {
-	return NewRuntime().RunCastSliced(cfg)
+	return oneShot(func(rt *Runtime) (*CastSlicedResult, error) { return rt.RunCastSliced(cfg) })
 }

@@ -163,7 +163,7 @@ func TestZeroDelayVerdicts(t *testing.T) {
 // slot recycling with capacity kept, and reset clearing in-flight
 // messages left by a completed run.
 func TestDelayRingUnit(t *testing.T) {
-	ring := newDelayRing(2) // 3 slots
+	ring := (*delayRing[wireMsg])(nil).recycle(2) // 3 slots
 	if got := len(ring.slots); got != 3 {
 		t.Fatalf("ring of MaxDelay 2 has %d slots, want 3", got)
 	}
@@ -184,7 +184,9 @@ func TestDelayRingUnit(t *testing.T) {
 		t.Fatalf("recycled slot take = %+v", again)
 	}
 	ring.push(2, b)
-	ring.reset()
+	if ring.recycle(2) != ring {
+		t.Fatal("recycle replaced a ring whose window already fits")
+	}
 	for r := 0; r < 3; r++ {
 		if left := ring.take(r); len(left) != 0 {
 			t.Fatalf("reset left %d messages in slot %d", len(left), r)

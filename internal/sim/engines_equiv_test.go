@@ -1192,10 +1192,11 @@ func TestQuietSkipMatchesReference(t *testing.T) {
 				}
 
 				cfg, nodes := build()
-				st, err := newState(cfg)
+				stepper, err := NewStepper(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				st := stepper.st
 				res, err := st.run()
 				if err != nil {
 					t.Fatalf("seed %d: sequential: %v", seed, err)
@@ -1282,10 +1283,11 @@ func TestQuietSkipWaitsForParkedMessages(t *testing.T) {
 	for i, nd := range nodes {
 		ps[i] = nd
 	}
-	st, err := newState(Config{Protocols: ps, MaxRounds: 50, Fault: delayAll{by: 3, bound: 3}})
+	stepper, err := NewStepper(Config{Protocols: ps, MaxRounds: 50, Fault: delayAll{by: 3, bound: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := stepper.st
 	res, err := st.run()
 	if err != nil {
 		t.Fatal(err)

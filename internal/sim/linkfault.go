@@ -88,31 +88,35 @@ func (NoFailures) FilterSend(_ int, _ NodeID, outbox []Envelope) ([]Envelope, bo
 
 var _ LinkFault = NoFailures{}
 
-// delayRing buffers in-flight delayed messages in packed wire form:
-// one reusable slot per future round, indexed by arrival round modulo
-// the window size (MaxDelay+1). Slots keep their capacity across
-// rounds, so after the run's peak in-flight volume the ring never
-// touches the allocator — the same recycling discipline as the
-// single-port rings in ports.go.
-type delayRing struct {
-	slots [][]wireMsg
+// delayRing buffers in-flight delayed messages — packed wireMsgs on the
+// scalar engines, word-wide SlicedMsgs on the sliced one: one reusable
+// slot per future round, indexed by arrival round modulo the window size
+// (MaxDelay+1). Slots keep their capacity across rounds, so after the
+// run's peak in-flight volume the ring never touches the allocator — the
+// same recycling discipline as the single-port rings in ports.go.
+type delayRing[T any] struct {
+	slots [][]T
 }
 
-func newDelayRing(maxDelay int) *delayRing {
-	return &delayRing{slots: make([][]wireMsg, maxDelay+1)}
-}
-
-// reset empties every slot for a fresh run on the same arena, keeping
-// slot capacity (a previous run may have completed with messages still
-// in flight).
-func (d *delayRing) reset() {
+// recycle returns the ring for a run whose filter delays by at most
+// maxDelay: nil when nothing can be delayed, d itself emptied — slot
+// capacity kept; a previous run may have completed with messages still
+// in flight — when its window already fits, a fresh ring otherwise.
+func (d *delayRing[T]) recycle(maxDelay int) *delayRing[T] {
+	switch {
+	case maxDelay <= 0:
+		return nil
+	case d == nil || len(d.slots) != maxDelay+1:
+		return &delayRing[T]{slots: make([][]T, maxDelay+1)}
+	}
 	for i := range d.slots {
 		d.slots[i] = d.slots[i][:0]
 	}
+	return d
 }
 
 // empty reports whether no message is in flight.
-func (d *delayRing) empty() bool {
+func (d *delayRing[T]) empty() bool {
 	for _, slot := range d.slots {
 		if len(slot) > 0 {
 			return false
@@ -121,18 +125,18 @@ func (d *delayRing) empty() bool {
 	return true
 }
 
-// push parks a packed message for delivery at the given arrival round.
-// The arrival must lie within (round, round+MaxDelay] of the current
-// round; the engine validates the verdict before pushing.
-func (d *delayRing) push(arrival int, wm wireMsg) {
+// push parks a message for delivery at the given arrival round. The
+// arrival must lie within (round, round+MaxDelay] of the current round;
+// the engine validates the verdict before pushing.
+func (d *delayRing[T]) push(arrival int, m T) {
 	i := arrival % len(d.slots)
-	d.slots[i] = append(d.slots[i], wm)
+	d.slots[i] = append(d.slots[i], m)
 }
 
 // take returns the messages arriving at the given round and recycles
 // the slot. The returned slice is valid until the slot's round comes
 // up again, which is at least MaxDelay rounds away.
-func (d *delayRing) take(round int) []wireMsg {
+func (d *delayRing[T]) take(round int) []T {
 	i := round % len(d.slots)
 	arrivals := d.slots[i]
 	d.slots[i] = arrivals[:0]
@@ -140,7 +144,7 @@ func (d *delayRing) take(round int) []wireMsg {
 }
 
 // injectArrivals stages the delayed messages arriving at round r and
-// returns how many there were. Both engines call it first thing after
+// returns how many there were. state.round calls it first thing after
 // beginRound, so arrivals precede the round's fresh sends in the
 // staged buffer; a positive count obliges the caller to re-sort the
 // buffer by sender before placing inboxes. Messages still in flight

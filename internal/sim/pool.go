@@ -8,8 +8,7 @@ import (
 
 // The parallel engine shards nodes across a fixed pool of workers
 // (≈GOMAXPROCS, not one goroutine per node), barrier-synced per phase.
-// On the fast path (no link filter installed) a round is four worker
-// phases with thin serial seams between them:
+// A round is four worker phases with thin serial seams between them:
 //
 //	send     workers call Send + validate for their shard
 //	(seam)   node-level fault + crash bookkeeping, in node order
@@ -29,18 +28,13 @@ import (
 // order-sensitive that remains — the fault layer and the offsets — is
 // serial, so the transcript is identical to the sequential engine's;
 // the equivalence is a test. Per-message work (packing, the sizeBits
-// accounting, the cache-missy scatter, decoding) all fans out, which
-// is what the serial-stitch design this replaces left on the
-// coordinator.
+// accounting, the cache-missy scatter, decoding) all fans out.
 //
-// Runs with a link filter installed (per-envelope drop/delay verdicts)
-// fall back to the serial stitch for the fault, counting and staging
-// seam — verdict order is observable by stateful filters — and still
-// fan out send and the decode + deliver phase.
-//
-// The pool is reusable across runs (see Runtime): workers persist,
-// blocked on their job channels, and prepare re-sizes the per-node and
-// per-worker buffers for the next configuration.
+// A run with a link filter installed never enters this file: verdict
+// order is observable by stateful filters, which leaves only send and
+// deliver to fan out, and that never paid (EXPERIMENTS.md "Sharded
+// rounds") — RunParallel executes such a run's rounds on the caller,
+// through state.round.
 
 // RunParallel executes the configured system on the sharded worker
 // pool. workers <= 0 selects GOMAXPROCS. It produces results identical
@@ -49,45 +43,18 @@ import (
 // an Observer are rejected; observers need the sequential engine's
 // event order.
 func RunParallel(cfg Config, workers int) (*Result, error) {
-	st, err := newParallelState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p := newPool(st, resolveWorkers(workers, st.n))
-	defer p.shutdown()
-	st.pool = p
-	res, err := st.run()
-	if err != nil {
-		return nil, err
-	}
-	// As in Run: detach the envelope from the engine arena.
-	r := *res
-	return &r, nil
+	return oneShot(func(rt *Runtime) (*Result, error) { return rt.RunParallel(cfg, workers) })
 }
 
-var (
-	errSinglePortParallel = errors.New("sim: the parallel engine supports the multi-port model only")
-	errObserverParallel   = errors.New("sim: Observer requires the sequential engine")
-)
-
-// validateParallelConfig centralizes the parallel engine's config
-// constraints for both entry points (package RunParallel and
-// Runtime.RunParallel).
+// validateParallelConfig holds the parallel engine's config constraints.
 func validateParallelConfig(cfg Config) error {
 	if cfg.SinglePort {
-		return errSinglePortParallel
+		return errors.New("sim: the parallel engine supports the multi-port model only")
 	}
 	if cfg.Observer != nil {
-		return errObserverParallel
+		return errors.New("sim: Observer requires the sequential engine")
 	}
 	return nil
-}
-
-func newParallelState(cfg Config) (*state, error) {
-	if err := validateParallelConfig(cfg); err != nil {
-		return nil, err
-	}
-	return newState(cfg)
 }
 
 // resolveWorkers maps a requested worker count to the effective one:
@@ -97,20 +64,86 @@ func resolveWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers > wireMaxTables {
-		workers = wireMaxTables
-	}
-	return workers
+	return min(workers, n, wireMaxTables)
 }
 
-type poolJob struct {
-	kind  int
-	round int
+// phaser is an engine's side of the pool: phase executes worker w's
+// share of the phase named by kind (the engine's own enumeration).
+type phaser interface {
+	phase(kind, w int)
 }
 
+// phasePool is the one worker pool of the package: persistent
+// goroutines that run an engine's phases in lock step. run hands every
+// worker the same phase and returns when all are through it, so between
+// phases the workers are parked on their job channels and the caller
+// owns all state. The pushed engine (send, pack, scatter, deliver) and
+// the neighborcast engine (cast, absorb) both run on it; what a phase
+// does, and the shard buffers it does it in, stay with the engine behind
+// phaser. A Runtime owns at most one; like the Runtime, it is not safe
+// for concurrent use.
+type phasePool struct {
+	jobs    []chan int // one per worker; empty while stopped
+	target  phaser     // the engine whose phase is in flight
+	barrier sync.WaitGroup
+	exited  sync.WaitGroup
+	phases  int // phases dispatched over the pool's lifetime
+}
+
+// resize makes the pool run exactly w workers, replacing the current
+// set when the count differs (including from zero, after shutdown).
+func (p *phasePool) resize(w int) {
+	if len(p.jobs) == w {
+		return
+	}
+	p.shutdown()
+	p.jobs = make([]chan int, w)
+	p.exited.Add(w)
+	for i := range p.jobs {
+		p.jobs[i] = make(chan int, 1)
+		go p.worker(i, p.jobs[i])
+	}
+}
+
+func (p *phasePool) worker(w int, jobs <-chan int) {
+	defer p.exited.Done()
+	for kind := range jobs {
+		p.target.phase(kind, w)
+		p.barrier.Done()
+	}
+}
+
+// run executes one phase of target on every worker and waits for the
+// barrier. The job send publishes whatever the caller wrote before the
+// phase to the workers; the WaitGroup completion gives the caller a
+// happens-before edge over everything they wrote during it. A nil pool
+// is the sequential case: the caller is worker 0 of one.
+func (p *phasePool) run(target phaser, kind int) {
+	if p == nil {
+		target.phase(kind, 0)
+		return
+	}
+	p.target = target
+	p.phases++
+	p.barrier.Add(len(p.jobs))
+	for _, ch := range p.jobs {
+		ch <- kind
+	}
+	p.barrier.Wait()
+	p.target = nil
+}
+
+// shutdown stops the workers and waits until they have exited. It is
+// idempotent, and resize starts a fresh set afterwards.
+func (p *phasePool) shutdown() {
+	for _, ch := range p.jobs {
+		close(ch)
+	}
+	p.exited.Wait()
+	p.jobs = nil
+}
+
+// The pushed engine's phases.
 const (
 	jobSend = iota
 	jobPack
@@ -118,125 +151,109 @@ const (
 	jobDeliver
 )
 
-// pool is the fixed worker pool. Workers persist for the pool's
-// lifetime; each owns the contiguous node shard bounds[w]..bounds[w+1]
-// and communicates with the coordinator through its job channel and
-// the phase WaitGroup.
-type pool struct {
-	st      *state
-	workers int
-	bounds  []int
-	jobs    []chan poolJob
-	phase   sync.WaitGroup
-	exited  sync.WaitGroup
-	down    sync.Once
+// shards is the pushed engine's parallel workspace: worker w owns the
+// contiguous node shard bounds[w]..bounds[w+1] and the w-th entry of
+// every per-worker buffer. It lives in the state's arena and is re-sized
+// by prepare, so steady-state runs allocate nothing.
+type shards struct {
+	st     *state
+	pool   *phasePool
+	round  int // the round in flight, read by the workers
+	bounds []int
 	// Per-node scratch, written only by the owning worker during a
-	// phase and read by the coordinator between phases.
-	outbox  [][]Envelope
-	deliver [][]Envelope
-	errs    []error
-	halted  []bool
-	// Per-worker pack state: shard-local wire buffers, escape tables
-	// (table id w+1), per-destination counts, scatter cursors, decode
-	// buffers, and traffic accumulators.
-	wbuf     [][]wireMsg
-	wesc     []escTable
-	wcounts  [][]int32
-	wstart   [][]int32
-	dbuf     [][]Envelope
-	wmsgs    []int64
-	wbits    []int64
-	wbyzMsgs []int64
-	wbyzBits []int64
+	// phase and by the coordinator between phases: the node's outbox —
+	// as sent, then as the fault layer left it — and its send error.
+	outbox [][]Envelope
+	errs   []error
+	work   []workerShard
 }
 
-func newPool(st *state, workers int) *pool {
-	p := &pool{
-		workers:  workers,
-		bounds:   make([]int, workers+1),
-		jobs:     make([]chan poolJob, workers),
-		wbuf:     make([][]wireMsg, workers),
-		wesc:     make([]escTable, workers),
-		wcounts:  make([][]int32, workers),
-		wstart:   make([][]int32, workers),
-		dbuf:     make([][]Envelope, workers),
-		wmsgs:    make([]int64, workers),
-		wbits:    make([]int64, workers),
-		wbyzMsgs: make([]int64, workers),
-		wbyzBits: make([]int64, workers),
+// workerShard is one worker's pack state: its shard-local wire buffer
+// and escape table (table id w+1), per-destination counts and scatter
+// cursors, decode buffer, and traffic accumulators.
+type workerShard struct {
+	buf              []wireMsg
+	esc              escTable
+	counts, start    []int32
+	dbuf             []Envelope
+	msgs, bits       int64
+	byzMsgs, byzBits int64
+}
+
+// prepare targets the workspace at a freshly reset state and the pool
+// that will run its phases, sizing the per-worker buffers for the pool's
+// worker count and the per-node arrays and shard bounds for the state's
+// node count. Steady state — same n and workers across runs — touches no
+// allocator.
+func (p *shards) prepare(st *state, pool *phasePool) *shards {
+	workers, n := len(pool.jobs), st.n
+	if len(p.work) != workers {
+		*p = shards{bounds: make([]int, workers+1), work: make([]workerShard, workers)}
 	}
-	p.prepare(st)
-	p.exited.Add(workers)
-	for w := 0; w < workers; w++ {
-		p.jobs[w] = make(chan poolJob, 1)
-		go p.worker(w)
+	p.st, p.pool = st, pool
+	if len(p.outbox) != n {
+		p.outbox = make([][]Envelope, n)
+		p.errs = make([]error, n)
+		for w := range p.work {
+			p.work[w].counts = make([]int32, n)
+			p.work[w].start = make([]int32, n)
+		}
+	} else {
+		clear(p.outbox)
+		clear(p.errs)
+	}
+	for w := range p.bounds {
+		p.bounds[w] = w * n / workers
 	}
 	return p
 }
 
-// prepare re-targets the pool at a (possibly re-reset) state, sizing
-// the per-node arrays and shard bounds for its node count. Steady
-// state — same n across runs — touches no allocator.
-func (p *pool) prepare(st *state) {
-	p.st = st
-	n := st.n
-	if len(p.outbox) != n {
-		p.outbox = make([][]Envelope, n)
-		p.deliver = make([][]Envelope, n)
-		p.errs = make([]error, n)
-		p.halted = make([]bool, n)
-		for w := 0; w < p.workers; w++ {
-			p.wcounts[w] = make([]int32, n)
-			p.wstart[w] = make([]int32, n)
-		}
-	} else {
-		clear(p.outbox)
-		clear(p.deliver)
-		clear(p.errs)
-		clear(p.halted)
-	}
-	for w := 0; w <= p.workers; w++ {
-		p.bounds[w] = w * n / p.workers
+// scrub drops the payload references an aborted round can leave in the
+// workspace (outboxes are consumed-and-nilled every completed round),
+// for state.detach; the workers are parked between runs.
+func (p *shards) scrub() {
+	clear(p.outbox)
+	for w := range p.work {
+		ws := &p.work[w]
+		ws.esc.reset()
+		ws.dbuf = ws.dbuf[:cap(ws.dbuf)]
+		clear(ws.dbuf)
 	}
 }
 
-func (p *pool) worker(w int) {
-	defer p.exited.Done()
-	for job := range p.jobs[w] {
-		st := p.st
-		lo, hi := p.bounds[w], p.bounds[w+1]
-		switch job.kind {
-		case jobSend:
-			for id := lo; id < hi; id++ {
-				if !st.alive(id) {
-					continue
-				}
-				out := st.cfg.Protocols[id].Send(job.round)
-				if err := st.validateOutbox(id, out); err != nil {
-					p.errs[id] = err
-					p.outbox[id] = nil
-					continue
-				}
-				p.outbox[id] = out
+// phase implements phaser: worker w's share of one round phase.
+func (p *shards) phase(kind, w int) {
+	st := p.st
+	lo, hi := p.bounds[w], p.bounds[w+1]
+	switch kind {
+	case jobSend:
+		for id := lo; id < hi; id++ {
+			if !st.alive(id) {
+				continue
 			}
-		case jobPack:
-			p.packShard(st, w, lo, hi)
-		case jobScatter:
-			p.scatterShard(st, w)
-		case jobDeliver:
-			buf := p.dbuf[w]
-			for id := lo; id < hi; id++ {
-				if !st.alive(id) {
-					continue
-				}
-				var inbox []Envelope
-				inbox, buf = decodeWireInto(st, st.scratch.inboxOf(id), buf)
-				st.cfg.Protocols[id].Deliver(job.round, inbox)
-				p.halted[id] = st.cfg.Protocols[id].Halted()
-			}
-			p.dbuf[w] = buf
+			out := st.cfg.Protocols[id].Send(p.round)
+			p.outbox[id], p.errs[id] = out, st.validateOutbox(id, out)
 		}
-		p.phase.Done()
+	case jobPack:
+		p.packShard(st, w, lo, hi)
+	case jobScatter:
+		p.scatterShard(st, w)
+	case jobDeliver:
+		buf := p.work[w].dbuf
+		for id := lo; id < hi; id++ {
+			if !st.alive(id) {
+				continue
+			}
+			var inbox []Envelope
+			inbox, buf = decodeWireInto(st, st.scratch.inboxOf(id), buf)
+			st.cfg.Protocols[id].Deliver(p.round, inbox)
+			if st.cfg.Protocols[id].Halted() {
+				// Own shard only: nobody reads another node's
+				// halt round during the phase.
+				st.haltedAt[id] = p.round
+			}
+		}
+		p.work[w].dbuf = buf
 	}
 }
 
@@ -245,17 +262,18 @@ func (p *pool) worker(w int) {
 // totals and shard-local traffic. Escape payloads go to the worker's
 // own table (id w+1), recycled every round — the parallel fast path
 // has no cross-round message parking.
-func (p *pool) packShard(st *state, w, lo, hi int) {
-	esc := &p.wesc[w]
+func (p *shards) packShard(st *state, w, lo, hi int) {
+	ws := &p.work[w]
+	esc := &ws.esc
 	esc.reset()
-	buf := p.wbuf[w][:0]
-	counts := p.wcounts[w]
+	buf := ws.buf[:0]
+	counts := ws.counts
 	clear(counts)
 	table := uint64(w + 1)
 	var msgs, bits, byzMsgs, byzBits int64
 	for id := lo; id < hi; id++ {
-		deliver := p.deliver[id]
-		p.deliver[id] = nil
+		deliver := p.outbox[id]
+		p.outbox[id] = nil
 		if len(deliver) == 0 {
 			continue
 		}
@@ -274,19 +292,19 @@ func (p *pool) packShard(st *state, w, lo, hi int) {
 			bits += sb
 		}
 	}
-	p.wbuf[w] = buf
-	p.wmsgs[w], p.wbits[w] = msgs, bits
-	p.wbyzMsgs[w], p.wbyzBits[w] = byzMsgs, byzBits
+	ws.buf = buf
+	ws.msgs, ws.bits = msgs, bits
+	ws.byzMsgs, ws.byzBits = byzMsgs, byzBits
 }
 
 // scatterShard places one worker's staged messages into the shared
 // inbox. The coordinator pre-computed disjoint per-(worker,
 // destination) cursor ranges, so workers write without coordination
 // and every destination segment comes out in ascending sender order.
-func (p *pool) scatterShard(st *state, w int) {
+func (p *shards) scatterShard(st *state, w int) {
 	inbox := st.scratch.inbox
-	start := p.wstart[w]
-	buf := p.wbuf[w]
+	start := p.work[w].start
+	buf := p.work[w].buf
 	for i := range buf {
 		to := buf[i].To
 		inbox[start[to]] = buf[i]
@@ -294,40 +312,14 @@ func (p *pool) scatterShard(st *state, w int) {
 	}
 }
 
-// runPhase dispatches one phase to every worker and waits for the
-// barrier. The WaitGroup completion gives the coordinator a
-// happens-before edge over all per-node scratch the workers wrote.
-func (p *pool) runPhase(kind, round int) {
-	p.phase.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		p.jobs[w] <- poolJob{kind: kind, round: round}
-	}
-	p.phase.Wait()
-}
-
-func (p *pool) shutdown() {
-	p.down.Do(func() {
-		for _, ch := range p.jobs {
-			close(ch)
-		}
-		p.exited.Wait()
-	})
-}
-
-// roundParallel is the pool-backed counterpart of state.round.
+// roundParallel is the pool-backed counterpart of state.round for runs
+// without a link filter: per-message packing, counting, scattering and
+// decoding all fan out; only the node-level fault layer and the offset
+// prefix-sum stay serial.
 func (s *state) roundParallel(r int) error {
-	if s.filter == nil {
-		return s.roundParallelFast(r)
-	}
-	return s.roundParallelStitched(r)
-}
-
-// roundParallelFast runs the filter-free round: per-message packing,
-// counting, scattering and decoding all fan out; only the node-level
-// fault layer and the offset prefix-sum stay serial.
-func (s *state) roundParallelFast(r int) error {
-	p := s.pool
-	p.runPhase(jobSend, r)
+	p := s.par
+	p.round = r
+	p.pool.run(p, jobSend)
 
 	// Serial seam 1: validation errors surface for the lowest
 	// offending node, then the node-level fault sees outboxes in node
@@ -348,8 +340,7 @@ func (s *state) roundParallelFast(r int) error {
 			return err
 		}
 		deliver, crash := s.fault.FilterSend(r, id, p.outbox[id])
-		p.outbox[id] = nil
-		p.deliver[id] = deliver
+		p.outbox[id] = deliver
 		if crash {
 			crashedNow = append(crashedNow, id)
 		}
@@ -359,7 +350,7 @@ func (s *state) roundParallelFast(r int) error {
 		s.crashed.Add(id)
 	}
 
-	p.runPhase(jobPack, r)
+	p.pool.run(p, jobPack)
 
 	// Serial seam 2: prefix-sum the shard-local destination counts
 	// into global segment offsets and disjoint per-(worker,
@@ -368,19 +359,20 @@ func (s *state) roundParallelFast(r int) error {
 	off := int32(0)
 	for d := 0; d < s.n; d++ {
 		sc.offs[d] = off
-		for w := 0; w < p.workers; w++ {
-			p.wstart[w][d] = off
-			off += p.wcounts[w][d]
+		for w := range p.work {
+			p.work[w].start[d] = off
+			off += p.work[w].counts[d]
 		}
 	}
 	sc.offs[s.n] = off
 	sc.sizeInbox(int(off))
 	var msgs, bits, byzMsgs, byzBits int64
-	for w := 0; w < p.workers; w++ {
-		msgs += p.wmsgs[w]
-		bits += p.wbits[w]
-		byzMsgs += p.wbyzMsgs[w]
-		byzBits += p.wbyzBits[w]
+	for w := range p.work {
+		ws := &p.work[w]
+		msgs += ws.msgs
+		bits += ws.bits
+		byzMsgs += ws.byzMsgs
+		byzBits += ws.byzBits
 	}
 	if msgs+byzMsgs > 0 {
 		s.ensureLabel(r)
@@ -394,70 +386,8 @@ func (s *state) roundParallelFast(r int) error {
 		s.metrics.PerPart[s.label] += msgs
 	}
 
-	p.runPhase(jobScatter, r)
-	p.runPhase(jobDeliver, r)
-	for id := 0; id < s.n; id++ {
-		if s.alive(id) && p.halted[id] {
-			s.haltedAt[id] = r
-		}
-	}
-	s.simulated++
-	return nil
-}
-
-// roundParallelStitched serializes the fault, counting and staging
-// seam — per-envelope link verdicts are order-observable — while the
-// send and deliver phases still fan out.
-func (s *state) roundParallelStitched(r int) error {
-	p := s.pool
-	p.runPhase(jobSend, r)
-
-	sc := &s.scratch
-	sc.beginRound()
-	if s.escLive == 0 {
-		s.esc.reset()
-	}
-	s.label, s.labelSet = "", false
-	arrivals := s.injectArrivals(r, true)
-	crashedNow := s.crashedNow[:0]
-	for id := 0; id < s.n; id++ {
-		if !s.alive(id) {
-			continue
-		}
-		if err := p.errs[id]; err != nil {
-			return err
-		}
-		deliver, crash := s.fault.FilterSend(r, id, p.outbox[id])
-		p.outbox[id] = nil
-		if crash {
-			crashedNow = append(crashedNow, id)
-		}
-		s.countEnvelopes(r, id, deliver)
-		if err := s.stageFiltered(r, deliver, true); err != nil {
-			return err
-		}
-	}
-	s.crashedNow = crashedNow
-	for _, id := range crashedNow {
-		s.crashed.Add(id)
-	}
-	if arrivals > 0 {
-		sortStagedBySender(sc.flat)
-	}
-	sc.place()
-
-	p.runPhase(jobDeliver, r)
-	for id := 0; id < s.n; id++ {
-		if s.alive(id) && p.halted[id] {
-			s.haltedAt[id] = r
-		}
-	}
-	if s.ring != nil {
-		// Workers are parked again, so the coordinator may recycle the
-		// round's consumed escape entries (all coordinator-packed on
-		// this path, table 0).
-		s.releaseDelivered()
-	}
+	p.pool.run(p, jobScatter)
+	p.pool.run(p, jobDeliver)
 	s.simulated++
 	return nil
 }

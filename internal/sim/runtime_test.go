@@ -77,7 +77,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conRes, err := RunConcurrent(Config{Protocols: conPs, Fault: adv2, MaxRounds: 100})
+		conRes, err := RunParallel(Config{Protocols: conPs, Fault: adv2, MaxRounds: 100}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,24 +110,24 @@ func TestConcurrentRejectsSinglePort(t *testing.T) {
 	ps, _ := buildFlood(4, 2, 1)
 	_ = ps
 	cfg := Config{Protocols: ps, MaxRounds: 10, SinglePort: true}
-	if _, err := RunConcurrent(cfg); err == nil {
+	if _, err := RunParallel(cfg, 0); err == nil {
 		t.Fatal("concurrent runtime accepted single-port mode")
 	}
 }
 
 func TestConcurrentErrors(t *testing.T) {
-	if _, err := RunConcurrent(Config{MaxRounds: 5}); err == nil {
+	if _, err := RunParallel(Config{MaxRounds: 5}, 0); err == nil {
 		t.Fatal("empty protocols accepted")
 	}
 	ps, _ := buildFlood(4, 2, 1)
-	if _, err := RunConcurrent(Config{Protocols: ps}); err == nil {
+	if _, err := RunParallel(Config{Protocols: ps}, 0); err == nil {
 		t.Fatal("zero MaxRounds accepted")
 	}
 }
 
 func TestConcurrentNoTermination(t *testing.T) {
 	ps := []Protocol{&neverHalt{}, &neverHalt{}}
-	if _, err := RunConcurrent(Config{Protocols: ps, MaxRounds: 4}); err == nil {
+	if _, err := RunParallel(Config{Protocols: ps, MaxRounds: 4}, 0); err == nil {
 		t.Fatal("non-terminating run accepted")
 	}
 }

@@ -40,7 +40,7 @@ func TestConcurrentErrorShutsDownWorkers(t *testing.T) {
 			}
 			ps[i] = &badAt{id: i, fireRound: fire}
 		}
-		if _, err := RunConcurrent(Config{Protocols: ps, MaxRounds: 20}); err == nil {
+		if _, err := RunParallel(Config{Protocols: ps, MaxRounds: 20}, 0); err == nil {
 			t.Fatal("invalid envelope accepted")
 		}
 	}

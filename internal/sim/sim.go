@@ -17,6 +17,13 @@
 // use to cross-validate the sequential engine against the sharded
 // parallel runtime in pool.go.
 //
+// Six engines — this file's sequential one, the sharded one, the
+// bit-sliced one (sliced.go) and the three neighborcast ones (cast.go,
+// castsliced.go) — share one run skeleton and, where they are parallel,
+// one worker pool: every entry point is reset → loop → detach inside the
+// same tracer bracket (span, arena.go), and phasePool (pool.go) runs the
+// phases of whichever engine is in flight.
+//
 // The hot path is allocation-free in steady state: inboxes are built in
 // a reusable CSR-style workspace (scratch.go), single-port buffers are
 // index-addressed rings (ports.go), and the metrics arrays are sized up
@@ -206,18 +213,7 @@ var ErrNoTermination = errors.New("sim: protocol did not terminate within MaxRou
 // Run executes the configured system to completion on the sequential
 // engine and returns metrics and fault bookkeeping.
 func Run(cfg Config) (*Result, error) {
-	st, err := newState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := st.run()
-	if err != nil {
-		return nil, err
-	}
-	// Copy the envelope out of the state so a retained Result pins
-	// only the metrics slices, not the whole engine arena.
-	r := *res
-	return &r, nil
+	return oneShot(func(rt *Runtime) (*Result, error) { return rt.Run(cfg) })
 }
 
 // Stepper drives a run one round at a time, for experiments that
@@ -233,8 +229,8 @@ type Stepper struct {
 // NewStepper prepares a stepped run. Config.MaxRounds still caps the
 // total number of Step calls.
 func NewStepper(cfg Config) (*Stepper, error) {
-	st, err := newState(cfg)
-	if err != nil {
+	st := &state{}
+	if err := st.reset(cfg); err != nil {
 		return nil, err
 	}
 	return &Stepper{st: st}, nil
@@ -270,14 +266,6 @@ func (s *Stepper) Result() *Result {
 	return &r
 }
 
-func newState(cfg Config) (*state, error) {
-	st := &state{}
-	if err := st.reset(cfg); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 type state struct {
 	cfg Config
 	n   int
@@ -287,7 +275,7 @@ type state struct {
 	fault    LinkFault
 	filter   LinkFilter
 	maxDelay int
-	ring     *delayRing
+	ring     *delayRing[wireMsg]
 	byz      []bool
 	crashed  *bitset.Set
 	haltedAt []int
@@ -330,9 +318,11 @@ type state struct {
 	// the state-owned slices it references) is overwritten by the next
 	// run.
 	res Result
-	// pool, when non-nil, shards the round phases across its workers
-	// (multi-port only; see pool.go).
-	pool *pool
+	// par, when non-nil, shards the round phases across the Runtime's
+	// worker pool (multi-port runs without a link filter; see pool.go).
+	// It points at shards, the arena's reusable parallel workspace.
+	par    *shards
+	shards shards
 }
 
 // reset (re)initializes the state for a run, recycling every buffer a
@@ -366,15 +356,7 @@ func (st *state) reset(cfg Config) error {
 			st.maxDelay = d
 		}
 	}
-	if st.maxDelay > 0 {
-		if st.ring == nil || len(st.ring.slots) != st.maxDelay+1 {
-			st.ring = newDelayRing(st.maxDelay)
-		} else {
-			st.ring.reset()
-		}
-	} else {
-		st.ring = nil
-	}
+	st.ring = st.ring.recycle(st.maxDelay)
 	st.byz = growSlice(st.byz, n)
 	clear(st.byz)
 	if cfg.Byzantine != nil {
@@ -406,7 +388,7 @@ func (st *state) reset(cfg Config) error {
 	st.crashedNow = st.crashedNow[:0]
 	st.esc.reset()
 	st.escLive = 0
-	st.pool = nil
+	st.par = nil
 	if cfg.SinglePort {
 		if len(st.ports) != n {
 			st.ports = make([]portSet, n)
@@ -522,7 +504,7 @@ func (s *state) allDone() bool {
 }
 
 func (s *state) round(r int) error {
-	if s.pool != nil {
+	if s.par != nil {
 		return s.roundParallel(r)
 	}
 	sc := &s.scratch
@@ -760,18 +742,8 @@ func (s *state) detach() {
 	s.deliverBuf = s.deliverBuf[:cap(s.deliverBuf)]
 	clear(s.deliverBuf)
 	s.esc.reset()
-	if p := s.pool; p != nil {
-		// Workers are parked between runs, so the coordinator may
-		// scrub their payload-holding scratch too. outbox/deliver are
-		// consumed-and-nilled every completed round but hold protocol
-		// slices after an aborted one.
-		clear(p.outbox)
-		clear(p.deliver)
-		for w := 0; w < p.workers; w++ {
-			p.wesc[w].reset()
-			p.dbuf[w] = p.dbuf[w][:cap(p.dbuf[w])]
-			clear(p.dbuf[w])
-		}
+	if s.par != nil {
+		s.par.scrub()
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/obs"
@@ -169,11 +168,7 @@ type SlicedResult struct {
 // RunSliced executes a sliced run on a fresh arena. For repeated runs
 // use Runtime.RunSliced, which recycles the arena.
 func RunSliced(cfg SlicedConfig) (*SlicedResult, error) {
-	var s slicedState
-	if err := s.reset(cfg); err != nil {
-		return nil, err
-	}
-	return s.run()
+	return oneShot(func(rt *Runtime) (*SlicedResult, error) { return rt.RunSliced(cfg) })
 }
 
 // RunSliced executes a sliced run, reusing the arena's sliced buffers;
@@ -181,40 +176,22 @@ func RunSliced(cfg SlicedConfig) (*SlicedResult, error) {
 // allocation-free. The result aliases arena memory and is valid only
 // until the Runtime's next sliced run.
 func (rt *Runtime) RunSliced(cfg SlicedConfig) (*SlicedResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
 	if rt.sl == nil {
 		rt.sl = &slicedState{}
 	}
-	if err := rt.sl.reset(cfg); err != nil {
-		rt.sl.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineSliced, obs.OutcomeError, 0, time.Since(t0))
-		}
+	sp := begin(cfg.Tracer, obs.EngineSliced, rt.sl)
+	if err := sp.ready(rt.sl.reset(cfg)); err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
 	res, err := rt.sl.run()
-	rt.sl.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		rounds := 0
-		if res != nil {
-			for i := range res.Lanes {
-				if r := res.Lanes[i].Metrics.Rounds; r > rounds {
-					rounds = r
-				}
-			}
+	// The word's round count is its slowest lane's.
+	rounds := 0
+	if res != nil {
+		for i := range res.Lanes {
+			rounds = max(rounds, res.Lanes[i].Metrics.Rounds)
 		}
-		tr.RunDone(obs.EngineSliced, runOutcome(err), rounds, now.Sub(t0))
 	}
+	sp.finish(rounds, err)
 	return res, err
 }
 
@@ -232,31 +209,6 @@ type slicedCrash struct {
 type nodeLanes struct {
 	node  int32
 	lanes uint64
-}
-
-// slicedRing is the delay ring of the sliced engine: delayRing with
-// word messages. One reusable slot per future round, indexed modulo
-// MaxDelay+1.
-type slicedRing struct {
-	slots [][]SlicedMsg
-}
-
-func (d *slicedRing) reset() {
-	for i := range d.slots {
-		d.slots[i] = d.slots[i][:0]
-	}
-}
-
-func (d *slicedRing) push(arrival int, m SlicedMsg) {
-	i := arrival % len(d.slots)
-	d.slots[i] = append(d.slots[i], m)
-}
-
-func (d *slicedRing) take(round int) []SlicedMsg {
-	i := round % len(d.slots)
-	arrivals := d.slots[i]
-	d.slots[i] = arrivals[:0]
-	return arrivals
 }
 
 // slicedState is the sliced engine's arena: per-node lane words, the
@@ -284,7 +236,7 @@ type slicedState struct {
 	filtered     uint64
 	linked       uint64
 	maxDelay     int
-	ring         *slicedRing
+	ring         *delayRing[SlicedMsg]
 
 	crashes  []slicedCrash
 	crashCur int
@@ -311,11 +263,11 @@ type slicedState struct {
 	roundCounts [64]int64
 	msgs        [64]int64
 	bitsAcc     [64]int64 // per-lane payload bits, used iff sizer != nil
-	perRound    [][]int64
-	haltedAt    [][]int
-	crashedSets []*bitset.Set
+	perRound    [64][]int64
+	haltedAt    [64][]int
+	crashedSets [64]*bitset.Set
 
-	lanesRes []LaneResult
+	lanesRes []LaneResult // its own allocation: a retained result pins it, not the arena
 	res      SlicedResult
 }
 
@@ -353,10 +305,8 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 	s.maxDelay = 0
 	s.crashes = s.crashes[:0]
 	s.crashCur = 0
-	for lane := 0; lane < 64; lane++ {
-		s.filters[lane] = nil
-		s.laneMaxDelay[lane] = 0
-	}
+	s.filters = [64]LinkFilter{}
+	s.laneMaxDelay = [64]int{}
 	for lane := 0; lane < len(cfg.Faults); lane++ {
 		f := cfg.Faults[lane]
 		if f == nil {
@@ -402,15 +352,7 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 		}
 		return int(a.lane) - int(b.lane)
 	})
-	if s.maxDelay > 0 {
-		if s.ring == nil || len(s.ring.slots) != s.maxDelay+1 {
-			s.ring = &slicedRing{slots: make([][]SlicedMsg, s.maxDelay+1)}
-		} else {
-			s.ring.reset()
-		}
-	} else {
-		s.ring = nil
-	}
+	s.ring = s.ring.recycle(s.maxDelay)
 	s.delayLanes = growSlice(s.delayLanes, s.maxDelay+1)
 	clear(s.delayLanes)
 
@@ -419,25 +361,14 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 	clear(s.crashedL)
 	clear(s.haltedL)
 	s.liveCount = [64]int32{}
-	for lane := 0; lane < cfg.Lanes; lane++ {
-		s.liveCount[lane] = int32(n)
-	}
 	s.roundsDone = [64]int{}
 
 	s.ctr.Reset()
 	s.roundCounts = [64]int64{}
 	s.msgs = [64]int64{}
 	s.bitsAcc = [64]int64{}
-	if s.perRound == nil {
-		s.perRound = make([][]int64, 64)
-	}
-	if s.haltedAt == nil {
-		s.haltedAt = make([][]int, 64)
-	}
-	if s.crashedSets == nil {
-		s.crashedSets = make([]*bitset.Set, 64)
-	}
 	for lane := 0; lane < cfg.Lanes; lane++ {
+		s.liveCount[lane] = int32(n)
 		s.perRound[lane] = growSlice(s.perRound[lane], cfg.MaxRounds)
 		clear(s.perRound[lane])
 		s.haltedAt[lane] = growSlice(s.haltedAt[lane], n)
@@ -450,6 +381,7 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 			s.crashedSets[lane].Clear()
 		}
 	}
+
 	if s.lanesRes == nil {
 		s.lanesRes = make([]LaneResult, 64)
 	}
@@ -468,9 +400,7 @@ func (s *slicedState) detach() {
 	s.cfg = SlicedConfig{}
 	s.sys = nil
 	s.sizer = nil
-	for i := range s.filters {
-		s.filters[i] = nil
-	}
+	s.filters = [64]LinkFilter{}
 }
 
 func (s *slicedState) run() (*SlicedResult, error) {

@@ -103,7 +103,7 @@ func (s *state) unpackPayload(word uint64) Payload {
 	default:
 		idx := uint32(word >> wireEscIdxShift)
 		if t := word >> wireEscTabShift; t > 0 {
-			return s.pool.wesc[t-1].entries[idx]
+			return s.par.work[t-1].esc.entries[idx]
 		}
 		return s.esc.entries[idx]
 	}
