@@ -97,6 +97,19 @@ func (s *Set) UnionNew(other *Set, fn func(i int)) {
 	}
 }
 
+// LoadWords overwrites s with the membership words handed in: bit b of
+// words[w] is element 64w+b, bits at or above the capacity are
+// ignored. It is how a caller holding sets as packed words (the sliced
+// gossip decode) fills a Set without n Adds. It panics unless words has
+// exactly the ceil(n/64) words of s, like the capacity checks above.
+func (s *Set) LoadWords(words []uint64) {
+	if len(words) != len(s.words) {
+		panic("bitset: word count mismatch in LoadWords")
+	}
+	copy(s.words, words)
+	s.trim()
+}
+
 // IntersectWith removes from s every element not in other.
 func (s *Set) IntersectWith(other *Set) {
 	if other.n != s.n {

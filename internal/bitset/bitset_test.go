@@ -273,3 +273,36 @@ func TestUnionNewCapacityMismatchPanics(t *testing.T) {
 	// the backing length.
 	New(65).UnionNew(New(128), func(int) {})
 }
+
+// TestLoadWordsMatchesAdds: loading packed membership words gives the
+// set n Adds give, with bits at or above the capacity dropped.
+func TestLoadWordsMatchesAdds(t *testing.T) {
+	r := rng.New(17)
+	for _, n := range []int{0, 1, 63, 64, 65, 192, 200} {
+		words := make([]uint64, (n+63)/64)
+		for i := range words {
+			words[i] = r.Uint64()
+		}
+		want := New(n)
+		for j := 0; j < n; j++ {
+			if words[j>>6]>>(uint(j)&63)&1 != 0 {
+				want.Add(j)
+			}
+		}
+		got := New(n)
+		got.Fill() // LoadWords overwrites, it does not merge
+		got.LoadWords(words)
+		if !got.Equal(want) || got.Count() != want.Count() {
+			t.Fatalf("n=%d: LoadWords = %v, want %v", n, got, want)
+		}
+	}
+}
+
+func TestLoadWordsLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadWords with the wrong word count did not panic")
+		}
+	}()
+	New(65).LoadWords(make([]uint64, 1))
+}

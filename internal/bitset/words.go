@@ -64,6 +64,23 @@ func (c *LaneCounter) Add(mask uint64) {
 	}
 }
 
+// AddN increments the count of every lane set in mask by k, as k calls
+// of Add(mask) would (counts wrap modulo 2^32 the same way): k's binary
+// digits are added plane by plane through one full adder per plane, so
+// a run of k equal masks costs O(log k + carry chain) word ops.
+func (c *LaneCounter) AddN(mask uint64, k int) {
+	var carry uint64
+	for p := 0; p < laneCounterPlanes && (k>>p != 0 || carry != 0); p++ {
+		var a uint64 // bit p of k, on the lanes of mask
+		if k>>p&1 != 0 {
+			a = mask
+		}
+		w := c.planes[p]
+		c.planes[p] = w ^ a ^ carry
+		carry = w&a | w&carry | a&carry
+	}
+}
+
 // Flush adds the per-lane counts accumulated since the last Flush (or
 // Reset) into out and resets the counter.
 func (c *LaneCounter) Flush(out *[64]int64) {
@@ -112,4 +129,22 @@ func (c *LaneCounter) Below(k int) uint64 {
 		borrow = (^a & (kp | borrow)) | (kp & borrow)
 	}
 	return borrow
+}
+
+// Transpose64 transposes a 64×64 bit matrix in place: bit c of row r
+// becomes bit r of row c. It is the bridge between the sliced engine's
+// two layouts — 64 lane words indexed by element become 64 element
+// words indexed by lane — by recursive block swaps, 6 × 32 word pairs
+// instead of 4,096 bit tests.
+func Transpose64(m *[64]uint64) {
+	mask := uint64(0x00000000FFFFFFFF)
+	for j := uint(32); j != 0; {
+		for k := uint(0); k < 64; k = (k + j + 1) &^ j {
+			t := (m[k]>>j ^ m[k+j]) & mask
+			m[k] ^= t << j
+			m[k+j] ^= t
+		}
+		j >>= 1
+		mask ^= mask << j
+	}
 }

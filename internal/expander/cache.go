@@ -39,7 +39,8 @@ const maxGhosts = 1024
 // on top of its exact graph footprint.
 const entryOverhead = 256
 
-// cacheKey is New's argument tuple with the defaults filled in, so
+// cacheKey is New's argument tuple with the defaults filled in and, on
+// the complete-graph branch, everything build ignores there dropped, so
 // spellings that construct the same overlay share one entry.
 type cacheKey struct {
 	n, degree, delta, rotations int
@@ -63,6 +64,17 @@ func keyOf(n int, opts Options) cacheKey {
 	}
 	if k.rotations == 0 {
 		k.rotations = defaultSeedRotations
+	}
+	if n <= k.degree+1 {
+		// build degenerates to K_n, which consumes no seed and is never
+		// verified: the overlay is a function of (n, δ) alone, so every
+		// seed, family and saturated degree shares one. Implicit stays
+		// in the key with its family because build rejects an implicit
+		// non-shift request before it looks at n.
+		k = cacheKey{n: n, degree: n - 1, delta: k.delta}
+		if opts.Implicit {
+			k.implicit, k.family = true, opts.Family
+		}
 	}
 	return k
 }

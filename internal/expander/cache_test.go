@@ -157,7 +157,9 @@ func TestCacheSkipsOverlaysLargerThanBudget(t *testing.T) {
 func TestCacheGhostsBounded(t *testing.T) {
 	c := newCache(1 << 20)
 	for seed := uint64(0); seed < maxGhosts+200; seed++ {
-		mustGet(t, c, 4, Options{Seed: seed}) // K_4: a build costs nothing
+		// A tiny implicit circulant: a build costs next to nothing, and
+		// unlike K_n its key keeps the seed.
+		mustGet(t, c, 16, Options{Degree: 4, Seed: seed, Family: FamilyShift, Implicit: true})
 		if len(c.ghosts) > maxGhosts {
 			t.Fatalf("%d ghosts after %d distinct keys", len(c.ghosts), seed+1)
 		}
@@ -167,6 +169,74 @@ func TestCacheGhostsBounded(t *testing.T) {
 	}
 	if len(c.entries) != 0 {
 		t.Fatalf("table holds %d entries", len(c.entries))
+	}
+}
+
+// TestCompleteOverlaySharedAcrossSeeds: on the n ≤ degree+1 branch the
+// overlay is K_n whatever the seed, family, slack, rotations, SkipVerify
+// or saturated degree say, so all of those spellings share one entry —
+// built twice (second-sight admission), charged once — while δ, which
+// the overlay's Params carry, still separates keys, an oversize K_n is
+// still never admitted, and an implicit request for a family that
+// cannot be implicit still fails.
+func TestCompleteOverlaySharedAcrossSeeds(t *testing.T) {
+	const n = 48
+	c := newCache(1 << 20)
+	first := mustGet(t, c, n, Options{Degree: 64, Seed: 1})
+	second := mustGet(t, c, n, Options{Degree: n - 1, Seed: 2})
+	spellings := []Options{
+		{Degree: 64, Seed: 1},
+		{Degree: 256, Seed: 3, Slack: 0.5, MaxSeedRotations: 4, SkipVerify: true},
+		{Degree: n - 1, Seed: 4, Family: FamilyShift},
+	}
+	for _, opts := range spellings {
+		if o := mustGet(t, c, n, opts); o != second || o.G != second.G {
+			t.Fatalf("%+v got its own K_%d", opts, n)
+		}
+	}
+	if first.Seed != 0 || second.Seed != 0 || second.Lambda != 1 || second.P != first.P || second.P.Degree != n-1 {
+		t.Fatalf("K_%d verdict depends on who asked: %+v vs %+v", n, first, second)
+	}
+	want := regularBytes(n, n-1) + entryOverhead
+	if st := c.stats(); st.Entries != 1 || st.Bytes != want || st.Misses != 2 || st.Hits != int64(len(spellings)) {
+		t.Fatalf("K_%d under %d spellings: %+v, want one entry of %d bytes after 2 builds", n, 2+len(spellings), st, want)
+	}
+	if d := mustGet(t, c, n, Options{Degree: 64, Seed: 1, Delta: 3}); d == second || d.P.Delta != 3 {
+		t.Fatal("Delta ignored by the complete-graph key")
+	}
+	// Two seeds share an overlay exactly on the complete-graph branch: a
+	// fresh seed can hit the cache on K_n and on nothing else.
+	for _, n := range []int{5, 17, 18, 48, 65, 66} {
+		for _, degree := range []int{0, 4, 64} {
+			d := degree
+			if d == 0 {
+				d = DefaultDegree
+			}
+			grid := newCache(1 << 20)
+			mustGet(t, grid, n, Options{Degree: degree, Seed: 1})
+			a := mustGet(t, grid, n, Options{Degree: degree, Seed: 1})
+			b := mustGet(t, grid, n, Options{Degree: degree, Seed: 2})
+			if shared := a == b; shared != (n <= d+1) {
+				t.Fatalf("n=%d degree=%d: seeds 1 and 2 share an overlay: %v", n, degree, shared)
+			}
+		}
+	}
+
+	// Implicit keeps its family in the key so the error is not masked by
+	// a resident K_n, and the valid implicit spelling still gets K_n.
+	if _, err := c.get(n, Options{Degree: 64, Implicit: true}); err == nil {
+		t.Fatal("implicit random-regular accepted on the complete-graph branch")
+	}
+	if o := mustGet(t, c, n, Options{Degree: 64, Family: FamilyShift, Implicit: true}); o.G == nil || o.P != second.P {
+		t.Fatal("implicit shift request on the complete-graph branch did not get K_n")
+	}
+
+	small := newCache(1024)
+	for seed := uint64(1); seed <= 3; seed++ {
+		mustGet(t, small, n, Options{Degree: 64, Seed: seed})
+	}
+	if st := small.stats(); st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 || len(small.entries) != 0 {
+		t.Fatalf("oversize K_%d retained: %+v", n, st)
 	}
 }
 

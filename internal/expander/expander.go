@@ -122,7 +122,9 @@ type Overlay struct {
 	NB     graph.Neighborhood
 	P      Params
 	Lambda float64 // estimated second eigenvalue
-	Seed   uint64  // seed that passed verification
+	// Seed is the seed that passed verification; 0 on a complete graph,
+	// which consumes none (one K_n serves every seed, see cache.go).
+	Seed uint64
 }
 
 // Options configures overlay construction.
@@ -157,7 +159,8 @@ const defaultSeedRotations = 16
 //
 // For n ≤ Degree+1 the overlay degenerates to the complete graph K_n,
 // which is the best possible expander and keeps every protocol correct
-// on tiny instances.
+// on tiny instances; seed, family, slack and rotations play no part
+// there, and Overlay.Seed reports 0.
 //
 // New is memoized (see cache.go): equal arguments may return the same
 // *Overlay, shared with every other caller. Overlays are immutable;
@@ -191,7 +194,7 @@ func build(n int, opts Options) (*Overlay, error) {
 	if n <= d+1 {
 		g := graph.Complete(n)
 		d = n - 1
-		return &Overlay{G: g, NB: g, P: paramsFor(n, d, opts.Delta), Lambda: 1, Seed: opts.Seed}, nil
+		return &Overlay{G: g, NB: g, P: paramsFor(n, d, opts.Delta), Lambda: 1}, nil
 	}
 	if n*d%2 != 0 {
 		d++ // keep n*d even; one extra degree only helps expansion

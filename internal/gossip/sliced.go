@@ -299,10 +299,44 @@ func (g *SlicedGossip) Lanes() int { return g.lanes }
 // ScheduleLength returns the protocol's fixed round count.
 func (g *SlicedGossip) ScheduleLength() int { return g.p2End }
 
-// Known returns the lanes in which node v's extant set contains u —
-// the per-lane decided output, read by the batch runner to materialize
-// reports.
-func (g *SlicedGossip) Known(v, u int) uint64 { return g.ext.live[v*g.n+u] }
+// LaneViews is every node's extant membership, per lane, as packed
+// words — the per-lane decided output, which the batch runner
+// materializes reports from. The machine's extant planes hold 64 lanes
+// per member; this is them transposed to 64 members per lane, the
+// layout a per-lane report is decoded from. It is a copy: later rounds
+// do not change it.
+type LaneViews struct {
+	n, words int
+	rows     []uint64 // lane-major: (lane*n + node)*words
+}
+
+// Members returns node's extant set in the given lane as ⌈n/64⌉ words,
+// bit b of word w standing for member 64w+b; bits at or above n are
+// clear. The slice aliases the views.
+func (v *LaneViews) Members(lane, node int) []uint64 {
+	return v.rows[(lane*v.n+node)*v.words:][:v.words]
+}
+
+// LaneViews transposes the machine's extant planes for all configured
+// lanes at once: one 64×64 bit transpose per 64 members of a node, in
+// place of a bit test per (node, member, lane).
+func (g *SlicedGossip) LaneViews() *LaneViews {
+	n, words := g.n, (g.n+63)/64
+	v := &LaneViews{n: n, words: words, rows: make([]uint64, g.lanes*n*words)}
+	var m [64]uint64
+	for node := 0; node < n; node++ {
+		live := g.ext.live[node*n:][:n]
+		for w := 0; w < words; w++ {
+			k := copy(m[:], live[w*64:])
+			clear(m[k:])
+			bitset.Transpose64(&m)
+			for lane := 0; lane < g.lanes; lane++ {
+				v.rows[(lane*n+node)*words+w] = m[lane]
+			}
+		}
+	}
+	return v
+}
 
 // position decomposes a round into (part, phase, offset-in-phase),
 // mirroring Gossip.position.
@@ -507,29 +541,25 @@ func (g *SlicedGossip) HaltedLanes(node int) uint64 { return g.haltedW[node] }
 // AddSlicedBits implements sim.SlicedSizer: per-lane wire sizes
 // matching the scalar payloads — 1 bit per inquiry, a name and a rumor
 // per pair, a bitmap per completion set, and a bitmap plus the
-// snapshotted per-lane cardinality of rumors per extant set.
-func (g *SlicedGossip) AddSlicedBits(m sim.SlicedMsg, lanes uint64, acc *[64]int64) {
+// snapshotted per-lane cardinality of rumors per extant set — times the
+// length of the fan-out run. Only the extant size varies by lane.
+func (g *SlicedGossip) AddSlicedBits(m sim.SlicedMsg, lanes uint64, times int, acc *[64]int64) {
+	size := int64(times) // an inquiry is one bit
 	switch m.Tag & tagTypeMask {
-	case tagInquiry:
-		for w := lanes; w != 0; w &= w - 1 {
-			acc[bits.TrailingZeros64(w)]++
-		}
 	case tagPair:
-		for w := lanes; w != 0; w &= w - 1 {
-			acc[bits.TrailingZeros64(w)] += pairBits
-		}
+		size *= pairBits
 	case tagCompletion:
-		nb := int64(g.n)
-		for w := lanes; w != 0; w &= w - 1 {
-			acc[bits.TrailingZeros64(w)] += nb
-		}
+		size *= int64(g.n)
 	case tagExtant:
 		cnt := &g.snapCnt[int(m.Tag>>tagSlotShift)*g.L+int(m.From)]
-		nb := int64(g.n)
 		for w := lanes; w != 0; w &= w - 1 {
 			lane := bits.TrailingZeros64(w)
-			acc[lane] += nb + RumorBits*cnt[lane]
+			acc[lane] += size * (int64(g.n) + RumorBits*cnt[lane])
 		}
+		return
+	}
+	for w := lanes; w != 0; w &= w - 1 {
+		acc[bits.TrailingZeros64(w)] += size
 	}
 }
 

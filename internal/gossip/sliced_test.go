@@ -8,6 +8,7 @@ import (
 	"lineartime/internal/consensus"
 	"lineartime/internal/link"
 	"lineartime/internal/obs"
+	"lineartime/internal/rng"
 	"lineartime/internal/sim"
 )
 
@@ -303,6 +304,47 @@ func TestSlicedGossipResetForgetsVersions(t *testing.T) {
 		if f := fresh(); !reflect.DeepEqual(reused.ext.bookkeeping(), f.ext.bookkeeping()) ||
 			!reflect.DeepEqual(reused.comp.bookkeeping(), f.comp.bookkeeping()) {
 			t.Fatalf("Reset after the run with fault salt %d left state a fresh machine does not have", salt)
+		}
+	}
+}
+
+// TestSlicedGossipLaneViewsMatchKnownBits pins the transposed decode
+// against the bit-at-a-time one it replaced (known: the lanes in which
+// v's extant set has u, tested one lane bit at a time): over random
+// extant planes — lanes beyond the configured ones set too — every
+// lane's membership words say exactly what known(v, u)&bit says, a word
+// boundary inside, at and beyond n included, and no bit at or above n
+// is set.
+func TestSlicedGossipLaneViewsMatchKnownBits(t *testing.T) {
+	r := rng.New(0x7a05)
+	for _, n := range []int{1, 40, 63, 64, 65, 192, 200} {
+		for _, lanes := range []int{1, 3, 64} {
+			g := &SlicedGossip{n: n, lanes: lanes, ext: laneSets{n: n, live: make([]uint64, n*n)}}
+			for i := range g.ext.live {
+				g.ext.live[i] = r.Uint64()
+				if i%3 == 0 {
+					g.ext.live[i] &= r.Uint64() & r.Uint64()
+				}
+			}
+			known := func(v, u int) uint64 { return g.ext.live[v*n+u] }
+			views := g.LaneViews()
+			words := (n + 63) / 64
+			for lane := 0; lane < lanes; lane++ {
+				bit := uint64(1) << lane
+				for v := 0; v < n; v++ {
+					row := views.Members(lane, v)
+					if len(row) != words {
+						t.Fatalf("n=%d lanes=%d: %d member words, want %d", n, lanes, len(row), words)
+					}
+					for u := 0; u < 64*words; u++ {
+						got := row[u>>6]>>(uint(u)&63)&1 != 0
+						want := u < n && known(v, u)&bit != 0
+						if got != want {
+							t.Fatalf("n=%d lanes=%d lane %d: member %d of node %d is %v, the plane says %v", n, lanes, lane, u, v, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -51,12 +51,15 @@ func linkFaultBatch(tb testing.TB, seed uint64, lanes int) []Spec {
 // 63.6 MB; with equal views sharing one map it measured 1,949 allocs /
 // 4.31 MB when the guard was set — 2,024 / 5.50 MB when the pooled
 // engine arena is re-grown once within the five calls (sync.Pool hands
-// a Runtime back only to the P that put it). The ceilings are 1.25× the
-// larger pair (the byte ceiling is skipped under -race, like
-// TestRunWarmAllocs).
+// a Runtime back only to the P that put it). With the lane views decoded
+// from one transposed buffer per chunk (0.29 MB, in place of a member
+// set per lane) it measures 1,825 allocs / 4.60 MB, 1,899 / 5.79 MB
+// with the regrowth. The alloc ceiling is 1.25× the larger count; the
+// byte ceiling stays where 1.25 × 5.50 MB put it, 1.19× the larger size
+// (it is skipped under -race, like TestRunWarmAllocs).
 func TestGossipBatchAllocs(t *testing.T) {
 	const (
-		maxAllocs = 2530
+		maxAllocs = 2380
 		maxBytes  = 6_900_000
 	)
 	sps := linkFaultBatch(t, 0x6a55_0000, 64)

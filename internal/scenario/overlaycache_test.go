@@ -16,8 +16,14 @@ import (
 // whether its overlays are built for the run (first sight), built and
 // admitted (second sight), or shared from the cache (warm) — the warm
 // runs being two concurrent ones that share one resident overlay set
-// while each fills its own InquiryFamily from it. The seeds are used by no other
-// test, so the first run of each spec really is cold. Run under -race.
+// while each fills its own InquiryFamily from it. The seeds are used by
+// no other test, so the first run of each spec is cold in every overlay
+// whose key carries the seed. It may still hit the cache on the complete
+// graphs K_n (saturated inquiry phases, the broadcast graph at n ≤ 65),
+// which are one entry for all seeds — and on nothing else: which keys
+// drop the seed is pinned where keys are visible, by expander's
+// TestCompleteOverlaySharedAcrossSeeds; from here a hit on K_n and a
+// hit on a seeded overlay look the same. Run under -race.
 func TestOverlayCacheParityRegistry(t *testing.T) {
 	seeds := uint64(3)
 	if testing.Short() {
@@ -43,9 +49,6 @@ func TestOverlayCacheParityRegistry(t *testing.T) {
 				s0 := expander.Stats()
 				cold, coldErr := Run(sp)
 				s1 := expander.Stats()
-				if s1.Hits != s0.Hits {
-					t.Fatalf("%s: cold run hit the overlay cache (%d hits)", tag, s1.Hits-s0.Hits)
-				}
 				second, secondErr := Run(sp)
 				sameOutcome(t, tag+" second sight", cold, coldErr, second, secondErr)
 

@@ -459,7 +459,7 @@ func materializeGossip(sp Spec) (*system, error) {
 	sys.finish = func(res *sim.Result, rep *Report) {
 		rep.Gossip = gossipOutcome(n, res.Crashed,
 			func(i int) *bitset.Set { return extants[i]().Known() },
-			func(i, j int) uint64 { return uint64(extants[i]().Rumor(j)) })
+			func(i, j int) uint64 { return uint64(extants[i]().Rumor(j)) }, false)
 	}
 	return sys, nil
 }
@@ -470,8 +470,11 @@ func materializeGossip(sp Spec) (*system, error) {
 // rumor(i, j) the rumor i holds for a member j. The run is complete
 // when every survivor's membership covers the survivors, one word at a
 // time. Nodes whose views are equal — same members, same rumor values —
-// get the same map: a complete run decodes into one view, not n.
-func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, rumor func(i, j int) uint64) *GossipOutcome {
+// get the same map: a complete run decodes into one view, not n. A
+// caller whose rumor(i, j) does not depend on i says so with
+// nodeIndependent, and equal memberships are then equal views without
+// comparing a value.
+func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, rumor func(i, j int) uint64, nodeIndependent bool) *GossipOutcome {
 	out := &GossipOutcome{
 		Extant:   make([]map[int]uint64, n),
 		Complete: true,
@@ -499,7 +502,9 @@ func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, ru
 				continue
 			}
 			same := true
-			members.ForEach(func(j int) { same = same && rumor(i, j) == v.rumors[j] })
+			if !nodeIndependent {
+				members.ForEach(func(j int) { same = same && rumor(i, j) == v.rumors[j] })
+			}
 			if same {
 				out.Extant[i] = v.view
 				break

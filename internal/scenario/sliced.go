@@ -347,6 +347,11 @@ func (p *slicedFlooding) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 type slicedGossip struct {
 	top *consensus.Topology
 	sys *gossip.SlicedGossip
+	// The finished run's extant sets, transposed once for the chunk at
+	// the first decode, and the one Set every lane's decode loads them
+	// into.
+	views   *gossip.LaneViews
+	members *bitset.Set
 }
 
 func (p *slicedGossip) open(shape Spec) (little int, err error) {
@@ -367,7 +372,8 @@ func (p *slicedGossip) build(_ Spec, lanes, maxDelay int) (_ sim.SlicedSystem, _
 // (with the per-part attribution the scalar PartLabeler would have
 // recorded, reconstructed from the per-round series), the same extant
 // views (rumor values come from the lane's inputs — first-write-wins
-// makes every copy of node j's pair equal to j's own rumor) and the same
+// makes every copy of node j's pair equal to j's own rumor, which is
+// what lets gossipOutcome match views on membership alone) and the same
 // completeness rule.
 func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 	rep := newReport(sp, lr.Metrics, lr.Crashed)
@@ -387,18 +393,15 @@ func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 		}
 	}
 
-	bit := uint64(1) << lane
-	members := bitset.New(sp.N)
+	if p.views == nil {
+		p.views = p.sys.LaneViews()
+		p.members = bitset.New(sp.N)
+	}
 	rep.Gossip = gossipOutcome(sp.N, lr.Crashed,
 		func(i int) *bitset.Set {
-			members.Clear()
-			for j := 0; j < sp.N; j++ {
-				if p.sys.Known(i, j)&bit != 0 {
-					members.Add(j)
-				}
-			}
-			return members
+			p.members.LoadWords(p.views.Members(lane, i))
+			return p.members
 		},
-		func(_, j int) uint64 { return sp.Rumors[j] })
+		func(_, j int) uint64 { return sp.Rumors[j] }, true)
 	return rep
 }

@@ -303,7 +303,7 @@ func TestGossipOutcomeSharesEqualViews(t *testing.T) {
 		known(i).ForEach(func(j int) { view[j] = rumor(i, j) })
 		want.Extant[i] = view
 	}
-	got := gossipOutcome(n, crashed, known, rumor)
+	got := gossipOutcome(n, crashed, known, rumor, false)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("shared outcome diverged from the unshared decode")
 	}
@@ -342,7 +342,7 @@ func TestGossipOutcomeSharesEqualViews(t *testing.T) {
 	}
 
 	// All survivors complete: one view, not n.
-	complete := gossipOutcome(n, crashed, func(int) *bitset.Set { return alive }, func(_, j int) uint64 { return uint64(j) })
+	complete := gossipOutcome(n, crashed, func(int) *bitset.Set { return alive }, func(_, j int) uint64 { return uint64(j) }, false)
 	if !complete.Complete {
 		t.Fatal("all-survivor views must be complete")
 	}
@@ -350,6 +350,81 @@ func TestGossipOutcomeSharesEqualViews(t *testing.T) {
 	for i, view := range complete.Extant {
 		if !crashed.Contains(i) && reflect.ValueOf(view).Pointer() != first {
 			t.Fatalf("node %d of a complete run has its own map", i)
+		}
+	}
+}
+
+// TestGossipOutcomeNodeIndependentRumors: a caller whose rumor values
+// depend on the member alone may say so, and gets the outcome the
+// comparing path computes — DeepEqual, JSON-byte-equal, and sharing the
+// same maps — on complete, incomplete and crashed-node inputs.
+func TestGossipOutcomeNodeIndependentRumors(t *testing.T) {
+	const n = 70
+	full, most, few := bitset.New(n), bitset.New(n), bitset.New(n)
+	for j := 0; j < n; j++ {
+		full.Add(j)
+		if j != 69 {
+			most.Add(j)
+		}
+		if j%4 == 0 {
+			few.Add(j)
+		}
+	}
+	rumor := func(_, j int) uint64 { return uint64(1000 + j*j) }
+	cases := []struct {
+		name    string
+		crashed []int
+		known   func(i int) *bitset.Set
+	}{
+		{"complete", nil, func(int) *bitset.Set { return full }},
+		{"incomplete", nil, func(i int) *bitset.Set { return []*bitset.Set{full, most, few}[i%3] }},
+		{"crashed nodes", []int{0, 3, 40, 69}, func(i int) *bitset.Set { return []*bitset.Set{most, full}[i%2] }},
+		{"everyone crashed", []int{0, 1, 2}, nil},
+	}
+	for _, c := range cases {
+		size := n
+		if c.known == nil {
+			size = len(c.crashed)
+		}
+		crashed := bitset.New(size)
+		for _, i := range c.crashed {
+			crashed.Add(i)
+		}
+		// Each call gets its own reused Set, as the sliced decode hands
+		// gossipOutcome: the outcome must not alias it.
+		load := func() func(i int) *bitset.Set {
+			scratch := bitset.New(size)
+			return func(i int) *bitset.Set {
+				scratch.Clear()
+				scratch.UnionWith(c.known(i))
+				return scratch
+			}
+		}
+		want := gossipOutcome(size, crashed, load(), rumor, false)
+		got := gossipOutcome(size, crashed, load(), rumor, true)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: node-independent outcome diverged from the comparing path", c.name)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Fatalf("%s: node-independent outcome encodes differently", c.name)
+		}
+		for i := range want.Extant {
+			for k := range want.Extant {
+				shared := func(o *GossipOutcome) bool {
+					return o.Extant[i] != nil && reflect.ValueOf(o.Extant[i]).Pointer() == reflect.ValueOf(o.Extant[k]).Pointer()
+				}
+				if shared(want) != shared(got) {
+					t.Fatalf("%s: nodes %d and %d share a map on one path only", c.name, i, k)
+				}
+			}
 		}
 	}
 }

@@ -82,13 +82,17 @@ type SlicedSystem interface {
 }
 
 // SlicedSizer is optionally implemented by sliced systems whose
-// payloads are not single bits. AddSlicedBits adds the payload size of
-// m, per lane of `lanes` (the post-crash mask the engine counted the
-// message in), into acc — the same accounting point at which the scalar
-// engine calls Payload.SizeBits. Systems that don't implement it get
-// bits == messages, the 1-bit default.
+// payloads are not single bits. AddSlicedBits adds `times` × the
+// payload size of m, per lane of `lanes` (the post-crash mask the engine
+// counted the message in), into acc — the same accounting point at
+// which the scalar engine calls Payload.SizeBits. The engine calls it
+// once per run of a sender's consecutive messages that agree on Tag,
+// lanes and Bits, with the run's length as times, so a payload's size
+// may depend on From, Tag, Bits and the lane but never on To: m.To is
+// not a destination (the engine hands over -1). Systems that don't
+// implement it get bits == messages, the 1-bit default.
 type SlicedSizer interface {
-	AddSlicedBits(m SlicedMsg, lanes uint64, acc *[64]int64)
+	AddSlicedBits(m SlicedMsg, lanes uint64, times int, acc *[64]int64)
 }
 
 // CrashEvent is one node-level crash in declarative form: at Round, the
@@ -497,14 +501,7 @@ func (s *slicedState) round(r int) error {
 			s.crashedNow = append(s.crashedNow, nodeLanes{node: int32(node), lanes: crashMask})
 		}
 		seg := s.staged[start:]
-		for i := range seg {
-			if m := seg[i].Lanes & exec; m != 0 {
-				s.ctr.Add(m)
-				if s.sizer != nil {
-					s.sizer.AddSlicedBits(seg[i], m, &s.bitsAcc)
-				}
-			}
-		}
+		s.tally(seg, exec)
 		if s.linked != 0 && len(seg) > 0 {
 			if err := s.filterSegment(r, seg); err != nil {
 				return err
@@ -572,6 +569,32 @@ func (s *slicedState) round(r int) error {
 		s.perRound[lane][r] = c
 	}
 	return nil
+}
+
+// tally counts a sender's post-crash segment into the round's traffic,
+// one run at a time: consecutive messages that agree on tag, counted
+// lanes and payload bits are a multicast's fan-out — the same payload
+// to different destinations — so the lane counter and the sizer are
+// charged once for the run with its length, not once per message. The
+// sizer sees the run's first message with To poisoned, which holds it
+// to the SlicedSizer contract.
+func (s *slicedState) tally(seg []SlicedMsg, exec uint64) {
+	for i := 0; i < len(seg); {
+		head := seg[i]
+		lanes, payload := head.Lanes&exec, head.Bits&exec
+		j := i + 1
+		for j < len(seg) && seg[j].Lanes&exec == lanes && seg[j].Tag == head.Tag && seg[j].Bits&exec == payload {
+			j++
+		}
+		if lanes != 0 {
+			s.ctr.AddN(lanes, j-i)
+			if s.sizer != nil {
+				head.To = -1
+				s.sizer.AddSlicedBits(head, lanes, j-i, &s.bitsAcc)
+			}
+		}
+		i = j
+	}
 }
 
 // sanitizeSegment validates a node's freshly staged segment (the
