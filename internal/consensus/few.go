@@ -100,7 +100,7 @@ func (tp *Topology) outboxCaps(id int) (aea, scv int) {
 		related := (tp.N - id - 1) / tp.L
 		aea = max(tp.Little.Neighborhood().Degree(id), related)
 	}
-	return aea, tp.Broadcast.Neighborhood().Degree(id)
+	return aea, tp.MustBroadcast().Neighborhood().Degree(id)
 }
 
 // OutboxSlabLen returns the length of the envelope slab from which

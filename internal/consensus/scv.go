@@ -100,7 +100,7 @@ func (s *SCV) Send(round int) []sim.Envelope {
 			return nil
 		}
 		s.adopted = false
-		return s.out.FanOut(s.id, s.top.Broadcast.Neighbors(s.id), sim.Bit(s.value))
+		return s.out.FanOut(s.id, s.top.MustBroadcast().Neighbors(s.id), sim.Bit(s.value))
 	case round < s.p2End:
 		phase, first := s.phaseAt(round)
 		if first {

@@ -13,6 +13,7 @@ package consensus
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lineartime/internal/expander"
 )
@@ -27,10 +28,10 @@ type Topology struct {
 	// Little is the overlay G on the little nodes (vertices are node
 	// names 0..L-1), standing in for the G(5t, 5^8) Ramanujan graph.
 	Little *expander.Overlay
-	// Broadcast is the graph H of degree ≥ 64 on all nodes (§4.2).
-	Broadcast *expander.Overlay
 	// Inquiry is the graph family G_i on all nodes (Lemma 5).
 	Inquiry *expander.InquiryFamily
+	// broadcast builds H on its first call and returns that result after.
+	broadcast func() (*expander.Overlay, error)
 }
 
 // TopologyOptions tunes topology construction.
@@ -67,18 +68,34 @@ func NewTopology(n, t int, opts TopologyOptions) (*Topology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("little overlay: %w", err)
 	}
-	h, err := expander.NewBroadcastGraphMode(n, opts.Seed+2, opts.Mode)
-	if err != nil {
-		return nil, err
-	}
 	return &Topology{
-		N:         n,
-		T:         t,
-		L:         l,
-		Little:    little,
-		Broadcast: h,
-		Inquiry:   expander.NewInquiryFamily(n, 8, opts.Seed+3).WithMode(opts.Mode),
+		N:       n,
+		T:       t,
+		L:       l,
+		Little:  little,
+		Inquiry: expander.NewInquiryFamily(n, 8, opts.Seed+3).WithMode(opts.Mode),
+		broadcast: sync.OnceValues(func() (*expander.Overlay, error) {
+			return newBroadcastGraph(n, opts.Seed+2, opts.Mode)
+		}),
 	}, nil
+}
+
+// newBroadcastGraph constructs H; tests stand in one that cannot.
+var newBroadcastGraph = expander.NewBroadcastGraphMode
+
+// Broadcast returns the graph H of degree ≥ 64 on all nodes (§4.2), built
+// by the first call — gossip never makes one — and safe from many nodes at
+// once. Whoever assembles a system that will consult H calls it first, so
+// that a failed build is that caller's error, not a machine's panic.
+func (tp *Topology) Broadcast() (*expander.Overlay, error) { return tp.broadcast() }
+
+// MustBroadcast is Broadcast for the machines, which return no errors.
+func (tp *Topology) MustBroadcast() *expander.Overlay {
+	h, err := tp.broadcast()
+	if err != nil {
+		panic("consensus: broadcast graph H unavailable: " + err.Error())
+	}
+	return h
 }
 
 // IsLittle reports whether node id is a little node.

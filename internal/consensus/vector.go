@@ -141,7 +141,7 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			return nil
 		}
 		v.pending = false
-		nbrs := v.top.Broadcast.Neighbors(v.id)
+		nbrs := v.top.MustBroadcast().Neighbors(v.id)
 		payload := VectorPayload{Set: v.decision}
 		out := make([]sim.Envelope, 0, len(nbrs))
 		for _, to := range nbrs {

@@ -62,6 +62,9 @@ func (e *ExtantSet) Known() *bitset.Set { return e.known.Clone() }
 // — the common case once rumors have spread — costs n/64 word
 // operations.
 func (e *ExtantSet) MergeFrom(other *ExtantSet) {
+	if e.count == len(e.rumors) {
+		return // a full view learns nothing
+	}
 	e.known.UnionNew(other.known, func(node int) {
 		e.rumors[node] = other.rumors[node]
 		e.count++
@@ -91,8 +94,10 @@ func (e *ExtantSet) Snapshot() *ExtantSet {
 // node whose completion set it merged while probing. Like a view it
 // only grows. The zero value is unusable; use NewCompletionSet.
 type CompletionSet struct {
-	set  *bitset.Set
-	snap *bitset.Set // last Snapshot; current while equal to set
+	set       *bitset.Set
+	count     int         // |set|
+	snap      *bitset.Set // last Snapshot; current while snapCount == count
+	snapCount int
 }
 
 // NewCompletionSet returns an empty completion set over n nodes.
@@ -106,18 +111,27 @@ func (c *CompletionSet) Add(node int) bool {
 		return false
 	}
 	c.set.Add(node)
+	c.count++
 	return true
 }
 
-// MergeFrom absorbs a received completion set.
-func (c *CompletionSet) MergeFrom(other *bitset.Set) { c.set.UnionWith(other) }
+// Full reports whether every node is covered.
+func (c *CompletionSet) Full() bool { return c.count == c.set.Len() }
+
+// MergeFrom absorbs a received completion set; a full one learns nothing.
+func (c *CompletionSet) MergeFrom(other *bitset.Set) {
+	if c.Full() {
+		return
+	}
+	c.set.UnionNew(other, func(int) { c.count++ })
+}
 
 // Snapshot returns a copy of the set for a message payload, under
 // ExtantSet.Snapshot's rule: never written again, cloned again only
 // once the set has grown.
 func (c *CompletionSet) Snapshot() *bitset.Set {
-	if c.snap == nil || !c.snap.Equal(c.set) {
-		c.snap = c.set.Clone()
+	if c.snap == nil || c.snapCount != c.count {
+		c.snap, c.snapCount = c.set.Clone(), c.count
 	}
 	return c.snap
 }

@@ -110,17 +110,20 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 			return nil
 		}
 		g.out.Reset(0)
-		if part == 1 {
+		// G_i has a job only when crashes left someone to ask (Part 1) or
+		// to cover (Part 2); over a full set it is not even built.
+		switch {
+		case part == 1 && g.extant.Count() < g.top.N:
 			for _, u := range g.overlayFor(phase) {
 				if !g.extant.Present(u) {
 					g.out.Add(g.id, u, sim.Inquiry{})
 				}
 			}
-			return g.out
-		}
-		for _, u := range g.overlayFor(phase) {
-			if g.completion.Add(u) {
-				g.out.Add(g.id, u, ExtantPayload{Set: g.extant.Snapshot()})
+		case part == 2 && !g.completion.Full():
+			for _, u := range g.overlayFor(phase) {
+				if g.completion.Add(u) {
+					g.out.Add(g.id, u, ExtantPayload{Set: g.extant.Snapshot()})
+				}
 			}
 		}
 		return g.out

@@ -3,8 +3,10 @@ package gossip
 import (
 	"testing"
 
+	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
 	"lineartime/internal/crash"
+	"lineartime/internal/rng"
 	"lineartime/internal/sim"
 )
 
@@ -136,6 +138,66 @@ func TestExtantSetOps(t *testing.T) {
 	c.Update(1, 1)
 	if e.Present(1) {
 		t.Fatal("clone aliases original")
+	}
+}
+
+// TestFullSetsLearnNothing drives both set kinds through random
+// interleavings of single adds and merges, most of them long enough to
+// fill the set, against a model that knows no shortcut: membership,
+// rumors (the first pair seen wins, whatever the merge order), the
+// cached Count and the O(1) Full always agree with a recount, merging
+// the same set twice changes nothing, and a full set comes through
+// further merges untouched.
+func TestFullSetsLearnNothing(t *testing.T) {
+	r := rng.New(0xF011)
+	for _, n := range []int{1, 5, 64, 65, 130} {
+		for trial := 0; trial < 50; trial++ {
+			e, c := NewExtantSet(n), NewCompletionSet(n)
+			members, rumors := bitset.New(n), make([]Rumor, n)
+			covered := bitset.New(n)
+			for step := r.Intn(4 * n); step >= 0; step-- {
+				other := randomExtant(r, n, r.Intn(101))
+				node := r.Intn(n)
+				if r.Intn(2) == 0 {
+					rumor := Rumor(r.Uint64())
+					e.Update(node, rumor)
+					if !members.Contains(node) {
+						members.Add(node)
+						rumors[node] = rumor
+					}
+					if got, want := c.Add(node), !covered.Contains(node); got != want {
+						t.Fatalf("n=%d: Add(%d) = %v, want %v", n, node, got, want)
+					}
+					covered.Add(node)
+				} else {
+					e.MergeFrom(other)
+					e.MergeFrom(other)
+					other.known.ForEach(func(j int) {
+						if !members.Contains(j) {
+							members.Add(j)
+							rumors[j] = other.rumors[j]
+						}
+					})
+					c.MergeFrom(other.known)
+					c.MergeFrom(other.known)
+					covered.UnionWith(other.known)
+				}
+				if !e.known.Equal(members) || e.Count() != members.Count() {
+					t.Fatalf("n=%d: view has %d members (count %d), model %d", n, e.known.Count(), e.Count(), members.Count())
+				}
+				members.ForEach(func(j int) {
+					if e.Rumor(j) != rumors[j] {
+						t.Fatalf("n=%d: rumor of %d = %d, model %d", n, j, e.Rumor(j), rumors[j])
+					}
+				})
+				if !c.set.Equal(covered) || c.count != covered.Count() || c.Full() != (covered.Count() == n) {
+					t.Fatalf("n=%d: completion set %v (count %d, full %v), model %v", n, c.set, c.count, c.Full(), covered)
+				}
+				if snap := c.Snapshot(); !snap.Equal(covered) {
+					t.Fatalf("n=%d: completion snapshot %v is stale, set %v", n, snap, covered)
+				}
+			}
+		}
 	}
 }
 

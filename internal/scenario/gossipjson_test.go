@@ -12,7 +12,7 @@ import (
 // TestGossipOutcomeMarshalMatchesReflection pins GossipOutcome's
 // MarshalJSON byte-for-byte against the reflection encoder (the same
 // struct without the method) on randomized outcomes — crashed (nil),
-// empty, partial and full views, n either side of a word boundary,
+// empty, partial, full and shared views, n either side of a word boundary,
 // keys that are not node names — bare and inside a Report, compact and
 // indented; and the bytes decode back to the value they came from.
 func TestGossipOutcomeMarshalMatchesReflection(t *testing.T) {
@@ -23,10 +23,12 @@ func TestGossipOutcomeMarshalMatchesReflection(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			out := &GossipOutcome{Extant: make([]map[int]uint64, n), Complete: r.Intn(2) == 0}
 			for i := range out.Extant {
-				switch r.Intn(5) {
+				switch r.Intn(6) {
 				case 0: // crashed
 				case 1:
 					out.Extant[i] = map[int]uint64{}
+				case 5: // an earlier node's view, the very map
+					out.Extant[i] = out.Extant[r.Intn(i+1)]
 				case 2: // partial, now and then with a key that is no node name
 					view := make(map[int]uint64)
 					for j := 0; j < n; j++ {

@@ -226,11 +226,11 @@ func materialize(sp Spec) (*system, error) {
 	case ByzantineConsensus:
 		return materializeByzantine(sp)
 	case AlmostEverywhere:
-		return materializeSubroutine(sp, func(i int, top *consensus.Topology, input bool) *consensus.AEA {
+		return materializeSubroutine(sp, sp.newTopology, func(i int, top *consensus.Topology, input bool) *consensus.AEA {
 			return consensus.NewAEA(i, top, input, 0, true)
 		})
 	case SpreadCommonValue:
-		return materializeSubroutine(sp, func(i int, top *consensus.Topology, input bool) *consensus.SCV {
+		return materializeSubroutine(sp, sp.newBroadcastTopology, func(i int, top *consensus.Topology, input bool) *consensus.SCV {
 			return consensus.NewSCV(i, top, input, true, 0, true)
 		})
 	case MajorityVote:
@@ -275,6 +275,16 @@ func (sp Spec) newTopology(n, t int) (*consensus.Topology, error) {
 	return consensus.NewTopology(n, t, opts)
 }
 
+// newBroadcastTopology is newTopology for the families that consult the
+// graph H: built here, one that cannot be fails materialize, not a machine.
+func (sp Spec) newBroadcastTopology(n, t int) (*consensus.Topology, error) {
+	top, err := sp.newTopology(n, t)
+	if err == nil {
+		_, err = top.Broadcast()
+	}
+	return top, err
+}
+
 // newManyTopology builds the any-t topology for the spec.
 func (sp Spec) newManyTopology(n, t int) (*consensus.ManyTopology, error) {
 	opts, err := sp.topologyOptions()
@@ -302,7 +312,7 @@ func materializeConsensus(sp Spec) (*system, error) {
 
 	switch sp.Algorithm {
 	case FewCrashes:
-		top, err := sp.newTopology(n, t)
+		top, err := sp.newBroadcastTopology(n, t)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +342,7 @@ func materializeConsensus(sp Spec) (*system, error) {
 			sys.schedule = m.ScheduleLength()
 		}
 	case SinglePortLinear:
-		top, err := sp.newTopology(n, t)
+		top, err := sp.newBroadcastTopology(n, t)
 		if err != nil {
 			return nil, err
 		}
@@ -543,7 +553,7 @@ func materializeCheckpointing(sp Spec) (*system, error) {
 			sys.schedule = m.ScheduleLength()
 		}
 	case sp.Algorithm == CheckpointExpander && sp.Port == SinglePort:
-		top, err := sp.newTopology(n, t)
+		top, err := sp.newBroadcastTopology(n, t)
 		if err != nil {
 			return nil, err
 		}
@@ -560,7 +570,7 @@ func materializeCheckpointing(sp Spec) (*system, error) {
 		}
 		sys.singlePort = true
 	case sp.Algorithm == CheckpointExpander:
-		top, err := sp.newTopology(n, t)
+		top, err := sp.newBroadcastTopology(n, t)
 		if err != nil {
 			return nil, err
 		}
@@ -693,13 +703,13 @@ type subroutineMachine interface {
 }
 
 // materializeSubroutine builds a subroutine run: one machine per node
-// over the t < n/5 topology, from the problem's constructor.
-func materializeSubroutine[M subroutineMachine](sp Spec, machine func(i int, top *consensus.Topology, input bool) M) (*system, error) {
+// over the t < n/5 topology newTop builds, from the problem's constructor.
+func materializeSubroutine[M subroutineMachine](sp Spec, newTop func(n, t int) (*consensus.Topology, error), machine func(i int, top *consensus.Topology, input bool) M) (*system, error) {
 	n := sp.N
 	if len(sp.BoolInputs) != n {
 		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(sp.BoolInputs), n)
 	}
-	top, err := sp.newTopology(n, sp.T)
+	top, err := newTop(n, sp.T)
 	if err != nil {
 		return nil, err
 	}
@@ -739,7 +749,7 @@ func materializeMajority(sp Spec) (*system, error) {
 	if len(votes) != n {
 		return nil, fmt.Errorf("scenario: %d votes for n=%d", len(votes), n)
 	}
-	top, err := sp.newTopology(n, t)
+	top, err := sp.newBroadcastTopology(n, t)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,21 +17,23 @@ func TestFlightCoalescesConcurrentCallers(t *testing.T) {
 	g := newFlightGroup()
 	var (
 		invocations atomic.Int64
-		release     = make(chan struct{})
-		ready       sync.WaitGroup
 		done        sync.WaitGroup
 	)
 	results := make([][]byte, callers)
 	shared := make([]bool, callers)
-	ready.Add(callers)
 	done.Add(callers)
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer done.Done()
-			ready.Done()
 			val, wasShared, err := g.Do("key", func() ([]byte, error) {
 				invocations.Add(1)
-				<-release // park the leader until every caller has arrived
+				// Park the leader until every other caller is counted as
+				// coalesced, which Do does only once it holds this flight:
+				// a caller that has merely been started could still arrive
+				// after the flight is over and lead a second one.
+				for g.Coalesced() < callers-1 {
+					runtime.Gosched()
+				}
 				return []byte("result"), nil
 			})
 			if err != nil {
@@ -39,8 +42,6 @@ func TestFlightCoalescesConcurrentCallers(t *testing.T) {
 			results[i], shared[i] = val, wasShared
 		}(i)
 	}
-	ready.Wait()
-	close(release)
 	done.Wait()
 
 	if n := invocations.Load(); n != 1 {

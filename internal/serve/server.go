@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -104,14 +105,28 @@ type RunResponse struct {
 // the daemon and linearsim -json so scripted consumers see a single
 // format.
 func EncodeRunResponse(key string, rep *scenario.Report) ([]byte, error) {
-	return json.Marshal(RunResponse{Key: key, Report: rep})
+	return EncodeRunResponseTrace(key, rep, nil)
 }
 
 // EncodeRunResponseTrace is EncodeRunResponse with the optional trace
 // transcript attached; a nil trace encodes identically to
-// EncodeRunResponse.
+// EncodeRunResponse. The bytes are json.Marshal(RunResponse{…})'s (a test
+// holds the two equal) without its pass over a gossip report's views: the
+// envelope is marshaled around a null report, which Report.AppendJSON fills.
 func EncodeRunResponseTrace(key string, rep *scenario.Report, tr *obs.Trace) ([]byte, error) {
-	return json.Marshal(RunResponse{Key: key, Report: rep, Trace: tr})
+	shell, err := json.Marshal(RunResponse{Key: key, Trace: tr})
+	if err != nil {
+		return nil, err
+	}
+	// The key is escaped, so the first bare "report" is the member.
+	at := bytes.Index(shell, []byte(`,"report":null`)) + len(`,"report":`)
+	body, err := rep.AppendJSON(nil)
+	if err != nil {
+		return nil, err
+	}
+	// Sized exactly: the result cache holds these bytes, not body's slack.
+	out := make([]byte, 0, len(shell)-len(`null`)+len(body))
+	return append(append(append(out, shell[:at]...), body...), shell[at+len(`null`):]...), nil
 }
 
 // SweepPoint is one size of a sweep request.

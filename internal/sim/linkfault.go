@@ -151,7 +151,7 @@ func (d *delayRing[T]) take(round int) []T {
 // when the run completes are lost, like messages to crashed nodes.
 // Escape payloads leaving the ring stop pinning the side table (they
 // are delivered, and their entries consumed, this round).
-func (s *state) injectArrivals(r int, count bool) int {
+func (s *state) injectArrivals(r int) int {
 	if s.ring == nil {
 		return 0
 	}
@@ -161,7 +161,7 @@ func (s *state) injectArrivals(r int, count bool) int {
 			s.escLive--
 		}
 	}
-	s.scratch.stage(arrivals, count)
+	s.scratch.stage(arrivals)
 	return len(arrivals)
 }
 
@@ -169,13 +169,13 @@ func (s *state) injectArrivals(r int, count bool) int {
 // the link filter: verdicts stage, discard, or park each envelope,
 // packing the kept ones into wire form. Traffic was already counted —
 // a dropped or delayed message still cost its sender the bandwidth.
-func (s *state) stageFiltered(r int, deliver []Envelope, count bool) error {
+func (s *state) stageFiltered(r int, deliver []Envelope) error {
 	for i := range deliver {
 		v := s.filter.FilterLink(r, deliver[i])
 		switch {
 		case v == Deliver:
 			wm, _ := packEnvelope(&deliver[i], &s.esc, 0)
-			s.scratch.stage1(wm, count)
+			s.scratch.stage1(wm)
 		case v == Drop:
 			// Lost in the network; nothing is packed.
 		case v < Drop:

@@ -278,12 +278,7 @@ func (p *shards) packShard(st *state, w, lo, hi int) {
 			continue
 		}
 		var sb int64
-		for i := range deliver {
-			wm, b := packEnvelope(&deliver[i], esc, table)
-			buf = append(buf, wm)
-			counts[wm.To]++
-			sb += b
-		}
+		buf, sb = packRuns(buf, counts, deliver, esc, table)
 		if st.byz[id] {
 			byzMsgs += int64(len(deliver))
 			byzBits += sb

@@ -42,23 +42,18 @@ func (s *scratch) beginRound() {
 	clear(s.counts)
 }
 
-// stage1 appends one packed message. count is false in the single-port
-// model, where flat feeds port deposits instead of the counting sort.
-func (s *scratch) stage1(wm wireMsg, count bool) {
+// stage1 appends one packed message, counted for its destination.
+func (s *scratch) stage1(wm wireMsg) {
 	s.flat = append(s.flat, wm)
-	if count {
-		s.counts[wm.To]++
-	}
+	s.counts[wm.To]++
 }
 
 // stage appends a batch of already-packed messages (delayed arrivals
 // re-entering from the ring).
-func (s *scratch) stage(ms []wireMsg, count bool) {
+func (s *scratch) stage(ms []wireMsg) {
 	s.flat = append(s.flat, ms...)
-	if count {
-		for i := range ms {
-			s.counts[ms[i].To]++
-		}
+	for i := range ms {
+		s.counts[ms[i].To]++
 	}
 }
 

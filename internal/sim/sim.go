@@ -521,7 +521,7 @@ func (s *state) round(r int) error {
 	// Delayed arrivals scheduled for this round enter the staged
 	// buffer ahead of the round's fresh sends; the stable sender sort
 	// below restores the delivery-order guarantee.
-	arrivals := s.injectArrivals(r, !single)
+	arrivals := s.injectArrivals(r)
 
 	// Send phase. Collect each alive node's outbox, apply the
 	// node-level fault, then pack the surviving envelopes into wire
@@ -549,10 +549,10 @@ func (s *state) round(r int) error {
 			}
 		}
 		if s.filter == nil {
-			s.stagePack(r, id, deliver, !single)
+			s.stagePack(r, id, deliver)
 		} else {
 			s.countEnvelopes(r, id, deliver)
-			if err := s.stageFiltered(r, deliver, !single); err != nil {
+			if err := s.stageFiltered(r, deliver); err != nil {
 				return err
 			}
 		}
@@ -563,6 +563,10 @@ func (s *state) round(r int) error {
 		if single {
 			s.releaseDeadPorts(id)
 		}
+	}
+	if msgs := s.metrics.PerRoundMessages[r]; s.label != "" && msgs > 0 {
+		// Once a round, not once a sender: the map assign showed.
+		s.metrics.PerPart[s.label] += msgs
 	}
 
 	if single {
@@ -687,26 +691,20 @@ func (s *state) tally(r int, from NodeID, msgs, bits int64) {
 	s.metrics.Messages += msgs
 	s.metrics.Bits += bits
 	s.metrics.PerRoundMessages[r] += msgs
-	if s.label != "" {
-		s.metrics.PerPart[s.label] += msgs
-	}
 }
 
 // stagePack is the filter-free hot path: one pass over a sender's
-// deliverable envelopes packs each into wire form, stages it, and
-// accumulates the bit count — there is no separate sizeBits loop and
-// no per-message interface dispatch downstream of here.
-func (s *state) stagePack(r int, from NodeID, deliver []Envelope, count bool) {
+// deliverable envelopes packs them into wire form (packRuns), stages
+// them, and accumulates the bit count — there is no separate sizeBits
+// loop and no per-message interface dispatch downstream of here. (The
+// single-port model deposits from flat and ignores the counts.)
+func (s *state) stagePack(r int, from NodeID, deliver []Envelope) {
 	if len(deliver) == 0 {
 		return
 	}
 	s.ensureLabel(r)
 	var bits int64
-	for i := range deliver {
-		wm, b := packEnvelope(&deliver[i], &s.esc, 0)
-		s.scratch.stage1(wm, count)
-		bits += b
-	}
+	s.scratch.flat, bits = packRuns(s.scratch.flat, s.scratch.counts, deliver, &s.esc, 0)
 	s.tally(r, from, int64(len(deliver)), bits)
 }
 

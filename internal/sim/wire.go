@@ -1,5 +1,7 @@
 package sim
 
+import "unsafe"
+
 // The packed message plane. The engines' hot buffers — the CSR scratch
 // workspace (scratch.go), the single-port rings (ports.go) and the
 // link-fault delay ring (linkfault.go) — do not carry Envelopes but
@@ -36,6 +38,12 @@ package sim
 // population, and its recycled capacity makes packing allocation-free
 // in steady state. Parallel workers' tables never park across rounds
 // and are simply reset every pack phase.
+//
+// One entry may serve many messages: packRuns packs a multicast once.
+// Shared entries exist only in tables recycled wholesale — the engine's
+// own in a multi-port run without a link filter, the parallel workers'.
+// Where entries are released one by one none is shared: a single-port
+// outbox holds at most one message, and stageFiltered packs per envelope.
 
 // wireMsg is one staged point-to-point message in packed form.
 type wireMsg struct {
@@ -86,6 +94,31 @@ func packEnvelope(env *Envelope, esc *escTable, table uint64) (wireMsg, int64) {
 		wm.word = wireKindEscape | idx<<wireEscIdxShift | table<<wireEscTabShift
 		return wm, int64(p.SizeBits())
 	}
+}
+
+// packRuns appends one sender's deliverable envelopes to buf in wire
+// form, counting them per destination, and returns the grown buffer and
+// the envelopes' total size in bits. A run of consecutive envelopes that
+// carry the same boxed payload — what Outbox.FanOut produces — is packed
+// once: one type switch, one escape entry and one SizeBits call.
+func packRuns(buf []wireMsg, counts []int32, deliver []Envelope, esc *escTable, table uint64) ([]wireMsg, int64) {
+	var bits int64
+	for i := 0; i < len(deliver); {
+		wm, b := packEnvelope(&deliver[i], esc, table)
+		for first := i; i < len(deliver) && sameBox(deliver[i].Payload, deliver[first].Payload); i++ {
+			wm.To = int32(deliver[i].To)
+			buf = append(buf, wm)
+			counts[wm.To]++
+			bits += b
+		}
+	}
+	return buf, bits
+}
+
+// sameBox reports whether two payloads are one boxed value: same type and
+// data words. Never ==, which compares field by field and panics on a slice.
+func sameBox(a, b Payload) bool {
+	return *(*[2]uintptr)(unsafe.Pointer(&a)) == *(*[2]uintptr)(unsafe.Pointer(&b))
 }
 
 // unpackPayload rebuilds the payload of a packed word. Inline kinds

@@ -72,7 +72,7 @@ func New(id int, top *consensus.Topology, input bool) *LinearConsensus {
 	l := &LinearConsensus{id: id, top: top, candidate: input, ringAsked: -1}
 	l.d = top.Little.P.Degree
 	l.gamma = top.Little.P.Gamma
-	l.delta = top.Broadcast.P.Degree
+	l.delta = top.MustBroadcast().P.Degree
 
 	l.mp1 = 5*top.T - 1
 	if l.mp1 < 1 {
@@ -117,7 +117,7 @@ func (l *LinearConsensus) littleNeighbor(slot int) int {
 }
 
 func (l *LinearConsensus) hNeighbor(slot int) int {
-	nbrs := l.top.Broadcast.Neighbors(l.id)
+	nbrs := l.top.MustBroadcast().Neighbors(l.id)
 	if slot < 0 || slot >= len(nbrs) {
 		return -1
 	}

@@ -59,7 +59,7 @@ func NewSPVectorConsensus(id int, top *consensus.Topology, initial *bitset.Set) 
 	}
 	v.d = top.Little.P.Degree
 	v.gamma = top.Little.P.Gamma
-	v.delta = top.Broadcast.P.Degree
+	v.delta = top.MustBroadcast().P.Degree
 
 	v.mp1 = 5*top.T - 1
 	if v.mp1 < 1 {
@@ -118,7 +118,7 @@ func (v *SPVectorConsensus) littleNeighbor(slot int) int {
 }
 
 func (v *SPVectorConsensus) hNeighbor(slot int) int {
-	nbrs := v.top.Broadcast.Neighbors(v.id)
+	nbrs := v.top.MustBroadcast().Neighbors(v.id)
 	if slot < 0 || slot >= len(nbrs) {
 		return -1
 	}
