@@ -32,8 +32,8 @@ func NewDSAll(id int, cfg *Config, signer *auth.Signer, input uint64) *DSAll {
 	return d
 }
 
-// ScheduleLength returns the fixed round count, t + 2.
-func (d *DSAll) ScheduleLength() int { return d.cfg.T + 2 }
+// ScheduleLength returns the fixed round count.
+func (d *DSAll) ScheduleLength() int { return DolevStrongRounds(d.cfg.T) }
 
 // Decision returns the decided value, if any.
 func (d *DSAll) Decision() (uint64, bool) { return d.decision, d.decided }

@@ -47,8 +47,12 @@ func NewDSBroadcast(id, n, t, source int, authority *auth.Authority, signer *aut
 	return d
 }
 
-// ScheduleLength returns the fixed round count, t + 2.
-func (d *DSBroadcast) ScheduleLength() int { return d.t + 2 }
+// DolevStrongRounds returns the fixed round count of a Dolev–Strong
+// broadcast tolerating t faults, t + 2.
+func DolevStrongRounds(t int) int { return t + 2 }
+
+// ScheduleLength returns the fixed round count.
+func (d *DSBroadcast) ScheduleLength() int { return DolevStrongRounds(d.t) }
 
 // Output returns the broadcast result: (value, true, done) when one
 // value was accepted, (0, false, done) for the null outcome.

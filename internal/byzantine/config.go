@@ -9,9 +9,9 @@ package byzantine
 
 import (
 	"fmt"
-	"math"
 
 	"lineartime/internal/auth"
+	"lineartime/internal/consensus"
 	"lineartime/internal/expander"
 )
 
@@ -19,7 +19,7 @@ import (
 // AB-Consensus system: identities, overlays and schedule.
 type Config struct {
 	N, T int
-	// L is the number of little nodes: min(5t, n), at least 5.
+	// L is the number of little nodes (consensus.LittleCount).
 	L int
 	// Authority is the PKI simulation.
 	Authority *auth.Authority
@@ -31,13 +31,30 @@ type Config struct {
 	// L = 5t), at least 1.
 	Endorsements int
 
-	// Schedule boundaries (rounds).
+	plan
+}
+
+// plan is AB-Consensus's schedule: the round at which each part ends.
+type plan struct {
 	dsRounds   int // Part 1a: parallel Dolev–Strong, t+2 rounds
 	endorseEnd int // Part 1b: one endorsement round
 	relatedEnd int // Part 2: one related-notification round
-	part3End   int // Part 3: slow propagation over H
+	part3End   int // Part 3: slow propagation over H, as long as SCV's Part 1
 	part4End   int // Part 4: inquiry + response
 }
+
+func planFor(n, t int) plan {
+	p := plan{dsRounds: DolevStrongRounds(t)}
+	p.endorseEnd = p.dsRounds + 1
+	p.relatedEnd = p.endorseEnd + 1
+	p.part3End = p.relatedEnd + consensus.SCVBroadcastRounds(n, t)
+	p.part4End = p.part3End + 2
+	return p
+}
+
+// Rounds returns the fixed round count of AB-Consensus for n nodes and
+// t faults, without building anything.
+func Rounds(n, t int) int { return planFor(n, t).part4End }
 
 // NewConfig builds the system configuration for n nodes, at most t
 // authenticated-Byzantine faults, t < n/2.
@@ -55,55 +72,20 @@ func NewConfigMode(n, t int, seed uint64, mode expander.Mode) (*Config, error) {
 	if t < 0 || 2*t >= n {
 		return nil, fmt.Errorf("byzantine: need t < n/2, got t=%d n=%d", t, n)
 	}
-	l := 5 * t
-	if l < 5 {
-		l = 5
-	}
-	if l > n {
-		l = n
-	}
-	endorse := l - t
-	if endorse < 1 {
-		endorse = 1
-	}
+	l := consensus.LittleCount(n, t)
 	h, err := expander.NewBroadcastGraphMode(n, seed+21, mode)
 	if err != nil {
 		return nil, err
 	}
-	c := &Config{
+	return &Config{
 		N:            n,
 		T:            t,
 		L:            l,
 		Authority:    auth.NewAuthority(n, seed),
 		Broadcast:    h,
-		Endorsements: endorse,
-	}
-	c.dsRounds = t + 2
-	c.endorseEnd = c.dsRounds + 1
-	c.relatedEnd = c.endorseEnd + 1
-	c.part3End = c.relatedEnd + c.part3Rounds()
-	c.part4End = c.part3End + 2
-	return c, nil
-}
-
-// part3Rounds mirrors Spread-Common-Value Part 1:
-// ⌈log_{3/2}((2n/5)/max{t, n/t})⌉ rounds, floored at ⌈lg n⌉ so the
-// scaled-degree H is always covered.
-func (c *Config) part3Rounds() int {
-	t := c.T
-	if t < 1 {
-		t = 1
-	}
-	denom := math.Max(float64(t), float64(c.N)/float64(t))
-	k := int(math.Ceil(math.Log(2*float64(c.N)/5/denom) / math.Log(1.5)))
-	if k < 0 {
-		k = 0
-	}
-	rounds := 1 + k
-	if min := expander.CeilLog2(c.N); rounds < min {
-		rounds = min
-	}
-	return rounds
+		Endorsements: max(l-t, 1),
+		plan:         planFor(n, t),
+	}, nil
 }
 
 // ScheduleLength returns the fixed number of rounds of AB-Consensus.

@@ -33,8 +33,11 @@ func NewDirect(id, n, t int) *Direct {
 	return &Direct{id: id, n: n, t: t, view: v}
 }
 
-// ScheduleLength returns the fixed round count, t + 2.
-func (d *Direct) ScheduleLength() int { return d.t + 2 }
+// DirectRounds returns the direct comparator's fixed round count, t + 2.
+func DirectRounds(t int) int { return t + 2 }
+
+// ScheduleLength returns the fixed round count.
+func (d *Direct) ScheduleLength() int { return DirectRounds(d.t) }
 
 // Decision returns the decided extant set, if any.
 func (d *Direct) Decision() (*bitset.Set, bool) {

@@ -24,30 +24,22 @@ type Checkpointing struct {
 	id  int
 	top *consensus.Topology
 
-	gossip    *gossip.Gossip
-	vector    *consensus.VectorFewCrashes
-	labeler   *consensus.VectorFewCrashes // schedule-only twin for PartAt
-	gossipEnd int
-	length    int
-	halted    bool
+	gossip *gossip.Gossip
+	vector *consensus.VectorFewCrashes
+	halted bool
 }
 
 // New creates the checkpointing machine for node id.
 func New(id int, top *consensus.Topology) *Checkpointing {
-	g := gossip.New(id, top, gossip.Rumor(1)) // dummy rumor (§6 Part 1)
-	labeler := consensus.NewVectorFewCrashes(id, top, bitset.New(top.N))
 	return &Checkpointing{
-		id:        id,
-		top:       top,
-		gossip:    g,
-		labeler:   labeler,
-		gossipEnd: g.ScheduleLength(),
-		length:    g.ScheduleLength() + labeler.ScheduleLength(),
+		id:     id,
+		top:    top,
+		gossip: gossip.New(id, top, gossip.Rumor(1)), // dummy rumor (§6 Part 1)
 	}
 }
 
 // ScheduleLength returns the protocol's fixed round count.
-func (c *Checkpointing) ScheduleLength() int { return c.length }
+func (c *Checkpointing) ScheduleLength() int { return c.top.Schedule.Checkpoint }
 
 // Decision returns the decided extant set of node names, if any.
 func (c *Checkpointing) Decision() (*bitset.Set, bool) {
@@ -69,22 +61,24 @@ func (c *Checkpointing) handoff() {
 
 // Send implements sim.Protocol.
 func (c *Checkpointing) Send(round int) []sim.Envelope {
-	if round < c.gossipEnd {
+	s := &c.top.Schedule
+	if round < s.Gossip {
 		return c.gossip.Send(round)
 	}
 	c.handoff()
-	return c.vector.Send(round - c.gossipEnd)
+	return c.vector.Send(round - s.Gossip)
 }
 
 // Deliver implements sim.Protocol.
 func (c *Checkpointing) Deliver(round int, inbox []sim.Envelope) {
-	if round < c.gossipEnd {
+	s := &c.top.Schedule
+	if round < s.Gossip {
 		c.gossip.Deliver(round, inbox)
 		return
 	}
 	c.handoff()
-	c.vector.Deliver(round-c.gossipEnd, inbox)
-	if round == c.length-1 {
+	c.vector.Deliver(round-s.Gossip, inbox)
+	if round == s.Checkpoint-1 {
 		c.halted = true
 	}
 }
@@ -95,12 +89,5 @@ func (c *Checkpointing) Halted() bool { return c.halted }
 var _ sim.Protocol = (*Checkpointing)(nil)
 
 // PartAt maps a round to its checkpointing stage and sub-part, for the
-// engine's per-part message attribution. It is pure (engines may call
-// it from the coordinating goroutine): the schedule-only twin answers
-// for the consensus stage.
-func (c *Checkpointing) PartAt(round int) string {
-	if round < c.gossipEnd {
-		return "gossip/" + c.gossip.PartAt(round)
-	}
-	return "consensus/" + c.labeler.PartAt(round-c.gossipEnd)
-}
+// engine's per-part message attribution.
+func (c *Checkpointing) PartAt(round int) string { return c.top.Schedule.CheckpointPart(round) }

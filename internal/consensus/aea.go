@@ -35,7 +35,7 @@ type AEA struct {
 	standalone bool
 	halted     bool
 
-	base, p1End, p2End, p3End int
+	base int // AEA's first round
 }
 
 // NewAEA creates the AEA machine for node id with the given binary
@@ -48,19 +48,6 @@ func NewAEA(id int, top *Topology, input bool, base int, standalone bool) *AEA {
 		standalone: standalone,
 		base:       base,
 	}
-	part1 := 5*top.T - 1
-	if part1 < 1 {
-		part1 = 1
-	}
-	// Scaled-degree overlays can have diameter above 5t−1 on tiny
-	// instances; flooding must cover the little graph, so never go
-	// below γ (≥ 2 + lg L ≥ diameter of a verified expander).
-	if g := top.Little.P.Gamma; part1 < g {
-		part1 = g
-	}
-	a.p1End = base + part1
-	a.p2End = a.p1End + top.Little.P.Gamma
-	a.p3End = a.p2End + 1
 	if top.IsLittle(id) {
 		a.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
 	}
@@ -68,36 +55,36 @@ func NewAEA(id int, top *Topology, input bool, base int, standalone bool) *AEA {
 }
 
 // ScheduleLength returns the number of rounds AEA occupies.
-func (a *AEA) ScheduleLength() int { return a.p3End - a.base }
+func (a *AEA) ScheduleLength() int { return a.top.Schedule.AEA }
 
 // End returns the first round after AEA's schedule.
-func (a *AEA) End() int { return a.p3End }
+func (a *AEA) End() int { return a.base + a.top.Schedule.AEA }
 
 // Decided returns the decision, if one was reached.
 func (a *AEA) Decided() (value, ok bool) { return a.decision, a.decided }
 
 // Send implements sim.Protocol.
 func (a *AEA) Send(round int) []sim.Envelope {
+	s, r := &a.top.Schedule, round-a.base
 	switch {
-	case round < a.base:
+	case r < 0:
 		return nil
-	case round < a.p1End:
-		return a.sendPart1(round)
-	case round < a.p2End:
+	case r < s.AEAFlood:
+		return a.sendPart1(r)
+	case r < s.AEAProbe:
 		return a.sendPart2()
-	case round < a.p3End:
+	case r < s.AEA:
 		return a.sendPart3()
 	default:
 		return nil
 	}
 }
 
-func (a *AEA) sendPart1(round int) []sim.Envelope {
+func (a *AEA) sendPart1(r int) []sim.Envelope {
 	if !a.top.IsLittle(a.id) {
 		return nil // non-little nodes stay idle through Part 1
 	}
-	first := round == a.base
-	if (first && a.candidate && !a.flooded) || a.pending {
+	if (r == 0 && a.candidate && !a.flooded) || a.pending {
 		a.flooded = true
 		a.pending = false
 		return a.out.FanOut(a.id, a.top.Little.Neighbors(a.id), sim.Bit(true))
@@ -121,29 +108,30 @@ func (a *AEA) sendPart3() []sim.Envelope {
 
 // Deliver implements sim.Protocol.
 func (a *AEA) Deliver(round int, inbox []sim.Envelope) {
+	s, r := &a.top.Schedule, round-a.base
 	switch {
-	case round < a.base:
+	case r < 0:
 		return
-	case round < a.p1End:
-		a.deliverPart1(round, inbox)
-	case round < a.p2End:
+	case r < s.AEAFlood:
+		a.deliverPart1(r, inbox)
+	case r < s.AEAProbe:
 		a.deliverPart2(inbox)
-	case round < a.p3End:
+	case r < s.AEA:
 		a.deliverPart3(inbox)
 	}
-	if a.standalone && round == a.p3End-1 {
+	if a.standalone && r == s.AEA-1 {
 		a.halted = true
 	}
 }
 
-func (a *AEA) deliverPart1(round int, inbox []sim.Envelope) {
+func (a *AEA) deliverPart1(r int, inbox []sim.Envelope) {
 	if !a.top.IsLittle(a.id) || a.candidate {
 		return
 	}
 	for _, env := range inbox {
 		if b, ok := env.Payload.(sim.Bit); ok && bool(b) {
 			a.candidate = true
-			if !a.flooded && round+1 < a.p1End {
+			if !a.flooded && r+1 < a.top.Schedule.AEAFlood {
 				a.pending = true
 			}
 			return
@@ -200,26 +188,30 @@ func (a *AEA) Halted() bool { return a.halted }
 // if it has a decision to announce; once its flood is out, the rest of
 // Part 1's 5t−1 rounds is silence unless a rumor arrives.
 func (a *AEA) QuietUntil(round int) int {
-	end := a.p3End
+	s := &a.top.Schedule
+	end := a.End()
 	if a.standalone {
 		end-- // the last round's Deliver halts
 	}
 	round = max(round, a.base)
-	switch {
+	switch r := round - a.base; {
 	case round >= end:
 		return round
 	case !a.top.IsLittle(a.id):
 		return end
-	case round < a.p1End:
-		if a.pending || (round == a.base && a.candidate && !a.flooded) {
+	case r < s.AEAFlood:
+		if a.pending || (r == 0 && a.candidate && !a.flooded) {
 			return round
 		}
-		return a.p1End
-	case round < a.p2End || a.decided:
+		return a.base + s.AEAFlood
+	case r < s.AEAProbe || a.decided:
 		return round
 	default:
 		return end
 	}
 }
+
+// PartAt labels a round with its AEA part.
+func (a *AEA) PartAt(round int) string { return a.top.Schedule.AEAPart(round - a.base) }
 
 var _ sim.Sleeper = (*AEA)(nil)

@@ -32,8 +32,12 @@ func NewFlooding(id, n, t int, input bool) *Flooding {
 	return &Flooding{id: id, n: n, t: t, candidate: input, pending: input}
 }
 
-// ScheduleLength returns the protocol's fixed round count, t + 2.
-func (f *Flooding) ScheduleLength() int { return f.t + 2 }
+// FloodingRounds returns the flooding comparator's fixed round count,
+// t + 2.
+func FloodingRounds(t int) int { return t + 2 }
+
+// ScheduleLength returns the protocol's fixed round count.
+func (f *Flooding) ScheduleLength() int { return FloodingRounds(f.t) }
 
 // Decision returns the decision, if reached.
 func (f *Flooding) Decision() (value, ok bool) { return f.decision, f.decided }

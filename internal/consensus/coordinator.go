@@ -30,13 +30,12 @@ func NewRotatingCoordinator(id, n, t int, input bool) *RotatingCoordinator {
 	return &RotatingCoordinator{id: id, n: n, t: t, candidate: input}
 }
 
-// ScheduleLength returns the fixed round count, t + 1.
-func (r *RotatingCoordinator) ScheduleLength() int {
-	if r.t+1 > r.n {
-		return r.n
-	}
-	return r.t + 1
-}
+// CoordinatorRounds returns the rotating coordinator's fixed round
+// count: t + 1 phases, but no more than n coordinators.
+func CoordinatorRounds(n, t int) int { return min(t+1, n) }
+
+// ScheduleLength returns the fixed round count.
+func (r *RotatingCoordinator) ScheduleLength() int { return CoordinatorRounds(r.n, r.t) }
 
 // Decision returns the decision, if reached.
 func (r *RotatingCoordinator) Decision() (value, ok bool) { return r.decision, r.decided }

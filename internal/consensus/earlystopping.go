@@ -35,8 +35,12 @@ func NewEarlyStopping(id, n, t int, input bool) *EarlyStopping {
 	return &EarlyStopping{id: id, n: n, t: t, candidate: input, decidedAt: -1}
 }
 
-// MaxRounds returns the worst-case schedule bound, t + 3.
-func (e *EarlyStopping) MaxRounds() int { return e.t + 3 }
+// EarlyStoppingRounds returns the early-stopping comparator's
+// worst-case round bound, t + 3.
+func EarlyStoppingRounds(t int) int { return t + 3 }
+
+// MaxRounds returns the worst-case schedule bound.
+func (e *EarlyStopping) MaxRounds() int { return EarlyStoppingRounds(e.t) }
 
 // Decision returns the decision, if reached.
 func (e *EarlyStopping) Decision() (value, ok bool) { return e.decision, e.decided }

@@ -18,18 +18,17 @@ type FewCrashes struct {
 
 	handoff bool // AEA decision transferred into SCV
 	halted  bool
-	end     int
 }
 
 // NewFewCrashes creates the machine for node id with the given input.
 func NewFewCrashes(id int, top *Topology, input bool) *FewCrashes {
 	aea := NewAEA(id, top, input, 0, false)
 	scv := NewSCV(id, top, false, false, aea.End(), false)
-	return &FewCrashes{id: id, top: top, aea: aea, scv: scv, end: scv.End()}
+	return &FewCrashes{id: id, top: top, aea: aea, scv: scv}
 }
 
 // ScheduleLength returns the total number of rounds of the protocol.
-func (f *FewCrashes) ScheduleLength() int { return f.end }
+func (f *FewCrashes) ScheduleLength() int { return f.top.Schedule.Few }
 
 // Decision returns the consensus decision, if reached.
 func (f *FewCrashes) Decision() (value, ok bool) {
@@ -55,7 +54,7 @@ func (f *FewCrashes) Deliver(round int, inbox []sim.Envelope) {
 	} else {
 		f.scv.Deliver(round, inbox)
 	}
-	if round == f.end-1 {
+	if round == f.top.Schedule.Few-1 {
 		f.halted = true
 	}
 }
@@ -86,8 +85,11 @@ func (f *FewCrashes) QuietUntil(round int) int {
 	if !f.handoff {
 		return round
 	}
-	return min(f.scv.QuietUntil(round), f.end-1)
+	return min(f.scv.QuietUntil(round), f.top.Schedule.Few-1)
 }
+
+// PartAt labels a round with its Few-Crashes-Consensus part.
+func (f *FewCrashes) PartAt(round int) string { return f.top.Schedule.FewPart(round) }
 
 // outboxCaps returns the envelopes node id's AEA and SCV machines send
 // in their widest regular round: a little node floods and probes its

@@ -17,6 +17,8 @@ type ManyTopology struct {
 	Alpha   float64
 	Overlay *expander.Overlay
 	Inquiry *expander.InquiryFamily
+	// Schedule is the round plan; Many-Crashes reads its Many* fields.
+	Schedule Schedule
 }
 
 // NewManyTopology constructs the shared overlays for any 0 ≤ t < n.
@@ -43,27 +45,13 @@ func NewManyTopology(n, t int, opts TopologyOptions) (*ManyTopology, error) {
 		return nil, fmt.Errorf("many-crashes overlay: %w", err)
 	}
 	return &ManyTopology{
-		N:       n,
-		T:       t,
-		Alpha:   alpha,
-		Overlay: overlay,
-		Inquiry: expander.NewInquiryFamily(n, 8, opts.Seed+13).WithMode(opts.Mode),
+		N:        n,
+		T:        t,
+		Alpha:    alpha,
+		Overlay:  overlay,
+		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+13).WithMode(opts.Mode),
+		Schedule: NewSchedule(n, t, opts.Degree),
 	}, nil
-}
-
-// inquiryPhases returns 1 + ⌈lg((1+3α)n/4)⌉ (Figure 4 Part 3), but at
-// least the number of phases after which the inquiry degree saturates
-// at n−1, so the final phases always reach every potential responder.
-func (mt *ManyTopology) inquiryPhases() int {
-	m := int((1 + 3*mt.Alpha) * float64(mt.N) / 4)
-	if m < 1 {
-		m = 1
-	}
-	p := 1 + expander.CeilLog2(m)
-	if sat := mt.Inquiry.MaxPhases(); p < sat {
-		p = sat
-	}
-	return p
 }
 
 // ManyCrashes is algorithm Many-Crashes-Consensus (Figure 4):
@@ -99,8 +87,7 @@ type ManyCrashes struct {
 
 	inquirers []int
 
-	fallback            bool
-	p1End, p2End, p3End int
+	fallback bool
 }
 
 // NewManyCrashes creates the machine for node id with the given input.
@@ -111,14 +98,7 @@ func NewManyCrashes(id int, top *ManyTopology, input bool) *ManyCrashes {
 		candidate: input,
 		fallback:  true,
 	}
-	m.p1End = top.N - 1
-	if m.p1End < 1 {
-		m.p1End = 1
-	}
-	gamma := top.Overlay.P.Gamma // 2 + ⌈lg n⌉
-	m.p2End = m.p1End + gamma
-	m.p3End = m.p2End + 2*top.inquiryPhases()
-	m.probing = probe.New(top.Overlay.Neighbors(id), gamma, top.Overlay.P.Delta)
+	m.probing = probe.New(top.Overlay.Neighbors(id), top.Overlay.P.Gamma, top.Overlay.P.Delta)
 	return m
 }
 
@@ -126,15 +106,16 @@ func NewManyCrashes(id int, top *ManyTopology, input bool) *ManyCrashes {
 func (m *ManyCrashes) SetDecideFallback(on bool) { m.fallback = on }
 
 // ScheduleLength returns the protocol's fixed round count.
-func (m *ManyCrashes) ScheduleLength() int { return m.p3End }
+func (m *ManyCrashes) ScheduleLength() int { return m.top.Schedule.Many }
 
 // Decision returns the consensus decision, if reached.
 func (m *ManyCrashes) Decision() (value, ok bool) { return m.decision, m.decided }
 
 // Send implements sim.Protocol.
 func (m *ManyCrashes) Send(round int) []sim.Envelope {
+	s := &m.top.Schedule
 	switch {
-	case round < m.p1End:
+	case round < s.ManyFlood:
 		first := round == 0
 		if (first && m.candidate && !m.flooded) || m.pending {
 			m.flooded = true
@@ -147,15 +128,15 @@ func (m *ManyCrashes) Send(round int) []sim.Envelope {
 			return out
 		}
 		return nil
-	case round < m.p2End:
+	case round < s.ManyProbe:
 		targets := m.probing.SendTargets()
 		out := make([]sim.Envelope, 0, len(targets))
 		for _, to := range targets {
 			out = append(out, sim.Envelope{From: m.id, To: to, Payload: sim.Probe{Rumor: sim.Bit(m.candidate)}})
 		}
 		return out
-	case round < m.p3End:
-		off := round - m.p2End
+	case round < s.Many:
+		off := round - s.ManyProbe
 		if off%2 == 0 { // inquiry round
 			m.inquirers = m.inquirers[:0]
 			if m.decided {
@@ -187,20 +168,21 @@ func (m *ManyCrashes) Send(round int) []sim.Envelope {
 
 // Deliver implements sim.Protocol.
 func (m *ManyCrashes) Deliver(round int, inbox []sim.Envelope) {
+	s := &m.top.Schedule
 	switch {
-	case round < m.p1End:
+	case round < s.ManyFlood:
 		if !m.candidate {
 			for _, env := range inbox {
 				if b, ok := env.Payload.(sim.Bit); ok && bool(b) {
 					m.candidate = true
-					if !m.flooded && round+1 < m.p1End {
+					if !m.flooded && round+1 < s.ManyFlood {
 						m.pending = true
 					}
 					break
 				}
 			}
 		}
-	case round < m.p2End:
+	case round < s.ManyProbe:
 		count := 0
 		for _, env := range inbox {
 			p, ok := env.Payload.(sim.Probe)
@@ -217,8 +199,8 @@ func (m *ManyCrashes) Deliver(round int, inbox []sim.Envelope) {
 			m.decided = true
 			m.decision = m.candidate
 		}
-	case round < m.p3End:
-		off := round - m.p2End
+	case round < s.Many:
+		off := round - s.ManyProbe
 		if off%2 == 0 {
 			if m.decided {
 				for _, env := range inbox {
@@ -237,7 +219,7 @@ func (m *ManyCrashes) Deliver(round int, inbox []sim.Envelope) {
 			}
 		}
 	}
-	if round == m.p3End-1 {
+	if round == s.Many-1 {
 		if !m.decided && m.fallback {
 			m.decided = true
 			m.decision = m.candidate
@@ -248,5 +230,8 @@ func (m *ManyCrashes) Deliver(round int, inbox []sim.Envelope) {
 
 // Halted implements sim.Protocol.
 func (m *ManyCrashes) Halted() bool { return m.halted }
+
+// PartAt labels a round with its Many-Crashes-Consensus part.
+func (m *ManyCrashes) PartAt(round int) string { return m.top.Schedule.ManyPart(round) }
 
 var _ sim.Protocol = (*ManyCrashes)(nil)

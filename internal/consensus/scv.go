@@ -30,15 +30,14 @@ type SCV struct {
 	standalone bool
 	halted     bool
 
-	base, p1End, p2End int
-	phases             int // G_i phases before the fallback phase
+	base int // SCV's first round
 }
 
 // NewSCV creates the SCV machine for node id starting at round base.
 // hasValue/value carry the node's initialization (the paper's
 // dedicated variable: common value or null).
 func NewSCV(id int, top *Topology, hasValue, value bool, base int, standalone bool) *SCV {
-	s := &SCV{
+	return &SCV{
 		id:         id,
 		top:        top,
 		decided:    hasValue,
@@ -47,24 +46,21 @@ func NewSCV(id int, top *Topology, hasValue, value bool, base int, standalone bo
 		standalone: standalone,
 		base:       base,
 	}
-	s.phases = top.scvInquiryPhases()
-	s.p1End = base + top.scvPart1Rounds()
-	s.p2End = s.p1End + 2*(s.phases+1) // +1: little-node fallback phase
-	return s
 }
 
 // ScheduleLength returns the number of rounds SCV occupies.
-func (s *SCV) ScheduleLength() int { return s.p2End - s.base }
+func (s *SCV) ScheduleLength() int { return s.top.Schedule.SCV }
 
 // End returns the first round after SCV's schedule.
-func (s *SCV) End() int { return s.p2End }
+func (s *SCV) End() int { return s.base + s.top.Schedule.SCV }
 
 // Decided returns the adopted common value, if any.
 func (s *SCV) Decided() (value, ok bool) { return s.value, s.decided }
 
-// phaseAt maps a round in Part 2 to (phase index 0..phases, first/second round).
-func (s *SCV) phaseAt(round int) (phase int, first bool) {
-	off := round - s.p1End
+// phaseAt maps a relative round r in Part 2 to (phase index
+// 0..SCVPhases, first/second round).
+func (s *SCV) phaseAt(r int) (phase int, first bool) {
+	off := r - s.top.Schedule.SCVBroadcast
 	return off / 2, off%2 == 0
 }
 
@@ -72,7 +68,7 @@ func (s *SCV) phaseAt(round int) (phase int, first bool) {
 // phase: to its G_{phase+1} neighbors in the growing-graph phases, to
 // every little node in the final fallback phase.
 func (s *SCV) sendInquiries(phase int) []sim.Envelope {
-	if phase >= s.phases { // fallback
+	if phase >= s.top.Schedule.SCVPhases { // fallback
 		s.out.Reset(s.top.L)
 		for to := 0; to < s.top.L; to++ {
 			if to != s.id {
@@ -92,17 +88,18 @@ func (s *SCV) sendInquiries(phase int) []sim.Envelope {
 
 // Send implements sim.Protocol.
 func (s *SCV) Send(round int) []sim.Envelope {
+	sc, r := &s.top.Schedule, round-s.base
 	switch {
-	case round < s.base:
+	case r < 0:
 		return nil
-	case round < s.p1End:
+	case r < sc.SCVBroadcast:
 		if !s.adopted {
 			return nil
 		}
 		s.adopted = false
 		return s.out.FanOut(s.id, s.top.MustBroadcast().Neighbors(s.id), sim.Bit(s.value))
-	case round < s.p2End:
-		phase, first := s.phaseAt(round)
+	case r < sc.SCV:
+		phase, first := s.phaseAt(r)
 		if first {
 			s.inquirers = s.inquirers[:0]
 			if s.decided {
@@ -121,24 +118,25 @@ func (s *SCV) Send(round int) []sim.Envelope {
 
 // Deliver implements sim.Protocol.
 func (s *SCV) Deliver(round int, inbox []sim.Envelope) {
+	sc, r := &s.top.Schedule, round-s.base
 	switch {
-	case round < s.base:
+	case r < 0:
 		return
-	case round < s.p1End:
+	case r < sc.SCVBroadcast:
 		if !s.decided {
 			for _, env := range inbox {
 				if b, ok := env.Payload.(sim.Bit); ok {
 					s.decided = true
 					s.value = bool(b)
-					if round+1 < s.p1End {
+					if r+1 < sc.SCVBroadcast {
 						s.adopted = true
 					}
 					break
 				}
 			}
 		}
-	case round < s.p2End:
-		_, first := s.phaseAt(round)
+	case r < sc.SCV:
+		_, first := s.phaseAt(r)
 		if first {
 			if s.decided {
 				for _, env := range inbox {
@@ -157,7 +155,7 @@ func (s *SCV) Deliver(round int, inbox []sim.Envelope) {
 			}
 		}
 	}
-	if s.standalone && round == s.p2End-1 {
+	if s.standalone && r == sc.SCV-1 {
 		s.halted = true
 	}
 }
@@ -171,24 +169,27 @@ func (s *SCV) Halted() bool { return s.halted }
 // decided node with no inquirers to answer sleeps to the end — stale
 // inquirers keep it awake until the next phase's Send drops them.
 func (s *SCV) QuietUntil(round int) int {
-	end := s.p2End
+	end := s.End()
 	if s.standalone {
 		end-- // the last round's Deliver halts
 	}
 	round = max(round, s.base)
-	switch {
+	switch r := round - s.base; {
 	case round >= end || s.adopted || len(s.inquirers) > 0:
 		return round
 	case s.decided:
 		return end
-	case round < s.p1End:
-		return s.p1End
+	case r < s.top.Schedule.SCVBroadcast:
+		return s.base + s.top.Schedule.SCVBroadcast
 	default:
-		if _, first := s.phaseAt(round); first {
+		if _, first := s.phaseAt(r); first {
 			return round
 		}
 		return min(round+1, end)
 	}
 }
+
+// PartAt labels a round with its SCV part.
+func (s *SCV) PartAt(round int) string { return s.top.Schedule.SCVPart(round - s.base) }
 
 var _ sim.Sleeper = (*SCV)(nil)

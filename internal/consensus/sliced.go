@@ -55,8 +55,8 @@ func NewSlicedFlooding(n, t, lanes int, inputs []bool) *SlicedFlooding {
 // N implements sim.SlicedSystem.
 func (f *SlicedFlooding) N() int { return f.n }
 
-// ScheduleLength returns the protocol's fixed round count, t + 2.
-func (f *SlicedFlooding) ScheduleLength() int { return f.t + 2 }
+// ScheduleLength returns the protocol's fixed round count.
+func (f *SlicedFlooding) ScheduleLength() int { return FloodingRounds(f.t) }
 
 // SlicedSend implements sim.SlicedSystem: the lanes in which the node
 // has a pending un-flooded 1 multicast it to everyone.

@@ -12,7 +12,6 @@ package consensus
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"lineartime/internal/expander"
@@ -22,9 +21,10 @@ import (
 type Topology struct {
 	// N is the number of nodes, T the crash bound.
 	N, T int
-	// L is the number of little nodes: min(5t, n), at least 5 when n
-	// allows (so tiny instances still have a non-degenerate overlay).
+	// L is the number of little nodes (LittleCount).
 	L int
+	// Schedule is the round plan of every algorithm on this topology.
+	Schedule Schedule
 	// Little is the overlay G on the little nodes (vertices are node
 	// names 0..L-1), standing in for the G(5t, 5^8) Ramanujan graph.
 	Little *expander.Overlay
@@ -57,23 +57,18 @@ func NewTopology(n, t int, opts TopologyOptions) (*Topology, error) {
 	if t < 0 || 5*t > n {
 		return nil, fmt.Errorf("consensus: need 5t ≤ n (5t=%d, n=%d)", 5*t, n)
 	}
-	l := 5 * t
-	if l < 5 {
-		l = 5 // degenerate t ∈ {0}: keep a small functional overlay
-	}
-	if l > n {
-		l = n
-	}
+	l := LittleCount(n, t)
 	little, err := expander.New(l, expander.Options{Degree: opts.Degree, Seed: opts.Seed + 1, Family: opts.Mode.Family, Implicit: opts.Mode.Implicit})
 	if err != nil {
 		return nil, fmt.Errorf("little overlay: %w", err)
 	}
 	return &Topology{
-		N:       n,
-		T:       t,
-		L:       l,
-		Little:  little,
-		Inquiry: expander.NewInquiryFamily(n, 8, opts.Seed+3).WithMode(opts.Mode),
+		N:        n,
+		T:        t,
+		L:        l,
+		Schedule: NewSchedule(n, t, opts.Degree),
+		Little:   little,
+		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+3).WithMode(opts.Mode),
 		broadcast: sync.OnceValues(func() (*expander.Overlay, error) {
 			return newBroadcastGraph(n, opts.Seed+2, opts.Mode)
 		}),
@@ -113,32 +108,3 @@ func (tp *Topology) RelatedOf(i int) []int {
 
 // LittleOf returns the little node related to a non-little node j.
 func (tp *Topology) LittleOf(j int) int { return j % tp.L }
-
-// scvPart1Rounds returns the Part 1 length of Spread-Common-Value:
-// 1 + ⌈log_{3/2}( (2n/5) / max{t, n/t} )⌉ (§4.2, Figure 2), clamped
-// to at least 1 and extended by the overlay diameter slack that
-// scaled-degree graphs need (the paper's H has ∆ = 64; ours may be
-// smaller on small n, so we never go below ⌈lg n⌉).
-func (tp *Topology) scvPart1Rounds() int {
-	t := tp.T
-	if t < 1 {
-		t = 1
-	}
-	denom := math.Max(float64(t), float64(tp.N)/float64(t))
-	k := math.Ceil(math.Log(2*float64(tp.N)/5/denom) / math.Log(1.5))
-	rounds := 1 + int(k)
-	if min := expander.CeilLog2(tp.N); rounds < min {
-		rounds = min
-	}
-	return rounds
-}
-
-// scvInquiryPhases returns the number of G_i inquiry phases of SCV
-// Part 2 before the little-node fallback phase: 0 when t² ≤ n (the
-// paper's direct branch), otherwise ⌈lg(t+1)⌉.
-func (tp *Topology) scvInquiryPhases() int {
-	if tp.T*tp.T <= tp.N {
-		return 0
-	}
-	return expander.CeilLog2(tp.T + 1)
-}

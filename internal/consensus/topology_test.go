@@ -80,22 +80,15 @@ func TestRelatedPartition(t *testing.T) {
 
 func TestSCVScheduleBranches(t *testing.T) {
 	// t² ≤ n → no G_i phases, only the fallback.
-	small, err := NewTopology(100, 8, TopologyOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := small.scvInquiryPhases(); got != 0 {
+	if got := NewSchedule(100, 8, 0).SCVPhases; got != 0 {
 		t.Fatalf("t²≤n phases = %d, want 0", got)
 	}
 	// t² > n → ⌈lg(t+1)⌉ phases.
-	big, err := NewTopology(600, 120, TopologyOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := big.scvInquiryPhases(); got != 7 { // ceil(lg 121)
+	big := NewSchedule(600, 120, 0)
+	if got := big.SCVPhases; got != 7 { // ceil(lg 121)
 		t.Fatalf("t²>n phases = %d, want 7", got)
 	}
-	if big.scvPart1Rounds() < 1 {
+	if big.SCVBroadcast < 1 {
 		t.Fatal("SCV part 1 empty")
 	}
 }
@@ -114,7 +107,7 @@ func TestNewManyTopologyValidation(t *testing.T) {
 	if mt.Overlay.P.Degree < expander.DefaultDegree {
 		t.Fatalf("degree %d too small for α≈1", mt.Overlay.P.Degree)
 	}
-	if mt.inquiryPhases() < 1 {
+	if mt.Schedule.Many-mt.Schedule.ManyProbe < 2 {
 		t.Fatal("no inquiry phases")
 	}
 }

@@ -53,9 +53,6 @@ type VectorFewCrashes struct {
 
 	inquirers []int
 	halted    bool
-
-	p1End, p2End, p3End, scvP1End, endRound int
-	phases                                  int
 }
 
 // NewVectorFewCrashes creates the machine for node id with the given
@@ -68,19 +65,6 @@ func NewVectorFewCrashes(id int, top *Topology, initial *bitset.Set) *VectorFewC
 		candidate: initial,
 		pending:   true,
 	}
-	part1 := 5*top.T - 1
-	if part1 < 1 {
-		part1 = 1
-	}
-	if g := top.Little.P.Gamma; part1 < g {
-		part1 = g
-	}
-	v.p1End = part1
-	v.p2End = v.p1End + top.Little.P.Gamma
-	v.p3End = v.p2End + 1
-	v.scvP1End = v.p3End + top.scvPart1Rounds()
-	v.phases = top.scvInquiryPhases()
-	v.endRound = v.scvP1End + 2*(v.phases+1)
 	if top.IsLittle(id) {
 		v.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
 	}
@@ -88,7 +72,7 @@ func NewVectorFewCrashes(id int, top *Topology, initial *bitset.Set) *VectorFewC
 }
 
 // ScheduleLength returns the protocol's fixed round count.
-func (v *VectorFewCrashes) ScheduleLength() int { return v.endRound }
+func (v *VectorFewCrashes) ScheduleLength() int { return v.top.Schedule.Few }
 
 // Decision returns the decided membership vector, if any. The returned
 // set is shared; callers must not modify it.
@@ -98,8 +82,9 @@ func (v *VectorFewCrashes) snapshot() *bitset.Set { return v.candidate.Clone() }
 
 // Send implements sim.Protocol.
 func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
+	s := &v.top.Schedule
 	switch {
-	case round < v.p1End: // AEA Part 1: vector flooding on G (little only)
+	case round < s.AEAFlood: // AEA Part 1: vector flooding on G (little only)
 		if !v.top.IsLittle(v.id) || !v.pending {
 			return nil
 		}
@@ -111,7 +96,7 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
 		}
 		return out
-	case round < v.p2End: // AEA Part 2: probing with vectors
+	case round < s.AEAProbe: // AEA Part 2: probing with vectors
 		if v.probing == nil {
 			return nil
 		}
@@ -125,7 +110,7 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
 		}
 		return out
-	case round < v.p3End: // AEA Part 3: notify related nodes
+	case round < s.AEA: // AEA Part 3: notify related nodes
 		if !v.top.IsLittle(v.id) || !v.decided {
 			return nil
 		}
@@ -136,7 +121,7 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
 		}
 		return out
-	case round < v.scvP1End: // SCV Part 1: broadcast over H
+	case round < s.FewBroadcast: // SCV Part 1: broadcast over H
 		if !v.pending || !v.decided {
 			return nil
 		}
@@ -148,8 +133,8 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
 		}
 		return out
-	case round < v.endRound: // SCV Part 2: inquiry phases + fallback
-		off := round - v.scvP1End
+	case round < s.Few: // SCV Part 2: inquiry phases + fallback
+		off := round - s.FewBroadcast
 		phase := off / 2
 		if off%2 == 0 {
 			v.inquirers = v.inquirers[:0]
@@ -178,7 +163,7 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 }
 
 func (v *VectorFewCrashes) inquiryTargets(phase int) []int {
-	if phase >= v.phases {
+	if phase >= v.top.Schedule.SCVPhases {
 		targets := make([]int, 0, v.top.L)
 		for i := 0; i < v.top.L; i++ {
 			if i != v.id {
@@ -203,8 +188,9 @@ func (v *VectorFewCrashes) absorb(s *bitset.Set) bool {
 
 // Deliver implements sim.Protocol.
 func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
+	s := &v.top.Schedule
 	switch {
-	case round < v.p1End:
+	case round < s.AEAFlood:
 		if v.top.IsLittle(v.id) {
 			grew := false
 			for _, env := range inbox {
@@ -212,11 +198,11 @@ func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
 					grew = true
 				}
 			}
-			if grew && round+1 < v.p1End {
+			if grew && round+1 < s.AEAFlood {
 				v.pending = true
 			}
 		}
-	case round < v.p2End:
+	case round < s.AEAProbe:
 		if v.probing == nil {
 			return
 		}
@@ -233,7 +219,7 @@ func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
 			v.decision = v.candidate.Clone()
 			v.pending = true // broadcast in SCV Part 1
 		}
-	case round < v.p3End:
+	case round < s.AEA:
 		if !v.top.IsLittle(v.id) && !v.decided {
 			for _, env := range inbox {
 				if env.From != v.top.LittleOf(v.id) {
@@ -247,21 +233,21 @@ func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
 				}
 			}
 		}
-	case round < v.scvP1End:
+	case round < s.FewBroadcast:
 		if !v.decided {
 			for _, env := range inbox {
 				if p, ok := env.Payload.(VectorPayload); ok {
 					v.decided = true
 					v.decision = p.Set.Clone()
-					if round+1 < v.scvP1End {
+					if round+1 < s.FewBroadcast {
 						v.pending = true
 					}
 					break
 				}
 			}
 		}
-	case round < v.endRound:
-		off := round - v.scvP1End
+	case round < s.Few:
+		off := round - s.FewBroadcast
 		if off%2 == 0 {
 			if v.decided {
 				for _, env := range inbox {
@@ -280,12 +266,15 @@ func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
 			}
 		}
 	}
-	if round == v.endRound-1 {
+	if round == s.Few-1 {
 		v.halted = true
 	}
 }
 
 // Halted implements sim.Protocol.
 func (v *VectorFewCrashes) Halted() bool { return v.halted }
+
+// PartAt labels a round with its part, as FewCrashes does.
+func (v *VectorFewCrashes) PartAt(round int) string { return v.top.Schedule.FewPart(round) }
 
 var _ sim.Protocol = (*VectorFewCrashes)(nil)

@@ -39,9 +39,10 @@ const maxGhosts = 1024
 // on top of its exact graph footprint.
 const entryOverhead = 256
 
-// cacheKey is New's argument tuple with the defaults filled in and, on
-// the complete-graph branch, everything build ignores there dropped, so
-// spellings that construct the same overlay share one entry.
+// cacheKey is New's argument tuple with the defaults filled in, the
+// degree resolved, and, on the complete-graph branch, everything build
+// ignores there dropped, so spellings that construct the same overlay
+// share one entry.
 type cacheKey struct {
 	n, degree, delta, rotations int
 	slack                       float64
@@ -51,13 +52,11 @@ type cacheKey struct {
 }
 
 func keyOf(n int, opts Options) cacheKey {
+	degree, complete := degreeFor(n, opts.Degree)
 	k := cacheKey{
-		n: n, degree: opts.Degree, delta: opts.Delta, rotations: opts.MaxSeedRotations,
+		n: n, degree: degree, delta: opts.Delta, rotations: opts.MaxSeedRotations,
 		slack: opts.Slack, seed: opts.Seed,
 		family: opts.Family, implicit: opts.Implicit, skipVerify: opts.SkipVerify,
-	}
-	if k.degree == 0 {
-		k.degree = DefaultDegree
 	}
 	if k.slack == 0 {
 		k.slack = DefaultSlack
@@ -65,13 +64,13 @@ func keyOf(n int, opts Options) cacheKey {
 	if k.rotations == 0 {
 		k.rotations = defaultSeedRotations
 	}
-	if n <= k.degree+1 {
+	if complete {
 		// build degenerates to K_n, which consumes no seed and is never
 		// verified: the overlay is a function of (n, δ) alone, so every
 		// seed, family and saturated degree shares one. Implicit stays
 		// in the key with its family because build rejects an implicit
 		// non-shift request before it looks at n.
-		k = cacheKey{n: n, degree: n - 1, delta: k.delta}
+		k = cacheKey{n: n, degree: degree, delta: k.delta}
 		if opts.Implicit {
 			k.implicit, k.family = true, opts.Family
 		}

@@ -169,15 +169,38 @@ func New(n int, opts Options) (*Overlay, error) {
 	return overlays.get(n, opts)
 }
 
+// degreeFor resolves the degree New(n, opts) builds with from the
+// requested one: 0 means DefaultDegree; n ≤ d+1 clamps to n−1, the
+// complete graph K_n; otherwise an odd n·d gets one more degree, since
+// a d-regular graph needs n·d even (and one extra degree only helps
+// expansion).
+func degreeFor(n, d int) (degree int, complete bool) {
+	if d == 0 {
+		d = DefaultDegree
+	}
+	if n <= d+1 {
+		return n - 1, true
+	}
+	if n*d%2 != 0 {
+		d++
+	}
+	return d, false
+}
+
+// ParamsOf returns the Params of the overlay New(n, opts) builds,
+// without building it: they depend on n, the degree and δ alone, never
+// on the seed or the construction family.
+func ParamsOf(n int, opts Options) Params {
+	d, _ := degreeFor(n, opts.Degree)
+	return paramsFor(n, d, opts.Delta)
+}
+
 // build constructs and verifies the overlay New(n, opts) names.
 func build(n int, opts Options) (*Overlay, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("expander: overlay needs n > 0, got %d", n)
 	}
-	d := opts.Degree
-	if d == 0 {
-		d = DefaultDegree
-	}
+	d, complete := degreeFor(n, opts.Degree)
 	slack := opts.Slack
 	if slack == 0 {
 		slack = DefaultSlack
@@ -191,13 +214,9 @@ func build(n int, opts Options) (*Overlay, error) {
 		return nil, fmt.Errorf("expander: implicit overlays need the shift family (family %d is not locally computable)", opts.Family)
 	}
 
-	if n <= d+1 {
+	if complete {
 		g := graph.Complete(n)
-		d = n - 1
 		return &Overlay{G: g, NB: g, P: paramsFor(n, d, opts.Delta), Lambda: 1}, nil
-	}
-	if n*d%2 != 0 {
-		d++ // keep n*d even; one extra degree only helps expansion
 	}
 
 	if opts.Family == FamilyShift {

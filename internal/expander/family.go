@@ -19,15 +19,17 @@ func NewBroadcastGraph(n int, seed uint64) (*Overlay, error) {
 // NewBroadcastGraphMode is NewBroadcastGraph with an explicit
 // construction mode (family and implicit/materialized choice).
 func NewBroadcastGraphMode(n int, seed uint64, mode Mode) (*Overlay, error) {
-	d := BroadcastDegree
-	if d >= n {
-		d = n - 1
-	}
-	o, err := New(n, mode.apply(Options{Degree: d, Seed: seed}))
+	o, err := New(n, mode.apply(Options{Degree: BroadcastParams(n).Degree, Seed: seed}))
 	if err != nil {
 		return nil, fmt.Errorf("broadcast graph H: %w", err)
 	}
 	return o, nil
+}
+
+// BroadcastParams returns the Params of the graph H that
+// NewBroadcastGraph(n, ·) builds, without building it.
+func BroadcastParams(n int) Params {
+	return ParamsOf(n, Options{Degree: min(BroadcastDegree, n-1)})
 }
 
 // InquiryFamily is the family of graphs G_1, G_2, ... with degrees
@@ -110,6 +112,12 @@ func (f *InquiryFamily) PhaseDegree(i int) int {
 		d = f.cap
 	}
 	return d
+}
+
+// PhaseParams returns the Params of the phase-i overlay without
+// constructing it.
+func (f *InquiryFamily) PhaseParams(i int) Params {
+	return ParamsOf(f.n, Options{Degree: f.PhaseDegree(i)})
 }
 
 // Phase returns the overlay for phase i (1-based). Degrees grow as

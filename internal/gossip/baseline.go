@@ -26,8 +26,11 @@ func NewAllToAll(id, n int, rumor Rumor) *AllToAll {
 	return &AllToAll{id: id, n: n, extant: e}
 }
 
-// ScheduleLength returns the fixed round count (2: send, settle).
-func (a *AllToAll) ScheduleLength() int { return 2 }
+// AllToAllRounds is the comparator's fixed round count: send, settle.
+const AllToAllRounds = 2
+
+// ScheduleLength returns the fixed round count.
+func (a *AllToAll) ScheduleLength() int { return AllToAllRounds }
 
 // Extant returns the decided extant set.
 func (a *AllToAll) Extant() *ExtantSet { return a.extant }

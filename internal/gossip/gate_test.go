@@ -18,10 +18,10 @@ type ungated struct{ *Gossip }
 
 func (u ungated) Send(round int) []sim.Envelope {
 	g := u.Gossip
-	if round >= g.p2End {
+	if round >= g.top.Schedule.Gossip {
 		return nil
 	}
-	part, phase, off := g.position(round)
+	part, phase, off := g.top.Schedule.GossipAt(round)
 	if off != 0 || !g.top.IsLittle(g.id) || (phase > 0 && !g.survivedPrev) {
 		return g.Send(round)
 	}

@@ -30,12 +30,7 @@ type Gossip struct {
 	probing      *probe.Probing
 	survivedPrev bool  // survived the previous phase's probing
 	inquirers    []int // Part 1 inquiry senders awaiting a response
-
-	phases   int // ⌈lg n⌉ per part
-	phaseLen int // 2 + γ
-	p1End    int
-	p2End    int
-	halted   bool
+	halted       bool
 }
 
 // New creates the gossip machine for node id with the given rumor.
@@ -48,45 +43,19 @@ func New(id int, top *consensus.Topology, rumor Rumor) *Gossip {
 	}
 	g.extant.Update(id, rumor)
 	g.self = PairPayload{Node: id, Value: rumor}
-	gamma := top.Little.P.Gamma
-	g.phases = ceilLog2(top.N)
-	if g.phases < 1 {
-		g.phases = 1
-	}
-	g.phaseLen = 2 + gamma
-	g.p1End = g.phases * g.phaseLen
-	g.p2End = 2 * g.p1End
 	if top.IsLittle(id) {
-		g.probing = probe.New(top.Little.Neighbors(id), gamma, top.Little.P.Delta)
+		g.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
 		g.completion = NewCompletionSet(top.N)
 		g.completion.Add(id)
 	}
 	return g
 }
 
-func ceilLog2(n int) int {
-	k, v := 0, 1
-	for v < n {
-		v <<= 1
-		k++
-	}
-	return k
-}
-
 // ScheduleLength returns the protocol's fixed round count.
-func (g *Gossip) ScheduleLength() int { return g.p2End }
+func (g *Gossip) ScheduleLength() int { return g.top.Schedule.Gossip }
 
 // Extant returns the node's extant set (the decided output).
 func (g *Gossip) Extant() *ExtantSet { return g.extant }
-
-// position decomposes a round into (part, phase, offset-in-phase).
-func (g *Gossip) position(round int) (part, phase, off int) {
-	if round < g.p1End {
-		return 1, round / g.phaseLen, round % g.phaseLen
-	}
-	r := round - g.p1End
-	return 2, r / g.phaseLen, r % g.phaseLen
-}
 
 // overlayFor returns the inquiry overlay of the given 0-based phase.
 func (g *Gossip) overlayFor(phase int) []int {
@@ -99,10 +68,11 @@ func (g *Gossip) overlayFor(phase int) []int {
 
 // Send implements sim.Protocol.
 func (g *Gossip) Send(round int) []sim.Envelope {
-	if round >= g.p2End {
+	s := &g.top.Schedule
+	if round >= s.Gossip {
 		return nil
 	}
-	part, phase, off := g.position(round)
+	part, phase, off := s.GossipAt(round)
 	little := g.top.IsLittle(g.id)
 	switch off {
 	case 0: // inquiry (Part 1) / push (Part 2) round
@@ -152,10 +122,11 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 
 // Deliver implements sim.Protocol.
 func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
-	if round >= g.p2End {
+	s := &g.top.Schedule
+	if round >= s.Gossip {
 		return
 	}
-	part, phase, off := g.position(round)
+	part, phase, off := s.GossipAt(round)
 	switch off {
 	case 0:
 		if part == 1 {
@@ -196,13 +167,13 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 			g.probing.Observe(count)
 			if g.probing.Done() {
 				g.survivedPrev = g.probing.Survived()
-				if phase+1 < g.phases || part == 1 {
+				if phase+1 < s.GossipPhases || part == 1 {
 					g.probing.Reset()
 				}
 			}
 		}
 	}
-	if round == g.p2End-1 {
+	if round == s.Gossip-1 {
 		g.halted = true
 	}
 }
@@ -214,19 +185,4 @@ var _ sim.Protocol = (*Gossip)(nil)
 
 // PartAt maps a round to its gossip part and block, for the engine's
 // per-part message attribution.
-func (g *Gossip) PartAt(round int) string {
-	if round >= g.p2End {
-		return ""
-	}
-	part, _, off := g.position(round)
-	switch {
-	case part == 1 && off <= 1:
-		return "p1/inquiry"
-	case part == 1:
-		return "p1/probing"
-	case off == 0:
-		return "p2/push"
-	default:
-		return "p2/probing"
-	}
-}
+func (g *Gossip) PartAt(round int) string { return g.top.Schedule.GossipPart(round) }

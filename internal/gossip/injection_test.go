@@ -12,18 +12,13 @@ import (
 // probing rounds — exercising the survivedPrev gating and the
 // mid-probing pause machinery at their exact trigger points.
 
-func phaseBoundaries(g *Gossip) (phaseLen, gamma int) {
-	return g.phaseLen, g.phaseLen - 2
-}
-
 func TestGossipCrashAtEveryBlockType(t *testing.T) {
 	n, tt := 60, 12
 	top, err := consensus.NewTopology(n, tt, consensus.TopologyOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := New(0, top, 0)
-	phaseLen, _ := phaseBoundaries(probe)
+	phaseLen := top.Schedule.GossipPhaseLen
 
 	cases := []struct {
 		name  string
@@ -60,8 +55,7 @@ func TestGossipCrashStormInOnePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := New(0, top, 0)
-	phaseLen, gamma := phaseBoundaries(probe)
+	phaseLen, gamma := top.Schedule.GossipPhaseLen, top.Little.P.Gamma
 	start := phaseLen + 2 // phase 1's probing block
 	var events []crash.Event
 	for i := 0; i < tt; i++ {
@@ -86,7 +80,7 @@ func TestGossipPartBoundaryCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundary := New(0, top, 0).p1End
+	boundary := top.Schedule.Gossip / 2
 	events := []crash.Event{
 		{Node: 0, Round: boundary - 1, Keep: 1},
 		{Node: 3, Round: boundary, Keep: 1},

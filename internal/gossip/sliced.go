@@ -46,11 +46,7 @@ type SlicedGossip struct {
 	n, L  int
 	lanes int
 	all   uint64
-
-	phases   int
-	phaseLen int
-	p1End    int
-	p2End    int
+	sched *consensus.Schedule
 
 	delta    int
 	ringSize int // snapshot slots: maxDelay+1
@@ -224,25 +220,17 @@ func NewSlicedGossip(top *consensus.Topology, lanes, maxDelay int) (*SlicedGossi
 		maxDelay = 0
 	}
 	n, L := top.N, top.L
-	gamma := top.Little.P.Gamma
 	g := &SlicedGossip{
 		n:        n,
 		L:        L,
 		lanes:    lanes,
 		all:      bitset.LaneMask(lanes),
+		sched:    &top.Schedule,
 		delta:    top.Little.P.Delta,
 		ringSize: maxDelay + 1,
 	}
-	g.phases = ceilLog2(n)
-	if g.phases < 1 {
-		g.phases = 1
-	}
-	g.phaseLen = 2 + gamma
-	g.p1End = g.phases * g.phaseLen
-	g.p2End = 2 * g.p1End
-
-	g.inqNbrs = make([][][]int, g.phases)
-	for ph := 0; ph < g.phases; ph++ {
+	g.inqNbrs = make([][][]int, g.sched.GossipPhases)
+	for ph := range g.inqNbrs {
 		o, err := top.Inquiry.Phase(ph + 1)
 		if err != nil {
 			return nil, fmt.Errorf("gossip: inquiry overlay %d: %w", ph+1, err)
@@ -297,7 +285,7 @@ func (g *SlicedGossip) N() int { return g.n }
 func (g *SlicedGossip) Lanes() int { return g.lanes }
 
 // ScheduleLength returns the protocol's fixed round count.
-func (g *SlicedGossip) ScheduleLength() int { return g.p2End }
+func (g *SlicedGossip) ScheduleLength() int { return g.sched.Gossip }
 
 // LaneViews is every node's extant membership, per lane, as packed
 // words — the per-lane decided output, which the batch runner
@@ -338,35 +326,6 @@ func (g *SlicedGossip) LaneViews() *LaneViews {
 	return v
 }
 
-// position decomposes a round into (part, phase, offset-in-phase),
-// mirroring Gossip.position.
-func (g *SlicedGossip) position(round int) (part, phase, off int) {
-	if round < g.p1End {
-		return 1, round / g.phaseLen, round % g.phaseLen
-	}
-	r := round - g.p1End
-	return 2, r / g.phaseLen, r % g.phaseLen
-}
-
-// PartAt maps a round to its gossip part and block, matching the
-// scalar machine's per-part attribution labels.
-func (g *SlicedGossip) PartAt(round int) string {
-	if round >= g.p2End {
-		return ""
-	}
-	part, _, off := g.position(round)
-	switch {
-	case part == 1 && off <= 1:
-		return "p1/inquiry"
-	case part == 1:
-		return "p1/probing"
-	case off == 0:
-		return "p2/push"
-	default:
-		return "p2/probing"
-	}
-}
-
 func (g *SlicedGossip) slot(round int) int { return round % g.ringSize }
 
 // snapshotExtant snapshots node's extant planes into the slot's column
@@ -391,10 +350,10 @@ func (g *SlicedGossip) snapshotExtant(slot, node int) {
 // lane: the append order filtered to a lane is exactly the scalar
 // machine's emission order in that lane.
 func (g *SlicedGossip) SlicedSend(round, node int, active uint64, out []sim.SlicedMsg) ([]sim.SlicedMsg, uint64) {
-	if round >= g.p2End {
+	if round >= g.sched.Gossip {
 		return out, 0
 	}
-	part, phase, off := g.position(round)
+	part, phase, off := g.sched.GossipAt(round)
 	switch off {
 	case 0: // inquiry (Part 1) / push (Part 2) round: little nodes only
 		if node >= g.L {
@@ -468,10 +427,10 @@ func (g *SlicedGossip) SlicedSend(round, node int, active uint64, out []sim.Slic
 // scalar type switch accepts there, so delayed messages crossing into
 // the wrong block are dropped or absorbed identically.
 func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim.SlicedMsg) uint64 {
-	if round >= g.p2End {
+	if round >= g.sched.Gossip {
 		return 0
 	}
-	part, phase, off := g.position(round)
+	part, phase, off := g.sched.GossipAt(round)
 	switch {
 	case off == 0 && part == 1: // inquiry arrivals
 		for i := range inbox {
@@ -524,12 +483,12 @@ func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim
 				}
 			}
 			g.prob.Observe(node, &g.probeCtr, active)
-			if off == g.phaseLen-1 {
-				g.prob.FinishPhase(node, active, phase+1 < g.phases || part == 1)
+			if off == g.sched.GossipPhaseLen-1 {
+				g.prob.FinishPhase(node, active, phase+1 < g.sched.GossipPhases || part == 1)
 			}
 		}
 	}
-	if round == g.p2End-1 {
+	if round == g.sched.Gossip-1 {
 		g.haltedW[node] |= active
 	}
 	return 0

@@ -45,11 +45,9 @@ type Vote struct {
 	id  int
 	top *consensus.Topology
 
-	gossip    *gossip.Gossip
-	vector    *consensus.VectorFewCrashes
-	gossipEnd int
-	length    int
-	halted    bool
+	gossip *gossip.Gossip
+	vector *consensus.VectorFewCrashes
+	halted bool
 }
 
 // New creates the voting machine for node id with the given vote.
@@ -59,22 +57,13 @@ func New(id int, top *consensus.Topology, yes bool) *Vote {
 	if yes {
 		rumor = 1
 	}
-	g := gossip.New(id, top, rumor)
-	// The vector machinery indexes instances by the payload bitset, so
-	// the doubled instance space needs no topology change; this
-	// throwaway instance only supplies the schedule length.
-	probeLen := consensus.NewVectorFewCrashes(id, top, bitset.New(2*top.N)).ScheduleLength()
-	return &Vote{
-		id:        id,
-		top:       top,
-		gossip:    g,
-		gossipEnd: g.ScheduleLength(),
-		length:    g.ScheduleLength() + probeLen,
-	}
+	return &Vote{id: id, top: top, gossip: gossip.New(id, top, rumor)}
 }
 
-// ScheduleLength returns the protocol's fixed round count.
-func (v *Vote) ScheduleLength() int { return v.length }
+// ScheduleLength returns the protocol's fixed round count: the
+// checkpointing plan, since the vector machinery indexes instances by
+// the payload bitset and runs the doubled bank on the same schedule.
+func (v *Vote) ScheduleLength() int { return v.top.Schedule.Checkpoint }
 
 // Verdict returns the decided verdict with the agreed tallies.
 func (v *Vote) Verdict() (verdict Verdict, yesVotes, ballots int, ok bool) {
@@ -123,22 +112,24 @@ func (v *Vote) handoff() {
 
 // Send implements sim.Protocol.
 func (v *Vote) Send(round int) []sim.Envelope {
-	if round < v.gossipEnd {
+	s := &v.top.Schedule
+	if round < s.Gossip {
 		return v.gossip.Send(round)
 	}
 	v.handoff()
-	return v.vector.Send(round - v.gossipEnd)
+	return v.vector.Send(round - s.Gossip)
 }
 
 // Deliver implements sim.Protocol.
 func (v *Vote) Deliver(round int, inbox []sim.Envelope) {
-	if round < v.gossipEnd {
+	s := &v.top.Schedule
+	if round < s.Gossip {
 		v.gossip.Deliver(round, inbox)
 		return
 	}
 	v.handoff()
-	v.vector.Deliver(round-v.gossipEnd, inbox)
-	if round == v.length-1 {
+	v.vector.Deliver(round-s.Gossip, inbox)
+	if round == s.Checkpoint-1 {
 		v.halted = true
 	}
 }

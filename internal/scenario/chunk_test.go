@@ -20,15 +20,15 @@ type tamperedProblem struct {
 	tamper   func(sim.SlicedSystem) sim.SlicedSystem
 }
 
-func (p tamperedProblem) build(shape Spec, lanes, maxDelay int) (sim.SlicedSystem, int, error) {
+func (p tamperedProblem) build(shape Spec, lanes, maxDelay int) (sim.SlicedSystem, error) {
 	if p.buildErr != nil {
-		return nil, 0, p.buildErr
+		return nil, p.buildErr
 	}
-	sys, schedule, err := p.slicedProblem.build(shape, lanes, maxDelay)
+	sys, err := p.slicedProblem.build(shape, lanes, maxDelay)
 	if err == nil && p.tamper != nil {
 		sys = p.tamper(sys)
 	}
-	return sys, schedule, err
+	return sys, err
 }
 
 // laneTamper escapes lane `escape` at its first send and hides every
@@ -161,14 +161,15 @@ func TestSlicedChunkFallbacks(t *testing.T) {
 					logs[i] = &engineLog{}
 					sps[i].Tracer = logs[i]
 				}
-				prob := slicedProblemOf(sps[0])
+				st, _ := stackOf(sps[0])
+				prob := st.sliced()
 				if c.problem != nil {
 					prob = c.problem(prob)
 				}
 				rt := sim.NewRuntime()
 				reports := make([]*Report, lanes)
 				errs := make([]error, lanes)
-				runSlicedChunk(rt, prob, sps, idx, reports, errs)
+				runSlicedChunk(rt, st, prob, sps, idx, reports, errs)
 
 				rerun := make(map[int]bool)
 				for _, lane := range c.rerun {

@@ -117,7 +117,7 @@ func TestLazyOverlaysMatchEager(t *testing.T) {
 				lazy := reportJSON(t, tag, sp)
 				// Twice: the cache retains an overlay at its second sight.
 				for i := 0; i < 2; i++ {
-					top, err := sp.newTopology(n, tt)
+					top, err := sp.newTopology()
 					if err != nil {
 						t.Fatalf("%s: %v", tag, err)
 					}

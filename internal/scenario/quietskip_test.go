@@ -19,7 +19,9 @@ func sleeperRows(t *testing.T) []Definition {
 	t.Helper()
 	var rows []Definition
 	for _, d := range All() {
-		sys, err := materialize(d.Spec(30, 5, 1))
+		sp := d.Spec(30, 5, 1)
+		st, _ := stackOf(sp)
+		sys, err := st.build(sp)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}

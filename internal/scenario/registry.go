@@ -33,21 +33,10 @@ type Definition struct {
 
 // SupportsImplicit reports whether the definition's protocol stack
 // runs on expander overlays and can therefore opt into the implicit
-// (shift-family, unmaterialized) topology mode. The comparator
-// algorithms that talk to all n peers directly — flooding, rotating
-// coordinator, early stopping, all-to-all gossip, direct
-// checkpointing — build no overlay, so implicit mode has nothing to
-// make implicit there.
+// (shift-family, unmaterialized) topology mode.
 func (d Definition) SupportsImplicit() bool {
-	switch d.Algorithm {
-	case FewCrashes, ManyCrashes, SinglePortLinear,
-		GossipExpander, CheckpointExpander,
-		ABConsensus, DolevStrongAll,
-		AEA, SCV, Majority:
-		return true
-	default:
-		return false
-	}
+	st, ok := stacks[stackKey{d.Problem, d.Algorithm, d.Port}]
+	return ok && st.implicit
 }
 
 // implicitDefault, when set, makes Definition.Spec emit

@@ -9,21 +9,29 @@ import (
 	"time"
 
 	"lineartime/internal/bitset"
-	"lineartime/internal/byzantine"
-	"lineartime/internal/checkpoint"
 	"lineartime/internal/consensus"
 	"lineartime/internal/expander"
-	"lineartime/internal/gossip"
-	"lineartime/internal/majority"
 	"lineartime/internal/obs"
 	"lineartime/internal/sim"
-	"lineartime/internal/singleport"
 )
 
 // defaultRoundSlack is added to a protocol's schedule length to form
 // the engine round budget, absorbing the bounded overrun the paper's
 // termination arguments allow.
 const defaultRoundSlack = 8
+
+// maxRoundSlack bounds Spec.RoundSlack. The engine keeps per-round
+// series as long as the round budget, so a slack without a bound is an
+// allocation without one; the experiments use 4.
+const maxRoundSlack = 1024
+
+// slackOf resolves the effective round slack of a spec.
+func slackOf(sp Spec) int {
+	if sp.RoundSlack > 0 {
+		return sp.RoundSlack
+	}
+	return defaultRoundSlack
+}
 
 // ErrSinglePortParallel reports a parallel dispatch of a single-port
 // scenario; the sharded engine is multi-port only.
@@ -99,7 +107,7 @@ func Run(sp Spec) (*Report, error) {
 
 // runSpec is Run with a seam for the package's tests: wrap, when set,
 // replaces the protocol stack the engine drives (the outcome is still
-// decoded from the machines materialize built), and the engine's
+// decoded from the machines the spec's stack built), and the engine's
 // result is returned beside the report.
 func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.Result, error) {
 	// The runner reports its own stages around the engine's: the spec
@@ -108,16 +116,11 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	// its internal setup/rounds split through the same tracer.
 	tr := sp.Tracer
 	t0 := time.Now()
-	if sp.N <= 0 {
-		return nil, nil, fmt.Errorf("scenario: n=%d must be positive", sp.N)
-	}
-	if _, err := sp.topologyMode(); err != nil {
+	st, err := sp.validate()
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := sp.Fault.validate(sp); err != nil {
-		return nil, nil, err
-	}
-	sys, err := materialize(sp)
+	sys, err := st.build(sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,8 +143,8 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 		PartLabeler: partLabelerOf(sys.ps),
 		Fault:       fault,
 		Byzantine:   sys.byz,
-		MaxRounds:   sys.schedule + slackOf(sp),
-		SinglePort:  sys.singlePort,
+		MaxRounds:   st.horizon(sp) + slackOf(sp),
+		SinglePort:  sp.Port == SinglePort,
 		Observer:    sp.Observer,
 		Tracer:      tr,
 	}, sp.Exec)
@@ -200,10 +203,8 @@ func partLabelerOf(ps []sim.Protocol) func(int) string {
 // system is a materialized scenario: the protocol stack plus the hooks
 // the runner needs to configure the engine and evaluate the outcome.
 type system struct {
-	ps         []sim.Protocol
-	schedule   int
-	singlePort bool
-	byz        *bitset.Set
+	ps  []sim.Protocol
+	byz *bitset.Set
 	// little is the expander topology's little-node count (0 when the
 	// scenario has no expander overlay), feeding TargetLittleCrashes.
 	little int
@@ -214,29 +215,48 @@ type system struct {
 	slab *sendSlab
 }
 
-// materialize builds the protocol stack for the spec.
-func materialize(sp Spec) (*system, error) {
+// validate checks everything about the spec that needs nothing built —
+// size, topology family, round slack, fault model, protocol stack and
+// input length — and returns the spec's row of the protocol table. Run
+// and ExecuteBatch both start here, so a spec fails the same way on
+// either path.
+func (sp Spec) validate() (stack, error) {
+	if sp.N <= 0 {
+		return stack{}, fmt.Errorf("scenario: n=%d must be positive", sp.N)
+	}
+	if _, err := sp.topologyMode(); err != nil {
+		return stack{}, err
+	}
+	if sp.RoundSlack > maxRoundSlack {
+		return stack{}, fmt.Errorf("scenario: round slack %d exceeds %d", sp.RoundSlack, maxRoundSlack)
+	}
+	if err := sp.Fault.validate(sp); err != nil {
+		return stack{}, err
+	}
+	st, ok := stackOf(sp)
+	if !ok {
+		return stack{}, fmt.Errorf("scenario: no %v stack runs algorithm %q %v", sp.Problem, sp.Algorithm, sp.Port)
+	}
+	if have, what := sp.inputs(); have != sp.N {
+		return stack{}, fmt.Errorf("scenario: %d %s for n=%d", have, what, sp.N)
+	}
+	return st, nil
+}
+
+// inputs returns the length of the per-node input slice the spec's
+// problem reads and what it holds; checkpointing reads none.
+func (sp Spec) inputs() (int, string) {
 	switch sp.Problem {
-	case Consensus:
-		return materializeConsensus(sp)
 	case Gossip:
-		return materializeGossip(sp)
-	case Checkpointing:
-		return materializeCheckpointing(sp)
+		return len(sp.Rumors), "rumors"
 	case ByzantineConsensus:
-		return materializeByzantine(sp)
-	case AlmostEverywhere:
-		return materializeSubroutine(sp, sp.newTopology, func(i int, top *consensus.Topology, input bool) *consensus.AEA {
-			return consensus.NewAEA(i, top, input, 0, true)
-		})
-	case SpreadCommonValue:
-		return materializeSubroutine(sp, sp.newBroadcastTopology, func(i int, top *consensus.Topology, input bool) *consensus.SCV {
-			return consensus.NewSCV(i, top, input, true, 0, true)
-		})
+		return len(sp.Values), "inputs"
 	case MajorityVote:
-		return materializeMajority(sp)
+		return len(sp.BoolInputs), "votes"
+	case Checkpointing:
+		return sp.N, ""
 	default:
-		return nil, fmt.Errorf("scenario: unknown problem %v", sp.Problem)
+		return len(sp.BoolInputs), "inputs"
 	}
 }
 
@@ -267,113 +287,22 @@ func (sp Spec) topologyOptions() (consensus.TopologyOptions, error) {
 }
 
 // newTopology builds the t < n/5 expander topology for the spec.
-func (sp Spec) newTopology(n, t int) (*consensus.Topology, error) {
+func (sp Spec) newTopology() (*consensus.Topology, error) {
 	opts, err := sp.topologyOptions()
 	if err != nil {
 		return nil, err
 	}
-	return consensus.NewTopology(n, t, opts)
+	return consensus.NewTopology(sp.N, sp.T, opts)
 }
 
 // newBroadcastTopology is newTopology for the families that consult the
 // graph H: built here, one that cannot be fails materialize, not a machine.
-func (sp Spec) newBroadcastTopology(n, t int) (*consensus.Topology, error) {
-	top, err := sp.newTopology(n, t)
+func (sp Spec) newBroadcastTopology() (*consensus.Topology, error) {
+	top, err := sp.newTopology()
 	if err == nil {
 		_, err = top.Broadcast()
 	}
 	return top, err
-}
-
-// newManyTopology builds the any-t topology for the spec.
-func (sp Spec) newManyTopology(n, t int) (*consensus.ManyTopology, error) {
-	opts, err := sp.topologyOptions()
-	if err != nil {
-		return nil, err
-	}
-	return consensus.NewManyTopology(n, t, opts)
-}
-
-// boolDecider is the decision surface shared by the consensus
-// protocols.
-type boolDecider interface {
-	Decision() (bool, bool)
-}
-
-func materializeConsensus(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	inputs := sp.BoolInputs
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
-	ps := make([]sim.Protocol, n)
-	ds := make([]boolDecider, n)
-	sys := &system{ps: ps}
-
-	switch sp.Algorithm {
-	case FewCrashes:
-		top, err := sp.newBroadcastTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		sys.little = top.L
-		sys.slab = getSendSlab(top.OutboxSlabLen())
-		rest := sys.slab.buf
-		for i := 0; i < n; i++ {
-			m := consensus.NewFewCrashes(i, top, inputs[i])
-			rest = m.CarveOutboxes(rest)
-			ps[i], ds[i] = m, m
-			sys.schedule = m.ScheduleLength()
-		}
-	case ManyCrashes:
-		top, err := sp.newManyTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			m := consensus.NewManyCrashes(i, top, inputs[i])
-			ps[i], ds[i] = m, m
-			sys.schedule = m.ScheduleLength()
-		}
-	case Flooding:
-		for i := 0; i < n; i++ {
-			m := consensus.NewFlooding(i, n, t, inputs[i])
-			ps[i], ds[i] = m, m
-			sys.schedule = m.ScheduleLength()
-		}
-	case SinglePortLinear:
-		top, err := sp.newBroadcastTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		sys.little = top.L
-		for i := 0; i < n; i++ {
-			m := singleport.New(i, top, inputs[i])
-			ps[i], ds[i] = m, m
-			sys.schedule = m.ScheduleLength()
-		}
-		sys.singlePort = true
-	case EarlyStopping:
-		for i := 0; i < n; i++ {
-			m := consensus.NewEarlyStopping(i, n, t, inputs[i])
-			ps[i], ds[i] = m, m
-			sys.schedule = m.MaxRounds()
-		}
-	case RotatingCoordinator:
-		for i := 0; i < n; i++ {
-			m := consensus.NewRotatingCoordinator(i, n, t, inputs[i])
-			ps[i], ds[i] = m, m
-			sys.schedule = m.ScheduleLength()
-		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown consensus algorithm %q", sp.Algorithm)
-	}
-
-	sys.finish = func(res *sim.Result, rep *Report) {
-		rep.Consensus = consensusOutcome(n, res.Crashed, inputs,
-			func(i int) (bool, bool) { return ds[i].Decision() })
-	}
-	return sys, nil
 }
 
 // consensusOutcome decodes a finished consensus run into its outcome.
@@ -413,65 +342,6 @@ func consensusOutcome(n int, crashed *bitset.Set, inputs []bool, decision func(i
 		}
 	}
 	return out
-}
-
-func materializeGossip(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	rumors := sp.Rumors
-	if len(rumors) != n {
-		return nil, fmt.Errorf("scenario: %d rumors for n=%d", len(rumors), n)
-	}
-	ps := make([]sim.Protocol, n)
-	extants := make([]func() *gossip.ExtantSet, n)
-	sys := &system{ps: ps}
-
-	switch {
-	case sp.Algorithm == GossipAllToAll:
-		for i := 0; i < n; i++ {
-			m := gossip.NewAllToAll(i, n, gossip.Rumor(rumors[i]))
-			ps[i] = m
-			extants[i] = m.Extant
-			sys.schedule = m.ScheduleLength()
-		}
-	case sp.Algorithm == GossipExpander && sp.Port == SinglePort:
-		top, err := sp.newTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		sys.little = top.L
-		sched, err := singleport.NewGossipSchedule(top, sp.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			m := singleport.NewSPGossip(i, sched, gossip.Rumor(rumors[i]))
-			ps[i] = m
-			extants[i] = m.Extant
-			sys.schedule = m.ScheduleLength()
-		}
-		sys.singlePort = true
-	case sp.Algorithm == GossipExpander:
-		top, err := sp.newTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		sys.little = top.L
-		for i := 0; i < n; i++ {
-			m := gossip.New(i, top, gossip.Rumor(rumors[i]))
-			ps[i] = m
-			extants[i] = m.Extant
-			sys.schedule = m.ScheduleLength()
-		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown gossip algorithm %q", sp.Algorithm)
-	}
-
-	sys.finish = func(res *sim.Result, rep *Report) {
-		rep.Gossip = gossipOutcome(n, res.Crashed,
-			func(i int) *bitset.Set { return extants[i]().Known() },
-			func(i, j int) uint64 { return uint64(extants[i]().Rumor(j)) }, false)
-	}
-	return sys, nil
 }
 
 // gossipOutcome decodes a finished gossip run into its outcome. For a
@@ -536,256 +406,4 @@ func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, ru
 		out.Extant[i] = v.view
 	}
 	return out
-}
-
-func materializeCheckpointing(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	ps := make([]sim.Protocol, n)
-	outs := make([]func() (*bitset.Set, bool), n)
-	sys := &system{ps: ps}
-
-	switch {
-	case sp.Algorithm == CheckpointDirect:
-		for i := 0; i < n; i++ {
-			m := checkpoint.NewDirect(i, n, t)
-			ps[i] = m
-			outs[i] = m.Decision
-			sys.schedule = m.ScheduleLength()
-		}
-	case sp.Algorithm == CheckpointExpander && sp.Port == SinglePort:
-		top, err := sp.newBroadcastTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		sys.little = top.L
-		sched, err := singleport.NewGossipSchedule(top, sp.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			m := singleport.NewSPCheckpointing(i, sched)
-			ps[i] = m
-			outs[i] = m.Decision
-			sys.schedule = m.ScheduleLength()
-		}
-		sys.singlePort = true
-	case sp.Algorithm == CheckpointExpander:
-		top, err := sp.newBroadcastTopology(n, t)
-		if err != nil {
-			return nil, err
-		}
-		sys.little = top.L
-		for i := 0; i < n; i++ {
-			m := checkpoint.New(i, top)
-			ps[i] = m
-			outs[i] = m.Decision
-			sys.schedule = m.ScheduleLength()
-		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown checkpointing algorithm %q", sp.Algorithm)
-	}
-
-	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &CheckpointOutcome{Agreement: true}
-		var agreed *bitset.Set
-		for i := 0; i < n; i++ {
-			if res.Crashed.Contains(i) {
-				continue
-			}
-			set, ok := outs[i]()
-			if !ok {
-				out.Agreement = false
-				continue
-			}
-			if agreed == nil {
-				agreed = set
-			} else if !agreed.Equal(set) {
-				out.Agreement = false
-			}
-		}
-		if agreed != nil && out.Agreement {
-			out.ExtantSet = agreed.Elements()
-		}
-		rep.Checkpoint = out
-	}
-	return sys, nil
-}
-
-// uintDecider is the decision surface of the Byzantine protocols.
-type uintDecider interface {
-	Decision() (uint64, bool)
-}
-
-func materializeByzantine(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	inputs := sp.Values
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
-	mode, err := sp.topologyMode()
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := byzantine.NewConfigMode(n, t, sp.Seed, mode)
-	if err != nil {
-		return nil, err
-	}
-	corrupted := make(map[int]bool, len(sp.Fault.Corrupted))
-	for _, id := range sp.Fault.Corrupted {
-		corrupted[id] = true
-	}
-
-	ps := make([]sim.Protocol, n)
-	ds := make([]uintDecider, n)
-	byz := bitset.New(n)
-	baseline := sp.Algorithm == DolevStrongAll
-	if !baseline && sp.Algorithm != ABConsensus {
-		return nil, fmt.Errorf("scenario: unknown byzantine algorithm %q", sp.Algorithm)
-	}
-	for i := 0; i < n; i++ {
-		if corrupted[i] {
-			byz.Add(i)
-			switch sp.Fault.Strategy {
-			case Equivocate:
-				ps[i] = byzantine.NewEquivocator(i, cfg, cfg.Authority.Signer(i), inputs[i], inputs[i]+1)
-			case Spam:
-				ps[i] = byzantine.NewSpammer(i, cfg, cfg.Authority.Signer(i))
-			default:
-				ps[i] = byzantine.NewSilent(cfg)
-			}
-			continue
-		}
-		if baseline {
-			m := byzantine.NewDSAll(i, cfg, cfg.Authority.Signer(i), inputs[i])
-			ps[i], ds[i] = m, m
-		} else {
-			m := byzantine.NewABConsensus(i, cfg, cfg.Authority.Signer(i), inputs[i])
-			ps[i], ds[i] = m, m
-		}
-	}
-	sys := &system{ps: ps, schedule: cfg.ScheduleLength(), byz: byz}
-	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &ByzantineOutcome{
-			L:         cfg.L,
-			Decisions: make([]uint64, n),
-			Decided:   make([]bool, n),
-			Agreement: true,
-		}
-		var agreed *uint64
-		for i := 0; i < n; i++ {
-			if ds[i] == nil {
-				continue
-			}
-			v, ok := ds[i].Decision()
-			if !ok {
-				out.Agreement = false
-				continue
-			}
-			out.Decisions[i] = v
-			out.Decided[i] = true
-			if agreed == nil {
-				agreed = &v
-			} else if *agreed != v {
-				out.Agreement = false
-			}
-		}
-		rep.Byzantine = out
-	}
-	return sys, nil
-}
-
-// subroutineMachine is the surface shared by the paper's two consensus
-// subroutines, AEA and SCV.
-type subroutineMachine interface {
-	sim.Protocol
-	ScheduleLength() int
-	Decided() (value, ok bool)
-}
-
-// materializeSubroutine builds a subroutine run: one machine per node
-// over the t < n/5 topology newTop builds, from the problem's constructor.
-func materializeSubroutine[M subroutineMachine](sp Spec, newTop func(n, t int) (*consensus.Topology, error), machine func(i int, top *consensus.Topology, input bool) M) (*system, error) {
-	n := sp.N
-	if len(sp.BoolInputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(sp.BoolInputs), n)
-	}
-	top, err := newTop(n, sp.T)
-	if err != nil {
-		return nil, err
-	}
-	ps := make([]sim.Protocol, n)
-	ms := make([]M, n)
-	sys := &system{ps: ps, little: top.L}
-	for i := 0; i < n; i++ {
-		ms[i] = machine(i, top, sp.BoolInputs[i])
-		ps[i] = ms[i]
-		sys.schedule = ms[i].ScheduleLength()
-	}
-	sys.finish = func(res *sim.Result, rep *Report) {
-		rep.Subroutine = subroutineOutcome(res.Crashed, ms)
-	}
-	return sys, nil
-}
-
-// subroutineOutcome decodes a finished AEA or SCV run: whether every
-// machine decided, and how many of the deciders survived.
-func subroutineOutcome[M subroutineMachine](crashed *bitset.Set, ms []M) *SubroutineOutcome {
-	out := &SubroutineOutcome{AllDecided: true}
-	for i, m := range ms {
-		_, ok := m.Decided()
-		if !ok {
-			out.AllDecided = false
-		}
-		if ok && !crashed.Contains(i) {
-			out.Deciders++
-		}
-	}
-	return out
-}
-
-func materializeMajority(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	votes := sp.BoolInputs
-	if len(votes) != n {
-		return nil, fmt.Errorf("scenario: %d votes for n=%d", len(votes), n)
-	}
-	top, err := sp.newBroadcastTopology(n, t)
-	if err != nil {
-		return nil, err
-	}
-	ps := make([]sim.Protocol, n)
-	ms := make([]*majority.Vote, n)
-	sys := &system{ps: ps, little: top.L}
-	for i := 0; i < n; i++ {
-		ms[i] = majority.New(i, top, votes[i])
-		ps[i] = ms[i]
-		sys.schedule = ms[i].ScheduleLength()
-	}
-	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &MajorityOutcome{Agreement: true}
-		first := false
-		for i := 0; i < n; i++ {
-			if res.Crashed.Contains(i) {
-				continue
-			}
-			verdict, yes, ballots, ok := ms[i].Verdict()
-			if !ok {
-				out.Agreement = false
-				continue
-			}
-			if !first {
-				out.YesWins = verdict == majority.Yes
-				out.YesVotes = yes
-				out.Ballots = ballots
-				first = true
-				continue
-			}
-			if (verdict == majority.Yes) != out.YesWins ||
-				yes != out.YesVotes || ballots != out.Ballots {
-				out.Agreement = false
-			}
-		}
-		rep.Majority = out
-	}
-	return sys, nil
 }

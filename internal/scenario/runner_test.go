@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -190,18 +191,20 @@ func TestRunnerValidation(t *testing.T) {
 	}
 }
 
-// TestRoundSlackFeedsMaxRounds pins that RoundSlack reaches the
-// engine: a slack too small for the few-crashes overrun makes the run
-// fail with ErrNoTermination instead of silently changing semantics.
+// TestRoundSlackFeedsMaxRounds pins how RoundSlack is resolved: a
+// negative slack falls back to the default and the run succeeds, and a
+// slack above maxRoundSlack is rejected before anything is built — the
+// engine would size its per-round series by it.
 func TestRoundSlackFeedsMaxRounds(t *testing.T) {
 	sp := MustLookup("consensus/few-crashes").Spec(40, 6, 1)
 	sp.RoundSlack = -1000
-	if _, err := Run(sp); err == nil {
-		// Negative slack falls back to the default; the run must
-		// succeed.
-		return
+	if _, err := Run(sp); err != nil {
+		t.Fatalf("negative slack must fall back to the default slack: %v", err)
 	}
-	t.Fatal("negative slack must fall back to the default slack")
+	sp.RoundSlack = 1 << 40
+	if _, err := Run(sp); err == nil || !strings.Contains(err.Error(), "round slack") {
+		t.Fatalf("slack 2^40: err = %v, want the round-slack bound", err)
+	}
 }
 
 // TestPartLabelerFlowsIntoReport asserts the per-part breakdown

@@ -190,7 +190,8 @@ type Spec struct {
 	// Degree overrides the little-overlay degree (0 = default).
 	Degree int
 	// RoundSlack is added to the protocol schedule length to form
-	// sim.Config.MaxRounds (0 = the default of 8).
+	// sim.Config.MaxRounds (≤ 0 = the default of 8; Run rejects more
+	// than 1024).
 	RoundSlack int
 
 	// Topology selects the overlay construction family (zero value =

@@ -21,47 +21,6 @@ import (
 // the engine choice stays invisible: every report and error is
 // byte-for-byte what the scalar path would have produced for that Spec.
 
-// sliceable reports whether a spec can run on the bit-sliced engine.
-// The sliced path covers the two natively lane-parallel systems — the
-// flooding comparator (consensus.SlicedFlooding) and the paper's
-// multi-port expander gossip (gossip.SlicedGossip) — under every
-// declarative fault model (FaultModel.Declarative); adaptive
-// adversaries and the remaining protocol stacks keep the scalar
-// engine. EXPERIMENTS.md ("Performance model") documents the rule.
-func sliceable(sp Spec) bool {
-	if !sp.Fault.Declarative() {
-		return false
-	}
-	switch {
-	case sp.Problem == Consensus && sp.Algorithm == Flooding && sp.Port == MultiPort:
-		return true
-	case sp.Problem == Gossip && sp.Algorithm == GossipExpander && sp.Port == MultiPort:
-		return true
-	default:
-		return false
-	}
-}
-
-// batchInputsOK checks the per-problem input-length precondition the
-// scalar materializers enforce; anything that fails runs scalar so the
-// caller sees the exact scalar error.
-func batchInputsOK(sp Spec) bool {
-	switch sp.Problem {
-	case Gossip:
-		return len(sp.Rumors) == sp.N
-	default:
-		return len(sp.BoolInputs) == sp.N
-	}
-}
-
-// slackOf resolves the effective round slack of a spec.
-func slackOf(sp Spec) int {
-	if sp.RoundSlack > 0 {
-		return sp.RoundSlack
-	}
-	return defaultRoundSlack
-}
-
 // groupKey identifies specs that may share one sliced run: the lanes
 // of a run share the system and the round budget; the fault model and
 // seed are per-lane wherever the system does not depend on them.
@@ -137,11 +96,16 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	groups := make(map[groupKey][]int)
 	var order []groupKey
 	for i, sp := range sps {
-		// Anything that would fail Run's preconditions goes scalar so
-		// the caller sees the exact scalar error.
-		_, topologyErr := sp.topologyMode()
-		if !sliceable(sp) || sp.N <= 0 || !batchInputsOK(sp) || topologyErr != nil ||
-			sp.Fault.validate(sp) != nil {
+		// The sliced path covers the stacks with a lane-parallel adapter
+		// under every declarative fault model (FaultModel.Declarative);
+		// adaptive adversaries and the remaining stacks keep the scalar
+		// engine. EXPERIMENTS.md ("Performance model") documents the rule.
+		st, err := sp.validate()
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		if st.sliced == nil || !sp.Fault.Declarative() {
 			scalar = append(scalar, i)
 			continue
 		}
@@ -167,7 +131,8 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 					scalar = append(scalar, chunk...)
 					continue
 				}
-				runSlicedChunk(rt, slicedProblemOf(sps[chunk[0]]), sps, chunk, reports, errs)
+				st, _ := stackOf(sps[chunk[0]])
+				runSlicedChunk(rt, st, st.sliced(), sps, chunk, reports, errs)
 			}
 		}
 		runtimes.Put(rt)
@@ -213,7 +178,7 @@ func runScalar(sps []Spec, idx []int, reports []*Report, errs []error) {
 	wg.Wait()
 }
 
-// slicedProblem is what one natively lane-parallel problem contributes
+// slicedProblem is what one natively lane-parallel stack contributes
 // to a sliced chunk, in the order the chunk runner needs it: the shared
 // topology's little-node count (the lanes' fault layers take it), then
 // the one system all lanes share, then each settled lane's report.
@@ -222,29 +187,21 @@ type slicedProblem interface {
 	// returns the little count Run would pass for this stack.
 	open(shape Spec) (little int, err error)
 	// build constructs the shared system for the given number of lanes,
-	// whose link filters delay by at most maxDelay rounds, and returns it
-	// with its schedule length.
-	build(shape Spec, lanes, maxDelay int) (sim.SlicedSystem, int, error)
+	// whose link filters delay by at most maxDelay rounds.
+	build(shape Spec, lanes, maxDelay int) (sim.SlicedSystem, error)
 	// decode mirrors Run's finish for one lane: the same report
 	// the scalar engine would have produced for sp.
 	decode(sp Spec, lane int, lr *sim.LaneResult) *Report
 }
 
-// slicedProblemOf returns a fresh adapter for a sliceable spec.
-func slicedProblemOf(sp Spec) slicedProblem {
-	if sp.Problem == Gossip {
-		return &slicedGossip{}
-	}
-	return &slicedFlooding{}
-}
-
-// runSlicedChunk executes up to 64 same-shape specs as the lanes of one
-// sliced engine run and materializes each lane into its spec's report.
-// Any failure to slice — a fault without a declarative crash plan, an
-// escaped lane, a topology that cannot be built — falls back to the
-// scalar runner for the affected specs, preserving exact scalar
-// results: the scalar engine is the authority on what the caller sees.
-func runSlicedChunk(rt *sim.Runtime, prob slicedProblem, sps []Spec, idx []int, reports []*Report, errs []error) {
+// runSlicedChunk executes up to 64 same-shape specs of stack st as the
+// lanes of one sliced engine run, through the stack's adapter prob, and
+// materializes each lane into its spec's report. Any failure to slice —
+// a fault without a declarative crash plan, an escaped lane, a topology
+// that cannot be built — falls back to the scalar runner for the
+// affected specs, preserving exact scalar results: the scalar engine is
+// the authority on what the caller sees.
+func runSlicedChunk(rt *sim.Runtime, st stack, prob slicedProblem, sps []Spec, idx []int, reports []*Report, errs []error) {
 	fallback := func(specs []int) {
 		for _, i := range specs {
 			reports[i], errs[i] = Run(sps[i])
@@ -275,7 +232,7 @@ func runSlicedChunk(rt *sim.Runtime, prob slicedProblem, sps []Spec, idx []int, 
 			maxDelay = max(maxDelay, lf.MaxDelay())
 		}
 	}
-	sys, schedule, err := prob.build(shape, len(idx), maxDelay)
+	sys, err := prob.build(shape, len(idx), maxDelay)
 	if err != nil {
 		fallback(idx)
 		return
@@ -286,7 +243,7 @@ func runSlicedChunk(rt *sim.Runtime, prob slicedProblem, sps []Spec, idx []int, 
 	res, err := rt.RunSliced(sim.SlicedConfig{
 		System:    sys,
 		Lanes:     len(idx),
-		MaxRounds: schedule + slackOf(shape),
+		MaxRounds: st.horizon(shape) + slackOf(shape),
 		Faults:    faults,
 		Tracer:    tr,
 	})
@@ -326,9 +283,9 @@ type slicedFlooding struct {
 
 func (*slicedFlooding) open(Spec) (int, error) { return 0, nil }
 
-func (p *slicedFlooding) build(shape Spec, lanes, _ int) (sim.SlicedSystem, int, error) {
+func (p *slicedFlooding) build(shape Spec, lanes, _ int) (sim.SlicedSystem, error) {
 	p.sys = consensus.NewSlicedFlooding(shape.N, shape.T, lanes, shape.BoolInputs)
-	return p.sys, p.sys.ScheduleLength(), nil
+	return p.sys, nil
 }
 
 func (p *slicedFlooding) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
@@ -355,17 +312,17 @@ type slicedGossip struct {
 }
 
 func (p *slicedGossip) open(shape Spec) (little int, err error) {
-	if p.top, err = shape.newTopology(shape.N, shape.T); err != nil {
+	if p.top, err = shape.newTopology(); err != nil {
 		return 0, err
 	}
 	return p.top.L, nil
 }
 
-func (p *slicedGossip) build(_ Spec, lanes, maxDelay int) (_ sim.SlicedSystem, _ int, err error) {
+func (p *slicedGossip) build(_ Spec, lanes, maxDelay int) (_ sim.SlicedSystem, err error) {
 	if p.sys, err = gossip.NewSlicedGossip(p.top, lanes, maxDelay); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return p.sys, p.sys.ScheduleLength(), nil
+	return p.sys, nil
 }
 
 // decode yields the scalar gossip finish for one lane: the same metrics
@@ -385,7 +342,7 @@ func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 		if c == 0 {
 			continue
 		}
-		if label := p.sys.PartAt(r); label != "" {
+		if label := p.top.Schedule.GossipPart(r); label != "" {
 			if rep.Metrics.PerPart == nil {
 				rep.Metrics.PerPart = make(map[string]int64)
 			}

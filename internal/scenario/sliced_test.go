@@ -25,6 +25,13 @@ func sameOutcome(t *testing.T, tag string, wantRep *Report, wantErr error, gotRe
 	}
 }
 
+// sliceable reports whether ExecuteBatch may put the spec on the
+// bit-sliced engine.
+func sliceable(sp Spec) bool {
+	st, err := sp.validate()
+	return err == nil && st.sliced != nil && sp.Fault.Declarative()
+}
+
 // TestExecuteBatchMatchesScalarAcrossRegistry runs every registry row —
 // protocol stacks, the E12 fault rows, the E13 chaos rows — under
 // several seeds through one mixed ExecuteBatch call and pins every
@@ -188,11 +195,16 @@ func TestExecuteBatchInvalidSpec(t *testing.T) {
 	// family; so must the batch.
 	lost := good
 	lost.Topology = "bogus"
-	reports, errs := ExecuteBatch([]Spec{good, bad, lost})
+	// A round budget beyond the bound, and inputs of the wrong length.
+	long := good
+	long.RoundSlack = 1 << 40
+	short := good
+	short.BoolInputs = short.BoolInputs[:3]
+	reports, errs := ExecuteBatch([]Spec{good, bad, lost, long, short})
 	if errs[0] != nil || reports[0] == nil {
 		t.Fatalf("good spec failed: %v", errs[0])
 	}
-	for i, sp := range []Spec{bad, lost} {
+	for i, sp := range []Spec{bad, lost, long, short} {
 		_, wantErr := Run(sp)
 		if got := errs[i+1]; wantErr == nil || got == nil || wantErr.Error() != got.Error() || reports[i+1] != nil {
 			t.Fatalf("bad spec %d diverged: scalar %v, batch %v", i, wantErr, got)

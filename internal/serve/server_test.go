@@ -312,6 +312,27 @@ func TestRequestShapeErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedRoundSlackIsRejected: a round slack beyond the runner's
+// bound is the client's mistake, answered with a 400 before any engine
+// state is sized by it — and the daemon is still there for the next
+// request.
+func TestOversizedRoundSlackIsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"scenario":"consensus/flooding","n":8,"t":1,"round_slack":1099511627776}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if want := `{"error":{"code":"invalid_argument","message":"lineartime: round slack 1099511627776 exceeds 1024"}}`; resp.StatusCode != http.StatusBadRequest || string(body) != want {
+		t.Fatalf("oversized slack = %d %s", resp.StatusCode, body)
+	}
+	next := postRun(t, ts.URL, RunRequest{Scenario: "consensus/flooding", N: 8, T: 1, RoundSlack: 4})
+	if body := readAll(t, next); next.StatusCode != http.StatusOK {
+		t.Fatalf("next request = %d %s", next.StatusCode, body)
+	}
+}
+
 // TestSweepSharesTheRunCache checks sweep points flow through the same
 // cached path as /v1/run: the sweep's per-point envelopes are
 // byte-identical to the individual run responses, and a repeated sweep

@@ -31,7 +31,6 @@ type GossipSchedule struct {
 	Top    *consensus.Topology
 	Family *expander.InquiryFamily
 
-	phases int
 	blocks []gossipBlock
 	total  int
 }
@@ -57,48 +56,60 @@ type gossipBlock struct {
 	overlay *expander.Overlay // inquiry overlay for non-probe blocks
 }
 
+// gossipFamily is the inquiry family the schedule runs over, its
+// degrees capped at Θ(t).
+func gossipFamily(n, t int, seed uint64) *expander.InquiryFamily {
+	return expander.NewCappedInquiryFamily(n, 8, max(8*t, 64), seed+31)
+}
+
+// layout lays the schedule's blocks out from the round plan and the
+// family's phase degrees alone: no overlay is built.
+func layout(s *consensus.Schedule, fam *expander.InquiryFamily) (blocks []gossipBlock, total int) {
+	add := func(kind blockKind, part, phase, length int) {
+		blocks = append(blocks, gossipBlock{kind: kind, part: part, phase: phase, start: total, length: length})
+		total += length
+	}
+	for part := 1; part <= 2; part++ {
+		for phase := 0; phase < s.GossipPhases; phase++ {
+			di := fam.PhaseParams(phase + 1).Degree
+			if part == 1 {
+				add(blockInqSend, part, phase, di)
+				add(blockInqPoll, part, phase, di)
+				add(blockRespSend, part, phase, di)
+				add(blockRespPoll, part, phase, di)
+			} else {
+				add(blockPushSend, part, phase, di)
+				add(blockPushPoll, part, phase, di)
+			}
+			add(blockProbe, part, phase, s.Little.Gamma*2*s.Little.Degree)
+		}
+	}
+	return blocks, total
+}
+
+// GossipLength returns the round count of the single-port gossip
+// schedule for n nodes and crash bound t on the round plan s, without
+// building anything.
+func GossipLength(n, t int, s *consensus.Schedule) int {
+	_, total := layout(s, gossipFamily(n, t, 0))
+	return total
+}
+
 // NewGossipSchedule builds the shared schedule for n nodes and crash
 // bound t (t < n/5), deterministically from the topology seed.
 func NewGossipSchedule(top *consensus.Topology, seed uint64) (*GossipSchedule, error) {
-	cap := 8 * top.T
-	if cap < 64 {
-		cap = 64
-	}
-	fam := expander.NewCappedInquiryFamily(top.N, 8, cap, seed+31)
+	fam := gossipFamily(top.N, top.T, seed)
 	s := &GossipSchedule{Top: top, Family: fam}
-	s.phases = expander.CeilLog2(top.N)
-	if s.phases < 1 {
-		s.phases = 1
-	}
-	d := top.Little.P.Degree
-	gamma := top.Little.P.Gamma
-	pos := 0
-	add := func(kind blockKind, part, phase, length int, overlay *expander.Overlay) {
-		s.blocks = append(s.blocks, gossipBlock{
-			kind: kind, part: part, phase: phase, start: pos, length: length, overlay: overlay,
-		})
-		pos += length
-	}
-	for part := 1; part <= 2; part++ {
-		for phase := 0; phase < s.phases; phase++ {
-			overlay, err := fam.Phase(phase + 1)
+	s.blocks, s.total = layout(&top.Schedule, fam)
+	for i := range s.blocks {
+		if b := &s.blocks[i]; b.kind != blockProbe {
+			overlay, err := fam.Phase(b.phase + 1)
 			if err != nil {
 				return nil, fmt.Errorf("single-port gossip schedule: %w", err)
 			}
-			di := overlay.P.Degree
-			if part == 1 {
-				add(blockInqSend, part, phase, di, overlay)
-				add(blockInqPoll, part, phase, di, overlay)
-				add(blockRespSend, part, phase, di, overlay)
-				add(blockRespPoll, part, phase, di, overlay)
-			} else {
-				add(blockPushSend, part, phase, di, overlay)
-				add(blockPushPoll, part, phase, di, overlay)
-			}
-			add(blockProbe, part, phase, gamma*2*d, nil)
+			b.overlay = overlay
 		}
 	}
-	s.total = pos
 	return s, nil
 }
 

@@ -29,251 +29,239 @@ package singleport
 
 import (
 	"lineartime/internal/consensus"
-	"lineartime/internal/expander"
 	"lineartime/internal/probe"
 	"lineartime/internal/sim"
 )
 
-// LinearConsensus is the per-node single-port machine.
-type LinearConsensus struct {
+// compiled is what the two §8 consensus machines share: the node's
+// port state across the compiled segments of consensus.Schedule. Which
+// neighbour a send or poll slot belongs to is a function of the round
+// alone, so polling is common to both; only the payloads differ.
+type compiled struct {
 	id  int
 	top *consensus.Topology
 
-	candidate bool
-	flooded   bool // completed the Part-1 flood
-	pending   bool // flood at the next Part-1 multi-port round
-	floodNow  bool // latched: flooding during the current mp-round
-
-	probing   *probe.Probing
+	probing   *probe.Probing // little nodes only
+	floodNow  bool           // latched: flooding during the current mp-round
 	probeNow  bool
 	probeRecv int
 
-	decided  bool
-	decision bool
-	hSent    bool // H-broadcast performed
-	hNow     bool
+	decided bool
+	hSent   bool // H-broadcast performed
+	hNow    bool
 
 	ringInquired bool // inquiry outstanding this sub-phase
 	ringAsked    int  // inquirer id to answer this sub-phase, -1 none
 
 	halted bool
+}
 
-	// Schedule (in single-port rounds).
-	d, gamma, delta                    int // little degree, probing rounds, H degree
-	mp1                                int // AEA Part 1 multi-port rounds
-	hRounds                            int // H spreading multi-port rounds
-	ringPhases                         int
-	segAEnd, segBEnd, segCEnd, segDEnd int
+func newCompiled(id int, top *consensus.Topology) compiled {
+	c := compiled{id: id, top: top, ringAsked: -1}
+	if top.IsLittle(id) {
+		c.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
+	}
+	return c
+}
+
+// ScheduleLength returns the protocol's fixed single-port round count.
+func (c *compiled) ScheduleLength() int { return c.top.Schedule.SP }
+
+// Halted implements sim.Protocol.
+func (c *compiled) Halted() bool { return c.halted }
+
+// littleNeighbor returns the little overlay neighbor for a slot, or -1.
+func (c *compiled) littleNeighbor(slot int) int {
+	if c.probing == nil {
+		return -1
+	}
+	return at(c.top.Little.Neighbors(c.id), slot)
+}
+
+func (c *compiled) hNeighbor(slot int) int { return at(c.top.MustBroadcast().Neighbors(c.id), slot) }
+
+// at returns nbrs[slot], or -1 when the slot is past the list.
+func at(nbrs []int, slot int) int {
+	if slot < 0 || slot >= len(nbrs) {
+		return -1
+	}
+	return nbrs[slot]
+}
+
+// ringPeers returns (predecessor, successor-at-offset-k) for sub-phase
+// k (1-based) of the ring-pull sweep: the node this one inquires, and
+// the node whose inquiries this one answers.
+func (c *compiled) ringPeers(k int) (pred, succ int) {
+	n := c.top.N
+	return (c.id - k + n*((k/n)+1)) % n, (c.id + k) % n
+}
+
+// one is the round's single send: p to `to`, nothing when to < 0.
+func (c *compiled) one(to int, p sim.Payload) []sim.Envelope {
+	if to < 0 {
+		return nil
+	}
+	return []sim.Envelope{{From: c.id, To: to, Payload: p}}
+}
+
+// probeTarget returns the little neighbor a probing-segment send slot
+// probes, or -1, latching at each compiled round whether the node still
+// probes.
+func (c *compiled) probeTarget(off int) int {
+	d := c.top.Schedule.Little.Degree
+	slot := off % (2 * d)
+	if slot == 0 {
+		c.probeNow = c.probing.Active()
+		c.probeRecv = 0
+	}
+	if c.probeNow && slot < d {
+		return c.littleNeighbor(slot)
+	}
+	return -1
+}
+
+// probed closes a compiled probing round after its last poll slot and
+// reports whether the node now decides.
+func (c *compiled) probed(off int) bool {
+	d := c.top.Schedule.Little.Degree
+	if c.probing == nil || off%(2*d) != 2*d-1 {
+		return false
+	}
+	c.probing.Observe(c.probeRecv)
+	return c.probing.Done() && c.probing.Survived() && !c.decided
+}
+
+// spread sends the decision p over H: a node decided at the start of a
+// compiled round sends it to one H neighbor per send slot, once.
+func (c *compiled) spread(off int, p sim.Payload) []sim.Envelope {
+	delta := c.top.Schedule.Broadcast.Degree
+	slot := off % (2 * delta)
+	if slot == 0 {
+		c.hNow = c.decided && !c.hSent
+		if c.hNow {
+			c.hSent = true
+		}
+	}
+	if c.hNow && slot < delta {
+		return c.one(c.hNeighbor(slot), p)
+	}
+	return nil
+}
+
+// sweep is the ring-pull sweep's send: an undecided node inquires its
+// predecessor at distance k, a decided one answers this sub-phase's
+// inquirer with p.
+func (c *compiled) sweep(off int, p sim.Payload) []sim.Envelope {
+	pred, _ := c.ringPeers(off/4 + 1)
+	switch off % 4 {
+	case 0: // undecided inquire predecessor-at-k
+		c.ringAsked = -1
+		c.ringInquired = !c.decided && pred != c.id
+		if c.ringInquired {
+			return c.one(pred, sim.Inquiry{})
+		}
+	case 2: // respond to this sub-phase's inquirer
+		if c.decided && c.ringAsked >= 0 {
+			to := c.ringAsked
+			c.ringAsked = -1
+			return c.one(to, p)
+		}
+	}
+	return nil
+}
+
+// Poll implements sim.Poller.
+func (c *compiled) Poll(round int) (sim.NodeID, bool) {
+	s := &c.top.Schedule
+	seg, off := s.SPAt(round)
+	from := -1
+	switch seg {
+	case 1, 2:
+		if d := s.Little.Degree; off%(2*d) >= d {
+			from = c.littleNeighbor(off%(2*d) - d)
+		}
+	case 3:
+		if delta := s.Broadcast.Degree; off%(2*delta) >= delta {
+			from = c.hNeighbor(off%(2*delta) - delta)
+		}
+	case 4:
+		pred, succ := c.ringPeers(off/4 + 1)
+		switch {
+		case off%4 == 1 && succ != c.id: // listen for inquiries from the node k ahead
+			from = succ
+		case off%4 == 3 && c.ringInquired && pred != c.id: // collect the response
+			from = pred
+		}
+	}
+	if from < 0 {
+		return 0, false
+	}
+	return from, true
+}
+
+// noteInquirer records an inquiry polled in the sweep's listening slot.
+func (c *compiled) noteInquirer(inbox []sim.Envelope) {
+	for _, env := range inbox {
+		if _, ok := env.Payload.(sim.Inquiry); ok {
+			c.ringAsked = env.From
+		}
+	}
+}
+
+// LinearConsensus is the per-node single-port machine.
+type LinearConsensus struct {
+	compiled
+
+	candidate bool
+	flooded   bool // completed the Part-1 flood
+	pending   bool // flood at the next Part-1 multi-port round
+	decision  bool
 }
 
 // New creates the Linear-Consensus machine for node id with the given
 // binary input.
 func New(id int, top *consensus.Topology, input bool) *LinearConsensus {
-	l := &LinearConsensus{id: id, top: top, candidate: input, ringAsked: -1}
-	l.d = top.Little.P.Degree
-	l.gamma = top.Little.P.Gamma
-	l.delta = top.MustBroadcast().P.Degree
-
-	l.mp1 = 5*top.T - 1
-	if l.mp1 < 1 {
-		l.mp1 = 1
-	}
-	if l.mp1 < l.gamma {
-		l.mp1 = l.gamma
-	}
-	l.hRounds = 2*expander.CeilLog2(top.N) + 4
-	l.ringPhases = 6*top.T + expander.CeilLog2(top.N) + 16
-	if l.ringPhases > top.N-1 {
-		l.ringPhases = top.N - 1
-	}
-
-	l.segAEnd = l.mp1 * 2 * l.d
-	l.segBEnd = l.segAEnd + l.gamma*2*l.d
-	l.segCEnd = l.segBEnd + l.hRounds*2*l.delta
-	l.segDEnd = l.segCEnd + 4*l.ringPhases
-
-	if top.IsLittle(id) {
-		l.probing = probe.New(top.Little.Neighbors(id), l.gamma, top.Little.P.Delta)
-	}
-	return l
+	return &LinearConsensus{compiled: newCompiled(id, top), candidate: input}
 }
-
-// ScheduleLength returns the protocol's fixed single-port round count.
-func (l *LinearConsensus) ScheduleLength() int { return l.segDEnd }
 
 // Decision returns the consensus decision, if reached.
 func (l *LinearConsensus) Decision() (value, ok bool) { return l.decision, l.decided }
 
-// littleNeighbor returns the little overlay neighbor for a slot, or -1.
-func (l *LinearConsensus) littleNeighbor(slot int) int {
-	if l.probing == nil {
-		return -1
-	}
-	nbrs := l.top.Little.Neighbors(l.id)
-	if slot < 0 || slot >= len(nbrs) {
-		return -1
-	}
-	return nbrs[slot]
-}
-
-func (l *LinearConsensus) hNeighbor(slot int) int {
-	nbrs := l.top.MustBroadcast().Neighbors(l.id)
-	if slot < 0 || slot >= len(nbrs) {
-		return -1
-	}
-	return nbrs[slot]
-}
-
-// position returns the segment (1..4) and the offset within it.
-func (l *LinearConsensus) position(round int) (seg, off int) {
-	switch {
-	case round < l.segAEnd:
-		return 1, round
-	case round < l.segBEnd:
-		return 2, round - l.segAEnd
-	case round < l.segCEnd:
-		return 3, round - l.segBEnd
-	case round < l.segDEnd:
-		return 4, round - l.segCEnd
-	default:
-		return 5, 0
-	}
-}
-
-// ringPeers returns (predecessor, successor-at-offset-k) for sub-phase
-// k (1-based): the node this one inquires, and the node whose
-// inquiries this one answers.
-func (l *LinearConsensus) ringPeers(k int) (pred, succ int) {
-	n := l.top.N
-	return (l.id - k + n*((k/n)+1)) % n, (l.id + k) % n
-}
-
 // Send implements sim.Protocol (single message per round).
 func (l *LinearConsensus) Send(round int) []sim.Envelope {
-	seg, off := l.position(round)
+	seg, off := l.top.Schedule.SPAt(round)
 	switch seg {
 	case 1: // AEA Part 1 compiled
 		if l.probing == nil {
 			return nil
 		}
-		slot := off % (2 * l.d)
+		d := l.top.Schedule.Little.Degree
+		slot := off % (2 * d)
 		if slot == 0 {
-			first := off == 0
-			if (first && l.candidate && !l.flooded) || l.pending {
+			l.floodNow = (off == 0 && l.candidate && !l.flooded) || l.pending
+			if l.floodNow {
 				l.flooded = true
 				l.pending = false
-				l.floodNow = true
-			} else {
-				l.floodNow = false
 			}
 		}
-		if l.floodNow && slot < l.d {
-			if to := l.littleNeighbor(slot); to >= 0 {
-				return []sim.Envelope{{From: l.id, To: to, Payload: sim.Bit(true)}}
-			}
+		if l.floodNow && slot < d {
+			return l.one(l.littleNeighbor(slot), sim.Bit(true))
 		}
-		return nil
 	case 2: // probing compiled
-		if l.probing == nil {
-			return nil
+		if l.probing != nil {
+			return l.one(l.probeTarget(off), sim.Probe{Rumor: sim.Bit(l.candidate)})
 		}
-		slot := off % (2 * l.d)
-		if slot == 0 {
-			l.probeNow = l.probing.Active()
-			l.probeRecv = 0
-		}
-		if l.probeNow && slot < l.d {
-			if to := l.littleNeighbor(slot); to >= 0 {
-				return []sim.Envelope{{From: l.id, To: to, Payload: sim.Probe{Rumor: sim.Bit(l.candidate)}}}
-			}
-		}
-		return nil
 	case 3: // H spreading compiled
-		slot := off % (2 * l.delta)
-		if slot == 0 {
-			l.hNow = l.decided && !l.hSent
-			if l.hNow {
-				l.hSent = true
-			}
-		}
-		if l.hNow && slot < l.delta {
-			if to := l.hNeighbor(slot); to >= 0 {
-				return []sim.Envelope{{From: l.id, To: to, Payload: sim.Bit(l.decision)}}
-			}
-		}
-		return nil
+		return l.spread(off, sim.Bit(l.decision))
 	case 4: // ring-pull sweep
-		k := off/4 + 1
-		pred, _ := l.ringPeers(k)
-		switch off % 4 {
-		case 0: // undecided inquire predecessor-at-k
-			l.ringAsked = -1
-			if !l.decided && pred != l.id {
-				l.ringInquired = true
-				return []sim.Envelope{{From: l.id, To: pred, Payload: sim.Inquiry{}}}
-			}
-			l.ringInquired = false
-			return nil
-		case 2: // respond to this sub-phase's inquirer
-			if l.decided && l.ringAsked >= 0 {
-				to := l.ringAsked
-				l.ringAsked = -1
-				return []sim.Envelope{{From: l.id, To: to, Payload: sim.Bit(l.decision)}}
-			}
-			return nil
-		default:
-			return nil
-		}
-	default:
-		return nil
+		return l.sweep(off, sim.Bit(l.decision))
 	}
-}
-
-// Poll implements sim.Poller.
-func (l *LinearConsensus) Poll(round int) (sim.NodeID, bool) {
-	seg, off := l.position(round)
-	switch seg {
-	case 1, 2:
-		if l.probing == nil {
-			return 0, false
-		}
-		slot := off % (2 * l.d)
-		if slot >= l.d {
-			if from := l.littleNeighbor(slot - l.d); from >= 0 {
-				return from, true
-			}
-		}
-		return 0, false
-	case 3:
-		slot := off % (2 * l.delta)
-		if slot >= l.delta {
-			if from := l.hNeighbor(slot - l.delta); from >= 0 {
-				return from, true
-			}
-		}
-		return 0, false
-	case 4:
-		k := off/4 + 1
-		pred, succ := l.ringPeers(k)
-		switch off % 4 {
-		case 1: // listen for inquiries from the node k ahead
-			if succ != l.id {
-				return succ, true
-			}
-		case 3: // collect the response
-			if l.ringInquired && pred != l.id {
-				return pred, true
-			}
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
+	return nil
 }
 
 // Deliver implements sim.Protocol.
 func (l *LinearConsensus) Deliver(round int, inbox []sim.Envelope) {
-	seg, off := l.position(round)
+	seg, off := l.top.Schedule.SPAt(round)
 	switch seg {
 	case 1:
 		for _, env := range inbox {
@@ -293,44 +281,34 @@ func (l *LinearConsensus) Deliver(round int, inbox []sim.Envelope) {
 				}
 			}
 		}
-		if l.probing != nil && off%(2*l.d) == 2*l.d-1 {
-			l.probing.Observe(l.probeRecv)
-			if l.probing.Done() && l.probing.Survived() && !l.decided {
-				l.decided = true
-				l.decision = l.candidate
-			}
+		if l.probed(off) {
+			l.decided = true
+			l.decision = l.candidate
 		}
 	case 3:
-		for _, env := range inbox {
-			if b, ok := env.Payload.(sim.Bit); ok && !l.decided {
-				l.decided = true
-				l.decision = bool(b)
-			}
-		}
+		l.adopt(inbox)
 	case 4:
 		switch off % 4 {
 		case 1:
-			for _, env := range inbox {
-				if _, ok := env.Payload.(sim.Inquiry); ok {
-					l.ringAsked = env.From
-				}
-			}
+			l.noteInquirer(inbox)
 		case 3:
-			for _, env := range inbox {
-				if b, ok := env.Payload.(sim.Bit); ok && !l.decided {
-					l.decided = true
-					l.decision = bool(b)
-				}
-			}
+			l.adopt(inbox)
 		}
 	}
-	if round == l.segDEnd-1 {
+	if round == l.top.Schedule.SP-1 {
 		l.halted = true
 	}
 }
 
-// Halted implements sim.Protocol.
-func (l *LinearConsensus) Halted() bool { return l.halted }
+// adopt takes a polled decision while still undecided.
+func (l *LinearConsensus) adopt(inbox []sim.Envelope) {
+	for _, env := range inbox {
+		if b, ok := env.Payload.(sim.Bit); ok && !l.decided {
+			l.decided = true
+			l.decision = bool(b)
+		}
+	}
+}
 
 var (
 	_ sim.Protocol = (*LinearConsensus)(nil)
@@ -339,17 +317,4 @@ var (
 
 // PartAt maps a single-port round to its compiled segment, for the
 // engine's per-part message attribution.
-func (l *LinearConsensus) PartAt(round int) string {
-	switch seg, _ := l.position(round); seg {
-	case 1:
-		return "flood(2d)"
-	case 2:
-		return "probing(2d)"
-	case 3:
-		return "spread(2Δ)"
-	case 4:
-		return "ring-pull"
-	default:
-		return ""
-	}
-}
+func (l *LinearConsensus) PartAt(round int) string { return l.top.Schedule.SPPart(round) }
