@@ -837,19 +837,19 @@ func run(args []string, stdout *os.File) error {
 		// word-parallel too, so lane-slicing buys less here than over
 		// the flooding comparator — and less again each time the scalar
 		// stack gets faster while the sliced rows stand still. Each
-		// floor is 0.8 × the lowest of three quick measurements. The
-		// crash-lane row's was taken when the scalar stack stopped
-		// building overlays it never reads and packing a multicast per
-		// neighbour: 7.48–7.80× (9.58× at the parent, whose scalar row
-		// ran 24.9 ms against 19.3–19.7 ms; the sliced row 2.60 ms
-		// against 2.53–2.59 ms). The link-fault row's is from the
-		// run-length accounting change (4.85–5.37× then, 4.77–4.88×
-		// now, still more than 10 % above its floor).
+		// floor is 0.8 × the lowest of at least three quick
+		// measurements. Both were taken when the scalar stack stopped
+		// packing messages into wire words and cloning snapshot rumors:
+		// the scalar crash-lane row went from 16.2–19.1 ms to
+		// 12.6–14.3 ms and its sliced row read 5.24–6.43× (6.72–7.59×
+		// before); the scalar link-fault row went from 39.3–42.6 ms to
+		// 30.4–36.1 ms and its sliced row read 3.71–5.27× (4.69–4.90×
+		// before). The sliced rows themselves did not move.
 		gossipPoints = []slicedPt{
 			{"scalar-per-seed-gossip", 64, 8, 16, 0},
-			{"sliced-gossip", 64, 8, 16, 5.9},
+			{"sliced-gossip", 64, 8, 16, 4.2},
 			{"scalar-per-seed-gossip-links", 64, 8, 16, 0},
-			{"sliced-gossip-links", 64, 8, 16, 3.8},
+			{"sliced-gossip-links", 64, 8, 16, 3.0},
 		}
 	}
 	for _, p := range gossipPoints {

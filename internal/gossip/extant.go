@@ -29,8 +29,13 @@ type ExtantSet struct {
 }
 
 // NewExtantSet returns an extant set over n nodes with every pair nil.
-func NewExtantSet(n int) *ExtantSet {
-	return &ExtantSet{known: bitset.New(n), rumors: make([]Rumor, n)}
+func NewExtantSet(n int) *ExtantSet { return newExtantSetOver(make([]Rumor, n)) }
+
+// newExtantSetOver returns an extant set over len(rumors) nodes with
+// every pair nil that keeps its rumors in the given array, which must be
+// all zero.
+func newExtantSetOver(rumors []Rumor) *ExtantSet {
+	return &ExtantSet{known: bitset.New(len(rumors)), rumors: rumors}
 }
 
 // Update records the proper pair (node, rumor); later updates for the
@@ -76,15 +81,19 @@ func (e *ExtantSet) Clone() *ExtantSet {
 	return &ExtantSet{known: e.known.Clone(), rumors: append([]Rumor(nil), e.rumors...), count: e.count}
 }
 
-// Snapshot returns a copy of e for a message payload. The copy is
-// never written again — a delayed message parks in the engine's delay
-// ring for rounds and the parallel engine hands one payload to many
-// receivers at once — so it is shared by every message the node sends
-// until e next grows: a view only grows, hence an unchanged count
-// means an unchanged view, and only a changed one is cloned again.
+// Snapshot returns a frozen view of e for a message payload: a copy of
+// the membership that shares e's rumor array. The view is never written
+// again — a delayed message parks in the engine's delay ring for rounds
+// and the parallel engine hands one payload to many receivers at once —
+// and sharing the rumors keeps it so, because a proper pair is
+// immutable: e writes a rumor only for a node it did not know, which no
+// earlier snapshot contains, and a snapshot is read only at its
+// members. One snapshot serves every message the node sends until e
+// next grows: a view only grows, hence an unchanged count means an
+// unchanged view, and only a changed one is copied again.
 func (e *ExtantSet) Snapshot() *ExtantSet {
 	if e.snap == nil || e.snap.count != e.count {
-		e.snap = e.Clone()
+		e.snap = &ExtantSet{known: e.known.Clone(), rumors: e.rumors, count: e.count}
 	}
 	return e.snap
 }

@@ -35,11 +35,60 @@ type Gossip struct {
 
 // New creates the gossip machine for node id with the given rumor.
 func New(id int, top *consensus.Topology, rumor Rumor) *Gossip {
+	return NewIn(id, top, rumor, &Slab{})
+}
+
+// Slab is memory a system of machines cuts its rumor arrays and send
+// buffers from (NewIn), so that the whole system lives in two
+// allocations its owner can recycle once the run's outcome is read. The
+// rumors must be all zero.
+type Slab struct {
+	Envelopes []sim.Envelope
+	Rumors    []Rumor
+}
+
+// SlabSize returns the envelopes and rumors of a Slab that NewIn cuts
+// every machine of a system on top from.
+func SlabSize(top *consensus.Topology) (envelopes, rumors int) {
+	for id := 0; id < top.N; id++ {
+		envelopes += sendCap(top, id)
+	}
+	return envelopes, top.N * top.N
+}
+
+// sendCap returns the envelopes node id sends in its widest round over
+// G_1 and the little overlay — inquiries or pushes to its G_1
+// neighbours, responses to its little G_1 neighbours, probes to its
+// little neighbours — from the overlays' resolved degrees, so that
+// nothing is built. The denser G_i of later phases, consulted only
+// after crashes, grow the buffer like any sim.Outbox.
+func sendCap(top *consensus.Topology, id int) int {
+	c := top.Inquiry.PhaseParams(1).Degree
+	if top.IsLittle(id) {
+		c = max(c, top.Schedule.Little.Degree)
+	}
+	return c
+}
+
+// NewIn is New with the machine's rumor array and send buffer cut from
+// the fronts of s, which it advances past them; a part of s too short
+// for its cut leaves that buffer to be allocated as New does.
+func NewIn(id int, top *consensus.Topology, rumor Rumor, s *Slab) *Gossip {
+	n := top.N
+	rumors := s.Rumors
+	if len(rumors) >= n {
+		rumors, s.Rumors = rumors[:n:n], rumors[n:]
+	} else {
+		rumors = make([]Rumor, n)
+	}
 	g := &Gossip{
 		id:           id,
 		top:          top,
-		extant:       NewExtantSet(top.N),
+		extant:       newExtantSetOver(rumors),
 		survivedPrev: true,
+	}
+	if c := sendCap(top, id); len(s.Envelopes) >= c {
+		g.out, s.Envelopes = s.Envelopes[:0:c], s.Envelopes[c:]
 	}
 	g.extant.Update(id, rumor)
 	g.self = PairPayload{Node: id, Value: rumor}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"lineartime/internal/gossip"
 	"lineartime/internal/obs"
 	"lineartime/internal/sim"
 	"lineartime/internal/sim/simtest"
@@ -170,11 +171,11 @@ func BenchmarkRunWarm(b *testing.B) {
 	}
 }
 
-// drainSendSlabs empties the slab pool and returns what it held.
-func drainSendSlabs() []*sendSlab {
-	var slabs []*sendSlab
+// drainRunSlabs empties the slab pool and returns what it held.
+func drainRunSlabs() []*runSlab {
+	var slabs []*runSlab
 	for {
-		s, _ := sendSlabs.Get().(*sendSlab)
+		s, _ := runSlabs.Get().(*runSlab)
 		if s == nil {
 			return slabs
 		}
@@ -182,53 +183,90 @@ func drainSendSlabs() []*sendSlab {
 	}
 }
 
-// TestSendSlabReturnsClean: a slab back in the pool holds no envelope —
-// a pooled slab must not pin a finished run's payloads — whether it got
-// there from release directly or at the end of a Run.
-func TestSendSlabReturnsClean(t *testing.T) {
-	assertZero := func(tag string, s *sendSlab) {
-		t.Helper()
-		for i, env := range s.buf[:cap(s.buf)] {
-			if env != (sim.Envelope{}) {
-				t.Fatalf("%s: pooled slab holds %+v at %d of %d", tag, env, i, cap(s.buf))
-			}
+// assertZeroSlab fails unless the slab is all zero throughout the
+// capacity of both its parts.
+func assertZeroSlab(t *testing.T, tag string, s *runSlab) {
+	t.Helper()
+	for i, env := range s.Envelopes[:cap(s.Envelopes)] {
+		if env != (sim.Envelope{}) {
+			t.Fatalf("%s: pooled slab holds %+v at %d of %d", tag, env, i, cap(s.Envelopes))
 		}
 	}
-	drainSendSlabs()
-	s := getSendSlab(100)
-	for i := range s.buf {
-		s.buf[i] = sim.Envelope{From: i, To: i + 1, Payload: sim.Bit(true)}
+	for i, r := range s.Rumors[:cap(s.Rumors)] {
+		if r != 0 {
+			t.Fatalf("%s: pooled slab holds rumor %d at %d of %d", tag, r, i, cap(s.Rumors))
+		}
+	}
+}
+
+// TestSendSlabReturnsClean: a slab back in the pool holds no envelope
+// and no rumor — a pooled slab must not pin a finished run's payloads,
+// and a gossip run reads its rumor arrays as all nil pairs — whether it
+// got there from release directly or at the end of a few-crashes or a
+// gossip Run.
+func TestSendSlabReturnsClean(t *testing.T) {
+	drainRunSlabs()
+	s := getRunSlab(100, 30)
+	for i := range s.Envelopes {
+		s.Envelopes[i] = sim.Envelope{From: i, To: i + 1, Payload: sim.Bit(true)}
+	}
+	for i := range s.Rumors {
+		s.Rumors[i] = gossip.Rumor(i + 1)
 	}
 	s.release()
-	assertZero("after release", s) // no other test runs beside this one, so s is still ours to read
-	if again := getSendSlab(40); again == s && len(again.buf) != 40 {
-		t.Fatalf("reused slab has length %d, want 40", len(again.buf))
+	assertZeroSlab(t, "after release", s) // no other test runs beside this one, so s is still ours to read
+	if again := getRunSlab(40, 50); again == s && (len(again.Envelopes) != 40 || len(again.Rumors) != 50) {
+		t.Fatalf("reused slab has lengths %d and %d, want 40 and 50", len(again.Envelopes), len(again.Rumors))
 	}
 
-	sp := serveColdSpec(t, 9)
-	for i := 0; i < 3; i++ {
-		if _, err := Run(sp); err != nil {
-			t.Fatal(err)
+	for _, sp := range []Spec{serveColdSpec(t, 9), MustLookup("gossip/expander").Spec(96, 16, 0x51ab0002)} {
+		for i := 0; i < 3; i++ {
+			if _, err := Run(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range drainRunSlabs() {
+			assertZeroSlab(t, sp.Name+": after Run", s)
 		}
 	}
-	for _, s := range drainSendSlabs() {
-		assertZero("after Run", s)
+}
+
+// TestObservedRunKeepsItsSlab: a run with an observer never returns its
+// slab, because what the observer holds may alias it — a gossip
+// snapshot shares its sender's rumor array — and must read the same
+// after the run as during it.
+func TestObservedRunKeepsItsSlab(t *testing.T) {
+	sp := MustLookup("gossip/expander").Spec(96, 16, 0x51ab0003)
+	sp.Observer = &simtest.EventLog{}
+	drainRunSlabs()
+	if _, err := Run(sp); err != nil {
+		t.Fatal(err)
+	}
+	if got := drainRunSlabs(); len(got) != 0 {
+		t.Fatalf("an observed run returned %d slabs to the pool", len(got))
 	}
 }
 
 // TestConcurrentRunsOwnTheirSlabs: concurrent Runs each borrow their
 // own slab (a shared one is a data race on every send, so run under
-// -race) and report what a lone run reports.
+// -race) and report what a lone run reports — few-crashes and gossip
+// runs interleaved, so that one stack's slab serves the other's next
+// run.
 func TestConcurrentRunsOwnTheirSlabs(t *testing.T) {
-	sp := MustLookup("consensus/few-crashes").Spec(64, 12, 0x51ab0001)
+	few := MustLookup("consensus/few-crashes").Spec(64, 12, 0x51ab0001)
 	fault, err := ParseFault("random-crashes:count=12,horizon=30,seed=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Fault = fault
-	want, err := Run(sp)
-	if err != nil {
-		t.Fatal(err)
+	few.Fault = fault
+	gos := MustLookup("gossip/expander").Spec(64, 12, 0x51ab0001)
+	gos.Fault = fault
+	specs := []Spec{few, gos}
+	want := make([]*Report, len(specs))
+	for i, sp := range specs {
+		if want[i], err = Run(sp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -236,9 +274,10 @@ func TestConcurrentRunsOwnTheirSlabs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				got, err := Run(sp)
-				if err != nil || !reflect.DeepEqual(want, got) {
-					t.Errorf("concurrent run diverged from the lone run (err %v)", err)
+				k := (g + i) % len(specs)
+				got, err := Run(specs[k])
+				if err != nil || !reflect.DeepEqual(want[k], got) {
+					t.Errorf("concurrent %s run diverged from the lone run (err %v)", specs[k].Name, err)
 					return
 				}
 			}

@@ -24,6 +24,10 @@ type Definition struct {
 	// parameters (e.g. a partition Cut of 0) resolve against n at
 	// materialization.
 	Fault FaultModel
+	// MayBreak lists the guarantees (Check) the row's bound fault is
+	// expected to break: a run of the row that breaks any other one is a
+	// bug, and each listed one breaks on some seed.
+	MayBreak []Guarantee
 	// Experiments lists the EXPERIMENTS.md experiment ids that
 	// exercise this cell (golden-matrix bookkeeping).
 	Experiments []string
@@ -290,6 +294,7 @@ func init() {
 		{
 			Name: "gossip/expander/delay", Problem: Gossip, Algorithm: GossipExpander, Port: MultiPort,
 			Fault:       FaultModel{Kind: DelayedLinks, Delay: 2},
+			MayBreak:    []Guarantee{Completeness},
 			Experiments: []string{"E12"},
 			About:       "§5 gossip under adversarial delivery up to 2 rounds late",
 		},
@@ -312,13 +317,17 @@ func init() {
 		// schedules are expected to break their safety property.
 		{
 			Name: "consensus/few-crashes/chaos", Problem: Consensus, Algorithm: FewCrashes, Port: MultiPort,
-			Fault:       FaultModel{Kind: DelayedLinks, Delay: 4},
+			Fault: FaultModel{Kind: DelayedLinks, Delay: 4},
+			// Late deliveries leave the survivors undecided, never split:
+			// the outcome's agreement flag counts both.
+			MayBreak:    []Guarantee{Termination},
 			Experiments: []string{"E13"},
 			About:       "campaign-found worst schedule: delivery up to 4 rounds late breaks agreement (frontier_consensus_few-crashes.json)",
 		},
 		{
 			Name: "gossip/expander/chaos", Problem: Gossip, Algorithm: GossipExpander, Port: MultiPort,
 			Fault:       FaultModel{Kind: DelayedLinks, Delay: 3},
+			MayBreak:    []Guarantee{Completeness},
 			Experiments: []string{"E13"},
 			About:       "campaign-found worst unswept schedule: delivery up to 3 rounds late leaves gossip incomplete (frontier_gossip_expander.json)",
 		},

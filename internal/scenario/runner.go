@@ -11,6 +11,7 @@ import (
 	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
 	"lineartime/internal/expander"
+	"lineartime/internal/gossip"
 	"lineartime/internal/obs"
 	"lineartime/internal/sim"
 )
@@ -70,32 +71,37 @@ func Execute(cfg sim.Config, p Parallelism) (*sim.Result, error) {
 	return res.Clone(), nil
 }
 
-// sendSlabs recycles the few-crashes stack's send buffers: a run's
-// ≈2n per-machine sim.Outboxes are cut from one envelope slab
-// (consensus.CarveOutboxes) instead of being allocated on each
-// machine's first send. A pooled slab is all zero — release clears what
-// the run wrote — so it pins no payload between runs.
-var sendSlabs sync.Pool
+// runSlabs recycles the per-run memory of the few-crashes and gossip
+// stacks: a run's per-machine sim.Outboxes (consensus.CarveOutboxes,
+// gossip.NewIn) and gossip rumor arrays are cut from one slab instead of
+// being allocated machine by machine. A pooled slab is all zero —
+// release clears what the run wrote — so it pins no payload between
+// runs.
+var runSlabs sync.Pool
 
-type sendSlab struct{ buf []sim.Envelope }
+type runSlab struct{ gossip.Slab }
 
-func getSendSlab(n int) *sendSlab {
-	s, _ := sendSlabs.Get().(*sendSlab)
-	if s == nil || cap(s.buf) < n {
-		s = &sendSlab{buf: make([]sim.Envelope, n)}
+// getRunSlab borrows a slab of the given lengths, growing whichever
+// part of a pooled one is too short.
+func getRunSlab(envs, rumors int) *runSlab {
+	s, _ := runSlabs.Get().(*runSlab)
+	if s == nil {
+		s = &runSlab{}
 	}
-	s.buf = s.buf[:n]
+	s.Envelopes = slices.Grow(s.Envelopes[:0], envs)[:envs]
+	s.Rumors = slices.Grow(s.Rumors[:0], rumors)[:rumors]
 	return s
 }
 
 // release clears the slab and returns it to the pool; a nil slab (a
 // stack that borrowed none) is a no-op.
-func (s *sendSlab) release() {
+func (s *runSlab) release() {
 	if s == nil {
 		return
 	}
-	clear(s.buf)
-	sendSlabs.Put(s)
+	clear(s.Envelopes)
+	clear(s.Rumors)
+	runSlabs.Put(s)
 }
 
 // Run materializes the spec into a sim.Config, executes it through
@@ -125,8 +131,12 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 		return nil, nil, err
 	}
 	// Runs once the outcome is decoded: finish reads the machines, and
-	// nothing in the report aliases their buffers.
-	defer sys.slab.release()
+	// nothing in the report aliases their buffers. An observer may hold
+	// payloads past the run, and gossip snapshots share the slab's
+	// rumors, so an observed run keeps its slab.
+	if sp.Observer == nil {
+		defer sys.slab.release()
+	}
 	fault, err := sp.Fault.LinkFault(sp.N, sp.T, sys.little, sp.Seed)
 	if err != nil {
 		return nil, nil, err
@@ -210,9 +220,9 @@ type system struct {
 	little int
 	// finish evaluates the problem-specific outcome into the report.
 	finish func(res *sim.Result, rep *Report)
-	// slab, when set, holds the machines' send buffers; once it is
-	// released the machines must not run again.
-	slab *sendSlab
+	// slab, when set, holds the machines' send buffers and rumor arrays;
+	// once it is released the machines must not run again.
+	slab *runSlab
 }
 
 // validate checks everything about the spec that needs nothing built —

@@ -46,8 +46,8 @@ var stacks = map[stackKey]stack{
 			if err != nil {
 				return nil, err
 			}
-			slab := getSendSlab(top.OutboxSlabLen())
-			rest := slab.buf
+			slab := getRunSlab(top.OutboxSlabLen(), 0)
+			rest := slab.Envelopes
 			sys := perNode(sp, top.L, func(i int) *consensus.FewCrashes {
 				m := consensus.NewFewCrashes(i, top, sp.BoolInputs[i])
 				rest = m.CarveOutboxes(rest)
@@ -120,9 +120,13 @@ var stacks = map[stackKey]stack{
 			if err != nil {
 				return nil, err
 			}
-			return perNode(sp, top.L, func(i int) *gossip.Gossip {
-				return gossip.New(i, top, gossip.Rumor(sp.Rumors[i]))
-			}, decodeGossip), nil
+			slab := getRunSlab(gossip.SlabSize(top))
+			cut := slab.Slab // NewIn advances the copy; release clears the whole slab
+			sys := perNode(sp, top.L, func(i int) *gossip.Gossip {
+				return gossip.NewIn(i, top, gossip.Rumor(sp.Rumors[i]), &cut)
+			}, decodeGossip)
+			sys.slab = slab
+			return sys, nil
 		},
 		sliced:   func() slicedProblem { return &slicedGossip{} },
 		implicit: true,

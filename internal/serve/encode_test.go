@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"lineartime/internal/obs"
@@ -113,6 +114,56 @@ func TestEncodeRunResponseMatchesEncodingJSON(t *testing.T) {
 		sameAsEncodingJSON(t, tag, "k<\"&\u2029", rep, nil)
 		sameAsEncodingJSON(t, tag+" traced", "key", rep, &obs.Trace{Engine: "sequential", Spans: []obs.Span{{Name: "rounds"}}})
 	}
+}
+
+// TestEncodedBodyOwnsItsBytes: the encoder assembles every report in one
+// pooled scratch buffer, and what it returns — the bytes the result
+// cache keeps — must share none of it. Encode a gossip report, then a
+// second, larger one: the first body is unchanged and exactly sized.
+// Then encode both from several goroutines at once (run under -race):
+// every body is the one a lone encode gave.
+func TestEncodedBodyOwnsItsBytes(t *testing.T) {
+	var keys []string
+	var reps []*scenario.Report
+	for _, n := range []int{40, 60} {
+		sp := scenario.MustLookup("gossip/expander").Spec(n, n/6, 0xa11a5+uint64(n))
+		rep, err := scenario.Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, reps = append(keys, sp.Key()), append(reps, rep)
+	}
+	encode := func(i int) []byte {
+		body, err := EncodeRunResponse(keys[i], reps[i])
+		if err != nil {
+			t.Error(err)
+		}
+		return body
+	}
+	a := encode(0)
+	want := [][]byte{bytes.Clone(a), encode(1)}
+	if !bytes.Equal(a, want[0]) {
+		t.Fatal("encoding a second report changed the first body")
+	}
+	for i, body := range [][]byte{a, want[1]} {
+		if cap(body) != len(body) {
+			t.Fatalf("body %d: cap %d, len %d", i, cap(body), len(body))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 10; k++ {
+				if i := (g + k) % 2; !bytes.Equal(encode(i), want[i]) {
+					t.Errorf("concurrent encode of report %d differs from a lone one", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // FuzzRunResponseEncoding holds the same equality over generated gossip

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -120,14 +121,30 @@ func EncodeRunResponseTrace(key string, rep *scenario.Report, tr *obs.Trace) ([]
 	}
 	// The key is escaped, so the first bare "report" is the member.
 	at := bytes.Index(shell, []byte(`,"report":null`)) + len(`,"report":`)
-	body, err := rep.AppendJSON(nil)
+	scratch, _ := encodeScratch.Get().(*[]byte)
+	if scratch == nil {
+		scratch = new([]byte)
+	}
+	body, err := rep.AppendJSON((*scratch)[:0])
+	if cap(body) <= maxPooledEncode {
+		*scratch = body
+		defer encodeScratch.Put(scratch)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Sized exactly: the result cache holds these bytes, not body's slack.
+	// Sized exactly: the result cache holds these bytes, not body's slack,
+	// and never the scratch buffer the next encode reuses.
 	out := make([]byte, 0, len(shell)-len(`null`)+len(body))
 	return append(append(append(out, shell[:at]...), body...), shell[at+len(`null`):]...), nil
 }
+
+// encodeScratch recycles the buffer EncodeRunResponseTrace assembles a
+// report in, which a gossip report grows through a dozen doublings;
+// buffers above maxPooledEncode are left to the collector.
+var encodeScratch sync.Pool
+
+const maxPooledEncode = 4 << 20
 
 // SweepPoint is one size of a sweep request.
 type SweepPoint struct {

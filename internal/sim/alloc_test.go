@@ -7,16 +7,13 @@ import (
 )
 
 // Alloc-regression guard: a pooled Runtime's steady-state (post-warmup)
-// run must be allocation-free on the fault-free and crash paths, and on
-// the link-fault path with inline payloads — the delay ring, like every
-// other arena buffer, grows to the run's peak once and then recycles.
-// Only the escape side table may grow while escapes are parked across
-// rounds (wire.go documents the bound), which these configs avoid by
-// sending inline payloads only.
+// run must be allocation-free on the fault-free, crash and link-fault
+// paths — the delay ring, like every other arena buffer, grows to the
+// run's peak once and then recycles.
 
 // The guard's protocol is the shared broadcaster benchmark harness
-// (engine_bench_test.go): fixed fanout of inline one-bit payloads,
-// persistent pre-sized outbox, resettable.
+// (engine_bench_test.go): fixed fanout of one-bit payloads, persistent
+// pre-sized outbox, resettable.
 
 // allocDelayFilter delays a deterministic slice of the traffic and
 // drops another, with MaxDelay 2, using no per-verdict state.

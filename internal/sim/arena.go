@@ -9,10 +9,10 @@ import (
 )
 
 // Runtime is a reusable run arena: the full engine state — the CSR
-// scratch workspace, the wire-plane escape table, the single-port
-// rings and their n-sized idx tables, the delay ring, the metrics
-// arrays, the parallel engines' shard buffers and the one worker pool
-// that runs their phases — pooled across runs. The first run of a
+// scratch workspace, the single-port rings and their n-sized idx
+// tables, the delay ring, the metrics arrays, the parallel engines'
+// shard buffers and the one worker pool that runs their phases — pooled
+// across runs. The first run of a
 // given shape grows every buffer to its peak; the second and subsequent
 // runs are steady-state allocation-free, which is what makes
 // repeated-run workloads (sweeps, replications, benchmarks) cheap. A

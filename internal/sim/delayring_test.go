@@ -163,12 +163,12 @@ func TestZeroDelayVerdicts(t *testing.T) {
 // slot recycling with capacity kept, and reset clearing in-flight
 // messages left by a completed run.
 func TestDelayRingUnit(t *testing.T) {
-	ring := (*delayRing[wireMsg])(nil).recycle(2) // 3 slots
+	ring := (*delayRing[Envelope])(nil).recycle(2) // 3 slots
 	if got := len(ring.slots); got != 3 {
 		t.Fatalf("ring of MaxDelay 2 has %d slots, want 3", got)
 	}
-	a := wireMsg{From: 1}
-	b := wireMsg{From: 2}
+	a := Envelope{From: 1}
+	b := Envelope{From: 2}
 	ring.push(4, a) // slot 1
 	ring.push(7, b) // slot 1 again, one lap later — coexists until round 4 is taken
 	got := ring.take(4)

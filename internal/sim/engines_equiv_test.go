@@ -28,12 +28,11 @@ func (p fuzzPayload) SizeBits() int { return p.bits }
 // fuzzNode is a randomized protocol: traffic pattern, poll choices and
 // halting depend on a per-node PRNG and on everything received so far,
 // so any divergence between engines cascades into the transcript. With
-// mixed set, sends alternate between the engine's inline payload kinds
-// (Bit, Inquiry, Probe) and the protocol-defined fuzzPayload, so the
-// wire plane's inline packing and the escape side table are exercised
-// together; Deliver folds each payload's concrete value into the
-// accumulator, so a round-trip that loses a bit of payload content (not
-// just its size) diverges the transcript.
+// mixed set, sends alternate between the engine's one-bit payload kinds
+// (Bit, Inquiry, Probe), which share boxes, and the protocol-defined
+// fuzzPayload, boxed per message; Deliver folds each payload's concrete
+// value into the accumulator, so a delivery that loses a bit of payload
+// content (not just its size) diverges the transcript.
 type fuzzNode struct {
 	id, n, horizon int
 	single         bool
@@ -848,9 +847,9 @@ type equivCase struct {
 	// fault — combined with crash it exercises the whole LinkFault
 	// surface at once.
 	link bool
-	// mixed interleaves inline payload kinds with the protocol-defined
-	// fuzzPayload, proving the escape side-table encoding round-trips
-	// byte-identically against the oracle.
+	// mixed interleaves the one-bit payload kinds with the
+	// protocol-defined fuzzPayload, so runs of one box alternate with
+	// envelopes boxed apart in the run-length traffic accounting.
 	mixed bool
 }
 
@@ -968,7 +967,7 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 // link-fault and parallel runs at varying sizes — and demands every
 // pooled run match the fresh-state reference exactly. Any state the
 // arena fails to reset between runs (a stale port ring, a leftover
-// delay slot, a dirty metrics array, a mis-recycled escape table)
+// delay slot, a dirty metrics array, a stale recorded outbox)
 // diverges the transcript.
 func TestRuntimeReuseMatchesReference(t *testing.T) {
 	cases := []equivCase{

@@ -88,8 +88,8 @@ func (NoFailures) FilterSend(_ int, _ NodeID, outbox []Envelope) ([]Envelope, bo
 
 var _ LinkFault = NoFailures{}
 
-// delayRing buffers in-flight delayed messages — packed wireMsgs on the
-// scalar engines, word-wide SlicedMsgs on the sliced one: one reusable
+// delayRing buffers in-flight delayed messages — Envelopes on the scalar
+// engines, word-wide SlicedMsgs on the sliced one: one reusable
 // slot per future round, indexed by arrival round modulo the window size
 // (MaxDelay+1). Slots keep their capacity across rounds, so after the
 // run's peak in-flight volume the ring never touches the allocator — the
@@ -143,41 +143,42 @@ func (d *delayRing[T]) take(round int) []T {
 	return arrivals
 }
 
+// scrub empties every slot and zeroes its storage, so an idle arena
+// pins no payload.
+func (d *delayRing[T]) scrub() {
+	for i, slot := range d.slots {
+		clear(slot[:cap(slot)])
+		d.slots[i] = slot[:0]
+	}
+}
+
 // injectArrivals stages the delayed messages arriving at round r and
 // returns how many there were. state.round calls it first thing after
 // beginRound, so arrivals precede the round's fresh sends in the
 // staged buffer; a positive count obliges the caller to re-sort the
 // buffer by sender before placing inboxes. Messages still in flight
 // when the run completes are lost, like messages to crashed nodes.
-// Escape payloads leaving the ring stop pinning the side table (they
-// are delivered, and their entries consumed, this round).
 func (s *state) injectArrivals(r int) int {
 	if s.ring == nil {
 		return 0
 	}
 	arrivals := s.ring.take(r)
-	for i := range arrivals {
-		if wireIsEscape(arrivals[i].word) {
-			s.escLive--
-		}
-	}
-	s.scratch.stage(arrivals)
+	s.scratch.stage(arrivals...)
 	return len(arrivals)
 }
 
 // stageFiltered routes one sender's fault-surviving envelopes through
-// the link filter: verdicts stage, discard, or park each envelope,
-// packing the kept ones into wire form. Traffic was already counted —
-// a dropped or delayed message still cost its sender the bandwidth.
+// the link filter: verdicts stage, discard, or park each envelope.
+// Traffic was already counted — a dropped or delayed message still
+// cost its sender the bandwidth.
 func (s *state) stageFiltered(r int, deliver []Envelope) error {
 	for i := range deliver {
 		v := s.filter.FilterLink(r, deliver[i])
 		switch {
 		case v == Deliver:
-			wm, _ := packEnvelope(&deliver[i], &s.esc, 0)
-			s.scratch.stage1(wm)
+			s.scratch.stage(deliver[i])
 		case v == Drop:
-			// Lost in the network; nothing is packed.
+			// Lost in the network.
 		case v < Drop:
 			return fmt.Errorf("sim: link fault returned invalid verdict %d", int(v))
 		default:
@@ -188,11 +189,7 @@ func (s *state) stageFiltered(r int, deliver []Envelope) error {
 			if k > s.maxDelay {
 				return fmt.Errorf("sim: link fault delayed an envelope by %d rounds, beyond its MaxDelay of %d", k, s.maxDelay)
 			}
-			wm, _ := packEnvelope(&deliver[i], &s.esc, 0)
-			if wireIsEscape(wm.word) {
-				s.escLive++
-			}
-			s.ring.push(r+k, wm)
+			s.ring.push(r+k, deliver[i])
 		}
 	}
 	return nil
@@ -203,6 +200,6 @@ func (s *state) stageFiltered(r int, deliver []Envelope) error {
 // sort is stable, so messages from the same sender stay in
 // chronological (send-round) order — the tie-break the Deliver
 // contract promises. In-place symmerge; no allocation.
-func sortStagedBySender(flat []wireMsg) {
-	slices.SortStableFunc(flat, func(a, b wireMsg) int { return int(a.From) - int(b.From) })
+func sortStagedBySender(flat []Envelope) {
+	slices.SortStableFunc(flat, func(a, b Envelope) int { return a.From - b.From })
 }

@@ -1,11 +1,12 @@
 package sim
 
-// Outbox is one machine's send buffer. The engine copies a node's
-// envelopes before the node's next Send (Protocol), so a machine
-// reuses a single buffer across rounds, grown to the widest round it
-// has sent, instead of allocating a slice per node per round. An Outbox
-// belongs to one machine and is never shared across nodes: the parallel
-// engine calls Send on different nodes concurrently.
+// Outbox is one machine's send buffer. The engine is done reading a
+// node's envelopes once the round's Deliver phase begins (Protocol), so
+// a machine reuses a single buffer across rounds, grown to the widest
+// round it has sent, instead of allocating a slice per node per round.
+// An Outbox belongs to one machine and is never shared across nodes: the
+// engine reads every node's outbox in place after all of them have sent,
+// and the parallel engine calls Send on different nodes concurrently.
 type Outbox []Envelope
 
 // Reset empties the buffer with room for n envelopes.

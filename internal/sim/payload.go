@@ -1,5 +1,7 @@
 package sim
 
+import "unsafe"
+
 // The paper's crash-model algorithms use messages whose role is
 // determined by the round in which they are sent, so a single bit of
 // content suffices (§4 intro). These payload types implement that
@@ -43,21 +45,28 @@ var (
 	_ Payload = Probe{}
 )
 
-// sizeBits is the accounting hook of the link-filter path, where
-// traffic is counted before verdicts decide what gets packed: a
-// devirtualized fast path for the package's own one-bit payloads,
-// falling back to the interface call for protocol-defined payloads.
-// The filter-free hot path does not use it — packEnvelope (wire.go)
-// folds the size into the packing pass.
-func sizeBits(p Payload) int {
-	switch v := p.(type) {
-	case Bit:
-		return v.SizeBits()
-	case Inquiry:
-		return v.SizeBits()
-	case Probe:
-		return v.SizeBits()
-	default:
-		return p.SizeBits()
+// sizeRuns returns the size in bits of one sender's envelopes and, when
+// counts is non-nil, counts them per destination. A run of consecutive
+// envelopes that carry one boxed payload — what Outbox.FanOut produces,
+// and every run of one of the one-bit payloads above, whose equal values
+// share the runtime's static boxes — costs one SizeBits call.
+func sizeRuns(counts []int32, envs []Envelope) int64 {
+	var bits int64
+	for i := 0; i < len(envs); {
+		p := envs[i].Payload
+		b := int64(p.SizeBits())
+		for ; i < len(envs) && sameBox(envs[i].Payload, p); i++ {
+			if counts != nil {
+				counts[envs[i].To]++
+			}
+			bits += b
+		}
 	}
+	return bits
+}
+
+// sameBox reports whether two payloads are one boxed value: same type and
+// data words. Never ==, which compares field by field and panics on a slice.
+func sameBox(a, b Payload) bool {
+	return *(*[2]uintptr)(unsafe.Pointer(&a)) == *(*[2]uintptr)(unsafe.Pointer(&b))
 }

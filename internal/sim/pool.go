@@ -12,23 +12,23 @@ import (
 //
 //	send     workers call Send + validate for their shard
 //	(seam)   node-level fault + crash bookkeeping, in node order
-//	pack     workers pack their shard's outboxes into shard-local
-//	         wire buffers, counting per-destination totals and
-//	         shard-local traffic metrics
+//	count    workers count their shard's outboxes per destination
+//	         and total its traffic, shard-locally
 //	(seam)   prefix-sum the shard counts into global segment offsets
 //	         and per-(worker, destination) cursors; merge metrics
-//	scatter  workers place their own staged runs into the shared
-//	         inbox — disjoint cursor ranges, no coordination
-//	deliver  workers decode + call Deliver + Halted for their shard
+//	scatter  workers copy their shard's outboxes, read in place,
+//	         into the shared inbox — disjoint cursor ranges, no
+//	         coordination
+//	deliver  workers call Deliver + Halted for their shard
 //
 // Because worker shards are contiguous ascending node ranges and each
-// worker stages in node order, laying a destination's segment out as
+// worker scatters in node order, laying a destination's segment out as
 // worker 0's messages, then worker 1's, … reproduces exactly the
 // ascending-sender order the sequential engine guarantees. Everything
 // order-sensitive that remains — the fault layer and the offsets — is
 // serial, so the transcript is identical to the sequential engine's;
-// the equivalence is a test. Per-message work (packing, the sizeBits
-// accounting, the cache-missy scatter, decoding) all fans out.
+// the equivalence is a test. Per-message work (the SizeBits
+// accounting and the cache-missy scatter) all fans out.
 //
 // A run with a link filter installed never enters this file: verdict
 // order is observable by stateful filters, which leaves only send and
@@ -58,13 +58,12 @@ func validateParallelConfig(cfg Config) error {
 }
 
 // resolveWorkers maps a requested worker count to the effective one:
-// <= 0 selects GOMAXPROCS, and the count is clamped to the node count
-// and the wire-format table-id space.
+// <= 0 selects GOMAXPROCS, and the count is clamped to the node count.
 func resolveWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return min(workers, n, wireMaxTables)
+	return min(workers, n)
 }
 
 // phaser is an engine's side of the pool: phase executes worker w's
@@ -77,7 +76,7 @@ type phaser interface {
 // goroutines that run an engine's phases in lock step. run hands every
 // worker the same phase and returns when all are through it, so between
 // phases the workers are parked on their job channels and the caller
-// owns all state. The pushed engine (send, pack, scatter, deliver) and
+// owns all state. The pushed engine (send, count, scatter, deliver) and
 // the neighborcast engine (cast, absorb) both run on it; what a phase
 // does, and the shard buffers it does it in, stay with the engine behind
 // phaser. A Runtime owns at most one; like the Runtime, it is not safe
@@ -146,7 +145,7 @@ func (p *phasePool) shutdown() {
 // The pushed engine's phases.
 const (
 	jobSend = iota
-	jobPack
+	jobCount
 	jobScatter
 	jobDeliver
 )
@@ -162,20 +161,17 @@ type shards struct {
 	bounds []int
 	// Per-node scratch, written only by the owning worker during a
 	// phase and by the coordinator between phases: the node's outbox —
-	// as sent, then as the fault layer left it — and its send error.
+	// as sent, then as the fault layer left it, read in place until the
+	// scatter — and its send error.
 	outbox [][]Envelope
 	errs   []error
 	work   []workerShard
 }
 
-// workerShard is one worker's pack state: its shard-local wire buffer
-// and escape table (table id w+1), per-destination counts and scatter
-// cursors, decode buffer, and traffic accumulators.
+// workerShard is one worker's count state: per-destination counts and
+// scatter cursors, and traffic accumulators.
 type workerShard struct {
-	buf              []wireMsg
-	esc              escTable
 	counts, start    []int32
-	dbuf             []Envelope
 	msgs, bits       int64
 	byzMsgs, byzBits int64
 }
@@ -208,19 +204,6 @@ func (p *shards) prepare(st *state, pool *phasePool) *shards {
 	return p
 }
 
-// scrub drops the payload references an aborted round can leave in the
-// workspace (outboxes are consumed-and-nilled every completed round),
-// for state.detach; the workers are parked between runs.
-func (p *shards) scrub() {
-	clear(p.outbox)
-	for w := range p.work {
-		ws := &p.work[w]
-		ws.esc.reset()
-		ws.dbuf = ws.dbuf[:cap(ws.dbuf)]
-		clear(ws.dbuf)
-	}
-}
-
 // phase implements phaser: worker w's share of one round phase.
 func (p *shards) phase(kind, w int) {
 	st := p.st
@@ -234,51 +217,37 @@ func (p *shards) phase(kind, w int) {
 			out := st.cfg.Protocols[id].Send(p.round)
 			p.outbox[id], p.errs[id] = out, st.validateOutbox(id, out)
 		}
-	case jobPack:
-		p.packShard(st, w, lo, hi)
+	case jobCount:
+		p.countShard(st, w, lo, hi)
 	case jobScatter:
-		p.scatterShard(st, w)
+		p.scatterShard(st, w, lo, hi)
 	case jobDeliver:
-		buf := p.work[w].dbuf
 		for id := lo; id < hi; id++ {
 			if !st.alive(id) {
 				continue
 			}
-			var inbox []Envelope
-			inbox, buf = decodeWireInto(st, st.scratch.inboxOf(id), buf)
-			st.cfg.Protocols[id].Deliver(p.round, inbox)
+			st.cfg.Protocols[id].Deliver(p.round, st.scratch.inboxOf(id))
 			if st.cfg.Protocols[id].Halted() {
 				// Own shard only: nobody reads another node's
 				// halt round during the phase.
 				st.haltedAt[id] = p.round
 			}
 		}
-		p.work[w].dbuf = buf
 	}
 }
 
-// packShard packs one worker's share of the round's fault-surviving
-// outboxes into its shard-local wire buffer, counting per-destination
-// totals and shard-local traffic. Escape payloads go to the worker's
-// own table (id w+1), recycled every round — the parallel fast path
-// has no cross-round message parking.
-func (p *shards) packShard(st *state, w, lo, hi int) {
+// countShard counts one worker's share of the round's fault-surviving
+// outboxes per destination and totals its traffic, shard-locally.
+func (p *shards) countShard(st *state, w, lo, hi int) {
 	ws := &p.work[w]
-	esc := &ws.esc
-	esc.reset()
-	buf := ws.buf[:0]
-	counts := ws.counts
-	clear(counts)
-	table := uint64(w + 1)
+	clear(ws.counts)
 	var msgs, bits, byzMsgs, byzBits int64
 	for id := lo; id < hi; id++ {
 		deliver := p.outbox[id]
-		p.outbox[id] = nil
 		if len(deliver) == 0 {
 			continue
 		}
-		var sb int64
-		buf, sb = packRuns(buf, counts, deliver, esc, table)
+		sb := sizeRuns(ws.counts, deliver)
 		if st.byz[id] {
 			byzMsgs += int64(len(deliver))
 			byzBits += sb
@@ -287,30 +256,30 @@ func (p *shards) packShard(st *state, w, lo, hi int) {
 			bits += sb
 		}
 	}
-	ws.buf = buf
 	ws.msgs, ws.bits = msgs, bits
 	ws.byzMsgs, ws.byzBits = byzMsgs, byzBits
 }
 
-// scatterShard places one worker's staged messages into the shared
-// inbox. The coordinator pre-computed disjoint per-(worker,
+// scatterShard copies one worker's outboxes into the shared inbox and
+// lets go of them. The coordinator pre-computed disjoint per-(worker,
 // destination) cursor ranges, so workers write without coordination
 // and every destination segment comes out in ascending sender order.
-func (p *shards) scatterShard(st *state, w int) {
+func (p *shards) scatterShard(st *state, w, lo, hi int) {
 	inbox := st.scratch.inbox
 	start := p.work[w].start
-	buf := p.work[w].buf
-	for i := range buf {
-		to := buf[i].To
-		inbox[start[to]] = buf[i]
-		start[to]++
+	for id := lo; id < hi; id++ {
+		for _, env := range p.outbox[id] {
+			inbox[start[env.To]] = env
+			start[env.To]++
+		}
+		p.outbox[id] = nil
 	}
 }
 
 // roundParallel is the pool-backed counterpart of state.round for runs
-// without a link filter: per-message packing, counting, scattering and
-// decoding all fan out; only the node-level fault layer and the offset
-// prefix-sum stay serial.
+// without a link filter: per-message counting and scattering fan out;
+// only the node-level fault layer and the offset prefix-sum stay
+// serial.
 func (s *state) roundParallel(r int) error {
 	p := s.par
 	p.round = r
@@ -321,10 +290,6 @@ func (s *state) roundParallel(r int) error {
 	// order (it may be stateful) and the crash set updates exactly as
 	// in the sequential engine — after the whole send sweep.
 	sc := &s.scratch
-	sc.beginRound()
-	// No table-0 escape lifecycle here: the fast path has no delay
-	// ring and workers pack exclusively into their own tables, reset
-	// every pack phase.
 	s.label, s.labelSet = "", false
 	crashedNow := s.crashedNow[:0]
 	for id := 0; id < s.n; id++ {
@@ -345,7 +310,7 @@ func (s *state) roundParallel(r int) error {
 		s.crashed.Add(id)
 	}
 
-	p.pool.run(p, jobPack)
+	p.pool.run(p, jobCount)
 
 	// Serial seam 2: prefix-sum the shard-local destination counts
 	// into global segment offsets and disjoint per-(worker,

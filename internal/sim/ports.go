@@ -4,11 +4,9 @@ package sim
 // map[NodeID][]Envelope per node, paying a hash lookup plus an append
 // allocation per deposit and re-slicing (or deleting) per poll. The
 // replacement is index-addressed: each receiving node owns a portSet
-// whose idx table maps a sender directly to a ring buffer, and the
-// rings recycle their storage, so steady-state deposit and poll touch
-// no allocator at all. The rings carry packed wireMsgs (wire.go);
-// decoding back to an Envelope happens once, at the poll that delivers
-// the message.
+// whose idx table maps a sender directly to a ring buffer of Envelopes,
+// and the rings recycle their storage, so steady-state deposit and poll
+// touch no allocator at all.
 //
 // The idx tables are n-sized and survive arena reuse (see
 // state.reset): a fresh run on a pooled Runtime recycles the previous
@@ -18,16 +16,16 @@ package sim
 
 // portRing is one in-port FIFO: a power-of-two ring buffer.
 type portRing struct {
-	buf  []wireMsg // len(buf) is always a power of two (or zero)
+	buf  []Envelope // len(buf) is always a power of two (or zero)
 	head int
 	size int
 }
 
-func (r *portRing) push(wm wireMsg) {
+func (r *portRing) push(env Envelope) {
 	if r.size == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.size)&(len(r.buf)-1)] = wm
+	r.buf[(r.head+r.size)&(len(r.buf)-1)] = env
 	r.size++
 }
 
@@ -36,7 +34,7 @@ func (r *portRing) grow() {
 	if ncap == 0 {
 		ncap = 4
 	}
-	nbuf := make([]wireMsg, ncap)
+	nbuf := make([]Envelope, ncap)
 	for i := 0; i < r.size; i++ {
 		nbuf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
@@ -44,14 +42,14 @@ func (r *portRing) grow() {
 	r.head = 0
 }
 
-func (r *portRing) pop() (wireMsg, bool) {
+func (r *portRing) pop() (Envelope, bool) {
 	if r.size == 0 {
-		return wireMsg{}, false
+		return Envelope{}, false
 	}
-	wm := r.buf[r.head]
+	env := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.size--
-	return wm, true
+	return env, true
 }
 
 // portSet is one node's set of in-ports, addressed by sender index.
@@ -63,26 +61,26 @@ type portSet struct {
 	rings []portRing
 }
 
-func (p *portSet) push(n int, wm wireMsg) {
+func (p *portSet) push(n int, env Envelope) {
 	if p.idx == nil {
 		p.idx = make([]int32, n)
 	}
-	k := p.idx[wm.From]
+	k := p.idx[env.From]
 	if k == 0 {
 		p.rings = append(p.rings, portRing{})
 		k = int32(len(p.rings))
-		p.idx[wm.From] = k
+		p.idx[env.From] = k
 	}
-	p.rings[k-1].push(wm)
+	p.rings[k-1].push(env)
 }
 
-func (p *portSet) pop(from NodeID) (wireMsg, bool) {
+func (p *portSet) pop(from NodeID) (Envelope, bool) {
 	if p.idx == nil {
-		return wireMsg{}, false
+		return Envelope{}, false
 	}
 	k := p.idx[from]
 	if k == 0 {
-		return wireMsg{}, false
+		return Envelope{}, false
 	}
 	return p.rings[k-1].pop()
 }
@@ -90,8 +88,10 @@ func (p *portSet) pop(from NodeID) (wireMsg, bool) {
 // recycle empties the rings for a fresh run on the same arena, keeping
 // the idx table and the ring storage (the sender→ring assignments stay
 // valid; re-running the same topology redeposits into warm buffers).
+// Buffered envelopes are cleared, so an idle arena pins no payload.
 func (p *portSet) recycle() {
 	for i := range p.rings {
+		clear(p.rings[i].buf)
 		p.rings[i].head = 0
 		p.rings[i].size = 0
 	}

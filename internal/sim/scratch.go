@@ -3,29 +3,31 @@ package sim
 // scratch is the engines' reusable per-round workspace: a CSR-style
 // (count-then-place) inbox builder that replaces the per-round
 // make([][]Envelope, n) allocation and per-envelope appends of the
-// original engine with two flat buffers that persist across rounds.
-// The buffers carry packed wireMsgs (wire.go), so the staging pass and
-// the scatter move 16-byte words instead of 32-byte Envelopes — at
-// n=4096 the scatter's random writes touch half the cache lines.
+// original engine with flat buffers that persist across rounds.
 //
-// The send phase stages every deliverable message into flat in sender
-// order while counting per-destination totals; place then prefix-sums
-// the counts into offsets and scatters flat into inbox, so each
-// destination's segment is contiguous. Because flat is filled in
-// increasing sender order and the scatter is stable, every segment is
-// already sorted by sender — the delivery-order guarantee of
-// Protocol.Deliver holds with no per-node sort. (The parallel fast
-// path computes the same offsets from shard-local counts and lets each
-// worker scatter its own staged run; see pool.go.)
+// The send phase records every sender's deliverable envelopes in sender
+// order while counting per-destination totals. A filter-free round
+// records the outbox slice the protocol returned and reads it in place
+// (see Protocol.Send); a link-filter round stages the survivors and the
+// delayed arrivals into flat, which becomes the round's one source.
+// place then prefix-sums the counts into offsets and copies the sources
+// into inbox, so each destination's segment is contiguous. Because the
+// sources are recorded in increasing sender order and the copy is
+// stable, every segment is already sorted by sender — the
+// delivery-order guarantee of Protocol.Deliver holds with no per-node
+// sort. (The parallel fast path computes the same offsets from
+// shard-local counts and lets each worker scatter its own shard's
+// outboxes; see pool.go.)
 //
 // Inbox segments alias scratch memory that is overwritten next round;
 // the Protocol contract (see Deliver) forbids retaining them.
 type scratch struct {
 	n      int
-	flat   []wireMsg // staged messages, in sender order
-	counts []int32   // per-destination counts; reused as scatter cursors
-	offs   []int32   // per-destination segment offsets, len n+1
-	inbox  []wireMsg // placed messages, grouped by destination
+	outs   [][]Envelope // the round's sources, in sender order
+	flat   []Envelope   // a link-filter round's staged envelopes
+	counts []int32      // per-destination counts; reused as scatter cursors
+	offs   []int32      // per-destination segment offsets, len n+1
+	inbox  []Envelope   // placed envelopes, grouped by destination
 }
 
 // init sizes the workspace for n nodes, keeping whatever buffer
@@ -38,34 +40,28 @@ func (s *scratch) init(n int) {
 
 // beginRound resets the workspace, keeping capacity.
 func (s *scratch) beginRound() {
+	s.outs = s.outs[:0]
 	s.flat = s.flat[:0]
 	clear(s.counts)
 }
 
-// stage1 appends one packed message, counted for its destination.
-func (s *scratch) stage1(wm wireMsg) {
-	s.flat = append(s.flat, wm)
-	s.counts[wm.To]++
-}
-
-// stage appends a batch of already-packed messages (delayed arrivals
-// re-entering from the ring).
-func (s *scratch) stage(ms []wireMsg) {
-	s.flat = append(s.flat, ms...)
-	for i := range ms {
-		s.counts[ms[i].To]++
+// stage appends envelopes to flat, counted for their destinations.
+func (s *scratch) stage(envs ...Envelope) {
+	s.flat = append(s.flat, envs...)
+	for i := range envs {
+		s.counts[envs[i].To]++
 	}
 }
 
-// sizeInbox makes the placed buffer hold exactly total messages,
+// sizeInbox makes the placed buffer hold exactly total envelopes,
 // reusing capacity.
 func (s *scratch) sizeInbox(total int) {
 	s.inbox = growSlice(s.inbox, total)
 }
 
-// place builds the per-destination inbox segments from the staged
-// messages. Allocation-free once the buffers have grown to the run's
-// peak message volume.
+// place builds the per-destination inbox segments from the recorded
+// sources. Allocation-free once the inbox has grown to the run's peak
+// message volume.
 func (s *scratch) place() {
 	off := int32(0)
 	for i, c := range s.counts {
@@ -73,24 +69,34 @@ func (s *scratch) place() {
 		off += c
 	}
 	s.offs[s.n] = off
-	s.sizeInbox(len(s.flat))
+	s.sizeInbox(int(off))
 	// counts has served its purpose; reuse it as the scatter cursors.
 	cur := s.counts
 	copy(cur, s.offs[:s.n])
-	for i := range s.flat {
-		to := s.flat[i].To
-		s.inbox[cur[to]] = s.flat[i]
-		cur[to]++
+	for _, src := range s.outs {
+		for i := range src {
+			to := src[i].To
+			s.inbox[cur[to]] = src[i]
+			cur[to]++
+		}
 	}
 }
 
 // inboxOf returns the destination's placed segment, nil when empty.
-func (s *scratch) inboxOf(id NodeID) []wireMsg {
+func (s *scratch) inboxOf(id NodeID) []Envelope {
 	lo, hi := s.offs[id], s.offs[id+1]
 	if lo == hi {
 		return nil
 	}
 	return s.inbox[lo:hi:hi]
+}
+
+// scrub drops every payload and outbox reference the buffers hold, so an
+// idle arena pins none of a finished run's memory.
+func (s *scratch) scrub() {
+	clear(s.outs[:cap(s.outs)])
+	clear(s.flat[:cap(s.flat)])
+	clear(s.inbox[:cap(s.inbox)])
 }
 
 // growSlice returns buf resized to n, reallocating only when the

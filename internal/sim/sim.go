@@ -27,8 +27,9 @@
 // The hot path is allocation-free in steady state: inboxes are built in
 // a reusable CSR-style workspace (scratch.go), single-port buffers are
 // index-addressed rings (ports.go), and the metrics arrays are sized up
-// front. In between Send and Deliver every message travels in packed
-// 16-byte wire form (wire.go) rather than as a 32-byte Envelope, and a
+// front. A message has one form from outbox to inbox, the Envelope: a
+// filter-free round reads each sender's outbox in place and copies its
+// envelopes once, straight into the receivers' inbox segments, and a
 // Runtime (arena.go) pools the whole engine state across runs, so
 // repeated runs — sweeps, replications, benchmarks — are steady-state
 // allocation-free end to end. See EXPERIMENTS.md for the benchmark
@@ -69,8 +70,10 @@ type Envelope struct {
 // run is also a Sleeper and the run loop may fast-forward (see Sleeper).
 type Protocol interface {
 	// Send returns the messages the node transmits at the given round.
-	// The engine copies the envelopes before the node's next Send, so
-	// implementations may reuse the returned slice across rounds.
+	// The engine reads the returned slice in place until the round's
+	// Deliver phase begins: implementations may reuse it across rounds
+	// and overwrite it from their Deliver on, but no other node's Send
+	// may write it.
 	Send(round int) []Envelope
 	// Deliver hands the node all messages it receives in this round,
 	// sorted by sender for determinism. The slice aliases engine
@@ -275,7 +278,7 @@ type state struct {
 	fault    LinkFault
 	filter   LinkFilter
 	maxDelay int
-	ring     *delayRing[wireMsg]
+	ring     *delayRing[Envelope]
 	byz      []bool
 	crashed  *bitset.Set
 	haltedAt []int
@@ -307,13 +310,6 @@ type state struct {
 	ports   []portSet
 	spSlot  []Envelope
 	pollers []Poller
-	// Wire plane (wire.go): the engine's escape table for
-	// protocol-defined payloads, the count of escape entries pinned by
-	// messages parked across rounds (delay ring, single-port rings),
-	// and the reusable delivery decode buffer.
-	esc        escTable
-	escLive    int
-	deliverBuf []Envelope
 	// res is the reusable result envelope; on a pooled Runtime it (and
 	// the state-owned slices it references) is overwritten by the next
 	// run.
@@ -326,10 +322,10 @@ type state struct {
 }
 
 // reset (re)initializes the state for a run, recycling every buffer a
-// previous run on the same arena grew: the CSR workspace, the inbox
-// decode buffer, the escape table, the delay ring, the single-port
-// rings and their n-sized idx tables, the metrics arrays. After the
-// first run of a given shape, subsequent resets touch no allocator.
+// previous run on the same arena grew: the CSR workspace, the delay
+// ring, the single-port rings and their n-sized idx tables, the metrics
+// arrays. After the first run of a given shape, subsequent resets touch
+// no allocator.
 func (st *state) reset(cfg Config) error {
 	n := len(cfg.Protocols)
 	if n == 0 {
@@ -386,8 +382,6 @@ func (st *state) reset(cfg Config) error {
 	st.resetSleepers()
 	st.label, st.labelSet = "", false
 	st.crashedNow = st.crashedNow[:0]
-	st.esc.reset()
-	st.escLive = 0
 	st.par = nil
 	if cfg.SinglePort {
 		if len(st.ports) != n {
@@ -509,11 +503,6 @@ func (s *state) round(r int) error {
 	}
 	sc := &s.scratch
 	sc.beginRound()
-	if s.escLive == 0 {
-		// No delayed or port-buffered message references an escape
-		// entry, so the side table recycles for this round's packing.
-		s.esc.reset()
-	}
 	s.label, s.labelSet = "", false
 	single := s.cfg.SinglePort
 	obs := s.cfg.Observer
@@ -524,9 +513,9 @@ func (s *state) round(r int) error {
 	arrivals := s.injectArrivals(r)
 
 	// Send phase. Collect each alive node's outbox, apply the
-	// node-level fault, then pack the surviving envelopes into wire
-	// form — counting traffic in the same pass, or through the link
-	// filter when one is installed — in sender order.
+	// node-level fault and book the surviving envelopes' traffic, in
+	// sender order. Without a link filter the survivors are recorded in
+	// place; with one, the filter's verdicts stage, drop or park each.
 	crashedNow := s.crashedNow[:0]
 	for id := 0; id < s.n; id++ {
 		if !s.alive(id) {
@@ -549,9 +538,12 @@ func (s *state) round(r int) error {
 			}
 		}
 		if s.filter == nil {
-			s.stagePack(r, id, deliver)
+			s.book(r, id, deliver, sc.counts)
+			if len(deliver) > 0 {
+				sc.outs = append(sc.outs, deliver)
+			}
 		} else {
-			s.countEnvelopes(r, id, deliver)
+			s.book(r, id, deliver, nil)
 			if err := s.stageFiltered(r, deliver); err != nil {
 				return err
 			}
@@ -560,44 +552,35 @@ func (s *state) round(r int) error {
 	s.crashedNow = crashedNow
 	for _, id := range crashedNow {
 		s.crashed.Add(id)
-		if single {
-			s.releaseDeadPorts(id)
-		}
 	}
 	if msgs := s.metrics.PerRoundMessages[r]; s.label != "" && msgs > 0 {
 		// Once a round, not once a sender: the map assign showed.
 		s.metrics.PerPart[s.label] += msgs
 	}
+	if s.filter != nil {
+		if arrivals > 0 {
+			sortStagedBySender(sc.flat)
+		}
+		sc.outs = append(sc.outs, sc.flat)
+	}
 
 	if single {
 		// Deposit into the port rings; messages addressed to nodes
 		// that are already dead (including this round's crashes) are
-		// discarded (their escape entries recycled — nothing will ever
-		// poll them out). Escapes entering a ring pin the side table
-		// until they are polled out.
-		for i := range sc.flat {
-			to := NodeID(sc.flat[i].To)
-			if s.crashed.Contains(to) || s.haltedAt[to] >= 0 {
-				if w := sc.flat[i].word; wireIsEscape(w) {
-					s.esc.release(wireEscIndex(w))
+		// discarded — nothing will ever poll them out.
+		for _, src := range sc.outs {
+			for _, env := range src {
+				if !s.crashed.Contains(env.To) && s.haltedAt[env.To] < 0 {
+					s.ports[env.To].push(s.n, env)
 				}
-				continue
-			}
-			s.ports[to].push(s.n, sc.flat[i])
-			if wireIsEscape(sc.flat[i].word) {
-				s.escLive++
 			}
 		}
 	} else {
-		if arrivals > 0 {
-			sortStagedBySender(sc.flat)
-		}
 		sc.place()
 	}
 
 	// Deliver phase, in node order; inboxes are grouped and sorted by
-	// sender, decoded from wire form into the reusable delivery
-	// buffer. In the single-port model each alive node first polls at
+	// sender. In the single-port model each alive node first polls at
 	// most one in-port (polls only touch the node's own state, so
 	// fusing poll and deliver preserves the all-deposits-first
 	// semantics).
@@ -608,23 +591,13 @@ func (s *state) round(r int) error {
 		var inbox []Envelope
 		if single {
 			if from, wants := s.pollers[id].Poll(r); wants {
-				if wm, ok := s.ports[id].pop(from); ok {
-					s.spSlot[id] = Envelope{
-						From:    NodeID(wm.From),
-						To:      NodeID(wm.To),
-						Payload: s.unpackPayload(wm.word),
-					}
+				if env, ok := s.ports[id].pop(from); ok {
+					s.spSlot[id] = env
 					inbox = s.spSlot[id : id+1 : id+1]
-					if wireIsEscape(wm.word) {
-						// Consumed: unpin and recycle the entry
-						// (single-port always packs to table 0).
-						s.escLive--
-						s.esc.release(wireEscIndex(wm.word))
-					}
 				}
 			}
 		} else {
-			inbox, s.deliverBuf = decodeWireInto(s, sc.inboxOf(id), s.deliverBuf)
+			inbox = sc.inboxOf(id)
 		}
 		s.cfg.Protocols[id].Deliver(r, inbox)
 		if s.cfg.Protocols[id].Halted() {
@@ -632,13 +605,7 @@ func (s *state) round(r int) error {
 			if obs != nil {
 				obs.OnHalt(r, id)
 			}
-			if single {
-				s.releaseDeadPorts(id)
-			}
 		}
-	}
-	if !single && s.ring != nil {
-		s.releaseDelivered()
 	}
 	s.simulated++
 	return nil
@@ -693,43 +660,25 @@ func (s *state) tally(r int, from NodeID, msgs, bits int64) {
 	s.metrics.PerRoundMessages[r] += msgs
 }
 
-// stagePack is the filter-free hot path: one pass over a sender's
-// deliverable envelopes packs them into wire form (packRuns), stages
-// them, and accumulates the bit count — there is no separate sizeBits
-// loop and no per-message interface dispatch downstream of here. (The
-// single-port model deposits from flat and ignores the counts.)
-func (s *state) stagePack(r int, from NodeID, deliver []Envelope) {
+// book counts one sender's deliverable envelopes into the metrics, one
+// SizeBits call per run of one boxed payload, and per destination into
+// counts when it is non-nil. The link-filter path books everything at
+// send time with nil counts — a dropped or delayed message still cost
+// its sender the bandwidth — and counts only what stageFiltered stages.
+func (s *state) book(r int, from NodeID, deliver []Envelope, counts []int32) {
 	if len(deliver) == 0 {
 		return
 	}
 	s.ensureLabel(r)
-	var bits int64
-	s.scratch.flat, bits = packRuns(s.scratch.flat, s.scratch.counts, deliver, &s.esc, 0)
-	s.tally(r, from, int64(len(deliver)), bits)
-}
-
-// countEnvelopes books a sender's traffic without staging — the
-// link-filter path counts everything at send time (a dropped or
-// delayed message still cost its sender the bandwidth) and lets
-// stageFiltered pack the survivors.
-func (s *state) countEnvelopes(r int, from NodeID, deliver []Envelope) {
-	if len(deliver) == 0 {
-		return
-	}
-	s.ensureLabel(r)
-	var bits int64
-	for i := range deliver {
-		bits += int64(sizeBits(deliver[i].Payload))
-	}
-	s.tally(r, from, int64(len(deliver)), bits)
+	s.tally(r, from, int64(len(deliver)), sizeRuns(counts, deliver))
 }
 
 // detach drops the state's references into caller-owned objects — the
-// config with its n protocols, the poller views, the decoded payload
-// copies — so an idle pooled arena does not pin a whole protocol
-// system in memory. The result envelope and its slices are untouched
-// (callers may still read them until the next run); the next reset
-// repopulates everything cleared here.
+// config with its n protocols, the poller views, the recorded outboxes
+// and every envelope still buffered — so an idle pooled arena does not
+// pin a protocol system or its payloads in memory. The result envelope
+// and its slices are untouched (callers may still read them until the
+// next run); the next reset repopulates everything cleared here.
 func (s *state) detach() {
 	s.cfg = Config{}
 	s.fault = nil
@@ -737,11 +686,15 @@ func (s *state) detach() {
 	clear(s.pollers)
 	clear(s.spSlot)
 	clear(s.sleepers)
-	s.deliverBuf = s.deliverBuf[:cap(s.deliverBuf)]
-	clear(s.deliverBuf)
-	s.esc.reset()
+	s.scratch.scrub()
+	if s.ring != nil {
+		s.ring.scrub()
+	}
+	for i := range s.ports {
+		s.ports[i].recycle()
+	}
 	if s.par != nil {
-		s.par.scrub()
+		clear(s.par.outbox)
 	}
 }
 
