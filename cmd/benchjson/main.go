@@ -5,16 +5,9 @@
 // up in the diff). It measures ns/round and allocs/round for the
 // sequential and parallel engines at fixed (n, fanout) points, the
 // amortized steady-state cost of repeated runs on one pooled arena
-// (the engine/reuse family), the implicit-topology neighborcast
-// engines (engine/implicit-*), and probes the largest feasible n under
-// a per-round time budget — once for the materialized engine and once
-// for the implicit one, whose O(n)-bits residency moves the wall from
-// memory to time.
-//
-// The memory_model section pins the residency claim itself: the bytes
-// a run keeps resident per node, measured by heap delta, for the same
-// flood at the same n with the topology generated on the fly versus
-// materialized as adjacency lists.
+// (the engine/reuse family), the multi-seed batch paths against their
+// scalar baselines, and probes the largest feasible n under a
+// per-round time budget.
 //
 // Parallel rows are honest: the file records the real GOMAXPROCS and
 // CPU count the run saw, and every parallel row carries its measured
@@ -40,7 +33,6 @@ import (
 	"testing"
 	"time"
 
-	"lineartime/internal/graph"
 	"lineartime/internal/scenario"
 	"lineartime/internal/sim"
 )
@@ -81,7 +73,7 @@ func buildSystem(n, fanout, horizon int) (sim.Config, []*broadcaster) {
 // benchPoint is one measured engine configuration.
 type benchPoint struct {
 	Name         string  `json:"name"`
-	Engine       string  `json:"engine"` // "sequential" | "parallel" | "reuse" | "reuse-parallel" | "scalar-per-seed" | "sliced" | "scalar-per-seed-gossip" | "sliced-gossip" | "scalar-per-seed-gossip-links" | "sliced-gossip-links" | "implicit-sequential" | "implicit-parallel" | "implicit-sliced"
+	Engine       string  `json:"engine"` // "sequential" | "parallel" | "reuse" | "reuse-parallel" | "scalar-per-seed" | "sliced" | "scalar-per-seed-gossip" | "sliced-gossip" | "scalar-per-seed-gossip-links" | "sliced-gossip-links"
 	N            int     `json:"n"`
 	Fanout       int     `json:"fanout"`
 	Rounds       int     `json:"rounds"`
@@ -106,12 +98,6 @@ type benchPoint struct {
 	// scalar-per-seed row's sims_per_sec divided into this row's — the
 	// honest bit-slicing gain at the same shape and seed count.
 	SpeedupVsScalarPerSeed float64 `json:"speedup_vs_scalar_per_seed,omitempty"`
-	// HeapResidentBytes / BytesPerNode are set on implicit rows: the
-	// heap the whole run keeps resident (topology + system + engine
-	// planes, measured by GC-fenced heap delta) and that residency per
-	// node.
-	HeapResidentBytes int64   `json:"heap_resident_bytes,omitempty"`
-	BytesPerNode      float64 `json:"bytes_per_node,omitempty"`
 
 	// Go, GOMAXPROCS and NumCPU repeat the report's machine fields on
 	// the row, so a row re-measured on another box than the rest of
@@ -300,162 +286,6 @@ func measureSlicedGossip(engine string, n, t, seeds int) (benchPoint, error) {
 	}, nil
 }
 
-// castBroadcaster is the neighborcast twin of broadcaster: every node
-// casts one bit to its whole d-regular neighborhood every round for
-// horizon rounds, so msgs/round is n·d — the same traffic shape the
-// materialized rows measure, with the topology regenerated on the fly.
-type castBroadcaster struct {
-	n, horizon int
-}
-
-func (c *castBroadcaster) N() int                     { return c.n }
-func (c *castBroadcaster) Cast(int, int) (bool, bool) { return true, true }
-func (c *castBroadcaster) Absorb(int, int, int, int)  {}
-func (c *castBroadcaster) Done(rounds int) bool       { return rounds >= c.horizon }
-
-// castLaneBroadcaster is the sliced variant: all lanes cast every
-// round.
-type castLaneBroadcaster struct {
-	n, horizon int
-}
-
-func (c *castLaneBroadcaster) N() int                               { return c.n }
-func (c *castLaneBroadcaster) CastLanes(int, int) (uint64, uint64)  { return ^uint64(0), ^uint64(0) }
-func (c *castLaneBroadcaster) AbsorbLanes(int, int, uint64, uint64) {}
-func (c *castLaneBroadcaster) Done(rounds int) bool                 { return rounds >= c.horizon }
-
-// residentBytes reports the GC-fenced heap growth of build: how many
-// bytes the value it returns keeps resident. Both fences run the
-// collector twice so floating garbage from earlier measurements
-// cannot bleed into the delta.
-func residentBytes(build func() any) int64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	keep := build()
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	runtime.KeepAlive(keep)
-	return delta
-}
-
-// implicitResident measures the heap a whole neighborcast run keeps
-// resident — topology, system, engine arena — by constructing all of
-// it fresh inside the GC fence and running once.
-func implicitResident(engine string, n, d, horizon, workers int) (int64, error) {
-	var runErr error
-	res := residentBytes(func() any {
-		sh, err := graph.NewShift(n, d, 1)
-		if err != nil {
-			runErr = err
-			return nil
-		}
-		rt := sim.NewRuntime()
-		if engine == "implicit-sliced" {
-			sys := &castLaneBroadcaster{n: n, horizon: horizon}
-			cfg := sim.CastSlicedConfig{System: sys, Topology: sh, MaxRounds: horizon + 2, Lanes: sim.MaxLanes}
-			if _, err := rt.RunCastSliced(cfg); err != nil {
-				runErr = err
-			}
-			return []any{sh, rt, sys}
-		}
-		sys := &castBroadcaster{n: n, horizon: horizon}
-		cfg := sim.CastConfig{System: sys, Topology: sh, MaxRounds: horizon + 2}
-		if engine == "implicit-parallel" {
-			_, err = rt.RunCastParallel(cfg, workers)
-		} else {
-			_, err = rt.RunCast(cfg)
-		}
-		if err != nil {
-			runErr = err
-		}
-		return []any{sh, rt, sys}
-	})
-	return res, runErr
-}
-
-// measureImplicit measures the neighborcast engines over an implicit
-// shift topology at one (n, d) shape. One op is a full run on a pooled
-// Runtime; heap residency is measured once, outside the timing loop,
-// for the whole working set (topology + system + arena) of a run.
-func measureImplicit(engine string, n, d, horizon, workers int) (benchPoint, error) {
-	sh, err := graph.NewShift(n, d, 1)
-	if err != nil {
-		return benchPoint{}, err
-	}
-	rt := sim.NewRuntime()
-	defer rt.Close()
-	var runErr error
-	var body func(b *testing.B)
-	msgsPerRound := int64(n) * int64(d)
-	seedsPer := 0
-	switch engine {
-	case "implicit-sequential", "implicit-parallel":
-		sys := &castBroadcaster{n: n, horizon: horizon}
-		cfg := sim.CastConfig{System: sys, Topology: sh, MaxRounds: horizon + 2}
-		run := func() (*sim.CastResult, error) { return rt.RunCast(cfg) }
-		if engine == "implicit-parallel" {
-			run = func() (*sim.CastResult, error) { return rt.RunCastParallel(cfg, workers) }
-		}
-		body = func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := run(); err != nil {
-					runErr = err
-					b.FailNow()
-				}
-			}
-		}
-	case "implicit-sliced":
-		sys := &castLaneBroadcaster{n: n, horizon: horizon}
-		cfg := sim.CastSlicedConfig{System: sys, Topology: sh, MaxRounds: horizon + 2, Lanes: sim.MaxLanes}
-		seedsPer = sim.MaxLanes
-		body = func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.RunCastSliced(cfg); err != nil {
-					runErr = err
-					b.FailNow()
-				}
-			}
-		}
-	default:
-		return benchPoint{}, fmt.Errorf("unknown engine %q", engine)
-	}
-	resident, err := implicitResident(engine, n, d, horizon, workers)
-	if err != nil {
-		return benchPoint{}, err
-	}
-	res := testing.Benchmark(body)
-	if runErr != nil {
-		return benchPoint{}, runErr
-	}
-	nsPerOp := float64(res.NsPerOp())
-	bp := benchPoint{
-		Name:              fmt.Sprintf("engine/%s/n=%d/d=%d", engine, n, d),
-		Engine:            engine,
-		N:                 n,
-		Fanout:            d,
-		Rounds:            horizon,
-		NsPerOp:           nsPerOp,
-		NsPerRound:        nsPerOp / float64(horizon),
-		AllocsPerOp:       res.AllocsPerOp(),
-		BytesPerOp:        res.AllocedBytesPerOp(),
-		MsgsPerRound:      msgsPerRound,
-		HeapResidentBytes: resident,
-		BytesPerNode:      float64(resident) / float64(n),
-	}
-	if seedsPer > 0 {
-		bp.SeedsPerOp = seedsPer
-		bp.NsPerRound = nsPerOp / float64(seedsPer) / float64(horizon)
-		bp.SimsPerSec = float64(seedsPer) * 1e9 / nsPerOp
-	}
-	return bp, nil
-}
-
 func measure(engine string, n, fanout, horizon, workers int) (benchPoint, error) {
 	cfg, bs := buildSystem(n, fanout, horizon)
 	reset := func() {
@@ -545,8 +375,6 @@ func fillSpeedups(points []benchPoint) {
 			seq = base("sequential", p.N, p.Fanout)
 		case "reuse-parallel":
 			seq = base("reuse", p.N, p.Fanout)
-		case "implicit-parallel":
-			seq = base("implicit-sequential", p.N, p.Fanout)
 		case "sliced", "sliced-gossip", "sliced-gossip-links":
 			scalar := "scalar-per-seed" + strings.TrimPrefix(p.Engine, "sliced")
 			for j := range points {
@@ -586,84 +414,6 @@ func maxFeasibleN(fanout int, budget time.Duration, capN int) (int, float64) {
 	return best, bestNs
 }
 
-// maxFeasibleImplicitN is the implicit-topology counterpart: it doubles
-// n until one neighborcast round over a generated d-regular shift
-// topology exceeds the budget. No adjacency is ever materialized, so
-// the probe's cap expresses a time wall, not a memory wall.
-func maxFeasibleImplicitN(d int, budget time.Duration, capN int) (int, float64, error) {
-	const horizon = 5
-	best, bestNs := 0, 0.0
-	rt := sim.NewRuntime()
-	defer rt.Close()
-	for n := 1024; n <= capN; n *= 2 {
-		sh, err := graph.NewShift(n, d, 1)
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg := sim.CastConfig{System: &castBroadcaster{n: n, horizon: horizon},
-			Topology: sh, MaxRounds: horizon + 2}
-		start := time.Now()
-		if _, err := rt.RunCast(cfg); err != nil {
-			return 0, 0, err
-		}
-		perRound := time.Since(start) / horizon
-		if perRound > budget {
-			break
-		}
-		best, bestNs = n, float64(perRound.Nanoseconds())
-	}
-	return best, bestNs, nil
-}
-
-// memoryPoint is one measured residency shape of the memory_model
-// section: the heap one flood run keeps resident with the topology
-// generated on the fly versus materialized as adjacency lists.
-type memoryPoint struct {
-	Mode              string  `json:"mode"` // "implicit" | "materialized-csr"
-	N                 int     `json:"n"`
-	Degree            int     `json:"degree"`
-	HeapResidentBytes int64   `json:"heap_resident_bytes"`
-	BytesPerNode      float64 `json:"bytes_per_node"`
-}
-
-// measureMemory measures both modes of the memory model at one (n, d)
-// shape: the full working set — topology, system, engine arena — of a
-// short neighborcast flood, by GC-fenced heap delta.
-func measureMemory(n, d int) ([]memoryPoint, error) {
-	var firstErr error
-	build := func(materialize bool) int64 {
-		return residentBytes(func() any {
-			sh, err := graph.NewShift(n, d, 1)
-			if err != nil {
-				firstErr = err
-				return nil
-			}
-			var nb graph.Neighborhood = sh
-			if materialize {
-				nb = graph.Materialize(sh)
-			}
-			rt := sim.NewRuntime()
-			sys := &castBroadcaster{n: n, horizon: 2}
-			if _, err := rt.RunCast(sim.CastConfig{System: sys, Topology: nb, MaxRounds: 4}); err != nil {
-				firstErr = err
-				return nil
-			}
-			return []any{nb, rt, sys}
-		})
-	}
-	points := []memoryPoint{
-		{Mode: "implicit", N: n, Degree: d, HeapResidentBytes: build(false)},
-		{Mode: "materialized-csr", N: n, Degree: d, HeapResidentBytes: build(true)},
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for i := range points {
-		points[i].BytesPerNode = float64(points[i].HeapResidentBytes) / float64(n)
-	}
-	return points, nil
-}
-
 // report is the BENCH_sim.json schema.
 type report struct {
 	Schema string `json:"schema"`
@@ -680,19 +430,6 @@ type report struct {
 		N                int     `json:"n"`
 		NsPerRound       float64 `json:"ns_per_round"`
 	} `json:"max_feasible_n"`
-	// MaxFeasibleImplicit is the same probe on the neighborcast engine
-	// over a generated shift topology: no adjacency is resident, so
-	// the cap is time, not memory.
-	MaxFeasibleImplicit struct {
-		Degree           int     `json:"degree"`
-		BudgetMsPerRound float64 `json:"budget_ms_per_round"`
-		N                int     `json:"n"`
-		NsPerRound       float64 `json:"ns_per_round"`
-	} `json:"max_feasible_n_implicit"`
-	// MemoryModel pins the residency claim behind the implicit mode:
-	// bytes/node resident for the same flood at the same shape,
-	// topology generated versus materialized.
-	MemoryModel []memoryPoint `json:"memory_model"`
 	// Baseline freezes the pre-refactor engine's headline numbers
 	// (BenchmarkEngine, n=1000, fanout 8, 20 rounds, allocation-clean
 	// harness) so the trajectory keeps its origin.
@@ -751,39 +488,21 @@ func run(args []string, stdout *os.File) error {
 		{"reuse", 4096, 8, 20},
 		{"reuse-parallel", 4096, 8, 20},
 	}
-	implicitPoints := []point{
-		{"implicit-sequential", 4096, 8, 20},
-		{"implicit-sequential", 1 << 17, 8, 20},
-		{"implicit-sequential", 1 << 20, 8, 5},
-		{"implicit-parallel", 1 << 17, 8, 20},
-		{"implicit-sliced", 4096, 8, 20},
-	}
-	memShapes := [][2]int{{1 << 17, 8}, {1 << 20, 8}}
 	capN := 1 << 17
-	capImplicitN := 1 << 22
 	if *quick {
 		points = []point{
 			{"sequential", 64, 4, 5},
 			{"parallel", 64, 4, 5},
 			{"reuse", 64, 4, 5},
 		}
-		implicitPoints = []point{
-			{"implicit-sequential", 1024, 4, 5},
-			{"implicit-parallel", 1024, 4, 5},
-			{"implicit-sliced", 1024, 4, 5},
-		}
-		memShapes = [][2]int{{4096, 8}}
 		capN = 2048
-		capImplicitN = 1 << 14
 	}
 	if *only == "sliced" {
 		points = nil
-		implicitPoints = nil
-		memShapes = nil
 	}
 
 	var rep report
-	rep.Schema = "lineartime/bench_sim/v5"
+	rep.Schema = "lineartime/bench_sim/v6"
 	rep.Go = runtime.Version()
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.NumCPU = runtime.NumCPU()
@@ -860,13 +579,6 @@ func run(args []string, stdout *os.File) error {
 		bp.floorCap = p.floorCap
 		rep.Benchmarks = append(rep.Benchmarks, bp)
 	}
-	for _, p := range implicitPoints {
-		bp, err := measureImplicit(p.engine, p.n, p.fanout, p.rounds, 0)
-		if err != nil {
-			return fmt.Errorf("%s n=%d: %w", p.engine, p.n, err)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, bp)
-	}
 	fillSpeedups(rep.Benchmarks)
 	for i := range rep.Benchmarks {
 		p := &rep.Benchmarks[i]
@@ -891,26 +603,11 @@ func run(args []string, stdout *os.File) error {
 			return fmt.Errorf("-floor %.2f: no sliced rows to check", *floor)
 		}
 	}
-	for _, shape := range memShapes {
-		pts, err := measureMemory(shape[0], shape[1])
-		if err != nil {
-			return fmt.Errorf("memory model n=%d: %w", shape[0], err)
-		}
-		rep.MemoryModel = append(rep.MemoryModel, pts...)
-	}
 	if *only == "" {
 		rep.MaxFeasible.Fanout = 8
 		rep.MaxFeasible.BudgetMsPerRound = float64(*budgetMs)
 		rep.MaxFeasible.N, rep.MaxFeasible.NsPerRound =
 			maxFeasibleN(8, time.Duration(*budgetMs)*time.Millisecond, capN)
-		rep.MaxFeasibleImplicit.Degree = 8
-		rep.MaxFeasibleImplicit.BudgetMsPerRound = float64(*budgetMs)
-		var probeErr error
-		rep.MaxFeasibleImplicit.N, rep.MaxFeasibleImplicit.NsPerRound, probeErr =
-			maxFeasibleImplicitN(8, time.Duration(*budgetMs)*time.Millisecond, capImplicitN)
-		if probeErr != nil {
-			return fmt.Errorf("implicit max-n probe: %w", probeErr)
-		}
 	}
 	rep.Baseline.Name = "engine/sequential/n=1000/fanout=8"
 	rep.Baseline.NsPerOp = 10534134

@@ -23,15 +23,14 @@ func TestBenchJSONQuick(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if rep.Schema != "lineartime/bench_sim/v5" {
+	if rep.Schema != "lineartime/bench_sim/v6" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	if len(rep.Benchmarks) != 12 {
-		t.Fatalf("benchmarks = %d, want 12 (3 broadcaster + 2 multi-seed + 4 gossip + 3 implicit)", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 9 {
+		t.Fatalf("benchmarks = %d, want 9 (3 broadcaster + 2 multi-seed + 4 gossip)", len(rep.Benchmarks))
 	}
 	var sawParallel, sawReuse, sawScalarPerSeed, sawSliced bool
 	var sawGossipScalar, sawGossipSliced, sawLinksScalar, sawLinksSliced bool
-	var sawImplicitSeq, sawImplicitPar, sawImplicitSliced bool
 	for _, bp := range rep.Benchmarks {
 		if bp.NsPerRound <= 0 || bp.MsgsPerRound <= 0 {
 			t.Fatalf("degenerate point %+v", bp)
@@ -83,21 +82,6 @@ func TestBenchJSONQuick(t *testing.T) {
 			if bp.SpeedupVsScalarPerSeed <= 0 {
 				t.Fatalf("sliced-gossip-links row missing speedup_vs_scalar_per_seed: %+v", bp)
 			}
-		case "implicit-sequential":
-			sawImplicitSeq = true
-			if bp.HeapResidentBytes <= 0 || bp.BytesPerNode <= 0 {
-				t.Fatalf("implicit row missing residency: %+v", bp)
-			}
-		case "implicit-parallel":
-			sawImplicitPar = true
-			if bp.SpeedupVsSequential <= 0 {
-				t.Fatalf("implicit-parallel row missing speedup_vs_sequential: %+v", bp)
-			}
-		case "implicit-sliced":
-			sawImplicitSliced = true
-			if bp.SeedsPerOp <= 0 || bp.SimsPerSec <= 0 {
-				t.Fatalf("implicit-sliced row missing seed accounting: %+v", bp)
-			}
 		}
 	}
 	if !sawParallel || !sawReuse {
@@ -109,35 +93,11 @@ func TestBenchJSONQuick(t *testing.T) {
 	if !sawGossipScalar || !sawGossipSliced || !sawLinksScalar || !sawLinksSliced {
 		t.Fatalf("missing gossip multi-seed rows: %+v", rep.Benchmarks)
 	}
-	if !sawImplicitSeq || !sawImplicitPar || !sawImplicitSliced {
-		t.Fatalf("missing implicit rows: %+v", rep.Benchmarks)
-	}
 	if rep.GOMAXPROCS <= 0 || rep.NumCPU <= 0 {
 		t.Fatalf("gomaxprocs=%d num_cpu=%d; want both positive", rep.GOMAXPROCS, rep.NumCPU)
 	}
 	if rep.MaxFeasible.N < 1024 {
 		t.Fatalf("max feasible n = %d, want ≥ 1024", rep.MaxFeasible.N)
-	}
-	if rep.MaxFeasibleImplicit.N < 1024 {
-		t.Fatalf("max feasible implicit n = %d, want ≥ 1024", rep.MaxFeasibleImplicit.N)
-	}
-	if len(rep.MemoryModel) != 2 {
-		t.Fatalf("memory_model entries = %d, want 2 (implicit + materialized-csr)", len(rep.MemoryModel))
-	}
-	var implicitRes, csrRes int64
-	for _, mp := range rep.MemoryModel {
-		if mp.HeapResidentBytes <= 0 {
-			t.Fatalf("memory_model point missing residency: %+v", mp)
-		}
-		switch mp.Mode {
-		case "implicit":
-			implicitRes = mp.HeapResidentBytes
-		case "materialized-csr":
-			csrRes = mp.HeapResidentBytes
-		}
-	}
-	if implicitRes <= 0 || csrRes <= implicitRes {
-		t.Fatalf("memory model should show materialized ≫ implicit, got csr=%d implicit=%d", csrRes, implicitRes)
 	}
 	if rep.Baseline.AllocsPerOp == 0 {
 		t.Fatal("baseline missing")

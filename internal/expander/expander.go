@@ -319,7 +319,7 @@ func (o *Overlay) Neighbors(v int) []int {
 }
 
 // AppendNeighbors appends the sorted neighbor list of v to buf,
-// allocation-free when cap(buf) ≥ MaxDegree.
+// allocation-free when cap(buf) ≥ Degree(v).
 func (o *Overlay) AppendNeighbors(v int, buf []int) []int {
 	return o.Neighborhood().AppendNeighbors(v, buf)
 }

@@ -10,9 +10,10 @@ import (
 // construction provides one whose lists are recomputed on the fly from
 // (n, d, seed) in O(d) time with zero steady-state allocations —
 // instead of being stored as O(n·d) words of materialized adjacency.
-// The engines and overlays consume topologies through this interface,
-// so a simulated network of a million nodes keeps O(n) bits of state
-// plus O(d) scratch resident, not a CSR of the whole graph.
+// The overlay layer consumes topologies through this interface: an
+// implicit overlay (expander.Options.Implicit) carries only the O(d)
+// generator, and protocol code regenerates neighbor lists from it on
+// demand.
 
 // Neighborhood generates sorted neighbor lists on demand. A *Graph is
 // a Neighborhood (backed by its stored adjacency); implicit
@@ -20,15 +21,12 @@ import (
 //
 // AppendNeighbors appends v's neighbors to buf in ascending order and
 // returns the extended slice; with a caller-provided buffer of
-// capacity MaxDegree it never allocates, which is what lets the
-// engines regenerate neighborhoods every round allocation-free.
+// capacity Degree(v) it never allocates.
 type Neighborhood interface {
 	// N returns the number of vertices.
 	N() int
 	// Degree returns the degree of v.
 	Degree(v int) int
-	// MaxDegree returns the maximum vertex degree.
-	MaxDegree() int
 	// AppendNeighbors appends the sorted neighbor list of v to buf.
 	AppendNeighbors(v int, buf []int) []int
 }
@@ -122,9 +120,6 @@ func (s *Shift) N() int { return s.n }
 
 // Degree implements Neighborhood; shift graphs are regular.
 func (s *Shift) Degree(int) int { return s.deg }
-
-// MaxDegree implements Neighborhood.
-func (s *Shift) MaxDegree() int { return s.deg }
 
 // Bytes returns the heap footprint of the generator: O(d) words, never
 // anything per vertex.

@@ -50,8 +50,8 @@ func TestShiftProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewShift(%d, %d, %d): %v", tc.n, tc.d, tc.seed, err)
 		}
-		if s.N() != tc.n || s.MaxDegree() != tc.d {
-			t.Fatalf("n=%d d=%d: got N=%d MaxDegree=%d", tc.n, tc.d, s.N(), s.MaxDegree())
+		if s.N() != tc.n || s.Degree(0) != tc.d {
+			t.Fatalf("n=%d d=%d: got N=%d Degree=%d", tc.n, tc.d, s.N(), s.Degree(0))
 		}
 		gens := s.Generators()
 		for i, g := range gens {
@@ -139,14 +139,14 @@ func TestShiftErrors(t *testing.T) {
 	}
 }
 
-// AppendNeighbors into a pre-sized buffer must not allocate — the
-// engines call it once per node per round at gigascale n.
+// AppendNeighbors into a pre-sized buffer must not allocate — implicit
+// overlays regenerate a neighbor list on every lookup.
 func TestShiftAppendNeighborsZeroAlloc(t *testing.T) {
 	s, err := NewShift(1<<20, 16, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]int, 0, s.MaxDegree())
+	buf := make([]int, 0, s.Degree(0))
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = s.AppendNeighbors(0, buf[:0])
 		buf = s.AppendNeighbors(12345, buf[:0])

@@ -267,7 +267,8 @@ func TestEnumStrings(t *testing.T) {
 		StageDecode.String() != "decode" || StageMerge.String() != "merge" {
 		t.Error("stage labels changed")
 	}
-	if EngineCastSliced.String() != "cast_sliced" || EngineParallel.String() != "parallel" {
+	if EngineSequential.String() != "sequential" || EngineParallel.String() != "parallel" ||
+		EngineSliced.String() != "sliced" || numEngines.String() != "unknown" {
 		t.Error("engine labels changed")
 	}
 	if OutcomeError.String() != "error" {

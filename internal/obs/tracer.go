@@ -45,9 +45,6 @@ const (
 	EngineSequential Engine = iota
 	EngineParallel
 	EngineSliced
-	EngineCast
-	EngineCastParallel
-	EngineCastSliced
 	numEngines
 )
 
@@ -60,12 +57,6 @@ func (e Engine) String() string {
 		return "parallel"
 	case EngineSliced:
 		return "sliced"
-	case EngineCast:
-		return "cast"
-	case EngineCastParallel:
-		return "cast_parallel"
-	case EngineCastSliced:
-		return "cast_sliced"
 	}
 	return "unknown"
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"lineartime/internal/graph"
-)
+import "testing"
 
 // Alloc-regression guard: a pooled Runtime's steady-state (post-warmup)
 // run must be allocation-free on the fault-free, crash and link-fault
@@ -136,117 +132,5 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 				t.Fatal(runErr)
 			}
 		})
-	}
-}
-
-// TestRuntimeCastSteadyStateAllocs is the neighborcast engine's 0-alloc
-// guard: pooled implicit-topology cast runs — sequential and sharded,
-// with clean crashes and a link filter in the mix — must be
-// allocation-free once the arena has grown to the shape's peak. This is
-// what makes the implicit mode's O(n)-bits residency claim honest:
-// nothing per-round ever touches the allocator, so the planes ARE the
-// footprint.
-func TestRuntimeCastSteadyStateAllocs(t *testing.T) {
-	const n, d, horizon = 256, 8, 12
-	sh, err := graph.NewShift(n, d, 0x11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashAt := make([]int, n)
-	for i := range crashAt {
-		crashAt[i] = -1
-		if i%31 == 2 {
-			crashAt[i] = i % 5
-		}
-	}
-	crash := func(u int) int { return crashAt[u] }
-	cases := []struct {
-		name string
-		cfg  CastConfig
-	}{
-		{name: "fault-free", cfg: CastConfig{Topology: sh, MaxRounds: horizon}},
-		{name: "crash", cfg: CastConfig{Topology: sh, MaxRounds: horizon, Crash: crash}},
-		{name: "link-omission", cfg: CastConfig{Topology: sh, MaxRounds: horizon,
-			Crash: crash, Filter: hashOmission{seed: 5}}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			sys := newFloodCast(n, 0)
-			cfg := c.cfg
-			cfg.System = sys
-			for _, par := range []bool{false, true} {
-				name := "sequential"
-				if par {
-					name = "parallel"
-				}
-				t.Run(name, func(t *testing.T) {
-					rt := NewRuntime()
-					defer rt.Close()
-					var runErr error
-					oneRun := func() {
-						sys.reset(0)
-						var err error
-						if par {
-							_, err = rt.RunCastParallel(cfg, 4)
-						} else {
-							_, err = rt.RunCast(cfg)
-						}
-						if err != nil {
-							runErr = err
-						}
-					}
-					oneRun()
-					oneRun()
-					if runErr != nil {
-						t.Fatal(runErr)
-					}
-					if allocs := testing.AllocsPerRun(5, oneRun); allocs != 0 {
-						t.Fatalf("steady-state cast run allocated %.1f times; want 0", allocs)
-					}
-					if runErr != nil {
-						t.Fatal(runErr)
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestRuntimeCastSlicedSteadyStateAllocs is the sliced neighborcast
-// engine's 0-alloc guard at full lane width.
-func TestRuntimeCastSlicedSteadyStateAllocs(t *testing.T) {
-	const n, d, horizon, lanes = 256, 8, 12, 64
-	sh, err := graph.NewShift(n, d, 0x12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &floodLanes{n: n, informed: make([]uint64, n)}
-	seed := func() {
-		for u := range sys.informed {
-			sys.informed[u] = 0
-		}
-		for lane := 0; lane < lanes; lane++ {
-			sys.informed[(lane*37)%n] |= 1 << lane
-		}
-	}
-	cfg := CastSlicedConfig{System: sys, Topology: sh, MaxRounds: horizon, Lanes: lanes}
-	rt := NewRuntime()
-	var runErr error
-	oneRun := func() {
-		seed()
-		if _, err := rt.RunCastSliced(cfg); err != nil {
-			runErr = err
-		}
-	}
-	oneRun()
-	oneRun()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if allocs := testing.AllocsPerRun(5, oneRun); allocs != 0 {
-		t.Fatalf("steady-state sliced cast run allocated %.1f times; want 0", allocs)
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
 	}
 }

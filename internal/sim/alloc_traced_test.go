@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"lineartime/internal/graph"
 	"lineartime/internal/obs"
 )
 
@@ -93,68 +92,6 @@ func TestRuntimeTracedSteadyStateAllocs(t *testing.T) {
 		oneRun := func() {
 			resetWordFlood(w, inputs)
 			if _, err := rt.RunSliced(cfg); err != nil {
-				runErr = err
-			}
-		}
-		guard(t, oneRun, &runErr)
-	})
-
-	t.Run("cast", func(t *testing.T) {
-		const n, d, horizon = 256, 8, 12
-		sh, err := graph.NewShift(n, d, 0x11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := newFloodCast(n, 0)
-		cfg := CastConfig{System: sys, Topology: sh, MaxRounds: horizon, Tracer: tracer}
-		for _, par := range []bool{false, true} {
-			name := "sequential"
-			if par {
-				name = "parallel"
-			}
-			t.Run(name, func(t *testing.T) {
-				rt := NewRuntime()
-				defer rt.Close()
-				var runErr error
-				oneRun := func() {
-					sys.reset(0)
-					var err error
-					if par {
-						_, err = rt.RunCastParallel(cfg, 4)
-					} else {
-						_, err = rt.RunCast(cfg)
-					}
-					if err != nil {
-						runErr = err
-					}
-				}
-				guard(t, oneRun, &runErr)
-			})
-		}
-	})
-
-	t.Run("cast-sliced", func(t *testing.T) {
-		const n, d, horizon, lanes = 256, 8, 12, 64
-		sh, err := graph.NewShift(n, d, 0x12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := &floodLanes{n: n, informed: make([]uint64, n)}
-		seed := func() {
-			for u := range sys.informed {
-				sys.informed[u] = 0
-			}
-			for lane := 0; lane < lanes; lane++ {
-				sys.informed[(lane*37)%n] |= 1 << lane
-			}
-		}
-		cfg := CastSlicedConfig{System: sys, Topology: sh, MaxRounds: horizon,
-			Lanes: lanes, Tracer: tracer}
-		rt := NewRuntime()
-		var runErr error
-		oneRun := func() {
-			seed()
-			if _, err := rt.RunCastSliced(cfg); err != nil {
 				runErr = err
 			}
 		}

@@ -10,15 +10,15 @@ import (
 
 // Runtime is a reusable run arena: the full engine state — the CSR
 // scratch workspace, the single-port rings and their n-sized idx
-// tables, the delay ring, the metrics arrays, the parallel engines'
-// shard buffers and the one worker pool that runs their phases — pooled
+// tables, the delay ring, the metrics arrays, the sharded engine's
+// shard buffers and the one worker pool that runs its phases — pooled
 // across runs. The first run of a
 // given shape grows every buffer to its peak; the second and subsequent
 // runs are steady-state allocation-free, which is what makes
 // repeated-run workloads (sweeps, replications, benchmarks) cheap. A
 // zero-ish ~1.4MB-per-run rebuild cost at n=1000 drops to zero.
 //
-// Every engine runs through the same bracket (span): the six RunX
+// Every engine runs through the same bracket (span): the three RunX
 // methods differ only in which arena they reset and which loop they
 // run, and the package-level functions of the same names are one RunX
 // on a fresh Runtime that is closed before they return.
@@ -28,16 +28,13 @@ import (
 // Runtime; use Result.Clone to keep one.
 type Runtime struct {
 	st *state
-	// sl, cs and csl are the arenas of the bit-sliced (sliced.go), the
-	// neighborcast (cast.go) and the sliced neighborcast engine
-	// (castsliced.go), each created by its engine's first run.
-	sl  *slicedState
-	cs  *castState
-	csl *castSlicedState
-	// pool is the persistent worker pool of the parallel engines,
-	// created on the first RunParallel or RunCastParallel and kept
-	// across runs (workers stay parked on their job channels in
-	// between); a worker-count change restarts its workers in place.
+	// sl is the bit-sliced engine's arena (sliced.go), created by its
+	// first run.
+	sl *slicedState
+	// pool is the sharded engine's persistent worker pool, created on the
+	// first filter-free RunParallel and kept across runs (workers stay
+	// parked on their job channels in between); a worker-count change
+	// restarts its workers in place.
 	pool *phasePool
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lineartime/internal/graph"
 	"lineartime/internal/obs"
 )
 
@@ -32,18 +31,15 @@ func (l *tracerLog) RunDone(e obs.Engine, o obs.Outcome, _ int, _ time.Duration)
 
 func (l *tracerLog) RoundsExecuted(int, int) { l.executed++ }
 
-// TestEveryEntryPointReports pins the run tracer contract on all twelve
-// ways into an engine — the six Runtime methods and the six package-level
-// functions of the same names: a successful run reports exactly one
-// setup stage, one rounds stage and one RunDone with its own engine (and
-// one RoundsExecuted on the two engines that can fast-forward); a config
-// the arena rejects reports exactly one RunDone(OutcomeError) and
-// nothing else.
+// TestEveryEntryPointReports pins the run tracer contract on all six
+// ways into an engine — the three Runtime methods and the three
+// package-level functions of the same names: a successful run reports
+// exactly one setup stage, one rounds stage and one RunDone with its own
+// engine (and one RoundsExecuted on the two engines that can
+// fast-forward); a config the arena rejects reports exactly one
+// RunDone(OutcomeError) and nothing else. The table covers every engine
+// label obs knows, so a label no entry point reports fails here.
 func TestEveryEntryPointReports(t *testing.T) {
-	sh, err := graph.NewShift(64, 4, 0x21)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Each engine runs one small system; ok=false zeroes MaxRounds,
 	// which every arena's reset rejects.
 	rounds := func(ok bool, n int) int {
@@ -61,16 +57,6 @@ func TestEveryEntryPointReports(t *testing.T) {
 		inputs[3] = true
 		return SlicedConfig{System: newWordFlood(16, 2, 8, inputs), Lanes: 8,
 			MaxRounds: rounds(ok, 10), Tracer: tr}
-	}
-	cast := func(tr obs.RunTracer, ok bool) CastConfig {
-		return CastConfig{System: newFloodCast(64, 0), Topology: sh,
-			MaxRounds: rounds(ok, 5), Tracer: tr}
-	}
-	castSliced := func(tr obs.RunTracer, ok bool) CastSlicedConfig {
-		sys := &floodLanes{n: 64, informed: make([]uint64, 64)}
-		sys.informed[0] = 1
-		return CastSlicedConfig{System: sys, Topology: sh, Lanes: 4,
-			MaxRounds: rounds(ok, 5), Tracer: tr}
 	}
 
 	type entry struct {
@@ -104,30 +90,19 @@ func TestEveryEntryPointReports(t *testing.T) {
 			}
 			return err
 		}},
-		{"RunCast", obs.EngineCast, false, func(rt *Runtime, tr obs.RunTracer, ok bool) (err error) {
-			if rt != nil {
-				_, err = rt.RunCast(cast(tr, ok))
-			} else {
-				_, err = RunCast(cast(tr, ok))
-			}
-			return err
-		}},
-		{"RunCastParallel", obs.EngineCastParallel, false, func(rt *Runtime, tr obs.RunTracer, ok bool) (err error) {
-			if rt != nil {
-				_, err = rt.RunCastParallel(cast(tr, ok), 2)
-			} else {
-				_, err = RunCastParallel(cast(tr, ok), 2)
-			}
-			return err
-		}},
-		{"RunCastSliced", obs.EngineCastSliced, false, func(rt *Runtime, tr obs.RunTracer, ok bool) (err error) {
-			if rt != nil {
-				_, err = rt.RunCastSliced(castSliced(tr, ok))
-			} else {
-				_, err = RunCastSliced(castSliced(tr, ok))
-			}
-			return err
-		}},
+	}
+
+	// One name, one meaning: the table's engines are exactly the labels
+	// obs knows (the enum up to its first "unknown").
+	var labels, reported []obs.Engine
+	for e := obs.Engine(0); e.String() != "unknown"; e++ {
+		labels = append(labels, e)
+	}
+	for _, e := range entries {
+		reported = append(reported, e.engine)
+	}
+	if !reflect.DeepEqual(labels, reported) {
+		t.Fatalf("entry points report engines %v, obs labels are %v", reported, labels)
 	}
 
 	for _, e := range entries {
@@ -198,19 +173,11 @@ func settled(limit int) bool {
 	return false
 }
 
-// TestPoolLifecycle pins the one worker pool's lifecycle: the one-shot
-// entry points stop their workers before returning, and on a Runtime
+// TestPoolLifecycle pins the worker pool's lifecycle: the one-shot
+// entry point stops its workers before returning, and on a Runtime
 // Close stops them for good until the next parallel run, a worker-count
-// change replaces them, a failed run parks them reusable, and the pushed
-// and the neighborcast engine share them.
+// change replaces them, and a failed run parks them reusable.
 func TestPoolLifecycle(t *testing.T) {
-	sh, err := graph.NewShift(256, 4, 0x22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	castCfg := func() CastConfig {
-		return CastConfig{System: newFloodCast(256, 0), Topology: sh, MaxRounds: 6}
-	}
 	pushedCfg := func() Config {
 		ps, _ := buildFlood(48, 8, 3)
 		return Config{Protocols: ps, MaxRounds: 30}
@@ -224,9 +191,6 @@ func TestPoolLifecycle(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		if _, err := RunCastParallel(castCfg(), 2); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := RunParallel(pushedCfg(), 2); err != nil {
 			t.Fatal(err)
 		}
@@ -242,16 +206,6 @@ func TestPoolLifecycle(t *testing.T) {
 	pool := rt.pool
 	if pool == nil || len(pool.jobs) != 2 || !settled(before+2) {
 		t.Fatalf("a 2-worker run left %d goroutines over %d", runtime.NumGoroutine()-before, before)
-	}
-
-	// One pool for both engines: the cast run dispatches on the same
-	// workers.
-	phases := pool.phases
-	if _, err := rt.RunCastParallel(castCfg(), 2); err != nil {
-		t.Fatal(err)
-	}
-	if rt.pool != pool || pool.phases <= phases || !settled(before+2) {
-		t.Fatalf("a cast run after a pushed run did not reuse the pool (%d goroutines over)", runtime.NumGoroutine()-before)
 	}
 
 	// A worker-count change replaces the workers, not adds to them.
@@ -271,7 +225,7 @@ func TestPoolLifecycle(t *testing.T) {
 	if _, err := rt.RunParallel(Config{Protocols: ps, MaxRounds: 20}, 3); err == nil {
 		t.Fatal("invalid envelope accepted")
 	}
-	phases = pool.phases
+	phases := pool.phases
 	seq, err := Run(pushedCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +246,10 @@ func TestPoolLifecycle(t *testing.T) {
 	}
 	rt.Close()
 	pool.shutdown()
-	if _, err := rt.RunCastParallel(castCfg(), 2); err != nil {
+	if _, err := rt.RunParallel(pushedCfg(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(pool.jobs) != 2 || !settled(before+2) {
+	if rt.pool != pool || len(pool.jobs) != 2 || !settled(before+2) {
 		t.Fatalf("reuse after Close left %d goroutines over %d", runtime.NumGoroutine()-before, before)
 	}
 	rt.Close()

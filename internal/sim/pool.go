@@ -66,24 +66,15 @@ func resolveWorkers(workers, n int) int {
 	return min(workers, n)
 }
 
-// phaser is an engine's side of the pool: phase executes worker w's
-// share of the phase named by kind (the engine's own enumeration).
-type phaser interface {
-	phase(kind, w int)
-}
-
-// phasePool is the one worker pool of the package: persistent
-// goroutines that run an engine's phases in lock step. run hands every
-// worker the same phase and returns when all are through it, so between
-// phases the workers are parked on their job channels and the caller
-// owns all state. The pushed engine (send, count, scatter, deliver) and
-// the neighborcast engine (cast, absorb) both run on it; what a phase
-// does, and the shard buffers it does it in, stay with the engine behind
-// phaser. A Runtime owns at most one; like the Runtime, it is not safe
-// for concurrent use.
+// phasePool is the sharded engine's worker pool: persistent goroutines
+// that run its round phases (send, count, scatter, deliver) in lock
+// step. run hands every worker the same phase and returns when all are
+// through it, so between phases the workers are parked on their job
+// channels and the caller owns all state. A Runtime owns at most one;
+// like the Runtime, it is not safe for concurrent use.
 type phasePool struct {
 	jobs    []chan int // one per worker; empty while stopped
-	target  phaser     // the engine whose phase is in flight
+	target  *shards    // the workspace whose phase is in flight
 	barrier sync.WaitGroup
 	exited  sync.WaitGroup
 	phases  int // phases dispatched over the pool's lifetime
@@ -115,13 +106,8 @@ func (p *phasePool) worker(w int, jobs <-chan int) {
 // run executes one phase of target on every worker and waits for the
 // barrier. The job send publishes whatever the caller wrote before the
 // phase to the workers; the WaitGroup completion gives the caller a
-// happens-before edge over everything they wrote during it. A nil pool
-// is the sequential case: the caller is worker 0 of one.
-func (p *phasePool) run(target phaser, kind int) {
-	if p == nil {
-		target.phase(kind, 0)
-		return
-	}
+// happens-before edge over everything they wrote during it.
+func (p *phasePool) run(target *shards, kind int) {
 	p.target = target
 	p.phases++
 	p.barrier.Add(len(p.jobs))
@@ -204,7 +190,7 @@ func (p *shards) prepare(st *state, pool *phasePool) *shards {
 	return p
 }
 
-// phase implements phaser: worker w's share of one round phase.
+// phase is worker w's share of one round phase.
 func (p *shards) phase(kind, w int) {
 	st := p.st
 	lo, hi := p.bounds[w], p.bounds[w+1]

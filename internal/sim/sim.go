@@ -17,12 +17,11 @@
 // use to cross-validate the sequential engine against the sharded
 // parallel runtime in pool.go.
 //
-// Six engines — this file's sequential one, the sharded one, the
-// bit-sliced one (sliced.go) and the three neighborcast ones (cast.go,
-// castsliced.go) — share one run skeleton and, where they are parallel,
-// one worker pool: every entry point is reset → loop → detach inside the
-// same tracer bracket (span, arena.go), and phasePool (pool.go) runs the
-// phases of whichever engine is in flight.
+// Three engines — this file's sequential one, the sharded one (pool.go)
+// and the bit-sliced one (sliced.go) — share one run skeleton: every
+// entry point is reset → loop → detach inside the same tracer bracket
+// (span, arena.go), and the sharded engine's round phases run on one
+// persistent worker pool (phasePool, pool.go).
 //
 // The hot path is allocation-free in steady state: inboxes are built in
 // a reusable CSR-style workspace (scratch.go), single-port buffers are
