@@ -141,6 +141,8 @@ var _ sim.CrashPlan = (*Random)(nil)
 type Cascade struct {
 	victims []sim.NodeID
 	keep    int
+	// events is the declarative form, built once (see CrashEvents).
+	events []sim.CrashEvent
 }
 
 // NewCascade schedules t crashes, one per round, drawn from the first
@@ -153,7 +155,11 @@ func NewCascade(pool, t, keep int, seed uint64) *Cascade {
 		t = pool
 	}
 	perm := r.Perm(pool)
-	return &Cascade{victims: perm[:t], keep: keep}
+	a := &Cascade{victims: perm[:t], keep: keep, events: make([]sim.CrashEvent, 0, t)}
+	for round, v := range a.victims {
+		a.events = append(a.events, sim.CrashEvent{Node: v, Round: round, Keep: keep})
+	}
+	return a
 }
 
 // FilterSend implements sim.LinkFault.
@@ -168,14 +174,9 @@ func (a *Cascade) FilterSend(round int, from sim.NodeID, outbox []sim.Envelope) 
 }
 
 // CrashEvents implements sim.CrashPlan: victim i crashes at round i
-// with the cascade's keep prefix.
-func (a *Cascade) CrashEvents() []sim.CrashEvent {
-	events := make([]sim.CrashEvent, 0, len(a.victims))
-	for round, v := range a.victims {
-		events = append(events, sim.CrashEvent{Node: v, Round: round, Keep: a.keep})
-	}
-	return events
-}
+// with the cascade's keep prefix. The slice is shared across calls and
+// must not be modified.
+func (a *Cascade) CrashEvents() []sim.CrashEvent { return a.events }
 
 var _ sim.LinkFault = (*Cascade)(nil)
 var _ sim.CrashPlan = (*Cascade)(nil)
@@ -186,6 +187,9 @@ var _ sim.CrashPlan = (*Cascade)(nil)
 // little-node overlay.
 type TargetLittle struct {
 	victims map[sim.NodeID]bool
+	// events is the declarative form, sorted by node and built once
+	// (see CrashEvents).
+	events []sim.CrashEvent
 }
 
 // NewTargetLittle picks t victims among the first little node names.
@@ -195,11 +199,17 @@ func NewTargetLittle(little, t int, seed uint64) *TargetLittle {
 		t = little
 	}
 	perm := r.Perm(little)
+	nodes := perm[:t]
 	victims := make(map[sim.NodeID]bool, t)
-	for _, v := range perm[:t] {
+	for _, v := range nodes {
 		victims[v] = true
 	}
-	return &TargetLittle{victims: victims}
+	sort.Ints(nodes)
+	events := make([]sim.CrashEvent, 0, t)
+	for _, v := range nodes {
+		events = append(events, sim.CrashEvent{Node: v, Round: 0, Keep: 0})
+	}
+	return &TargetLittle{victims: victims, events: events}
 }
 
 // FilterSend implements sim.LinkFault.
@@ -211,19 +221,9 @@ func (a *TargetLittle) FilterSend(round int, from sim.NodeID, outbox []sim.Envel
 }
 
 // CrashEvents implements sim.CrashPlan: every victim crashes at round 0
-// before sending anything (Keep 0).
-func (a *TargetLittle) CrashEvents() []sim.CrashEvent {
-	nodes := make([]sim.NodeID, 0, len(a.victims))
-	for v := range a.victims {
-		nodes = append(nodes, v)
-	}
-	sort.Ints(nodes)
-	events := make([]sim.CrashEvent, 0, len(nodes))
-	for _, v := range nodes {
-		events = append(events, sim.CrashEvent{Node: v, Round: 0, Keep: 0})
-	}
-	return events
-}
+// before sending anything (Keep 0), in node order. The slice is shared
+// across calls and must not be modified.
+func (a *TargetLittle) CrashEvents() []sim.CrashEvent { return a.events }
 
 var _ sim.LinkFault = (*TargetLittle)(nil)
 var _ sim.CrashPlan = (*TargetLittle)(nil)

@@ -244,3 +244,42 @@ func TestScheduleMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashEventsShared: every CrashPlan here builds its declarative
+// form once, so the engines' per-run (and the sliced engine's per-lane)
+// CrashEvents call allocates nothing, and the declared events are
+// exactly the crash verdicts FilterSend returns.
+func TestCrashEventsShared(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		plan interface {
+			sim.LinkFault
+			sim.CrashPlan
+		}
+	}{
+		{"schedule", NewSchedule([]Event{{Node: 4, Round: 3, Keep: 1}, {Node: 2, Round: 3, Keep: -1}, {Node: 9, Round: 0}})},
+		{"random", NewRandom(40, 8, 12, 5)},
+		{"cascade", NewCascade(30, 6, 1, 3)},
+		{"target-little", NewTargetLittle(30, 6, 5)},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { c.plan.CrashEvents() }); allocs != 0 {
+			t.Errorf("%s: CrashEvents allocates %.0f times per call, want 0", c.name, allocs)
+		}
+		declared := map[[2]int]int{}
+		for _, e := range c.plan.CrashEvents() {
+			declared[[2]int{e.Round, e.Node}] = e.Keep
+		}
+		for round := 0; round < 16; round++ {
+			for id := 0; id < 40; id++ {
+				out, crash := c.plan.FilterSend(round, id, envs(id, 4))
+				keep, ok := declared[[2]int{round, id}]
+				if crash != ok {
+					t.Fatalf("%s: round %d node %d: FilterSend crash=%v, declared %v", c.name, round, id, crash, ok)
+				}
+				if ok && keep >= 0 && keep < 4 && len(out) != keep {
+					t.Fatalf("%s: round %d node %d: kept %d, declared %d", c.name, round, id, len(out), keep)
+				}
+			}
+		}
+	}
+}

@@ -101,7 +101,9 @@ type RunTracer interface {
 	// RoundsExecuted splits the simulated rounds of a completed
 	// sequential- or parallel-engine run (the only engines that can
 	// fast-forward over silent rounds; see sim.Sleeper) into those the
-	// engine stepped and those it skipped.
+	// engine stepped machines in and those in which no machine stepped:
+	// silent rounds jumped over, and declared crash rounds applied in
+	// passing.
 	RoundsExecuted(executed, skipped int)
 }
 
@@ -143,7 +145,7 @@ func NewEngineTracer(reg *Registry) *EngineTracer {
 		"lineartime_run_duration_seconds",
 		"End-to-end wall-clock seconds per simulation run.",
 		LatencyBuckets())
-	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, by whether the engine stepped them or fast-forwarded them as silent."
+	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, by whether the engine stepped machines in them or no machine stepped (silent rounds and crash rounds applied in passing)."
 	t.executed = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "executed"})
 	t.skipped = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "skipped"})
 	return t

@@ -104,11 +104,13 @@ type Poller interface {
 // itself on a delivery.
 //
 // Only the run loop shared by the sequential and the pool engine skips,
-// and only when every protocol is a Sleeper, the fault is a CrashPlan
-// (its declared crash rounds always execute in full), the run is
-// multi-port with no Byzantine set, and no message is parked in the
-// delay ring. Results, observer events and metrics are identical to
-// the round-by-round run; a Stepper never skips.
+// and only when every protocol is a Sleeper, the fault is a CrashPlan,
+// the run is multi-port with no Byzantine set, and no message is parked
+// in the delay ring. A declared crash round inside a quiet span is
+// applied in passing — FilterSend with the victim's empty outbox, no
+// machine stepped — rather than executed. Results, observer events and
+// metrics are identical to the round-by-round run; a Stepper never
+// skips.
 type Sleeper interface {
 	Protocol
 	QuietUntil(round int) int
@@ -289,12 +291,12 @@ type state struct {
 	simulated int
 	skipped   int
 	// sleepers holds the Sleeper views of the protocols when the run
-	// may fast-forward (see Sleeper), else it is empty; crashRounds is
-	// then the fault's declared crash rounds, ascending, and crashCur
-	// the first one not yet passed.
-	sleepers    []Sleeper
-	crashRounds []int
-	crashCur    int
+	// may fast-forward (see Sleeper), else it is empty; crashes is then
+	// the fault's declared crash events on [0, n) × [0, ∞), sorted by
+	// (round, node), and crashCur the first one not yet passed.
+	sleepers []Sleeper
+	crashes  []CrashEvent
+	crashCur int
 	// label caches the PartLabeler result for the current round;
 	// labelSet records whether it has been computed yet.
 	label    string
@@ -404,12 +406,14 @@ func (st *state) reset(cfg Config) error {
 }
 
 // resetSleepers decides whether this run may fast-forward and, if so,
-// collects the Sleeper views and the declared crash rounds into the
+// collects the Sleeper views and the declared crash events into the
 // arena's reusable buffers. The first non-Sleeper machine ends the scan,
-// so an ineligible run pays one failed type assertion.
+// so an ineligible run pays one failed type assertion. Events that can
+// never fire — a node outside [0, n), a negative round — are dropped,
+// as the sliced engine drops them.
 func (st *state) resetSleepers() {
 	st.sleepers = st.sleepers[:0]
-	st.crashRounds, st.crashCur = st.crashRounds[:0], 0
+	st.crashes, st.crashCur = st.crashes[:0], 0
 	plan, ok := st.fault.(CrashPlan)
 	if !ok || st.cfg.SinglePort || st.cfg.Byzantine != nil {
 		return
@@ -424,9 +428,16 @@ func (st *state) resetSleepers() {
 		st.sleepers = append(st.sleepers, sl)
 	}
 	for _, e := range plan.CrashEvents() {
-		st.crashRounds = append(st.crashRounds, e.Round)
+		if e.Node >= 0 && e.Node < st.n && e.Round >= 0 {
+			st.crashes = append(st.crashes, e)
+		}
 	}
-	slices.Sort(st.crashRounds)
+	slices.SortFunc(st.crashes, func(a, b CrashEvent) int {
+		if a.Round != b.Round {
+			return a.Round - b.Round
+		}
+		return a.Node - b.Node
+	})
 }
 
 func (s *state) alive(id NodeID) bool {
@@ -440,7 +451,12 @@ func (s *state) run() (*Result, error) {
 			return s.result(), nil
 		}
 		if len(s.sleepers) > 0 {
-			if r = s.skipQuiet(r); r >= s.cfg.MaxRounds {
+			var done bool
+			if r, done = s.skipQuiet(r); done {
+				s.metrics.Rounds = r
+				return s.result(), nil
+			}
+			if r >= s.cfg.MaxRounds {
 				break
 			}
 		}
@@ -456,31 +472,49 @@ func (s *state) run() (*Result, error) {
 }
 
 // skipQuiet returns the first round at or after r that has to run: the
-// earliest round some live node wakes in, the next declared crash round
-// (a crash is applied only by FilterSend, in a round executed in full),
-// or MaxRounds. The rounds jumped over count as simulated.
-func (s *state) skipQuiet(r int) int {
+// earliest round some live node wakes in, or MaxRounds. The declared
+// crash rounds before it are applied in passing: a quiet node's outbox
+// is empty, so FilterSend(c, id, nil) is exactly the call the full
+// round c would make, and a crash delivers nothing, so every survivor's
+// promise still holds and none is re-asked. done reports that a crash
+// ended the run; the returned round is then the run's length. The
+// rounds passed count as simulated.
+func (s *state) skipQuiet(r int) (next int, done bool) {
 	if s.ring != nil && !s.ring.empty() {
-		return r
-	}
-	for s.crashCur < len(s.crashRounds) && s.crashRounds[s.crashCur] < r {
-		s.crashCur++
+		return r, false
 	}
 	w := s.cfg.MaxRounds
-	if s.crashCur < len(s.crashRounds) {
-		w = min(w, s.crashRounds[s.crashCur])
-	}
 	for id := 0; id < s.n && w > r; id++ {
 		if s.alive(id) {
 			w = min(w, s.sleepers[id].QuietUntil(r))
 		}
 	}
+	for s.crashCur < len(s.crashes) && s.crashes[s.crashCur].Round < r {
+		s.crashCur++
+	}
 	if w <= r {
-		return r
+		return r, false
+	}
+	for ; s.crashCur < len(s.crashes) && s.crashes[s.crashCur].Round < w; s.crashCur++ {
+		e := s.crashes[s.crashCur]
+		if !s.alive(e.Node) {
+			continue
+		}
+		if _, crash := s.fault.FilterSend(e.Round, e.Node, nil); !crash {
+			continue
+		}
+		s.crashed.Add(e.Node)
+		if s.cfg.Observer != nil {
+			s.cfg.Observer.OnCrash(e.Round, e.Node)
+		}
+		if s.allDone() {
+			w, done = e.Round+1, true
+			break
+		}
 	}
 	s.simulated += w - r
 	s.skipped += w - r
-	return w
+	return w, done
 }
 
 // allDone reports run completion: every non-faulty node has halted or
