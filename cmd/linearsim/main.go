@@ -107,8 +107,9 @@ func run(args []string) error {
 
 // runSeedsSummary fans one spec across consecutive seeds through
 // scenario.RunSeeds — where the scenario is sliceable the seeds ride
-// the bit-sliced engine a machine word at a time — and prints per-seed
-// outcome counts plus mean costs over the successful runs.
+// the bit-sliced engine a machine word at a time — and prints how many
+// runs got each scenario.Verdict, plus mean costs over the successful
+// runs.
 func runSeedsSummary(kind string, sp scenario.Spec, seeds int) error {
 	list := make([]uint64, seeds)
 	for i := range list {
@@ -128,7 +129,9 @@ func runSeedsSummary(kind string, sp scenario.Spec, seeds int) error {
 		rounds += float64(r.Metrics.Rounds)
 		msgs += float64(r.Metrics.Messages)
 		bits += float64(r.Metrics.Bits)
-		counts[seedOutcome(r)]++
+		sp.Seed = list[i]
+		verdict, _ := scenario.Verdict(sp, r)
+		counts[verdict]++
 	}
 	fmt.Printf("%-10s n=%d t=%d seeds=%d (%d..%d)\n", kind, sp.N, sp.T, seeds, list[0], list[len(list)-1])
 	labels := make([]string, 0, len(counts))
@@ -138,7 +141,7 @@ func runSeedsSummary(kind string, sp scenario.Spec, seeds int) error {
 	sort.Strings(labels)
 	fmt.Println("outcomes:")
 	for _, label := range labels {
-		fmt.Printf("  %-20s %d/%d\n", label, counts[label], seeds)
+		fmt.Printf("  %-30s %d/%d\n", label, counts[label], seeds)
 	}
 	if okRuns > 0 {
 		k := float64(okRuns)
@@ -148,34 +151,6 @@ func runSeedsSummary(kind string, sp scenario.Spec, seeds int) error {
 		fmt.Printf("  bits:      %.1f\n", bits/k)
 	}
 	return nil
-}
-
-// seedOutcome labels one run's verdict for the -seeds summary.
-func seedOutcome(r *scenario.Report) string {
-	switch {
-	case r.Consensus != nil:
-		if r.Consensus.Agreement && r.Consensus.Validity {
-			return "agreement+validity"
-		}
-		return "violated"
-	case r.Gossip != nil:
-		if r.Gossip.Complete {
-			return "complete"
-		}
-		return "incomplete"
-	case r.Checkpoint != nil:
-		if r.Checkpoint.Agreement {
-			return "agreement"
-		}
-		return "disagreement"
-	case r.Byzantine != nil:
-		if r.Byzantine.Agreement {
-			return "agreement"
-		}
-		return "disagreement"
-	default:
-		return "done"
-	}
 }
 
 // applyImplicit switches a spec to the implicit shift topology, or

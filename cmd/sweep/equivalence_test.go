@@ -43,14 +43,22 @@ func TestSweepOutputMatchesPreRefactorGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading E13 golden: %v", err)
 	}
+	// T1 (Table 1, formerly its own command) appends after E13; its rows
+	// carry the numbers that command printed. Regenerate with:
+	//
+	//	go run ./cmd/sweep -quick -parallel 1 -exp T1 > testdata/sweep_quick_t1_golden.txt
+	t1, err := os.ReadFile("../../testdata/sweep_quick_t1_golden.txt")
+	if err != nil {
+		t.Fatalf("reading T1 golden: %v", err)
+	}
 	var buf bytes.Buffer
 	if err := run([]string{"-quick"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	want := append(append([]byte(nil), golden...), e12...)
-	want = append(want, e13...)
+	want = append(append(want, e13...), t1...)
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("sweep -quick output diverged from golden (pre-refactor E2–E11 + E12 + E13)\n--- got ---\n%s\n--- want ---\n%s",
+		t.Fatalf("sweep -quick output diverged from golden (pre-refactor E2–E11 + E12 + E13 + T1)\n--- got ---\n%s\n--- want ---\n%s",
 			firstDiff(buf.Bytes(), want), firstDiff(want, buf.Bytes()))
 	}
 	if !bytes.HasPrefix(buf.Bytes(), golden) {

@@ -1,6 +1,6 @@
 // Command sweep regenerates the experiment series of EXPERIMENTS.md:
-// one markdown table per experiment id from the DESIGN.md index
-// (E2–E11), covering every performance theorem of the paper. The
+// one markdown table per experiment id (E2–E13, and T1 for the paper's
+// Table 1), covering every performance theorem of the paper. The
 // experiments themselves are declared over the scenario registry in
 // internal/scenario/experiments; this command is the enumeration loop.
 //
@@ -14,7 +14,7 @@
 // Usage:
 //
 //	sweep             # run everything
-//	sweep -exp E4     # one experiment
+//	sweep -exp E4     # one experiment (-exp T1: Table 1)
 //	sweep -quick      # smaller sizes (CI-friendly)
 //	sweep -parallel 4 # cap the sweep-point workers
 //	sweep -seeds 64   # aggregate multi-seed points over 64 seeds
@@ -52,7 +52,7 @@ var seeds = 1
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	exp := fs.String("exp", "", "experiment id (E2..E11); empty = all")
+	exp := fs.String("exp", "", "experiment id (E2..E13, T1); empty = all")
 	quick := fs.Bool("quick", false, "smaller sizes")
 	par := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep-point workers")
 	sd := fs.Int("seeds", 1, "seeds per point (points without a multi-seed path keep their committed seed)")

@@ -294,27 +294,3 @@ func ranked(results []Result) []Result {
 	sort.Slice(out, func(i, j int) bool { return worse(out[i], out[j]) })
 	return out
 }
-
-// verdictOf summarizes a report's problem-specific correctness and
-// whether the scenario's guarantee was violated. For the subroutines
-// the guarantee is the paper's ≥ 3n/5 decider threshold.
-func verdictOf(rep *scenario.Report) (string, bool) {
-	switch {
-	case rep.Consensus != nil:
-		v := fmt.Sprintf("agreement=%v validity=%v", rep.Consensus.Agreement, rep.Consensus.Validity)
-		return v, !rep.Consensus.Agreement || !rep.Consensus.Validity
-	case rep.Gossip != nil:
-		return fmt.Sprintf("complete=%v", rep.Gossip.Complete), !rep.Gossip.Complete
-	case rep.Checkpoint != nil:
-		return fmt.Sprintf("agreement=%v", rep.Checkpoint.Agreement), !rep.Checkpoint.Agreement
-	case rep.Byzantine != nil:
-		return fmt.Sprintf("agreement=%v", rep.Byzantine.Agreement), !rep.Byzantine.Agreement
-	case rep.Majority != nil:
-		return fmt.Sprintf("agreement=%v", rep.Majority.Agreement), !rep.Majority.Agreement
-	case rep.Subroutine != nil:
-		v := fmt.Sprintf("deciders=%d all_decided=%v", rep.Subroutine.Deciders, rep.Subroutine.AllDecided)
-		return v, 5*rep.Subroutine.Deciders < 3*rep.N
-	default:
-		return "-", false
-	}
-}

@@ -68,9 +68,8 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// NewHistogram builds a standalone histogram over the given strictly
-// increasing upper bounds. Standalone histograms (e.g. loadgen's
-// latency recorder) share bucket code with registered ones.
+// NewHistogram builds a histogram over the given strictly increasing
+// upper bounds; Registry.Histogram registers one.
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -105,61 +104,10 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation inside the owning bucket. Returns 0 with no
-// observations. The estimate for the overflow bucket is its lower
-// bound (the largest finite boundary).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				// Overflow bucket: best estimate is the last bound.
-				if len(h.bounds) == 0 {
-					return 0
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // LatencyBuckets returns the shared request/run latency boundaries in
-// seconds, from 100µs to 10s. loadgen and the serve tier use the same
-// set so bench and scrape numbers land in comparable buckets.
+// seconds, from 100µs to 10s. The serve tier's request latencies and
+// the tracer's stage timings share the set, so they land in comparable
+// buckets.
 func LatencyBuckets() []float64 {
 	return []float64{
 		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,

@@ -38,36 +38,6 @@ func TestHistogramRejectsBadBounds(t *testing.T) {
 	NewHistogram([]float64{1, 1})
 }
 
-// TestHistogramQuantile checks the interpolated estimates against a
-// uniform fill.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(LatencyBuckets())
-	if q := h.Quantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %g, want 0", q)
-	}
-	// 100 observations at exactly 0.01s: every quantile must resolve
-	// inside the (0.005, 0.01] bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.01)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got := h.Quantile(q)
-		if got <= 0.005 || got > 0.01 {
-			t.Errorf("Quantile(%g) = %g, want in (0.005, 0.01]", q, got)
-		}
-	}
-	// Out-of-range q clamps rather than panics.
-	if got := h.Quantile(2); got <= 0 {
-		t.Errorf("Quantile(2) = %g, want > 0", got)
-	}
-	// Overflow bucket reports the last finite bound.
-	h2 := NewHistogram([]float64{1, 2})
-	h2.Observe(50)
-	if got := h2.Quantile(0.5); got != 2 {
-		t.Errorf("overflow quantile = %g, want 2", got)
-	}
-}
-
 // TestCounterConcurrent hammers one counter and one gauge from many
 // goroutines; run under -race this doubles as the data-race guard.
 func TestCounterConcurrent(t *testing.T) {

@@ -138,7 +138,10 @@ func Check(sp Spec, rep *Report) []Violation {
 	case rep.Checkpoint != nil:
 		set := rep.Checkpoint.ExtantSet
 		if set == nil {
-			add(Agreement, "the survivors decided no common set")
+			// With no survivor, agreement holds vacuously.
+			if slices.Contains(crashed, false) {
+				add(Agreement, "the survivors decided no common set")
+			}
 			break
 		}
 		for i := range sp.N {
@@ -196,4 +199,32 @@ func Check(sp Spec, rep *Report) []Violation {
 		add(Termination, "%d nodes that had to decide did not, node %d first", undecided, firstUndecided)
 	}
 	return vs
+}
+
+// Verdict renders Check's judgement of a finished run of sp as the one
+// line campaigns, sweeps and linearsim -seeds print, and reports whether
+// the run broke its problem's headline guarantee: agreement (an
+// undecided survivor breaks it too) and validity for consensus,
+// completeness for gossip, agreement for checkpointing, Byzantine
+// consensus and majority voting, and the 3n/5 deciders for the
+// subroutines. Checkpoint and ballot-set completeness, integrity and
+// the bounds are Check's alone; they never flip a verdict.
+func Verdict(sp Spec, rep *Report) (text string, violated bool) {
+	broke := make(map[Guarantee]bool)
+	for _, v := range Check(sp, rep) {
+		broke[v.Guarantee] = true
+	}
+	agreed := !broke[Agreement] && !broke[Termination]
+	switch {
+	case rep.Consensus != nil:
+		return fmt.Sprintf("agreement=%v validity=%v", agreed, !broke[Validity]), !agreed || broke[Validity]
+	case rep.Gossip != nil:
+		return fmt.Sprintf("complete=%v", !broke[Completeness]), broke[Completeness]
+	case rep.Checkpoint != nil, rep.Byzantine != nil, rep.Majority != nil:
+		return fmt.Sprintf("agreement=%v", agreed), !agreed
+	case rep.Subroutine != nil:
+		return fmt.Sprintf("deciders=%d all_decided=%v", rep.Subroutine.Deciders, rep.Subroutine.AllDecided), broke[Deciders]
+	default:
+		return "-", false
+	}
 }

@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
+
+	"lineartime/internal/sim"
 )
 
 // checkSpecs returns every registry row at (50, 8) — t = 4 for the
@@ -28,6 +32,118 @@ func checkSpecs(seeds int) []Spec {
 		}
 	}
 	return sps
+}
+
+// allCrashedSpecs returns every fault-free crash-tolerant registry row
+// at n = 30 with all 30 nodes crashed at round 0: runs with no survivor,
+// whose every guarantee holds vacuously.
+func allCrashedSpecs() []Spec {
+	const n = 30
+	var sps []Spec
+	for _, d := range All() {
+		if d.Fault.Kind != NoFailures || d.Problem == ByzantineConsensus {
+			continue
+		}
+		sp := d.Spec(n, 5, 0xdead)
+		sp.Fault = FaultModel{Kind: CrashSchedule}
+		for i := range n {
+			sp.Fault.Schedule = append(sp.Fault.Schedule, CrashEvent{Node: i})
+		}
+		sps = append(sps, sp)
+	}
+	return sps
+}
+
+// TestCheckNoSurvivorIsVacuous runs every crash-tolerant row with every
+// node crashed: with nobody left to decide, no survivor guarantee is
+// violated — in particular no checkpoint row reports a missing common
+// set. The subroutines' 3n/5 deciders are a count over all n nodes, so
+// crashing all of them breaks that one honestly.
+func TestCheckNoSurvivorIsVacuous(t *testing.T) {
+	for _, sp := range allCrashedSpecs() {
+		rep, err := Run(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		if len(rep.Crashed) != sp.N {
+			t.Fatalf("%s: %d of %d nodes crashed", sp.Name, len(rep.Crashed), sp.N)
+		}
+		for _, v := range Check(sp, rep) {
+			if v.Guarantee != Deciders {
+				t.Errorf("%s: a run with no survivor judged %v", sp.Name, v)
+			}
+		}
+	}
+}
+
+// flagVerdict is the verdict the outcome booleans give — the reference
+// Verdict must reproduce, kept here so the two can be compared.
+func flagVerdict(rep *Report) (string, bool) {
+	switch {
+	case rep.Consensus != nil:
+		v := fmt.Sprintf("agreement=%v validity=%v", rep.Consensus.Agreement, rep.Consensus.Validity)
+		return v, !rep.Consensus.Agreement || !rep.Consensus.Validity
+	case rep.Gossip != nil:
+		return fmt.Sprintf("complete=%v", rep.Gossip.Complete), !rep.Gossip.Complete
+	case rep.Checkpoint != nil:
+		return fmt.Sprintf("agreement=%v", rep.Checkpoint.Agreement), !rep.Checkpoint.Agreement
+	case rep.Byzantine != nil:
+		return fmt.Sprintf("agreement=%v", rep.Byzantine.Agreement), !rep.Byzantine.Agreement
+	case rep.Majority != nil:
+		return fmt.Sprintf("agreement=%v", rep.Majority.Agreement), !rep.Majority.Agreement
+	case rep.Subroutine != nil:
+		v := fmt.Sprintf("deciders=%d all_decided=%v", rep.Subroutine.Deciders, rep.Subroutine.AllDecided)
+		return v, 5*rep.Subroutine.Deciders < 3*rep.N
+	default:
+		return "-", false
+	}
+}
+
+// TestVerdictMatchesOutcomeFlags requires Verdict, which reads only
+// Check, to render every run exactly as the outcome booleans do — text
+// and violated flag — over the Check suite's runs, every registry row
+// at three sizes, and the runs with no survivor. The checkpoint,
+// Byzantine, majority and subroutine rows are pinned by no golden
+// output; this is where their verdicts are.
+func TestVerdictMatchesOutcomeFlags(t *testing.T) {
+	seeds, sizes := 8, []int{96, 128, 192}
+	if testing.Short() || raceEnabled {
+		// The sizes add ≈ 20 s of the O(n³) Dolev–Strong comparator,
+		// and the race detector has nothing to find in a verdict.
+		seeds, sizes = 2, nil
+	}
+	sps := checkSpecs(seeds)
+	for _, n := range sizes {
+		for _, d := range All() {
+			tt := n / 6
+			if d.Problem == ByzantineConsensus {
+				tt = int(math.Sqrt(float64(n)) / 2) // the §7 range, t = O(√n)
+			}
+			sps = append(sps, d.Spec(n, tt, 1))
+		}
+	}
+	sps = append(sps, allCrashedSpecs()...)
+	reps, errs := ExecuteBatch(sps)
+	judged, violated := 0, 0
+	for i, sp := range sps {
+		if errors.Is(errs[i], sim.ErrNoTermination) {
+			continue
+		}
+		if errs[i] != nil {
+			t.Fatalf("%s n=%d seed=%#x: %v", sp.Name, sp.N, sp.Seed, errs[i])
+		}
+		wantText, wantViolated := flagVerdict(reps[i])
+		text, v := Verdict(sp, reps[i])
+		if text != wantText || v != wantViolated {
+			t.Errorf("%s n=%d fault=%v seed=%#x: Verdict %q violated=%v, outcome flags %q violated=%v",
+				sp.Name, sp.N, sp.Fault.Kind, sp.Seed, text, v, wantText, wantViolated)
+		}
+		judged++
+		if v {
+			violated++
+		}
+	}
+	t.Logf("%d runs judged, %d violated", judged, violated)
 }
 
 // TestCheckRegistry runs every registry row × 8 seeds (2 under -short),

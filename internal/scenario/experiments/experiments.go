@@ -1,10 +1,11 @@
 // Package experiments declares the paper's experiment tables — the
-// E2–E11 sweep series and the empirical Table 1 — as data over the
+// E2–E13 sweep series and the empirical Table 1 (T1) — as data over the
 // scenario registry: each experiment is a set of sections, each section
 // a markdown table whose points materialize registry scenarios through
-// the generic runner. cmd/sweep and cmd/table1 are thin loops over
-// these definitions, so adding (or resizing) an experiment is an edit
-// here, not in the commands.
+// the generic runner. cmd/sweep is a thin loop over these definitions,
+// so adding (or resizing) an experiment is an edit here, not in the
+// command. Whether a run held is scenario.Check's call, never a
+// point's.
 package experiments
 
 import (
@@ -55,6 +56,15 @@ func runSeedsMean(sp scenario.Spec, seeds []uint64) ([]*scenario.Report, error) 
 	return reports, nil
 }
 
+// held returns the first guarantee scenario.Check finds the run of sp
+// broke, as an error, or nil.
+func held(sp scenario.Spec, rep *scenario.Report) error {
+	if vs := scenario.Check(sp, rep); len(vs) > 0 {
+		return fmt.Errorf("%s n=%d seed=%d: %s violated: %s", sp.Name, sp.N, sp.Seed, vs[0].Guarantee, vs[0].Detail)
+	}
+	return nil
+}
+
 // meanMetric averages one metric over a seed batch.
 func meanMetric(reports []*scenario.Report, metric func(*scenario.Report) float64) float64 {
 	var sum float64
@@ -84,7 +94,7 @@ type Experiment struct {
 
 // All returns the experiments in EXPERIMENTS.md order.
 func All() []Experiment {
-	return []Experiment{e2(), e3(), e4(), e5(), e6(), e7(), e8(), e9(), e10(), e11(), e12(), e13()}
+	return []Experiment{e2(), e3(), e4(), e5(), e6(), e7(), e8(), e9(), e10(), e11(), e12(), e13(), t1()}
 }
 
 // sizes returns all sizes, or the first two in quick mode.
@@ -186,8 +196,8 @@ func e4() Experiment {
 					if err != nil {
 						return "", err
 					}
-					if !rep.Consensus.Agreement || !rep.Consensus.Validity {
-						return "", fmt.Errorf("correctness violated at n=%d", n)
+					if err := held(sp, rep); err != nil {
+						return "", err
 					}
 					return fmt.Sprintf("| %d | %d | %d | %.2f | %d | %.1f |",
 						n, t, rep.Metrics.Rounds, float64(rep.Metrics.Rounds)/float64(t),
@@ -196,13 +206,15 @@ func e4() Experiment {
 				pts[i].RunN = func(seeds int) (string, error) {
 					sp := scenario.MustLookup("consensus/few-crashes").Spec(n, t, 1)
 					sp.Fault = scenario.FaultModel{Kind: scenario.RandomCrashes, Count: t, Horizon: 5 * t}
-					reports, err := runSeedsMean(sp, seedRange(seeds))
+					series := seedRange(seeds)
+					reports, err := runSeedsMean(sp, series)
 					if err != nil {
 						return "", err
 					}
 					for s, rep := range reports {
-						if !rep.Consensus.Agreement || !rep.Consensus.Validity {
-							return "", fmt.Errorf("correctness violated at n=%d seed=%d", n, s+1)
+						sp.Seed = series[s]
+						if err := held(sp, rep); err != nil {
+							return "", err
 						}
 					}
 					rounds := meanMetric(reports, func(r *scenario.Report) float64 { return float64(r.Metrics.Rounds) })
@@ -241,8 +253,8 @@ func e5() Experiment {
 					if err != nil {
 						return "", err
 					}
-					if !rep.Consensus.Agreement || !rep.Consensus.Validity {
-						return "", fmt.Errorf("correctness violated at t=%d", t)
+					if err := held(sp, rep); err != nil {
+						return "", err
 					}
 					return fmt.Sprintf("| %d | %d | %.2f | %d | %d | %d |",
 						n, t, float64(t)/float64(n), rep.Metrics.Rounds, n+3*(1+lg),
@@ -275,8 +287,8 @@ func e6() Experiment {
 					if err != nil {
 						return "", err
 					}
-					if !rep.Gossip.Complete {
-						return "", fmt.Errorf("gossip incomplete at n=%d", n)
+					if err := held(sp, rep); err != nil {
+						return "", err
 					}
 					lglg := math.Log2(float64(n)) * math.Log2(float64(t))
 					return fmt.Sprintf("| %d | %d | %d | %.0f | %d | %.1f |",
@@ -317,8 +329,8 @@ func e7() Experiment {
 					if err != nil {
 						return "", err
 					}
-					if !algo.Checkpoint.Agreement || !base.Checkpoint.Agreement {
-						return "", fmt.Errorf("agreement violated at n=%d", n)
+					if err := errors.Join(held(algoSpec, algo), held(baseSpec, base)); err != nil {
+						return "", err
 					}
 					return fmt.Sprintf("| %d | %d | %d | %d | %d | %d | %.2f |",
 						n, t, algo.Metrics.Rounds, algo.Metrics.Messages,
@@ -355,27 +367,17 @@ func e8() Experiment {
 			pts := make([]Point, len(points))
 			for i, p := range points {
 				pts[i] = Point{Run: func() (string, error) {
-					t := int(math.Sqrt(float64(p.n)) / 2)
-					if t < 1 {
-						t = 1
-					}
-					corrupted := make([]int, 0, t)
-					for j := 0; j < t; j++ {
-						corrupted = append(corrupted, j)
-					}
+					t := sqrtHalf(p.n)
 					sp := scenario.MustLookup("byzantine/ab-consensus").Spec(p.n, t, 1)
-					sp.Fault = scenario.FaultModel{
-						Kind:      scenario.ByzantineFaults,
-						Strategy:  p.s,
-						Corrupted: corrupted,
-					}
+					sp.Fault = byzantineFault(p.s, t)
 					rep, err := scenario.Run(sp)
 					if err != nil {
 						return "", err
 					}
+					_, violated := scenario.Verdict(sp, rep)
 					return fmt.Sprintf("| %d | %d | %s | %d | %d | %d | %v |",
 						p.n, t, p.s, rep.Metrics.Rounds, rep.Metrics.Messages,
-						t*t+p.n, rep.Byzantine.Agreement), nil
+						t*t+p.n, !violated), nil
 				}}
 			}
 			return []Section{{
@@ -404,8 +406,8 @@ func e9() Experiment {
 					if err != nil {
 						return "", err
 					}
-					if !rep.Consensus.Agreement || !rep.Consensus.Validity {
-						return "", fmt.Errorf("correctness violated at n=%d", n)
+					if err := held(sp, rep); err != nil {
+						return "", err
 					}
 					denom := float64(t) + math.Log2(float64(n))
 					return fmt.Sprintf("| %d | %d | %d | %.1f | %d | %.1f |",
@@ -495,25 +497,6 @@ func faultLabel(f scenario.FaultModel) string {
 	}
 }
 
-// faultVerdict summarizes the problem-specific correctness of a run
-// under link faults. Degradation is a result here, not an error: the
-// paper's algorithms are designed for crashes, and the table shows
-// which guarantees survive which link faults.
-func faultVerdict(rep *scenario.Report) string {
-	switch {
-	case rep.Consensus != nil:
-		return fmt.Sprintf("agreement=%v validity=%v", rep.Consensus.Agreement, rep.Consensus.Validity)
-	case rep.Gossip != nil:
-		return fmt.Sprintf("complete=%v", rep.Gossip.Complete)
-	case rep.Checkpoint != nil:
-		return fmt.Sprintf("agreement=%v", rep.Checkpoint.Agreement)
-	case rep.Majority != nil:
-		return fmt.Sprintf("agreement=%v", rep.Majority.Agreement)
-	default:
-		return "-"
-	}
-}
-
 func e12() Experiment {
 	section := func(quick bool, preamble string, names ...string) Section {
 		ns := sizes(quick, 128, 256, 512)
@@ -523,13 +506,17 @@ func e12() Experiment {
 				pts = append(pts, Point{Run: func() (string, error) {
 					t := n / 6
 					d := scenario.MustLookup(name)
-					rep, err := scenario.Run(d.Spec(n, t, 1))
+					sp := d.Spec(n, t, 1)
+					rep, err := scenario.Run(sp)
 					if err != nil {
 						return "", err
 					}
+					// Degradation is a result here, not an error: the
+					// paper's algorithms are designed for crashes.
+					verdict, _ := scenario.Verdict(sp, rep)
 					return fmt.Sprintf("| %s | %d | %d | %s | %d | %d | %s |",
 						name, n, t, faultLabel(d.Fault),
-						rep.Metrics.Rounds, rep.Metrics.Messages, faultVerdict(rep)), nil
+						rep.Metrics.Rounds, rep.Metrics.Messages, verdict), nil
 				}})
 			}
 		}
@@ -578,7 +565,8 @@ func e13() Experiment {
 					pts = append(pts, Point{Run: func() (string, error) {
 						t := n / 6
 						d := scenario.MustLookup(name)
-						rep, err := scenario.Run(d.Spec(n, t, 1))
+						sp := d.Spec(n, t, 1)
+						rep, err := scenario.Run(sp)
 						if errors.Is(err, sim.ErrNoTermination) {
 							return fmt.Sprintf("| %s | %d | %d | %s | - | - | no-termination (round budget exhausted) |",
 								name, n, t, faultLabel(d.Fault)), nil
@@ -586,9 +574,10 @@ func e13() Experiment {
 						if err != nil {
 							return "", err
 						}
+						verdict, _ := scenario.Verdict(sp, rep)
 						return fmt.Sprintf("| %s | %d | %d | %s | %d | %d | %s |",
 							name, n, t, faultLabel(d.Fault),
-							rep.Metrics.Rounds, rep.Metrics.Messages, faultVerdict(rep)), nil
+							rep.Metrics.Rounds, rep.Metrics.Messages, verdict), nil
 					}})
 				}
 			}

@@ -9,7 +9,7 @@ import (
 // and titles of EXPERIMENTS.md, in order. cmd/sweep renders exactly
 // this list, so a dropped experiment fails here.
 func TestExperimentIndexGolden(t *testing.T) {
-	want := []string{"E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
+	want := []string{"E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "T1"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d experiments, want %d", len(all), len(want))
@@ -62,6 +62,26 @@ func TestSizesHelper(t *testing.T) {
 	quick := sizes(true, 1, 2, 3, 4)
 	if len(quick) != 2 {
 		t.Fatalf("quick sizes = %v", quick)
+	}
+}
+
+func TestTable1RowsCoverThePaperTable(t *testing.T) {
+	if len(table1) != 7 {
+		t.Fatalf("table1 has %d rows, want 7", len(table1))
+	}
+	crash, byz := 0, 0
+	for _, rw := range table1 {
+		switch rw.faultType {
+		case "crash":
+			crash++
+		case "auth. Byzantine":
+			byz++
+		default:
+			t.Errorf("unexpected fault type %q", rw.faultType)
+		}
+	}
+	if crash != 6 || byz != 1 {
+		t.Fatalf("fault-type split = %d crash / %d byzantine, want 6/1", crash, byz)
 	}
 }
 

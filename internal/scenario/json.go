@@ -8,8 +8,8 @@ import (
 // The Report tree is the wire format of the serving layer
 // (internal/serve) and of linearsim -json, so the enum dimensions
 // marshal as their canonical CLI spellings rather than opaque integers.
-// Both directions are implemented: clients (cmd/loadgen, the service
-// example) decode the same bodies the daemon encodes.
+// Both directions are implemented: clients (the repository benchmark,
+// the service example) decode the same bodies the daemon encodes.
 
 // MarshalJSON encodes the problem as its String form.
 func (p Problem) MarshalJSON() ([]byte, error) {

@@ -9,8 +9,8 @@
 // (registry.go) covering every protocol stack the paper evaluates, so
 // the commands enumerate scenarios instead of hand-wiring each cell:
 // cmd/linearsim resolves its flags to a registry name, and the
-// experiment tables of cmd/sweep and cmd/table1 are built from the
-// registry by the scenario/experiments subpackage. Adding a workload
+// experiment tables of cmd/sweep (Table 1 among them) are built from
+// the registry by the scenario/experiments subpackage. Adding a workload
 // means adding a registry entry (plus, for a new experiment table, one
 // experiments definition) — not editing three commands.
 //

@@ -14,8 +14,8 @@
 //   - Server (server.go) is the HTTP/JSON front wiring the three
 //     together: /v1/run, /v1/sweep, /v1/scenarios, /healthz, /statsz.
 //
-// cmd/linearsimd hosts a Server; cmd/loadgen drives one closed-loop
-// and records the results into BENCH_serve.json.
+// cmd/linearsimd hosts a Server; the repository benchmark (bench/)
+// drives one closed-loop.
 package serve
 
 import (
