@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"testing"
 )
 
@@ -16,6 +17,27 @@ func TestSweepQuickSingleExperiments(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSweepT1MatchesTable1Golden runs Table 1 alone (quick: n=128,
+// seed 1) and pins it byte-for-byte to its golden, whose figures equal
+// those the former standalone Table 1 command printed.
+func TestSweepT1MatchesTable1Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table1 regeneration skipped in -short mode")
+	}
+	want, err := os.ReadFile("../../testdata/sweep_quick_t1_golden.txt")
+	if err != nil {
+		t.Fatalf("reading T1 golden: %v", err)
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-quick", "-exp", "T1"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("sweep -quick -exp T1 diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
+			firstDiff(got.Bytes(), want), firstDiff(want, got.Bytes()))
 	}
 }
 
