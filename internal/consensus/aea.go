@@ -28,6 +28,7 @@ type AEA struct {
 	flooded   bool // sent the rumor-1 flood already
 	pending   bool // flood at the next Send
 	probing   *probe.Probing
+	moved     bool // the last probing Deliver changed the candidate or paused
 	out       sim.Outbox
 
 	decided    bool
@@ -115,7 +116,7 @@ func (a *AEA) Deliver(round int, inbox []sim.Envelope) {
 	case r < s.AEAFlood:
 		a.deliverPart1(r, inbox)
 	case r < s.AEAProbe:
-		a.deliverPart2(inbox)
+		a.deliverPart2(r-s.AEAFlood, inbox)
 	case r < s.AEA:
 		a.deliverPart3(inbox)
 	}
@@ -139,10 +140,11 @@ func (a *AEA) deliverPart1(r int, inbox []sim.Envelope) {
 	}
 }
 
-func (a *AEA) deliverPart2(inbox []sim.Envelope) {
+func (a *AEA) deliverPart2(k int, inbox []sim.Envelope) {
 	if a.probing == nil {
 		return
 	}
+	candidate, paused := a.candidate, a.probing.Paused()
 	count := 0
 	for _, env := range inbox {
 		p, ok := env.Payload.(sim.Probe)
@@ -156,7 +158,8 @@ func (a *AEA) deliverPart2(inbox []sim.Envelope) {
 			a.candidate = true
 		}
 	}
-	a.probing.Observe(count)
+	a.probing.Observe(k, count)
+	a.moved = a.candidate != candidate || a.probing.Paused() != paused
 	if a.probing.Done() && a.probing.Survived() && !a.decided {
 		a.decided = true
 		a.decision = a.candidate
@@ -184,9 +187,10 @@ func (a *AEA) Halted() bool { return a.halted }
 // QuietUntil implements sim.Sleeper. A non-little node only listens (for
 // its little node's Part 3 notification), so it sleeps to the end of
 // the schedule. A little node is awake while it has a flood to send,
-// through all of probing — probe.Observe counts rounds — and in Part 3
-// if it has a decision to announce; once its flood is out, the rest of
-// Part 1's 5t−1 rounds is silence unless a rumor arrives.
+// through all of probing — its instance ends, and survivors decide, in
+// the last probing round — and in Part 3 if it has a decision to
+// announce; once its flood is out, the rest of Part 1's 5t−1 rounds is
+// silence unless a rumor arrives.
 func (a *AEA) QuietUntil(round int) int {
 	s := &a.top.Schedule
 	end := a.End()
@@ -208,6 +212,26 @@ func (a *AEA) QuietUntil(round int) int {
 		return round
 	default:
 		return end
+	}
+}
+
+// RepeatUntil implements sim.Sleeper. A non-little node sends nothing
+// and ignores its inbox until Part 3, whose notification it must see, so
+// it repeats up to that round. A little node repeats inside probing once
+// a probing Deliver left its candidate and its pause unchanged: the
+// same probes then arrive, change nothing, and go out again, until the
+// last probing round, which ends the instance and must run.
+func (a *AEA) RepeatUntil(round int) int {
+	s := &a.top.Schedule
+	switch r := round - a.base; {
+	case r <= 0 || r >= s.AEA-1:
+		return round
+	case !a.top.IsLittle(a.id):
+		return a.base + s.AEA - 1
+	case r > s.AEAFlood && r < s.AEAProbe && !a.moved:
+		return a.base + s.AEAProbe - 1
+	default:
+		return round
 	}
 }
 

@@ -88,6 +88,15 @@ func (f *FewCrashes) QuietUntil(round int) int {
 	return min(f.scv.QuietUntil(round), f.top.Schedule.Few-1)
 }
 
+// RepeatUntil implements sim.Sleeper: AEA's answer, clamped to the
+// hand-off round; SCV promises no repeats.
+func (f *FewCrashes) RepeatUntil(round int) int {
+	if h := f.aea.End(); round < h {
+		return min(f.aea.RepeatUntil(round), h)
+	}
+	return round
+}
+
 // PartAt labels a round with its Few-Crashes-Consensus part.
 func (f *FewCrashes) PartAt(round int) string { return f.top.Schedule.FewPart(round) }
 

@@ -194,7 +194,7 @@ func (m *ManyCrashes) Deliver(round int, inbox []sim.Envelope) {
 				m.candidate = true
 			}
 		}
-		m.probing.Observe(count)
+		m.probing.Observe(round-s.ManyFlood, count)
 		if m.probing.Done() && m.probing.Survived() && !m.decided {
 			m.decided = true
 			m.decision = m.candidate

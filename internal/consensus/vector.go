@@ -213,7 +213,7 @@ func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
 				v.absorb(p.Set)
 			}
 		}
-		v.probing.Observe(count)
+		v.probing.Observe(round-s.AEAFlood, count)
 		if v.probing.Done() && v.probing.Survived() && !v.decided {
 			v.decided = true
 			v.decision = v.candidate.Clone()

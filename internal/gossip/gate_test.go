@@ -13,11 +13,15 @@ import (
 // ungated is the machine without Send's phase-opener gate: a little
 // node that survived the previous phase asks for G_i in every opening
 // round and tests each neighbor. The reference the gate is exact
-// against.
-type ungated struct{ *Gossip }
+// against; not a sim.Sleeper, so the engine steps it in every round.
+type ungated struct{ g *Gossip }
+
+func (u ungated) Deliver(round int, inbox []sim.Envelope) { u.g.Deliver(round, inbox) }
+
+func (u ungated) Halted() bool { return u.g.Halted() }
 
 func (u ungated) Send(round int) []sim.Envelope {
-	g := u.Gossip
+	g := u.g
 	if round >= g.top.Schedule.Gossip {
 		return nil
 	}

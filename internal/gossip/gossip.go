@@ -29,6 +29,7 @@ type Gossip struct {
 
 	probing      *probe.Probing
 	survivedPrev bool  // survived the previous phase's probing
+	moved        bool  // the last probing Deliver grew a set or paused
 	inquirers    []int // Part 1 inquiry senders awaiting a response
 	halted       bool
 }
@@ -202,6 +203,7 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 		}
 	default:
 		if g.probing != nil {
+			extant, covered, paused := g.extant.Count(), g.completion.count, g.probing.Paused()
 			count := 0
 			for _, env := range inbox {
 				switch p := env.Payload.(type) {
@@ -213,7 +215,8 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 					g.completion.MergeFrom(p.Set)
 				}
 			}
-			g.probing.Observe(count)
+			g.probing.Observe(off-2, count)
+			g.moved = g.extant.Count() != extant || g.completion.count != covered || g.probing.Paused() != paused
 			if g.probing.Done() {
 				g.survivedPrev = g.probing.Survived()
 				if phase+1 < s.GossipPhases || part == 1 {
@@ -230,7 +233,52 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 // Halted implements sim.Protocol.
 func (g *Gossip) Halted() bool { return g.halted }
 
-var _ sim.Protocol = (*Gossip)(nil)
+// QuietUntil implements sim.Sleeper. A non-little node sends only
+// responses to inquiries, so with none pending it is silent until the
+// halting round unless something arrives. A little node is silent
+// through a phase's inquiry/push and response rounds when it has nobody
+// to inquire of or push to — its view or coverage is full, or it paused
+// in the previous phase — and no inquirer to answer; it probes in every
+// probing round, and its instance ends in the last one.
+func (g *Gossip) QuietUntil(round int) int {
+	s := &g.top.Schedule
+	if round >= s.Gossip-1 || len(g.inquirers) > 0 {
+		return round
+	}
+	if g.probing == nil {
+		return s.Gossip - 1
+	}
+	part, phase, off := s.GossipAt(round)
+	switch {
+	case off >= 2:
+		return round
+	case off == 0 && (phase == 0 || g.survivedPrev) &&
+		(part == 1 && g.extant.Count() < g.top.N || part == 2 && !g.completion.Full()):
+		return round
+	}
+	return round - off + 2
+}
+
+// RepeatUntil implements sim.Sleeper. Inside one local-probing instance
+// a little node whose last Deliver grew neither its extant nor its
+// completion set and left its pause as it was is at a fixed point: the
+// same snapshots go to the same neighbours, and merging the same inbox
+// again changes nothing. It repeats until the instance's last round,
+// which ends the instance and must run. A non-little node sends nothing
+// and ignores its inbox while probing, so it repeats as far.
+func (g *Gossip) RepeatUntil(round int) int {
+	s := &g.top.Schedule
+	if round >= s.Gossip {
+		return round
+	}
+	// Round−1 is a probing round of the same instance when off ≥ 3.
+	if _, _, off := s.GossipAt(round); off >= 3 && (g.probing == nil || !g.moved) {
+		return round - off + s.GossipPhaseLen - 1
+	}
+	return round
+}
+
+var _ sim.Sleeper = (*Gossip)(nil)
 
 // PartAt maps a round to its gossip part and block, for the engine's
 // per-part message attribution.

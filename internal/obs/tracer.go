@@ -100,10 +100,10 @@ type RunTracer interface {
 	RunDone(e Engine, o Outcome, rounds int, d time.Duration)
 	// RoundsExecuted splits the simulated rounds of a completed
 	// sequential- or parallel-engine run (the only engines that can
-	// fast-forward over silent rounds; see sim.Sleeper) into those the
-	// engine stepped machines in and those in which no machine stepped:
-	// silent rounds jumped over, and declared crash rounds applied in
-	// passing.
+	// fast-forward; see sim.Sleeper) into those the engine stepped
+	// machines in and those in which no machine stepped: silent rounds
+	// jumped over, declared crash rounds applied in passing, and steady
+	// rounds whose traffic repeated the round before.
 	RoundsExecuted(executed, skipped int)
 }
 
@@ -145,7 +145,7 @@ func NewEngineTracer(reg *Registry) *EngineTracer {
 		"lineartime_run_duration_seconds",
 		"End-to-end wall-clock seconds per simulation run.",
 		LatencyBuckets())
-	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, by whether the engine stepped machines in them or no machine stepped (silent rounds and crash rounds applied in passing)."
+	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, by whether the engine stepped machines in them or no machine stepped (silent rounds, crash rounds applied in passing, and steady rounds repeated)."
 	t.executed = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "executed"})
 	t.skipped = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "skipped"})
 	return t

@@ -17,12 +17,15 @@
 package probe
 
 // Probing is the per-node automaton for one instance of local probing.
+// It keeps no round counter: the caller names the instance round of
+// each observation, so a round whose observation would change nothing
+// can be skipped without leaving anything to catch up on.
 type Probing struct {
 	neighbors []int
 	gamma     int
 	delta     int
-	round     int
 	paused    bool
+	done      bool
 }
 
 // New creates a probing instance lasting gamma rounds with survival
@@ -41,15 +44,12 @@ func New(neighbors []int, gamma, delta int) *Probing {
 // Gamma returns the total number of probing rounds.
 func (p *Probing) Gamma() int { return p.gamma }
 
-// Round returns the index of the current probing round (0-based).
-func (p *Probing) Round() int { return p.round }
-
-// Done reports whether all γ rounds have been observed.
-func (p *Probing) Done() bool { return p.round >= p.gamma }
+// Done reports whether the instance's last round has been observed.
+func (p *Probing) Done() bool { return p.done }
 
 // Active reports whether the node should send probes this round: it
-// has not paused and rounds remain.
-func (p *Probing) Active() bool { return !p.paused && !p.Done() }
+// has not paused and the instance is not over.
+func (p *Probing) Active() bool { return !p.paused && !p.done }
 
 // SendTargets returns the neighbors to message this round, or nil if
 // the node is paused or the instance is over.
@@ -60,22 +60,23 @@ func (p *Probing) SendTargets() []int {
 	return p.neighbors
 }
 
-// Observe records that `count` probing messages arrived this round and
-// advances to the next round. A count below δ pauses the node
-// permanently for this instance. Observations after Done are ignored.
-func (p *Probing) Observe(count int) {
-	if p.Done() {
+// Observe records that `count` probing messages arrived in instance
+// round k (0-based). A count below δ pauses the node permanently for
+// this instance; observing round γ−1 ends it. Observations after the
+// end, or of a round outside [0, γ), are ignored.
+func (p *Probing) Observe(k, count int) {
+	if p.done || k < 0 || k >= p.gamma {
 		return
 	}
-	if count < p.delta && !p.paused {
+	if count < p.delta {
 		p.paused = true
 	}
-	p.round++
+	p.done = k == p.gamma-1
 }
 
 // Survived reports whether the node completed all γ rounds without
 // pausing. Only meaningful once Done.
-func (p *Probing) Survived() bool { return p.Done() && !p.paused }
+func (p *Probing) Survived() bool { return p.done && !p.paused }
 
 // Paused reports whether the node paused prematurely.
 func (p *Probing) Paused() bool { return p.paused }
@@ -83,6 +84,6 @@ func (p *Probing) Paused() bool { return p.paused }
 // Reset rearms the automaton for a fresh instance over the same
 // neighbors (gossip runs one instance per phase).
 func (p *Probing) Reset() {
-	p.round = 0
 	p.paused = false
+	p.done = false
 }

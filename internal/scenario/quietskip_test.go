@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,8 +34,8 @@ func sleeperRows(t *testing.T) []Definition {
 			rows = append(rows, d)
 		}
 	}
-	if len(rows) < 6 {
-		t.Fatalf("only %d registry rows run Sleeper machines; few-crashes (plain, link-fault and chaos rows), aea and scv should", len(rows))
+	if len(rows) < 10 {
+		t.Fatalf("only %d registry rows run Sleeper machines; few-crashes and gossip (plain, link-fault and chaos rows), aea and scv should", len(rows))
 	}
 	return rows
 }
@@ -41,12 +43,14 @@ func sleeperRows(t *testing.T) []Definition {
 // TestQuietSkipParityRegistry pins that fast-forwarding is invisible
 // and that every promise behind it is kept: each Sleeper row, under its
 // own fault and under no fault, random crashes, a cascade and a
-// little-node attack, runs once as is and once with QuietUntil hidden
-// behind the promise auditor, so that every round executes. The two
-// runs must give DeepEqual engine results, the same observer stream
-// and byte-identical report JSON — on the sequential engine and on the
-// pool (run under -race) — and the auditor must see no machine send or
-// halt inside a span it promised to be quiet in.
+// little-node attack, runs once with QuietUntil and RepeatUntil hidden
+// behind the promise auditor, so that every round executes, and then
+// visible three ways — observed on the sequential engine (quiet spans
+// only: an observed run repeats no steady round), unobserved on the
+// sequential engine and on the pool (run under -race; quiet and steady
+// spans). Every run must give DeepEqual engine results and
+// byte-identical report JSON, the observed ones the same observer
+// stream, and the auditor must see no machine break a promise.
 func TestQuietSkipParityRegistry(t *testing.T) {
 	seeds := uint64(8)
 	if testing.Short() {
@@ -54,8 +58,14 @@ func TestQuietSkipParityRegistry(t *testing.T) {
 	}
 	faults := []string{"", "none", "random-crashes:count=8,horizon=40", "cascade:count=8,keep=1", "target-little:count=8"}
 	for _, d := range sleeperRows(t) {
+		// A gossip run carries ten times the messages of a consensus
+		// run, all of them logged twice: two seeds, one per size.
+		rowSeeds := seeds
+		if strings.HasPrefix(d.Name, "gossip/") {
+			rowSeeds = max(seeds/4, 1)
+		}
 		for _, spelled := range faults {
-			for seed := uint64(1); seed <= seeds; seed++ {
+			for seed := uint64(1); seed <= rowSeeds; seed++ {
 				n, tt := 48, 8
 				if seed%2 == 0 {
 					n, tt = 90, 17
@@ -68,47 +78,50 @@ func TestQuietSkipParityRegistry(t *testing.T) {
 					}
 					sp.Fault = fault
 				}
-				for _, parallel := range []bool{false, true} {
-					tag := fmt.Sprintf("%s fault=%q seed=%d parallel=%v", d.Name, spelled, seed, parallel)
-					run := func(hide bool) (*Report, *sim.Result, []string, []byte) {
-						sp := sp
-						log := &simtest.EventLog{}
-						if parallel {
-							sp.Exec = Parallelism{Enabled: true, Workers: 3}
-						} else {
-							sp.Observer = log
-						}
-						var wrap func([]sim.Protocol) []sim.Protocol
-						check := func() error { return nil }
-						if hide {
-							wrap = func(ps []sim.Protocol) []sim.Protocol {
-								ps, check = simtest.Hide(ps)
-								return ps
-							}
-						}
-						rep, res, err := runSpec(sp, wrap)
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if err := check(); err != nil {
-							t.Fatalf("%s: broken promise: %v", tag, err)
-						}
-						body, err := json.Marshal(rep)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return rep, res, log.Events, body
+				tag := fmt.Sprintf("%s fault=%q seed=%d", d.Name, spelled, seed)
+				run := func(hide, observed, parallel bool) (*Report, *sim.Result, []simtest.Event, []byte) {
+					sp := sp
+					log := &simtest.EventLog{}
+					if parallel {
+						sp.Exec = Parallelism{Enabled: true, Workers: 3}
+					} else if observed {
+						sp.Observer = log
 					}
-					wantRep, wantRes, wantEvents, wantBody := run(true)
-					gotRep, gotRes, gotEvents, gotBody := run(false)
+					var wrap func([]sim.Protocol) []sim.Protocol
+					check := func() error { return nil }
+					if hide {
+						wrap = func(ps []sim.Protocol) []sim.Protocol {
+							ps, check = simtest.Hide(ps)
+							return ps
+						}
+					}
+					rep, res, err := runSpec(sp, wrap)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if err := check(); err != nil {
+						t.Fatalf("%s: broken promise: %v", tag, err)
+					}
+					body, err := json.Marshal(rep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rep, res, log.Events, body
+				}
+				wantRep, wantRes, wantEvents, wantBody := run(true, true, false)
+				for _, way := range []struct {
+					name               string
+					observed, parallel bool
+				}{{"observed", true, false}, {"sequential", false, false}, {"pool", false, true}} {
+					gotRep, gotRes, gotEvents, gotBody := run(false, way.observed, way.parallel)
 					if !reflect.DeepEqual(wantRes, gotRes) {
-						t.Fatalf("%s: engine results diverged:\nevery round %+v\n   skipping %+v", tag, wantRes, gotRes)
+						t.Fatalf("%s %s: engine results diverged:\nevery round %+v\n   skipping %+v", tag, way.name, wantRes, gotRes)
 					}
-					if !reflect.DeepEqual(wantEvents, gotEvents) {
-						t.Fatalf("%s: observer streams diverged (%d vs %d events)", tag, len(wantEvents), len(gotEvents))
+					if way.observed && !slices.Equal(wantEvents, gotEvents) {
+						t.Fatalf("%s %s: observer streams diverged (%d vs %d events)", tag, way.name, len(wantEvents), len(gotEvents))
 					}
 					if !reflect.DeepEqual(wantRep, gotRep) || !bytes.Equal(wantBody, gotBody) {
-						t.Fatalf("%s: reports diverged:\nevery round %s\n   skipping %s", tag, wantBody, gotBody)
+						t.Fatalf("%s %s: reports diverged:\nevery round %s\n   skipping %s", tag, way.name, wantBody, gotBody)
 					}
 				}
 			}
@@ -130,10 +143,11 @@ func serveColdSpec(t testing.TB, faultSeed int) Spec {
 
 // TestServeColdShapeSkipsSilence pins the point of the fast-forward on
 // the serve-cold shape: of the 282 simulated rounds (Part 1 of AEA is
-// budgeted 5t−1 rounds and floods in two) at most 20 execute — the
-// rounds that carry messages. The declared crash rounds, most of them
-// inside that silent Part 1, are applied in passing and step no
-// machine. The count is deterministic per seed.
+// budgeted 5t−1 rounds and floods in two) at most 10 execute — the
+// rounds that carry messages, less the probing rounds that repeat the
+// one before. The declared crash rounds, most of them inside that
+// silent Part 1, are applied in passing and step no machine. The count
+// is deterministic per seed.
 func TestServeColdShapeSkipsSilence(t *testing.T) {
 	for faultSeed := 1; faultSeed <= 4; faultSeed++ {
 		sp := serveColdSpec(t, faultSeed)
@@ -148,8 +162,34 @@ func TestServeColdShapeSkipsSilence(t *testing.T) {
 		if tr.Rounds != 282 || rep.Metrics.Rounds != 282 {
 			t.Fatalf("fault seed %d: simulated %d rounds (report: %d), want 282", faultSeed, tr.Rounds, rep.Metrics.Rounds)
 		}
-		if tr.RoundsExecuted > 20 || tr.RoundsExecuted < 15 {
-			t.Fatalf("fault seed %d: executed %d of 282 rounds, want 15..20", faultSeed, tr.RoundsExecuted)
+		if tr.RoundsExecuted > 10 || tr.RoundsExecuted < 6 {
+			t.Fatalf("fault seed %d: executed %d of 282 rounds, want 6..10", faultSeed, tr.RoundsExecuted)
+		}
+	}
+}
+
+// TestServeHeavyShapeRepeatsSteadyRounds pins the steady-round
+// fast-forward on the serve-heavy shape (gossip/expander n=128 t=24,
+// fault-free): of its 154 rounds, nearly all of them local probing, at
+// most 64 execute — in a probing round after the sets stop growing,
+// every node sends what it sent the round before. The count is
+// deterministic per seed.
+func TestServeHeavyShapeRepeatsSteadyRounds(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		sp := MustLookup("gossip/expander").Spec(128, 24, 0x4ea0_0000+seed)
+		spans := obs.NewSpanTracer()
+		sp.Tracer = spans
+		rep, err := Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := spans.Trace()
+		t.Logf("seed %d: executed %d of %d rounds", seed, tr.RoundsExecuted, tr.Rounds)
+		if tr.Rounds != 154 || rep.Metrics.Rounds != 154 {
+			t.Fatalf("seed %d: simulated %d rounds (report: %d), want 154", seed, tr.Rounds, rep.Metrics.Rounds)
+		}
+		if tr.RoundsExecuted > 64 {
+			t.Fatalf("seed %d: executed %d of 154 rounds, want at most 64", seed, tr.RoundsExecuted)
 		}
 	}
 }

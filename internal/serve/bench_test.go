@@ -2,7 +2,9 @@ package serve
 
 import (
 	"testing"
+	"time"
 
+	"lineartime/internal/obs"
 	"lineartime/internal/scenario"
 )
 
@@ -24,9 +26,11 @@ func BenchmarkHeavyRequest(b *testing.B) {
 	}
 	b.ReportAllocs()
 	var bytes int
+	rounds := &roundCount{}
 	for b.Loop() {
 		heavySeed++
 		sp := d.Spec(128, 24, heavySeed)
+		sp.Tracer = rounds
 		rep, err := scenario.Run(sp)
 		if err != nil {
 			b.Fatal(err)
@@ -38,4 +42,14 @@ func BenchmarkHeavyRequest(b *testing.B) {
 		bytes = len(body)
 	}
 	b.ReportMetric(float64(bytes), "body-bytes")
+	b.ReportMetric(float64(rounds.executed)/float64(b.N), "executed-rounds/op")
 }
+
+// roundCount is a RunTracer that sums the rounds the engine stepped.
+type roundCount struct{ executed int }
+
+func (*roundCount) StageDuration(obs.Stage, time.Duration) {}
+
+func (*roundCount) RunDone(obs.Engine, obs.Outcome, int, time.Duration) {}
+
+func (c *roundCount) RoundsExecuted(executed, _ int) { c.executed += executed }

@@ -192,7 +192,7 @@ type Stats struct {
 
 // RoundStats splits the rounds the sequential and parallel engines
 // simulated into those they stepped node by node and those they
-// fast-forwarded as silent (sim.Sleeper).
+// fast-forwarded as silent or steady (sim.Sleeper).
 type RoundStats struct {
 	RoundsExecuted int64 `json:"rounds_executed"`
 	RoundsSkipped  int64 `json:"rounds_skipped"`

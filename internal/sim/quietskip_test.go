@@ -57,19 +57,25 @@ func (p *probe) Deliver(round int, inbox []sim.Envelope) {
 
 func (p *probe) Halted() bool { return p.halted || p.Sleeper.Halted() }
 
-func (p *probe) QuietUntil(round int) int {
-	if w := p.Sleeper.QuietUntil(round); p.haltAt < 0 || w < p.haltAt {
+func (p *probe) QuietUntil(round int) int { return p.clamp(p.Sleeper.QuietUntil(round)) }
+
+func (p *probe) RepeatUntil(round int) int { return p.clamp(p.Sleeper.RepeatUntil(round)) }
+
+// clamp ends a promise at the early halting round, whose Deliver halts.
+func (p *probe) clamp(w int) int {
+	if p.haltAt < 0 || w < p.haltAt {
 		return w
 	}
 	return p.haltAt
 }
 
-// checkQuietSkip runs one Few-Crashes-Consensus system three ways —
-// Sleepers visible on the sequential engine, visible on the pool, and
-// hidden behind the promise auditor so every round executes — and
+// checkQuietSkip runs one Few-Crashes-Consensus system four ways —
+// hidden behind the promise auditor so every round executes, and with
+// its Sleepers visible on the sequential engine observed (quiet spans
+// only), unobserved (quiet and steady spans) and on the pool — and
 // demands identical Results, observer streams and decisions, and no
-// broken promise. It returns the visible sequential run's result and
-// the rounds that run stepped a machine in.
+// broken promise. It returns the observed visible run's result and the
+// rounds that run stepped a machine in.
 func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkFault, q quietRun) (*sim.Result, []bool) {
 	t.Helper()
 	top, err := consensus.NewTopology(n, tt, consensus.TopologyOptions{Seed: seed})
@@ -79,18 +85,18 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 	type outcome struct {
 		res     *sim.Result
 		err     error
-		events  []string
+		events  []simtest.Event
 		ms      []*consensus.FewCrashes
 		stepped []bool
 	}
-	run := func(hide, parallel bool) (outcome, func() error) {
+	run := func(hide, observed, parallel bool) (outcome, func() error) {
 		ps, ms := fewCrashesSystem(top, seed)
 		maxRounds := ms[0].ScheduleLength() + 8
 		if q.maxRounds > 0 {
 			maxRounds = q.maxRounds
 		}
 		var stepped []bool
-		if !hide && !parallel {
+		if !hide && observed {
 			stepped = make([]bool, maxRounds)
 		}
 		for i, p := range ps {
@@ -110,22 +116,27 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 			return outcome{res: res, err: err, ms: ms}, check
 		}
 		log := &simtest.EventLog{}
-		cfg.Observer = log
+		if observed {
+			cfg.Observer = log
+		}
 		res, err := sim.Run(cfg)
 		return outcome{res: res, err: err, events: log.Events, ms: ms, stepped: stepped}, check
 	}
-	want, check := run(true, false)
+	want, check := run(true, true, false)
 	if err := check(); err != nil {
 		t.Fatalf("n=%d t=%d seed=%d: %v", n, tt, seed, err)
 	}
 	var visible outcome
-	for _, parallel := range []bool{false, true} {
-		got, _ := run(false, parallel)
-		tag := fmt.Sprintf("n=%d t=%d seed=%d parallel=%v", n, tt, seed, parallel)
+	for _, way := range []struct {
+		name               string
+		observed, parallel bool
+	}{{"observed", true, false}, {"sequential", false, false}, {"pool", false, true}} {
+		got, _ := run(false, way.observed, way.parallel)
+		tag := fmt.Sprintf("n=%d t=%d seed=%d %s", n, tt, seed, way.name)
 		if (want.err == nil) != (got.err == nil) || !reflect.DeepEqual(want.res, got.res) {
 			t.Fatalf("%s: results diverged:\nevery round %+v (%v)\n   skipping %+v (%v)", tag, want.res, want.err, got.res, got.err)
 		}
-		if !parallel && !reflect.DeepEqual(want.events, got.events) {
+		if way.observed && !slices.Equal(want.events, got.events) {
 			t.Fatalf("%s: observer streams diverged (%d vs %d events)", tag, len(want.events), len(got.events))
 		}
 		for i := range want.ms {
@@ -135,7 +146,7 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 				t.Fatalf("%s: node %d decided (%v, %v) skipping, (%v, %v) round by round", tag, i, gv, gok, wv, wok)
 			}
 		}
-		if !parallel {
+		if way.observed {
 			visible = got
 		}
 	}
@@ -166,6 +177,11 @@ func FuzzQuietSkip(f *testing.F) {
 		wipeout = append(wipeout, byte(i), byte(10+i%7), byte(i%6))
 	}
 	f.Add(uint8(15), uint8(4), uint64(1), wipeout)
+	// Repeat spans: AEA's Part 2 probes in rounds 59–66 at n=60, t=12;
+	// a keep-prefix crash inside a span, and one in the round before a
+	// span followed by another inside it.
+	f.Add(uint8(55), uint8(12), uint64(3), []byte{4, 61, 2})
+	f.Add(uint8(55), uint8(12), uint64(9), []byte{2, 60, 3, 9, 63, 0})
 	f.Fuzz(func(t *testing.T, nb, tb uint8, seed uint64, crashes []byte) {
 		n := 5 + int(nb)%60
 		tt := int(tb) % (n/5 + 1)

@@ -66,7 +66,8 @@ type Envelope struct {
 // Protocol is the deterministic per-node state machine. The engine
 // calls Send, then Deliver, then Halted once per round while the node
 // is alive and not halted — in every round, unless every machine of the
-// run is also a Sleeper and the run loop may fast-forward (see Sleeper).
+// run is also a Sleeper and the run loop may fast-forward over quiet or
+// steady rounds (see Sleeper).
 type Protocol interface {
 	// Send returns the messages the node transmits at the given round.
 	// The engine reads the returned slice in place until the round's
@@ -93,27 +94,40 @@ type Poller interface {
 }
 
 // Sleeper is implemented by protocols that can tell when they next need
-// attention, which lets the run loop jump over rounds in which the
-// whole system is provably silent instead of polling every node every
-// round. QuietUntil(round) = w promises: if nothing is delivered to the
-// node in rounds [round, w), it sends nothing and does not halt in
-// those rounds, and skipping their Send/Deliver/Halted calls altogether
-// leaves it at round w in the state the calls (with empty inboxes)
-// would have. Returning round (or less) means awake. The promise is
-// re-asked after every executed round, so a machine never has to wake
-// itself on a delivery.
+// attention, which lets the run loop jump over rounds whose outcome it
+// already knows instead of polling every node every round. It makes two
+// promises, both re-asked after every executed round:
+//
+// QuietUntil(round) = w: if nothing is delivered to the node in rounds
+// [round, w), it sends nothing and does not halt in those rounds, and
+// skipping their Send/Deliver/Halted calls altogether leaves it at round
+// w in the state the calls (with empty inboxes) would have. Returning
+// round (or less) means awake; a machine never has to wake itself on a
+// delivery.
+//
+// RepeatUntil(round) = w, asked only after round−1 executed: if in
+// every round of [round, w) the node is delivered exactly what it was
+// delivered in round−1, it sends exactly what it sent in round−1, does
+// not halt, and skipping the calls leaves it in the state the calls
+// would have left it in. Returning round (or less) promises nothing. A
+// local-probing round in which no set grew and nobody paused is such a
+// fixed point (probe.Probing takes its instance round from its caller).
 //
 // Only the run loop shared by the sequential and the pool engine skips,
 // and only when every protocol is a Sleeper, the fault is a CrashPlan,
 // the run is multi-port with no Byzantine set, and no message is parked
 // in the delay ring. A declared crash round inside a quiet span is
 // applied in passing — FilterSend with the victim's empty outbox, no
-// machine stepped — rather than executed. Results, observer events and
-// metrics are identical to the round-by-round run; a Stepper never
-// skips.
+// machine stepped — rather than executed. Steady spans skip only without
+// a link filter or an Observer, after an executed round with traffic in
+// which nobody crashed or halted; they end before the first declared
+// crash round of a live victim, and each round passed books round r−1's
+// traffic again. Results, observer events and metrics are identical to
+// the round-by-round run; a Stepper never skips.
 type Sleeper interface {
 	Protocol
 	QuietUntil(round int) int
+	RepeatUntil(round int) int
 }
 
 // Metrics aggregates the communication and time performance of a run,
@@ -223,7 +237,8 @@ func Run(cfg Config) (*Result, error) {
 // Stepper drives a run one round at a time, for experiments that
 // inspect protocol state between rounds (the lower-bound divergence
 // measurements of §8 / Theorem 13). Every Step executes its round in
-// full: a Stepper never fast-forwards over Sleepers' quiet rounds.
+// full: a Stepper never fast-forwards over Sleepers' quiet or steady
+// rounds.
 type Stepper struct {
 	st    *state
 	round int
@@ -297,6 +312,10 @@ type state struct {
 	sleepers []Sleeper
 	crashes  []CrashEvent
 	crashCur int
+	// last is the run loop's last executed round (−1 before the first)
+	// and lastBits the bits booked in it, which a steady span repeats.
+	last     int
+	lastBits int64
 	// label caches the PartLabeler result for the current round;
 	// labelSet records whether it has been computed yet.
 	label    string
@@ -414,6 +433,7 @@ func (st *state) reset(cfg Config) error {
 func (st *state) resetSleepers() {
 	st.sleepers = st.sleepers[:0]
 	st.crashes, st.crashCur = st.crashes[:0], 0
+	st.last, st.lastBits = -1, 0
 	plan, ok := st.fault.(CrashPlan)
 	if !ok || st.cfg.SinglePort || st.cfg.Byzantine != nil {
 		return
@@ -456,13 +476,15 @@ func (s *state) run() (*Result, error) {
 				s.metrics.Rounds = r
 				return s.result(), nil
 			}
-			if r >= s.cfg.MaxRounds {
+			if r = s.skipSteady(r); r >= s.cfg.MaxRounds {
 				break
 			}
 		}
+		bits := s.metrics.Bits
 		if err := s.round(r); err != nil {
 			return nil, err
 		}
+		s.last, s.lastBits = r, s.metrics.Bits-bits
 	}
 	if s.allDone() {
 		s.metrics.Rounds = s.cfg.MaxRounds
@@ -515,6 +537,54 @@ func (s *state) skipQuiet(r int) (next int, done bool) {
 	s.simulated += w - r
 	s.skipped += w - r
 	return w, done
+}
+
+// skipSteady returns the first round at or after r that has to run when
+// the executed round r−1 repeats (see Sleeper): the earliest end of a
+// live node's RepeatUntil, the first declared crash round of a live
+// victim, or MaxRounds. Round r−1 must have carried traffic, crashed
+// nobody and halted nobody — a node crashing in r−1 sent a prefix there
+// and sends nothing after — and the run must have no link filter (its
+// verdicts hash the round) and no Observer. Each round passed books
+// round r−1's messages and bits again and counts as simulated.
+func (s *state) skipSteady(r int) int {
+	if r == 0 || s.last != r-1 || s.filter != nil || s.cfg.Observer != nil || len(s.crashedNow) > 0 ||
+		s.metrics.PerRoundMessages[r-1] == 0 {
+		return r
+	}
+	w := s.cfg.MaxRounds
+	for id := 0; id < s.n && w > r; id++ {
+		if s.haltedAt[id] == r-1 {
+			return r
+		}
+		if s.alive(id) {
+			w = min(w, s.sleepers[id].RepeatUntil(r))
+		}
+	}
+	// skipQuiet moved crashCur past the rounds before r.
+	for i := s.crashCur; i < len(s.crashes) && s.crashes[i].Round < w; i++ {
+		if s.alive(s.crashes[i].Node) {
+			w = s.crashes[i].Round
+			break
+		}
+	}
+	if w <= r {
+		return r
+	}
+	msgs := s.metrics.PerRoundMessages[r-1]
+	for q := r; q < w; q++ {
+		s.metrics.PerRoundMessages[q] = msgs
+		if s.cfg.PartLabeler != nil {
+			if label := s.cfg.PartLabeler(q); label != "" {
+				s.metrics.PerPart[label] += msgs
+			}
+		}
+	}
+	s.metrics.Messages += msgs * int64(w-r)
+	s.metrics.Bits += s.lastBits * int64(w-r)
+	s.simulated += w - r
+	s.skipped += w - r
+	return w
 }
 
 // allDone reports run completion: every non-faulty node has halted or

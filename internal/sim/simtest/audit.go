@@ -4,24 +4,66 @@
 package simtest
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
+	"unsafe"
 
 	"lineartime/internal/sim"
 )
 
 // Auditor checks a machine's sim.Sleeper promises against what the
 // machine then does. It forwards Send, Deliver and Halted but has no
-// QuietUntil of its own, so a run over Auditors executes every round;
-// each round it asks the wrapped machine how long it will stay quiet
-// and records a violation if, inside a promised span in which nothing
-// was delivered, the machine sends a message or halts.
+// QuietUntil or RepeatUntil of its own, so a run over Auditors executes
+// every round; each round it asks the wrapped machine both questions
+// and records a violation if the machine breaks an answer: inside a
+// promised quiet span in which nothing was delivered it sends a message
+// or halts, or inside a promised repeat span in which every inbox
+// equalled the one of the round before the span it sends anything but
+// what it sent in that round, or halts.
 type Auditor struct {
 	m sim.Sleeper
-	// quiet is the end of the promise in force: the machine said it
-	// stays silent in rounds < quiet unless something is delivered.
+	// quiet is the end of the quiet promise in force: the machine said
+	// it stays silent in rounds < quiet unless something is delivered.
 	quiet int
-	round int
-	err   error
+	// repeat is the end of the repeat promise in force: while every
+	// inbox equals in, the machine sends out in rounds < repeat. lastIn
+	// and lastOut are the previous round's inbox and outbox.
+	repeat          int
+	in, out         []envelope
+	lastIn, lastOut []envelope
+	round           int
+	err             error
+}
+
+// envelope is an Envelope compared by identity: the payload's box words
+// (type and data), never its value.
+type envelope struct {
+	from, to sim.NodeID
+	box      [2]uintptr
+}
+
+// box returns a payload's interface words: its type and data pointer.
+func box(p sim.Payload) [2]uintptr { return *(*[2]uintptr)(unsafe.Pointer(&p)) }
+
+func record(dst []envelope, envs []sim.Envelope) []envelope {
+	dst = dst[:0]
+	for _, env := range envs {
+		dst = append(dst, envelope{env.From, env.To, box(env.Payload)})
+	}
+	return dst
+}
+
+func same(recorded []envelope, envs []sim.Envelope) bool {
+	if len(recorded) != len(envs) {
+		return false
+	}
+	for i, env := range envs {
+		if recorded[i] != (envelope{env.From, env.To, box(env.Payload)}) {
+			return false
+		}
+	}
+	return true
 }
 
 // Hide wraps every machine in an Auditor. All of them must be Sleepers.
@@ -49,19 +91,36 @@ func (a *Auditor) Send(round int) []sim.Envelope {
 	a.round = round
 	// A later, shorter answer does not take back an earlier promise.
 	a.quiet = max(a.quiet, a.m.QuietUntil(round))
+	// Every round executes, so round−1 did: its inbox and outbox are
+	// what a repeat span starting here repeats.
+	if w := a.m.RepeatUntil(round); round > 0 && w > round {
+		if round >= a.repeat {
+			a.in, a.out = append(a.in[:0], a.lastIn...), append(a.out[:0], a.lastOut...)
+		}
+		a.repeat = max(a.repeat, w)
+	}
 	out := a.m.Send(round)
 	if len(out) > 0 && round < a.quiet && a.err == nil {
 		a.err = fmt.Errorf("sent %d messages in round %d after promising quiet until %d", len(out), round, a.quiet)
 	}
+	if round < a.repeat && !same(a.out, out) && a.err == nil {
+		a.err = fmt.Errorf("sent %d messages in round %d, not the %d it promised to repeat until %d", len(out), round, len(a.out), a.repeat)
+	}
+	a.lastOut = record(a.lastOut, out)
 	return out
 }
 
 // Deliver implements sim.Protocol. A delivery releases the machine from
-// its promise, for this round's Halted and for every later round.
+// its quiet promise, and an inbox other than the repeated one from its
+// repeat promise, for this round's Halted and for every later round.
 func (a *Auditor) Deliver(round int, inbox []sim.Envelope) {
 	if len(inbox) > 0 {
 		a.quiet = round
 	}
+	if round < a.repeat && !same(a.in, inbox) {
+		a.repeat = round
+	}
+	a.lastIn = record(a.lastIn, inbox)
 	a.m.Deliver(round, inbox)
 }
 
@@ -71,24 +130,124 @@ func (a *Auditor) Halted() bool {
 	if halted && a.round < a.quiet && a.err == nil {
 		a.err = fmt.Errorf("halted in round %d after promising quiet until %d", a.round, a.quiet)
 	}
+	if halted && a.round < a.repeat && a.err == nil {
+		a.err = fmt.Errorf("halted in round %d after promising to repeat until %d", a.round, a.repeat)
+	}
 	return halted
 }
 
 // EventLog is a sim.Observer that keeps a run's events, in order, in a
-// form two runs can be compared by.
-type EventLog struct{ Events []string }
+// form two runs can be compared by. A payload is logged by value — its
+// type, its size and a Digest of everything it points to — never by
+// address, so two identical runs log identical streams even when their
+// payloads are pointers.
+type EventLog struct {
+	Events []Event
+	// last is the previous message's payload box and digest: one
+	// sender's outbox is logged in one go, and a run of one boxed
+	// payload in it — a fan-out — is digested once.
+	last   [2]uintptr
+	digest uint64
+}
+
+// Event is one logged engine event. Kind is 'm' (message), 'c' (crash)
+// or 'h' (halt); To, Bits (the payload's size) and Digest (its type and
+// contents) are set for messages only.
+type Event struct {
+	Kind            byte
+	Round, From, To int32
+	Bits            int32
+	Digest          uint64
+}
 
 // OnMessage implements sim.Observer.
 func (l *EventLog) OnMessage(round int, env sim.Envelope) {
-	l.Events = append(l.Events, fmt.Sprintf("msg r%d %d->%d %v", round, env.From, env.To, env.Payload))
+	e := Event{Kind: 'm', Round: int32(round), From: int32(env.From), To: int32(env.To), Bits: int32(env.Payload.SizeBits())}
+	n := len(l.Events)
+	if b := box(env.Payload); n == 0 || l.Events[n-1].Kind != 'm' ||
+		l.Events[n-1].Round != e.Round || l.Events[n-1].From != e.From || b != l.last {
+		l.last, l.digest = b, Digest(env.Payload)
+	}
+	e.Digest = l.digest
+	l.Events = append(l.Events, e)
 }
 
 // OnCrash implements sim.Observer.
 func (l *EventLog) OnCrash(round int, node sim.NodeID) {
-	l.Events = append(l.Events, fmt.Sprintf("crash r%d %d", round, node))
+	l.Events = append(l.Events, Event{Kind: 'c', Round: int32(round), From: int32(node)})
 }
 
 // OnHalt implements sim.Observer.
 func (l *EventLog) OnHalt(round int, node sim.NodeID) {
-	l.Events = append(l.Events, fmt.Sprintf("halt r%d %d", round, node))
+	l.Events = append(l.Events, Event{Kind: 'h', Round: int32(round), From: int32(node)})
+}
+
+// Digest returns a hash of v's dynamic type and its contents —
+// booleans, integers, strings, and what pointers, interfaces, structs,
+// slices and arrays hold — never of an address. Pointer chains deeper
+// than a few levels stop there; other kinds hash as their kind alone.
+func Digest(v any) uint64 {
+	d := digest(14695981039346656037)
+	d.bytes([]byte(fmt.Sprintf("%T", v)))
+	d.value(reflect.ValueOf(v), 0)
+	return uint64(d)
+}
+
+type digest uint64
+
+// word and bytes mix a word at a time, FNV-1a's step over 64-bit words.
+func (d *digest) word(x uint64) { *d = (*d ^ digest(x)) * 1099511628211 }
+
+func (d *digest) bytes(b []byte) {
+	for ; len(b) >= 8; b = b[8:] {
+		d.word(binary.LittleEndian.Uint64(b))
+	}
+	for _, c := range b {
+		d.word(uint64(c))
+	}
+}
+
+func (d *digest) value(v reflect.Value, depth int) {
+	if !v.IsValid() {
+		d.word(0)
+		return
+	}
+	d.word(uint64(v.Kind()))
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			d.word(1)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		d.word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		d.word(v.Uint())
+	case reflect.String:
+		d.bytes([]byte(v.String()))
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() || depth >= 8 {
+			d.word(0)
+			return
+		}
+		d.value(v.Elem(), depth+1)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			d.value(v.Field(i), depth)
+		}
+	case reflect.Slice, reflect.Array:
+		d.word(uint64(v.Len()))
+		if v.Kind() == reflect.Slice && v.Len() > 0 && plain(v.Type().Elem().Kind()) {
+			d.bytes(unsafe.Slice((*byte)(v.UnsafePointer()), v.Len()*int(v.Type().Elem().Size())))
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			d.value(v.Index(i), depth)
+		}
+	}
+}
+
+// plain reports whether values of kind k are booleans or integers,
+// whose memory is their value.
+func plain(k reflect.Kind) bool {
+	return k >= reflect.Bool && k <= reflect.Uint64 && k != reflect.Uintptr
 }

@@ -333,7 +333,7 @@ func (g *SPGossip) Deliver(round int, inbox []sim.Envelope) {
 				}
 				d := g.schedule.Top.Little.P.Degree
 				if off%(2*d) == 2*d-1 {
-					g.probing.Observe(g.probeRecv)
+					g.probing.Observe(off/(2*d), g.probeRecv)
 					g.probeRecv = 0
 					if g.probing.Done() {
 						g.survivedPrev = g.probing.Survived()

@@ -127,7 +127,7 @@ func (c *compiled) probed(off int) bool {
 	if c.probing == nil || off%(2*d) != 2*d-1 {
 		return false
 	}
-	c.probing.Observe(c.probeRecv)
+	c.probing.Observe(off/(2*d), c.probeRecv)
 	return c.probing.Done() && c.probing.Survived() && !c.decided
 }
 
