@@ -567,10 +567,17 @@ func run(args []string, stdout *os.File) error {
 		// do: over four alternating quick runs the scalar crash-lane row
 		// went from 20.0–31.5 ms to 8.5–13.2 ms and its sliced row read
 		// 2.19–2.74× (5.98–7.61× before). The sliced rows themselves did
-		// not move (crash lanes 3.2–4.4 ms before, 3.9–4.8 ms after).
+		// not move (crash lanes 3.2–4.4 ms before, 3.9–4.8 ms after). It
+		// was re-based again, 1.75 → 1.48, when the scalar engine began
+		// carrying steady spans across the quiet rounds between probing
+		// instances and through each instance's last round: over four
+		// alternating quick runs the scalar crash-lane row went from
+		// 10.0–13.0 ms to 7.5–8.3 ms and its sliced row read 1.85–1.95×
+		// (2.72–2.98× before), while the sliced row stood at 3.5–4.5 ms
+		// before and 3.9–4.3 ms after.
 		gossipPoints = []slicedPt{
 			{"scalar-per-seed-gossip", 64, 8, 16, 0},
-			{"sliced-gossip", 64, 8, 16, 1.75},
+			{"sliced-gossip", 64, 8, 16, 1.48},
 			{"scalar-per-seed-gossip-links", 64, 8, 16, 0},
 			{"sliced-gossip-links", 64, 8, 16, 3.0},
 		}

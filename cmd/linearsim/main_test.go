@@ -261,7 +261,7 @@ func TestRunTraced(t *testing.T) {
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			out := captureStdout(t, func() error { return run(args) })
-			for _, want := range []string{"stages (engine=sequential", "rounds executed", "materialize", "setup", "rounds"} {
+			for _, want := range []string{"stages (engine=sequential", "rounds executed (", " quiet, ", " repeated)", "materialize", "setup", "rounds"} {
 				if !strings.Contains(string(out), want) {
 					t.Fatalf("trace output missing %q:\n%s", want, out)
 				}

@@ -56,8 +56,8 @@ func finishRun(sp scenario.Spec, out output, printText func(*scenario.Report)) e
 // traffic analysis.
 func printTrace(rec *trace.Recorder, spans *obs.SpanTracer, r *scenario.Report) {
 	tr := spans.Trace()
-	fmt.Printf("\nstages (engine=%s outcome=%s, %d of %d rounds executed, %.3f ms total):\n",
-		tr.Engine, tr.Outcome, tr.RoundsExecuted, tr.Rounds, tr.DurationMS)
+	fmt.Printf("\nstages (engine=%s outcome=%s, %d of %d rounds executed (%d quiet, %d repeated), %.3f ms total):\n",
+		tr.Engine, tr.Outcome, tr.RoundsExecuted, tr.Rounds, tr.Rounds-tr.RoundsExecuted-tr.RoundsRepeated, tr.RoundsRepeated, tr.DurationMS)
 	for _, s := range tr.Spans {
 		fmt.Printf("  %-8s %10.3f ms\n", s.Name, s.DurationMS)
 	}

@@ -215,16 +215,17 @@ func (a *AEA) QuietUntil(round int) int {
 	}
 }
 
-// RepeatUntil implements sim.Sleeper. A non-little node sends nothing
-// and ignores its inbox until Part 3, whose notification it must see, so
-// it repeats up to that round. A little node repeats inside probing once
-// a probing Deliver left its candidate and its pause unchanged: the
-// same probes then arrive, change nothing, and go out again, until the
-// last probing round, which ends the instance and must run.
-func (a *AEA) RepeatUntil(round int) int {
+// RepeatUntil implements sim.Sleeper, for a template that is the round
+// before (last = round−1) only. A non-little node sends nothing and
+// ignores its inbox until Part 3, whose notification it must see, so it
+// repeats up to that round. A little node repeats inside probing once a
+// probing Deliver left its candidate and its pause unchanged: the same
+// probes then arrive, change nothing, and go out again, until the last
+// probing round, which ends the instance and must run.
+func (a *AEA) RepeatUntil(round, last int) int {
 	s := &a.top.Schedule
 	switch r := round - a.base; {
-	case r <= 0 || r >= s.AEA-1:
+	case last != round-1 || r <= 0 || r >= s.AEA-1:
 		return round
 	case !a.top.IsLittle(a.id):
 		return a.base + s.AEA - 1

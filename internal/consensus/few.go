@@ -90,9 +90,9 @@ func (f *FewCrashes) QuietUntil(round int) int {
 
 // RepeatUntil implements sim.Sleeper: AEA's answer, clamped to the
 // hand-off round; SCV promises no repeats.
-func (f *FewCrashes) RepeatUntil(round int) int {
+func (f *FewCrashes) RepeatUntil(round, last int) int {
 	if h := f.aea.End(); round < h {
-		return min(f.aea.RepeatUntil(round), h)
+		return min(f.aea.RepeatUntil(round, last), h)
 	}
 	return round
 }

@@ -191,7 +191,7 @@ func (s *SCV) QuietUntil(round int) int {
 
 // RepeatUntil implements sim.Sleeper: SCV promises no repeats; its
 // rounds that carry traffic are few and all different.
-func (s *SCV) RepeatUntil(round int) int { return round }
+func (s *SCV) RepeatUntil(round, _ int) int { return round }
 
 // PartAt labels a round with its SCV part.
 func (s *SCV) PartAt(round int) string { return s.top.Schedule.SCVPart(round - s.base) }

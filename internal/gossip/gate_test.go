@@ -26,6 +26,7 @@ func (u ungated) Send(round int) []sim.Envelope {
 		return nil
 	}
 	part, phase, off := g.top.Schedule.GossipAt(round)
+	g.close(round - off)
 	if off != 0 || !g.top.IsLittle(g.id) || (phase > 0 && !g.survivedPrev) {
 		return g.Send(round)
 	}

@@ -28,6 +28,7 @@ type Gossip struct {
 	out        sim.Outbox
 
 	probing      *probe.Probing
+	armed        int   // first round of the phase whose instance probing holds
 	survivedPrev bool  // survived the previous phase's probing
 	moved        bool  // the last probing Deliver grew a set or paused
 	inquirers    []int // Part 1 inquiry senders awaiting a response
@@ -116,6 +117,27 @@ func (g *Gossip) overlayFor(phase int) []int {
 	return o.Neighbors(g.id)
 }
 
+// close ends the probing instance of an earlier phase on the first call
+// of the phase that starts in round start: the node survived it unless
+// it paused, and the automaton is rearmed. The instance's last rounds
+// may have been repeated rather than executed (see RepeatUntil), so it
+// closes here, not in its last Deliver.
+func (g *Gossip) close(start int) {
+	if g.probing != nil && g.armed < start {
+		g.survivedPrev = !g.probing.Paused()
+		g.probing.Reset()
+		g.armed = start
+	}
+}
+
+// survived returns survivedPrev as close(start) would leave it.
+func (g *Gossip) survived(start int) bool {
+	if g.probing != nil && g.armed < start {
+		return !g.probing.Paused()
+	}
+	return g.survivedPrev
+}
+
 // Send implements sim.Protocol.
 func (g *Gossip) Send(round int) []sim.Envelope {
 	s := &g.top.Schedule
@@ -123,6 +145,7 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 		return nil
 	}
 	part, phase, off := s.GossipAt(round)
+	g.close(round - off)
 	little := g.top.IsLittle(g.id)
 	switch off {
 	case 0: // inquiry (Part 1) / push (Part 2) round
@@ -176,7 +199,8 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 	if round >= s.Gossip {
 		return
 	}
-	part, phase, off := s.GossipAt(round)
+	part, _, off := s.GossipAt(round)
+	g.close(round - off)
 	switch off {
 	case 0:
 		if part == 1 {
@@ -217,12 +241,6 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 			}
 			g.probing.Observe(off-2, count)
 			g.moved = g.extant.Count() != extant || g.completion.count != covered || g.probing.Paused() != paused
-			if g.probing.Done() {
-				g.survivedPrev = g.probing.Survived()
-				if phase+1 < s.GossipPhases || part == 1 {
-					g.probing.Reset()
-				}
-			}
 		}
 	}
 	if round == s.Gossip-1 {
@@ -238,8 +256,8 @@ func (g *Gossip) Halted() bool { return g.halted }
 // halting round unless something arrives. A little node is silent
 // through a phase's inquiry/push and response rounds when it has nobody
 // to inquire of or push to — its view or coverage is full, or it paused
-// in the previous phase — and no inquirer to answer; it probes in every
-// probing round, and its instance ends in the last one.
+// in the previous phase's instance, which closes on the phase's first
+// call — and no inquirer to answer; it probes in every probing round.
 func (g *Gossip) QuietUntil(round int) int {
 	s := &g.top.Schedule
 	if round >= s.Gossip-1 || len(g.inquirers) > 0 {
@@ -252,7 +270,7 @@ func (g *Gossip) QuietUntil(round int) int {
 	switch {
 	case off >= 2:
 		return round
-	case off == 0 && (phase == 0 || g.survivedPrev) &&
+	case off == 0 && (phase == 0 || g.survived(round)) &&
 		(part == 1 && g.extant.Count() < g.top.N || part == 2 && !g.completion.Full()):
 		return round
 	}
@@ -263,19 +281,29 @@ func (g *Gossip) QuietUntil(round int) int {
 // a little node whose last Deliver grew neither its extant nor its
 // completion set and left its pause as it was is at a fixed point: the
 // same snapshots go to the same neighbours, and merging the same inbox
-// again changes nothing. It repeats until the instance's last round,
-// which ends the instance and must run. A non-little node sends nothing
+// again changes nothing. Both rounds must be probing rounds of one part
+// (Part 1 probes with extant sets, Part 2 with completion sets). When
+// round lies in a later phase than the template, the silent rounds
+// between closed the template's instance and rearmed the automaton, so
+// the node must also have survived that instance: a node that paused
+// there sent nothing in last and probes again now. The span runs
+// through the end of round's instance, whose last Deliver only ends it
+// (the close happens on the next phase's first call), but stops before
+// the halting round, which must run. A non-little node sends nothing
 // and ignores its inbox while probing, so it repeats as far.
-func (g *Gossip) RepeatUntil(round int) int {
+func (g *Gossip) RepeatUntil(round, last int) int {
 	s := &g.top.Schedule
-	if round >= s.Gossip {
+	if round >= s.Gossip-1 || last < 0 {
 		return round
 	}
-	// Round−1 is a probing round of the same instance when off ≥ 3.
-	if _, _, off := s.GossipAt(round); off >= 3 && (g.probing == nil || !g.moved) {
-		return round - off + s.GossipPhaseLen - 1
+	part, _, off := s.GossipAt(round)
+	lastPart, _, lastOff := s.GossipAt(last)
+	start := round - off
+	if off < 2 || lastOff < 2 || part != lastPart ||
+		g.probing != nil && (g.moved || last < start && !g.survived(start)) {
+		return round
 	}
-	return round
+	return min(start+s.GossipPhaseLen, s.Gossip-1)
 }
 
 var _ sim.Sleeper = (*Gossip)(nil)

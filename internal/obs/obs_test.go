@@ -180,10 +180,10 @@ func TestEngineTracer(t *testing.T) {
 	tr.StageDuration(StageRounds, 10*time.Millisecond)
 	tr.RunDone(EngineSliced, OutcomeOK, 12, 15*time.Millisecond)
 	tr.RunDone(EngineSequential, OutcomeNoTermination, 64, time.Millisecond)
-	tr.RoundsExecuted(14, 50)
-	tr.RoundsExecuted(30, 0)
+	tr.RoundsExecuted(14, 30, 20)
+	tr.RoundsExecuted(30, 0, 0)
 
-	for state, want := range map[string]float64{"executed": 44, "skipped": 50} {
+	for state, want := range map[string]float64{"executed": 44, "quiet": 30, "repeated": 20} {
 		if v, ok := reg.Value("lineartime_engine_rounds_total", L{"state", state}); !ok || v != want {
 			t.Errorf("%s rounds = %g, %v, want %g", state, v, ok, want)
 		}
@@ -217,9 +217,9 @@ func TestSpanTracer(t *testing.T) {
 	tr.StageDuration(StageSetup, time.Millisecond)
 	tr.StageDuration(StageRounds, 2*time.Millisecond)
 	tr.RunDone(EngineSequential, OutcomeOK, 9, 3*time.Millisecond)
-	tr.RoundsExecuted(4, 5)
+	tr.RoundsExecuted(4, 2, 3)
 	tc := tr.Trace()
-	if tc.Engine != "sequential" || tc.Outcome != "ok" || tc.Rounds != 9 || tc.RoundsExecuted != 4 {
+	if tc.Engine != "sequential" || tc.Outcome != "ok" || tc.Rounds != 9 || tc.RoundsExecuted != 4 || tc.RoundsRepeated != 3 {
 		t.Errorf("trace header = %+v", tc)
 	}
 	if len(tc.Spans) != 2 || tc.Spans[0].Name != "setup" || tc.Spans[1].Name != "rounds" {

@@ -100,11 +100,11 @@ type RunTracer interface {
 	RunDone(e Engine, o Outcome, rounds int, d time.Duration)
 	// RoundsExecuted splits the simulated rounds of a completed
 	// sequential- or parallel-engine run (the only engines that can
-	// fast-forward; see sim.Sleeper) into those the engine stepped
-	// machines in and those in which no machine stepped: silent rounds
-	// jumped over, declared crash rounds applied in passing, and steady
-	// rounds whose traffic repeated the round before.
-	RoundsExecuted(executed, skipped int)
+	// fast-forward; see sim.Sleeper) three ways: those the engine
+	// stepped machines in, the quiet ones no machine stepped in (silent
+	// rounds jumped over and declared crash rounds applied in passing),
+	// and the steady ones whose traffic repeated an executed template.
+	RoundsExecuted(executed, quiet, repeated int)
 }
 
 // EngineTracer is the metrics-backed RunTracer: pre-registered handles
@@ -116,7 +116,8 @@ type EngineTracer struct {
 	rounds   *Histogram
 	duration *Histogram
 	executed *Counter
-	skipped  *Counter
+	quiet    *Counter
+	repeated *Counter
 }
 
 // NewEngineTracer registers the engine-run metric families on reg and
@@ -145,9 +146,10 @@ func NewEngineTracer(reg *Registry) *EngineTracer {
 		"lineartime_run_duration_seconds",
 		"End-to-end wall-clock seconds per simulation run.",
 		LatencyBuckets())
-	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, by whether the engine stepped machines in them or no machine stepped (silent rounds, crash rounds applied in passing, and steady rounds repeated)."
+	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, each counted once: executed (machines stepped), quiet (silent rounds and crash rounds applied in passing) or repeated (steady rounds booked as a copy of an executed template)."
 	t.executed = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "executed"})
-	t.skipped = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "skipped"})
+	t.quiet = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "quiet"})
+	t.repeated = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "repeated"})
 	return t
 }
 
@@ -168,9 +170,10 @@ func (t *EngineTracer) RunDone(e Engine, o Outcome, rounds int, d time.Duration)
 }
 
 // RoundsExecuted implements RunTracer.
-func (t *EngineTracer) RoundsExecuted(executed, skipped int) {
+func (t *EngineTracer) RoundsExecuted(executed, quiet, repeated int) {
 	t.executed.Add(int64(executed))
-	t.skipped.Add(int64(skipped))
+	t.quiet.Add(int64(quiet))
+	t.repeated.Add(int64(repeated))
 }
 
 // Span is one recorded stage timing inside a Trace.
@@ -186,8 +189,10 @@ type Trace struct {
 	Outcome string `json:"outcome"`
 	Rounds  int    `json:"rounds"`
 	// RoundsExecuted is how many of Rounds the engine stepped; the rest
-	// were fast-forwarded as silent.
+	// were fast-forwarded, RoundsRepeated of them as copies of an
+	// executed template and the others as quiet.
 	RoundsExecuted int     `json:"rounds_executed,omitempty"`
+	RoundsRepeated int     `json:"rounds_repeated,omitempty"`
 	DurationMS     float64 `json:"duration_ms"`
 	Spans          []Span  `json:"spans"`
 }
@@ -224,9 +229,9 @@ func (t *SpanTracer) RunDone(e Engine, o Outcome, rounds int, d time.Duration) {
 }
 
 // RoundsExecuted implements RunTracer.
-func (t *SpanTracer) RoundsExecuted(executed, _ int) {
+func (t *SpanTracer) RoundsExecuted(executed, _, repeated int) {
 	t.mu.Lock()
-	t.trace.RoundsExecuted = executed
+	t.trace.RoundsExecuted, t.trace.RoundsRepeated = executed, repeated
 	t.mu.Unlock()
 }
 

@@ -217,7 +217,7 @@ type engineLog struct{ engines []obs.Engine }
 
 func (*engineLog) StageDuration(obs.Stage, time.Duration) {}
 
-func (*engineLog) RoundsExecuted(int, int) {}
+func (*engineLog) RoundsExecuted(int, int, int) {}
 
 func (l *engineLog) RunDone(e obs.Engine, _ obs.Outcome, _ int, _ time.Duration) {
 	l.engines = append(l.engines, e)

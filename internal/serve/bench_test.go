@@ -52,4 +52,4 @@ func (*roundCount) StageDuration(obs.Stage, time.Duration) {}
 
 func (*roundCount) RunDone(obs.Engine, obs.Outcome, int, time.Duration) {}
 
-func (c *roundCount) RoundsExecuted(executed, _ int) { c.executed += executed }
+func (c *roundCount) RoundsExecuted(executed, _, _ int) { c.executed += executed }

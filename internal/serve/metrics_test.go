@@ -95,9 +95,10 @@ func TestMetricsNamingConvention(t *testing.T) {
 			}
 		}
 	}
-	// Executed and skipped rounds are two children of one family: their
-	// sum is the rounds simulated, so no second name can drift from it.
-	for _, state := range []string{"executed", "skipped"} {
+	// Executed, quiet and repeated rounds are three children of one
+	// family: each simulated round is counted once, so their sum is the
+	// rounds simulated and no second name can drift from it.
+	for _, state := range []string{"executed", "quiet", "repeated"} {
 		if _, ok := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state}); !ok {
 			t.Errorf("lineartime_engine_rounds_total{state=%q} not registered", state)
 		}
@@ -187,9 +188,15 @@ func TestStatszMatchesMetrics(t *testing.T) {
 		t.Fatalf("overlay cache counters after a run: %+v", st.OverlayCache)
 	}
 	// One engine run happened (the second request was a cache hit): its
-	// simulated rounds split into executed and skipped ones, and a
+	// simulated rounds split into executed, quiet and repeated ones —
+	// statsz's skipped rounds are the quiet and the repeated — and a
 	// fault-free few-crashes run is mostly silence.
-	for state, got := range map[string]int64{"executed": st.Engine.RoundsExecuted, "skipped": st.Engine.RoundsSkipped} {
+	states := map[string]int64{
+		"executed": st.Engine.RoundsExecuted,
+		"quiet":    st.Engine.RoundsSkipped - st.Engine.RoundsRepeated,
+		"repeated": st.Engine.RoundsRepeated,
+	}
+	for state, got := range states {
 		if v, ok := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state}); !ok || int64(v) != got {
 			t.Errorf("lineartime_engine_rounds_total{state=%q}: registry %v (present %v) != statsz %d", state, v, ok, got)
 		}

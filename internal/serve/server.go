@@ -192,10 +192,12 @@ type Stats struct {
 
 // RoundStats splits the rounds the sequential and parallel engines
 // simulated into those they stepped node by node and those they
-// fast-forwarded as silent or steady (sim.Sleeper).
+// fast-forwarded (sim.Sleeper): RoundsSkipped counts the quiet and the
+// repeated ones, RoundsRepeated the repeated ones alone.
 type RoundStats struct {
 	RoundsExecuted int64 `json:"rounds_executed"`
 	RoundsSkipped  int64 `json:"rounds_skipped"`
+	RoundsRepeated int64 `json:"rounds_repeated"`
 }
 
 // ErrorBody is the structured error envelope of every non-2xx
@@ -305,7 +307,8 @@ func (s *Server) Stats() Stats {
 		},
 		Engine: RoundStats{
 			RoundsExecuted: roundsIn("executed"),
-			RoundsSkipped:  roundsIn("skipped"),
+			RoundsSkipped:  roundsIn("quiet") + roundsIn("repeated"),
+			RoundsRepeated: roundsIn("repeated"),
 		},
 		Campaigns: JobsStats{
 			Capacity: int(iv("lineartime_campaign_jobs_capacity")),

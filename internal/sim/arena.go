@@ -177,7 +177,8 @@ func (rt *Runtime) RunParallel(cfg Config, workers int) (*Result, error) {
 }
 
 // runIn runs the round loop of a reset state inside sp and reports how
-// many of the run's rounds were executed and how many skipped.
+// many of the run's rounds were executed, how many passed as quiet and
+// how many repeated.
 func (s *state) runIn(sp *span) (*Result, error) {
 	res, err := s.run()
 	rounds := s.cfg.MaxRounds
@@ -186,7 +187,7 @@ func (s *state) runIn(sp *span) (*Result, error) {
 	}
 	sp.finish(rounds, err)
 	if sp.tr != nil {
-		sp.tr.RoundsExecuted(s.simulated-s.skipped, s.skipped)
+		sp.tr.RoundsExecuted(s.simulated-s.skipped, s.skipped-s.repeated, s.repeated)
 	}
 	return res, err
 }

@@ -1082,7 +1082,7 @@ func (f *napNode) Halted() bool { return f.halted }
 
 func (f *napNode) QuietUntil(round int) int { return min(f.wake, f.haltAt) }
 
-func (f *napNode) RepeatUntil(round int) int { return round }
+func (f *napNode) RepeatUntil(round, _ int) int { return round }
 
 // awakeNode hides a napNode's QuietUntil: one of them makes a run
 // ineligible for the fast-forward.
@@ -1260,7 +1260,7 @@ func (s *scriptNode) Deliver(round int, inbox []Envelope) {
 
 func (s *scriptNode) Halted() bool { return s.halted }
 
-func (s *scriptNode) RepeatUntil(round int) int { return round }
+func (s *scriptNode) RepeatUntil(round, _ int) int { return round }
 
 func (s *scriptNode) QuietUntil(round int) int {
 	w := s.haltAt

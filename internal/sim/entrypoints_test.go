@@ -29,7 +29,7 @@ func (l *tracerLog) RunDone(e obs.Engine, o obs.Outcome, _ int, _ time.Duration)
 	l.outcomes = append(l.outcomes, o)
 }
 
-func (l *tracerLog) RoundsExecuted(int, int) { l.executed++ }
+func (l *tracerLog) RoundsExecuted(int, int, int) { l.executed++ }
 
 // TestEveryEntryPointReports pins the run tracer contract on all six
 // ways into an engine — the three Runtime methods and the three

@@ -33,12 +33,14 @@ type quietRun struct {
 	maxRounds int
 }
 
-// probe wraps a Few-Crashes machine, staying a Sleeper: it marks the
-// rounds the engine steps it in (when stepped is non-nil) and, when
-// haltAt ≥ 0, halts after its Deliver of round haltAt.
+// probe wraps a Few-Crashes or gossip machine, staying a Sleeper: it
+// marks the rounds the engine steps it in (when stepped is non-nil),
+// when haltAt ≥ 0 halts after its Deliver of round haltAt, and when
+// wake > 0 answers QuietUntil(wake) with "awake".
 type probe struct {
 	sim.Sleeper
 	haltAt  int
+	wake    int
 	halted  bool
 	stepped []bool
 }
@@ -57,9 +59,16 @@ func (p *probe) Deliver(round int, inbox []sim.Envelope) {
 
 func (p *probe) Halted() bool { return p.halted || p.Sleeper.Halted() }
 
-func (p *probe) QuietUntil(round int) int { return p.clamp(p.Sleeper.QuietUntil(round)) }
+func (p *probe) QuietUntil(round int) int {
+	if p.wake > 0 && round == p.wake {
+		return round
+	}
+	return p.clamp(p.Sleeper.QuietUntil(round))
+}
 
-func (p *probe) RepeatUntil(round int) int { return p.clamp(p.Sleeper.RepeatUntil(round)) }
+func (p *probe) RepeatUntil(round, last int) int {
+	return p.clamp(p.Sleeper.RepeatUntil(round, last))
+}
 
 // clamp ends a promise at the early halting round, whose Deliver halts.
 func (p *probe) clamp(w int) int {

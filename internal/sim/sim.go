@@ -105,29 +105,35 @@ type Poller interface {
 // round (or less) means awake; a machine never has to wake itself on a
 // delivery.
 //
-// RepeatUntil(round) = w, asked only after round−1 executed: if in
-// every round of [round, w) the node is delivered exactly what it was
-// delivered in round−1, it sends exactly what it sent in round−1, does
+// RepeatUntil(round, last) = w, where last < round is the template: the
+// last round the engine executed, which carried traffic. Every round in
+// (last, round) either repeated the template or was quiet for every
+// node; no crash was applied and nobody halted in them. The promise: if
+// in every round of [round, w) the node is delivered exactly what it
+// was delivered in last, it sends exactly what it sent in last, does
 // not halt, and skipping the calls leaves it in the state the calls
 // would have left it in. Returning round (or less) promises nothing. A
 // local-probing round in which no set grew and nobody paused is such a
-// fixed point (probe.Probing takes its instance round from its caller).
+// fixed point (probe.Probing takes its instance round from its caller),
+// and so is the same round of the next instance when the silent rounds
+// between the two only rearm the automaton.
 //
 // Only the run loop shared by the sequential and the pool engine skips,
 // and only when every protocol is a Sleeper, the fault is a CrashPlan,
 // the run is multi-port with no Byzantine set, and no message is parked
 // in the delay ring. A declared crash round inside a quiet span is
 // applied in passing — FilterSend with the victim's empty outbox, no
-// machine stepped — rather than executed. Steady spans skip only without
-// a link filter or an Observer, after an executed round with traffic in
-// which nobody crashed or halted; they end before the first declared
-// crash round of a live victim, and each round passed books round r−1's
-// traffic again. Results, observer events and metrics are identical to
-// the round-by-round run; a Stepper never skips.
+// machine stepped — rather than executed, and drops the template.
+// Steady spans skip only without a link filter or an Observer, from a
+// template in which nobody crashed or halted; they end before the first
+// declared crash round of a live victim, and each round passed books
+// the template's traffic again. Quiet and steady spans alternate until
+// neither advances. Results, observer events and metrics are identical
+// to the round-by-round run; a Stepper never skips.
 type Sleeper interface {
 	Protocol
 	QuietUntil(round int) int
-	RepeatUntil(round int) int
+	RepeatUntil(round, last int) int
 }
 
 // Metrics aggregates the communication and time performance of a run,
@@ -302,9 +308,11 @@ type state struct {
 	scratch  scratch
 	// simulated counts the rounds of the run so far; PerRoundMessages
 	// is trimmed to this length in result(). skipped is the part of it
-	// the run loop fast-forwarded over without stepping any node.
+	// the run loop fast-forwarded over without stepping any node, and
+	// repeated the part of skipped that steady spans passed.
 	simulated int
 	skipped   int
+	repeated  int
 	// sleepers holds the Sleeper views of the protocols when the run
 	// may fast-forward (see Sleeper), else it is empty; crashes is then
 	// the fault's declared crash events on [0, n) × [0, ∞), sorted by
@@ -312,8 +320,9 @@ type state struct {
 	sleepers []Sleeper
 	crashes  []CrashEvent
 	crashCur int
-	// last is the run loop's last executed round (−1 before the first)
-	// and lastBits the bits booked in it, which a steady span repeats.
+	// last is the run loop's last executed round — the template a steady
+	// span repeats — and lastBits the bits booked in it; last is −1
+	// before the first and after a crash applied in passing.
 	last     int
 	lastBits int64
 	// label caches the PartLabeler result for the current round;
@@ -398,7 +407,7 @@ func (st *state) reset(cfg Config) error {
 	if st.perPart != nil {
 		clear(st.perPart)
 	}
-	st.simulated, st.skipped = 0, 0
+	st.simulated, st.skipped, st.repeated = 0, 0, 0
 	st.resetSleepers()
 	st.label, st.labelSet = "", false
 	st.crashedNow = st.crashedNow[:0]
@@ -472,11 +481,11 @@ func (s *state) run() (*Result, error) {
 		}
 		if len(s.sleepers) > 0 {
 			var done bool
-			if r, done = s.skipQuiet(r); done {
+			if r, done = s.skip(r); done {
 				s.metrics.Rounds = r
 				return s.result(), nil
 			}
-			if r = s.skipSteady(r); r >= s.cfg.MaxRounds {
+			if r >= s.cfg.MaxRounds {
 				break
 			}
 		}
@@ -493,14 +502,33 @@ func (s *state) run() (*Result, error) {
 	return nil, fmt.Errorf("%w (MaxRounds=%d)", ErrNoTermination, s.cfg.MaxRounds)
 }
 
+// skip returns the first round at or after r that has to run,
+// alternating quiet and steady spans until neither advances: a steady
+// span may end on a round that is quiet for every node, and the quiet
+// span after it may end where the template repeats again. done reports
+// that a crash applied in passing ended the run (see skipQuiet).
+func (s *state) skip(r int) (next int, done bool) {
+	for {
+		if r, done = s.skipQuiet(r); done {
+			return r, true
+		}
+		w := s.skipSteady(r)
+		if w == r {
+			return r, false
+		}
+		r = w
+	}
+}
+
 // skipQuiet returns the first round at or after r that has to run: the
 // earliest round some live node wakes in, or MaxRounds. The declared
 // crash rounds before it are applied in passing: a quiet node's outbox
 // is empty, so FilterSend(c, id, nil) is exactly the call the full
 // round c would make, and a crash delivers nothing, so every survivor's
-// promise still holds and none is re-asked. done reports that a crash
-// ended the run; the returned round is then the run's length. The
-// rounds passed count as simulated.
+// promise still holds and none is re-asked. A crash applied drops the
+// steady template: the victim's share of it is gone. done reports that
+// a crash ended the run; the returned round is then the run's length.
+// The rounds passed count as simulated.
 func (s *state) skipQuiet(r int) (next int, done bool) {
 	if s.ring != nil && !s.ring.empty() {
 		return r, false
@@ -526,6 +554,7 @@ func (s *state) skipQuiet(r int) (next int, done bool) {
 			continue
 		}
 		s.crashed.Add(e.Node)
+		s.last = -1
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.OnCrash(e.Round, e.Node)
 		}
@@ -540,25 +569,29 @@ func (s *state) skipQuiet(r int) (next int, done bool) {
 }
 
 // skipSteady returns the first round at or after r that has to run when
-// the executed round r−1 repeats (see Sleeper): the earliest end of a
-// live node's RepeatUntil, the first declared crash round of a live
-// victim, or MaxRounds. Round r−1 must have carried traffic, crashed
-// nobody and halted nobody — a node crashing in r−1 sent a prefix there
-// and sends nothing after — and the run must have no link filter (its
-// verdicts hash the round) and no Observer. Each round passed books
-// round r−1's messages and bits again and counts as simulated.
+// the rounds from r on repeat the template s.last (see Sleeper): the
+// earliest end of a live node's RepeatUntil, the first declared crash
+// round of a live victim, or MaxRounds. The rounds between the template
+// and r were repeated or quiet, and none applied a crash (skipQuiet
+// drops the template when it does). The template must have carried
+// traffic, crashed nobody and halted nobody — a node crashing in it sent
+// a prefix there and sends nothing after — and the run must have no
+// link filter (its verdicts hash the round) and no Observer. Each round
+// passed books the template's messages, bits and part again and counts
+// as simulated and repeated.
 func (s *state) skipSteady(r int) int {
-	if r == 0 || s.last != r-1 || s.filter != nil || s.cfg.Observer != nil || len(s.crashedNow) > 0 ||
-		s.metrics.PerRoundMessages[r-1] == 0 {
+	last := s.last
+	if last < 0 || s.filter != nil || s.cfg.Observer != nil || len(s.crashedNow) > 0 ||
+		s.metrics.PerRoundMessages[last] == 0 {
 		return r
 	}
 	w := s.cfg.MaxRounds
 	for id := 0; id < s.n && w > r; id++ {
-		if s.haltedAt[id] == r-1 {
+		if s.haltedAt[id] == last {
 			return r
 		}
 		if s.alive(id) {
-			w = min(w, s.sleepers[id].RepeatUntil(r))
+			w = min(w, s.sleepers[id].RepeatUntil(r, last))
 		}
 	}
 	// skipQuiet moved crashCur past the rounds before r.
@@ -571,7 +604,7 @@ func (s *state) skipSteady(r int) int {
 	if w <= r {
 		return r
 	}
-	msgs := s.metrics.PerRoundMessages[r-1]
+	msgs := s.metrics.PerRoundMessages[last]
 	for q := r; q < w; q++ {
 		s.metrics.PerRoundMessages[q] = msgs
 		if s.cfg.PartLabeler != nil {
@@ -584,6 +617,7 @@ func (s *state) skipSteady(r int) int {
 	s.metrics.Bits += s.lastBits * int64(w-r)
 	s.simulated += w - r
 	s.skipped += w - r
+	s.repeated += w - r
 	return w
 }
 

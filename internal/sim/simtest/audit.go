@@ -19,21 +19,46 @@ import (
 // and records a violation if the machine breaks an answer: inside a
 // promised quiet span in which nothing was delivered it sends a message
 // or halts, or inside a promised repeat span in which every inbox
-// equalled the one of the round before the span it sends anything but
-// what it sent in that round, or halts.
+// equalled the one of the template it sends anything but what it sent
+// in the template, or halts. The template is the last round in which
+// some machine of the system sent — the round before, or the last one
+// before a run of rounds silent for every machine, which a fast-forward
+// would have passed as quiet.
 type Auditor struct {
-	m sim.Sleeper
+	m   sim.Sleeper
+	sys *system
 	// quiet is the end of the quiet promise in force: the machine said
 	// it stays silent in rounds < quiet unless something is delivered.
 	quiet int
 	// repeat is the end of the repeat promise in force: while every
 	// inbox equals in, the machine sends out in rounds < repeat. lastIn
-	// and lastOut are the previous round's inbox and outbox.
+	// and lastOut are the inbox and outbox of the machine's last round,
+	// tmplIn and tmplOut those of the system's last round with traffic.
 	repeat          int
 	in, out         []envelope
 	lastIn, lastOut []envelope
+	tmplIn, tmplOut []envelope
 	round           int
 	err             error
+}
+
+// system is the traffic record the Auditors of one Hide share. The
+// sequential engine runs every Send of a round before its Delivers, so
+// by the first Send of round r the record knows whether r−1 had traffic.
+type system struct {
+	round int  // the round whose Sends are being recorded
+	loud  bool // some machine sent in round
+	last  int  // the last round before round in which some machine sent, or −1
+}
+
+// enter moves the record on to round.
+func (s *system) enter(round int) {
+	if round != s.round {
+		if s.loud {
+			s.last = s.round
+		}
+		s.round, s.loud = round, false
+	}
 }
 
 // envelope is an Envelope compared by identity: the payload's box words
@@ -66,14 +91,16 @@ func same(recorded []envelope, envs []sim.Envelope) bool {
 	return true
 }
 
-// Hide wraps every machine in an Auditor. All of them must be Sleepers.
-// The returned check reports the first broken promise, lowest node
-// first; call it after the run.
+// Hide wraps every machine in an Auditor. All of them must be Sleepers,
+// and the run must be on the sequential engine: the Auditors share a
+// record of the system's traffic. The returned check reports the first
+// broken promise, lowest node first; call it after the run.
 func Hide(ps []sim.Protocol) (hidden []sim.Protocol, check func() error) {
 	hidden = make([]sim.Protocol, len(ps))
 	auditors := make([]*Auditor, len(ps))
+	sys := &system{round: -1, last: -1}
 	for i, p := range ps {
-		auditors[i] = &Auditor{m: p.(sim.Sleeper)}
+		auditors[i] = &Auditor{m: p.(sim.Sleeper), sys: sys, round: -1}
 		hidden[i] = auditors[i]
 	}
 	return hidden, func() error {
@@ -88,18 +115,28 @@ func Hide(ps []sim.Protocol) (hidden []sim.Protocol, check func() error) {
 
 // Send implements sim.Protocol.
 func (a *Auditor) Send(round int) []sim.Envelope {
+	a.sys.enter(round)
+	// Every round executes, so the machine ran the system's last round
+	// with traffic; if that was its previous round, it is the template.
+	if last := a.sys.last; last >= 0 && last == a.round {
+		a.tmplIn, a.lastIn = a.lastIn, a.tmplIn
+		a.tmplOut, a.lastOut = a.lastOut, a.tmplOut
+	}
 	a.round = round
 	// A later, shorter answer does not take back an earlier promise.
 	a.quiet = max(a.quiet, a.m.QuietUntil(round))
-	// Every round executes, so round−1 did: its inbox and outbox are
-	// what a repeat span starting here repeats.
-	if w := a.m.RepeatUntil(round); round > 0 && w > round {
-		if round >= a.repeat {
-			a.in, a.out = append(a.in[:0], a.lastIn...), append(a.out[:0], a.lastOut...)
+	if last := a.sys.last; last >= 0 {
+		if w := a.m.RepeatUntil(round, last); w > round {
+			if round >= a.repeat {
+				a.in, a.out = append(a.in[:0], a.tmplIn...), append(a.out[:0], a.tmplOut...)
+			}
+			a.repeat = max(a.repeat, w)
 		}
-		a.repeat = max(a.repeat, w)
 	}
 	out := a.m.Send(round)
+	if len(out) > 0 {
+		a.sys.loud = true
+	}
 	if len(out) > 0 && round < a.quiet && a.err == nil {
 		a.err = fmt.Errorf("sent %d messages in round %d after promising quiet until %d", len(out), round, a.quiet)
 	}
@@ -111,7 +148,7 @@ func (a *Auditor) Send(round int) []sim.Envelope {
 }
 
 // Deliver implements sim.Protocol. A delivery releases the machine from
-// its quiet promise, and an inbox other than the repeated one from its
+// its quiet promise, and an inbox other than the template's from its
 // repeat promise, for this round's Halted and for every later round.
 func (a *Auditor) Deliver(round int, inbox []sim.Envelope) {
 	if len(inbox) > 0 {

@@ -1,6 +1,7 @@
 package simtest_test
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -67,9 +68,42 @@ func (e *echo) Send(round int) []sim.Envelope {
 func (e *echo) Deliver(round int, _ []sim.Envelope) { e.halted = round >= e.halt }
 func (e *echo) Halted() bool                        { return e.halted }
 func (e *echo) QuietUntil(round int) int            { return round }
-func (e *echo) RepeatUntil(round int) int {
+func (e *echo) RepeatUntil(round, _ int) int {
 	if round < e.flip {
 		return max(round, e.until)
+	}
+	return round
+}
+
+// rester sends one bit to its partner in every round outside its rest
+// [from, to), in which it is silent and says so: false before the rest,
+// and after it the bit after. Asked in round to across the rest, it
+// answers RepeatUntil with a fixed until — honestly when after is false
+// — and promises nothing otherwise.
+type rester struct {
+	id, from, to, until int
+	after               bool
+	out                 sim.Outbox
+}
+
+func (r *rester) Send(round int) []sim.Envelope {
+	if r.from <= round && round < r.to {
+		return nil
+	}
+	return r.out.FanOut(r.id, []int{1 - r.id}, sim.Bit(round >= r.to && r.after))
+}
+
+func (r *rester) Deliver(int, []sim.Envelope) {}
+func (r *rester) Halted() bool                { return false }
+func (r *rester) QuietUntil(round int) int {
+	if r.from <= round && round < r.to {
+		return r.to
+	}
+	return round
+}
+func (r *rester) RepeatUntil(round, last int) int {
+	if round == r.to && last < round-1 {
+		return r.until
 	}
 	return round
 }
@@ -77,25 +111,29 @@ func (e *echo) RepeatUntil(round int) int {
 // TestAuditorChecksRepeatPromises: the auditor flags a machine that,
 // inside a span it promised to repeat and while its inbox repeats,
 // sends something else or halts — and releases one whose inbox changed.
+// Across a rest silent for every machine it asks with the last round
+// that had traffic as the template, so a machine that lies only there is
+// caught too.
 func TestAuditorChecksRepeatPromises(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		a, b echo
+		a, b sim.Sleeper
 		want string // substring of the reported error; "" means none
 	}{
-		{name: "honest", a: echo{flip: 99, halt: 20, until: 20}, b: echo{flip: 99, halt: 20, until: 20}},
-		{name: "sends another payload", a: echo{flip: 5, halt: 20, until: 20}, b: echo{flip: 99, halt: 20, until: 20},
+		{name: "honest", a: &echo{id: 0, flip: 99, halt: 20, until: 20}, b: &echo{id: 1, flip: 99, halt: 20, until: 20}},
+		{name: "sends another payload", a: &echo{id: 0, flip: 5, halt: 20, until: 20}, b: &echo{id: 1, flip: 99, halt: 20, until: 20},
 			want: "node 0: sent 1 messages in round 5, not the 1 it promised to repeat until 20"},
-		{name: "halts", a: echo{flip: 99, halt: 8, until: 20}, b: echo{flip: 99, halt: 20, until: 20},
+		{name: "halts", a: &echo{id: 0, flip: 99, halt: 8, until: 20}, b: &echo{id: 1, flip: 99, halt: 20, until: 20},
 			want: "node 0: halted in round 8 after promising to repeat until 20"},
 		// Node 0 promises nothing and flips in round 5, so node 1's inbox
 		// changes there and its promise no longer binds it in round 6.
-		{name: "released by a new inbox", a: echo{flip: 5, halt: 20}, b: echo{flip: 6, halt: 20, until: 20}},
+		{name: "released by a new inbox", a: &echo{id: 0, flip: 5, halt: 20}, b: &echo{id: 1, flip: 6, halt: 20, until: 20}},
+		{name: "honest across a rest", a: &rester{id: 0, from: 4, to: 10, until: 20}, b: &rester{id: 1, from: 4, to: 10, until: 20}},
+		{name: "lies across a rest", a: &rester{id: 0, from: 4, to: 10, until: 20, after: true}, b: &rester{id: 1, from: 4, to: 10, until: 20},
+			want: "node 0: sent 1 messages in round 10, not the 1 it promised to repeat until 20"},
 	} {
-		a, b := c.a, c.b
-		a.id, b.id = 0, 1
-		ps, check := simtest.Hide([]sim.Protocol{&a, &b})
-		if _, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: 30}); err != nil {
+		ps, check := simtest.Hide([]sim.Protocol{c.a, c.b})
+		if _, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: 30}); err != nil && !errors.Is(err, sim.ErrNoTermination) {
 			t.Fatal(err)
 		}
 		err := check()
