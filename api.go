@@ -119,8 +119,6 @@ type options struct {
 	crashes       []CrashEvent
 	randomCrashes int
 	crashHorizon  int
-	concurrent    bool
-	parallelism   int
 	singlePort    bool
 	byzStrategy   ByzantineStrategy
 	byzNodes      []int
@@ -145,19 +143,6 @@ func WithCrashSchedule(events ...CrashEvent) Option {
 // pseudo-random rounds below horizon.
 func WithRandomCrashes(f, horizon int) Option {
 	return func(o *options) { o.randomCrashes, o.crashHorizon = f, horizon }
-}
-
-// WithConcurrentRuntime runs on the sharded parallel engine with the
-// default worker count instead of the sequential one (multi-port only;
-// results are identical). Equivalent to WithParallelism(0) plus opting
-// in to the parallel engine.
-func WithConcurrentRuntime() Option { return func(o *options) { o.concurrent = true } }
-
-// WithParallelism runs on the sharded parallel engine with the given
-// number of workers (multi-port only; results are identical to the
-// sequential engine). workers <= 0 selects GOMAXPROCS.
-func WithParallelism(workers int) Option {
-	return func(o *options) { o.concurrent, o.parallelism = true, workers }
 }
 
 // WithSinglePortModel runs gossip or checkpointing in the single-port
@@ -208,7 +193,6 @@ func (o *options) spec(name string, n, t int) scenario.Spec {
 	sp := scenario.MustLookup(name).Spec(n, t, o.seed)
 	sp.Degree = o.degree
 	sp.Fault = o.faultModel()
-	sp.Exec = scenario.Parallelism{Enabled: o.concurrent, Workers: o.parallelism}
 	return sp
 }
 

@@ -1,7 +1,6 @@
 package lineartime
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,73 +18,11 @@ func TestScenarioErrorsKeepPublicPrefix(t *testing.T) {
 		t.Fatalf("error leaked the internal prefix: %v", err)
 	}
 	_, err = RunGossip(40, 6, make([]uint64, 40), false,
-		WithSinglePortModel(), WithConcurrentRuntime())
+		WithCrashSchedule(CrashEvent{Node: 99, Round: 1}))
 	if err == nil {
-		t.Fatal("single-port parallel run accepted")
+		t.Fatal("out-of-range crash schedule accepted")
 	}
 	if !strings.HasPrefix(err.Error(), "lineartime: ") {
 		t.Fatalf("error leaked the internal prefix: %v", err)
-	}
-}
-
-// TestByzantineConsensusHonorsParallelism is the regression test for
-// the pre-refactor gap where RunByzantineConsensus called sim.Run
-// directly and silently ignored WithParallelism while RunConsensus
-// honored it. Through the unified scenario runner both engines must be
-// reachable and produce identical reports.
-func TestByzantineConsensusHonorsParallelism(t *testing.T) {
-	n, tt := 60, 3
-	inputs := make([]uint64, n)
-	for i := range inputs {
-		inputs[i] = uint64(100 + i)
-	}
-	serial, err := RunByzantineConsensus(n, tt, inputs, false,
-		WithSeed(2), WithByzantine(Equivocate, 0, 1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !serial.Agreement {
-		t.Fatal("serial byzantine run lost agreement")
-	}
-	for _, workers := range []int{1, 4} {
-		par, err := RunByzantineConsensus(n, tt, inputs, false,
-			WithSeed(2), WithByzantine(Equivocate, 0, 1, 2), WithParallelism(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel report diverged from serial:\n%+v\nvs\n%+v",
-				workers, par, serial)
-		}
-	}
-	conc, err := RunByzantineConsensus(n, tt, inputs, false,
-		WithSeed(2), WithByzantine(Equivocate, 0, 1, 2), WithConcurrentRuntime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, conc) {
-		t.Fatal("WithConcurrentRuntime byzantine report diverged from serial")
-	}
-}
-
-// TestMajorityVoteHonorsParallelism extends the same guarantee to the
-// fifth entry point, which also routes through the scenario runner
-// now.
-func TestMajorityVoteHonorsParallelism(t *testing.T) {
-	n, tt := 60, 10
-	votes := make([]bool, n)
-	for i := range votes {
-		votes[i] = i%2 == 0
-	}
-	serial, err := RunMajorityVote(n, tt, votes, WithSeed(4), WithRandomCrashes(tt, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunMajorityVote(n, tt, votes, WithSeed(4), WithRandomCrashes(tt, 20), WithParallelism(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("parallel majority report diverged from serial:\n%+v\nvs\n%+v", par, serial)
 	}
 }

@@ -67,48 +67,6 @@ func TestRunConsensusSchedule(t *testing.T) {
 	}
 }
 
-func TestRunConsensusConcurrentRuntime(t *testing.T) {
-	n, tt := 40, 8
-	inputs := boolInputs(n, func(i int) bool { return i%2 == 0 })
-	seq, err := RunConsensus(n, tt, inputs, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	con, err := RunConsensus(n, tt, inputs, WithSeed(5), WithConcurrentRuntime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !metricsEqual(seq.Metrics, con.Metrics) {
-		t.Fatalf("engines disagree: %+v vs %+v", seq.Metrics, con.Metrics)
-	}
-	if _, err := RunConsensus(n, tt, inputs,
-		WithAlgorithm(SinglePortLinear), WithConcurrentRuntime()); err == nil {
-		t.Fatal("single-port + concurrent accepted")
-	}
-}
-
-func TestRunConsensusWithParallelism(t *testing.T) {
-	n, tt := 40, 8
-	inputs := boolInputs(n, func(i int) bool { return i%2 == 0 })
-	seq, err := RunConsensus(n, tt, inputs, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 5} {
-		par, err := RunConsensus(n, tt, inputs, WithSeed(5), WithParallelism(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !metricsEqual(seq.Metrics, par.Metrics) {
-			t.Fatalf("workers=%d: engines disagree: %+v vs %+v", workers, seq.Metrics, par.Metrics)
-		}
-	}
-	if _, err := RunConsensus(n, tt, inputs,
-		WithAlgorithm(SinglePortLinear), WithParallelism(2)); err == nil {
-		t.Fatal("single-port + parallelism accepted")
-	}
-}
-
 func TestRunConsensusValidation(t *testing.T) {
 	if _, err := RunConsensus(10, 2, nil); err == nil {
 		t.Fatal("missing inputs accepted")

@@ -1,19 +1,13 @@
 // Command benchjson runs the simulator engine benchmarks and emits
-// BENCH_sim.json, the machine-readable performance trajectory committed
-// at the repository root (the CHC-COMP-style standing benchmark: each
-// PR that touches the engine regenerates the file, so regressions show
-// up in the diff). It measures ns/round and allocs/round for the
-// sequential and parallel engines at fixed (n, fanout) points, the
-// amortized steady-state cost of repeated runs on one pooled arena
+// BENCH_sim.json, the machine-readable engine micro-benchmark report
+// committed at the repository root. It measures ns/round and
+// allocs/round for the sequential engine at fixed (n, fanout) points,
+// the amortized steady-state cost of repeated runs on one pooled arena
 // (the engine/reuse family), the multi-seed batch paths against their
 // scalar baselines, and probes the largest feasible n under a
-// per-round time budget.
-//
-// Parallel rows are honest: the file records the real GOMAXPROCS and
-// CPU count the run saw, and every parallel row carries its measured
-// speedup_vs_sequential against the matching sequential row — a
-// speedup near (or below) 1.0 on a single-CPU machine is reported as
-// such, not hidden.
+// per-round time budget. The file records the GOMAXPROCS and CPU count
+// the run saw, since the batch paths fan their sliced groups out
+// across GOMAXPROCS.
 //
 // Usage:
 //
@@ -73,7 +67,7 @@ func buildSystem(n, fanout, horizon int) (sim.Config, []*broadcaster) {
 // benchPoint is one measured engine configuration.
 type benchPoint struct {
 	Name         string  `json:"name"`
-	Engine       string  `json:"engine"` // "sequential" | "parallel" | "reuse" | "reuse-parallel" | "scalar-per-seed" | "sliced" | "scalar-per-seed-gossip" | "sliced-gossip" | "scalar-per-seed-gossip-links" | "sliced-gossip-links"
+	Engine       string  `json:"engine"` // "sequential" | "reuse" | "scalar-per-seed" | "sliced" | "scalar-per-seed-gossip" | "sliced-gossip" | "scalar-per-seed-gossip-links" | "sliced-gossip-links"
 	N            int     `json:"n"`
 	Fanout       int     `json:"fanout"`
 	Rounds       int     `json:"rounds"`
@@ -82,11 +76,6 @@ type benchPoint struct {
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
 	MsgsPerRound int64   `json:"msgs_per_round"`
-	// SpeedupVsSequential is set on parallel rows: the matching
-	// sequential row's ns_per_op divided by this row's. Values at or
-	// below 1.0 mean the worker pool bought nothing — expected when
-	// GOMAXPROCS or the CPU count is 1.
-	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// SeedsPerOp is set on the multi-seed rows (the scalar-per-seed /
 	// sliced family): the number of independent seeds one op evaluates.
 	// On those rows ns_per_round and msgs_per_round are per seed.
@@ -286,7 +275,7 @@ func measureSlicedGossip(engine string, n, t, seeds int) (benchPoint, error) {
 	}, nil
 }
 
-func measure(engine string, n, fanout, horizon, workers int) (benchPoint, error) {
+func measure(engine string, n, fanout, horizon int) (benchPoint, error) {
 	cfg, bs := buildSystem(n, fanout, horizon)
 	reset := func() {
 		for _, bc := range bs {
@@ -296,38 +285,29 @@ func measure(engine string, n, fanout, horizon, workers int) (benchPoint, error)
 	var runErr error
 	var body func(b *testing.B)
 	switch engine {
-	case "sequential", "parallel":
+	case "sequential":
 		// The public path: scenario.Execute on a pooled arena, result
 		// detached per run.
-		exec := scenario.Serial
-		if engine == "parallel" {
-			exec = scenario.Parallel(workers)
-		}
 		body = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				reset()
-				if _, err := scenario.Execute(cfg, exec); err != nil {
+				if _, err := scenario.Execute(cfg); err != nil {
 					runErr = err
 					b.FailNow()
 				}
 			}
 		}
-	case "reuse", "reuse-parallel":
+	case "reuse":
 		// The arena path: b.N consecutive runs on one Runtime, so the
 		// per-op numbers are the amortized steady-state cost of a
 		// repeated run (allocs/op ~0 once the buffers have grown).
 		rt := sim.NewRuntime()
-		defer rt.Close()
-		run := rt.Run
-		if engine == "reuse-parallel" {
-			run = func(cfg sim.Config) (*sim.Result, error) { return rt.RunParallel(cfg, workers) }
-		}
 		body = func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				reset()
-				if _, err := run(cfg); err != nil {
+				if _, err := rt.Run(cfg); err != nil {
 					runErr = err
 					b.FailNow()
 				}
@@ -355,40 +335,20 @@ func measure(engine string, n, fanout, horizon, workers int) (benchPoint, error)
 	}, nil
 }
 
-// fillSpeedups sets speedup_vs_sequential on every parallel-flavoured
-// row that has a matching same-shape row of its sequential flavour.
+// fillSpeedups sets speedup_vs_scalar_per_seed on every sliced row
+// that has a matching same-shape scalar-per-seed row.
 func fillSpeedups(points []benchPoint) {
-	base := func(engine string, n, fanout int) float64 {
-		for i := range points {
-			p := &points[i]
-			if p.Engine == engine && p.N == n && p.Fanout == fanout {
-				return p.NsPerOp
-			}
-		}
-		return 0
-	}
 	for i := range points {
 		p := &points[i]
-		var seq float64
-		switch p.Engine {
-		case "parallel":
-			seq = base("sequential", p.N, p.Fanout)
-		case "reuse-parallel":
-			seq = base("reuse", p.N, p.Fanout)
-		case "sliced", "sliced-gossip", "sliced-gossip-links":
-			scalar := "scalar-per-seed" + strings.TrimPrefix(p.Engine, "sliced")
-			for j := range points {
-				q := &points[j]
-				if q.Engine == scalar && q.N == p.N && q.SeedsPerOp == p.SeedsPerOp && q.SimsPerSec > 0 {
-					p.SpeedupVsScalarPerSeed = p.SimsPerSec / q.SimsPerSec
-				}
-			}
-			continue
-		default:
+		if !strings.HasPrefix(p.Engine, "sliced") {
 			continue
 		}
-		if seq > 0 && p.NsPerOp > 0 {
-			p.SpeedupVsSequential = seq / p.NsPerOp
+		scalar := "scalar-per-seed" + strings.TrimPrefix(p.Engine, "sliced")
+		for j := range points {
+			q := &points[j]
+			if q.Engine == scalar && q.N == p.N && q.SeedsPerOp == p.SeedsPerOp && q.SimsPerSec > 0 {
+				p.SpeedupVsScalarPerSeed = p.SimsPerSec / q.SimsPerSec
+			}
 		}
 	}
 }
@@ -402,7 +362,7 @@ func maxFeasibleN(fanout int, budget time.Duration, capN int) (int, float64) {
 	for n := 1024; n <= capN; n *= 2 {
 		cfg, _ := buildSystem(n, fanout, horizon)
 		start := time.Now()
-		if _, err := scenario.Execute(cfg, scenario.Serial); err != nil {
+		if _, err := scenario.Execute(cfg); err != nil {
 			break
 		}
 		perRound := time.Since(start) / horizon
@@ -419,8 +379,8 @@ type report struct {
 	Schema string `json:"schema"`
 	Go     string `json:"go"`
 	// GOMAXPROCS and NumCPU are the real values of the measuring run
-	// (after any -maxprocs override); parallel rows mean nothing
-	// without them.
+	// (after any -maxprocs override); the sliced rows fan out across
+	// GOMAXPROCS, so their speedups mean nothing without them.
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	NumCPU      int          `json:"num_cpu"`
 	Benchmarks  []benchPoint `json:"benchmarks"`
@@ -476,23 +436,15 @@ func run(args []string, stdout *os.File) error {
 		{"sequential", 1000, 8, 20}, // the headline BenchmarkEngine shape
 		{"sequential", 4096, 8, 20},
 		{"sequential", 256, 64, 20},
-		{"parallel", 1000, 8, 20},
-		{"parallel", 4096, 8, 20},
-		// The two shapes past the parallel fast path's crossover of
-		// ≈ 130 k messages per round (EXPERIMENTS.md "Sharded rounds").
 		{"sequential", 16384, 8, 20},
-		{"parallel", 16384, 8, 20},
 		{"sequential", 4096, 64, 20},
-		{"parallel", 4096, 64, 20},
 		{"reuse", 1000, 8, 20},
 		{"reuse", 4096, 8, 20},
-		{"reuse-parallel", 4096, 8, 20},
 	}
 	capN := 1 << 17
 	if *quick {
 		points = []point{
 			{"sequential", 64, 4, 5},
-			{"parallel", 64, 4, 5},
 			{"reuse", 64, 4, 5},
 		}
 		capN = 2048
@@ -507,7 +459,7 @@ func run(args []string, stdout *os.File) error {
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.NumCPU = runtime.NumCPU()
 	for _, p := range points {
-		bp, err := measure(p.engine, p.n, p.fanout, p.rounds, 0)
+		bp, err := measure(p.engine, p.n, p.fanout, p.rounds)
 		if err != nil {
 			return fmt.Errorf("%s n=%d: %w", p.engine, p.n, err)
 		}

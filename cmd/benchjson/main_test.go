@@ -26,21 +26,18 @@ func TestBenchJSONQuick(t *testing.T) {
 	if rep.Schema != "lineartime/bench_sim/v6" {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	if len(rep.Benchmarks) != 9 {
-		t.Fatalf("benchmarks = %d, want 9 (3 broadcaster + 2 multi-seed + 4 gossip)", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 8 {
+		t.Fatalf("benchmarks = %d, want 8 (2 broadcaster + 2 multi-seed + 4 gossip)", len(rep.Benchmarks))
 	}
-	var sawParallel, sawReuse, sawScalarPerSeed, sawSliced bool
+	var sawSequential, sawReuse, sawScalarPerSeed, sawSliced bool
 	var sawGossipScalar, sawGossipSliced, sawLinksScalar, sawLinksSliced bool
 	for _, bp := range rep.Benchmarks {
 		if bp.NsPerRound <= 0 || bp.MsgsPerRound <= 0 {
 			t.Fatalf("degenerate point %+v", bp)
 		}
 		switch bp.Engine {
-		case "parallel":
-			sawParallel = true
-			if bp.SpeedupVsSequential <= 0 {
-				t.Fatalf("parallel row missing speedup_vs_sequential: %+v", bp)
-			}
+		case "sequential":
+			sawSequential = true
 		case "reuse":
 			sawReuse = true
 		case "scalar-per-seed":
@@ -84,8 +81,8 @@ func TestBenchJSONQuick(t *testing.T) {
 			}
 		}
 	}
-	if !sawParallel || !sawReuse {
-		t.Fatalf("missing parallel or reuse rows: %+v", rep.Benchmarks)
+	if !sawSequential || !sawReuse {
+		t.Fatalf("missing sequential or reuse rows: %+v", rep.Benchmarks)
 	}
 	if !sawScalarPerSeed || !sawSliced {
 		t.Fatalf("missing multi-seed rows: %+v", rep.Benchmarks)
@@ -149,7 +146,7 @@ func TestBenchJSONOnlySlicedFloor(t *testing.T) {
 }
 
 func TestMeasureRejectsBrokenEngineConfig(t *testing.T) {
-	if _, err := measure("parallel", 0, 1, 1, 0); err == nil {
+	if _, err := measure("sequential", 0, 1, 1); err == nil {
 		t.Skip("testing.Benchmark swallows config errors via FailNow; nothing to assert")
 	}
 }

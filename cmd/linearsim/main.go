@@ -54,7 +54,6 @@ func run(args []string) error {
 		list     = fs.Bool("list", false, "list the registered scenarios and fault models, then exit")
 		faultArg = fs.String("fault", "", "fault model, kind[:key=value,...] (see -list); overrides -crashes")
 		jsonOut  = fs.Bool("json", false, "emit the run as the {key, report} JSON envelope linearsimd serves")
-		implicit = fs.Bool("implicit", false, "generate the overlay topology on the fly from a seeded shift construction instead of materializing it (implicit-capable scenarios only, see -list)")
 		seeds    = fs.Int("seeds", 1, "run the scenario under this many consecutive seeds (starting at -seed) and print a summary; sliceable scenarios ride the bit-sliced engine 64 seeds per machine word")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -90,16 +89,16 @@ func run(args []string) error {
 
 	switch *problem {
 	case "consensus":
-		return runConsensus(*algo, *n, *t, *ones, *baseline, *seed, fault, out, *implicit, *seeds)
+		return runConsensus(*algo, *n, *t, *ones, *baseline, *seed, fault, out, *seeds)
 	case "gossip":
-		return runGossip(*n, *t, *baseline, *seed, fault, out, *implicit, *seeds)
+		return runGossip(*n, *t, *baseline, *seed, fault, out, *seeds)
 	case "checkpoint":
-		return runCheckpoint(*n, *t, *baseline, *seed, fault, out, *implicit, *seeds)
+		return runCheckpoint(*n, *t, *baseline, *seed, fault, out, *seeds)
 	case "byzantine":
 		if *faultArg != "" {
 			return fmt.Errorf("the byzantine problem configures its faults with -byz/-byzcount, not -fault")
 		}
-		return runByzantine(*n, *t, *byz, *byzCount, *baseline, *seed, out, *implicit, *seeds)
+		return runByzantine(*n, *t, *byz, *byzCount, *baseline, *seed, out, *seeds)
 	default:
 		return fmt.Errorf("unknown problem %q", *problem)
 	}
@@ -153,31 +152,13 @@ func runSeedsSummary(kind string, sp scenario.Spec, seeds int) error {
 	return nil
 }
 
-// applyImplicit switches a spec to the implicit shift topology, or
-// explains why the scenario cannot run implicitly.
-func applyImplicit(def scenario.Definition, sp *scenario.Spec, implicit bool) error {
-	if !implicit {
-		return nil
-	}
-	if !def.SupportsImplicit() {
-		return fmt.Errorf("scenario %s does not support implicit topologies (see -list)", def.Name)
-	}
-	sp.Topology = scenario.TopologyShift
-	sp.Implicit = true
-	return nil
-}
-
 // listScenarios prints the scenario registry and the fault-model
 // kinds with their -fault spellings.
 func listScenarios() error {
-	fmt.Println("scenarios ([implicit] = supports -implicit on-the-fly topologies):")
+	fmt.Println("scenarios:")
 	for _, name := range scenario.Names() {
 		d := scenario.MustLookup(name)
-		tag := ""
-		if d.SupportsImplicit() {
-			tag = "  [implicit]"
-		}
-		fmt.Printf("  %-34s %s%s\n", d.Name, d.About, tag)
+		fmt.Printf("  %-34s %s\n", d.Name, d.About)
 	}
 	fmt.Println("\nfault models (-fault kind[:key=value,...]):")
 	for _, u := range scenario.FaultUsages() {
@@ -199,16 +180,13 @@ func scenarioForAlgorithm(name string, baseline bool) (scenario.Definition, erro
 	}
 }
 
-func runConsensus(algoName string, n, t, ones int, baseline bool, seed uint64, fault scenario.FaultModel, out output, implicit bool, seeds int) error {
+func runConsensus(algoName string, n, t, ones int, baseline bool, seed uint64, fault scenario.FaultModel, out output, seeds int) error {
 	def, err := scenarioForAlgorithm(algoName, baseline)
 	if err != nil {
 		return err
 	}
 	sp := def.Spec(n, t, seed)
 	sp.Fault = fault
-	if err := applyImplicit(def, &sp, implicit); err != nil {
-		return err
-	}
 	if ones >= 0 {
 		inputs := make([]bool, n)
 		for i := range inputs {
@@ -227,7 +205,7 @@ func runConsensus(algoName string, n, t, ones int, baseline bool, seed uint64, f
 	})
 }
 
-func runGossip(n, t int, baseline bool, seed uint64, fault scenario.FaultModel, out output, implicit bool, seeds int) error {
+func runGossip(n, t int, baseline bool, seed uint64, fault scenario.FaultModel, out output, seeds int) error {
 	name, kind := "gossip/expander", "gossip(§5)"
 	if baseline {
 		name, kind = "gossip/all-to-all", "gossip(all-to-all)"
@@ -235,9 +213,6 @@ func runGossip(n, t int, baseline bool, seed uint64, fault scenario.FaultModel, 
 	def := scenario.MustLookup(name)
 	sp := def.Spec(n, t, seed)
 	sp.Fault = fault
-	if err := applyImplicit(def, &sp, implicit); err != nil {
-		return err
-	}
 	rumors := make([]uint64, n)
 	for i := range rumors {
 		rumors[i] = uint64(1000 + i)
@@ -254,7 +229,7 @@ func runGossip(n, t int, baseline bool, seed uint64, fault scenario.FaultModel, 
 	})
 }
 
-func runCheckpoint(n, t int, baseline bool, seed uint64, fault scenario.FaultModel, out output, implicit bool, seeds int) error {
+func runCheckpoint(n, t int, baseline bool, seed uint64, fault scenario.FaultModel, out output, seeds int) error {
 	name, kind := "checkpoint/expander", "checkpoint(§6)"
 	if baseline {
 		name, kind = "checkpoint/direct", "checkpoint(direct)"
@@ -262,9 +237,6 @@ func runCheckpoint(n, t int, baseline bool, seed uint64, fault scenario.FaultMod
 	def := scenario.MustLookup(name)
 	sp := def.Spec(n, t, seed)
 	sp.Fault = fault
-	if err := applyImplicit(def, &sp, implicit); err != nil {
-		return err
-	}
 	if seeds > 1 {
 		return runSeedsSummary(kind, sp, seeds)
 	}
@@ -276,7 +248,7 @@ func runCheckpoint(n, t int, baseline bool, seed uint64, fault scenario.FaultMod
 	})
 }
 
-func runByzantine(n, t int, strategy string, count int, baseline bool, seed uint64, out output, implicit bool, seeds int) error {
+func runByzantine(n, t int, strategy string, count int, baseline bool, seed uint64, out output, seeds int) error {
 	var strat scenario.ByzantineStrategy
 	switch strategy {
 	case "silence":
@@ -301,9 +273,6 @@ func runByzantine(n, t int, strategy string, count int, baseline bool, seed uint
 	}
 	def := scenario.MustLookup(name)
 	sp := def.Spec(n, t, seed)
-	if err := applyImplicit(def, &sp, implicit); err != nil {
-		return err
-	}
 	inputs := make([]uint64, n)
 	for i := range inputs {
 		inputs[i] = uint64(100 + i)

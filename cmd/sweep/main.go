@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"sync"
 
-	"lineartime/internal/scenario"
 	"lineartime/internal/scenario/experiments"
 )
 
@@ -56,7 +55,6 @@ func run(args []string, w io.Writer) error {
 	quick := fs.Bool("quick", false, "smaller sizes")
 	par := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep-point workers")
 	sd := fs.Int("seeds", 1, "seeds per point (points without a multi-seed path keep their committed seed)")
-	implicit := fs.Bool("implicit", false, "run implicit-capable scenarios over generated shift topologies instead of materialized random-regular ones (O(n·d) less resident memory)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,18 +65,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-seeds %d must be at least 1", *sd)
 	}
 	seeds = *sd
-	// Flip the registry's implicit default before any worker builds a
-	// spec: every implicit-capable row then runs over the seeded shift
-	// family with overlays regenerated on the fly instead of stored.
-	// An implicit run is pinned byte-identical to a materialized run
-	// of the same shift topology (internal/scenario's parity suite),
-	// but the shift family is not the committed random-regular one, so
-	// rows that switch report their own — still deterministic —
-	// values.
-	if *implicit {
-		scenario.SetImplicitDefault(true)
-		defer scenario.SetImplicitDefault(false)
-	}
 	for _, e := range experiments.All() {
 		if *exp != "" && e.ID != *exp {
 			continue

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// Cross-engine equivalence: the sequential engine and the concurrent
-// goroutine-per-node runtime must produce identical metrics and
-// decisions for full protocol stacks, not just toy protocols.
+// Run determinism: two runs of one full protocol stack with the same
+// options produce identical metrics and decisions, not just toy
+// protocols.
 func TestCrossEngineConsensus(t *testing.T) {
 	n, tt := 60, 12
 	inputs := boolInputs(n, func(i int) bool { return i%5 == 0 })
@@ -18,8 +18,7 @@ func TestCrossEngineConsensus(t *testing.T) {
 				t.Fatal(err)
 			}
 			con, err := RunConsensus(n, tt, inputs,
-				WithSeed(9), WithAlgorithm(algo), WithRandomCrashes(tt, 30),
-				WithConcurrentRuntime())
+				WithSeed(9), WithAlgorithm(algo), WithRandomCrashes(tt, 30))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,8 +45,7 @@ func TestCrossEngineGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := RunGossip(n, tt, rumors, false, WithSeed(4), WithRandomCrashes(tt, 30),
-		WithConcurrentRuntime())
+	con, err := RunGossip(n, tt, rumors, false, WithSeed(4), WithRandomCrashes(tt, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +79,7 @@ func TestCrossEngineCheckpointing(t *testing.T) {
 		t.Fatal(err)
 	}
 	con, err := RunCheckpointing(n, tt, false, WithSeed(6),
-		WithCrashSchedule(CrashEvent{Node: 3, Round: 0, Keep: 0}),
-		WithConcurrentRuntime())
+		WithCrashSchedule(CrashEvent{Node: 3, Round: 0, Keep: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}

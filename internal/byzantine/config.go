@@ -59,13 +59,6 @@ func Rounds(n, t int) int { return planFor(n, t).part4End }
 // NewConfig builds the system configuration for n nodes, at most t
 // authenticated-Byzantine faults, t < n/2.
 func NewConfig(n, t int, seed uint64) (*Config, error) {
-	return NewConfigMode(n, t, seed, expander.Mode{})
-}
-
-// NewConfigMode is NewConfig with an explicit overlay construction
-// mode (family and implicit/materialized choice) for the broadcast
-// expander H.
-func NewConfigMode(n, t int, seed uint64, mode expander.Mode) (*Config, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("byzantine: need n ≥ 2, got %d", n)
 	}
@@ -73,7 +66,7 @@ func NewConfigMode(n, t int, seed uint64, mode expander.Mode) (*Config, error) {
 		return nil, fmt.Errorf("byzantine: need t < n/2, got t=%d n=%d", t, n)
 	}
 	l := consensus.LittleCount(n, t)
-	h, err := expander.NewBroadcastGraphMode(n, seed+21, mode)
+	h, err := expander.NewBroadcastGraph(n, seed+21)
 	if err != nil {
 		return nil, err
 	}

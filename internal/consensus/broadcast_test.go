@@ -14,59 +14,56 @@ import (
 // TestBroadcastGraphIsBuiltOnceOnDemand pins the lazy accessor: no H
 // is constructed by NewTopology, the first Broadcast call constructs it
 // — one construction however many nodes ask at once (run under -race) —
-// from the seed and mode the eager field used, so the graph is the one
+// from the seed the eager field used, so the graph is the one
 // NewTopology has always built.
 func TestBroadcastGraphIsBuiltOnceOnDemand(t *testing.T) {
 	var mu sync.Mutex
 	builds := 0
-	restore := consensus.StubBroadcastGraph(func(n int, seed uint64, mode expander.Mode) (*expander.Overlay, error) {
+	restore := consensus.StubBroadcastGraph(func(n int, seed uint64) (*expander.Overlay, error) {
 		mu.Lock()
 		builds++
 		mu.Unlock()
-		return expander.NewBroadcastGraphMode(n, seed, mode)
+		return expander.NewBroadcastGraph(n, seed)
 	})
 	defer restore()
 
 	const n, seed = 150, 0xb40adca57
-	for _, mode := range []expander.Mode{{}, {Family: expander.FamilyShift, Implicit: true}} {
-		builds = 0
-		top, err := consensus.NewTopology(n, 20, consensus.TopologyOptions{Seed: seed, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
+	top, err := consensus.NewTopology(n, 20, consensus.TopologyOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 0 {
+		t.Fatal("NewTopology built H")
+	}
+	got := make([]*expander.Overlay, 32)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = top.MustBroadcast()
+		}()
+	}
+	wg.Wait()
+	h, err := top.Broadcast()
+	if err != nil || builds != 1 {
+		t.Fatalf("%d constructions of H, err %v", builds, err)
+	}
+	for i, o := range got {
+		if o != h {
+			t.Fatalf("caller %d got a different H", i)
 		}
-		if builds != 0 {
-			t.Fatalf("mode %+v: NewTopology built H", mode)
-		}
-		got := make([]*expander.Overlay, 32)
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[i] = top.MustBroadcast()
-			}()
-		}
-		wg.Wait()
-		h, err := top.Broadcast()
-		if err != nil || builds != 1 {
-			t.Fatalf("mode %+v: %d constructions of H, err %v", mode, builds, err)
-		}
-		for i, o := range got {
-			if o != h {
-				t.Fatalf("mode %+v: caller %d got a different H", mode, i)
-			}
-		}
-		want, err := expander.NewBroadcastGraphMode(n, seed+2, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Seed != want.Seed || h.P != want.P || h.Implicit() != mode.Implicit {
-			t.Fatalf("mode %+v: H is %s, the eager field held %s", mode, h.Describe(), want.Describe())
-		}
-		for v := 0; v < n; v++ {
-			if !slices.Equal(h.Neighbors(v), want.Neighbors(v)) {
-				t.Fatalf("mode %+v: H differs from the eager graph at vertex %d", mode, v)
-			}
+	}
+	want, err := expander.NewBroadcastGraph(n, seed+2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Seed != want.Seed || h.P != want.P {
+		t.Fatalf("H is %s, the eager field held %s", h.Describe(), want.Describe())
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(h.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("H differs from the eager graph at vertex %d", v)
 		}
 	}
 }
@@ -79,7 +76,7 @@ func TestBroadcastGraphIsBuiltOnceOnDemand(t *testing.T) {
 // completion.
 func TestUnbuildableBroadcastGraph(t *testing.T) {
 	attempts := 0
-	restore := consensus.StubBroadcastGraph(func(n int, seed uint64, mode expander.Mode) (*expander.Overlay, error) {
+	restore := consensus.StubBroadcastGraph(func(n int, seed uint64) (*expander.Overlay, error) {
 		attempts++
 		return expander.New(n, expander.Options{Degree: expander.BroadcastDegree, Seed: seed, MaxSeedRotations: -1})
 	})

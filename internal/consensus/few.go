@@ -109,9 +109,9 @@ func (f *FewCrashes) PartAt(round int) string { return f.top.Schedule.FewPart(ro
 func (tp *Topology) outboxCaps(id int) (aea, scv int) {
 	if tp.IsLittle(id) {
 		related := (tp.N - id - 1) / tp.L
-		aea = max(tp.Little.Neighborhood().Degree(id), related)
+		aea = max(tp.Little.G.Degree(id), related)
 	}
-	return aea, tp.MustBroadcast().Neighborhood().Degree(id)
+	return aea, tp.MustBroadcast().G.Degree(id)
 }
 
 // OutboxSlabLen returns the length of the envelope slab from which

@@ -40,7 +40,7 @@ func NewManyTopology(n, t int, opts TopologyOptions) (*ManyTopology, error) {
 			d = n - 1
 		}
 	}
-	overlay, err := expander.New(n, expander.Options{Degree: d, Seed: opts.Seed + 11, Family: opts.Mode.Family, Implicit: opts.Mode.Implicit})
+	overlay, err := expander.New(n, expander.Options{Degree: d, Seed: opts.Seed + 11})
 	if err != nil {
 		return nil, fmt.Errorf("many-crashes overlay: %w", err)
 	}
@@ -49,7 +49,7 @@ func NewManyTopology(n, t int, opts TopologyOptions) (*ManyTopology, error) {
 		T:        t,
 		Alpha:    alpha,
 		Overlay:  overlay,
-		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+13).WithMode(opts.Mode),
+		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+13),
 		Schedule: NewSchedule(n, t, opts.Degree),
 	}, nil
 }

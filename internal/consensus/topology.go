@@ -37,15 +37,10 @@ type Topology struct {
 // TopologyOptions tunes topology construction.
 type TopologyOptions struct {
 	// Seed derives every overlay deterministically. Two topologies
-	// with equal (N, T, Seed, Degree, Mode) are identical.
+	// with equal (N, T, Seed, Degree) are identical.
 	Seed uint64
 	// Degree overrides the little-overlay degree (0 = default).
 	Degree int
-	// Mode selects the overlay construction family and whether the
-	// overlays stay implicit (neighborhoods recomputed on demand
-	// instead of materialized); it applies to every overlay of the
-	// topology.
-	Mode expander.Mode
 }
 
 // NewTopology constructs the shared overlays for n nodes and crash
@@ -58,7 +53,7 @@ func NewTopology(n, t int, opts TopologyOptions) (*Topology, error) {
 		return nil, fmt.Errorf("consensus: need 5t ≤ n (5t=%d, n=%d)", 5*t, n)
 	}
 	l := LittleCount(n, t)
-	little, err := expander.New(l, expander.Options{Degree: opts.Degree, Seed: opts.Seed + 1, Family: opts.Mode.Family, Implicit: opts.Mode.Implicit})
+	little, err := expander.New(l, expander.Options{Degree: opts.Degree, Seed: opts.Seed + 1})
 	if err != nil {
 		return nil, fmt.Errorf("little overlay: %w", err)
 	}
@@ -68,15 +63,15 @@ func NewTopology(n, t int, opts TopologyOptions) (*Topology, error) {
 		L:        l,
 		Schedule: NewSchedule(n, t, opts.Degree),
 		Little:   little,
-		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+3).WithMode(opts.Mode),
+		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+3),
 		broadcast: sync.OnceValues(func() (*expander.Overlay, error) {
-			return newBroadcastGraph(n, opts.Seed+2, opts.Mode)
+			return newBroadcastGraph(n, opts.Seed+2)
 		}),
 	}, nil
 }
 
 // newBroadcastGraph constructs H; tests stand in one that cannot.
-var newBroadcastGraph = expander.NewBroadcastGraphMode
+var newBroadcastGraph = expander.NewBroadcastGraph
 
 // Broadcast returns the graph H of degree ≥ 64 on all nodes (§4.2), built
 // by the first call — gossip never makes one — and safe from many nodes at

@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"lineartime/internal/graph"
 )
 
 // An overlay is a pure function of New's arguments — never of a run's
@@ -47,16 +45,14 @@ type cacheKey struct {
 	n, degree, delta, rotations int
 	slack                       float64
 	seed                        uint64
-	family                      Family
-	implicit, skipVerify        bool
+	skipVerify                  bool
 }
 
 func keyOf(n int, opts Options) cacheKey {
 	degree, complete := degreeFor(n, opts.Degree)
 	k := cacheKey{
 		n: n, degree: degree, delta: opts.Delta, rotations: opts.MaxSeedRotations,
-		slack: opts.Slack, seed: opts.Seed,
-		family: opts.Family, implicit: opts.Implicit, skipVerify: opts.SkipVerify,
+		slack: opts.Slack, seed: opts.Seed, skipVerify: opts.SkipVerify,
 	}
 	if k.slack == 0 {
 		k.slack = DefaultSlack
@@ -67,13 +63,8 @@ func keyOf(n int, opts Options) cacheKey {
 	if complete {
 		// build degenerates to K_n, which consumes no seed and is never
 		// verified: the overlay is a function of (n, δ) alone, so every
-		// seed, family and saturated degree shares one. Implicit stays
-		// in the key with its family because build rejects an implicit
-		// non-shift request before it looks at n.
+		// seed and saturated degree shares one.
 		k = cacheKey{n: n, degree: degree, delta: k.delta}
-		if opts.Implicit {
-			k.implicit, k.family = true, opts.Family
-		}
 	}
 	return k
 }
@@ -219,14 +210,5 @@ func (c *cache) stats() CacheStats {
 // Stats snapshots the process-wide overlay cache.
 func Stats() CacheStats { return overlays.stats() }
 
-// bytes returns the heap footprint of the overlay's topology: its
-// materialized adjacency or, for an implicit overlay, its generator.
-func (o *Overlay) bytes() int64 {
-	switch nb := o.Neighborhood().(type) {
-	case *graph.Graph:
-		return nb.Bytes()
-	case *graph.Shift:
-		return nb.Bytes()
-	}
-	return 0
-}
+// bytes returns the heap footprint of the overlay's adjacency.
+func (o *Overlay) bytes() int64 { return o.G.Bytes() }

@@ -86,19 +86,6 @@ func TestCacheKeyNormalizesDefaults(t *testing.T) {
 	}
 }
 
-func TestCacheImplicitOverlayCostsItsGenerator(t *testing.T) {
-	c := newCache(1 << 20)
-	opts := Options{Degree: 8, Seed: 5, Family: FamilyShift, Implicit: true}
-	mustGet(t, c, 4096, opts)
-	o := mustGet(t, c, 4096, opts)
-	if !o.Implicit() {
-		t.Fatal("overlay materialized")
-	}
-	if st := c.stats(); st.Entries != 1 || st.Bytes > 1024 {
-		t.Fatalf("implicit overlay charged %d bytes", st.Bytes)
-	}
-}
-
 func TestCacheEvictsLeastRecentlyUsedWithinBudget(t *testing.T) {
 	per := regularBytes(64, 8) + entryOverhead
 	c := newCache(3*per + per/2) // room for three
@@ -157,9 +144,9 @@ func TestCacheSkipsOverlaysLargerThanBudget(t *testing.T) {
 func TestCacheGhostsBounded(t *testing.T) {
 	c := newCache(1 << 20)
 	for seed := uint64(0); seed < maxGhosts+200; seed++ {
-		// A tiny implicit circulant: a build costs next to nothing, and
+		// A tiny dense overlay: its build skips the spectral gate, and
 		// unlike K_n its key keeps the seed.
-		mustGet(t, c, 16, Options{Degree: 4, Seed: seed, Family: FamilyShift, Implicit: true})
+		mustGet(t, c, 16, Options{Degree: 4, Seed: seed})
 		if len(c.ghosts) > maxGhosts {
 			t.Fatalf("%d ghosts after %d distinct keys", len(c.ghosts), seed+1)
 		}
@@ -173,12 +160,11 @@ func TestCacheGhostsBounded(t *testing.T) {
 }
 
 // TestCompleteOverlaySharedAcrossSeeds: on the n ≤ degree+1 branch the
-// overlay is K_n whatever the seed, family, slack, rotations, SkipVerify
-// or saturated degree say, so all of those spellings share one entry —
+// overlay is K_n whatever the seed, slack, rotations, SkipVerify or
+// saturated degree say, so all of those spellings share one entry —
 // built twice (second-sight admission), charged once — while δ, which
-// the overlay's Params carry, still separates keys, an oversize K_n is
-// still never admitted, and an implicit request for a family that
-// cannot be implicit still fails.
+// the overlay's Params carry, still separates keys, and an oversize K_n
+// is still never admitted.
 func TestCompleteOverlaySharedAcrossSeeds(t *testing.T) {
 	const n = 48
 	c := newCache(1 << 20)
@@ -187,7 +173,7 @@ func TestCompleteOverlaySharedAcrossSeeds(t *testing.T) {
 	spellings := []Options{
 		{Degree: 64, Seed: 1},
 		{Degree: 256, Seed: 3, Slack: 0.5, MaxSeedRotations: 4, SkipVerify: true},
-		{Degree: n - 1, Seed: 4, Family: FamilyShift},
+		{Degree: n - 1, Seed: 4},
 	}
 	for _, opts := range spellings {
 		if o := mustGet(t, c, n, opts); o != second || o.G != second.G {
@@ -222,15 +208,6 @@ func TestCompleteOverlaySharedAcrossSeeds(t *testing.T) {
 		}
 	}
 
-	// Implicit keeps its family in the key so the error is not masked by
-	// a resident K_n, and the valid implicit spelling still gets K_n.
-	if _, err := c.get(n, Options{Degree: 64, Implicit: true}); err == nil {
-		t.Fatal("implicit random-regular accepted on the complete-graph branch")
-	}
-	if o := mustGet(t, c, n, Options{Degree: 64, Family: FamilyShift, Implicit: true}); o.G == nil || o.P != second.P {
-		t.Fatal("implicit shift request on the complete-graph branch did not get K_n")
-	}
-
 	small := newCache(1024)
 	for seed := uint64(1); seed <= 3; seed++ {
 		mustGet(t, small, n, Options{Degree: 64, Seed: seed})
@@ -245,9 +222,6 @@ func TestCacheDoesNotRememberErrors(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if _, err := c.get(0, Options{}); err == nil {
 			t.Fatal("n=0 accepted")
-		}
-		if _, err := c.get(64, Options{Implicit: true}); err == nil {
-			t.Fatal("implicit random-regular accepted")
 		}
 	}
 	if len(c.entries) != 0 || len(c.ghosts) != 0 {

@@ -76,50 +76,9 @@ type Params struct {
 	Ell int
 }
 
-// Family selects the graph construction an overlay is built from.
-type Family int
-
-const (
-	// FamilyRandomRegular is the default pairing-model random regular
-	// construction, verified against the Ramanujan bound. Its repair
-	// step is global, so it always materializes.
-	FamilyRandomRegular Family = iota
-	// FamilyShift is the seeded shift (circulant) family
-	// (graph.Shift): locally computable — any vertex's neighbor list
-	// is recomputable in O(d) from (n, d, seed) — which is what makes
-	// implicit overlays possible. As a constant-degree Abelian Cayley
-	// graph it provably cannot meet the Ramanujan bound at large n, so
-	// it is verified by the gcd connectivity criterion, with the exact
-	// circulant eigenvalue recorded (small n only) instead of gated.
-	FamilyShift
-)
-
-// Mode bundles the construction-family choice as it threads from a
-// scenario spec down through every overlay a protocol builds (little
-// overlay, broadcast graph, inquiry family). The zero value is the
-// default materialized random regular family.
-type Mode struct {
-	Family   Family
-	Implicit bool
-}
-
-// apply copies the mode into construction options.
-func (m Mode) apply(opts Options) Options {
-	opts.Family = m.Family
-	opts.Implicit = m.Implicit
-	return opts
-}
-
 // Overlay is a verified expander overlay network.
-//
-// A materialized overlay stores its adjacency in G (and NB aliases
-// it); an implicit overlay (FamilyShift with Options.Implicit) leaves
-// G nil and carries only the O(d)-state generator in NB. Protocol
-// code reads topology through Neighbors/AppendNeighbors, which serve
-// both representations.
 type Overlay struct {
 	G      *graph.Graph
-	NB     graph.Neighborhood
 	P      Params
 	Lambda float64 // estimated second eigenvalue
 	// Seed is the seed that passed verification; 0 on a complete graph,
@@ -139,16 +98,6 @@ type Options struct {
 	// benchmarks where the check dominates runtime; the construction
 	// is still the same near-Ramanujan family).
 	SkipVerify bool
-	// Family selects the construction; zero value is the default
-	// random regular family.
-	Family Family
-	// Implicit leaves the overlay unmaterialized: O(n·d) adjacency
-	// words are never allocated and every neighbor list is recomputed
-	// on demand. Requires FamilyShift (the only locally computable
-	// family); tiny instances (n ≤ d+1) still degenerate to a
-	// materialized complete graph — at that size the adjacency is
-	// O(d²) words, below any memory wall.
-	Implicit bool
 }
 
 // defaultSeedRotations is the re-seeding bound when
@@ -159,7 +108,7 @@ const defaultSeedRotations = 16
 //
 // For n ≤ Degree+1 the overlay degenerates to the complete graph K_n,
 // which is the best possible expander and keeps every protocol correct
-// on tiny instances; seed, family, slack and rotations play no part
+// on tiny instances; seed, slack and rotations play no part
 // there, and Overlay.Seed reports 0.
 //
 // New is memoized (see cache.go): equal arguments may return the same
@@ -189,7 +138,7 @@ func degreeFor(n, d int) (degree int, complete bool) {
 
 // ParamsOf returns the Params of the overlay New(n, opts) builds,
 // without building it: they depend on n, the degree and δ alone, never
-// on the seed or the construction family.
+// on the seed.
 func ParamsOf(n int, opts Options) Params {
 	d, _ := degreeFor(n, opts.Degree)
 	return paramsFor(n, d, opts.Delta)
@@ -210,17 +159,9 @@ func build(n int, opts Options) (*Overlay, error) {
 		rotations = defaultSeedRotations
 	}
 
-	if opts.Implicit && opts.Family != FamilyShift {
-		return nil, fmt.Errorf("expander: implicit overlays need the shift family (family %d is not locally computable)", opts.Family)
-	}
-
 	if complete {
 		g := graph.Complete(n)
-		return &Overlay{G: g, NB: g, P: paramsFor(n, d, opts.Delta), Lambda: 1}, nil
-	}
-
-	if opts.Family == FamilyShift {
-		return newShift(n, d, opts)
+		return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: 1}, nil
 	}
 
 	var lastErr error
@@ -237,14 +178,14 @@ func build(n int, opts Options) (*Overlay, error) {
 		// SkipVerify, but still require connectivity.
 		if opts.SkipVerify || 4*d >= n {
 			if g.IsConnected() {
-				return &Overlay{G: g, NB: g, P: paramsFor(n, d, opts.Delta), Lambda: math.NaN(), Seed: seed}, nil
+				return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: math.NaN(), Seed: seed}, nil
 			}
 			lastErr = fmt.Errorf("expander: seed %d gave a disconnected graph", seed)
 			continue
 		}
 		ok, lambda := spectral.IsNearRamanujan(g, d, slack, spectral.Options{Seed: seed})
 		if ok && g.IsConnected() {
-			return &Overlay{G: g, NB: g, P: paramsFor(n, d, opts.Delta), Lambda: lambda, Seed: seed}, nil
+			return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: lambda, Seed: seed}, nil
 		}
 		lastErr = fmt.Errorf("expander: seed %d gave λ=%.3f > (1+%.2f)·%.3f or disconnected",
 			seed, lambda, slack, spectral.RamanujanBound(d))
@@ -253,92 +194,9 @@ func build(n int, opts Options) (*Overlay, error) {
 		n, d, rotations, lastErr)
 }
 
-// lambdaExactCap bounds the n at which shift overlays record their
-// exact circulant eigenvalue: the closed form is O(n·d), cheap here
-// but pointless at gigascale where the whole point of implicit mode
-// is to touch nothing per-vertex at construction time.
-const lambdaExactCap = 1 << 15
-
-// newShift builds a FamilyShift overlay: seeded circulant generators,
-// verified by the gcd connectivity criterion (shift graphs do not
-// gate on the Ramanujan bound — see graph.Shift), with the exact
-// spectral λ recorded for small n and NaN above lambdaExactCap. Both
-// the implicit and materialized variants run this identical
-// construction and record the identical Lambda, so switching Implicit
-// changes representation only, never results.
-func newShift(n, d int, opts Options) (*Overlay, error) {
-	rotations := opts.MaxSeedRotations
-	if rotations == 0 {
-		rotations = defaultSeedRotations
-	}
-	var lastErr error
-	for attempt := 0; attempt < rotations; attempt++ {
-		seed := opts.Seed + uint64(attempt)*0x9e3779b97f4a7c15
-		sh, err := graph.NewShift(n, d, seed)
-		if err != nil {
-			return nil, fmt.Errorf("expander: shift overlay n=%d d=%d: %w", n, d, err)
-		}
-		if !sh.Connected() {
-			lastErr = fmt.Errorf("expander: shift seed %d gave a disconnected circulant (gens %v)", seed, sh.Generators())
-			continue
-		}
-		lambda := math.NaN()
-		if !opts.SkipVerify && n <= lambdaExactCap {
-			lambda = spectral.CirculantLambda(n, sh.Generators())
-		}
-		o := &Overlay{NB: sh, P: paramsFor(n, d, opts.Delta), Lambda: lambda, Seed: seed}
-		if !opts.Implicit {
-			g := graph.Materialize(sh)
-			o.G, o.NB = g, g
-		}
-		return o, nil
-	}
-	return nil, fmt.Errorf("expander: no connected shift overlay for n=%d d=%d after %d seeds: %w",
-		n, d, rotations, lastErr)
-}
-
-// Neighborhood returns the overlay's topology as a Neighborhood
-// generator. Overlays assembled literally in tests may predate NB;
-// fall back to the materialized graph.
-func (o *Overlay) Neighborhood() graph.Neighborhood {
-	if o.NB != nil {
-		return o.NB
-	}
-	return o.G
-}
-
-// Neighbors returns the sorted neighbor list of v. On a materialized
-// overlay this is the stored slice; on an implicit overlay it is
-// freshly computed (callers owning a reusable buffer should prefer
-// AppendNeighbors).
-func (o *Overlay) Neighbors(v int) []int {
-	if o.G != nil {
-		return o.G.Neighbors(v)
-	}
-	return o.NB.AppendNeighbors(v, make([]int, 0, o.NB.Degree(v)))
-}
-
-// AppendNeighbors appends the sorted neighbor list of v to buf,
-// allocation-free when cap(buf) ≥ Degree(v).
-func (o *Overlay) AppendNeighbors(v int, buf []int) []int {
-	return o.Neighborhood().AppendNeighbors(v, buf)
-}
-
-// Implicit reports whether the overlay carries no materialized
-// adjacency.
-func (o *Overlay) Implicit() bool { return o.G == nil }
-
-// adjacency returns a materialized view of the overlay for the
-// analysis helpers (survival subsets, dense neighborhoods), which
-// need whole-graph traversal. Implicit overlays materialize on
-// demand; these helpers are test/analysis surface, never the
-// simulation hot path.
-func (o *Overlay) adjacency() *graph.Graph {
-	if o.G != nil {
-		return o.G
-	}
-	return graph.Materialize(o.NB)
-}
+// Neighbors returns the sorted neighbor list of v: the stored slice,
+// which callers must not modify.
+func (o *Overlay) Neighbors(v int) []int { return o.G.Neighbors(v) }
 
 func paramsFor(n, d, delta int) Params {
 	if delta == 0 {
@@ -378,7 +236,7 @@ func CeilLog2(n int) int { return ceilLog2(n) }
 // Every vertex of C has ≥ δ neighbors inside C, and C is the unique
 // maximal such subset of B.
 func (o *Overlay) SurvivalSubset(b *bitset.Set, delta int) *bitset.Set {
-	g := o.adjacency()
+	g := o.G
 	c := b.Clone()
 	deg := make([]int, o.P.N)
 	c.ForEach(func(v int) { deg[v] = g.DegreeIn(v, c) })
@@ -419,7 +277,7 @@ func (o *Overlay) HasDenseNeighborhood(v int, b *bitset.Set, gamma, delta int) b
 	if !b.Contains(v) {
 		return false
 	}
-	g := o.adjacency()
+	g := o.G
 	ball := g.NeighborhoodOf(v, gamma)
 	ball.IntersectWith(b)
 	inner := g.NeighborhoodOf(v, gamma-1)

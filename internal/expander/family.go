@@ -13,13 +13,7 @@ const BroadcastDegree = 64
 // NewBroadcastGraph builds the overlay H on n vertices (§4.2): a
 // verified expander of degree min(BroadcastDegree, n−1).
 func NewBroadcastGraph(n int, seed uint64) (*Overlay, error) {
-	return NewBroadcastGraphMode(n, seed, Mode{})
-}
-
-// NewBroadcastGraphMode is NewBroadcastGraph with an explicit
-// construction mode (family and implicit/materialized choice).
-func NewBroadcastGraphMode(n int, seed uint64, mode Mode) (*Overlay, error) {
-	o, err := New(n, mode.apply(Options{Degree: BroadcastParams(n).Degree, Seed: seed}))
+	o, err := New(n, Options{Degree: BroadcastParams(n).Degree, Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("broadcast graph H: %w", err)
 	}
@@ -44,18 +38,9 @@ type InquiryFamily struct {
 	base int
 	cap  int
 	seed uint64
-	mode Mode
 
 	mu     sync.Mutex
 	graphs []*Overlay // index 0 = phase 1
-}
-
-// WithMode sets the construction mode for every graph of the family.
-// Call before the first Phase; it returns f for chaining at the
-// construction site.
-func (f *InquiryFamily) WithMode(mode Mode) *InquiryFamily {
-	f.mode = mode
-	return f
 }
 
 // NewInquiryFamily creates the family for n vertices. base is the
@@ -122,8 +107,7 @@ func (f *InquiryFamily) PhaseParams(i int) Params {
 
 // Phase returns the overlay for phase i (1-based). Degrees grow as
 // base·2^{i−1}, saturating at the cap (n−1 by default). Safe for
-// concurrent use: the goroutine-per-node runtime hits the memoization
-// from many nodes at once.
+// concurrent use.
 func (f *InquiryFamily) Phase(i int) (*Overlay, error) {
 	if i < 1 {
 		return nil, fmt.Errorf("expander: inquiry phase must be ≥ 1, got %d", i)
@@ -132,7 +116,7 @@ func (f *InquiryFamily) Phase(i int) (*Overlay, error) {
 	defer f.mu.Unlock()
 	for len(f.graphs) < i {
 		idx := len(f.graphs) + 1
-		o, err := New(f.n, f.mode.apply(Options{Degree: f.PhaseDegree(idx), Seed: f.seed + uint64(idx)*0x1000193}))
+		o, err := New(f.n, Options{Degree: f.PhaseDegree(idx), Seed: f.seed + uint64(idx)*0x1000193})
 		if err != nil {
 			return nil, fmt.Errorf("inquiry graph G_%d: %w", idx, err)
 		}

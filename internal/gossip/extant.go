@@ -84,7 +84,7 @@ func (e *ExtantSet) Clone() *ExtantSet {
 // Snapshot returns a frozen view of e for a message payload: a copy of
 // the membership that shares e's rumor array. The view is never written
 // again — a delayed message parks in the engine's delay ring for rounds
-// and the parallel engine hands one payload to many receivers at once —
+// and one payload reaches many receivers —
 // and sharing the rumors keeps it so, because a proper pair is
 // immutable: e writes a rumor only for a node it did not know, which no
 // earlier snapshot contains, and a snapshot is read only at its

@@ -53,9 +53,8 @@ type SlicedGossip struct {
 
 	// Captured adjacency: inqNbrs[phase][i] is little node i's G_{phase+1}
 	// inquiry overlay (used by Part 1 inquiries and Part 2 pushes alike),
-	// littleNbrs[i] its probing overlay. Captured once at construction so
-	// implicit topologies pay the neighborhood generation once, not per
-	// lane per round.
+	// littleNbrs[i] its probing overlay. Captured once at construction,
+	// so a round indexes slices instead of asking the overlays.
 	inqNbrs    [][][]int
 	littleNbrs [][]int
 

@@ -39,38 +39,6 @@ func Cycle(n int) *Graph {
 	return b.Build()
 }
 
-// Circulant returns the circulant graph C_n(gens): vertex v is adjacent
-// to v±g mod n for each generator g. Circulants are deterministic,
-// vertex-transitive, and (for well-spread generators) decent expanders;
-// they serve as a fully deterministic fallback overlay.
-func Circulant(n int, gens []int) *Graph {
-	b := NewBuilder(n)
-	for _, g := range gens {
-		g %= n
-		if g == 0 {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			b.AddEdge(v, (v+g)%n)
-		}
-	}
-	return b.Build()
-}
-
-// QuadraticCirculant returns a circulant with generators 1, 2, 5, 10,
-// 17, ... (k^2+1) up to degree roughly d. The quadratic spacing avoids
-// the short even cycles of arithmetic-progression generators.
-func QuadraticCirculant(n, d int) *Graph {
-	var gens []int
-	for k := 0; len(gens)*2 < d && k*k+1 < (n+1)/2; k++ {
-		gens = append(gens, k*k+1)
-	}
-	if len(gens) == 0 {
-		gens = []int{1}
-	}
-	return Circulant(n, gens)
-}
-
 // Hypercube returns the dim-dimensional hypercube on 2^dim vertices.
 func Hypercube(dim int) *Graph {
 	n := 1 << dim

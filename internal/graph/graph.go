@@ -3,7 +3,7 @@
 // graphs"). It provides the structural operations the proofs rely on:
 // generalized neighborhoods N^i_G(W), induced subgraphs G|W, edge
 // counts e(A,B) between vertex sets, induced edge volume vol(S), and
-// connectivity, plus the graph constructions (complete, circulant,
+// connectivity, plus the graph constructions (complete, cycle,
 // hypercube, permutation-model random regular) from which the expander
 // layer builds verified overlays.
 package graph

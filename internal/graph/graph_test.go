@@ -70,25 +70,6 @@ func TestHypercube(t *testing.T) {
 	}
 }
 
-func TestCirculant(t *testing.T) {
-	g := Circulant(10, []int{1, 3})
-	if !g.IsRegular(4) {
-		t.Fatal("C_10(1,3) not 4-regular")
-	}
-	if !g.HasEdge(0, 3) || !g.HasEdge(0, 7) {
-		t.Fatal("generator 3 edges missing")
-	}
-}
-
-func TestQuadraticCirculantConnected(t *testing.T) {
-	for _, n := range []int{10, 50, 101, 256} {
-		g := QuadraticCirculant(n, 8)
-		if !g.IsConnected() {
-			t.Fatalf("QuadraticCirculant(%d, 8) disconnected", n)
-		}
-	}
-}
-
 func TestRandomRegular(t *testing.T) {
 	cases := []struct{ n, d int }{
 		{10, 4}, {50, 6}, {64, 8}, {100, 3}, {31, 4},

@@ -8,7 +8,7 @@
 // flight. Every verdict is a pure function of (seed, round, from, to),
 // computed by a stateless hash, so a fault value is safe to share
 // between runs and produces identical transcripts on the sequential
-// and parallel engines regardless of evaluation order. Each model also
+// and bit-sliced engines regardless of evaluation order. Each model also
 // declares that function in closed form (sim.KernelFilter), which lets
 // the bit-sliced engine answer for 64 lanes of faults with one word
 // kernel per family instead of one FilterLink call per lane.

@@ -176,43 +176,3 @@ func TestDelayInboxStaysSenderSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestDelayParallelMatchesSequential(t *testing.T) {
-	const n, horizon, d = 12, 8, 2
-	mk := func() ([]sim.Protocol, []*chatter) {
-		cs := make([]*chatter, n)
-		ps := make([]sim.Protocol, n)
-		for i := range ps {
-			cs[i] = &chatter{id: i, n: n, horizon: horizon}
-			ps[i] = cs[i]
-		}
-		return ps, cs
-	}
-	for _, fault := range []sim.LinkFault{NewDelay(d, 21), NewOmission(0.25, 21), NewPartition(1, 4, n/2)} {
-		seqPs, seqCs := mk()
-		seqRes, err := sim.Run(sim.Config{Protocols: seqPs, Fault: fault, MaxRounds: horizon + 8})
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		parPs, parCs := mk()
-		parRes, err := sim.RunParallel(sim.Config{Protocols: parPs, Fault: fault, MaxRounds: horizon + 8}, 3)
-		if err != nil {
-			t.Fatalf("parallel: %v", err)
-		}
-		if seqRes.Metrics.Rounds != parRes.Metrics.Rounds ||
-			seqRes.Metrics.Messages != parRes.Metrics.Messages ||
-			seqRes.Metrics.Bits != parRes.Metrics.Bits {
-			t.Fatalf("metrics diverged: %+v vs %+v", seqRes.Metrics, parRes.Metrics)
-		}
-		for i := range seqCs {
-			if len(seqCs[i].got) != len(parCs[i].got) {
-				t.Fatalf("node %d: %d vs %d deliveries", i, len(seqCs[i].got), len(parCs[i].got))
-			}
-			for k := range seqCs[i].got {
-				if seqCs[i].got[k] != parCs[i].got[k] || seqCs[i].gotRound[k] != parCs[i].gotRound[k] {
-					t.Fatalf("node %d delivery %d diverged", i, k)
-				}
-			}
-		}
-	}
-}

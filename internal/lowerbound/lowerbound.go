@@ -229,7 +229,7 @@ func FirstContactRound(n, t, victim, horizon int) (int, error) {
 		Fault:      adv,
 		MaxRounds:  horizon + 1,
 		SinglePort: true,
-	}, scenario.Serial)
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -237,7 +237,7 @@ func TestEnumStrings(t *testing.T) {
 		StageDecode.String() != "decode" || StageMerge.String() != "merge" {
 		t.Error("stage labels changed")
 	}
-	if EngineSequential.String() != "sequential" || EngineParallel.String() != "parallel" ||
+	if EngineSequential.String() != "sequential" ||
 		EngineSliced.String() != "sliced" || numEngines.String() != "unknown" {
 		t.Error("engine labels changed")
 	}

@@ -43,7 +43,6 @@ type Engine uint8
 
 const (
 	EngineSequential Engine = iota
-	EngineParallel
 	EngineSliced
 	numEngines
 )
@@ -53,8 +52,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineSequential:
 		return "sequential"
-	case EngineParallel:
-		return "parallel"
 	case EngineSliced:
 		return "sliced"
 	}
@@ -99,8 +96,8 @@ type RunTracer interface {
 	// how many rounds it took, and its wall-clock duration.
 	RunDone(e Engine, o Outcome, rounds int, d time.Duration)
 	// RoundsExecuted splits the simulated rounds of a completed
-	// sequential- or parallel-engine run (the only engines that can
-	// fast-forward; see sim.Sleeper) three ways: those the engine
+	// sequential-engine run (the only engine that can fast-forward; see
+	// sim.Sleeper) three ways: those the engine
 	// stepped machines in, the quiet ones no machine stepped in (silent
 	// rounds jumped over and declared crash rounds applied in passing),
 	// and the steady ones whose traffic repeated an executed template.

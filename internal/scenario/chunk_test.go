@@ -111,11 +111,11 @@ func TestSlicedChunkFallbacks(t *testing.T) {
 		{name: "clean", sliced: true, stuck: -1},
 		{name: "link-fault-construction-error", rerunAll: true, stuck: -1,
 			mutate: func(sps []Spec) { sps[hit].Fault = FaultModel{Kind: FaultKind(99)} }},
-		// The shape spec's topology family (ExecuteBatch routes a spec
-		// with a bad one to the scalar path for either problem; only
-		// gossip builds a topology inside the chunk).
+		// The shape spec's overlay degree: no regular graph has a
+		// negative one, so the topology build fails (only gossip builds
+		// a topology inside the chunk).
 		{name: "topology-error", rerunAll: true, stuck: -1, gossipOnly: true,
-			mutate: func(sps []Spec) { sps[0].Topology = "bogus" }},
+			mutate: func(sps []Spec) { sps[0].Degree = -2 }},
 		{name: "system-build-error", rerunAll: true, stuck: -1,
 			problem: func(p slicedProblem) slicedProblem {
 				return tamperedProblem{slicedProblem: p, buildErr: errors.New("no system")}

@@ -49,7 +49,7 @@ func scheduleLength(t *testing.T, p sim.Protocol) int {
 // computed from the spec alone, to what it stands for: over a grid that
 // covers t = 0, sizes at which the overlays degenerate to K_n, a degree
 // override that the overlay constructor bumps to keep n·d even, the
-// shift family and implicit overlays, the horizon equals every built
+// horizon equals every built
 // machine's own schedule length and the round budget the engine gets
 // (less the slack), and computing it builds no overlay.
 func TestHorizonMatchesBuiltMachines(t *testing.T) {
@@ -64,8 +64,6 @@ func TestHorizonMatchesBuiltMachines(t *testing.T) {
 		{"K_n,n=17", 17, 3, nil},
 		// L = 45 little nodes at degree 7: 45·7 is odd, the overlay has 8.
 		{"degree=7", 60, 9, func(sp *Spec) { sp.Degree = 7 }},
-		{"shift", 60, 10, func(sp *Spec) { sp.Topology = TopologyShift }},
-		{"implicit", 60, 10, func(sp *Spec) { sp.Implicit = true }},
 		{"slack=3", 48, 8, func(sp *Spec) { sp.RoundSlack = 3 }},
 	}
 	seen := make(map[stackKey]bool)

@@ -20,11 +20,6 @@ const keyVersion = "lineartime/spec-key/v1"
 // budget × inputs. Because a run is a pure function of these fields, two
 // Specs with equal keys produce identical Reports, which is what makes
 // a key-addressed result cache provably correct.
-//
-// Exec is deliberately excluded: the sequential and parallel engines
-// are pinned result-identical by the cross-engine equivalence suite
-// (internal/sim), so the engine choice is an execution detail, not part
-// of the result's identity.
 func (sp Spec) Key() string {
 	h := sha256.New()
 	io.WriteString(h, keyVersion)
@@ -48,24 +43,6 @@ func (sp Spec) Key() string {
 	hashInts(h, int64(len(sp.Values)))
 	for _, v := range sp.Values {
 		hashUint(h, v)
-	}
-	// The topology-family fields entered the spec after v1 keys were
-	// in the wild; hash them only when non-default, so every
-	// pre-existing spec keeps its exact key (a strict stream
-	// extension: the default encoding is byte-identical to before).
-	// Implicit is hashed even though it cannot change the Report —
-	// implicit runs are pinned byte-identical to materialized ones —
-	// because keys must never assert more equality than the encoding
-	// proves; collapsing the two costs one duplicate cache entry, not
-	// correctness.
-	if sp.Topology != TopologyRandomRegular || sp.Implicit {
-		hashString(h, "topology")
-		hashString(h, string(sp.Topology))
-		if sp.Implicit {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
 	}
 	return "k1:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -50,18 +50,6 @@ func TestKeyStableAndDistinct(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresExec pins that the engine choice is not part of a
-// run's identity: the cross-engine equivalence suite guarantees
-// sequential and parallel runs agree, so a cache entry serves both.
-func TestKeyIgnoresExec(t *testing.T) {
-	serial := MustLookup("consensus/few-crashes").Spec(60, 10, 1)
-	parallel := serial
-	parallel.Exec = Parallel(4)
-	if serial.Key() != parallel.Key() {
-		t.Fatalf("Exec leaked into the key: %s vs %s", serial.Key(), parallel.Key())
-	}
-}
-
 // TestKeyNoLengthAliasing checks that the length-prefixed encoding
 // keeps adjacent variable-length fields apart: shifting a boundary
 // between inputs of equal total content must change the key.

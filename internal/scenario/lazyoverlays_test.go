@@ -88,56 +88,49 @@ func TestGossipBuildsOnlyConsultedOverlays(t *testing.T) {
 
 // TestLazyOverlaysMatchEager pins that when an overlay is built never
 // shows in a report. Every registry row, */chaos rows included, runs
-// under 8 seeds nothing else uses, on both engines: first cold, where H
-// and each G_i are built by whichever node first consults them — under
-// the parallel engine many nodes at once, so run this under -race — and
-// only if one does; then again after every overlay the row's topology
-// could consult, read or not, has been built up front and is resident in
-// the overlay cache. The two reports encode to the same bytes.
+// under 8 seeds nothing else uses: first cold, where H and each G_i are
+// built by whichever node first consults them, and only if one does;
+// then again after every overlay the row's topology could consult, read
+// or not, has been built up front and is resident in the overlay cache.
+// The two reports encode to the same bytes.
 func TestLazyOverlaysMatchEager(t *testing.T) {
 	seeds := uint64(8)
 	if testing.Short() {
 		seeds = 2
 	}
-	engines := map[string]Parallelism{"sequential": Serial, "parallel": {Enabled: true, Workers: 4}}
 	for row, d := range All() {
 		n, tt := 50, 8
 		if d.Problem == ByzantineConsensus {
 			tt = 4
 		}
-		for name, exec := range engines {
-			if exec.Enabled && d.Port == SinglePort {
-				continue
+		// Two seeds under -race: a sequential run gives the race
+		// detector nothing to find.
+		for seed := uint64(1); seed <= seeds && (seed <= 2 || !raceEnabled); seed++ {
+			sp := d.Spec(n, tt, 0x1a2700a0+uint64(row)<<8+seed)
+			tag := fmt.Sprintf("%s seed=%d", d.Name, seed)
+			lazy := reportJSON(t, tag, sp)
+			// Twice: the cache retains an overlay at its second sight.
+			for i := 0; i < 2; i++ {
+				top, err := sp.newTopology()
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if _, err := top.Broadcast(); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for i := 1; i <= expander.CeilLog2(n); i++ {
+					if _, err := top.Inquiry.Phase(i); err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+				}
 			}
-			// The race detector has nothing to find in a sequential run.
-			for seed := uint64(1); seed <= seeds && (seed <= 2 || exec.Enabled || !raceEnabled); seed++ {
-				sp := d.Spec(n, tt, 0x1a270000+uint64(row)<<8+uint64(len(name))<<4+seed)
-				sp.Exec = exec
-				tag := fmt.Sprintf("%s seed=%d %s", d.Name, seed, name)
-				lazy := reportJSON(t, tag, sp)
-				// Twice: the cache retains an overlay at its second sight.
-				for i := 0; i < 2; i++ {
-					top, err := sp.newTopology()
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if _, err := top.Broadcast(); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					for i := 1; i <= expander.CeilLog2(n); i++ {
-						if _, err := top.Inquiry.Phase(i); err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-					}
-				}
-				before := expander.Stats()
-				eager := reportJSON(t, tag, sp)
-				if built, _ := overlaysAsked(before); built != 0 && onlyTopologyOverlays(d) {
-					t.Fatalf("%s: the eager run still built %d overlays", tag, built)
-				}
-				if !bytes.Equal(lazy, eager) {
-					t.Fatalf("%s: report depends on when its overlays were built\nlazy  %s\neager %s", tag, lazy, eager)
-				}
+			before := expander.Stats()
+			eager := reportJSON(t, tag, sp)
+			if built, _ := overlaysAsked(before); built != 0 && onlyTopologyOverlays(d) {
+				t.Fatalf("%s: the eager run still built %d overlays", tag, built)
+			}
+			if !bytes.Equal(lazy, eager) {
+				t.Fatalf("%s: report depends on when its overlays were built\nlazy  %s\neager %s", tag, lazy, eager)
 			}
 		}
 	}

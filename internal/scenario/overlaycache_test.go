@@ -11,8 +11,7 @@ import (
 
 // TestOverlayCacheParityRegistry pins that the overlay cache is
 // invisible in results: every registry row — fault rows and */chaos
-// rows included, and every implicit-capable row a second time with
-// implicit overlays — under 3 seeds gives reflect.DeepEqual reports
+// rows included — under 3 seeds gives reflect.DeepEqual reports
 // whether its overlays are built for the run (first sight), built and
 // admitted (second sight), or shared from the cache (warm) — the warm
 // runs being two concurrent ones that share one resident overlay set
@@ -35,46 +34,36 @@ func TestOverlayCacheParityRegistry(t *testing.T) {
 			tt = 4
 		}
 		for seed := uint64(1); seed <= seeds; seed++ {
-			// Overlays depend on (n, t, seed), not on the row, and some
-			// not on the representation either: every spec gets its own
-			// seed so none warms another's.
-			specs := []Spec{d.Spec(n, tt, 0xc01d0000+uint64(row)<<8+seed)}
-			if d.SupportsImplicit() {
-				imp := d.Spec(n, tt, 0xc01d0080+uint64(row)<<8+seed)
-				imp.Implicit = true
-				specs = append(specs, imp)
-			}
-			for _, sp := range specs {
-				tag := fmt.Sprintf("%s seed=%d implicit=%v", d.Name, seed, sp.Implicit)
-				s0 := expander.Stats()
-				cold, coldErr := Run(sp)
-				s1 := expander.Stats()
-				second, secondErr := Run(sp)
-				sameOutcome(t, tag+" second sight", cold, coldErr, second, secondErr)
+			sp := d.Spec(n, tt, 0xc01d0000+uint64(row)<<8+seed)
+			tag := fmt.Sprintf("%s seed=%d", d.Name, seed)
+			s0 := expander.Stats()
+			cold, coldErr := Run(sp)
+			s1 := expander.Stats()
+			second, secondErr := Run(sp)
+			sameOutcome(t, tag+" second sight", cold, coldErr, second, secondErr)
 
-				// Warm: two concurrent runs share the resident overlays.
-				s2 := expander.Stats()
-				var reps [2]*Report
-				var errs [2]error
-				var wg sync.WaitGroup
-				for i := range reps {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						reps[i], errs[i] = Run(sp)
-					}(i)
-				}
-				wg.Wait()
-				s3 := expander.Stats()
-				if s3.Misses != s2.Misses {
-					t.Fatalf("%s: warm runs built %d overlays", tag, s3.Misses-s2.Misses)
-				}
-				if s1.Misses > s0.Misses && s3.Hits == s2.Hits {
-					t.Fatalf("%s: run builds overlays but its warm runs never hit the cache", tag)
-				}
-				for i := range reps {
-					sameOutcome(t, fmt.Sprintf("%s warm %d", tag, i), cold, coldErr, reps[i], errs[i])
-				}
+			// Warm: two concurrent runs share the resident overlays.
+			s2 := expander.Stats()
+			var reps [2]*Report
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range reps {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					reps[i], errs[i] = Run(sp)
+				}(i)
+			}
+			wg.Wait()
+			s3 := expander.Stats()
+			if s3.Misses != s2.Misses {
+				t.Fatalf("%s: warm runs built %d overlays", tag, s3.Misses-s2.Misses)
+			}
+			if s1.Misses > s0.Misses && s3.Hits == s2.Hits {
+				t.Fatalf("%s: run builds overlays but its warm runs never hit the cache", tag)
+			}
+			for i := range reps {
+				sameOutcome(t, fmt.Sprintf("%s warm %d", tag, i), cold, coldErr, reps[i], errs[i])
 			}
 		}
 	}

@@ -45,12 +45,11 @@ func sleeperRows(t *testing.T) []Definition {
 // own fault and under no fault, random crashes, a cascade and a
 // little-node attack, runs once with QuietUntil and RepeatUntil hidden
 // behind the promise auditor, so that every round executes, and then
-// visible three ways — observed on the sequential engine (quiet spans
-// only: an observed run repeats no steady round), unobserved on the
-// sequential engine and on the pool (run under -race; quiet and steady
-// spans). Every run must give DeepEqual engine results and
-// byte-identical report JSON, the observed ones the same observer
-// stream, and the auditor must see no machine break a promise.
+// visible two ways — observed (quiet spans only: an observed run
+// repeats no steady round) and unobserved (quiet and steady spans).
+// Every run must give DeepEqual engine results and byte-identical
+// report JSON, the observed ones the same observer stream, and the
+// auditor must see no machine break a promise.
 func TestQuietSkipParityRegistry(t *testing.T) {
 	seeds := uint64(8)
 	if testing.Short() {
@@ -79,12 +78,10 @@ func TestQuietSkipParityRegistry(t *testing.T) {
 					sp.Fault = fault
 				}
 				tag := fmt.Sprintf("%s fault=%q seed=%d", d.Name, spelled, seed)
-				run := func(hide, observed, parallel bool) (*Report, *sim.Result, []simtest.Event, []byte) {
+				run := func(hide, observed bool) (*Report, *sim.Result, []simtest.Event, []byte) {
 					sp := sp
 					log := &simtest.EventLog{}
-					if parallel {
-						sp.Exec = Parallelism{Enabled: true, Workers: 3}
-					} else if observed {
+					if observed {
 						sp.Observer = log
 					}
 					var wrap func([]sim.Protocol) []sim.Protocol
@@ -108,12 +105,12 @@ func TestQuietSkipParityRegistry(t *testing.T) {
 					}
 					return rep, res, log.Events, body
 				}
-				wantRep, wantRes, wantEvents, wantBody := run(true, true, false)
+				wantRep, wantRes, wantEvents, wantBody := run(true, true)
 				for _, way := range []struct {
-					name               string
-					observed, parallel bool
-				}{{"observed", true, false}, {"sequential", false, false}, {"pool", false, true}} {
-					gotRep, gotRes, gotEvents, gotBody := run(false, way.observed, way.parallel)
+					name     string
+					observed bool
+				}{{"observed", true}, {"sequential", false}} {
+					gotRep, gotRes, gotEvents, gotBody := run(false, way.observed)
 					if !reflect.DeepEqual(wantRes, gotRes) {
 						t.Fatalf("%s %s: engine results diverged:\nevery round %+v\n   skipping %+v", tag, way.name, wantRes, gotRes)
 					}

@@ -35,31 +35,10 @@ type Definition struct {
 	About string
 }
 
-// SupportsImplicit reports whether the definition's protocol stack
-// runs on expander overlays and can therefore opt into the implicit
-// (shift-family, unmaterialized) topology mode.
-func (d Definition) SupportsImplicit() bool {
-	st, ok := stacks[stackKey{d.Problem, d.Algorithm, d.Port}]
-	return ok && st.implicit
-}
-
-// implicitDefault, when set, makes Definition.Spec emit
-// implicit-topology specs for every row that supports them. It exists
-// for cmd/sweep, whose experiment tables enumerate specs inside
-// opaque Point closures: one process-wide switch set before the sweep
-// starts beats threading a flag through every closure. Set it before
-// launching workers; it is not synchronized.
-var implicitDefault bool
-
-// SetImplicitDefault toggles the process-wide implicit-topology
-// default consulted by Definition.Spec. Call before concurrent use.
-func SetImplicitDefault(on bool) { implicitDefault = on }
-
 // Spec materializes the definition at size (n, t) with the given seed:
 // canonical per-problem inputs, the definition's fault model (none for
-// the plain protocol stacks), sequential engine. Callers adjust the
-// returned value (fault model, inputs, engine) before passing it to
-// Run.
+// the plain protocol stacks). Callers adjust the returned value (fault
+// model, inputs) before passing it to Run.
 func (d Definition) Spec(n, t int, seed uint64) Spec {
 	sp := Spec{
 		Name:      d.Name,
@@ -70,10 +49,6 @@ func (d Definition) Spec(n, t int, seed uint64) Spec {
 		T:         t,
 		Seed:      seed,
 		Fault:     d.Fault,
-	}
-	if implicitDefault && d.SupportsImplicit() {
-		sp.Topology = TopologyShift
-		sp.Implicit = true
 	}
 	switch d.Problem {
 	case Consensus, AlmostEverywhere, MajorityVote:

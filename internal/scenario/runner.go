@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -10,7 +9,6 @@ import (
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
-	"lineartime/internal/expander"
 	"lineartime/internal/gossip"
 	"lineartime/internal/obs"
 	"lineartime/internal/sim"
@@ -34,37 +32,22 @@ func slackOf(sp Spec) int {
 	return defaultRoundSlack
 }
 
-// ErrSinglePortParallel reports a parallel dispatch of a single-port
-// scenario; the sharded engine is multi-port only.
-var ErrSinglePortParallel = errors.New("scenario: parallel execution is multi-port only")
-
-// runtimes pools sim run arenas across Execute calls: a sweep worker
-// or experiment loop that executes many scenarios back to back lands
-// on a warm Runtime (grown scratch buffers, parked parallel workers)
-// instead of rebuilding ~MBs of engine state per run. sync.Pool's
-// per-P caching gives each concurrent sweep worker its own arena.
+// runtimes pools sim run arenas across Execute calls: a sweep worker or
+// experiment loop that executes many scenarios back to back lands on a
+// warm Runtime (grown scratch buffers) instead of rebuilding ~MBs of
+// engine state per run. sync.Pool's per-P caching gives each concurrent
+// sweep worker its own arena.
 var runtimes = sync.Pool{New: func() any { return sim.NewRuntime() }}
 
 // Execute is the single engine choke point: every simulator run in the
 // repository outside internal/sim — the public API, the registry
 // experiments, the commands, the lower-bound constructions — dispatches
-// through here, so the sequential/parallel decision and its
-// constraints live in one place. Runs execute on a pooled run arena;
-// the returned Result is detached from it (Clone), so callers may
-// retain it freely.
-func Execute(cfg sim.Config, p Parallelism) (*sim.Result, error) {
+// through here. Runs execute on a pooled run arena; the returned Result
+// is detached from it (Clone), so callers may retain it freely.
+func Execute(cfg sim.Config) (*sim.Result, error) {
 	rt := runtimes.Get().(*sim.Runtime)
 	defer runtimes.Put(rt)
-	var res *sim.Result
-	var err error
-	if p.Enabled {
-		if cfg.SinglePort {
-			return nil, ErrSinglePortParallel
-		}
-		res, err = rt.RunParallel(cfg, p.Workers)
-	} else {
-		res, err = rt.Run(cfg)
-	}
+	res, err := rt.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +140,7 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 		SinglePort:  sp.Port == SinglePort,
 		Observer:    sp.Observer,
 		Tracer:      tr,
-	}, sp.Exec)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,16 +209,13 @@ type system struct {
 }
 
 // validate checks everything about the spec that needs nothing built —
-// size, topology family, round slack, fault model, protocol stack and
+// size, round slack, fault model, protocol stack and
 // input length — and returns the spec's row of the protocol table. Run
 // and ExecuteBatch both start here, so a spec fails the same way on
 // either path.
 func (sp Spec) validate() (stack, error) {
 	if sp.N <= 0 {
 		return stack{}, fmt.Errorf("scenario: n=%d must be positive", sp.N)
-	}
-	if _, err := sp.topologyMode(); err != nil {
-		return stack{}, err
 	}
 	if sp.RoundSlack > maxRoundSlack {
 		return stack{}, fmt.Errorf("scenario: round slack %d exceeds %d", sp.RoundSlack, maxRoundSlack)
@@ -270,39 +250,13 @@ func (sp Spec) inputs() (int, string) {
 	}
 }
 
-// topologyMode resolves the spec's Topology/Implicit fields into the
-// expander construction mode threaded through every overlay of the
-// run. Implicit implies the shift family — it is the only locally
-// computable one.
-func (sp Spec) topologyMode() (expander.Mode, error) {
-	switch sp.Topology {
-	case TopologyRandomRegular:
-		if sp.Implicit {
-			return expander.Mode{Family: expander.FamilyShift, Implicit: true}, nil
-		}
-		return expander.Mode{}, nil
-	case TopologyShift:
-		return expander.Mode{Family: expander.FamilyShift, Implicit: sp.Implicit}, nil
-	default:
-		return expander.Mode{}, fmt.Errorf("scenario: unknown topology family %q", sp.Topology)
-	}
-}
-
-func (sp Spec) topologyOptions() (consensus.TopologyOptions, error) {
-	mode, err := sp.topologyMode()
-	if err != nil {
-		return consensus.TopologyOptions{}, err
-	}
-	return consensus.TopologyOptions{Seed: sp.Seed, Degree: sp.Degree, Mode: mode}, nil
+func (sp Spec) topologyOptions() consensus.TopologyOptions {
+	return consensus.TopologyOptions{Seed: sp.Seed, Degree: sp.Degree}
 }
 
 // newTopology builds the t < n/5 expander topology for the spec.
 func (sp Spec) newTopology() (*consensus.Topology, error) {
-	opts, err := sp.topologyOptions()
-	if err != nil {
-		return nil, err
-	}
-	return consensus.NewTopology(sp.N, sp.T, opts)
+	return consensus.NewTopology(sp.N, sp.T, sp.topologyOptions())
 }
 
 // newBroadcastTopology is newTopology for the families that consult the

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,99 +75,27 @@ func TestRunnerCoversEveryRegisteredScenario(t *testing.T) {
 	}
 }
 
-// TestExecuteIsTheEngineChokePoint covers the dispatch rules: serial
-// vs pooled engines produce identical results, and single-port configs
-// reject the pool.
+// TestExecuteIsTheEngineChokePoint pins what Execute adds to the
+// engine: the result it returns is detached from the pooled run arena,
+// so a caller may keep it while later runs reuse that arena.
 func TestExecuteIsTheEngineChokePoint(t *testing.T) {
 	d := MustLookup("consensus/few-crashes")
-	mk := func() Spec {
-		sp := d.Spec(60, 10, 3)
-		sp.Fault = FaultModel{Kind: RandomCrashes, Count: 10, Horizon: 30}
-		return sp
-	}
-	serialSpec := mk()
-	serial, err := Run(serialSpec)
+	sp := d.Spec(60, 10, 3)
+	sp.Fault = FaultModel{Kind: RandomCrashes, Count: 10, Horizon: 30}
+	_, res, err := runSpec(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelSpec := mk()
-	parallelSpec.Exec = Parallel(3)
-	parallel, err := Run(parallelSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel report diverged from serial:\n%+v\nvs\n%+v", parallel, serial)
-	}
-
-	sp := MustLookup("consensus/single-port").Spec(40, 6, 1)
-	sp.Exec = Parallel(2)
-	if _, err := Run(sp); !errors.Is(err, ErrSinglePortParallel) {
-		t.Fatalf("single-port parallel run: err = %v, want ErrSinglePortParallel", err)
-	}
-}
-
-// TestLinkFaultParallelismMatchesSerial pins sequential/parallel
-// equivalence for every fault-bound registry row — the omission,
-// partition and delay scenarios must produce identical reports on the
-// sequential engine and the sharded pool at several worker counts,
-// like the crash scenarios always have.
-func TestLinkFaultParallelismMatchesSerial(t *testing.T) {
-	for _, d := range All() {
-		if d.Fault.Kind == NoFailures {
-			continue
+	kept := res.Clone()
+	for seed := uint64(4); seed < 8; seed++ {
+		later := d.Spec(90, 15, seed)
+		later.Fault = FaultModel{Kind: RandomCrashes, Count: 15, Horizon: 40}
+		if _, err := Run(later); err != nil {
+			t.Fatal(err)
 		}
-		d := d
-		t.Run(d.Name, func(t *testing.T) {
-			serial, err := Run(d.Spec(72, 12, 5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 3, 0} {
-				sp := d.Spec(72, 12, 5)
-				sp.Exec = Parallel(workers)
-				parallel, err := Run(sp)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !reflect.DeepEqual(serial, parallel) {
-					t.Fatalf("workers=%d: parallel report diverged from serial:\n%+v\nvs\n%+v",
-						workers, parallel, serial)
-				}
-			}
-		})
 	}
-}
-
-// TestByzantineParallelismMatchesSerial is the regression test for the
-// pre-refactor gap where RunByzantineConsensus ignored WithParallelism
-// (api.go called sim.Run directly): Byzantine scenarios must dispatch
-// through the same choke point and produce identical reports on both
-// engines.
-func TestByzantineParallelismMatchesSerial(t *testing.T) {
-	mk := func() Spec {
-		sp := MustLookup("byzantine/ab-consensus").Spec(60, 3, 1)
-		sp.Fault = FaultModel{Kind: ByzantineFaults, Strategy: Equivocate, Corrupted: []int{0, 1, 2}}
-		return sp
-	}
-	serial, err := Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Metrics.ByzMessages == 0 {
-		t.Fatal("equivocators sent nothing; test is vacuous")
-	}
-	for _, workers := range []int{1, 3, 0} {
-		sp := mk()
-		sp.Exec = Parallel(workers)
-		parallel, err := Run(sp)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("workers=%d: parallel byzantine report diverged from serial:\n%+v\nvs\n%+v",
-				workers, parallel, serial)
-		}
+	if !reflect.DeepEqual(res, kept) {
+		t.Fatalf("later runs rewrote a result Execute returned:\n%+v\nwas\n%+v", res, kept)
 	}
 }
 

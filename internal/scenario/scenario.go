@@ -18,7 +18,7 @@
 // (consensus, gossip, checkpoint, byzantine, singleport, crash) and
 // below the root API and cmd/. Everything outside internal/sim that
 // needs an engine run goes through Execute, which is the only caller of
-// sim.Runtime.Run and RunParallel in the repository.
+// sim.Runtime.Run in the repository.
 package scenario
 
 import (
@@ -141,35 +141,6 @@ func (s ByzantineStrategy) String() string {
 	}
 }
 
-// Parallelism selects the engine: the zero value is the sequential
-// engine; Enabled dispatches to the sharded worker pool (multi-port
-// only), with Workers <= 0 meaning GOMAXPROCS.
-type Parallelism struct {
-	Enabled bool
-	Workers int
-}
-
-// Serial is the sequential engine.
-var Serial = Parallelism{}
-
-// TopologyKind names the overlay construction family of a scenario.
-type TopologyKind string
-
-// The topology families.
-const (
-	// TopologyRandomRegular is the default pairing-model random
-	// regular family, Ramanujan-verified and always materialized.
-	TopologyRandomRegular TopologyKind = ""
-	// TopologyShift is the seeded shift (circulant) family: locally
-	// computable neighbor lists, so it is the family that can run
-	// implicitly — O(d) generator state in place of O(n·d) adjacency.
-	TopologyShift TopologyKind = "shift"
-)
-
-// Parallel selects the pooled engine with the given worker count
-// (<= 0 means GOMAXPROCS).
-func Parallel(workers int) Parallelism { return Parallelism{Enabled: true, Workers: workers} }
-
 // Spec is one fully materializable scenario: a cell of the evaluation
 // matrix at a concrete size, with concrete inputs and fault model.
 // Definitions in the registry produce canonical Specs via
@@ -194,17 +165,6 @@ type Spec struct {
 	// than 1024).
 	RoundSlack int
 
-	// Topology selects the overlay construction family (zero value =
-	// the default materialized random regular family).
-	Topology TopologyKind
-	// Implicit keeps every overlay of the run unmaterialized:
-	// neighbor lists are recomputed on demand from the seeded
-	// construction instead of stored, cutting resident topology state
-	// from O(n·d) words to O(d). Setting Implicit implies
-	// TopologyShift (the only locally computable family); results are
-	// byte-identical to a materialized TopologyShift run.
-	Implicit bool
-
 	// Fault is the scenario's fault model (zero value = no failures).
 	Fault FaultModel
 
@@ -218,17 +178,13 @@ type Spec struct {
 	// when set.
 	Values []uint64
 
-	// Exec selects the engine.
-	Exec Parallelism
-
 	// Tracer optionally receives stage-level timings (materialize,
 	// setup, rounds, decode, merge) and the run outcome; it works on
-	// every engine. Runtime-only: excluded from Key, so traced and
+	// both engines. Runtime-only: excluded from Key, so traced and
 	// untraced runs of the same scenario share a cache identity.
 	Tracer obs.RunTracer
-	// Observer optionally receives per-message engine events
-	// (sequential engine only — see sim.Observer). Runtime-only:
-	// excluded from Key like Tracer.
+	// Observer optionally receives per-message engine events (see
+	// sim.Observer). Runtime-only: excluded from Key like Tracer.
 	Observer sim.Observer
 }
 

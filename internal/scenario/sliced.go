@@ -26,7 +26,7 @@ import (
 // seed are per-lane wherever the system does not depend on them.
 // Flooding has no topology, so its seeds differ freely across lanes —
 // that is what makes RunSeeds a single group. Gossip's overlays are
-// derived from (seed, topology family, degree), so those fields join
+// derived from (seed, degree), so those fields join
 // the key; its rumor values stay per-lane (first-write-wins updates
 // make values behaviour-independent).
 type groupKey struct {
@@ -36,8 +36,6 @@ type groupKey struct {
 	n, t, slack int
 	inputs      string
 	seed        uint64
-	topology    TopologyKind
-	implicit    bool
 	degree      int
 }
 
@@ -52,8 +50,6 @@ func keyOf(sp Spec) groupKey {
 	}
 	if sp.Problem == Gossip {
 		k.seed = sp.Seed
-		k.topology = sp.Topology
-		k.implicit = sp.Implicit
 		k.degree = sp.Degree
 		return k
 	}

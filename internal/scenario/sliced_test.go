@@ -118,8 +118,7 @@ func TestRunSeedsMatchesScalarPerLane(t *testing.T) {
 // fault models cycling through the whole declarative template —
 // mixed-kind groups, so crash schedules, omission patterns, partitions
 // and delays ride one engine run together — each lane byte-identical
-// to its scalar run. One lane per row is additionally pinned against
-// the parallel scalar engine, covering all three call sites.
+// to its scalar run.
 func TestGossipBatchMatchesScalarPerLane(t *testing.T) {
 	const n, tt = 60, 10
 	template := []FaultModel{
@@ -165,11 +164,6 @@ func TestGossipBatchMatchesScalarPerLane(t *testing.T) {
 				wantRep, wantErr := Run(sp)
 				sameOutcome(t, fmt.Sprintf("lane %d (%v)", i, sp.Fault.Kind), wantRep, wantErr, reports[i], errs[i])
 			}
-			// Parallel scalar call site: same report again for one lane.
-			par := specs[7]
-			par.Exec = Parallel(2)
-			parRep, parErr := Run(par)
-			sameOutcome(t, "parallel scalar", parRep, parErr, reports[7], errs[7])
 		})
 	}
 }
@@ -191,20 +185,19 @@ func TestExecuteBatchInvalidSpec(t *testing.T) {
 	good := MustLookup("consensus/flooding").Spec(24, 4, 1)
 	bad := good
 	bad.Fault = FaultModel{Kind: DelayedLinks, Delay: -1}
-	// Flooding builds no topology, but Run still rejects an unknown
-	// family; so must the batch.
-	lost := good
-	lost.Topology = "bogus"
+	// A size Run rejects before it builds anything.
+	empty := good
+	empty.N = 0
 	// A round budget beyond the bound, and inputs of the wrong length.
 	long := good
 	long.RoundSlack = 1 << 40
 	short := good
 	short.BoolInputs = short.BoolInputs[:3]
-	reports, errs := ExecuteBatch([]Spec{good, bad, lost, long, short})
+	reports, errs := ExecuteBatch([]Spec{good, bad, empty, long, short})
 	if errs[0] != nil || reports[0] == nil {
 		t.Fatalf("good spec failed: %v", errs[0])
 	}
-	for i, sp := range []Spec{bad, lost, long, short} {
+	for i, sp := range []Spec{bad, empty, long, short} {
 		_, wantErr := Run(sp)
 		if got := errs[i+1]; wantErr == nil || got == nil || wantErr.Error() != got.Error() || reports[i+1] != nil {
 			t.Fatalf("bad spec %d diverged: scalar %v, batch %v", i, wantErr, got)

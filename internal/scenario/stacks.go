@@ -23,12 +23,6 @@ type stack struct {
 	// sliced makes the stack's adapter to the bit-sliced engine; nil
 	// keeps every run of the stack scalar.
 	sliced func() slicedProblem
-	// implicit reports whether the stack runs on expander overlays, and
-	// so can opt into the implicit (shift-family, unmaterialized)
-	// topology mode. The comparators that talk to all n peers directly
-	// build no overlay, so implicit mode has nothing to make implicit
-	// there.
-	implicit bool
 }
 
 type stackKey struct {
@@ -56,16 +50,11 @@ var stacks = map[stackKey]stack{
 			sys.slab = slab
 			return sys, nil
 		},
-		implicit: true,
 	},
 	{Consensus, ManyCrashes, MultiPort}: {
 		horizon: func(sp Spec) int { return sp.schedule().Many },
 		build: func(sp Spec) (*system, error) {
-			opts, err := sp.topologyOptions()
-			if err != nil {
-				return nil, err
-			}
-			top, err := consensus.NewManyTopology(sp.N, sp.T, opts)
+			top, err := consensus.NewManyTopology(sp.N, sp.T, sp.topologyOptions())
 			if err != nil {
 				return nil, err
 			}
@@ -73,7 +62,6 @@ var stacks = map[stackKey]stack{
 				return consensus.NewManyCrashes(i, top, sp.BoolInputs[i])
 			}, decodeConsensus), nil
 		},
-		implicit: true,
 	},
 	{Consensus, Flooding, MultiPort}: {
 		horizon: func(sp Spec) int { return consensus.FloodingRounds(sp.T) },
@@ -95,7 +83,6 @@ var stacks = map[stackKey]stack{
 				return singleport.New(i, top, sp.BoolInputs[i])
 			}, decodeConsensus), nil
 		},
-		implicit: true,
 	},
 	{Consensus, EarlyStopping, MultiPort}: {
 		horizon: func(sp Spec) int { return consensus.EarlyStoppingRounds(sp.T) },
@@ -128,8 +115,7 @@ var stacks = map[stackKey]stack{
 			sys.slab = slab
 			return sys, nil
 		},
-		sliced:   func() slicedProblem { return &slicedGossip{} },
-		implicit: true,
+		sliced: func() slicedProblem { return &slicedGossip{} },
 	},
 	{Gossip, GossipExpander, SinglePort}: {
 		horizon: func(sp Spec) int { return sp.singlePortGossip() },
@@ -142,7 +128,6 @@ var stacks = map[stackKey]stack{
 				return singleport.NewSPGossip(i, sched, gossip.Rumor(sp.Rumors[i]))
 			}, decodeGossip), nil
 		},
-		implicit: true,
 	},
 	{Gossip, GossipAllToAll, MultiPort}: {
 		horizon: func(Spec) int { return gossip.AllToAllRounds },
@@ -163,7 +148,6 @@ var stacks = map[stackKey]stack{
 				return checkpoint.New(i, top)
 			}, decodeCheckpoint), nil
 		},
-		implicit: true,
 	},
 	{Checkpointing, CheckpointExpander, SinglePort}: {
 		horizon: func(sp Spec) int { return sp.singlePortGossip() + sp.schedule().SP },
@@ -176,7 +160,6 @@ var stacks = map[stackKey]stack{
 				return singleport.NewSPCheckpointing(i, sched)
 			}, decodeCheckpoint), nil
 		},
-		implicit: true,
 	},
 	{Checkpointing, CheckpointDirect, MultiPort}: {
 		horizon: func(sp Spec) int { return checkpoint.DirectRounds(sp.T) },
@@ -187,14 +170,12 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{ByzantineConsensus, ABConsensus, MultiPort}: {
-		horizon:  func(sp Spec) int { return byzantine.Rounds(sp.N, sp.T) },
-		build:    buildByzantine,
-		implicit: true,
+		horizon: func(sp Spec) int { return byzantine.Rounds(sp.N, sp.T) },
+		build:   buildByzantine,
 	},
 	{ByzantineConsensus, DolevStrongAll, MultiPort}: {
-		horizon:  func(sp Spec) int { return byzantine.DolevStrongRounds(sp.T) },
-		build:    buildByzantine,
-		implicit: true,
+		horizon: func(sp Spec) int { return byzantine.DolevStrongRounds(sp.T) },
+		build:   buildByzantine,
 	},
 	{AlmostEverywhere, AEA, MultiPort}: {
 		horizon: func(sp Spec) int { return sp.schedule().AEA },
@@ -207,7 +188,6 @@ var stacks = map[stackKey]stack{
 				return consensus.NewAEA(i, top, sp.BoolInputs[i], 0, true)
 			}, decodeSubroutine), nil
 		},
-		implicit: true,
 	},
 	{SpreadCommonValue, SCV, MultiPort}: {
 		horizon: func(sp Spec) int { return sp.schedule().SCV },
@@ -220,7 +200,6 @@ var stacks = map[stackKey]stack{
 				return consensus.NewSCV(i, top, sp.BoolInputs[i], true, 0, true)
 			}, decodeSubroutine), nil
 		},
-		implicit: true,
 	},
 	{MajorityVote, Majority, MultiPort}: {
 		horizon: func(sp Spec) int { return sp.schedule().Checkpoint },
@@ -233,7 +212,6 @@ var stacks = map[stackKey]stack{
 				return majority.New(i, top, sp.BoolInputs[i])
 			}, decodeMajority), nil
 		},
-		implicit: true,
 	},
 }
 
@@ -359,11 +337,7 @@ func decodeMajority(_ Spec, ms []*majority.Vote, res *sim.Result, rep *Report) {
 // protocols.
 func buildByzantine(sp Spec) (*system, error) {
 	n, inputs := sp.N, sp.Values
-	mode, err := sp.topologyMode()
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := byzantine.NewConfigMode(n, sp.T, sp.Seed, mode)
+	cfg, err := byzantine.NewConfig(n, sp.T, sp.Seed)
 	if err != nil {
 		return nil, err
 	}

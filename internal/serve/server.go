@@ -190,9 +190,8 @@ type Stats struct {
 	Campaigns     JobsStats  `json:"campaigns"`
 }
 
-// RoundStats splits the rounds the sequential and parallel engines
-// simulated into those they stepped node by node and those they
-// fast-forwarded (sim.Sleeper): RoundsSkipped counts the quiet and the
+// RoundStats splits the rounds the sequential engine simulated into
+// those it stepped node by node and those it fast-forwarded (sim.Sleeper): RoundsSkipped counts the quiet and the
 // repeated ones, RoundsRepeated the repeated ones alone.
 type RoundStats struct {
 	RoundsExecuted int64 `json:"rounds_executed"`

@@ -54,30 +54,6 @@ func TestRuntimeTracedSteadyStateAllocs(t *testing.T) {
 		guard(t, oneRun, &runErr)
 	})
 
-	t.Run("parallel", func(t *testing.T) {
-		const n, fanout, horizon = 256, 4, 12
-		ps := make([]Protocol, n)
-		bs := make([]*broadcaster, n)
-		for i := 0; i < n; i++ {
-			bs[i] = &broadcaster{id: i, n: n, fanout: fanout, horizon: horizon,
-				out: make([]Envelope, 0, fanout)}
-			ps[i] = bs[i]
-		}
-		cfg := Config{Protocols: ps, MaxRounds: horizon + 4, Tracer: tracer}
-		rt := NewRuntime()
-		defer rt.Close()
-		var runErr error
-		oneRun := func() {
-			for _, b := range bs {
-				b.reset()
-			}
-			if _, err := rt.RunParallel(cfg, 4); err != nil {
-				runErr = err
-			}
-		}
-		guard(t, oneRun, &runErr)
-	})
-
 	t.Run("sliced", func(t *testing.T) {
 		const n, tBound, lanes = 128, 8, 64
 		inputs := make([]bool, n)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"runtime"
 	"time"
 
 	"lineartime/internal/obs"
@@ -10,18 +9,17 @@ import (
 
 // Runtime is a reusable run arena: the full engine state — the CSR
 // scratch workspace, the single-port rings and their n-sized idx
-// tables, the delay ring, the metrics arrays, the sharded engine's
-// shard buffers and the one worker pool that runs its phases — pooled
-// across runs. The first run of a
-// given shape grows every buffer to its peak; the second and subsequent
-// runs are steady-state allocation-free, which is what makes
-// repeated-run workloads (sweeps, replications, benchmarks) cheap. A
-// zero-ish ~1.4MB-per-run rebuild cost at n=1000 drops to zero.
+// tables, the delay ring, the metrics arrays — pooled across runs. The
+// first run of a given shape grows every buffer to its peak; the second
+// and subsequent runs are steady-state allocation-free, which is what
+// makes repeated-run workloads (sweeps, replications, benchmarks)
+// cheap. A zero-ish ~1.4MB-per-run rebuild cost at n=1000 drops to
+// zero.
 //
-// Every engine runs through the same bracket (span): the three RunX
-// methods differ only in which arena they reset and which loop they
-// run, and the package-level functions of the same names are one RunX
-// on a fresh Runtime that is closed before they return.
+// Both engines run through the same bracket (span): Run and RunSliced
+// differ only in which arena they reset and which loop they run, and
+// the package-level functions of the same names are one call on a
+// fresh Runtime.
 //
 // A Runtime is not safe for concurrent use. Results it returns alias
 // arena memory and are valid only until the next run on the same
@@ -31,49 +29,18 @@ type Runtime struct {
 	// sl is the bit-sliced engine's arena (sliced.go), created by its
 	// first run.
 	sl *slicedState
-	// pool is the sharded engine's persistent worker pool, created on the
-	// first filter-free RunParallel and kept across runs (workers stay
-	// parked on their job channels in between); a worker-count change
-	// restarts its workers in place.
-	pool *phasePool
 }
 
-// NewRuntime returns an empty arena. Close releases the worker pool
-// when the Runtime is done; a finalizer covers arenas that are simply
-// dropped.
+// NewRuntime returns an empty arena.
 func NewRuntime() *Runtime {
 	return &Runtime{st: &state{}}
 }
 
-// workers returns the Runtime's pool running exactly w workers.
-func (rt *Runtime) workers(w int) *phasePool {
-	if rt.pool == nil {
-		rt.pool = &phasePool{}
-		// The pool's goroutines keep the pool and, during a phase, the
-		// engine state alive but not the Runtime itself, so a dropped
-		// Runtime still becomes unreachable and the cleanup reaps them.
-		runtime.AddCleanup(rt, (*phasePool).shutdown, rt.pool)
-	}
-	rt.pool.resize(w)
-	return rt.pool
-}
-
-// Close stops the arena's worker pool, if any, and waits for its
-// goroutines to exit. The Runtime remains usable; a later parallel run
-// starts fresh workers.
-func (rt *Runtime) Close() {
-	if rt.pool != nil {
-		rt.pool.shutdown()
-	}
-}
-
 // oneShot is the package-level entry points' lifecycle: run on a fresh
-// Runtime, stop its pool, and copy the result envelope out of the arena
-// so a retained result pins only the slices it references.
+// Runtime and copy the result envelope out of the arena so a retained
+// result pins only the slices it references.
 func oneShot[R any](run func(*Runtime) (*R, error)) (*R, error) {
-	rt := NewRuntime()
-	defer rt.Close()
-	res, err := run(rt)
+	res, err := run(NewRuntime())
 	if err != nil {
 		return nil, err
 	}
@@ -153,27 +120,6 @@ func (rt *Runtime) Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return rt.st.runIn(&sp)
-}
-
-// RunParallel executes the configured system on the sharded worker
-// pool, reusing the arena's buffers and its persistent workers. The
-// constraints of the package-level RunParallel apply. See Runtime for
-// the result-aliasing contract.
-func (rt *Runtime) RunParallel(cfg Config, workers int) (*Result, error) {
-	st := rt.st
-	sp := begin(cfg.Tracer, obs.EngineParallel, st)
-	err := validateParallelConfig(cfg)
-	if err == nil {
-		err = st.reset(cfg)
-	}
-	// Link-filter runs keep the sequential round (see pool.go).
-	if err == nil && st.filter == nil {
-		st.par = st.shards.prepare(st, rt.workers(resolveWorkers(workers, st.n)))
-	}
-	if err := sp.ready(err); err != nil {
-		return nil, err
-	}
-	return st.runIn(&sp)
 }
 
 // runIn runs the round loop of a reset state inside sp and reports how

@@ -53,20 +53,14 @@ type delayAll struct {
 func (f delayAll) FilterLink(int, Envelope) Verdict { return DelayBy(f.by) }
 func (f delayAll) MaxDelay() int                    { return f.bound }
 
-func stamperRun(t *testing.T, live int, fault LinkFault, parallel bool) map[int][]int {
+func stamperRun(t *testing.T, live int, fault LinkFault) map[int][]int {
 	t.Helper()
 	ps := make([]Protocol, 2)
 	receiver := &stamper{id: 1, n: 2, live: live, arrivals: map[int][]int{}}
 	ps[0] = &stamper{id: 0, n: 2, live: live, arrivals: map[int][]int{}}
 	ps[1] = receiver
 	cfg := Config{Protocols: ps, Fault: fault, MaxRounds: live + 4}
-	var err error
-	if parallel {
-		_, err = RunParallel(cfg, 2)
-	} else {
-		_, err = Run(cfg)
-	}
-	if err != nil {
+	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return receiver.arrivals
@@ -78,23 +72,21 @@ func stamperRun(t *testing.T, live int, fault LinkFault, parallel bool) map[int]
 // and the message arrives exactly MaxDelay rounds after its send.
 func TestDelayExactlyMaxDelay(t *testing.T) {
 	const d, live = 3, 10
-	for _, parallel := range []bool{false, true} {
-		arrivals := stamperRun(t, live, delayAll{by: d, bound: d}, parallel)
-		if len(arrivals) == 0 {
-			t.Fatal("nothing arrived")
+	arrivals := stamperRun(t, live, delayAll{by: d, bound: d})
+	if len(arrivals) == 0 {
+		t.Fatal("nothing arrived")
+	}
+	for r, sends := range arrivals {
+		if len(sends) != 1 || sends[0] != r-d {
+			t.Fatalf("round %d received sends %v, want [%d]", r, sends, r-d)
 		}
-		for r, sends := range arrivals {
-			if len(sends) != 1 || sends[0] != r-d {
-				t.Fatalf("parallel=%v: round %d received sends %v, want [%d]", parallel, r, sends, r-d)
-			}
-		}
-		if _, ok := arrivals[d]; !ok {
-			t.Fatalf("parallel=%v: round-0 send did not arrive at round %d: %v", parallel, d, arrivals)
-		}
-		for r := 0; r < d; r++ {
-			if sends, ok := arrivals[r]; ok {
-				t.Fatalf("parallel=%v: round %d received %v before any message was due", parallel, r, sends)
-			}
+	}
+	if _, ok := arrivals[d]; !ok {
+		t.Fatalf("round-0 send did not arrive at round %d: %v", d, arrivals)
+	}
+	for r := 0; r < d; r++ {
+		if sends, ok := arrivals[r]; ok {
+			t.Fatalf("round %d received %v before any message was due", r, sends)
 		}
 	}
 }
@@ -107,7 +99,7 @@ func TestDelayExactlyMaxDelay(t *testing.T) {
 // lost — in flight at completion, like messages to crashed nodes.
 func TestDelayRingWrapAroundAndEndOfHorizon(t *testing.T) {
 	const d, live = 2, 8 // ring of d+1=3 slots, recycled ~3 times
-	arrivals := stamperRun(t, live, delayAll{by: d, bound: d}, false)
+	arrivals := stamperRun(t, live, delayAll{by: d, bound: d})
 	total := 0
 	for r, sends := range arrivals {
 		total += len(sends)
@@ -144,7 +136,7 @@ func TestZeroDelayVerdicts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			arrivals := stamperRun(t, live, tc.fault, false)
+			arrivals := stamperRun(t, live, tc.fault)
 			total := 0
 			for r, sends := range arrivals {
 				total += len(sends)

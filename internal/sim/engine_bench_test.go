@@ -6,7 +6,7 @@ import (
 )
 
 // Engine micro-benchmarks: the cost of simulating one round at various
-// message volumes, for both engines. These calibrate how large the
+// message volumes. These calibrate how large the
 // experiment sweeps can go. The broadcaster protocol is deliberately
 // allocation-free (persistent outbox, reset between iterations) so the
 // numbers measure the engine, not the test harness; BENCH_sim.json
@@ -33,16 +33,6 @@ func (b *broadcaster) Send(round int) []Envelope {
 func (b *broadcaster) Deliver(round int, _ []Envelope) { b.rounds++ }
 func (b *broadcaster) Halted() bool                    { return b.rounds >= b.horizon }
 func (b *broadcaster) reset()                          { b.rounds = 0 }
-
-func benchEngine(b *testing.B, n, fanout, horizon, workers int) {
-	b.Helper()
-	benchEngineRun(b, n, fanout, horizon, func(cfg Config) (*Result, error) {
-		if workers != 0 {
-			return RunParallel(cfg, workers)
-		}
-		return Run(cfg)
-	})
-}
 
 func benchEngineRun(b *testing.B, n, fanout, horizon int, run func(Config) (*Result, error)) {
 	b.Helper()
@@ -75,21 +65,13 @@ func benchEngineRun(b *testing.B, n, fanout, horizon int, run func(Config) (*Res
 // BENCH_sim.json: the multi-port sequential engine at n=1000, fanout 8,
 // 20 rounds. Per-iteration cost divided by the horizon gives ns/round.
 func BenchmarkEngine(b *testing.B) {
-	benchEngine(b, 1000, 8, 20, 0)
+	benchEngineRun(b, 1000, 8, 20, Run)
 }
 
 func BenchmarkEngineSequential(b *testing.B) {
 	for _, c := range []struct{ n, fanout int }{{256, 8}, {1024, 8}, {256, 64}, {4096, 8}} {
 		b.Run(fmt.Sprintf("n=%d/fanout=%d", c.n, c.fanout), func(b *testing.B) {
-			benchEngine(b, c.n, c.fanout, 20, 0)
-		})
-	}
-}
-
-func BenchmarkEngineParallel(b *testing.B) {
-	for _, c := range []struct{ n, fanout int }{{256, 8}, {1024, 8}, {4096, 8}} {
-		b.Run(fmt.Sprintf("n=%d/fanout=%d", c.n, c.fanout), func(b *testing.B) {
-			benchEngine(b, c.n, c.fanout, 20, -1)
+			benchEngineRun(b, c.n, c.fanout, 20, Run)
 		})
 	}
 }
@@ -101,21 +83,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 func BenchmarkEngineReuse(b *testing.B) {
 	for _, c := range []struct{ n, fanout int }{{1000, 8}, {4096, 8}} {
 		b.Run(fmt.Sprintf("n=%d/fanout=%d", c.n, c.fanout), func(b *testing.B) {
-			rt := NewRuntime()
-			defer rt.Close()
-			benchEngineRun(b, c.n, c.fanout, 20, rt.Run)
-		})
-	}
-}
-
-func BenchmarkEngineReuseParallel(b *testing.B) {
-	for _, c := range []struct{ n, fanout int }{{1000, 8}, {4096, 8}} {
-		b.Run(fmt.Sprintf("n=%d/fanout=%d", c.n, c.fanout), func(b *testing.B) {
-			rt := NewRuntime()
-			defer rt.Close()
-			benchEngineRun(b, c.n, c.fanout, 20, func(cfg Config) (*Result, error) {
-				return rt.RunParallel(cfg, 0)
-			})
+			benchEngineRun(b, c.n, c.fanout, 20, NewRuntime().Run)
 		})
 	}
 }

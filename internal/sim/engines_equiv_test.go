@@ -11,10 +11,10 @@ import (
 	"lineartime/internal/rng"
 )
 
-// Cross-engine equivalence: the CSR scratch-buffer sequential engine,
-// the sharded worker pool, and a reference reimplementation of the
-// original engine (per-round inbox allocation, sort.Slice ordering,
-// map-based port buffers) must produce byte-identical Results — same
+// Engine equivalence: the CSR scratch-buffer sequential engine and a
+// reference reimplementation of the original engine (per-round inbox
+// allocation, sort.Slice ordering, map-based port buffers) must produce
+// byte-identical Results — same
 // metrics including the per-round and per-part series, same crash
 // sets, same HaltedAt, same protocol end states — on randomized
 // systems across multi-port, single-port, crash and Byzantine configs.
@@ -944,27 +944,14 @@ func TestEngineEquivalenceRandomized(t *testing.T) {
 				}
 				compareResults(t, fmt.Sprintf("seed %d: sequential vs reference", seed),
 					refRes, seqRes, refNodes, seqNodes)
-
-				if c.singlePort {
-					continue
-				}
-				for _, workers := range []int{1, 3, 7} {
-					poolPs, poolNodes := buildFuzz(n, horizon, c, seed)
-					poolRes, err := RunParallel(equivConfig(c, poolPs, n, horizon, seed), workers)
-					if err != nil {
-						t.Fatalf("seed %d: pool(%d): %v", seed, workers, err)
-					}
-					compareResults(t, fmt.Sprintf("seed %d: pool(%d) vs reference", seed, workers),
-						refRes, poolRes, refNodes, poolNodes)
-				}
 			}
 		})
 	}
 }
 
 // TestRuntimeReuseMatchesReference re-runs the randomized equivalence
-// matrix on ONE shared Runtime — interleaving multi-port, single-port,
-// link-fault and parallel runs at varying sizes — and demands every
+// matrix on ONE shared Runtime — interleaving multi-port, single-port
+// and link-fault runs at varying sizes — and demands every
 // pooled run match the fresh-state reference exactly. Any state the
 // arena fails to reset between runs (a stale port ring, a leftover
 // delay slot, a dirty metrics array, a stale recorded outbox)
@@ -979,7 +966,6 @@ func TestRuntimeReuseMatchesReference(t *testing.T) {
 		{name: "multi-port/mixed/byzantine", mixed: true, byzantine: true, labeler: true},
 	}
 	rt := NewRuntime()
-	defer rt.Close()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, seed := range []uint64{3, 7, 11} {
@@ -999,17 +985,6 @@ func TestRuntimeReuseMatchesReference(t *testing.T) {
 				}
 				compareResults(t, fmt.Sprintf("seed %d: pooled run vs reference", seed),
 					refRes, rtRes, refNodes, rtNodes)
-
-				if c.singlePort {
-					continue
-				}
-				parPs, parNodes := buildFuzz(n, horizon, c, seed)
-				parRes, err := rt.RunParallel(equivConfig(c, parPs, n, horizon, seed), 3)
-				if err != nil {
-					t.Fatalf("seed %d: runtime parallel: %v", seed, err)
-				}
-				compareResults(t, fmt.Sprintf("seed %d: pooled parallel run vs reference", seed),
-					refRes, parRes, refNodes, parNodes)
 			}
 		})
 	}
@@ -1170,14 +1145,13 @@ func napCases() []napCase {
 }
 
 // TestQuietSkipMatchesReference pins the fast-forwarding run loop — on
-// the sequential engine, the pool and a reused Runtime — against the
+// a fresh state and on a reused Runtime — against the
 // reference engine, which knows nothing of Sleepers and executes every
 // round: same Result, same machine end states. Eligible shapes must
 // actually skip; ineligible ones (a non-Sleeper machine, an opaque
 // fault, a Byzantine set, single-port) must execute every round.
 func TestQuietSkipMatchesReference(t *testing.T) {
 	rt := NewRuntime()
-	defer rt.Close()
 	for _, c := range napCases() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, seed := range []uint64{1, 2, 3, 5, 8, 13} {
@@ -1220,17 +1194,6 @@ func TestQuietSkipMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d: runtime: %v", seed, err)
 				}
 				compareNaps(t, fmt.Sprintf("seed %d: pooled run", seed), ref, res, refNodes, nodes)
-				if c.single {
-					continue
-				}
-				for _, workers := range []int{1, 3} {
-					cfg, nodes = build()
-					res, err = rt.RunParallel(cfg, workers)
-					if err != nil {
-						t.Fatalf("seed %d: pool(%d): %v", seed, workers, err)
-					}
-					compareNaps(t, fmt.Sprintf("seed %d: pool(%d)", seed, workers), ref, res, refNodes, nodes)
-				}
 			}
 		})
 	}

@@ -5,8 +5,7 @@ package sim
 // a machine reuses a single buffer across rounds, grown to the widest
 // round it has sent, instead of allocating a slice per node per round.
 // An Outbox belongs to one machine and is never shared across nodes: the
-// engine reads every node's outbox in place after all of them have sent,
-// and the parallel engine calls Send on different nodes concurrently.
+// engine reads every node's outbox in place after all of them have sent.
 type Outbox []Envelope
 
 // Reset empties the buffer with room for n envelopes.

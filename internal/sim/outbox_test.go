@@ -31,8 +31,7 @@ func (f freshSender) Send(round int) []Envelope {
 // TestOutboxContract pins Protocol.Send's contract from both sides: a
 // machine may overwrite its send buffer from its Deliver on, and may
 // hand the engine a different slice every round. Either way the
-// sequential and the sharded engine give results DeepEqual to the
-// reference engine's, under crashes, link faults, Byzantine senders
+// engine gives results DeepEqual to the reference engine's, under crashes, link faults, Byzantine senders
 // and the single-port model.
 func TestOutboxContract(t *testing.T) {
 	wrappers := map[string]func(*fuzzNode) Protocol{
@@ -71,18 +70,6 @@ func TestOutboxContract(t *testing.T) {
 				compareResults(t, tag+": sequential", want, got, refNodes, nodes)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%s: sequential result %+v, reference %+v", tag, got, want)
-				}
-				if c.singlePort {
-					continue
-				}
-				ps, nodes = build(n, horizon, seed)
-				got, err = RunParallel(equivConfig(c, ps, n, horizon, seed), 3)
-				if err != nil {
-					t.Fatalf("%s: parallel: %v", tag, err)
-				}
-				compareResults(t, tag+": parallel", want, got, refNodes, nodes)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s: parallel result %+v, reference %+v", tag, got, want)
 				}
 			}
 		}

@@ -78,10 +78,10 @@ func (p *probe) clamp(w int) int {
 	return p.haltAt
 }
 
-// checkQuietSkip runs one Few-Crashes-Consensus system four ways —
+// checkQuietSkip runs one Few-Crashes-Consensus system three ways —
 // hidden behind the promise auditor so every round executes, and with
-// its Sleepers visible on the sequential engine observed (quiet spans
-// only), unobserved (quiet and steady spans) and on the pool — and
+// its Sleepers visible observed (quiet spans only) and unobserved
+// (quiet and steady spans) — and
 // demands identical Results, observer streams and decisions, and no
 // broken promise. It returns the observed visible run's result and the
 // rounds that run stepped a machine in.
@@ -98,7 +98,7 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 		ms      []*consensus.FewCrashes
 		stepped []bool
 	}
-	run := func(hide, observed, parallel bool) (outcome, func() error) {
+	run := func(hide, observed bool) (outcome, func() error) {
 		ps, ms := fewCrashesSystem(top, seed)
 		maxRounds := ms[0].ScheduleLength() + 8
 		if q.maxRounds > 0 {
@@ -120,10 +120,6 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 			ps, check = simtest.Hide(ps)
 		}
 		cfg := sim.Config{Protocols: ps, Fault: fault(), MaxRounds: maxRounds}
-		if parallel {
-			res, err := sim.RunParallel(cfg, 3)
-			return outcome{res: res, err: err, ms: ms}, check
-		}
 		log := &simtest.EventLog{}
 		if observed {
 			cfg.Observer = log
@@ -131,16 +127,16 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 		res, err := sim.Run(cfg)
 		return outcome{res: res, err: err, events: log.Events, ms: ms, stepped: stepped}, check
 	}
-	want, check := run(true, true, false)
+	want, check := run(true, true)
 	if err := check(); err != nil {
 		t.Fatalf("n=%d t=%d seed=%d: %v", n, tt, seed, err)
 	}
 	var visible outcome
 	for _, way := range []struct {
-		name               string
-		observed, parallel bool
-	}{{"observed", true, false}, {"sequential", false, false}, {"pool", false, true}} {
-		got, _ := run(false, way.observed, way.parallel)
+		name     string
+		observed bool
+	}{{"observed", true}, {"sequential", false}} {
+		got, _ := run(false, way.observed)
 		tag := fmt.Sprintf("n=%d t=%d seed=%d %s", n, tt, seed, way.name)
 		if (want.err == nil) != (got.err == nil) || !reflect.DeepEqual(want.res, got.res) {
 			t.Fatalf("%s: results diverged:\nevery round %+v (%v)\n   skipping %+v (%v)", tag, want.res, want.err, got.res, got.err)

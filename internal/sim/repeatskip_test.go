@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -120,7 +119,7 @@ func buildLoops(n, horizon int, seed uint64) ([]Protocol, []*loopNode) {
 }
 
 // TestRepeatSkipMatchesReference pins the steady-round fast-forward —
-// on the sequential engine, the pool and a reused Runtime — against the
+// on a fresh state and on a reused Runtime — against the
 // reference engine, which executes every round: same Result (metrics,
 // per-round and per-part series included), same machine end states.
 // Eligible shapes must repeat rounds; a non-Sleeper machine, an opaque
@@ -135,7 +134,6 @@ func buildLoops(n, horizon int, seed uint64) ([]Protocol, []*loopNode) {
 // so the round after it executes too.
 func TestRepeatSkipMatchesReference(t *testing.T) {
 	rt := NewRuntime()
-	defer rt.Close()
 	for _, c := range napCases() {
 		if c.single {
 			continue
@@ -197,11 +195,6 @@ func TestRepeatSkipMatchesReference(t *testing.T) {
 					cfg, nodes = build()
 					res, err = rt.Run(cfg)
 					compare("pooled run", ref, res, refErr, err, refNodes, nodes)
-					for _, workers := range []int{1, 3} {
-						cfg, nodes = build()
-						res, err = rt.RunParallel(cfg, workers)
-						compare(fmt.Sprintf("pool(%d)", workers), ref, res, refErr, err, refNodes, nodes)
-					}
 				}
 			}
 			if c.name == "no-fault" && (!resumed || !cutInSpan) {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"lineartime/internal/rng"
-)
+import "lineartime/internal/rng"
 
 // floodNode is a richer test protocol for the engine-equivalence test:
 // nodes flood a bit over a ring with pseudo-random extra edges and halt
@@ -63,71 +59,4 @@ func buildFlood(n, horizon int, seed uint64) ([]Protocol, []*floodNode) {
 		ps[i], fs[i] = f, f
 	}
 	return ps, fs
-}
-
-func TestConcurrentMatchesSequential(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
-		n, horizon := 24, 12
-		seqPs, seqNodes := buildFlood(n, horizon, seed)
-		conPs, conNodes := buildFlood(n, horizon, seed)
-		adv1 := crashAt{node: 3, round: 2, keep: 1}
-		adv2 := crashAt{node: 3, round: 2, keep: 1}
-
-		seqRes, err := Run(Config{Protocols: seqPs, Fault: adv1, MaxRounds: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conRes, err := RunParallel(Config{Protocols: conPs, Fault: adv2, MaxRounds: 100}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if seqRes.Metrics.Rounds != conRes.Metrics.Rounds {
-			t.Fatalf("seed %d: rounds %d vs %d", seed, seqRes.Metrics.Rounds, conRes.Metrics.Rounds)
-		}
-		if seqRes.Metrics.Messages != conRes.Metrics.Messages {
-			t.Fatalf("seed %d: messages %d vs %d", seed, seqRes.Metrics.Messages, conRes.Metrics.Messages)
-		}
-		if seqRes.Metrics.Bits != conRes.Metrics.Bits {
-			t.Fatalf("seed %d: bits %d vs %d", seed, seqRes.Metrics.Bits, conRes.Metrics.Bits)
-		}
-		if !seqRes.Crashed.Equal(conRes.Crashed) {
-			t.Fatalf("seed %d: crash sets differ", seed)
-		}
-		for i := range seqNodes {
-			if seqNodes[i].value != conNodes[i].value {
-				t.Fatalf("seed %d: node %d final value differs", seed, i)
-			}
-			if seqRes.HaltedAt[i] != conRes.HaltedAt[i] {
-				t.Fatalf("seed %d: node %d halted at %d vs %d",
-					seed, i, seqRes.HaltedAt[i], conRes.HaltedAt[i])
-			}
-		}
-	}
-}
-
-func TestConcurrentRejectsSinglePort(t *testing.T) {
-	ps, _ := buildFlood(4, 2, 1)
-	_ = ps
-	cfg := Config{Protocols: ps, MaxRounds: 10, SinglePort: true}
-	if _, err := RunParallel(cfg, 0); err == nil {
-		t.Fatal("concurrent runtime accepted single-port mode")
-	}
-}
-
-func TestConcurrentErrors(t *testing.T) {
-	if _, err := RunParallel(Config{MaxRounds: 5}, 0); err == nil {
-		t.Fatal("empty protocols accepted")
-	}
-	ps, _ := buildFlood(4, 2, 1)
-	if _, err := RunParallel(Config{Protocols: ps}, 0); err == nil {
-		t.Fatal("zero MaxRounds accepted")
-	}
-}
-
-func TestConcurrentNoTermination(t *testing.T) {
-	ps := []Protocol{&neverHalt{}, &neverHalt{}}
-	if _, err := RunParallel(Config{Protocols: ps, MaxRounds: 4}, 0); err == nil {
-		t.Fatal("non-terminating run accepted")
-	}
 }

@@ -15,9 +15,7 @@ package sim
 // sources are recorded in increasing sender order and the copy is
 // stable, every segment is already sorted by sender — the
 // delivery-order guarantee of Protocol.Deliver holds with no per-node
-// sort. (The parallel fast path computes the same offsets from
-// shard-local counts and lets each worker scatter its own shard's
-// outboxes; see pool.go.)
+// sort.
 //
 // Inbox segments alias scratch memory that is overwritten next round;
 // the Protocol contract (see Deliver) forbids retaining them.
@@ -53,12 +51,6 @@ func (s *scratch) stage(envs ...Envelope) {
 	}
 }
 
-// sizeInbox makes the placed buffer hold exactly total envelopes,
-// reusing capacity.
-func (s *scratch) sizeInbox(total int) {
-	s.inbox = growSlice(s.inbox, total)
-}
-
 // place builds the per-destination inbox segments from the recorded
 // sources. Allocation-free once the inbox has grown to the run's peak
 // message volume.
@@ -69,7 +61,7 @@ func (s *scratch) place() {
 		off += c
 	}
 	s.offs[s.n] = off
-	s.sizeInbox(int(off))
+	s.inbox = growSlice(s.inbox, int(off))
 	// counts has served its purpose; reuse it as the scatter cursors.
 	cur := s.counts
 	copy(cur, s.offs[:s.n])

@@ -14,14 +14,11 @@
 //
 // The engine is deterministic: given the same protocols, fault layer
 // and configuration it produces identical transcripts, which the tests
-// use to cross-validate the sequential engine against the sharded
-// parallel runtime in pool.go.
+// use to cross-validate it against a plain reference engine.
 //
-// Three engines — this file's sequential one, the sharded one (pool.go)
-// and the bit-sliced one (sliced.go) — share one run skeleton: every
-// entry point is reset → loop → detach inside the same tracer bracket
-// (span, arena.go), and the sharded engine's round phases run on one
-// persistent worker pool (phasePool, pool.go).
+// Two engines — this file's sequential one and the bit-sliced one
+// (sliced.go) — share one run skeleton: every entry point is reset →
+// loop → detach inside the same tracer bracket (span, arena.go).
 //
 // The hot path is allocation-free in steady state: inboxes are built in
 // a reusable CSR-style workspace (scratch.go), single-port buffers are
@@ -118,16 +115,16 @@ type Poller interface {
 // and so is the same round of the next instance when the silent rounds
 // between the two only rearm the automaton.
 //
-// Only the run loop shared by the sequential and the pool engine skips,
-// and only when every protocol is a Sleeper, the fault is a CrashPlan,
-// the run is multi-port with no Byzantine set, and no message is parked
-// in the delay ring. A declared crash round inside a quiet span is
-// applied in passing — FilterSend with the victim's empty outbox, no
-// machine stepped — rather than executed, and drops the template.
-// Steady spans skip only without a link filter or an Observer, from a
-// template in which nobody crashed or halted; they end before the first
-// declared crash round of a live victim, and each round passed books
-// the template's traffic again. Quiet and steady spans alternate until
+// Only the sequential engine's run loop skips, and only when every
+// protocol is a Sleeper, the fault is a CrashPlan, the run is
+// multi-port with no Byzantine set, and no message is parked in the
+// delay ring. A declared crash round inside a quiet span is applied in
+// passing — FilterSend with the victim's empty outbox, no machine
+// stepped — rather than executed, and drops the template. Steady spans
+// skip only without a link filter or an Observer, from a template in
+// which nobody crashed or halted; they end before the first declared
+// crash round of a live victim, and each round passed books the
+// template's traffic again. Quiet and steady spans alternate until
 // neither advances. Results, observer events and metrics are identical
 // to the round-by-round run; a Stepper never skips.
 type Sleeper interface {
@@ -184,7 +181,7 @@ type Config struct {
 	// events in deterministic order.
 	Observer Observer
 	// Tracer optionally receives stage-level timings (setup, rounds)
-	// and the run outcome. Unlike Observer it works on every engine,
+	// and the run outcome. Unlike Observer it works on both engines,
 	// and the engines' steady state stays allocation-free with one
 	// installed (obs.EngineTracer uses pre-registered handles). Nil
 	// disables tracing at the cost of a branch.
@@ -203,8 +200,8 @@ type Observer interface {
 	OnHalt(round int, node NodeID)
 }
 
-// Result is the outcome of a run. Results returned by Run and
-// RunParallel own their memory; results returned by a Runtime alias
+// Result is the outcome of a run. Results returned by Run own their
+// memory; results returned by a Runtime alias
 // arena state and are valid only until the Runtime's next run — Clone
 // detaches a copy.
 type Result struct {
@@ -343,11 +340,6 @@ type state struct {
 	// the state-owned slices it references) is overwritten by the next
 	// run.
 	res Result
-	// par, when non-nil, shards the round phases across the Runtime's
-	// worker pool (multi-port runs without a link filter; see pool.go).
-	// It points at shards, the arena's reusable parallel workspace.
-	par    *shards
-	shards shards
 }
 
 // reset (re)initializes the state for a run, recycling every buffer a
@@ -411,7 +403,6 @@ func (st *state) reset(cfg Config) error {
 	st.resetSleepers()
 	st.label, st.labelSet = "", false
 	st.crashedNow = st.crashedNow[:0]
-	st.par = nil
 	if cfg.SinglePort {
 		if len(st.ports) != n {
 			st.ports = make([]portSet, n)
@@ -635,9 +626,6 @@ func (s *state) allDone() bool {
 }
 
 func (s *state) round(r int) error {
-	if s.par != nil {
-		return s.roundParallel(r)
-	}
 	sc := &s.scratch
 	sc.beginRound()
 	s.label, s.labelSet = "", false
@@ -829,9 +817,6 @@ func (s *state) detach() {
 	}
 	for i := range s.ports {
 		s.ports[i].recycle()
-	}
-	if s.par != nil {
-		clear(s.par.outbox)
 	}
 }
 

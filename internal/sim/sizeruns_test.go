@@ -119,9 +119,8 @@ func scriptedConfig(n, live int, rebox bool) (Config, []*scripted) {
 // accounting. As a function, against a per-envelope count: the same
 // destination counts and bits for every keep prefix of every scripted
 // outbox, and one SizeBits call per run of one box — seven for a whole
-// outbox, where the per-envelope count makes ten. In the engines,
-// sequential and parallel: a system whose multicasts share boxes and the
-// same system with every envelope reboxed — runs cut by another payload,
+// outbox, where the per-envelope count makes ten. In the engine: a
+// system whose multicasts share boxes and the same system with every envelope reboxed — runs cut by another payload,
 // by an equal value boxed apart, by a crash's keep prefix mid-run, sent
 // by a Byzantine node, carrying a payload == would panic on — give equal
 // Messages, Bits, Byzantine counts, PerRoundMessages, PerPart and crash
@@ -161,16 +160,10 @@ func TestSizeBitsOncePerRunOfOneBox(t *testing.T) {
 		got   [][][]Envelope
 		calls int64
 	}
-	run := func(rebox, parallel bool) outcome {
+	run := func(rebox bool) outcome {
 		cfg, ms := scriptedConfig(n, live, rebox)
 		before := sizeCalls.Load()
-		var res *Result
-		var err error
-		if parallel {
-			res, err = RunParallel(cfg, 3)
-		} else {
-			res, err = Run(cfg)
-		}
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,18 +173,16 @@ func TestSizeBitsOncePerRunOfOneBox(t *testing.T) {
 		}
 		return o
 	}
-	want := run(true, false)
-	for _, c := range []struct{ rebox, parallel bool }{{false, false}, {false, true}, {true, true}} {
-		got := run(c.rebox, c.parallel)
-		if !reflect.DeepEqual(got.res, want.res) {
-			t.Fatalf("rebox=%v parallel=%v: %+v, per-envelope run %+v", c.rebox, c.parallel, got.res.Metrics, want.res.Metrics)
-		}
-		if !reflect.DeepEqual(got.got, want.got) {
-			t.Fatalf("rebox=%v parallel=%v: inboxes differ from the per-envelope run's", c.rebox, c.parallel)
-		}
-		if !c.rebox && got.calls >= want.calls {
-			t.Fatalf("parallel=%v: %d SizeBits calls, %d with every envelope boxed apart", c.parallel, got.calls, want.calls)
-		}
+	want := run(true)
+	got := run(false)
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Fatalf("%+v, per-envelope run %+v", got.res.Metrics, want.res.Metrics)
+	}
+	if !reflect.DeepEqual(got.got, want.got) {
+		t.Fatal("inboxes differ from the per-envelope run's")
+	}
+	if got.calls >= want.calls {
+		t.Fatalf("%d SizeBits calls, %d with every envelope boxed apart", got.calls, want.calls)
 	}
 	// The per-envelope count over the script.
 	var m Metrics

@@ -165,7 +165,6 @@ func TestSlicedConfigValidation(t *testing.T) {
 // state the sliced arena fails to reset between runs diverges a lane.
 func TestRuntimeSlicedReuse(t *testing.T) {
 	rt := NewRuntime()
-	defer rt.Close()
 	shapes := []struct {
 		n, tBound, lanes int
 	}{
@@ -224,7 +223,6 @@ func BenchmarkEngineSliced(b *testing.B) {
 		inputs[i] = i%3 == 0
 	}
 	rt := NewRuntime()
-	defer rt.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

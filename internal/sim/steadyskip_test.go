@@ -17,8 +17,7 @@ import (
 
 // gossipOutcome is one run of a gossip system for the steady-skip
 // tests: the engine result and error, the machines, the rounds a
-// machine was stepped in (not recorded on the pool, whose workers step
-// machines concurrently), and the executed and simulated round counts.
+// machine was stepped in, and the executed and simulated round counts.
 type gossipOutcome struct {
 	res                 *sim.Result
 	err                 error
@@ -39,8 +38,8 @@ type gossipCase struct {
 }
 
 // runGossipWay runs a fresh gossip system over top one way: "hidden"
-// (behind the promise auditor, every round executes), "sequential",
-// "observed" (sequential with an event log) or "pool".
+// (behind the promise auditor, every round executes), "sequential" or
+// "observed" (sequential with an event log).
 func runGossipWay(t *testing.T, top *consensus.Topology, way string, c gossipCase) gossipOutcome {
 	t.Helper()
 	ps := make([]sim.Protocol, top.N)
@@ -49,10 +48,7 @@ func runGossipWay(t *testing.T, top *consensus.Topology, way string, c gossipCas
 	if c.maxRounds > 0 {
 		maxRounds = c.maxRounds
 	}
-	var stepped []bool
-	if way != "pool" {
-		stepped = make([]bool, maxRounds)
-	}
+	stepped := make([]bool, maxRounds)
 	for i := range ps {
 		ms[i] = gossip.New(i, top, gossip.Rumor(7000+i))
 		h, ok := c.haltAt[i]
@@ -79,15 +75,7 @@ func runGossipWay(t *testing.T, top *consensus.Topology, way string, c gossipCas
 	if way == "observed" {
 		cfg.Observer = &simtest.EventLog{}
 	}
-	rt := sim.NewRuntime()
-	defer rt.Close()
-	var res *sim.Result
-	var err error
-	if way == "pool" {
-		res, err = rt.RunParallel(cfg, 3)
-	} else {
-		res, err = rt.Run(cfg)
-	}
+	res, err := sim.NewRuntime().Run(cfg)
 	if err != nil && (c.maxRounds == 0 || !errors.Is(err, sim.ErrNoTermination)) {
 		t.Fatalf("%s: %v", way, err)
 	}
@@ -180,7 +168,7 @@ func TestRepeatSkipPreconditions(t *testing.T) {
 		{name: "link filter", gossipCase: gossipCase{fault: func() sim.LinkFault { return link.NewOmission(0.02, 9) }}, noSteady: true},
 	} {
 		want := runGossipWay(t, top, "hidden", c.gossipCase)
-		ways := []string{"sequential", "pool"}
+		ways := []string{"sequential"}
 		if c.name == "observer installed" {
 			ways = []string{"observed"}
 		}
@@ -195,9 +183,6 @@ func TestRepeatSkipPreconditions(t *testing.T) {
 				if w.Count() != g.Count() || !w.Known().Equal(g.Known()) {
 					t.Fatalf("%s: node %d extant set diverged", tag, i)
 				}
-			}
-			if way == "pool" {
-				continue
 			}
 			for r := 0; c.noSteady && r < got.simulated; r++ {
 				if probing(r) && !got.stepped[r] {
