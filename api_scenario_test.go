@@ -17,6 +17,15 @@ func TestScenarioErrorsKeepPublicPrefix(t *testing.T) {
 	if !strings.HasPrefix(err.Error(), "lineartime: ") {
 		t.Fatalf("error leaked the internal prefix: %v", err)
 	}
+	// n=0 fails the scenario layer's own validation, so this case is
+	// the one that exercises apiErr's prefix rewrite.
+	_, err = RunGossip(0, 0, nil, false)
+	if err == nil {
+		t.Fatal("n=0 accepted")
+	}
+	if !strings.HasPrefix(err.Error(), "lineartime: ") {
+		t.Fatalf("error leaked the internal prefix: %v", err)
+	}
 	_, err = RunGossip(40, 6, make([]uint64, 40), false,
 		WithCrashSchedule(CrashEvent{Node: 99, Round: 1}))
 	if err == nil {

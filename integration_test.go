@@ -6,7 +6,9 @@ import (
 
 // Run determinism: two runs of one full protocol stack with the same
 // options produce identical metrics and decisions, not just toy
-// protocols.
+// protocols. The three TestCrossEngine* names date from when the second
+// run used another engine; they are kept so test history stays
+// comparable across the engine's retirement.
 func TestCrossEngineConsensus(t *testing.T) {
 	n, tt := 60, 12
 	inputs := boolInputs(n, func(i int) bool { return i%5 == 0 })

@@ -191,8 +191,9 @@ type Stats struct {
 }
 
 // RoundStats splits the rounds the sequential engine simulated into
-// those it stepped node by node and those it fast-forwarded (sim.Sleeper): RoundsSkipped counts the quiet and the
-// repeated ones, RoundsRepeated the repeated ones alone.
+// those it stepped node by node and those it fast-forwarded
+// (sim.Sleeper): RoundsSkipped counts the quiet and the repeated ones,
+// RoundsRepeated the repeated ones alone.
 type RoundStats struct {
 	RoundsExecuted int64 `json:"rounds_executed"`
 	RoundsSkipped  int64 `json:"rounds_skipped"`
