@@ -1,6 +1,7 @@
 package consensus_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -68,8 +69,8 @@ func TestBroadcastGraphIsBuiltOnceOnDemand(t *testing.T) {
 	}
 }
 
-// TestUnbuildableBroadcastGraph gives every topology an H that exhausts
-// its seed rotations. The families that consult H — few-crashes, SCV,
+// TestUnbuildableBroadcastGraph gives every topology an H that fails
+// as one that exhausts its seed rotations does. The families that consult H — few-crashes, SCV,
 // checkpointing, majority, the single-port compilations — fail while the
 // run is materialized, with an error and before any machine could panic
 // on it; gossip and AEA, which never read H, never ask for it and run to
@@ -78,7 +79,7 @@ func TestUnbuildableBroadcastGraph(t *testing.T) {
 	attempts := 0
 	restore := consensus.StubBroadcastGraph(func(n int, seed uint64) (*expander.Overlay, error) {
 		attempts++
-		return expander.New(n, expander.Options{Degree: expander.BroadcastDegree, Seed: seed, MaxSeedRotations: -1})
+		return nil, fmt.Errorf("broadcast graph H: expander: no verified overlay for n=%d seed=%d", n, seed)
 	})
 	defer restore()
 

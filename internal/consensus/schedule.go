@@ -19,8 +19,9 @@ import (
 // first round of the algorithm it belongs to.
 type Schedule struct {
 	// Little and Broadcast are the parameters of the little overlay G
-	// and of the broadcast graph H.
-	Little, Broadcast expander.Params
+	// and of the broadcast graph H, G1 those of the inquiry family's
+	// first graph G_1.
+	Little, Broadcast, G1 expander.Params
 
 	// AEA (Figure 1, Theorem 5): Part 1 floods until AEAFlood, Part 2
 	// probes until AEAProbe, Part 3 notifies related nodes until AEA.
@@ -104,7 +105,9 @@ func NewSchedule(n, t, degree int) Schedule {
 	s.ManyProbe = s.ManyFlood + expander.ParamsOf(n, expander.Options{}).Gamma
 	alpha := float64(t) / float64(n)
 	m := max(int((1+3*alpha)*float64(n)/4), 1)
-	phases := max(1+expander.CeilLog2(m), expander.NewInquiryFamily(n, 8, 0).MaxPhases())
+	inquiry := expander.NewInquiryFamily(n, 8, 0)
+	s.G1 = inquiry.PhaseParams(1)
+	phases := max(1+expander.CeilLog2(m), inquiry.MaxPhases())
 	s.Many = s.ManyProbe + 2*phases
 
 	s.GossipPhases = max(expander.CeilLog2(n), 1)

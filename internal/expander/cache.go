@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // An overlay is a pure function of New's arguments — never of a run's
@@ -37,34 +38,22 @@ const maxGhosts = 1024
 // on top of its exact graph footprint.
 const entryOverhead = 256
 
-// cacheKey is New's argument tuple with the defaults filled in, the
-// degree resolved, and, on the complete-graph branch, everything build
-// ignores there dropped, so spellings that construct the same overlay
-// share one entry.
+// cacheKey is New's argument tuple with the degree resolved and, on the
+// complete-graph branch, the seed build ignores there dropped, so
+// spellings that construct the same overlay share one entry.
 type cacheKey struct {
-	n, degree, delta, rotations int
-	slack                       float64
-	seed                        uint64
-	skipVerify                  bool
+	n, degree, delta int
+	seed             uint64
 }
 
 func keyOf(n int, opts Options) cacheKey {
 	degree, complete := degreeFor(n, opts.Degree)
-	k := cacheKey{
-		n: n, degree: degree, delta: opts.Delta, rotations: opts.MaxSeedRotations,
-		slack: opts.Slack, seed: opts.Seed, skipVerify: opts.SkipVerify,
-	}
-	if k.slack == 0 {
-		k.slack = DefaultSlack
-	}
-	if k.rotations == 0 {
-		k.rotations = defaultSeedRotations
-	}
+	k := cacheKey{n: n, degree: degree, delta: opts.Delta, seed: opts.Seed}
 	if complete {
 		// build degenerates to K_n, which consumes no seed and is never
 		// verified: the overlay is a function of (n, δ) alone, so every
 		// seed and saturated degree shares one.
-		k = cacheKey{n: n, degree: degree, delta: k.delta}
+		k.seed = 0
 	}
 	return k
 }
@@ -97,6 +86,7 @@ type cache struct {
 	ghosts  map[cacheKey]struct{}
 
 	hits, misses, evictions atomic.Int64
+	buildNanos, rotations   atomic.Int64
 }
 
 func newCache(budget int64) *cache {
@@ -138,7 +128,13 @@ func (c *cache) get(n int, opts Options) (*Overlay, error) {
 	if resident {
 		return e.o, nil // settled, so built: skip the Once and its closure
 	}
-	e.once.Do(func() { e.o, e.err = build(n, opts) })
+	e.once.Do(func() {
+		start := time.Now()
+		var rotated int
+		e.o, rotated, e.err = build(n, opts)
+		c.buildNanos.Add(int64(time.Since(start)))
+		c.rotations.Add(int64(rotated))
+	})
 	if !found {
 		c.settle(e)
 	}
@@ -189,6 +185,11 @@ type CacheStats struct {
 	// Hits counts requests served without a build: resident overlays
 	// and requests that joined a build in flight. Misses counts builds.
 	Hits, Misses, Evictions int64
+	// BuildTime is the wall time the Misses builds took in total, and
+	// SeedRotations the seeds they rejected — unbuildable, disconnected
+	// or above the Ramanujan gate — and rotated past.
+	BuildTime     time.Duration
+	SeedRotations int64
 	// Entries and Bytes describe the resident overlays; Bytes never
 	// exceeds Capacity.
 	Entries, Bytes, Capacity int64
@@ -198,12 +199,14 @@ func (c *cache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   int64(c.lru.Len()),
-		Bytes:     c.bytes,
-		Capacity:  c.budget,
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		Evictions:     c.evictions.Load(),
+		BuildTime:     time.Duration(c.buildNanos.Load()),
+		SeedRotations: c.rotations.Load(),
+		Entries:       int64(c.lru.Len()),
+		Bytes:         c.bytes,
+		Capacity:      c.budget,
 	}
 }
 

@@ -72,7 +72,7 @@ func TestCacheAdmitsOnSecondSight(t *testing.T) {
 func TestCacheKeyNormalizesDefaults(t *testing.T) {
 	c := newCache(1 << 20)
 	mustGet(t, c, 64, Options{Seed: 9})
-	spelled := Options{Seed: 9, Degree: DefaultDegree, Slack: DefaultSlack, MaxSeedRotations: defaultSeedRotations}
+	spelled := Options{Seed: 9, Degree: DefaultDegree}
 	a := mustGet(t, c, 64, spelled)
 	if b := mustGet(t, c, 64, Options{Seed: 9}); a != b {
 		t.Fatal("default and spelled-out options did not share an entry")
@@ -160,8 +160,7 @@ func TestCacheGhostsBounded(t *testing.T) {
 }
 
 // TestCompleteOverlaySharedAcrossSeeds: on the n ≤ degree+1 branch the
-// overlay is K_n whatever the seed, slack, rotations, SkipVerify or
-// saturated degree say, so all of those spellings share one entry —
+// overlay is K_n whatever the seed or saturated degree say, so all of those spellings share one entry —
 // built twice (second-sight admission), charged once — while δ, which
 // the overlay's Params carry, still separates keys, and an oversize K_n
 // is still never admitted.
@@ -172,7 +171,7 @@ func TestCompleteOverlaySharedAcrossSeeds(t *testing.T) {
 	second := mustGet(t, c, n, Options{Degree: n - 1, Seed: 2})
 	spellings := []Options{
 		{Degree: 64, Seed: 1},
-		{Degree: 256, Seed: 3, Slack: 0.5, MaxSeedRotations: 4, SkipVerify: true},
+		{Degree: 256, Seed: 3},
 		{Degree: n - 1, Seed: 4},
 	}
 	for _, opts := range spellings {

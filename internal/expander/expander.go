@@ -35,10 +35,13 @@ import (
 // δ = d/4 tolerates the crash fractions in the paper's assumptions.
 const DefaultDegree = 16
 
-// DefaultSlack is the multiplicative tolerance on the Ramanujan bound
-// accepted by Verify. Random regular graphs are near-Ramanujan, not
-// exactly Ramanujan, and the power iteration is an estimate.
-const DefaultSlack = 0.25
+// Slack is the multiplicative tolerance on the Ramanujan bound an
+// overlay must meet. Random regular graphs are near-Ramanujan, not
+// exactly Ramanujan, and the power iteration is an estimate from below.
+const Slack = 0.25
+
+// seedRotations bounds the deterministic re-seeding loop of build.
+const seedRotations = 16
 
 // PaperDegree returns the paper's degree choice for the little-nodes
 // overlay: d = 5^8 (§4.1). Only meaningful for astronomically large n;
@@ -88,28 +91,17 @@ type Overlay struct {
 
 // Options configures overlay construction.
 type Options struct {
-	Degree int     // 0 → DefaultDegree (or n-1 for tiny n)
-	Delta  int     // 0 → Degree/4 (min 1)
-	Slack  float64 // 0 → DefaultSlack
-	Seed   uint64  // base seed; rotation appends attempt index
-	// MaxSeedRotations bounds the deterministic re-seeding loop.
-	MaxSeedRotations int
-	// SkipVerify skips the spectral check (used for huge overlays in
-	// benchmarks where the check dominates runtime; the construction
-	// is still the same near-Ramanujan family).
-	SkipVerify bool
+	Degree int    // 0 → DefaultDegree (or n-1 for tiny n)
+	Delta  int    // 0 → Degree/4 (min 1)
+	Seed   uint64 // base seed; rotation appends attempt index
 }
-
-// defaultSeedRotations is the re-seeding bound when
-// Options.MaxSeedRotations is zero.
-const defaultSeedRotations = 16
 
 // New returns a verified expander overlay on n vertices.
 //
 // For n ≤ Degree+1 the overlay degenerates to the complete graph K_n,
 // which is the best possible expander and keeps every protocol correct
-// on tiny instances; seed, slack and rotations play no part
-// there, and Overlay.Seed reports 0.
+// on tiny instances; the seed plays no part there, and
+// Overlay.Seed reports 0.
 //
 // New is memoized (see cache.go): equal arguments may return the same
 // *Overlay, shared with every other caller. Overlays are immutable;
@@ -144,28 +136,20 @@ func ParamsOf(n int, opts Options) Params {
 	return paramsFor(n, d, opts.Delta)
 }
 
-// build constructs and verifies the overlay New(n, opts) names.
-func build(n int, opts Options) (*Overlay, error) {
+// build constructs and verifies the overlay New(n, opts) names, and
+// reports how many seeds it rejected on the way.
+func build(n int, opts Options) (o *Overlay, rotated int, err error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("expander: overlay needs n > 0, got %d", n)
+		return nil, 0, fmt.Errorf("expander: overlay needs n > 0, got %d", n)
 	}
 	d, complete := degreeFor(n, opts.Degree)
-	slack := opts.Slack
-	if slack == 0 {
-		slack = DefaultSlack
-	}
-	rotations := opts.MaxSeedRotations
-	if rotations == 0 {
-		rotations = defaultSeedRotations
-	}
-
 	if complete {
 		g := graph.Complete(n)
-		return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: 1}, nil
+		return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: 1}, 0, nil
 	}
 
 	var lastErr error
-	for attempt := 0; attempt < rotations; attempt++ {
+	for attempt := 0; attempt < seedRotations; attempt++ {
 		seed := opts.Seed + uint64(attempt)*0x9e3779b97f4a7c15
 		g, err := graph.RandomRegular(n, d, seed)
 		if err != nil {
@@ -174,24 +158,24 @@ func build(n int, opts Options) (*Overlay, error) {
 		}
 		// Dense overlays (d ≥ n/4) are far above any expansion
 		// threshold the protocols need; verifying them costs O(n·m)
-		// per power iteration for no information. Skip, like
-		// SkipVerify, but still require connectivity.
-		if opts.SkipVerify || 4*d >= n {
+		// per power iteration for no information. Skip it, but still
+		// require connectivity.
+		if 4*d >= n {
 			if g.IsConnected() {
-				return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: math.NaN(), Seed: seed}, nil
+				return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: math.NaN(), Seed: seed}, attempt, nil
 			}
 			lastErr = fmt.Errorf("expander: seed %d gave a disconnected graph", seed)
 			continue
 		}
-		ok, lambda := spectral.IsNearRamanujan(g, d, slack, spectral.Options{Seed: seed})
+		ok, lambda := spectral.IsNearRamanujan(g, d, Slack, spectral.Options{Seed: seed})
 		if ok && g.IsConnected() {
-			return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: lambda, Seed: seed}, nil
+			return &Overlay{G: g, P: paramsFor(n, d, opts.Delta), Lambda: lambda, Seed: seed}, attempt, nil
 		}
 		lastErr = fmt.Errorf("expander: seed %d gave λ=%.3f > (1+%.2f)·%.3f or disconnected",
-			seed, lambda, slack, spectral.RamanujanBound(d))
+			seed, lambda, Slack, spectral.RamanujanBound(d))
 	}
-	return nil, fmt.Errorf("expander: no verified overlay for n=%d d=%d after %d seeds: %w",
-		n, d, rotations, lastErr)
+	return nil, seedRotations, fmt.Errorf("expander: no verified overlay for n=%d d=%d after %d seeds: %w",
+		n, d, seedRotations, lastErr)
 }
 
 // Neighbors returns the sorted neighbor list of v: the stored slice,

@@ -49,13 +49,6 @@ func TestNewRejectsBadN(t *testing.T) {
 	}
 }
 
-func TestSkipVerify(t *testing.T) {
-	o := mustOverlay(t, 100, Options{Seed: 1, SkipVerify: true})
-	if !math.IsNaN(o.Lambda) {
-		t.Fatalf("SkipVerify should leave Lambda NaN, got %v", o.Lambda)
-	}
-}
-
 func TestParams(t *testing.T) {
 	o := mustOverlay(t, 256, Options{Seed: 1})
 	if o.P.Gamma != 2+8 {

@@ -61,6 +61,12 @@ func (e *ExtantSet) Count() int { return e.count }
 // Known returns a copy of the membership set.
 func (e *ExtantSet) Known() *bitset.Set { return e.known.Clone() }
 
+// View returns the membership set and the rumor array, indexed by node,
+// without copying either: they are e's own, change as e grows, and must
+// not be modified. The array is zero outside the members, except on a
+// Snapshot, which shares its source's array.
+func (e *ExtantSet) View() (*bitset.Set, []Rumor) { return e.known, e.rumors }
+
 // MergeFrom absorbs every proper pair of other that is nil here. The
 // membership merge runs a word at a time and rumors are copied only
 // for the pairs that are new, so absorbing a set that teaches nothing

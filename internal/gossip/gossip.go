@@ -61,11 +61,12 @@ func SlabSize(top *consensus.Topology) (envelopes, rumors int) {
 // sendCap returns the envelopes node id sends in its widest round over
 // G_1 and the little overlay — inquiries or pushes to its G_1
 // neighbours, responses to its little G_1 neighbours, probes to its
-// little neighbours — from the overlays' resolved degrees, so that
-// nothing is built. The denser G_i of later phases, consulted only
-// after crashes, grow the buffer like any sim.Outbox.
+// little neighbours — from the overlays' resolved degrees in the
+// topology's schedule, so that nothing is built. The denser G_i of later
+// phases, consulted only after crashes, grow the buffer like any
+// sim.Outbox.
 func sendCap(top *consensus.Topology, id int) int {
-	c := top.Inquiry.PhaseParams(1).Degree
+	c := top.Schedule.G1.Degree
 	if top.IsLittle(id) {
 		c = max(c, top.Schedule.Little.Degree)
 	}

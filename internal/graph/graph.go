@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"unsafe"
 
@@ -271,14 +272,42 @@ func (g *Graph) ConnectedComponents(within *bitset.Set) []*bitset.Set {
 }
 
 // IsConnected reports whether the whole graph is connected. The empty
-// graph and single-vertex graph are connected.
+// graph and single-vertex graph are connected. It searches from vertex 0
+// with the reached set and the frontier as two bitmaps, which live on
+// the stack for n ≤ 4096, so the check allocates nothing there: each
+// sweep over the frontier's words expands every frontier vertex once,
+// and vertices it reaches join the frontier for this sweep or the next.
 func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	all := bitset.New(g.n)
-	all.Fill()
-	return len(g.ConnectedComponents(all)) == 1
+	var seenBuf, frontBuf [64]uint64
+	words := (g.n + 63) / 64
+	seen, front := seenBuf[:], frontBuf[:]
+	if words > len(seenBuf) {
+		seen, front = make([]uint64, words), make([]uint64, words)
+	}
+	seen, front = seen[:words], front[:words]
+	seen[0], front[0] = 1, 1
+	reached := 1
+	for expanded := true; expanded && reached < g.n; {
+		expanded = false
+		for w := range front {
+			for front[w] != 0 {
+				b := bits.TrailingZeros64(front[w])
+				front[w] &^= 1 << b
+				expanded = true
+				for _, v := range g.adj[w*64+b] {
+					if seen[v>>6]&(1<<(v&63)) == 0 {
+						seen[v>>6] |= 1 << (v & 63)
+						front[v>>6] |= 1 << (v & 63)
+						reached++
+					}
+				}
+			}
+		}
+	}
+	return reached == g.n
 }
 
 // Diameter returns the largest finite shortest-path distance, or -1 if

@@ -282,14 +282,14 @@ func TestRegularFromPairsMatchesBuilder(t *testing.T) {
 		// only when the deduplicated result is d-regular.
 		var want *Graph
 		ref := rng.New(seed)
+		p := newPairing(n, d)
 		for attempt := 0; attempt < 32 && want == nil; attempt++ {
-			pairs, ok := pairingModel(n, d, ref)
-			if !ok {
+			if !p.draw(ref) {
 				continue
 			}
 			b := NewBuilder(n)
-			for _, p := range pairs {
-				b.AddEdge(p.u, p.v)
+			for i := 0; i < len(p.points); i += 2 {
+				b.AddEdge(int(p.points[i]), int(p.points[i+1]))
 			}
 			if want = b.Build(); !want.IsRegular(d) {
 				t.Fatalf("n=%d d=%d seed=%d: repaired pairs are not a simple d-regular graph", n, d, seed)

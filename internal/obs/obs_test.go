@@ -127,6 +127,31 @@ lineartime_zeta_total 3
 	}
 }
 
+// TestDurationCounterFunc: a counter of elapsed time reads its fn at
+// exposition, renders fractional seconds in /metrics, and Value reports
+// the same seconds.
+func TestDurationCounterFunc(t *testing.T) {
+	reg := NewRegistry()
+	total := 1500 * time.Millisecond
+	reg.DurationCounterFunc("lineartime_work_seconds_total", "Seconds of work.", func() time.Duration { return total })
+	total += 250 * time.Millisecond
+
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP lineartime_work_seconds_total Seconds of work.
+# TYPE lineartime_work_seconds_total counter
+lineartime_work_seconds_total 1.75
+`
+	if got := sb.String(); got != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if v, ok := reg.Value("lineartime_work_seconds_total"); !ok || v != 1.75 {
+		t.Errorf("value = %g, %v", v, ok)
+	}
+}
+
 func TestRegistryPanicsOnMisuse(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // L is one label pair attached to a metric child.
@@ -33,6 +34,7 @@ type child struct {
 	gauge   *Gauge
 	hist    *Histogram
 	ctrFn   func() int64
+	durFn   func() time.Duration
 	gaugeFn func() float64
 }
 
@@ -44,6 +46,8 @@ func (c *child) value() float64 {
 		return c.gauge.Value()
 	case c.ctrFn != nil:
 		return float64(c.ctrFn())
+	case c.durFn != nil:
+		return c.durFn().Seconds()
 	case c.gaugeFn != nil:
 		return c.gaugeFn()
 	}
@@ -150,6 +154,13 @@ func (r *Registry) Counter(name, help string, labels ...L) *Counter {
 // atomics inside other components without rewriting them.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...L) {
 	r.register(name, help, kindCounter, &child{labels: labels, ctrFn: fn})
+}
+
+// DurationCounterFunc registers a counter of seconds read from fn — a
+// running total of elapsed time — at exposition time. Unlike the other
+// counters it renders fractional seconds.
+func (r *Registry) DurationCounterFunc(name, help string, fn func() time.Duration, labels ...L) {
+	r.register(name, help, kindCounter, &child{labels: labels, durFn: fn})
 }
 
 // Gauge registers and returns a gauge child.

@@ -143,7 +143,7 @@ func NewEngineTracer(reg *Registry) *EngineTracer {
 		"lineartime_run_duration_seconds",
 		"End-to-end wall-clock seconds per simulation run.",
 		LatencyBuckets())
-	const roundsHelp = "Simulated rounds of sequential- and parallel-engine runs, each counted once: executed (machines stepped), quiet (silent rounds and crash rounds applied in passing) or repeated (steady rounds booked as a copy of an executed template)."
+	const roundsHelp = "Simulated rounds of sequential-engine runs, each counted once: executed (machines stepped), quiet (silent rounds and crash rounds applied in passing) or repeated (steady rounds booked as a copy of an executed template)."
 	t.executed = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "executed"})
 	t.quiet = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "quiet"})
 	t.repeated = reg.Counter("lineartime_engine_rounds_total", roundsHelp, L{"state", "repeated"})

@@ -4,6 +4,8 @@
 // so no global math/rand state is used anywhere.
 package rng
 
+import "math/bits"
+
 // SplitMix64 is a tiny, fast, well-distributed PRNG. It is the
 // generator recommended for seeding xoshiro-family generators and has
 // a period of 2^64. The zero value is a valid generator seeded with 0.
@@ -35,7 +37,7 @@ func (r *SplitMix64) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
@@ -66,17 +68,4 @@ func (r *SplitMix64) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }

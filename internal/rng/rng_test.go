@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,23 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 }
 
+// mul64 is the hand-written 128-bit product Intn used before it called
+// bits.Mul64, kept as the reference the random stream is pinned to.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64 pins bits.Mul64, which Intn multiplies with, to the
+// hand-written product on edge cases and a pseudo-random sweep, so the
+// bounded draws — and every overlay built from them — never move.
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64
@@ -125,6 +143,17 @@ func TestMul64(t *testing.T) {
 		hi, lo := mul64(c.a, c.b)
 		if hi != c.hi || lo != c.lo {
 			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		}
+		if bhi, blo := bits.Mul64(c.a, c.b); bhi != c.hi || blo != c.lo {
+			t.Errorf("bits.Mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, bhi, blo, c.hi, c.lo)
+		}
+	}
+	r := New(11)
+	for i := 0; i < 100000; i++ {
+		a, b := r.Uint64(), r.Uint64()>>(i%64)
+		hi, lo := mul64(a, b)
+		if bhi, blo := bits.Mul64(a, b); bhi != hi || blo != lo {
+			t.Fatalf("bits.Mul64(%d,%d) = (%d,%d), hand-written (%d,%d)", a, b, bhi, blo, hi, lo)
 		}
 	}
 }

@@ -124,8 +124,12 @@ func TestScheduleMatchesBuiltOverlays(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := top.MustBroadcast()
-		if top.Schedule != sp.schedule() || top.Schedule.Little != top.Little.P || top.Schedule.Broadcast != h.P {
-			t.Fatalf("%v: plan %+v does not match the overlays (little %+v, H %+v)", pt, top.Schedule, top.Little.P, h.P)
+		g1, err := top.Inquiry.Phase(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top.Schedule != sp.schedule() || top.Schedule.Little != top.Little.P || top.Schedule.Broadcast != h.P || top.Schedule.G1 != g1.P {
+			t.Fatalf("%v: plan %+v does not match the overlays (little %+v, H %+v, G_1 %+v)", pt, top.Schedule, top.Little.P, h.P, g1.P)
 		}
 	}
 }

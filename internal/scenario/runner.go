@@ -309,27 +309,27 @@ func consensusOutcome(n int, crashed *bitset.Set, inputs []bool, decision func(i
 }
 
 // gossipOutcome decodes a finished gossip run into its outcome. For a
-// surviving node i, known(i) is the membership of i's extant set (read
-// before the next call, so the caller may reuse one set) and
-// rumor(i, j) the rumor i holds for a member j. The run is complete
-// when every survivor's membership covers the survivors, one word at a
-// time. Nodes whose views are equal — same members, same rumor values —
-// get the same map: a complete run decodes into one view, not n. A
-// caller whose rumor(i, j) does not depend on i says so with
-// nodeIndependent, and equal memberships are then equal views without
-// comparing a value.
-func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, rumor func(i, j int) uint64, nodeIndependent bool) *GossipOutcome {
+// surviving node i, view(i) returns the membership of i's extant set —
+// read before the next call, so the caller may reuse one set — and i's
+// rumor array, indexed by member, which must not change during the
+// call. The run is complete when every survivor's membership covers the
+// survivors, one word at a time. Nodes whose views are equal — same
+// members, same rumor values — get the same map: a complete run decodes
+// into one view, not n. Rumor arrays are compared whole, which an
+// extant set's array, zero outside its members, allows. A caller whose
+// rumor array does not depend on i says so with nodeIndependent, and
+// equal memberships are then equal views without comparing a value.
+func gossipOutcome[R ~uint64](n int, crashed *bitset.Set, view func(i int) (*bitset.Set, []R), nodeIndependent bool) *GossipOutcome {
 	out := &GossipOutcome{
 		Extant:   make([]map[int]uint64, n),
 		Complete: true,
 	}
 	survivors := crashed.Clone()
 	survivors.Complement()
-	// The distinct views so far; rumors[j] mirrors view[j] for the
-	// members, so matching a node against a view costs no map lookups.
+	// The distinct views so far, with the rumor array each was read from.
 	type distinctView struct {
 		members *bitset.Set
-		rumors  []uint64
+		rumors  []R
 		view    map[int]uint64
 	}
 	var views []distinctView
@@ -337,19 +337,12 @@ func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, ru
 		if crashed.Contains(i) {
 			continue
 		}
-		members := known(i)
+		members, rumors := view(i)
 		if !survivors.SubsetOf(members) {
 			out.Complete = false
 		}
 		for _, v := range views {
-			if !v.members.Equal(members) {
-				continue
-			}
-			same := true
-			if !nodeIndependent {
-				members.ForEach(func(j int) { same = same && rumor(i, j) == v.rumors[j] })
-			}
-			if same {
+			if v.members.Equal(members) && (nodeIndependent || slices.Equal(v.rumors, rumors)) {
 				out.Extant[i] = v.view
 				break
 			}
@@ -359,13 +352,10 @@ func gossipOutcome(n int, crashed *bitset.Set, known func(i int) *bitset.Set, ru
 		}
 		v := distinctView{
 			members: members.Clone(),
-			rumors:  make([]uint64, n),
+			rumors:  rumors,
 			view:    make(map[int]uint64, members.Count()),
 		}
-		members.ForEach(func(j int) {
-			v.rumors[j] = rumor(i, j)
-			v.view[j] = v.rumors[j]
-		})
+		members.ForEach(func(j int) { v.view[j] = uint64(rumors[j]) })
 		views = append(views, v)
 		out.Extant[i] = v.view
 	}

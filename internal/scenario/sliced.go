@@ -351,10 +351,9 @@ func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 		p.members = bitset.New(sp.N)
 	}
 	rep.Gossip = gossipOutcome(sp.N, lr.Crashed,
-		func(i int) *bitset.Set {
+		func(i int) (*bitset.Set, []uint64) {
 			p.members.LoadWords(p.views.Members(lane, i))
-			return p.members
-		},
-		func(_, j int) uint64 { return sp.Rumors[j] }, true)
+			return p.members, sp.Rumors
+		}, true)
 	return rep
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -308,7 +309,14 @@ func TestGossipOutcomeSharesEqualViews(t *testing.T) {
 		known(i).ForEach(func(j int) { view[j] = rumor(i, j) })
 		want.Extant[i] = view
 	}
-	got := gossipOutcome(n, crashed, known, rumor, false)
+	// Each node's rumor array, as an extant set keeps it: the rumor at
+	// every member, zero elsewhere, and a fresh slice per call.
+	view := func(i int) (*bitset.Set, []uint64) {
+		rumors := make([]uint64, n)
+		known(i).ForEach(func(j int) { rumors[j] = rumor(i, j) })
+		return known(i), rumors
+	}
+	got := gossipOutcome(n, crashed, view, false)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("shared outcome diverged from the unshared decode")
 	}
@@ -347,7 +355,9 @@ func TestGossipOutcomeSharesEqualViews(t *testing.T) {
 	}
 
 	// All survivors complete: one view, not n.
-	complete := gossipOutcome(n, crashed, func(int) *bitset.Set { return alive }, func(_, j int) uint64 { return uint64(j) }, false)
+	ids := make([]uint64, n)
+	alive.ForEach(func(j int) { ids[j] = uint64(j) })
+	complete := gossipOutcome(n, crashed, func(int) (*bitset.Set, []uint64) { return alive, slices.Clone(ids) }, false)
 	if !complete.Complete {
 		t.Fatal("all-survivor views must be complete")
 	}
@@ -375,7 +385,12 @@ func TestGossipOutcomeNodeIndependentRumors(t *testing.T) {
 			few.Add(j)
 		}
 	}
-	rumor := func(_, j int) uint64 { return uint64(1000 + j*j) }
+	// One rumor table for every node, set at non-members too, as the
+	// sliced decode passes the spec's rumors.
+	rumors := make([]uint64, n)
+	for j := range rumors {
+		rumors[j] = uint64(1000 + j*j)
+	}
 	cases := []struct {
 		name    string
 		crashed []int
@@ -397,16 +412,16 @@ func TestGossipOutcomeNodeIndependentRumors(t *testing.T) {
 		}
 		// Each call gets its own reused Set, as the sliced decode hands
 		// gossipOutcome: the outcome must not alias it.
-		load := func() func(i int) *bitset.Set {
+		load := func() func(i int) (*bitset.Set, []uint64) {
 			scratch := bitset.New(size)
-			return func(i int) *bitset.Set {
+			return func(i int) (*bitset.Set, []uint64) {
 				scratch.Clear()
 				scratch.UnionWith(c.known(i))
-				return scratch
+				return scratch, rumors
 			}
 		}
-		want := gossipOutcome(size, crashed, load(), rumor, false)
-		got := gossipOutcome(size, crashed, load(), rumor, true)
+		want := gossipOutcome(size, crashed, load(), false)
+		got := gossipOutcome(size, crashed, load(), true)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: node-independent outcome diverged from the comparing path", c.name)
 		}

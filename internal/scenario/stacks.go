@@ -261,8 +261,7 @@ func decodeConsensus[M interface{ Decision() (bool, bool) }](sp Spec, ms []M, re
 
 func decodeGossip[M interface{ Extant() *gossip.ExtantSet }](sp Spec, ms []M, res *sim.Result, rep *Report) {
 	rep.Gossip = gossipOutcome(sp.N, res.Crashed,
-		func(i int) *bitset.Set { return ms[i].Extant().Known() },
-		func(i, j int) uint64 { return uint64(ms[i].Extant().Rumor(j)) }, false)
+		func(i int) (*bitset.Set, []gossip.Rumor) { return ms[i].Extant().View() }, false)
 }
 
 func decodeCheckpoint[M interface{ Decision() (*bitset.Set, bool) }](_ Spec, ms []M, res *sim.Result, rep *Report) {

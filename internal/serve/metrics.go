@@ -94,6 +94,12 @@ func newServeMetrics(s *Server) *serveMetrics {
 	reg.CounterFunc("lineartime_overlay_cache_evictions_total",
 		"Overlay-cache LRU evictions.",
 		func() int64 { return expander.Stats().Evictions })
+	reg.DurationCounterFunc("lineartime_overlay_build_seconds_total",
+		"Wall-clock seconds spent building and verifying overlays, over every overlay-cache miss; divided by the misses, the mean build time.",
+		func() time.Duration { return expander.Stats().BuildTime })
+	reg.CounterFunc("lineartime_overlay_seed_rotations_total",
+		"Seeds overlay builds rejected (unbuildable, disconnected or above the Ramanujan gate) and rotated past.",
+		func() int64 { return expander.Stats().SeedRotations })
 	reg.GaugeFunc("lineartime_overlay_cache_entries",
 		"Overlays resident in the overlay cache.",
 		func() float64 { return float64(expander.Stats().Entries) })

@@ -95,6 +95,12 @@ func TestMetricsNamingConvention(t *testing.T) {
 			}
 		}
 	}
+	// Beside them, the overlay builds' seconds and seed rotations.
+	for _, name := range []string{"lineartime_overlay_build_seconds_total", "lineartime_overlay_seed_rotations_total"} {
+		if !have[name] {
+			t.Errorf("family %s not registered", name)
+		}
+	}
 	// Executed, quiet and repeated rounds are three children of one
 	// family: each simulated round is counted once, so their sum is the
 	// rounds simulated and no second name can drift from it.
@@ -247,5 +253,26 @@ func TestOverlayCacheObservable(t *testing.T) {
 	}
 	if fresh.Misses <= recurring.Misses {
 		t.Fatalf("fresh seeds did not build: %+v -> %+v", recurring, fresh)
+	}
+
+	// The builds' time and rejected seeds sit next to the cache
+	// counters in /metrics: the fresh seeds' builds took time, and the
+	// rotations are a count, never negative.
+	value := func(name string) float64 {
+		v, ok := s.metrics.reg.Value(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		return v
+	}
+	seconds := value("lineartime_overlay_build_seconds_total")
+	for seed := uint64(4); seed < 8; seed++ {
+		run(0xf4e5400000+seed, 1)
+	}
+	if after := value("lineartime_overlay_build_seconds_total"); after <= seconds {
+		t.Fatalf("build seconds did not grow over fresh builds: %v -> %v", seconds, after)
+	}
+	if rotations := value("lineartime_overlay_seed_rotations_total"); rotations < 0 {
+		t.Fatalf("seed rotations = %v", rotations)
 	}
 }
