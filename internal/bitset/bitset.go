@@ -22,11 +22,36 @@ type Set struct {
 
 // New returns an empty set with capacity n (valid indices 0..n-1).
 func New(n int) *Set {
+	s := Over(n, make([]uint64, WordsFor(n)))
+	return &s
+}
+
+// WordsFor returns the number of words a set of capacity n keeps its
+// members in: ceil(n/64).
+func WordsFor(n int) int {
 	if n < 0 {
 		panic("bitset: negative capacity")
 	}
-	return &Set{n: n, words: make([]uint64, (n+63)/64)}
+	return (n + 63) / 64
 }
+
+// Over returns a set of capacity n that keeps its members in the
+// caller's words, in place: bit b of words[w] is element 64w+b. It is
+// how memory owned elsewhere (a run arena) holds sets without a
+// per-set allocation. Bits at or above the capacity are cleared. It
+// panics unless words has exactly WordsFor(n) words.
+func Over(n int, words []uint64) Set {
+	if len(words) != WordsFor(n) {
+		panic("bitset: word count mismatch in Over")
+	}
+	s := Set{n: n, words: words}
+	s.trim()
+	return s
+}
+
+// Words returns the words s keeps its members in, not a copy, laid out
+// as Over takes them. Writing them writes s.
+func (s *Set) Words() []uint64 { return s.words }
 
 // Len returns the capacity of the set.
 func (s *Set) Len() int { return s.n }
@@ -75,26 +100,21 @@ func (s *Set) UnionWith(other *Set) {
 	}
 }
 
-// UnionNew adds every element of other to s and calls fn, in increasing
-// order, for each element s did not hold before. The merge works a word
-// at a time — fresh = other &^ s — so its cost is the number of words
-// plus the number of fresh elements, not the size of other. It panics
-// if capacities differ, as UnionWith does.
-func (s *Set) UnionNew(other *Set, fn func(i int)) {
+// UnionCount adds every element of other to s and returns how many of
+// them s did not hold before: a word at a time, with a popcount of the
+// fresh bits. It panics if capacities differ, as UnionWith does.
+func (s *Set) UnionCount(other *Set) int {
 	if other.n != s.n {
-		panic("bitset: capacity mismatch in UnionNew")
+		panic("bitset: capacity mismatch in UnionCount")
 	}
-	for wi, w := range other.words {
-		fresh := w &^ s.words[wi]
-		if fresh == 0 {
-			continue
-		}
-		s.words[wi] |= fresh
-		for fresh != 0 {
-			fn(wi*64 + bits.TrailingZeros64(fresh))
-			fresh &= fresh - 1
+	fresh := 0
+	for i, w := range other.words {
+		if f := w &^ s.words[i]; f != 0 {
+			s.words[i] |= f
+			fresh += bits.OnesCount64(f)
 		}
 	}
+	return fresh
 }
 
 // LoadWords overwrites s with the membership words handed in: bit b of
@@ -117,16 +137,6 @@ func (s *Set) IntersectWith(other *Set) {
 	}
 	for i, w := range other.words {
 		s.words[i] &= w
-	}
-}
-
-// DifferenceWith removes every element of other from s.
-func (s *Set) DifferenceWith(other *Set) {
-	if other.n != s.n {
-		panic("bitset: capacity mismatch in DifferenceWith")
-	}
-	for i, w := range other.words {
-		s.words[i] &^= w
 	}
 }
 

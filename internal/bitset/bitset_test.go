@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +49,7 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestUnionIntersectDifference(t *testing.T) {
+func TestUnionIntersect(t *testing.T) {
 	a, b := New(100), New(100)
 	for i := 0; i < 100; i += 2 {
 		a.Add(i)
@@ -77,14 +76,6 @@ func TestUnionIntersectDifference(t *testing.T) {
 		}
 	}
 
-	d := a.Clone()
-	d.DifferenceWith(b)
-	for i := 0; i < 100; i++ {
-		want := i%2 == 0 && i%3 != 0
-		if d.Contains(i) != want {
-			t.Fatalf("difference membership of %d = %v, want %v", i, d.Contains(i), want)
-		}
-	}
 }
 
 func TestFillComplementClear(t *testing.T) {
@@ -218,11 +209,11 @@ func TestForEachMatchesElements(t *testing.T) {
 	}
 }
 
-// TestUnionNewMatchesBitAtATime pins the word-parallel merge against
-// the bit-at-a-time reference it replaced — visit other's members in
-// order, add and report the ones s lacks — on random sets of every
-// density, at capacities on both sides of a word boundary.
-func TestUnionNewMatchesBitAtATime(t *testing.T) {
+// TestUnionCountMatchesBitAtATime pins the word-parallel UnionCount
+// against an Add per member of the other set on random sets, empty and
+// full ones included: the same union, a count of exactly the members
+// that were new, no bit above the capacity and an untouched argument.
+func TestUnionCountMatchesBitAtATime(t *testing.T) {
 	r := rng.New(0xB175)
 	for _, n := range []int{1, 63, 64, 65, 128, 1000} {
 		for trial := 0; trial < 200; trial++ {
@@ -237,24 +228,22 @@ func TestUnionNewMatchesBitAtATime(t *testing.T) {
 				}
 			}
 			want, wantOther := s.Clone(), other.Clone()
-			var wantFresh []int
+			wantFresh := 0
 			other.ForEach(func(i int) {
 				if !want.Contains(i) {
 					want.Add(i)
-					wantFresh = append(wantFresh, i)
+					wantFresh++
 				}
 			})
 
-			var fresh []int
-			s.UnionNew(other, func(i int) { fresh = append(fresh, i) })
-			if !s.Equal(want) {
-				t.Fatalf("n=%d: UnionNew = %v, want %v", n, s, want)
+			if fresh := s.UnionCount(other); fresh != wantFresh {
+				t.Fatalf("n=%d: UnionCount = %d, want %d", n, fresh, wantFresh)
 			}
-			if !slices.Equal(fresh, wantFresh) {
-				t.Fatalf("n=%d: fresh = %v, want %v", n, fresh, wantFresh)
+			if !s.Equal(want) {
+				t.Fatalf("n=%d: UnionCount left %v, want %v", n, s, want)
 			}
 			if !other.Equal(wantOther) {
-				t.Fatalf("n=%d: UnionNew wrote to its argument", n)
+				t.Fatalf("n=%d: UnionCount wrote to its argument", n)
 			}
 			if s.Count() > n {
 				t.Fatalf("n=%d: bits above capacity set", n)
@@ -263,15 +252,39 @@ func TestUnionNewMatchesBitAtATime(t *testing.T) {
 	}
 }
 
-func TestUnionNewCapacityMismatchPanics(t *testing.T) {
+func TestUnionCountCapacityMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("UnionNew across capacities did not panic")
+			t.Fatal("UnionCount across capacities did not panic")
 		}
 	}()
 	// Same word count, different capacity: the check is on n, not on
 	// the backing length.
-	New(65).UnionNew(New(128), func(int) {})
+	New(65).UnionCount(New(128))
+}
+
+// TestOverKeepsMembersInCallerWords: a set built over caller words
+// reads and writes those words in place, drops bits above its
+// capacity, and rejects a word count that does not fit it.
+func TestOverKeepsMembersInCallerWords(t *testing.T) {
+	words := []uint64{1 << 5, ^uint64(0)}
+	s := Over(70, words)
+	if !s.Contains(5) || !s.Contains(69) || s.Count() != 1+6 {
+		t.Fatalf("Over(70) = %v, want 5 and 64..69", &s)
+	}
+	if words[1] != 1<<6-1 {
+		t.Fatalf("bits above the capacity kept: %#x", words[1])
+	}
+	s.Add(7)
+	if words[0] != 1<<5|1<<7 || &s.Words()[0] != &words[0] {
+		t.Fatal("the set does not write the caller's words")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Over with the wrong word count did not panic")
+		}
+	}()
+	Over(65, make([]uint64, 1))
 }
 
 // TestLoadWordsMatchesAdds: loading packed membership words gives the

@@ -7,6 +7,8 @@
 package gossip
 
 import (
+	"math/bits"
+
 	"lineartime/internal/bitset"
 	"lineartime/internal/sim"
 )
@@ -22,20 +24,23 @@ const RumorBits = 64
 // (the rumor) or nil (unknown). Pairs are immutable once proper (§5),
 // so a view only grows. The zero value is unusable; use NewExtantSet.
 type ExtantSet struct {
-	known  *bitset.Set
+	known  bitset.Set
 	rumors []Rumor
 	count  int        // |known|, kept so sizing a message is O(1)
 	snap   *ExtantSet // last Snapshot; current while snap.count == count
+	slab   *Slab      // holds the set and its snapshots; nil on a snapshot
 }
 
 // NewExtantSet returns an extant set over n nodes with every pair nil.
-func NewExtantSet(n int) *ExtantSet { return newExtantSetOver(make([]Rumor, n)) }
+func NewExtantSet(n int) *ExtantSet {
+	e := newExtantSet(n, &Slab{})
+	return &e
+}
 
-// newExtantSetOver returns an extant set over len(rumors) nodes with
-// every pair nil that keeps its rumors in the given array, which must be
-// all zero.
-func newExtantSetOver(rumors []Rumor) *ExtantSet {
-	return &ExtantSet{known: bitset.New(len(rumors)), rumors: rumors}
+// newExtantSet returns an extant set over n nodes with every pair nil,
+// cut from s, which also holds its snapshots.
+func newExtantSet(n int, s *Slab) ExtantSet {
+	return ExtantSet{known: s.newSet(n), rumors: s.rumors.take(n), slab: s}
 }
 
 // Update records the proper pair (node, rumor); later updates for the
@@ -65,41 +70,59 @@ func (e *ExtantSet) Known() *bitset.Set { return e.known.Clone() }
 // without copying either: they are e's own, change as e grows, and must
 // not be modified. The array is zero outside the members, except on a
 // Snapshot, which shares its source's array.
-func (e *ExtantSet) View() (*bitset.Set, []Rumor) { return e.known, e.rumors }
+func (e *ExtantSet) View() (*bitset.Set, []Rumor) { return &e.known, e.rumors }
 
-// MergeFrom absorbs every proper pair of other that is nil here. The
-// membership merge runs a word at a time and rumors are copied only
-// for the pairs that are new, so absorbing a set that teaches nothing
-// — the common case once rumors have spread — costs n/64 word
-// operations.
+// MergeFrom absorbs every proper pair of other that is nil here. It
+// walks the membership a word at a time — fresh = other &^ e — and
+// copies rumors only for the pairs that are new, so absorbing a set
+// that teaches nothing — the common case once rumors have spread —
+// costs n/64 word operations. It panics if the capacities differ; all
+// sets of one run share the capacity n.
 func (e *ExtantSet) MergeFrom(other *ExtantSet) {
 	if e.count == len(e.rumors) {
 		return // a full view learns nothing
 	}
-	e.known.UnionNew(other.known, func(node int) {
-		e.rumors[node] = other.rumors[node]
-		e.count++
-	})
+	if other.known.Len() != e.known.Len() {
+		panic("gossip: capacity mismatch in MergeFrom")
+	}
+	mine := e.known.Words()
+	for wi, w := range other.known.Words() {
+		fresh := w &^ mine[wi]
+		if fresh == 0 {
+			continue
+		}
+		mine[wi] |= fresh
+		e.count += bits.OnesCount64(fresh)
+		for ; fresh != 0; fresh &= fresh - 1 {
+			node := wi<<6 | bits.TrailingZeros64(fresh)
+			e.rumors[node] = other.rumors[node]
+		}
+	}
 }
 
 // Clone returns an independent copy.
 func (e *ExtantSet) Clone() *ExtantSet {
-	return &ExtantSet{known: e.known.Clone(), rumors: append([]Rumor(nil), e.rumors...), count: e.count}
+	c := NewExtantSet(e.known.Len())
+	copy(c.known.Words(), e.known.Words())
+	copy(c.rumors, e.rumors)
+	c.count = e.count
+	return c
 }
 
 // Snapshot returns a frozen view of e for a message payload: a copy of
-// the membership that shares e's rumor array. The view is never written
-// again — a delayed message parks in the engine's delay ring for rounds
-// and one payload reaches many receivers —
-// and sharing the rumors keeps it so, because a proper pair is
-// immutable: e writes a rumor only for a node it did not know, which no
-// earlier snapshot contains, and a snapshot is read only at its
-// members. One snapshot serves every message the node sends until e
-// next grows: a view only grows, hence an unchanged count means an
-// unchanged view, and only a changed one is copied again.
+// the membership that shares e's rumor array, cut from e's slab, and
+// itself never snapshot. The view is never written again — a delayed
+// message parks in the engine's delay ring for rounds and one payload
+// reaches many receivers — and sharing the rumors keeps it so, because
+// a proper pair is immutable: e writes a rumor only for a node it did
+// not know, which no earlier snapshot contains, and a snapshot is read
+// only at its members. One snapshot serves every message the node
+// sends until e next grows: a view only grows, hence an unchanged count
+// means an unchanged view, and only a changed one is copied again.
 func (e *ExtantSet) Snapshot() *ExtantSet {
 	if e.snap == nil || e.snap.count != e.count {
-		e.snap = &ExtantSet{known: e.known.Clone(), rumors: e.rumors, count: e.count}
+		e.snap = &e.slab.extants.take(1)[0]
+		*e.snap = ExtantSet{known: e.slab.copySet(&e.known), rumors: e.rumors, count: e.count}
 	}
 	return e.snap
 }
@@ -109,15 +132,23 @@ func (e *ExtantSet) Snapshot() *ExtantSet {
 // node whose completion set it merged while probing. Like a view it
 // only grows. The zero value is unusable; use NewCompletionSet.
 type CompletionSet struct {
-	set       *bitset.Set
+	set       bitset.Set
 	count     int         // |set|
 	snap      *bitset.Set // last Snapshot; current while snapCount == count
 	snapCount int
+	slab      *Slab // holds the set and its snapshots
 }
 
 // NewCompletionSet returns an empty completion set over n nodes.
 func NewCompletionSet(n int) *CompletionSet {
-	return &CompletionSet{set: bitset.New(n)}
+	c := newCompletionSet(n, &Slab{})
+	return &c
+}
+
+// newCompletionSet returns an empty completion set over n nodes, cut
+// from s, which also holds its snapshots.
+func newCompletionSet(n int, s *Slab) CompletionSet {
+	return CompletionSet{set: s.newSet(n), slab: s}
 }
 
 // Add marks node covered and reports whether it was not before.
@@ -133,20 +164,23 @@ func (c *CompletionSet) Add(node int) bool {
 // Full reports whether every node is covered.
 func (c *CompletionSet) Full() bool { return c.count == c.set.Len() }
 
-// MergeFrom absorbs a received completion set; a full one learns nothing.
+// MergeFrom absorbs a received completion set, a word at a time, and
+// counts the newly covered nodes with a popcount; a full set learns
+// nothing.
 func (c *CompletionSet) MergeFrom(other *bitset.Set) {
 	if c.Full() {
 		return
 	}
-	c.set.UnionNew(other, func(int) { c.count++ })
+	c.count += c.set.UnionCount(other)
 }
 
-// Snapshot returns a copy of the set for a message payload, under
-// ExtantSet.Snapshot's rule: never written again, cloned again only
-// once the set has grown.
+// Snapshot returns a copy of the set for a message payload, cut from
+// c's slab under ExtantSet.Snapshot's rule: never written again, copied
+// again only once the set has grown.
 func (c *CompletionSet) Snapshot() *bitset.Set {
 	if c.snap == nil || c.snapCount != c.count {
-		c.snap, c.snapCount = c.set.Clone(), c.count
+		c.snap = &c.slab.sets.take(1)[0]
+		*c.snap, c.snapCount = c.slab.copySet(&c.set), c.count
 	}
 	return c.snap
 }
@@ -155,7 +189,8 @@ func (c *CompletionSet) Snapshot() *bitset.Set {
 // "messages of linear size" accounting: an extant-set message costs a
 // membership bitmap plus the carried rumors.
 
-// PairPayload is a response carrying one proper pair.
+// PairPayload is a response carrying one proper pair. Gossip sends its
+// own pair by pointer, from the machine that holds it.
 type PairPayload struct {
 	Node  int
 	Value Rumor

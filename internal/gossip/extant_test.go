@@ -33,7 +33,7 @@ func TestMergeFromMatchesBitAtATime(t *testing.T) {
 			other.known.ForEach(func(node int) { want.Update(node, other.rumors[node]) })
 
 			e.MergeFrom(other)
-			if !e.known.Equal(want.known) || !slices.Equal(e.rumors, want.rumors) {
+			if !e.known.Equal(&want.known) || !slices.Equal(e.rumors, want.rumors) {
 				t.Fatalf("n=%d: MergeFrom differs from the bit-at-a-time merge", n)
 			}
 			if e.Count() != e.known.Count() {
@@ -42,7 +42,7 @@ func TestMergeFromMatchesBitAtATime(t *testing.T) {
 			if got := (ExtantPayload{Set: e}).SizeBits(); got != n+RumorBits*e.known.Count() {
 				t.Fatalf("n=%d: payload bits = %d", n, got)
 			}
-			if !other.known.Equal(wantOther.known) || !slices.Equal(other.rumors, wantOther.rumors) {
+			if !other.known.Equal(&wantOther.known) || !slices.Equal(other.rumors, wantOther.rumors) {
 				t.Fatalf("n=%d: MergeFrom wrote to its argument", n)
 			}
 		}

@@ -95,7 +95,7 @@ func TestPhaseOpenerGateIsExact(t *testing.T) {
 			}
 			for i := range got {
 				g, w := got[i].Extant(), want[i].Extant()
-				if !g.known.Equal(w.known) || !reflect.DeepEqual(g.rumors, w.rumors) {
+				if !g.known.Equal(&w.known) || !reflect.DeepEqual(g.rumors, w.rumors) {
 					t.Fatalf("%s seed %d: node %d decided a different view", name, seed, i)
 				}
 			}

@@ -22,16 +22,17 @@ type Gossip struct {
 	id  int
 	top *consensus.Topology
 
-	extant     *ExtantSet
-	completion *CompletionSet // little nodes only
-	self       sim.Payload    // the node's own pair, boxed once
+	extant     ExtantSet
+	completion CompletionSet // little nodes only
+	self       PairPayload   // the node's own pair, sent by pointer
 	out        sim.Outbox
 
-	probing      *probe.Probing
-	armed        int   // first round of the phase whose instance probing holds
-	survivedPrev bool  // survived the previous phase's probing
-	moved        bool  // the last probing Deliver grew a set or paused
-	inquirers    []int // Part 1 inquiry senders awaiting a response
+	little       bool          // probes and keeps a completion set
+	probing      probe.Probing // little nodes only
+	armed        int           // first round of the phase whose instance probing holds
+	survivedPrev bool          // survived the previous phase's probing
+	moved        bool          // the last probing Deliver grew a set or paused
+	inquirers    []int         // Part 1 inquiry senders awaiting a response
 	halted       bool
 }
 
@@ -40,31 +41,14 @@ func New(id int, top *consensus.Topology, rumor Rumor) *Gossip {
 	return NewIn(id, top, rumor, &Slab{})
 }
 
-// Slab is memory a system of machines cuts its rumor arrays and send
-// buffers from (NewIn), so that the whole system lives in two
-// allocations its owner can recycle once the run's outcome is read. The
-// rumors must be all zero.
-type Slab struct {
-	Envelopes []sim.Envelope
-	Rumors    []Rumor
-}
-
-// SlabSize returns the envelopes and rumors of a Slab that NewIn cuts
-// every machine of a system on top from.
-func SlabSize(top *consensus.Topology) (envelopes, rumors int) {
-	for id := 0; id < top.N; id++ {
-		envelopes += sendCap(top, id)
-	}
-	return envelopes, top.N * top.N
-}
-
 // sendCap returns the envelopes node id sends in its widest round over
 // G_1 and the little overlay — inquiries or pushes to its G_1
 // neighbours, responses to its little G_1 neighbours, probes to its
 // little neighbours — from the overlays' resolved degrees in the
-// topology's schedule, so that nothing is built. The denser G_i of later
-// phases, consulted only after crashes, grow the buffer like any
-// sim.Outbox.
+// topology's schedule, so that nothing is built. It also bounds the
+// inquirers the node answers in one round of phase 1. The denser G_i of
+// later phases, consulted only after crashes, grow the buffers like
+// any sim.Outbox.
 func sendCap(top *consensus.Topology, id int) int {
 	c := top.Schedule.G1.Degree
 	if top.IsLittle(id) {
@@ -73,31 +57,25 @@ func sendCap(top *consensus.Topology, id int) int {
 	return c
 }
 
-// NewIn is New with the machine's rumor array and send buffer cut from
-// the fronts of s, which it advances past them; a part of s too short
-// for its cut leaves that buffer to be allocated as New does.
+// NewIn is New with the machine and everything it holds cut from s,
+// along with every snapshot it hands out while it runs.
 func NewIn(id int, top *consensus.Topology, rumor Rumor, s *Slab) *Gossip {
-	n := top.N
-	rumors := s.Rumors
-	if len(rumors) >= n {
-		rumors, s.Rumors = rumors[:n:n], rumors[n:]
-	} else {
-		rumors = make([]Rumor, n)
-	}
-	g := &Gossip{
+	c := sendCap(top, id)
+	g := &s.machines.take(1)[0]
+	*g = Gossip{
 		id:           id,
 		top:          top,
-		extant:       newExtantSetOver(rumors),
+		extant:       newExtantSet(top.N, s),
+		self:         PairPayload{Node: id, Value: rumor},
+		out:          s.envelopes.take(c)[:0],
+		little:       top.IsLittle(id),
 		survivedPrev: true,
-	}
-	if c := sendCap(top, id); len(s.Envelopes) >= c {
-		g.out, s.Envelopes = s.Envelopes[:0:c], s.Envelopes[c:]
+		inquirers:    s.ints.take(c)[:0],
 	}
 	g.extant.Update(id, rumor)
-	g.self = PairPayload{Node: id, Value: rumor}
-	if top.IsLittle(id) {
-		g.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
-		g.completion = NewCompletionSet(top.N)
+	if g.little {
+		g.probing = *probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
+		g.completion = newCompletionSet(top.N, s)
 		g.completion.Add(id)
 	}
 	return g
@@ -107,7 +85,7 @@ func NewIn(id int, top *consensus.Topology, rumor Rumor, s *Slab) *Gossip {
 func (g *Gossip) ScheduleLength() int { return g.top.Schedule.Gossip }
 
 // Extant returns the node's extant set (the decided output).
-func (g *Gossip) Extant() *ExtantSet { return g.extant }
+func (g *Gossip) Extant() *ExtantSet { return &g.extant }
 
 // overlayFor returns the inquiry overlay of the given 0-based phase.
 func (g *Gossip) overlayFor(phase int) []int {
@@ -124,7 +102,7 @@ func (g *Gossip) overlayFor(phase int) []int {
 // may have been repeated rather than executed (see RepeatUntil), so it
 // closes here, not in its last Deliver.
 func (g *Gossip) close(start int) {
-	if g.probing != nil && g.armed < start {
+	if g.little && g.armed < start {
 		g.survivedPrev = !g.probing.Paused()
 		g.probing.Reset()
 		g.armed = start
@@ -133,7 +111,7 @@ func (g *Gossip) close(start int) {
 
 // survived returns survivedPrev as close(start) would leave it.
 func (g *Gossip) survived(start int) bool {
-	if g.probing != nil && g.armed < start {
+	if g.little && g.armed < start {
 		return !g.probing.Paused()
 	}
 	return g.survivedPrev
@@ -147,10 +125,9 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 	}
 	part, phase, off := s.GossipAt(round)
 	g.close(round - off)
-	little := g.top.IsLittle(g.id)
 	switch off {
 	case 0: // inquiry (Part 1) / push (Part 2) round
-		if !little || (phase > 0 && !g.survivedPrev) {
+		if !g.little || (phase > 0 && !g.survivedPrev) {
 			return nil
 		}
 		g.out.Reset(0)
@@ -173,13 +150,13 @@ func (g *Gossip) Send(round int) []sim.Envelope {
 		return g.out
 	case 1: // response round (Part 1 only)
 		if part == 1 && len(g.inquirers) > 0 {
-			out := g.out.FanOut(g.id, g.inquirers, g.self)
+			out := g.out.FanOut(g.id, g.inquirers, &g.self)
 			g.inquirers = g.inquirers[:0]
 			return out
 		}
 		return nil
 	default: // probing rounds
-		if g.probing == nil {
+		if !g.little {
 			return nil
 		}
 		targets := g.probing.SendTargets()
@@ -221,13 +198,13 @@ func (g *Gossip) Deliver(round int, inbox []sim.Envelope) {
 	case 1:
 		if part == 1 {
 			for _, env := range inbox {
-				if p, ok := env.Payload.(PairPayload); ok {
+				if p, ok := env.Payload.(*PairPayload); ok {
 					g.extant.Update(p.Node, p.Value)
 				}
 			}
 		}
 	default:
-		if g.probing != nil {
+		if g.little {
 			extant, covered, paused := g.extant.Count(), g.completion.count, g.probing.Paused()
 			count := 0
 			for _, env := range inbox {
@@ -264,7 +241,7 @@ func (g *Gossip) QuietUntil(round int) int {
 	if round >= s.Gossip-1 || len(g.inquirers) > 0 {
 		return round
 	}
-	if g.probing == nil {
+	if !g.little {
 		return s.Gossip - 1
 	}
 	part, phase, off := s.GossipAt(round)
@@ -301,7 +278,7 @@ func (g *Gossip) RepeatUntil(round, last int) int {
 	lastPart, _, lastOff := s.GossipAt(last)
 	start := round - off
 	if off < 2 || lastOff < 2 || part != lastPart ||
-		g.probing != nil && (g.moved || last < start && !g.survived(start)) {
+		g.little && (g.moved || last < start && !g.survived(start)) {
 		return round
 	}
 	return min(start+s.GossipPhaseLen, s.Gossip-1)

@@ -178,9 +178,9 @@ func TestFullSetsLearnNothing(t *testing.T) {
 							rumors[j] = other.rumors[j]
 						}
 					})
-					c.MergeFrom(other.known)
-					c.MergeFrom(other.known)
-					covered.UnionWith(other.known)
+					c.MergeFrom(&other.known)
+					c.MergeFrom(&other.known)
+					covered.UnionWith(&other.known)
 				}
 				if !e.known.Equal(members) || e.Count() != members.Count() {
 					t.Fatalf("n=%d: view has %d members (count %d), model %d", n, e.known.Count(), e.Count(), members.Count())
@@ -191,7 +191,7 @@ func TestFullSetsLearnNothing(t *testing.T) {
 					}
 				})
 				if !c.set.Equal(covered) || c.count != covered.Count() || c.Full() != (covered.Count() == n) {
-					t.Fatalf("n=%d: completion set %v (count %d, full %v), model %v", n, c.set, c.count, c.Full(), covered)
+					t.Fatalf("n=%d: completion set %v (count %d, full %v), model %v", n, &c.set, c.count, c.Full(), covered)
 				}
 				if snap := c.Snapshot(); !snap.Equal(covered) {
 					t.Fatalf("n=%d: completion snapshot %v is stale, set %v", n, snap, covered)

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"lineartime/internal/rng"
 )
@@ -70,6 +72,7 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	}
 	r := rng.New(seed)
 	p := newPairing(n, d)
+	defer pairings.Put(p)
 	const maxAttempts = 32
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if p.draw(r) {
@@ -88,16 +91,30 @@ type pairing struct {
 	n, d   int
 	points []int32
 	work   []int
+	fill   []int      // adjacency entries written per vertex, in graph
 	seen   edgeCounts // multiplicity of every pair's edge
 }
 
+// pairings keeps RandomRegular's scratch between calls: a build whose
+// shape fits the scratch a previous build left allocates only the
+// graph it returns.
+var pairings sync.Pool
+
+// newPairing returns scratch for shape (n, d), pooled when there is
+// some; RandomRegular puts it back. Every attempt overwrites the points
+// and clears the table, and graph clears fill, so what an earlier
+// build left in them is never read.
 func newPairing(n, d int) *pairing {
-	return &pairing{
-		n: n, d: d,
-		points: make([]int32, n*d),
-		work:   make([]int, 0, n*d/16),
-		seen:   newEdgeCounts(n * d),
+	p, _ := pairings.Get().(*pairing)
+	if p == nil {
+		p = &pairing{}
 	}
+	p.n, p.d = n, d
+	p.points = slices.Grow(p.points[:0], n*d)[:n*d]
+	p.fill = slices.Grow(p.fill[:0], n)[:n]
+	p.work = p.work[:0]
+	p.seen.fit(n * d)
+	return p
 }
 
 // edge returns pair i's endpoints and the canonical key of its edge.
@@ -199,8 +216,8 @@ func (p *pairing) draw(r *rng.SplitMix64) bool {
 // vertex v into its neighbours' lists in the points buffer in ascending
 // v, from where the sorted lists are copied back.
 func (p *pairing) graph() *Graph {
-	n, d, points := p.n, p.d, p.points
-	fill := make([]int, n)
+	n, d, points, fill := p.n, p.d, p.points, p.fill
+	clear(fill)
 	flat := make([]int, n*d)
 	for i := 0; i < len(points); i += 2 {
 		u, v := int(points[i]), int(points[i+1])
@@ -228,7 +245,7 @@ func (p *pairing) graph() *Graph {
 }
 
 // edgeCounts is a multiplicity table over edge keys: open addressing
-// with linear probing in a power-of-two table allocated once. A key
+// with linear probing in a power-of-two table sized by fit. A key
 // whose count falls to zero leaves the table, so it never holds more
 // keys than a sample has pairs.
 type edgeCounts struct {
@@ -237,15 +254,18 @@ type edgeCounts struct {
 	shift  uint
 }
 
-// newEdgeCounts returns a table of at least the given number of slots,
-// which the keys of slots/2 pairs fill at most half.
-func newEdgeCounts(slots int) edgeCounts {
+// fit sizes the table to at least the given number of slots, which the
+// keys of slots/2 pairs fill at most half, in arrays it keeps when they
+// are long enough; what they hold is left for clear.
+func (t *edgeCounts) fit(slots int) {
 	size, shift := 1, uint(64)
 	for size < slots {
 		size <<= 1
 		shift--
 	}
-	return edgeCounts{keys: make([]uint64, size), counts: make([]int32, size), shift: shift}
+	t.keys = slices.Grow(t.keys[:0], size)[:size]
+	t.counts = slices.Grow(t.counts[:0], size)[:size]
+	t.shift = shift
 }
 
 func (t *edgeCounts) clear() {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"lineartime/internal/gossip"
 	"lineartime/internal/obs"
 	"lineartime/internal/sim"
 	"lineartime/internal/sim/simtest"
@@ -250,39 +249,65 @@ func drainRunSlabs() []*runSlab {
 }
 
 // assertZeroSlab fails unless the slab is all zero throughout the
-// capacity of both its parts.
+// capacity of every slice it holds: the few-crashes envelopes and each
+// chunk of the gossip slab, whatever its element type. The gossip
+// slab's fields are unexported, so they are read by reflection, which
+// also means a new kind of chunk is checked without a change here.
 func assertZeroSlab(t *testing.T, tag string, s *runSlab) {
 	t.Helper()
-	for i, env := range s.Envelopes[:cap(s.Envelopes)] {
-		if env != (sim.Envelope{}) {
-			t.Fatalf("%s: pooled slab holds %+v at %d of %d", tag, env, i, cap(s.Envelopes))
-		}
-	}
-	for i, r := range s.Rumors[:cap(s.Rumors)] {
-		if r != 0 {
-			t.Fatalf("%s: pooled slab holds rumor %d at %d of %d", tag, r, i, cap(s.Rumors))
-		}
+	if path := nonZero(reflect.ValueOf(s).Elem(), "slab"); path != "" {
+		t.Fatalf("%s: pooled slab holds a value at %s", tag, path)
 	}
 }
 
-// TestSendSlabReturnsClean: a slab back in the pool holds no envelope
-// and no rumor — a pooled slab must not pin a finished run's payloads,
-// and a gossip run reads its rumor arrays as all nil pairs — whether it
-// got there from release directly or at the end of a few-crashes or a
-// gossip Run.
+// nonZero returns the path of the first value inside v that is not
+// zero, or "" if there is none. A slice is read through its capacity;
+// a slice of slices is a chunk list, whose chunks are read one by one.
+func nonZero(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := nonZero(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Slice {
+			for i := 0; i < v.Len(); i++ {
+				if p := nonZero(v.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+					return p
+				}
+			}
+			return ""
+		}
+		for i, all := 0, v.Slice3(0, v.Cap(), v.Cap()); i < all.Len(); i++ {
+			if !all.Index(i).IsZero() {
+				return fmt.Sprintf("%s[%d] of %d", path, i, v.Cap())
+			}
+		}
+	default:
+		if !v.IsZero() {
+			return path
+		}
+	}
+	return ""
+}
+
+// TestSendSlabReturnsClean: a slab back in the pool holds no envelope,
+// no machine, no set and no payload — a pooled slab must not pin a
+// finished run's payloads, and a gossip run reads the memory it cuts as
+// nil pairs and empty sets — whether it got there from release directly
+// or at the end of a few-crashes or a gossip Run.
 func TestSendSlabReturnsClean(t *testing.T) {
 	drainRunSlabs()
-	s := getRunSlab(100, 30)
-	for i := range s.Envelopes {
-		s.Envelopes[i] = sim.Envelope{From: i, To: i + 1, Payload: sim.Bit(true)}
-	}
-	for i := range s.Rumors {
-		s.Rumors[i] = gossip.Rumor(i + 1)
+	s := getRunSlab(100)
+	for i := range s.envelopes {
+		s.envelopes[i] = sim.Envelope{From: i, To: i + 1, Payload: sim.Bit(true)}
 	}
 	s.release()
 	assertZeroSlab(t, "after release", s) // no other test runs beside this one, so s is still ours to read
-	if again := getRunSlab(40, 50); again == s && (len(again.Envelopes) != 40 || len(again.Rumors) != 50) {
-		t.Fatalf("reused slab has lengths %d and %d, want 40 and 50", len(again.Envelopes), len(again.Rumors))
+	if again := getRunSlab(40); again == s && len(again.envelopes) != 40 {
+		t.Fatalf("reused slab has %d envelopes, want 40", len(again.envelopes))
 	}
 
 	for _, sp := range []Spec{serveColdSpec(t, 9), MustLookup("gossip/expander").Spec(96, 16, 0x51ab0002)} {

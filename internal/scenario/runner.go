@@ -55,24 +55,27 @@ func Execute(cfg sim.Config) (*sim.Result, error) {
 }
 
 // runSlabs recycles the per-run memory of the few-crashes and gossip
-// stacks: a run's per-machine sim.Outboxes (consensus.CarveOutboxes,
-// gossip.NewIn) and gossip rumor arrays are cut from one slab instead of
-// being allocated machine by machine. A pooled slab is all zero —
-// release clears what the run wrote — so it pins no payload between
-// runs.
+// stacks: a few-crashes run's per-machine sim.Outboxes
+// (consensus.CarveOutboxes) and everything a gossip run's machines
+// hold or hand out (gossip.NewIn) are cut from one slab instead of
+// being allocated machine by machine and message by message. A pooled
+// slab is all zero — release clears what the run wrote — so it pins no
+// payload between runs.
 var runSlabs sync.Pool
 
-type runSlab struct{ gossip.Slab }
+type runSlab struct {
+	envelopes []sim.Envelope // few-crashes send buffers
+	gossip    gossip.Slab
+}
 
-// getRunSlab borrows a slab of the given lengths, growing whichever
-// part of a pooled one is too short.
-func getRunSlab(envs, rumors int) *runSlab {
+// getRunSlab borrows a slab with envs few-crashes envelopes, growing a
+// pooled one whose envelopes are too few.
+func getRunSlab(envs int) *runSlab {
 	s, _ := runSlabs.Get().(*runSlab)
 	if s == nil {
 		s = &runSlab{}
 	}
-	s.Envelopes = slices.Grow(s.Envelopes[:0], envs)[:envs]
-	s.Rumors = slices.Grow(s.Rumors[:0], rumors)[:rumors]
+	s.envelopes = slices.Grow(s.envelopes[:0], envs)[:envs]
 	return s
 }
 
@@ -82,8 +85,8 @@ func (s *runSlab) release() {
 	if s == nil {
 		return
 	}
-	clear(s.Envelopes)
-	clear(s.Rumors)
+	clear(s.envelopes)
+	s.gossip.Release()
 	runSlabs.Put(s)
 }
 
@@ -115,8 +118,8 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	}
 	// Runs once the outcome is decoded: finish reads the machines, and
 	// nothing in the report aliases their buffers. An observer may hold
-	// payloads past the run, and gossip snapshots share the slab's
-	// rumors, so an observed run keeps its slab.
+	// payloads past the run, and gossip payloads live in the slab, so an
+	// observed run keeps its slab.
 	if sp.Observer == nil {
 		defer sys.slab.release()
 	}
@@ -203,8 +206,9 @@ type system struct {
 	little int
 	// finish evaluates the problem-specific outcome into the report.
 	finish func(res *sim.Result, rep *Report)
-	// slab, when set, holds the machines' send buffers and rumor arrays;
-	// once it is released the machines must not run again.
+	// slab, when set, holds the machines' send buffers (and a gossip
+	// run's machines, sets and payloads); once it is released the
+	// machines must not run again.
 	slab *runSlab
 }
 

@@ -40,8 +40,8 @@ var stacks = map[stackKey]stack{
 			if err != nil {
 				return nil, err
 			}
-			slab := getRunSlab(top.OutboxSlabLen(), 0)
-			rest := slab.Envelopes
+			slab := getRunSlab(top.OutboxSlabLen())
+			rest := slab.envelopes
 			sys := perNode(sp, top.L, func(i int) *consensus.FewCrashes {
 				m := consensus.NewFewCrashes(i, top, sp.BoolInputs[i])
 				rest = m.CarveOutboxes(rest)
@@ -107,10 +107,10 @@ var stacks = map[stackKey]stack{
 			if err != nil {
 				return nil, err
 			}
-			slab := getRunSlab(gossip.SlabSize(top))
-			cut := slab.Slab // NewIn advances the copy; release clears the whole slab
+			slab := getRunSlab(0)
+			slab.gossip.Reserve(top)
 			sys := perNode(sp, top.L, func(i int) *gossip.Gossip {
-				return gossip.NewIn(i, top, gossip.Rumor(sp.Rumors[i]), &cut)
+				return gossip.NewIn(i, top, gossip.Rumor(sp.Rumors[i]), &slab.gossip)
 			}, decodeGossip)
 			sys.slab = slab
 			return sys, nil

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"net/http"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -110,6 +113,23 @@ func newServeMetrics(s *Server) *serveMetrics {
 		"Overlay-cache byte budget.",
 		func() float64 { return float64(expander.Stats().Capacity) })
 
+	// The Go runtime's cumulative counters, read when /metrics is
+	// scraped: divided by the requests served in between, the objects
+	// and bytes counters are what a request allocates.
+	reg.CounterFunc("lineartime_go_gc_cycles_total",
+		"Garbage collection cycles the Go runtime completed.",
+		runtimeCounter("/gc/cycles/total:gc-cycles"))
+	reg.CounterFunc("lineartime_go_heap_allocs_objects_total",
+		"Heap objects the Go runtime allocated; tiny allocations count once per 16-byte block they share.",
+		runtimeCounter("/gc/heap/allocs:objects"))
+	reg.CounterFunc("lineartime_go_heap_allocs_bytes_total",
+		"Heap bytes the Go runtime allocated.",
+		runtimeCounter("/gc/heap/allocs:bytes"))
+	reg.GaugeFunc("lineartime_build_info",
+		"Always 1; the labels name the Go toolchain and the VCS revision the binary was built from.",
+		func() float64 { return 1 },
+		obs.L{Key: "go_version", Value: runtime.Version()}, obs.L{Key: "revision", Value: buildRevision()})
+
 	reg.CounterFunc("lineartime_coalesced_total",
 		"Requests served by joining an identical in-flight run.",
 		func() int64 { return s.flight.Coalesced() })
@@ -149,6 +169,39 @@ func (m *serveMetrics) registerJobsMetrics(s *Server) {
 	m.reg.CounterFunc("lineartime_campaign_jobs_resumed_total",
 		"Campaign jobs resumed from the state file.",
 		func() int64 { st := s.jobs; st.mu.Lock(); defer st.mu.Unlock(); return st.resumed })
+}
+
+// runtimeCounter returns a reader of the named cumulative
+// runtime/metrics counter.
+func runtimeCounter(name string) func() int64 {
+	return func() int64 {
+		sample := []metrics.Sample{{Name: name}}
+		metrics.Read(sample)
+		if sample[0].Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+		return int64(sample[0].Value.Uint64())
+	}
+}
+
+// buildRevision returns the VCS revision stamped into the binary, with
+// a "-dirty" suffix for a modified tree, or "unknown" when the build
+// stamped none.
+func buildRevision() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", ""
+	for _, kv := range info.Settings {
+		switch {
+		case kv.Key == "vcs.revision":
+			rev = kv.Value
+		case kv.Key == "vcs.modified" && kv.Value == "true":
+			dirty = "-dirty"
+		}
+	}
+	return rev + dirty
 }
 
 func b2f(b bool) float64 {

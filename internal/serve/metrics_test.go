@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,6 +103,12 @@ func TestMetricsNamingConvention(t *testing.T) {
 			t.Errorf("family %s not registered", name)
 		}
 	}
+	// The Go runtime's counters and the build, read at scrape time.
+	for _, name := range []string{"lineartime_go_gc_cycles_total", "lineartime_go_heap_allocs_objects_total", "lineartime_go_heap_allocs_bytes_total", "lineartime_build_info"} {
+		if !have[name] {
+			t.Errorf("family %s not registered", name)
+		}
+	}
 	// Executed, quiet and repeated rounds are three children of one
 	// family: each simulated round is counted once, so their sum is the
 	// rounds simulated and no second name can drift from it.
@@ -108,6 +116,72 @@ func TestMetricsNamingConvention(t *testing.T) {
 		if _, ok := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state}); !ok {
 			t.Errorf("lineartime_engine_rounds_total{state=%q} not registered", state)
 		}
+	}
+}
+
+// TestRuntimeCountersPerRequest reads what a fresh-seed gossip request
+// (the serve-heavy shape: gossip/expander n=128 t=24, a seed nobody
+// asked for) allocates from the counters /metrics exposes, over
+// requests handed straight to the handler so that no HTTP client shares
+// the count: fewer than 400 objects each, the whole serving path
+// included (decode, key, cache, queue, run, encode), and at least the
+// bytes of the response body.
+func TestRuntimeCountersPerRequest(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	seed := uint64(0x6055_e000_0000)
+	serve := func() {
+		seed++
+		body := fmt.Sprintf(`{"scenario":"gossip/expander","n":128,"t":24,"seed":%d}`, seed)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /v1/run = %d %s", rec.Code, rec.Body)
+		}
+	}
+	counters := func() (gc, objects, bytes float64) {
+		for _, c := range []struct {
+			name string
+			v    *float64
+		}{
+			{"lineartime_go_gc_cycles_total", &gc},
+			{"lineartime_go_heap_allocs_objects_total", &objects},
+			{"lineartime_go_heap_allocs_bytes_total", &bytes},
+		} {
+			var ok bool
+			if *c.v, ok = s.metrics.reg.Value(c.name); !ok {
+				t.Fatalf("%s not registered", c.name)
+			}
+		}
+		return gc, objects, bytes
+	}
+	serve() // grows the pooled engine arena and run slab
+	// The runtime counts an allocation when its span leaves a P's cache;
+	// a collection flushes every cache, so the counts read after one are
+	// exact.
+	const requests = 50
+	runtime.GC()
+	gc0, objects0, bytes0 := counters()
+	for i := 0; i < requests; i++ {
+		serve()
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	gc1, objects1, bytes1 := counters()
+	objects, bytes := (objects1-objects0)/requests, (bytes1-bytes0)/requests
+	t.Logf("%.0f objects, %.0f bytes per fresh gossip request", objects, bytes)
+	if objects < 1 || objects >= 400 {
+		t.Fatalf("a fresh gossip request allocates %.0f objects, want at least one and fewer than 400", objects)
+	}
+	if bytes < 136_312 {
+		t.Fatalf("a fresh gossip request allocates %.0f bytes, fewer than its 136,312-byte body", bytes)
+	}
+	if gc1 < gc0+1 || gc1 < float64(ms.NumGC) {
+		t.Fatalf("lineartime_go_gc_cycles_total went %v → %v across a forced collection, with %d cycles done", gc0, gc1, ms.NumGC)
+	}
+	if v, ok := s.metrics.reg.Value("lineartime_build_info", obs.L{Key: "go_version", Value: runtime.Version()}, obs.L{Key: "revision", Value: buildRevision()}); !ok || v != 1 {
+		t.Fatalf("lineartime_build_info = %v, %v", v, ok)
 	}
 }
 
