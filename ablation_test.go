@@ -64,7 +64,7 @@ func BenchmarkAblationProbingDelta(b *testing.B) {
 				res, err := sim.Run(sim.Config{
 					Protocols: ps,
 					Fault:     crash.NewTargetLittle(top.L, t, 3),
-					MaxRounds: ms[0].ScheduleLength() + 4,
+					MaxRounds: top.Schedule.AEA + 4,
 				})
 				if err != nil {
 					b.Fatal(err)

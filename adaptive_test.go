@@ -30,7 +30,7 @@ func TestFewCrashesUnderAdaptiveAdversary(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Protocols: ps,
 		Fault:     crash.NewAdaptive(tt, 3),
-		MaxRounds: ms[0].ScheduleLength() + 4,
+		MaxRounds: top.Schedule.Few + 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestGossipUnderAdaptiveAdversary(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Protocols: ps,
 		Fault:     crash.NewAdaptive(tt, 2),
-		MaxRounds: ms[0].ScheduleLength() + 4,
+		MaxRounds: top.Schedule.Gossip + 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -151,7 +151,7 @@ func BenchmarkAEA(b *testing.B) {
 				res, err := sim.Run(sim.Config{
 					Protocols: ps,
 					Fault:     crash.NewTargetLittle(top.L, t, 3),
-					MaxRounds: ms[0].ScheduleLength() + 4,
+					MaxRounds: top.Schedule.AEA + 4,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -191,7 +191,7 @@ func BenchmarkSCV(b *testing.B) {
 					ms[j] = consensus.NewSCV(j, top, j < 3*c.n/5, true, 0, true)
 					ps[j] = ms[j]
 				}
-				res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 4})
+				res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.SCV + 4})
 				if err != nil {
 					b.Fatal(err)
 				}

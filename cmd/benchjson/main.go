@@ -420,6 +420,9 @@ func run(args []string, stdout *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; %s takes flags only", fs.Arg(0), fs.Name())
+	}
 	if *only != "" && *only != "sliced" {
 		return fmt.Errorf("unknown -only value %q (have: sliced)", *only)
 	}

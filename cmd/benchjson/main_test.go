@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +108,11 @@ func TestBenchJSONBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-only", "everything"}, os.Stdout); err == nil {
 		t.Fatal("bad -only value accepted")
+	}
+	// A stray argument ends flag parsing: the -only after it would be
+	// dropped unread.
+	if err := run([]string{"-o", "-", "stray", "-only", "everything"}, os.Stdout); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Fatalf("stray argument: %v", err)
 	}
 }
 

@@ -73,6 +73,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; %s takes flags only", fs.Arg(0), fs.Name())
+	}
 
 	if *validate != "" {
 		blob, err := os.ReadFile(*validate)

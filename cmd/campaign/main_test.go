@@ -207,6 +207,9 @@ func TestFlagErrors(t *testing.T) {
 	if _, err := runCLI(t, "-nowait"); err == nil {
 		t.Fatal("-nowait without -addr accepted")
 	}
+	if _, err := runCLI(t, "-nowait", "stray"); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Fatalf("stray argument: %v", err)
+	}
 	if _, err := runCLI(t, "-scenario", "no/such/scenario"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,6 +64,8 @@ func TestRunErrors(t *testing.T) {
 		{"-problem", "consensus", "-n", "40", "-t", "8", "-seeds", "0"},
 		{"-problem", "consensus", "-n", "40", "-t", "8", "-seeds", "4", "-json"},
 		{"-problem", "consensus", "-n", "40", "-t", "8", "-seeds", "4", "-trace"},
+		// A stray argument ends flag parsing, so -crashes would be dropped.
+		{"-n", "100", "-trace", "out.json", "-crashes", "5"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
@@ -250,25 +254,98 @@ func TestJSONTrace(t *testing.T) {
 }
 
 // TestRunTraced checks -trace works for every registry problem, not
-// just the hand-built few-crashes stack it used to be limited to.
+// just the hand-built few-crashes stack it used to be limited to, and
+// that the transcript is read over the run's rounds: the message total
+// and the traffic profile name the rounds the stage line reports, the
+// profile sums to the total, the crashes come in round order and the
+// stage column fits every stage name.
 func TestRunTraced(t *testing.T) {
 	cases := [][]string{
 		{"-trace", "-n", "50", "-t", "10", "-crashes", "10"},
 		{"-problem", "gossip", "-trace", "-n", "50", "-t", "10"},
 		{"-problem", "checkpoint", "-trace", "-n", "50", "-t", "10"},
 		{"-problem", "byzantine", "-trace", "-n", "40", "-t", "4", "-byzcount", "4"},
+		// Traffic ends at round 109 of 128, and the crashed nodes'
+		// ids have one and two digits.
+		{"-trace", "-n", "100", "-t", "20", "-crashes", "12"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			out := captureStdout(t, func() error { return run(args) })
+			out := string(captureStdout(t, func() error { return run(args) }))
 			for _, want := range []string{"stages (engine=sequential", "rounds executed (", " quiet, ", " repeated)", "materialize", "setup", "rounds"} {
-				if !strings.Contains(string(out), want) {
+				if !strings.Contains(out, want) {
 					t.Fatalf("trace output missing %q:\n%s", want, out)
 				}
+			}
+			profile := checkTranscript(t, out)
+			if args[len(args)-1] == "12" && profile[len(profile)-1] != 0 {
+				t.Fatalf("the last tenth of the run has no traffic, yet its bucket reads %d:\n%s", profile[len(profile)-1], out)
 			}
 		})
 	}
 	if err := run([]string{"-trace", "-n", "10", "-t", "9"}); err == nil {
 		t.Fatal("invalid topology accepted in trace mode")
 	}
+}
+
+// checkTranscript checks one -trace transcript and returns its traffic
+// profile.
+func checkTranscript(t *testing.T, out string) []int64 {
+	t.Helper()
+	// The transcript follows the text report, which has lines of its own
+	// that start with "messages:".
+	lines := strings.Split(out[strings.Index(out, "\nstages ("):], "\n")
+	find := func(prefix string) int {
+		for i, l := range lines {
+			if strings.HasPrefix(l, prefix) {
+				return i
+			}
+		}
+		t.Fatalf("no line starts with %q:\n%s", prefix, out)
+		return 0
+	}
+	var executed, rounds int
+	at := find("stages (")
+	if _, err := fmt.Sscanf(lines[at][strings.Index(lines[at], ", ")+2:], "%d of %d rounds", &executed, &rounds); err != nil {
+		t.Fatalf("stage line %q: %v", lines[at], err)
+	}
+	for _, l := range lines[at+2 : at+1+strings.Count(out, " ms\n")] {
+		if len(l) != len(lines[at+1]) {
+			t.Fatalf("stage column misaligned:\n%s\n%s", lines[at+1], l)
+		}
+	}
+	var msgs int64
+	var over, buckets int
+	if _, err := fmt.Sscanf(lines[find("messages: ")], "messages: %d over %d rounds", &msgs, &over); err != nil || over != rounds {
+		t.Fatalf("transcript total %q, want it over the run's %d rounds (%v)", lines[find("messages: ")], rounds, err)
+	}
+	at = find("traffic profile (")
+	if _, err := fmt.Sscanf(lines[at], "traffic profile (%d buckets over %d rounds):", &buckets, &over); err != nil || over != rounds {
+		t.Fatalf("profile header %q, want it over the run's %d rounds (%v)", lines[at], rounds, err)
+	}
+	var profile []int64
+	var sum int64
+	for _, f := range strings.Fields(lines[at+1]) {
+		c, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile = append(profile, c)
+		sum += c
+	}
+	if len(profile) != buckets || sum != msgs {
+		t.Fatalf("profile %v: want %d buckets summing to %d", profile, buckets, msgs)
+	}
+	crashes := lines[find("crashes: ")]
+	if open := strings.Index(crashes, "("); open >= 0 {
+		last := 0
+		for _, ev := range strings.Split(strings.Trim(crashes[open:], "()"), ", ") {
+			var node, round int
+			if _, err := fmt.Sscanf(ev, "%d@r%d", &node, &round); err != nil || round < last {
+				t.Fatalf("crash timeline %q is not in round order at %q (%v)", crashes, ev, err)
+			}
+			last = round
+		}
+	}
+	return profile
 }

@@ -138,6 +138,9 @@ func run(args []string, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; %s takes flags only", fs.Arg(0), fs.Name())
+	}
 	accessLog, err := accessLogger(*logFormat, os.Stdout)
 	if err != nil {
 		return err

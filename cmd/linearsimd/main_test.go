@@ -204,6 +204,9 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-log-format", "xml"}, nil); err == nil {
 		t.Fatal("unknown log format accepted")
 	}
+	if err := run([]string{"-addr", "256.0.0.1:99999", "stray"}, nil); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Fatalf("stray argument: %v", err)
+	}
 	if err := run([]string{"-pprof-addr", "256.0.0.1:99999"}, nil); err == nil {
 		t.Fatal("unbindable pprof address accepted")
 	}

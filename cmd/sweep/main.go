@@ -58,6 +58,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; %s takes flags only", fs.Arg(0), fs.Name())
+	}
 	if *par > 0 {
 		parallelism = *par
 	}

@@ -54,6 +54,10 @@ func TestSweepBadFlags(t *testing.T) {
 	if err := run([]string{"-seeds", "0"}, io.Discard); err == nil {
 		t.Fatal("-seeds 0 accepted")
 	}
+	// E99 is a no-op, so only the stray argument can fail this run.
+	if err := run([]string{"-exp", "E99", "stray"}, io.Discard); err == nil {
+		t.Fatal("stray argument accepted")
+	}
 }
 
 // TestSweepSingleSeedIsDefault pins -seeds 1 byte-identical to a run

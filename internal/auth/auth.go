@@ -103,9 +103,6 @@ type Signer struct {
 	id        int
 }
 
-// ID returns the identity this handle signs for.
-func (s *Signer) ID() int { return s.id }
-
 // Sign produces the identity's signature over msg.
 func (s *Signer) Sign(msg []byte) Signature {
 	return Signature{Signer: s.id, MAC: s.authority.mac(s.id, msg)}

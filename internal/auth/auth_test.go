@@ -51,7 +51,7 @@ func TestVerifyRejectsUnknownSigner(t *testing.T) {
 
 func TestSignerIDAndPanic(t *testing.T) {
 	a := NewAuthority(3, 1)
-	if a.Signer(2).ID() != 2 {
+	if a.Signer(2).Sign(nil).Signer != 2 {
 		t.Fatal("wrong signer id")
 	}
 	defer func() {

@@ -5,19 +5,7 @@ import "math/bits"
 // Word-level helpers for the bit-sliced engine (internal/sim/sliced.go):
 // a uint64 is a vector of 64 lanes, one independent simulation replica
 // per bit. These are the primitive ops the sliced hot path is written
-// in, kept here so the engine, protocols and tests share one vocabulary
-// (and one micro-benchmark).
-
-// OnesCount returns the number of set lanes in w.
-func OnesCount(w uint64) int { return bits.OnesCount64(w) }
-
-// ForEachSet calls fn for every set lane of w, in ascending lane order.
-func ForEachSet(w uint64, fn func(lane int)) {
-	for w != 0 {
-		fn(bits.TrailingZeros64(w))
-		w &= w - 1
-	}
-}
+// in, kept here so the engine, protocols and tests share one vocabulary.
 
 // LaneMask returns a word with the low k lanes set. k must be in
 // [0, 64]; LaneMask(64) is all ones.
@@ -29,15 +17,6 @@ func LaneMask(k int) uint64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << k) - 1
-}
-
-// Lane returns the single-lane mask 1 << i. i must be in [0, 64); out
-// of range lanes return 0 so callers can mask unconditionally.
-func Lane(i int) uint64 {
-	if i < 0 || i >= 64 {
-		return 0
-	}
-	return uint64(1) << i
 }
 
 // laneCounterPlanes bounds a LaneCounter at 2^32-1 adds between

@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestOnesCount(t *testing.T) {
-	cases := []struct {
-		w    uint64
-		want int
-	}{
-		{0, 0},
-		{1, 1},
-		{^uint64(0), 64},
-		{0xF0F0, 8},
-		{1 << 63, 1},
-	}
-	for _, c := range cases {
-		if got := OnesCount(c.w); got != c.want {
-			t.Errorf("OnesCount(%#x) = %d, want %d", c.w, got, c.want)
-		}
-	}
-}
-
-func TestForEachSet(t *testing.T) {
-	w := uint64(1)<<0 | 1<<5 | 1<<31 | 1<<63
-	var lanes []int
-	ForEachSet(w, func(lane int) { lanes = append(lanes, lane) })
-	want := []int{0, 5, 31, 63}
-	if len(lanes) != len(want) {
-		t.Fatalf("lanes = %v, want %v", lanes, want)
-	}
-	for i := range want {
-		if lanes[i] != want[i] {
-			t.Fatalf("lanes = %v, want %v", lanes, want)
-		}
-	}
-	ForEachSet(0, func(int) { t.Fatal("ForEachSet(0) called fn") })
-}
-
 func TestLaneMask(t *testing.T) {
 	cases := []struct {
 		k    int
@@ -56,17 +22,6 @@ func TestLaneMask(t *testing.T) {
 		if got := LaneMask(c.k); got != c.want {
 			t.Errorf("LaneMask(%d) = %#x, want %#x", c.k, got, c.want)
 		}
-	}
-}
-
-func TestLane(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		if got := Lane(i); got != uint64(1)<<i {
-			t.Fatalf("Lane(%d) = %#x", i, got)
-		}
-	}
-	if Lane(-1) != 0 || Lane(64) != 0 {
-		t.Fatal("out-of-range Lane must be 0")
 	}
 }
 
@@ -266,13 +221,4 @@ func BenchmarkLaneCounterAdd(b *testing.B) {
 			ctr.Flush(&out)
 		}
 	}
-}
-
-func BenchmarkForEachSet(b *testing.B) {
-	var sink int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ForEachSet(uint64(i)*0x9E3779B97F4A7C15, func(lane int) { sink += lane })
-	}
-	_ = sink
 }

@@ -52,15 +52,8 @@ func NewABConsensus(id int, cfg *Config, signer *auth.Signer, input uint64) *ABC
 	return a
 }
 
-// ScheduleLength returns the protocol's fixed round count.
-func (a *ABConsensus) ScheduleLength() int { return a.cfg.ScheduleLength() }
-
 // Decision returns the decided value, if any.
 func (a *ABConsensus) Decision() (uint64, bool) { return a.decision, a.decided }
-
-// CommonSetView returns the adopted authenticated common set (testing
-// and example introspection).
-func (a *ABConsensus) CommonSetView() (CommonSet, bool) { return a.set, a.haveSet }
 
 // littleTargets returns all little nodes except self.
 func (a *ABConsensus) littleTargets() []int {

@@ -24,6 +24,10 @@ type DSAll struct {
 	halted   bool
 }
 
+// DolevStrongRounds returns the fixed round count of a Dolev–Strong
+// broadcast tolerating t faults, t + 2.
+func DolevStrongRounds(t int) int { return t + 2 }
+
 // NewDSAll creates the baseline machine for node id.
 func NewDSAll(id int, cfg *Config, signer *auth.Signer, input uint64) *DSAll {
 	d := &DSAll{id: id, cfg: cfg, signer: signer, input: input,
@@ -80,13 +84,13 @@ func (d *DSAll) Deliver(round int, inbox []sim.Envelope) {
 			continue
 		}
 		for _, item := range batch.Items {
-			if item.Source < 0 || item.Source >= d.cfg.N || len(item.Chain) < round+1 {
+			// A chain delivered in round r needs r+1 distinct signers,
+			// the source first; any node may sign in the all-nodes
+			// variant.
+			if item.Source < 0 || item.Source >= d.cfg.N || len(item.Chain) == 0 || item.Chain[0].Signer != item.Source {
 				continue
 			}
-			if len(item.Chain) == 0 || item.Chain[0].Signer != item.Source {
-				continue
-			}
-			if !d.validChain(item) {
+			if !d.cfg.Authority.VerifyChain(auth.ValueMessage(item.Source, item.Value), item.Chain, round+1) {
 				continue
 			}
 			vs := d.accepted[item.Source]
@@ -118,23 +122,6 @@ func (d *DSAll) Deliver(round int, inbox []sim.Envelope) {
 		}
 		d.halted = true
 	}
-}
-
-// validChain verifies all signatures with distinct signers (any node
-// may sign in the all-nodes variant).
-func (d *DSAll) validChain(item Relay) bool {
-	msg := auth.ValueMessage(item.Source, item.Value)
-	seen := make(map[int]bool, len(item.Chain))
-	for _, sig := range item.Chain {
-		if sig.Signer < 0 || sig.Signer >= d.cfg.N || seen[sig.Signer] {
-			return false
-		}
-		seen[sig.Signer] = true
-		if !d.cfg.Authority.Verify(msg, sig) {
-			return false
-		}
-	}
-	return true
 }
 
 // Halted implements sim.Protocol.

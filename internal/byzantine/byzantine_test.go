@@ -190,19 +190,16 @@ func TestABConsensusTNearHalf(t *testing.T) {
 	checkAgreementValidity(t, "t≈n/2", honest, allowed)
 }
 
-func TestDSAllBaseline(t *testing.T) {
-	n, tt := 20, 4
-	cfg, err := NewConfig(n, tt, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := seqInputs(n)
-	ps := make([]sim.Protocol, n)
-	ms := make([]*DSAll, n)
-	byz := bitset.New(n)
-	for i := 0; i < n; i++ {
-		if i < tt {
-			ps[i] = NewSilent(cfg)
+// runDSAll runs the all-nodes Dolev–Strong comparator, with the nodes
+// in corrupt played by the given Byzantine machines.
+func runDSAll(t *testing.T, cfg *Config, inputs []uint64, corrupt map[int]sim.Protocol) ([]*DSAll, *sim.Result) {
+	t.Helper()
+	ps := make([]sim.Protocol, cfg.N)
+	ms := make([]*DSAll, cfg.N)
+	byz := bitset.New(cfg.N)
+	for i := range ps {
+		if p, ok := corrupt[i]; ok {
+			ps[i] = p
 			byz.Add(i)
 			continue
 		}
@@ -213,25 +210,129 @@ func TestDSAllBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var agreed *uint64
-	for i := tt; i < n; i++ {
-		v, ok := ms[i].Decision()
-		if !ok {
-			t.Fatalf("baseline node %d undecided", i)
+	return ms, res
+}
+
+// checkDSAllDecided asserts every honest node decided want.
+func checkDSAllDecided(t *testing.T, ms []*DSAll, want uint64) {
+	t.Helper()
+	for i, m := range ms {
+		if m == nil {
+			continue
 		}
-		if agreed == nil {
-			agreed = &v
-		} else if *agreed != v {
-			t.Fatal("baseline disagreement")
+		if v, ok := m.Decision(); !ok || v != want {
+			t.Fatalf("node %d decided (%d,%v), want (%d,true)", i, v, ok, want)
 		}
 	}
-	if *agreed != inputs[n-1] {
-		t.Fatalf("baseline decided %d, want max honest input %d", *agreed, inputs[n-1])
+}
+
+func TestDSAllBaseline(t *testing.T) {
+	n, tt := 20, 4
+	cfg, err := NewConfig(n, tt, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
+	inputs := seqInputs(n)
+	corrupt := make(map[int]sim.Protocol, tt)
+	for i := 0; i < tt; i++ {
+		corrupt[i] = NewSilent(cfg)
+	}
+	ms, res := runDSAll(t, cfg, inputs, corrupt)
+	// Agreement on the maximum honest input: the silent nodes' slots
+	// stay null.
+	checkDSAllDecided(t, ms, inputs[n-1])
 	// Baseline message profile: Θ(n²) in round 0 alone.
 	if res.Metrics.Messages < int64((n-tt)*(n-1)) {
 		t.Fatalf("baseline messages = %d, below n² profile", res.Metrics.Messages)
 	}
+}
+
+// dsForger is a Byzantine DSAll participant that sends batch(to) to
+// every other node in round fire and nothing otherwise.
+type dsForger struct {
+	id, n, fire int
+	batch       func(to int) RelayBatch
+}
+
+func (f *dsForger) Send(round int) []sim.Envelope {
+	if round != f.fire {
+		return nil
+	}
+	var out []sim.Envelope
+	for to := 0; to < f.n; to++ {
+		if to != f.id {
+			out = append(out, sim.Envelope{From: f.id, To: to, Payload: f.batch(to)})
+		}
+	}
+	return out
+}
+
+func (f *dsForger) Deliver(int, []sim.Envelope) {}
+func (f *dsForger) Halted() bool                { return false }
+
+// TestDSAllEquivocatingSource: a Byzantine source signs two values and
+// splits its round-0 audience. The relay rounds surface both values at
+// every honest node, so the source's slot is null everywhere and the
+// honest nodes agree on the maximum honest input, although both forged
+// values exceed it.
+func TestDSAllEquivocatingSource(t *testing.T) {
+	n, tt, src := 20, 4, 3
+	cfg, err := NewConfig(n, tt, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer := cfg.Authority.Signer(src)
+	equivocator := &dsForger{id: src, n: n, fire: 0, batch: func(to int) RelayBatch {
+		v := uint64(1000 + 1000*(to%2))
+		return RelayBatch{Items: []Relay{{Source: src, Value: v,
+			Chain: []auth.Signature{signer.Sign(auth.ValueMessage(src, v))}}}}
+	}}
+	inputs := seqInputs(n)
+	ms, _ := runDSAll(t, cfg, inputs, map[int]sim.Protocol{src: equivocator})
+	checkDSAllDecided(t, ms, inputs[n-1])
+	for i, m := range ms {
+		if m != nil && len(m.accepted[src]) != 2 {
+			t.Fatalf("node %d accepted %v from the equivocating source, want both values", i, m.accepted[src])
+		}
+	}
+}
+
+// TestDSAllRejectsLateShortChain: a Byzantine source and two colluders
+// sign a value among themselves and reveal the 3-signature chain only
+// in the last round, which demands t+2 signatures. Every honest node
+// rejects it and the source's slot stays null. The same chain revealed
+// in round 2, where 3 signatures suffice, is accepted everywhere.
+func TestDSAllRejectsLateShortChain(t *testing.T) {
+	n, tt := 16, 3
+	cfg, err := NewConfig(n, tt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src, forged = 3, 4242
+	msg := auth.ValueMessage(src, forged)
+	var chain []auth.Signature
+	for _, c := range []int{src, 5, 6} {
+		chain = append(chain, cfg.Authority.Signer(c).Sign(msg))
+	}
+	reveal := func(round int) map[int]sim.Protocol {
+		return map[int]sim.Protocol{
+			src: NewSilent(cfg),
+			6:   NewSilent(cfg),
+			5: &dsForger{id: 5, n: n, fire: round, batch: func(int) RelayBatch {
+				return RelayBatch{Items: []Relay{{Source: src, Value: forged, Chain: chain}}}
+			}},
+		}
+	}
+	inputs := seqInputs(n)
+	ms, _ := runDSAll(t, cfg, inputs, reveal(DolevStrongRounds(tt)-1))
+	checkDSAllDecided(t, ms, inputs[n-1])
+	for i, m := range ms {
+		if m != nil && len(m.accepted[src]) != 0 {
+			t.Fatalf("node %d accepted the late short chain: %v", i, m.accepted[src])
+		}
+	}
+	ms, _ = runDSAll(t, cfg, inputs, reveal(2))
+	checkDSAllDecided(t, ms, forged)
 }
 
 func TestValidCommonSetRejectsForgeries(t *testing.T) {

@@ -96,6 +96,3 @@ func (c *Config) RelatedOf(i int) []int {
 	}
 	return out
 }
-
-// LittleOf returns the little node related to node j.
-func (c *Config) LittleOf(j int) int { return j % c.L }

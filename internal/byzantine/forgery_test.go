@@ -102,7 +102,7 @@ func TestForgedChainsRejected(t *testing.T) {
 		}
 		// The victim's instance must still carry its true value: the
 		// forger's garbage may not poison the victim's slot.
-		set, have := h.CommonSetView()
+		set, have := h.set, h.haveSet
 		if !have {
 			t.Fatalf("honest node %d has no common set", i)
 		}
@@ -147,7 +147,7 @@ func TestEquivocatedSourceExtractsNull(t *testing.T) {
 		if h == nil {
 			continue
 		}
-		set, have := h.CommonSetView()
+		set, have := h.set, h.haveSet
 		if !have {
 			t.Fatalf("node %d has no set", i)
 		}

@@ -44,7 +44,7 @@ func TestABConsensusMixedStrategies(t *testing.T) {
 		if h == nil {
 			continue
 		}
-		set, ok := h.CommonSetView()
+		set, ok := h.set, h.haveSet
 		if !ok {
 			t.Fatalf("node %d without set", i)
 		}

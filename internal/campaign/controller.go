@@ -156,9 +156,6 @@ func (c *Controller) SetBatchHook(fn func(*Checkpoint)) { c.batchHook = fn }
 // either way, so the search is unaffected — only throughput changes.
 func (c *Controller) SetBatchRun(fn BatchRunFunc) { c.batchRun = fn }
 
-// Spec returns the normalized campaign spec.
-func (c *Controller) Spec() Spec { return c.spec }
-
 // specFor materializes a candidate against the campaign's scenario.
 func (c *Controller) specFor(fm scenario.FaultModel) scenario.Spec {
 	d, _ := scenario.Lookup(c.spec.Scenario)

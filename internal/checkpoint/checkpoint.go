@@ -38,9 +38,6 @@ func New(id int, top *consensus.Topology) *Checkpointing {
 	}
 }
 
-// ScheduleLength returns the protocol's fixed round count.
-func (c *Checkpointing) ScheduleLength() int { return c.top.Schedule.Checkpoint }
-
 // Decision returns the decided extant set of node names, if any.
 func (c *Checkpointing) Decision() (*bitset.Set, bool) {
 	if c.vector == nil {

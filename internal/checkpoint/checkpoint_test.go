@@ -21,7 +21,7 @@ func runCheckpointing(t *testing.T, n, tt int, adv sim.LinkFault, seed uint64) (
 		ms[i] = New(i, top)
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: ms[0].ScheduleLength() + 5})
+	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: top.Schedule.Checkpoint + 5})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -97,8 +97,8 @@ func TestCheckpointingPerformanceShape(t *testing.T) {
 	// Theorem 10: O(t + log n log t) rounds, O(n + t log n log t) messages.
 	n, tt := 120, 24
 	ms, res := runCheckpointing(t, n, tt, nil, 3)
-	if res.Metrics.Rounds != ms[0].ScheduleLength() {
-		t.Fatalf("rounds = %d, want schedule %d", res.Metrics.Rounds, ms[0].ScheduleLength())
+	if res.Metrics.Rounds != ms[0].top.Schedule.Checkpoint {
+		t.Fatalf("rounds = %d, want schedule %d", res.Metrics.Rounds, ms[0].top.Schedule.Checkpoint)
 	}
 	if res.Metrics.Rounds > 16*tt+500 {
 		t.Fatalf("rounds = %d too large for O(t + log n log t)", res.Metrics.Rounds)
@@ -177,7 +177,7 @@ func TestVectorConsensusDirect(t *testing.T) {
 		ms[i] = consensus.NewVectorFewCrashes(i, top, in)
 		ps[i] = ms[i]
 	}
-	_, err = sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 5})
+	_, err = sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.Few + 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,6 @@ func NewAEA(id int, top *Topology, input bool, base int, standalone bool) *AEA {
 	return a
 }
 
-// ScheduleLength returns the number of rounds AEA occupies.
-func (a *AEA) ScheduleLength() int { return a.top.Schedule.AEA }
-
 // End returns the first round after AEA's schedule.
 func (a *AEA) End() int { return a.base + a.top.Schedule.AEA }
 

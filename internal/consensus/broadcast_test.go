@@ -60,7 +60,7 @@ func TestBroadcastGraphIsBuiltOnceOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h.Seed != want.Seed || h.P != want.P {
-		t.Fatalf("H is %s, the eager field held %s", h.Describe(), want.Describe())
+		t.Fatalf("H has seed %d and %+v, the eager field held seed %d and %+v", h.Seed, h.P, want.Seed, want.P)
 	}
 	for v := 0; v < n; v++ {
 		if !slices.Equal(h.Neighbors(v), want.Neighbors(v)) {

@@ -39,14 +39,8 @@ func NewEarlyStopping(id, n, t int, input bool) *EarlyStopping {
 // worst-case round bound, t + 3.
 func EarlyStoppingRounds(t int) int { return t + 3 }
 
-// MaxRounds returns the worst-case schedule bound.
-func (e *EarlyStopping) MaxRounds() int { return EarlyStoppingRounds(e.t) }
-
 // Decision returns the decision, if reached.
 func (e *EarlyStopping) Decision() (value, ok bool) { return e.decision, e.decided }
-
-// DecidedAt returns the round at which the node decided, or -1.
-func (e *EarlyStopping) DecidedAt() int { return e.decidedAt }
 
 // decisionPayload marks a decide-and-halt message; the bit carries the
 // decided value and the role is distinguished by a wrapper type so a

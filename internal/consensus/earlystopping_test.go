@@ -33,8 +33,8 @@ func TestEarlyStoppingNoFaultsDecidesFast(t *testing.T) {
 			decisions[i] = &v
 		}
 		// f = 0: the first comparable round (round 1) is clean.
-		if m.DecidedAt() > 2 {
-			t.Fatalf("node %d decided at round %d with zero crashes", i, m.DecidedAt())
+		if m.decidedAt > 2 {
+			t.Fatalf("node %d decided at round %d with zero crashes", i, m.decidedAt)
 		}
 	}
 	checkConsensus(t, "early-no-faults", inputs, decisions, res.Crashed.Contains)
@@ -61,8 +61,8 @@ func TestEarlyStoppingRoundsTrackActualCrashes(t *testing.T) {
 				v := v
 				decisions[i] = &v
 			}
-			if m.DecidedAt() > worst {
-				worst = m.DecidedAt()
+			if m.decidedAt > worst {
+				worst = m.decidedAt
 			}
 		}
 		checkConsensus(t, "early-cascade", inputs, decisions, res.Crashed.Contains)

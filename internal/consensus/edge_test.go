@@ -24,7 +24,7 @@ func TestFewCrashesZeroT(t *testing.T) {
 		ms[i] = NewFewCrashes(i, top, inputs[i])
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 4})
+	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.Few + 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFewCrashesMinimumN(t *testing.T) {
 		ms[i] = NewFewCrashes(i, top, inputs[i])
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 4})
+	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.Few + 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSCVNoHoldersStaysUndecided(t *testing.T) {
 		ms[i] = NewSCV(i, top, false, false, 0, true)
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 4})
+	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.SCV + 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSCVNoHoldersStaysUndecided(t *testing.T) {
 			t.Fatalf("node %d decided with zero holders", i)
 		}
 	}
-	if res.Metrics.Rounds != ms[0].ScheduleLength() {
+	if res.Metrics.Rounds != top.Schedule.SCV {
 		t.Fatal("schedule not completed")
 	}
 }
@@ -94,7 +94,7 @@ func TestManyCrashesFallbackDisabled(t *testing.T) {
 	ps := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
 		ms[i] = NewManyCrashes(i, mt, true)
-		ms[i].SetDecideFallback(false)
+		ms[i].fallback = false
 		ps[i] = ms[i]
 	}
 	events := make([]crash.Event, 0, tt)
@@ -104,7 +104,7 @@ func TestManyCrashesFallbackDisabled(t *testing.T) {
 	_, err = sim.Run(sim.Config{
 		Protocols: ps,
 		Fault:     crash.NewSchedule(events),
-		MaxRounds: ms[0].ScheduleLength() + 4,
+		MaxRounds: mt.Schedule.Many + 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +128,9 @@ func TestAEAEmbeddedOffset(t *testing.T) {
 	ps := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
 		ms[i] = NewAEA(i, top, inputs[i], base, false)
-		ps[i] = &haltAfter{inner: ms[i], at: base + ms[i].ScheduleLength()}
+		ps[i] = &haltAfter{inner: ms[i], at: base + top.Schedule.AEA}
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: base + ms[0].ScheduleLength() + 4})
+	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: base + top.Schedule.AEA + 4})
 	if err != nil {
 		t.Fatal(err)
 	}

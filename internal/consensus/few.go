@@ -27,9 +27,6 @@ func NewFewCrashes(id int, top *Topology, input bool) *FewCrashes {
 	return &FewCrashes{id: id, top: top, aea: aea, scv: scv}
 }
 
-// ScheduleLength returns the total number of rounds of the protocol.
-func (f *FewCrashes) ScheduleLength() int { return f.top.Schedule.Few }
-
 // Decision returns the consensus decision, if reached.
 func (f *FewCrashes) Decision() (value, ok bool) {
 	if v, ok := f.scv.Decided(); ok {

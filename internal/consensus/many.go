@@ -102,12 +102,6 @@ func NewManyCrashes(id int, top *ManyTopology, input bool) *ManyCrashes {
 	return m
 }
 
-// SetDecideFallback toggles the terminal own-candidate rule.
-func (m *ManyCrashes) SetDecideFallback(on bool) { m.fallback = on }
-
-// ScheduleLength returns the protocol's fixed round count.
-func (m *ManyCrashes) ScheduleLength() int { return m.top.Schedule.Many }
-
 // Decision returns the consensus decision, if reached.
 func (m *ManyCrashes) Decision() (value, ok bool) { return m.decision, m.decided }
 

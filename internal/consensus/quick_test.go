@@ -171,16 +171,14 @@ func TestFewCrashesSafetyQuick(t *testing.T) {
 			Decision() (bool, bool)
 		}, n)
 		ps := make([]sim.Protocol, n)
-		var schedule int
 		for i := 0; i < n; i++ {
 			m := NewFewCrashes(i, top, c.inputs[i])
 			ms[i], ps[i] = m, m
-			schedule = m.ScheduleLength()
 		}
 		res, err := sim.Run(sim.Config{
 			Protocols: ps,
 			Fault:     crash.NewSchedule(c.events),
-			MaxRounds: schedule + 4,
+			MaxRounds: top.Schedule.Few + 4,
 		})
 		if err != nil {
 			t.Logf("run: %v", err)

@@ -25,7 +25,7 @@ func runFew(t *testing.T, n, tt int, inputs []bool, adv sim.LinkFault, seed uint
 	res, err := sim.Run(sim.Config{
 		Protocols: ps,
 		Fault:     adv,
-		MaxRounds: ms[0].ScheduleLength() + 5,
+		MaxRounds: top.Schedule.Few + 5,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -181,7 +181,7 @@ func TestAEAStandalone(t *testing.T) {
 		ms[i] = NewAEA(i, top, inputs[i], 0, true)
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 2})
+	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.AEA + 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestAEAStandalone(t *testing.T) {
 	if ones != decided {
 		t.Fatalf("agreement violated: %d of %d deciders chose 1", ones, decided)
 	}
-	if res.Metrics.Rounds != ms[0].ScheduleLength() {
-		t.Fatalf("rounds = %d, want schedule %d", res.Metrics.Rounds, ms[0].ScheduleLength())
+	if res.Metrics.Rounds != top.Schedule.AEA {
+		t.Fatalf("rounds = %d, want schedule %d", res.Metrics.Rounds, top.Schedule.AEA)
 	}
 	// Theorem 5 accounting: Part 1 ≤ L·d, Part 2 ≤ L·d·γ (= O(t log t)
 	// messages, which is O(n) exactly in the t = O(n/log n) range of
@@ -228,7 +228,7 @@ func TestAEAUnderLittleCrashes(t *testing.T) {
 		ps[i] = ms[i]
 	}
 	adv := crash.NewTargetLittle(top.L, tt, 17)
-	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: ms[0].ScheduleLength() + 2})
+	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: top.Schedule.AEA + 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func testSCV(t *testing.T, n, tt int) {
 	if littleHolders == 0 {
 		t.Fatal("test setup: no little holders")
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 2})
+	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.SCV + 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestSCVWithCrashesAmongHolders(t *testing.T) {
 		ps[i] = ms[i]
 	}
 	adv := crash.NewRandom(n, tt, 10, 2)
-	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: ms[0].ScheduleLength() + 2})
+	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: top.Schedule.SCV + 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestManyCrashesAllAlpha(t *testing.T) {
 			ps[i] = ms[i]
 		}
 		adv := crash.NewRandom(n, tt, n, uint64(tt)*3+1)
-		res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: ms[0].ScheduleLength() + 5})
+		res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: mt.Schedule.Many + 5})
 		if err != nil {
 			t.Fatalf("t=%d: %v", tt, err)
 		}
@@ -391,7 +391,7 @@ func TestManyCrashesExtremeWipeout(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Protocols: ps,
 		Fault:     crash.NewSchedule(events),
-		MaxRounds: ms[0].ScheduleLength() + 5,
+		MaxRounds: mt.Schedule.Many + 5,
 	})
 	if err != nil {
 		t.Fatal(err)

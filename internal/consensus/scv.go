@@ -48,9 +48,6 @@ func NewSCV(id int, top *Topology, hasValue, value bool, base int, standalone bo
 	}
 }
 
-// ScheduleLength returns the number of rounds SCV occupies.
-func (s *SCV) ScheduleLength() int { return s.top.Schedule.SCV }
-
 // End returns the first round after SCV's schedule.
 func (s *SCV) End() int { return s.base + s.top.Schedule.SCV }
 

@@ -71,9 +71,6 @@ func NewVectorFewCrashes(id int, top *Topology, initial *bitset.Set) *VectorFewC
 	return v
 }
 
-// ScheduleLength returns the protocol's fixed round count.
-func (v *VectorFewCrashes) ScheduleLength() int { return v.top.Schedule.Few }
-
 // Decision returns the decided membership vector, if any. The returned
 // set is shared; callers must not modify it.
 func (v *VectorFewCrashes) Decision() (*bitset.Set, bool) { return v.decision, v.decided }

@@ -69,9 +69,6 @@ func NewSchedule(events []Event) *Schedule {
 	return s
 }
 
-// Total returns the number of scheduled crashes.
-func (s *Schedule) Total() int { return len(s.events) }
-
 // FilterSend implements sim.LinkFault.
 func (s *Schedule) FilterSend(round int, from sim.NodeID, outbox []sim.Envelope) ([]sim.Envelope, bool) {
 	if uint(from) >= uint(len(s.byNode)) || s.byNode[from].round != round {

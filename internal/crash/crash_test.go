@@ -22,8 +22,8 @@ func TestScheduleCrashAndKeep(t *testing.T) {
 		{Node: 3, Round: 2, Keep: 1},
 		{Node: 4, Round: 2, Keep: -1},
 	})
-	if s.Total() != 2 {
-		t.Fatalf("Total = %d, want 2", s.Total())
+	if len(s.events) != 2 {
+		t.Fatalf("Total = %d, want 2", len(s.events))
 	}
 
 	out, crash := s.FilterSend(2, 3, envs(3, 5))
@@ -49,8 +49,8 @@ func TestScheduleDeduplicates(t *testing.T) {
 		{Node: 1, Round: 0},
 		{Node: 1, Round: 5},
 	})
-	if s.Total() != 1 {
-		t.Fatalf("Total = %d, want 1 after dedup", s.Total())
+	if len(s.events) != 1 {
+		t.Fatalf("Total = %d, want 1 after dedup", len(s.events))
 	}
 }
 
@@ -228,8 +228,8 @@ func TestScheduleMatchesMapReference(t *testing.T) {
 		if !reflect.DeepEqual(got.CrashEvents(), want.CrashEvents()) {
 			t.Fatalf("seed %d: CrashEvents diverged:\n got %v\nwant %v", seed, got.CrashEvents(), want.CrashEvents())
 		}
-		if got.Total() != len(want.CrashEvents()) {
-			t.Fatalf("seed %d: Total = %d, want %d", seed, got.Total(), len(want.CrashEvents()))
+		if len(got.events) != len(want.CrashEvents()) {
+			t.Fatalf("seed %d: Total = %d, want %d", seed, len(got.events), len(want.CrashEvents()))
 		}
 		for round := -1; round <= horizon; round++ {
 			for from := -2; from < n+3; from++ {

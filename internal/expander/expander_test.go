@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"lineartime/internal/bitset"
+	"lineartime/internal/graph"
 	"lineartime/internal/rng"
 )
 
@@ -19,10 +20,20 @@ func mustOverlay(t *testing.T, n int, opts Options) *Overlay {
 	return o
 }
 
+// isRegular reports whether every vertex of g has degree d.
+func isRegular(g *graph.Graph, d int) bool {
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) != d {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewVerifiedOverlay(t *testing.T) {
 	for _, n := range []int{50, 128, 500} {
 		o := mustOverlay(t, n, Options{Seed: 1})
-		if !o.G.IsRegular(o.P.Degree) {
+		if !isRegular(o.G, o.P.Degree) {
 			t.Fatalf("n=%d: overlay not regular", n)
 		}
 		if !o.G.IsConnected() {
@@ -38,8 +49,8 @@ func TestNewVerifiedOverlay(t *testing.T) {
 
 func TestTinyOverlayIsComplete(t *testing.T) {
 	o := mustOverlay(t, 5, Options{Seed: 1})
-	if o.P.Degree != 4 || o.G.NumEdges() != 10 {
-		t.Fatalf("tiny overlay not K_5: d=%d m=%d", o.P.Degree, o.G.NumEdges())
+	if o.P.Degree != 4 || o.G.N() != 5 || !isRegular(o.G, 4) {
+		t.Fatalf("tiny overlay not K_5: n=%d d=%d", o.G.N(), o.P.Degree)
 	}
 }
 

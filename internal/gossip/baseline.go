@@ -29,9 +29,6 @@ func NewAllToAll(id, n int, rumor Rumor) *AllToAll {
 // AllToAllRounds is the comparator's fixed round count: send, settle.
 const AllToAllRounds = 2
 
-// ScheduleLength returns the fixed round count.
-func (a *AllToAll) ScheduleLength() int { return AllToAllRounds }
-
 // Extant returns the decided extant set.
 func (a *AllToAll) Extant() *ExtantSet { return a.extant }
 

@@ -100,15 +100,6 @@ func (e *ExtantSet) MergeFrom(other *ExtantSet) {
 	}
 }
 
-// Clone returns an independent copy.
-func (e *ExtantSet) Clone() *ExtantSet {
-	c := NewExtantSet(e.known.Len())
-	copy(c.known.Words(), e.known.Words())
-	copy(c.rumors, e.rumors)
-	c.count = e.count
-	return c
-}
-
 // Snapshot returns a frozen view of e for a message payload: a copy of
 // the membership that shares e's rumor array, cut from e's slab, and
 // itself never snapshot. The view is never written again — a delayed

@@ -81,9 +81,6 @@ func NewIn(id int, top *consensus.Topology, rumor Rumor, s *Slab) *Gossip {
 	return g
 }
 
-// ScheduleLength returns the protocol's fixed round count.
-func (g *Gossip) ScheduleLength() int { return g.top.Schedule.Gossip }
-
 // Extant returns the node's extant set (the decided output).
 func (g *Gossip) Extant() *ExtantSet { return &g.extant }
 

@@ -22,7 +22,7 @@ func runGossip(t *testing.T, n, tt int, adv sim.LinkFault, seed uint64) ([]*Goss
 		ms[i] = New(i, top, Rumor(1000+i))
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: ms[0].ScheduleLength() + 5})
+	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: top.Schedule.Gossip + 5})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -134,10 +134,10 @@ func TestExtantSetOps(t *testing.T) {
 	if e.Count() != 2 {
 		t.Fatalf("count = %d, want 2", e.Count())
 	}
-	c := e.Clone()
-	c.Update(1, 1)
-	if e.Present(1) {
-		t.Fatal("clone aliases original")
+	s := e.Snapshot()
+	e.Update(1, 1)
+	if s.Present(1) || s.Count() != 2 {
+		t.Fatal("snapshot aliases original")
 	}
 }
 

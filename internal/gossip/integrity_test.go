@@ -45,7 +45,7 @@ func TestGossipRumorIntegrityQuick(t *testing.T) {
 		res, err := sim.Run(sim.Config{
 			Protocols: ps,
 			Fault:     crash.NewSchedule(events),
-			MaxRounds: ms[0].ScheduleLength() + 4,
+			MaxRounds: top.Schedule.Gossip + 4,
 		})
 		if err != nil {
 			return false
@@ -87,7 +87,7 @@ func TestGossipOwnPairStableQuick(t *testing.T) {
 		res, err := sim.Run(sim.Config{
 			Protocols: ps,
 			Fault:     crash.NewRandom(n, tt, 30, seed),
-			MaxRounds: ms[0].ScheduleLength() + 4,
+			MaxRounds: top.Schedule.Gossip + 4,
 		})
 		if err != nil {
 			return false

@@ -29,8 +29,9 @@ func TestRepeatStaysInItsPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stepped := 0
 	stepTo := func(round int) {
-		for st.Round() < round {
+		for ; stepped < round; stepped++ {
 			if _, err := st.Step(); err != nil {
 				t.Fatal(err)
 			}

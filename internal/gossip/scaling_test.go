@@ -33,7 +33,7 @@ func TestMessageScalingLinear(t *testing.T) {
 			ms[i] = New(i, top, Rumor(i))
 			ps[i] = ms[i]
 		}
-		res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: ms[0].ScheduleLength() + 8})
+		res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.Gossip + 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,12 +280,6 @@ func (g *SlicedGossip) Reset() {
 // N implements sim.SlicedSystem.
 func (g *SlicedGossip) N() int { return g.n }
 
-// Lanes returns the configured lane count.
-func (g *SlicedGossip) Lanes() int { return g.lanes }
-
-// ScheduleLength returns the protocol's fixed round count.
-func (g *SlicedGossip) ScheduleLength() int { return g.sched.Gossip }
-
 // LaneViews is every node's extant membership, per lane, as packed
 // words — the per-lane decided output, which the batch runner
 // materializes reports from. The machine's extant planes hold 64 lanes

@@ -101,7 +101,7 @@ func TestRuntimeSlicedGossipSteadyStateAllocs(t *testing.T) {
 	cfg := sim.SlicedConfig{
 		System:    sys,
 		Lanes:     lanes,
-		MaxRounds: sys.ScheduleLength() + 8,
+		MaxRounds: top.Schedule.Gossip + 8,
 		Faults:    faults,
 		// A metrics-backed tracer rides along: the guard proves the
 		// observability path is allocation-free too.
@@ -234,7 +234,7 @@ func TestSlicedGossipSkippedMergesAreNoOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys, log := wrap(g)
-		res, err := sim.RunSliced(sim.SlicedConfig{System: sys, Lanes: lanes, MaxRounds: g.ScheduleLength() + 8, Faults: faults})
+		res, err := sim.RunSliced(sim.SlicedConfig{System: sys, Lanes: lanes, MaxRounds: top.Schedule.Gossip + 8, Faults: faults})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +249,8 @@ func TestSlicedGossipSkippedMergesAreNoOps(t *testing.T) {
 		u := &unskipped{roundLog{SlicedGossip: g, last: -1}}
 		return u, &u.roundLog
 	})
-	if len(got.planes) != len(want.planes) || len(got.planes) < got.ScheduleLength() {
-		t.Fatalf("logged %d rounds, reference %d, schedule %d", len(got.planes), len(want.planes), got.ScheduleLength())
+	if len(got.planes) != len(want.planes) || len(got.planes) < top.Schedule.Gossip {
+		t.Fatalf("logged %d rounds, reference %d, schedule %d", len(got.planes), len(want.planes), top.Schedule.Gossip)
 	}
 	for r := range want.planes {
 		if !slices.Equal(got.planes[r], want.planes[r]) {
@@ -280,7 +280,7 @@ func TestSlicedGossipResetForgetsVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(g *SlicedGossip, salt uint64) ([]uint64, []sim.LaneResult) {
-		res, err := sim.RunSliced(sim.SlicedConfig{System: g, Lanes: lanes, MaxRounds: g.ScheduleLength() + 8, Faults: mixedFaults(n, lanes, salt)})
+		res, err := sim.RunSliced(sim.SlicedConfig{System: g, Lanes: lanes, MaxRounds: top.Schedule.Gossip + 8, Faults: mixedFaults(n, lanes, salt)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 // Package graph implements the simple undirected graphs used as
 // overlay networks by every algorithm in the paper (§2 "Overlay
-// graphs"). It provides the structural operations the proofs rely on:
-// generalized neighborhoods N^i_G(W), induced subgraphs G|W, edge
-// counts e(A,B) between vertex sets, induced edge volume vol(S), and
-// connectivity, plus the graph constructions (complete, cycle,
-// hypercube, permutation-model random regular) from which the expander
-// layer builds verified overlays.
+// graphs"): the graph constructions (complete, cycle, hypercube,
+// permutation-model random regular) from which the expander layer
+// builds verified overlays, the connectivity check it verifies them
+// with, and the measures the theorem tests of this package, expander
+// and spectral share: neighborhoods N^i_G(v), edge counts e(A,B)
+// between vertex sets and degrees inside a set.
 package graph
 
 import (
@@ -57,15 +57,6 @@ func (b *Builder) AddEdge(u, v int) {
 	b.sets[v][u] = struct{}{}
 }
 
-// HasEdge reports whether the edge {u,v} has been added.
-func (b *Builder) HasEdge(u, v int) bool {
-	_, ok := b.sets[u][v]
-	return ok
-}
-
-// Degree returns the current degree of u in the builder.
-func (b *Builder) Degree(u int) int { return len(b.sets[u]) }
-
 // Build freezes the builder into an immutable Graph.
 func (b *Builder) Build() *Graph {
 	adj := make([][]int, b.n)
@@ -100,69 +91,16 @@ func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
 // Degree returns the degree of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// MaxDegree returns the maximum vertex degree (0 for the empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, a := range g.adj {
-		if len(a) > max {
-			max = len(a)
-		}
-	}
-	return max
-}
-
-// MinDegree returns the minimum vertex degree (0 for the empty graph).
-func (g *Graph) MinDegree() int {
-	if g.n == 0 {
-		return 0
-	}
-	min := len(g.adj[0])
-	for _, a := range g.adj[1:] {
-		if len(a) < min {
-			min = len(a)
-		}
-	}
-	return min
-}
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
-
-// HasEdge reports whether {u,v} is an edge, by binary search.
-func (g *Graph) HasEdge(u, v int) bool {
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
-}
-
-// IsRegular reports whether every vertex has degree d.
-func (g *Graph) IsRegular(d int) bool {
-	for _, a := range g.adj {
-		if len(a) != d {
-			return false
-		}
-	}
-	return true
-}
-
-// Neighborhood returns N^radius_G(start): all vertices within the given
-// distance of some vertex in start (including start itself, distance 0).
-func (g *Graph) Neighborhood(start *bitset.Set, radius int) *bitset.Set {
-	if start.Len() != g.n {
-		panic("graph: neighborhood start set capacity mismatch")
-	}
-	reach := start.Clone()
-	frontier := start.Elements()
+// NeighborhoodOf returns N^radius_G({v}): all vertices within the given
+// distance of v, v included.
+func (g *Graph) NeighborhoodOf(v, radius int) *bitset.Set {
+	reach := bitset.New(g.n)
+	reach.Add(v)
+	frontier := []int{v}
 	for step := 0; step < radius && len(frontier) > 0; step++ {
 		var next []int
-		for _, v := range frontier {
-			for _, w := range g.adj[v] {
+		for _, u := range frontier {
+			for _, w := range g.adj[u] {
 				if !reach.Contains(w) {
 					reach.Add(w)
 					next = append(next, w)
@@ -172,13 +110,6 @@ func (g *Graph) Neighborhood(start *bitset.Set, radius int) *bitset.Set {
 		frontier = next
 	}
 	return reach
-}
-
-// NeighborhoodOf returns N^radius_G({v}).
-func (g *Graph) NeighborhoodOf(v, radius int) *bitset.Set {
-	s := bitset.New(g.n)
-	s.Add(v)
-	return g.Neighborhood(s, radius)
 }
 
 // EdgesBetween returns e(A, B): the number of edges with one endpoint
@@ -197,20 +128,6 @@ func (g *Graph) EdgesBetween(a, b *bitset.Set) int {
 	return count
 }
 
-// Volume returns vol(S): the number of edges of G with both endpoints
-// in S (the induced edge count used in Lemma 1).
-func (g *Graph) Volume(s *bitset.Set) int {
-	count := 0
-	s.ForEach(func(u int) {
-		for _, v := range g.adj[u] {
-			if v > u && s.Contains(v) {
-				count++
-			}
-		}
-	})
-	return count
-}
-
 // DegreeIn returns the number of neighbors of v inside the set S, i.e.
 // v's degree in the induced subgraph G|S (v itself need not be in S).
 func (g *Graph) DegreeIn(v int, s *bitset.Set) int {
@@ -221,54 +138,6 @@ func (g *Graph) DegreeIn(v int, s *bitset.Set) int {
 		}
 	}
 	return d
-}
-
-// InducedSubgraph returns G|W re-labelled onto 0..|W|-1, together with
-// the mapping from new labels back to original vertex names.
-func (g *Graph) InducedSubgraph(w *bitset.Set) (*Graph, []int) {
-	names := w.Elements()
-	index := make(map[int]int, len(names))
-	for i, v := range names {
-		index[v] = i
-	}
-	b := NewBuilder(len(names))
-	for i, v := range names {
-		for _, u := range g.adj[v] {
-			if j, ok := index[u]; ok && j > i {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	return b.Build(), names
-}
-
-// ConnectedComponents returns the vertex sets of the connected
-// components restricted to the vertices in the given set.
-func (g *Graph) ConnectedComponents(within *bitset.Set) []*bitset.Set {
-	seen := bitset.New(g.n)
-	var comps []*bitset.Set
-	within.ForEach(func(v int) {
-		if seen.Contains(v) {
-			return
-		}
-		comp := bitset.New(g.n)
-		stack := []int{v}
-		seen.Add(v)
-		comp.Add(v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.adj[u] {
-				if within.Contains(w) && !seen.Contains(w) {
-					seen.Add(w)
-					comp.Add(w)
-					stack = append(stack, w)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	})
-	return comps
 }
 
 // IsConnected reports whether the whole graph is connected. The empty
@@ -308,41 +177,4 @@ func (g *Graph) IsConnected() bool {
 		}
 	}
 	return reached == g.n
-}
-
-// Diameter returns the largest finite shortest-path distance, or -1 if
-// the graph is disconnected. O(n * m); use on small graphs and tests.
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return 0
-	}
-	max := 0
-	dist := make([]int, g.n)
-	queue := make([]int, 0, g.n)
-	for src := 0; src < g.n; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue = append(queue[:0], src)
-		reached := 1
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					if dist[v] > max {
-						max = dist[v]
-					}
-					reached++
-					queue = append(queue, v)
-				}
-			}
-		}
-		if reached != g.n {
-			return -1
-		}
-	}
-	return max
 }

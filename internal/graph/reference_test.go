@@ -45,7 +45,10 @@ func referencePairingModel(n, d int, r *rng.SplitMix64) ([]pair, bool) {
 			points[v*d+k] = v
 		}
 	}
-	r.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
+	for i := len(points) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		points[i], points[j] = points[j], points[i]
+	}
 
 	pairs := make([]pair, m)
 	for i := 0; i < m; i++ {

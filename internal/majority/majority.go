@@ -30,14 +30,6 @@ const (
 	Yes
 )
 
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	if v == Yes {
-		return "yes"
-	}
-	return "no"
-}
-
 // Vote is the per-node state machine. Schedule: Gossip followed by a
 // 2n-instance vector Few-Crashes-Consensus; O(t + log n log t) rounds
 // and O(n + t log n log t) messages, like checkpointing (Theorem 10).
@@ -59,11 +51,6 @@ func New(id int, top *consensus.Topology, yes bool) *Vote {
 	}
 	return &Vote{id: id, top: top, gossip: gossip.New(id, top, rumor)}
 }
-
-// ScheduleLength returns the protocol's fixed round count: the
-// checkpointing plan, since the vector machinery indexes instances by
-// the payload bitset and runs the doubled bank on the same schedule.
-func (v *Vote) ScheduleLength() int { return v.top.Schedule.Checkpoint }
 
 // Verdict returns the decided verdict with the agreed tallies.
 func (v *Vote) Verdict() (verdict Verdict, yesVotes, ballots int, ok bool) {

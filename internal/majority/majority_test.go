@@ -20,7 +20,7 @@ func runVote(t *testing.T, n, tt, yesCount int, adv sim.LinkFault) ([]*Vote, *si
 		ms[i] = New(i, top, i < yesCount)
 		ps[i] = ms[i]
 	}
-	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: ms[0].ScheduleLength() + 8})
+	res, err := sim.Run(sim.Config{Protocols: ps, Fault: adv, MaxRounds: top.Schedule.Checkpoint + 8})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -104,6 +104,14 @@ func TestMajorityAgreementUnderCrashes(t *testing.T) {
 				seed, firstBallots, n-res.Crashed.Count())
 		}
 	}
+}
+
+// String implements fmt.Stringer for the failure messages above.
+func (v Verdict) String() string {
+	if v == Yes {
+		return "yes"
+	}
+	return "no"
 }
 
 func TestVerdictString(t *testing.T) {

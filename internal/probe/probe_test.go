@@ -109,8 +109,8 @@ func TestReset(t *testing.T) {
 
 func TestDegenerateParams(t *testing.T) {
 	p := New(nil, 0, -3) // clamped to γ=1, δ=0
-	if p.Gamma() != 1 {
-		t.Fatalf("gamma = %d, want clamped 1", p.Gamma())
+	if p.gamma != 1 {
+		t.Fatalf("gamma = %d, want clamped 1", p.gamma)
 	}
 	p.Observe(0, 0)
 	if !p.Survived() {

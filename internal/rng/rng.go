@@ -61,11 +61,3 @@ func (r *SplitMix64) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the first n indices in place using the swap callback.
-func (r *SplitMix64) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -95,23 +95,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(5)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element sum: got %d want %d", got, sum)
-	}
-}
-
 // mul64 is the hand-written 128-bit product Intn used before it called
 // bits.Mul64, kept as the reference the random stream is pinned to.
 func mul64(a, b uint64) (hi, lo uint64) {

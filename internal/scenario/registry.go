@@ -137,17 +137,6 @@ func All() []Definition {
 	return ds
 }
 
-// ByProblem returns the definitions solving p, in registration order.
-func ByProblem(p Problem) []Definition {
-	var ds []Definition
-	for _, name := range registryOrder {
-		if d := registryByKey[name]; d.Problem == p {
-			ds = append(ds, d)
-		}
-	}
-	return ds
-}
-
 // The built-in matrix: every protocol stack the paper evaluates. The
 // golden matrix test (registry_test.go) pins this list, so dropping a
 // row of the paper's tables fails CI.

@@ -28,7 +28,9 @@ func (w *snapshotWatch) OnMessage(_ int, env sim.Envelope) {
 	case gossip.ExtantPayload:
 		w.carried++
 		if _, seen := w.extant[p.Set]; !seen {
-			w.extant[p.Set] = p.Set.Clone()
+			c := gossip.NewExtantSet(p.Set.Known().Len())
+			p.Set.Known().ForEach(func(j int) { c.Update(j, p.Set.Rumor(j)) })
+			w.extant[p.Set] = c
 		}
 	case gossip.CompletionPayload:
 		w.carried++

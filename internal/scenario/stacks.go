@@ -16,7 +16,8 @@ import (
 // matrix.
 type stack struct {
 	// horizon is the run's schedule length, from the spec alone: it
-	// builds nothing, and equals the built machines' ScheduleLength.
+	// builds nothing, and a fault-free run of the built machines lasts
+	// exactly this long (early stopping may halt sooner).
 	horizon func(Spec) int
 	// build materializes the protocol stack with its outcome decoder.
 	build func(Spec) (*system, error)

@@ -180,24 +180,3 @@ func (c *Cache) Capacity() int64 {
 	}
 	return n
 }
-
-// Stats snapshots the counters. Entries and Bytes sum over shards
-// under their locks; the atomic counters are read without
-// synchronization, so a concurrent snapshot is approximate (each
-// counter individually exact).
-func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += int64(len(s.byKey))
-		st.Bytes += s.bytes
-		st.Capacity += s.budget
-		s.mu.Unlock()
-	}
-	return st
-}

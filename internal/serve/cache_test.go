@@ -42,7 +42,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 		t.Fatal("recently-used b was evicted")
 	}
 
-	st := c.Stats()
+	st := stats(c)
 	if st.Evictions != 2 {
 		t.Fatalf("evictions = %d, want 2", st.Evictions)
 	}
@@ -58,7 +58,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 	c.Get("x")              // hit
 	c.Get("x")              // hit
 	c.Get("y")              // miss
-	st := c.Stats()
+	st := stats(c)
 	if st.Hits != 2 || st.Misses != 2 || st.Evictions != 0 {
 		t.Fatalf("counters = %+v, want hits=2 misses=2 evictions=0", st)
 	}
@@ -67,9 +67,9 @@ func TestCacheHitMissCounters(t *testing.T) {
 func TestCachePutOverwriteAdjustsBytes(t *testing.T) {
 	c := oneShard(1 << 20)
 	c.Put("k", make([]byte, 100))
-	before := c.Stats().Bytes
+	before := stats(c).Bytes
 	c.Put("k", make([]byte, 10))
-	after := c.Stats()
+	after := stats(c)
 	if after.Entries != 1 {
 		t.Fatalf("entries = %d after overwrite, want 1", after.Entries)
 	}
@@ -112,11 +112,17 @@ func TestCacheShardedBudget(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := c.Stats()
+	st := stats(c)
 	if st.Bytes > st.Capacity {
 		t.Fatalf("bytes %d exceed capacity %d", st.Bytes, st.Capacity)
 	}
 	if st.Evictions == 0 {
 		t.Fatal("workload was sized to force evictions, saw none")
 	}
+}
+
+// stats snapshots c's counters, as /statsz reports them.
+func stats(c *Cache) CacheStats {
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
+		Entries: c.Entries(), Bytes: c.Bytes(), Capacity: c.Capacity()}
 }

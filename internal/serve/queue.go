@@ -99,18 +99,6 @@ func (p *workPool) Submit(sp scenario.Spec) (*scenario.Report, error) {
 	return r.rep, r.err
 }
 
-// Stats snapshots the pool counters.
-func (p *workPool) Stats() QueueStats {
-	return QueueStats{
-		Workers:   p.workers,
-		Depth:     len(p.jobs),
-		Capacity:  cap(p.jobs),
-		Rejected:  p.rejected.Load(),
-		Completed: p.completed.Load(),
-		Errored:   p.errored.Load(),
-	}
-}
-
 // Close drains the queue and stops the workers. Submit must not be
 // called after Close.
 func (p *workPool) Close() {

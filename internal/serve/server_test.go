@@ -201,7 +201,7 @@ func TestQueueBackpressure429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	go post(2) // occupies the queue slot
-	for s.pool.Stats().Depth == 0 {
+	for len(s.pool.jobs) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 

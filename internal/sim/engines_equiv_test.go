@@ -96,17 +96,24 @@ func (f *fuzzNode) Poll(round int) (NodeID, bool) {
 	return f.target(), true
 }
 
+func bitValue(b Bit) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // payloadFingerprint hashes a payload's concrete type and value, so the
 // equivalence accumulator distinguishes Bit(true) from Bit(false) and a
 // Probe from an Inquiry, not just their sizes.
 func payloadFingerprint(p Payload) uint64 {
 	switch v := p.(type) {
 	case Bit:
-		return 0x11 + uint64(v.Value())
+		return 0x11 + bitValue(v)
 	case Inquiry:
 		return 0x23
 	case Probe:
-		return 0x31 + uint64(v.Rumor.Value())
+		return 0x31 + bitValue(v.Rumor)
 	case fuzzPayload:
 		return 0x47 ^ uint64(v.bits)<<8
 	default:

@@ -14,14 +14,6 @@ type Bit bool
 // SizeBits implements Payload: one bit on the wire.
 func (Bit) SizeBits() int { return 1 }
 
-// Value converts the bit to the 0/1 integers used in the paper's text.
-func (b Bit) Value() int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Inquiry asks the recipient whether it has decided (Part 3 of
 // Many-Crashes-Consensus, Part 2 of Spread-Common-Value). Its role is
 // fixed by the round, so it also costs one bit.

@@ -100,7 +100,7 @@ func checkQuietSkip(t *testing.T, n, tt int, seed uint64, fault func() sim.LinkF
 	}
 	run := func(hide, observed bool) (outcome, func() error) {
 		ps, ms := fewCrashesSystem(top, seed)
-		maxRounds := ms[0].ScheduleLength() + 8
+		maxRounds := top.Schedule.Few + 8
 		if q.maxRounds > 0 {
 			maxRounds = q.maxRounds
 		}
@@ -212,9 +212,9 @@ func TestQuietSkipOpaqueFault(t *testing.T) {
 		{"isolate", crash.NewIsolate(1, tt), false},
 		{"schedule", crash.NewSchedule([]crash.Event{{Node: 1, Round: 3, Keep: 1}}), true},
 	} {
-		ps, ms := fewCrashesSystem(top, 5)
+		ps, _ := fewCrashesSystem(top, 5)
 		spans := obs.NewSpanTracer()
-		res, err := sim.NewRuntime().Run(sim.Config{Protocols: ps, Fault: c.fault, MaxRounds: ms[0].ScheduleLength() + 8, Tracer: spans})
+		res, err := sim.NewRuntime().Run(sim.Config{Protocols: ps, Fault: c.fault, MaxRounds: top.Schedule.Few + 8, Tracer: spans})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -276,18 +276,6 @@ func (s *Stepper) Step() (done bool, err error) {
 	return false, nil
 }
 
-// Round returns the number of rounds executed so far.
-func (s *Stepper) Round() int { return s.round }
-
-// Result returns the run outcome; valid at any point, final once Step
-// reported done. Each call returns a distinct Result, so snapshots
-// taken between steps keep their scalar fields (the slices alias
-// engine state, as they always have).
-func (s *Stepper) Result() *Result {
-	r := *s.st.result()
-	return &r
-}
-
 type state struct {
 	cfg Config
 	n   int

@@ -29,7 +29,7 @@ func TestStepperMatchesRun(t *testing.T) {
 		}
 		steps++
 	}
-	res2 := st.Result()
+	res2 := st.st.result()
 	if res1.Metrics.Rounds != res2.Metrics.Rounds {
 		t.Fatalf("rounds differ: %d vs %d", res1.Metrics.Rounds, res2.Metrics.Rounds)
 	}
@@ -60,8 +60,8 @@ func TestStepperExposesIntermediateState(t *testing.T) {
 	if gs[0].ones != 3 {
 		t.Fatalf("after one step node 0 counted %d ones, want 3", gs[0].ones)
 	}
-	if st.Round() != 1 {
-		t.Fatalf("Round() = %d, want 1", st.Round())
+	if st.round != 1 {
+		t.Fatalf("round = %d, want 1", st.round)
 	}
 }
 

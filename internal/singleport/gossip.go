@@ -165,9 +165,6 @@ func NewSPGossip(id int, schedule *GossipSchedule, rumor gossip.Rumor) *SPGossip
 	return g
 }
 
-// ScheduleLength returns the protocol's fixed round count.
-func (g *SPGossip) ScheduleLength() int { return g.schedule.Length() }
-
 // Extant returns the node's extant set (the decided output).
 func (g *SPGossip) Extant() *gossip.ExtantSet { return g.extant }
 

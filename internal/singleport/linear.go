@@ -64,9 +64,6 @@ func newCompiled(id int, top *consensus.Topology) compiled {
 	return c
 }
 
-// ScheduleLength returns the protocol's fixed single-port round count.
-func (c *compiled) ScheduleLength() int { return c.top.Schedule.SP }
-
 // Halted implements sim.Protocol.
 func (c *compiled) Halted() bool { return c.halted }
 

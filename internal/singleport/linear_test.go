@@ -24,7 +24,7 @@ func runLinear(t *testing.T, n, tt int, inputs []bool, adv sim.LinkFault, seed u
 	res, err := sim.Run(sim.Config{
 		Protocols:  ps,
 		Fault:      adv,
-		MaxRounds:  ms[0].ScheduleLength() + 5,
+		MaxRounds:  top.Schedule.SP + 5,
 		SinglePort: true,
 	})
 	if err != nil {
@@ -139,9 +139,8 @@ func TestLinearConsensusShape(t *testing.T) {
 	inputs := randomInputs(n, 13)
 	ms, res := runLinear(t, n, tt, inputs, nil, 17)
 	// Rounds: linear in t with the 2d/2∆ compilation constants.
-	top := ms[0]
-	if res.Metrics.Rounds != top.ScheduleLength() {
-		t.Fatalf("rounds = %d, want schedule %d", res.Metrics.Rounds, top.ScheduleLength())
+	if sp := ms[0].top.Schedule.SP; res.Metrics.Rounds != sp {
+		t.Fatalf("rounds = %d, want schedule %d", res.Metrics.Rounds, sp)
 	}
 	maxRounds := 2*16*(5*tt+20) + 2*64*(2*7+4) + 4*(6*tt+7+16) + 4096
 	if res.Metrics.Rounds > maxRounds {
@@ -154,14 +153,14 @@ func TestLinearConsensusShape(t *testing.T) {
 	}
 }
 
+// TestScheduleDeterministic: every node follows the topology's one
+// schedule, so a fault-free run halts them all in its last round.
 func TestScheduleDeterministic(t *testing.T) {
-	top, err := consensus.NewTopology(40, 8, consensus.TopologyOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := New(0, top, true), New(7, top, false)
-	if a.ScheduleLength() != b.ScheduleLength() {
-		t.Fatal("nodes disagree on schedule length")
+	ms, res := runLinear(t, 40, 8, randomInputs(40, 1), nil, 1)
+	for i, at := range res.HaltedAt {
+		if want := ms[0].top.Schedule.SP - 1; at != want {
+			t.Fatalf("node %d halted in round %d, want the schedule's last round %d", i, at, want)
+		}
 	}
 }
 
@@ -216,7 +215,7 @@ func TestLinearMatchesMultiPortDecision(t *testing.T) {
 			multi[i] = m
 			multiRef = m
 		}
-		if _, err := sim.Run(sim.Config{Protocols: multi, MaxRounds: multiRef.ScheduleLength() + 4}); err != nil {
+		if _, err := sim.Run(sim.Config{Protocols: multi, MaxRounds: top.Schedule.Few + 4}); err != nil {
 			t.Fatal(err)
 		}
 		mv, ok := multiRef.Decision()
@@ -232,7 +231,7 @@ func TestLinearMatchesMultiPortDecision(t *testing.T) {
 			singleRef = m
 		}
 		if _, err := sim.Run(sim.Config{
-			Protocols: single, MaxRounds: singleRef.ScheduleLength() + 4, SinglePort: true,
+			Protocols: single, MaxRounds: top.Schedule.SP + 4, SinglePort: true,
 		}); err != nil {
 			t.Fatal(err)
 		}

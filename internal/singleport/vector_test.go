@@ -26,7 +26,7 @@ func TestSPVectorConsensusAgreement(t *testing.T) {
 	}
 	_, err = sim.Run(sim.Config{
 		Protocols:  ps,
-		MaxRounds:  ms[0].ScheduleLength() + 5,
+		MaxRounds:  top.Schedule.SP + 5,
 		SinglePort: true,
 	})
 	if err != nil {

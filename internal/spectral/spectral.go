@@ -16,10 +16,8 @@
 package spectral
 
 import (
-	"fmt"
 	"math"
 
-	"lineartime/internal/bitset"
 	"lineartime/internal/graph"
 	"lineartime/internal/rng"
 )
@@ -78,54 +76,6 @@ func RamanujanBound(d int) float64 {
 func IsNearRamanujan(g *graph.Graph, d int, slack float64, opts Options) (bool, float64) {
 	lambda := SecondEigenvalue(g, opts)
 	return lambda <= (1+slack)*RamanujanBound(d), lambda
-}
-
-// EdgeExpansion returns a lower-bound estimate of the edge expansion
-// ratio h(G) = min |∂W|/|W| over |W| ≤ n/2, via the spectral bound
-// h(G) ≥ (d − λ)/2 for d-regular graphs (the "easy side" of Cheeger).
-func EdgeExpansion(g *graph.Graph, d int, opts Options) float64 {
-	lambda := SecondEigenvalue(g, opts)
-	h := (float64(d) - lambda) / 2
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// MixingDeviation returns the largest observed deviation
-// |e(A,B) − d|A||B|/n| / sqrt(|A||B|) across sampled disjoint vertex
-// pairs of sets, which by the Expander Mixing Lemma must be ≤ λ. It is
-// used in tests to cross-validate the eigenvalue estimate against the
-// combinatorial statement the proofs actually use.
-func MixingDeviation(g *graph.Graph, d, samples, setSize int, seed uint64) float64 {
-	n := g.N()
-	if 2*setSize > n {
-		setSize = n / 2
-	}
-	if setSize == 0 {
-		return 0
-	}
-	r := rng.New(seed)
-	worst := 0.0
-	a, b := bitset.New(n), bitset.New(n)
-	for s := 0; s < samples; s++ {
-		perm := r.Perm(n)
-		a.Clear()
-		b.Clear()
-		for _, v := range perm[:setSize] {
-			a.Add(v)
-		}
-		for _, v := range perm[setSize : 2*setSize] {
-			b.Add(v)
-		}
-		e := g.EdgesBetween(a, b)
-		expect := float64(d) * float64(setSize) * float64(setSize) / float64(n)
-		dev := math.Abs(float64(e)-expect) / float64(setSize)
-		if dev > worst {
-			worst = dev
-		}
-	}
-	return worst
 }
 
 // rows is a graph's adjacency as int32 columns laid out for the power
@@ -242,12 +192,4 @@ func randomUnitDeflated(n int, seed uint64) []float64 {
 	}
 	scale(v, 1/l)
 	return v
-}
-
-// Describe returns a one-line summary of the spectral profile of a
-// d-regular graph, for logs and CLI output.
-func Describe(g *graph.Graph, d int, opts Options) string {
-	lambda := SecondEigenvalue(g, opts)
-	return fmt.Sprintf("n=%d d=%d λ=%.3f ramanujan-bound=%.3f h(G)≥%.3f",
-		g.N(), d, lambda, RamanujanBound(d), (float64(d)-lambda)/2)
 }
