@@ -16,6 +16,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 
 	"lineartime/internal/rng"
 )
@@ -31,9 +32,13 @@ type Signature struct {
 }
 
 // Authority holds the key material for one simulated system. It plays
-// the role of the PKI: all verification goes through it.
+// the role of the PKI: all verification goes through it. An Authority
+// belongs to one run: it keeps one keyed HMAC per signer and resets it
+// for every MAC, so it must not sign or verify from two goroutines at
+// once.
 type Authority struct {
 	keys [][]byte
+	macs []hash.Hash // signer id → its keyed HMAC, built on first use
 }
 
 // NewAuthority creates key material for n nodes, derived
@@ -48,7 +53,7 @@ func NewAuthority(n int, seed uint64) *Authority {
 		}
 		keys[i] = k
 	}
-	return &Authority{keys: keys}
+	return &Authority{keys: keys, macs: make([]hash.Hash, n)}
 }
 
 // N returns the number of identities.
@@ -89,8 +94,17 @@ func (a *Authority) VerifyChain(msg []byte, chain []Signature, required int) boo
 	return true
 }
 
+// mac returns signer id's HMAC-SHA256 over msg. The signer's keyed
+// HMAC is built once and Reset per MAC, which gives the same MAC as a
+// fresh hmac.New without rehashing the key.
 func (a *Authority) mac(id int, msg []byte) [sha256.Size]byte {
-	h := hmac.New(sha256.New, a.keys[id])
+	h := a.macs[id]
+	if h == nil {
+		h = hmac.New(sha256.New, a.keys[id])
+		a.macs[id] = h
+	} else {
+		h.Reset()
+	}
 	h.Write(msg)
 	var out [sha256.Size]byte
 	h.Sum(out[:0])

@@ -1,8 +1,12 @@
 package auth
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
+
+	"lineartime/internal/rng"
 )
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -119,5 +123,50 @@ func TestSetMessageDistinguishesNullFromZero(t *testing.T) {
 	c := SetMessage([]uint64{99, 5}, []bool{false, true})
 	if string(b) != string(c) {
 		t.Fatal("absent entry value leaked into encoding")
+	}
+}
+
+// TestKeyedMACsMatchFreshHMAC: the keyed HMAC an Authority keeps per
+// signer and resets per MAC gives every signature a fresh
+// hmac.New(sha256.New, key) gives. Signers interleave at random, so a
+// MAC follows one of another signer or of the same signer over another
+// message; keys are the derived 32-byte ones and random ones of every
+// length up to two SHA-256 blocks (an HMAC hashes a key longer than a
+// block first), messages random ones of up to three blocks, the empty
+// one among them.
+func TestKeyedMACsMatchFreshHMAC(t *testing.T) {
+	r := rng.New(0x4ac_0001)
+	randomBytes := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(r.Uint64())
+		}
+		return b
+	}
+	for trial := 0; trial < 8; trial++ {
+		n := 1 + r.Intn(12)
+		a := NewAuthority(n, r.Uint64())
+		if trial%2 == 1 {
+			for id := range a.keys {
+				a.keys[id] = randomBytes(r.Intn(2*sha256.BlockSize + 1))
+			}
+		}
+		for k := 0; k < 400; k++ {
+			id := r.Intn(n)
+			msg := randomBytes(r.Intn(3*sha256.BlockSize + 1))
+			ref := hmac.New(sha256.New, a.keys[id])
+			ref.Write(msg)
+			want := ref.Sum(nil)
+			sig := a.Signer(id).Sign(msg)
+			if !hmac.Equal(sig.MAC[:], want) {
+				t.Fatalf("trial %d, MAC %d: signer %d over %d bytes gives %x, a fresh HMAC %x", trial, k, id, len(msg), sig.MAC, want)
+			}
+			var fresh Signature
+			fresh.Signer = id
+			copy(fresh.MAC[:], want)
+			if !a.Verify(msg, fresh) {
+				t.Fatalf("trial %d, MAC %d: a fresh HMAC's signature of signer %d does not verify", trial, k, id)
+			}
+		}
 	}
 }

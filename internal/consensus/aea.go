@@ -25,10 +25,11 @@ type AEA struct {
 	top *Topology
 
 	candidate bool
-	flooded   bool // sent the rumor-1 flood already
-	pending   bool // flood at the next Send
-	probing   *probe.Probing
-	moved     bool // the last probing Deliver changed the candidate or paused
+	flooded   bool          // sent the rumor-1 flood already
+	pending   bool          // flood at the next Send
+	little    bool          // a little node: floods, probes and notifies
+	probing   probe.Probing // little nodes only
+	moved     bool          // the last probing Deliver changed the candidate or paused
 	out       sim.Outbox
 
 	decided    bool
@@ -42,17 +43,24 @@ type AEA struct {
 // NewAEA creates the AEA machine for node id with the given binary
 // input, starting at protocol round `base`.
 func NewAEA(id int, top *Topology, input bool, base int, standalone bool) *AEA {
-	a := &AEA{
+	a := new(AEA)
+	a.init(id, top, input, base, standalone)
+	return a
+}
+
+// init makes a, in place, the machine NewAEA creates.
+func (a *AEA) init(id int, top *Topology, input bool, base int, standalone bool) {
+	*a = AEA{
 		id:         id,
 		top:        top,
 		candidate:  input,
+		little:     top.IsLittle(id),
 		standalone: standalone,
 		base:       base,
 	}
-	if top.IsLittle(id) {
-		a.probing = probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
+	if a.little {
+		a.probing = *probe.New(top.Little.Neighbors(id), top.Little.P.Gamma, top.Little.P.Delta)
 	}
-	return a
 }
 
 // End returns the first round after AEA's schedule.
@@ -79,7 +87,7 @@ func (a *AEA) Send(round int) []sim.Envelope {
 }
 
 func (a *AEA) sendPart1(r int) []sim.Envelope {
-	if !a.top.IsLittle(a.id) {
+	if !a.little {
 		return nil // non-little nodes stay idle through Part 1
 	}
 	if (r == 0 && a.candidate && !a.flooded) || a.pending {
@@ -91,14 +99,14 @@ func (a *AEA) sendPart1(r int) []sim.Envelope {
 }
 
 func (a *AEA) sendPart2() []sim.Envelope {
-	if a.probing == nil {
+	if !a.little {
 		return nil
 	}
 	return a.out.FanOut(a.id, a.probing.SendTargets(), sim.Probe{Rumor: sim.Bit(a.candidate)})
 }
 
 func (a *AEA) sendPart3() []sim.Envelope {
-	if !a.top.IsLittle(a.id) || !a.decided {
+	if !a.little || !a.decided {
 		return nil
 	}
 	return a.out.FanOut(a.id, a.top.RelatedOf(a.id), sim.Bit(a.decision))
@@ -123,7 +131,7 @@ func (a *AEA) Deliver(round int, inbox []sim.Envelope) {
 }
 
 func (a *AEA) deliverPart1(r int, inbox []sim.Envelope) {
-	if !a.top.IsLittle(a.id) || a.candidate {
+	if !a.little || a.candidate {
 		return
 	}
 	for _, env := range inbox {
@@ -138,7 +146,7 @@ func (a *AEA) deliverPart1(r int, inbox []sim.Envelope) {
 }
 
 func (a *AEA) deliverPart2(k int, inbox []sim.Envelope) {
-	if a.probing == nil {
+	if !a.little {
 		return
 	}
 	candidate, paused := a.candidate, a.probing.Paused()
@@ -164,7 +172,7 @@ func (a *AEA) deliverPart2(k int, inbox []sim.Envelope) {
 }
 
 func (a *AEA) deliverPart3(inbox []sim.Envelope) {
-	if a.top.IsLittle(a.id) || a.decided {
+	if a.little || a.decided {
 		return
 	}
 	for _, env := range inbox {
@@ -198,7 +206,7 @@ func (a *AEA) QuietUntil(round int) int {
 	switch r := round - a.base; {
 	case round >= end:
 		return round
-	case !a.top.IsLittle(a.id):
+	case !a.little:
 		return end
 	case r < s.AEAFlood:
 		if a.pending || (r == 0 && a.candidate && !a.flooded) {
@@ -224,7 +232,7 @@ func (a *AEA) RepeatUntil(round, last int) int {
 	switch r := round - a.base; {
 	case last != round-1 || r <= 0 || r >= s.AEA-1:
 		return round
-	case !a.top.IsLittle(a.id):
+	case !a.little:
 		return a.base + s.AEA - 1
 	case r > s.AEAFlood && r < s.AEAProbe && !a.moved:
 		return a.base + s.AEAProbe - 1

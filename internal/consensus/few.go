@@ -13,8 +13,8 @@ type FewCrashes struct {
 	id  int
 	top *Topology
 
-	aea *AEA
-	scv *SCV
+	aea AEA
+	scv SCV
 
 	handoff bool // AEA decision transferred into SCV
 	halted  bool
@@ -22,9 +22,18 @@ type FewCrashes struct {
 
 // NewFewCrashes creates the machine for node id with the given input.
 func NewFewCrashes(id int, top *Topology, input bool) *FewCrashes {
-	aea := NewAEA(id, top, input, 0, false)
-	scv := NewSCV(id, top, false, false, aea.End(), false)
-	return &FewCrashes{id: id, top: top, aea: aea, scv: scv}
+	f := new(FewCrashes)
+	f.Init(id, top, input)
+	return f
+}
+
+// Init makes f, in place, the machine NewFewCrashes creates: a system
+// of machines held in one array (a run arena) is then one allocation,
+// not three or four per node.
+func (f *FewCrashes) Init(id int, top *Topology, input bool) {
+	*f = FewCrashes{id: id, top: top}
+	f.aea.init(id, top, input, 0, false)
+	f.scv.init(id, top, false, false, f.aea.End(), false)
 }
 
 // Decision returns the consensus decision, if reached.

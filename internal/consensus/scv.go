@@ -37,7 +37,14 @@ type SCV struct {
 // hasValue/value carry the node's initialization (the paper's
 // dedicated variable: common value or null).
 func NewSCV(id int, top *Topology, hasValue, value bool, base int, standalone bool) *SCV {
-	return &SCV{
+	s := new(SCV)
+	s.init(id, top, hasValue, value, base, standalone)
+	return s
+}
+
+// init makes s, in place, the machine NewSCV creates.
+func (s *SCV) init(id int, top *Topology, hasValue, value bool, base int, standalone bool) {
+	*s = SCV{
 		id:         id,
 		top:        top,
 		decided:    hasValue,

@@ -7,8 +7,9 @@
 package crash
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"lineartime/internal/rng"
 	"lineartime/internal/sim"
@@ -57,14 +58,13 @@ func NewSchedule(events []Event) *Schedule {
 			continue
 		}
 		s.byNode[e.Node] = nodeCrash{round: e.Round, keep: e.Keep}
+		if s.events == nil {
+			s.events = make([]sim.CrashEvent, 0, len(events)) // one allocation, none while appending
+		}
 		s.events = append(s.events, sim.CrashEvent{Node: e.Node, Round: e.Round, Keep: e.Keep})
 	}
-	sort.Slice(s.events, func(i, j int) bool {
-		a, b := s.events[i], s.events[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		return a.Node < b.Node
+	slices.SortFunc(s.events, func(a, b sim.CrashEvent) int {
+		return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.Node, b.Node))
 	})
 	return s
 }
@@ -201,7 +201,7 @@ func NewTargetLittle(little, t int, seed uint64) *TargetLittle {
 	for _, v := range nodes {
 		victims[v] = true
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
 	events := make([]sim.CrashEvent, 0, t)
 	for _, v := range nodes {
 		events = append(events, sim.CrashEvent{Node: v, Round: 0, Keep: 0})

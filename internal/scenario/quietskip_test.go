@@ -294,20 +294,33 @@ func nonZero(v reflect.Value, path string) string {
 }
 
 // TestSendSlabReturnsClean: a slab back in the pool holds no envelope,
-// no machine, no set and no payload — a pooled slab must not pin a
-// finished run's payloads, and a gossip run reads the memory it cuts as
-// nil pairs and empty sets — whether it got there from release directly
-// or at the end of a few-crashes or a gossip Run.
+// no machine, no topology, no set and no payload — a pooled slab must
+// not pin a finished run's topology or payloads, and a run reads the
+// memory it cuts as zero machines, nil pairs and empty sets — whether
+// it got there from release directly or at the end of a few-crashes or
+// a gossip Run.
 func TestSendSlabReturnsClean(t *testing.T) {
+	top, err := MustLookup("consensus/few-crashes").Spec(64, 12, 0x51ab0004).newBroadcastTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
 	drainRunSlabs()
-	s := getRunSlab(100)
+	s := getRunSlab(8, 100)
+	for i := range s.few {
+		s.few[i].Init(i, top, true)
+	}
 	for i := range s.envelopes {
 		s.envelopes[i] = sim.Envelope{From: i, To: i + 1, Payload: sim.Bit(true)}
 	}
+	// The walk reaches the machines: the first value it finds is in
+	// the first one.
+	if path := nonZero(reflect.ValueOf(s).Elem(), "slab"); !strings.HasPrefix(path, "slab.few[0]") {
+		t.Fatalf("a filled slab's first value is at %q, want it in slab.few[0]", path)
+	}
 	s.release()
 	assertZeroSlab(t, "after release", s) // no other test runs beside this one, so s is still ours to read
-	if again := getRunSlab(40); again == s && len(again.envelopes) != 40 {
-		t.Fatalf("reused slab has %d envelopes, want 40", len(again.envelopes))
+	if again := getRunSlab(4, 40); again == s && (len(again.few) != 4 || len(again.envelopes) != 40) {
+		t.Fatalf("reused slab has %d machines and %d envelopes, want 4 and 40", len(again.few), len(again.envelopes))
 	}
 
 	for _, sp := range []Spec{serveColdSpec(t, 9), MustLookup("gossip/expander").Spec(96, 16, 0x51ab0002)} {
@@ -340,9 +353,11 @@ func TestObservedRunKeepsItsSlab(t *testing.T) {
 
 // TestConcurrentRunsOwnTheirSlabs: concurrent Runs each borrow their
 // own slab (a shared one is a data race on every send, so run under
-// -race) and report what a lone run reports — few-crashes and gossip
-// runs interleaved, so that one stack's slab serves the other's next
-// run.
+// -race) and report what a lone run reports — few-crashes runs of two
+// sizes and other inputs and gossip runs interleaved, so that one
+// stack's slab serves the other's next run. Every report a goroutine
+// got is checked again once all of them are done: the later runs that
+// reused its slab left it DeepEqual to the lone run's.
 func TestConcurrentRunsOwnTheirSlabs(t *testing.T) {
 	few := MustLookup("consensus/few-crashes").Spec(64, 12, 0x51ab0001)
 	fault, err := ParseFault("random-crashes:count=12,horizon=30,seed=3")
@@ -350,9 +365,16 @@ func TestConcurrentRunsOwnTheirSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	few.Fault = fault
+	other := MustLookup("consensus/few-crashes").Spec(96, 16, 0x51ab0005)
+	if other.Fault, err = ParseFault("random-crashes:count=16,horizon=40,seed=4"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range other.BoolInputs {
+		other.BoolInputs[i] = i%3 != 0
+	}
 	gos := MustLookup("gossip/expander").Spec(64, 12, 0x51ab0001)
 	gos.Fault = fault
-	specs := []Spec{few, gos}
+	specs := []Spec{few, gos, other}
 	want := make([]*Report, len(specs))
 	for i, sp := range specs {
 		if want[i], err = Run(sp); err != nil {
@@ -364,12 +386,19 @@ func TestConcurrentRunsOwnTheirSlabs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
+			kept := make([]*Report, 0, 9)
+			for i := 0; i < 9; i++ {
 				k := (g + i) % len(specs)
 				got, err := Run(specs[k])
 				if err != nil || !reflect.DeepEqual(want[k], got) {
 					t.Errorf("concurrent %s run diverged from the lone run (err %v)", specs[k].Name, err)
 					return
+				}
+				kept = append(kept, got)
+			}
+			for i, got := range kept {
+				if k := (g + i) % len(specs); !reflect.DeepEqual(want[k], got) {
+					t.Errorf("a kept %s report (n=%d) changed while later runs reused the slabs", specs[k].Name, specs[k].N)
 				}
 			}
 		}()

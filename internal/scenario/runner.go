@@ -55,26 +55,28 @@ func Execute(cfg sim.Config) (*sim.Result, error) {
 }
 
 // runSlabs recycles the per-run memory of the few-crashes and gossip
-// stacks: a few-crashes run's per-machine sim.Outboxes
-// (consensus.CarveOutboxes) and everything a gossip run's machines
-// hold or hand out (gossip.NewIn) are cut from one slab instead of
-// being allocated machine by machine and message by message. A pooled
-// slab is all zero — release clears what the run wrote — so it pins no
-// payload between runs.
+// stacks: a few-crashes run's machines (consensus.FewCrashes.Init) and
+// their send buffers (CarveOutboxes), and everything a gossip run's
+// machines hold or hand out (gossip.NewIn), are cut from one slab
+// instead of being allocated machine by machine and message by
+// message. A pooled slab is all zero — release clears what the run
+// wrote — so it pins no topology and no payload between runs.
 var runSlabs sync.Pool
 
 type runSlab struct {
-	envelopes []sim.Envelope // few-crashes send buffers
+	few       []consensus.FewCrashes // few-crashes machines
+	envelopes []sim.Envelope         // their send buffers
 	gossip    gossip.Slab
 }
 
-// getRunSlab borrows a slab with envs few-crashes envelopes, growing a
-// pooled one whose envelopes are too few.
-func getRunSlab(envs int) *runSlab {
+// getRunSlab borrows a slab with n few-crashes machines and envs
+// envelopes, growing a pooled one that holds too few.
+func getRunSlab(n, envs int) *runSlab {
 	s, _ := runSlabs.Get().(*runSlab)
 	if s == nil {
 		s = &runSlab{}
 	}
+	s.few = slices.Grow(s.few[:0], n)[:n]
 	s.envelopes = slices.Grow(s.envelopes[:0], envs)[:envs]
 	return s
 }
@@ -85,6 +87,7 @@ func (s *runSlab) release() {
 	if s == nil {
 		return
 	}
+	clear(s.few)
 	clear(s.envelopes)
 	s.gossip.Release()
 	runSlabs.Put(s)
@@ -206,9 +209,9 @@ type system struct {
 	little int
 	// finish evaluates the problem-specific outcome into the report.
 	finish func(res *sim.Result, rep *Report)
-	// slab, when set, holds the machines' send buffers (and a gossip
-	// run's machines, sets and payloads); once it is released the
-	// machines must not run again.
+	// slab, when set, holds the machines and their send buffers (and a
+	// gossip run's sets and payloads); once it is released the machines
+	// must not run again.
 	slab *runSlab
 }
 

@@ -41,10 +41,11 @@ var stacks = map[stackKey]stack{
 			if err != nil {
 				return nil, err
 			}
-			slab := getRunSlab(top.OutboxSlabLen())
+			slab := getRunSlab(sp.N, top.OutboxSlabLen())
 			rest := slab.envelopes
 			sys := perNode(sp, top.L, func(i int) *consensus.FewCrashes {
-				m := consensus.NewFewCrashes(i, top, sp.BoolInputs[i])
+				m := &slab.few[i]
+				m.Init(i, top, sp.BoolInputs[i])
 				rest = m.CarveOutboxes(rest)
 				return m
 			}, decodeConsensus)
@@ -108,7 +109,7 @@ var stacks = map[stackKey]stack{
 			if err != nil {
 				return nil, err
 			}
-			slab := getRunSlab(0)
+			slab := getRunSlab(0, 0)
 			slab.gossip.Reserve(top)
 			sys := perNode(sp, top.L, func(i int) *gossip.Gossip {
 				return gossip.NewIn(i, top, gossip.Rumor(sp.Rumors[i]), &slab.gossip)
