@@ -203,10 +203,9 @@ type Metrics struct {
 	Bits        int64
 	ByzMessages int64
 	// PerPart breaks the non-faulty message count down by algorithm
-	// part (e.g. "aea/flood", "scv/inquiry") when the protocol
-	// exposes its round schedule via a PartAt(round int) string
-	// method (the scenario runner installs it on the engine); nil
-	// otherwise.
+	// part (e.g. "aea/flood", "scv/inquiry") when the algorithm's part
+	// table names its parts (the scenario runner labels each round
+	// from it); nil otherwise.
 	PerPart map[string]int64
 }
 

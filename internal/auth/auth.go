@@ -34,11 +34,16 @@ type Signature struct {
 // Authority holds the key material for one simulated system. It plays
 // the role of the PKI: all verification goes through it. An Authority
 // belongs to one run: it keeps one keyed HMAC per signer and resets it
-// for every MAC, so it must not sign or verify from two goroutines at
-// once.
+// for every MAC, and scratch for MACs and chain checks, so it must not
+// sign or verify from two goroutines at once.
 type Authority struct {
 	keys [][]byte
 	macs []hash.Hash // signer id → its keyed HMAC, built on first use
+	sum  [sha256.Size]byte
+	// seen[id] == chains marks a signer of the chain VerifyChain is
+	// checking, the chains-th it has checked.
+	seen   []uint64
+	chains uint64
 }
 
 // NewAuthority creates key material for n nodes, derived
@@ -53,7 +58,7 @@ func NewAuthority(n int, seed uint64) *Authority {
 		}
 		keys[i] = k
 	}
-	return &Authority{keys: keys, macs: make([]hash.Hash, n)}
+	return &Authority{keys: keys, macs: make([]hash.Hash, n), seen: make([]uint64, n)}
 }
 
 // N returns the number of identities.
@@ -84,19 +89,20 @@ func (a *Authority) VerifyChain(msg []byte, chain []Signature, required int) boo
 	if required >= 0 && len(chain) < required {
 		return false
 	}
-	seen := make(map[int]bool, len(chain))
+	a.chains++
 	for _, sig := range chain {
-		if seen[sig.Signer] || !a.Verify(msg, sig) {
+		if !a.Verify(msg, sig) || a.seen[sig.Signer] == a.chains {
 			return false
 		}
-		seen[sig.Signer] = true
+		a.seen[sig.Signer] = a.chains
 	}
 	return true
 }
 
 // mac returns signer id's HMAC-SHA256 over msg. The signer's keyed
 // HMAC is built once and Reset per MAC, which gives the same MAC as a
-// fresh hmac.New without rehashing the key.
+// fresh hmac.New without rehashing the key; it sums into the
+// Authority's scratch, so the result does not escape to the heap.
 func (a *Authority) mac(id int, msg []byte) [sha256.Size]byte {
 	h := a.macs[id]
 	if h == nil {
@@ -106,9 +112,8 @@ func (a *Authority) mac(id int, msg []byte) [sha256.Size]byte {
 		h.Reset()
 	}
 	h.Write(msg)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	h.Sum(a.sum[:0])
+	return a.sum
 }
 
 // Signer signs messages as one fixed identity.

@@ -1,7 +1,10 @@
 package byzantine
 
 import (
+	"slices"
+
 	"lineartime/internal/auth"
+	"lineartime/internal/consensus"
 	"lineartime/internal/sim"
 )
 
@@ -55,23 +58,8 @@ func NewABConsensus(id int, cfg *Config, signer *auth.Signer, input uint64) *ABC
 // Decision returns the decided value, if any.
 func (a *ABConsensus) Decision() (uint64, bool) { return a.decision, a.decided }
 
-// littleTargets returns all little nodes except self.
-func (a *ABConsensus) littleTargets() []int {
-	out := make([]int, 0, a.cfg.L)
-	for i := 0; i < a.cfg.L; i++ {
-		if i != a.id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func (a *ABConsensus) toAll(targets []int, payload sim.Payload) []sim.Envelope {
-	out := make([]sim.Envelope, 0, len(targets))
-	for _, to := range targets {
-		out = append(out, sim.Envelope{From: a.id, To: to, Payload: payload})
-	}
-	return out
+	return new(sim.Outbox).FanOut(a.id, targets, payload)
 }
 
 // Send implements sim.Protocol.
@@ -88,27 +76,27 @@ func (a *ABConsensus) Send(round int) []sim.Envelope {
 				Value:  a.input,
 				Chain:  []auth.Signature{a.signer.Sign(auth.ValueMessage(a.id, a.input))},
 			}
-			return a.toAll(a.littleTargets(), RelayBatch{Items: []Relay{item}})
+			return sim.ToAll(a.id, a.cfg.L, RelayBatch{Items: []Relay{item}})
 		}
 		if len(a.pending) == 0 {
 			return nil
 		}
 		batch := RelayBatch{Items: a.pending}
 		a.pending = nil
-		return a.toAll(a.littleTargets(), batch)
+		return sim.ToAll(a.id, a.cfg.L, batch)
 
 	case round < c.endorseEnd: // Part 1b: endorsement round
 		if !c.IsLittle(a.id) {
 			return nil
 		}
 		a.buildOwnSet()
-		return a.toAll(a.littleTargets(), Endorsement{Sig: a.signer.Sign(a.setMsg)})
+		return sim.ToAll(a.id, a.cfg.L, Endorsement{Sig: a.signer.Sign(a.setMsg)})
 
 	case round < c.relatedEnd: // Part 2: notify related nodes
 		if !c.IsLittle(a.id) || !a.haveSet {
 			return nil
 		}
-		related := c.RelatedOf(a.id)
+		related := slices.Collect(consensus.Related(a.id, c.L, c.N))
 		if len(related) == 0 {
 			return nil
 		}
@@ -128,7 +116,7 @@ func (a *ABConsensus) Send(round int) []sim.Envelope {
 				return nil
 			}
 			payload := SignedInquiry{Sig: a.signer.Sign(auth.InquiryMessage(a.id))}
-			return a.toAll(a.littleTargets(), payload)
+			return sim.ToAll(a.id, a.cfg.L, payload)
 		}
 		if !a.haveSet || len(a.inquirers) == 0 {
 			return nil
@@ -219,7 +207,7 @@ func (a *ABConsensus) deliverDS(round int, inbox []sim.Envelope) {
 			if item.Chain[0].Signer != item.Source {
 				continue
 			}
-			if !a.validLittleChain(item) {
+			if !c.littleChain(auth.ValueMessage(item.Source, item.Value), item.Chain, -1) {
 				continue
 			}
 			vs := a.accepted[item.Source]
@@ -238,23 +226,6 @@ func (a *ABConsensus) deliverDS(round int, inbox []sim.Envelope) {
 			}
 		}
 	}
-}
-
-// validLittleChain verifies all chain signatures over the item's
-// (source, value) message, requiring distinct little signers.
-func (a *ABConsensus) validLittleChain(item Relay) bool {
-	msg := auth.ValueMessage(item.Source, item.Value)
-	seen := make(map[int]bool, len(item.Chain))
-	for _, sig := range item.Chain {
-		if sig.Signer >= a.cfg.L || seen[sig.Signer] {
-			return false
-		}
-		seen[sig.Signer] = true
-		if !a.cfg.Authority.Verify(msg, sig) {
-			return false
-		}
-	}
-	return true
 }
 
 func containsValue(vs []uint64, v uint64) bool {
@@ -343,23 +314,3 @@ func (a *ABConsensus) decide() {
 func (a *ABConsensus) Halted() bool { return a.halted }
 
 var _ sim.Protocol = (*ABConsensus)(nil)
-
-// PartAt maps a round to its AB-Consensus part, for the engine's
-// per-part message attribution.
-func (a *ABConsensus) PartAt(round int) string {
-	c := a.cfg
-	switch {
-	case round < c.dsRounds:
-		return "dolev-strong"
-	case round < c.endorseEnd:
-		return "endorse"
-	case round < c.relatedEnd:
-		return "notify-related"
-	case round < c.part3End:
-		return "propagate"
-	case round < c.part4End:
-		return "inquire"
-	default:
-		return ""
-	}
-}

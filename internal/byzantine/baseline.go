@@ -42,16 +42,6 @@ func (d *DSAll) ScheduleLength() int { return DolevStrongRounds(d.cfg.T) }
 // Decision returns the decided value, if any.
 func (d *DSAll) Decision() (uint64, bool) { return d.decision, d.decided }
 
-func (d *DSAll) everyone() []int {
-	out := make([]int, 0, d.cfg.N-1)
-	for i := 0; i < d.cfg.N; i++ {
-		if i != d.id {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Send implements sim.Protocol.
 func (d *DSAll) Send(round int) []sim.Envelope {
 	var batch RelayBatch
@@ -68,12 +58,7 @@ func (d *DSAll) Send(round int) []sim.Envelope {
 	default:
 		return nil
 	}
-	targets := d.everyone()
-	out := make([]sim.Envelope, 0, len(targets))
-	for _, to := range targets {
-		out = append(out, sim.Envelope{From: d.id, To: to, Payload: batch})
-	}
-	return out
+	return sim.ToAll(d.id, d.cfg.N, batch)
 }
 
 // Deliver implements sim.Protocol.

@@ -9,6 +9,7 @@ package byzantine
 
 import (
 	"fmt"
+	"slices"
 
 	"lineartime/internal/auth"
 	"lineartime/internal/consensus"
@@ -52,9 +53,25 @@ func planFor(n, t int) plan {
 	return p
 }
 
-// Rounds returns the fixed round count of AB-Consensus for n nodes and
-// t faults, without building anything.
-func Rounds(n, t int) int { return planFor(n, t).part4End }
+// Parts declares AB-Consensus's five parts for n nodes and t faults,
+// without building anything (Theorem 11). In each Dolev–Strong round
+// each of the L little nodes sends at most one batch to each other
+// little node, L(L−1) messages, and it endorses once in the same way;
+// each of the n − L non-little nodes hears from its one related little
+// node; each node forwards the set over H at most once, n·∆; and in
+// Part 4 each node without a set asks the L little nodes, which answer
+// each other node at most once, 2nL.
+func Parts(n, t int) consensus.Parts {
+	p := planFor(n, t)
+	nn, l := int64(n), int64(consensus.LittleCount(n, t))
+	return consensus.Parts{
+		{Name: "dolev-strong", End: p.dsRounds, Bound: l * (l - 1) * int64(p.dsRounds)},
+		{Name: "endorse", End: p.endorseEnd, Bound: l * (l - 1)},
+		{Name: "notify-related", End: p.relatedEnd, Bound: nn - l},
+		{Name: "propagate", End: p.part3End, Bound: nn * int64(expander.BroadcastParams(n).Degree)},
+		{Name: "inquire", End: p.part4End, Bound: 2 * nn * l},
+	}
+}
 
 // NewConfig builds the system configuration for n nodes, at most t
 // authenticated-Byzantine faults, t < n/2.
@@ -87,12 +104,9 @@ func (c *Config) ScheduleLength() int { return c.part4End }
 // IsLittle reports whether id is a little node.
 func (c *Config) IsLittle(id int) bool { return id < c.L }
 
-// RelatedOf returns the non-little nodes related to little node i
-// (same remainder modulo L, §7 Part 2).
-func (c *Config) RelatedOf(i int) []int {
-	var out []int
-	for j := c.L + i; j < c.N; j += c.L {
-		out = append(out, j)
-	}
-	return out
+// littleChain reports whether chain holds valid signatures over msg by
+// distinct little nodes, at least required of them if required ≥ 0.
+func (c *Config) littleChain(msg []byte, chain []auth.Signature, required int) bool {
+	return !slices.ContainsFunc(chain, func(sig auth.Signature) bool { return sig.Signer >= c.L }) &&
+		c.Authority.VerifyChain(msg, chain, required)
 }

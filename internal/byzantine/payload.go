@@ -89,18 +89,5 @@ func (c *Config) validCommonSet(s CommonSet) bool {
 	if len(s.Values) != c.L || len(s.Present) != c.L {
 		return false
 	}
-	msg := auth.SetMessage(s.Values, s.Present)
-	seen := make(map[int]bool, len(s.Endorsements))
-	valid := 0
-	for _, sig := range s.Endorsements {
-		if sig.Signer >= c.L || seen[sig.Signer] {
-			return false
-		}
-		seen[sig.Signer] = true
-		if !c.Authority.Verify(msg, sig) {
-			return false
-		}
-		valid++
-	}
-	return valid >= c.Endorsements
+	return c.littleChain(auth.SetMessage(s.Values, s.Present), s.Endorsements, c.Endorsements)
 }

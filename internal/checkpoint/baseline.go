@@ -52,14 +52,7 @@ func (d *Direct) Send(round int) []sim.Envelope {
 	if round >= d.ScheduleLength() {
 		return nil
 	}
-	payload := viewPayload{set: d.view.Clone()}
-	out := make([]sim.Envelope, 0, d.n-1)
-	for to := 0; to < d.n; to++ {
-		if to != d.id {
-			out = append(out, sim.Envelope{From: d.id, To: to, Payload: payload})
-		}
-	}
-	return out
+	return sim.ToAll(d.id, d.n, viewPayload{set: d.view.Clone()})
 }
 
 // Deliver implements sim.Protocol.

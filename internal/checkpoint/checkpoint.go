@@ -84,7 +84,3 @@ func (c *Checkpointing) Deliver(round int, inbox []sim.Envelope) {
 func (c *Checkpointing) Halted() bool { return c.halted }
 
 var _ sim.Protocol = (*Checkpointing)(nil)
-
-// PartAt maps a round to its checkpointing stage and sub-part, for the
-// engine's per-part message attribution.
-func (c *Checkpointing) PartAt(round int) string { return c.top.Schedule.CheckpointPart(round) }

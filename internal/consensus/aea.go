@@ -109,7 +109,11 @@ func (a *AEA) sendPart3() []sim.Envelope {
 	if !a.little || !a.decided {
 		return nil
 	}
-	return a.out.FanOut(a.id, a.top.RelatedOf(a.id), sim.Bit(a.decision))
+	a.out.Reset(0)
+	for j := range Related(a.id, a.top.L, a.top.N) {
+		a.out.Add(a.id, j, sim.Bit(a.decision))
+	}
+	return a.out
 }
 
 // Deliver implements sim.Protocol.
@@ -240,8 +244,5 @@ func (a *AEA) RepeatUntil(round, last int) int {
 		return round
 	}
 }
-
-// PartAt labels a round with its AEA part.
-func (a *AEA) PartAt(round int) string { return a.top.Schedule.AEAPart(round - a.base) }
 
 var _ sim.Sleeper = (*AEA)(nil)

@@ -49,13 +49,7 @@ func (f *Flooding) Send(round int) []sim.Envelope {
 	}
 	f.pending = false
 	f.flooded = true
-	out := make([]sim.Envelope, 0, f.n-1)
-	for to := 0; to < f.n; to++ {
-		if to != f.id {
-			out = append(out, sim.Envelope{From: f.id, To: to, Payload: sim.Bit(true)})
-		}
-	}
-	return out
+	return sim.ToAll(f.id, f.n, sim.Bit(true))
 }
 
 // Deliver implements sim.Protocol.

@@ -45,13 +45,7 @@ func (r *RotatingCoordinator) Send(round int) []sim.Envelope {
 	if round >= r.ScheduleLength() || round%r.n != r.id {
 		return nil
 	}
-	out := make([]sim.Envelope, 0, r.n-1)
-	for to := 0; to < r.n; to++ {
-		if to != r.id {
-			out = append(out, sim.Envelope{From: r.id, To: to, Payload: sim.Bit(r.candidate)})
-		}
-	}
-	return out
+	return sim.ToAll(r.id, r.n, sim.Bit(r.candidate))
 }
 
 // Deliver implements sim.Protocol.

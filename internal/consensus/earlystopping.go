@@ -69,13 +69,7 @@ func (e *EarlyStopping) Send(round int) []sim.Envelope {
 	default:
 		payload = sim.Bit(e.candidate)
 	}
-	out := make([]sim.Envelope, 0, e.n-1)
-	for to := 0; to < e.n; to++ {
-		if to != e.id {
-			out = append(out, sim.Envelope{From: e.id, To: to, Payload: payload})
-		}
-	}
-	return out
+	return sim.ToAll(e.id, e.n, payload)
 }
 
 // Deliver implements sim.Protocol.

@@ -103,9 +103,6 @@ func (f *FewCrashes) RepeatUntil(round, last int) int {
 	return round
 }
 
-// PartAt labels a round with its Few-Crashes-Consensus part.
-func (f *FewCrashes) PartAt(round int) string { return f.top.Schedule.FewPart(round) }
-
 // outboxCaps returns the envelopes node id's AEA and SCV machines send
 // in their widest regular round: a little node floods and probes its
 // little neighbors and notifies its related nodes (other nodes send

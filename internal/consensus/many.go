@@ -14,7 +14,6 @@ import (
 // scaled here), and the inquiry family G_i of degrees d_i ∝ 2^i.
 type ManyTopology struct {
 	N, T    int
-	Alpha   float64
 	Overlay *expander.Overlay
 	Inquiry *expander.InquiryFamily
 	// Schedule is the round plan; Many-Crashes reads its Many* fields.
@@ -29,29 +28,30 @@ func NewManyTopology(n, t int, opts TopologyOptions) (*ManyTopology, error) {
 	if t < 0 || t >= n {
 		return nil, fmt.Errorf("consensus: need 0 ≤ t < n, got t=%d n=%d", t, n)
 	}
-	alpha := float64(t) / float64(n)
-	d := opts.Degree
-	if d == 0 {
-		// Scaled rendering of d(α) = (4/(1−α))^8: the degree must grow
-		// as α → 1 so survival sets persist; we grow linearly in
-		// 1/(1−α) instead of polynomially, capped at n−1.
-		d = expander.DefaultDegree + int(16*alpha/(1-alpha+1e-9))
-		if d > n-1 {
-			d = n - 1
-		}
-	}
-	overlay, err := expander.New(n, expander.Options{Degree: d, Seed: opts.Seed + 11})
+	overlay, err := expander.New(n, expander.Options{Degree: manyDegree(n, t, opts.Degree), Seed: opts.Seed + 11})
 	if err != nil {
 		return nil, fmt.Errorf("many-crashes overlay: %w", err)
 	}
 	return &ManyTopology{
 		N:        n,
 		T:        t,
-		Alpha:    alpha,
 		Overlay:  overlay,
 		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+13),
 		Schedule: NewSchedule(n, t, opts.Degree),
 	}, nil
+}
+
+// manyDegree returns the degree of the overlay on n nodes with crash
+// bound t, given the requested one (0 = default): a scaled rendering of
+// d(α) = (4/(1−α))^8, α = t/n. The degree must grow as α → 1 so
+// survival sets persist; we grow linearly in 1/(1−α) instead of
+// polynomially, capped at n−1.
+func manyDegree(n, t, degree int) int {
+	if degree != 0 {
+		return degree
+	}
+	alpha := float64(t) / float64(n)
+	return min(expander.DefaultDegree+int(16*alpha/(1-alpha+1e-9)), n-1)
 }
 
 // ManyCrashes is algorithm Many-Crashes-Consensus (Figure 4):
@@ -86,6 +86,7 @@ type ManyCrashes struct {
 	halted   bool
 
 	inquirers []int
+	out       sim.Outbox
 
 	fallback bool
 }
@@ -114,21 +115,11 @@ func (m *ManyCrashes) Send(round int) []sim.Envelope {
 		if (first && m.candidate && !m.flooded) || m.pending {
 			m.flooded = true
 			m.pending = false
-			nbrs := m.top.Overlay.Neighbors(m.id)
-			out := make([]sim.Envelope, 0, len(nbrs))
-			for _, to := range nbrs {
-				out = append(out, sim.Envelope{From: m.id, To: to, Payload: sim.Bit(true)})
-			}
-			return out
+			return m.out.FanOut(m.id, m.top.Overlay.Neighbors(m.id), sim.Bit(true))
 		}
 		return nil
 	case round < s.ManyProbe:
-		targets := m.probing.SendTargets()
-		out := make([]sim.Envelope, 0, len(targets))
-		for _, to := range targets {
-			out = append(out, sim.Envelope{From: m.id, To: to, Payload: sim.Probe{Rumor: sim.Bit(m.candidate)}})
-		}
-		return out
+		return m.out.FanOut(m.id, m.probing.SendTargets(), sim.Probe{Rumor: sim.Bit(m.candidate)})
 	case round < s.Many:
 		off := round - s.ManyProbe
 		if off%2 == 0 { // inquiry round
@@ -140,21 +131,12 @@ func (m *ManyCrashes) Send(round int) []sim.Envelope {
 			if err != nil {
 				panic("consensus: inquiry overlay unavailable: " + err.Error())
 			}
-			nbrs := overlay.Neighbors(m.id)
-			out := make([]sim.Envelope, 0, len(nbrs))
-			for _, to := range nbrs {
-				out = append(out, sim.Envelope{From: m.id, To: to, Payload: sim.Inquiry{}})
-			}
-			return out
+			return m.out.FanOut(m.id, overlay.Neighbors(m.id), sim.Inquiry{})
 		}
 		if !m.decided || len(m.inquirers) == 0 {
 			return nil
 		}
-		out := make([]sim.Envelope, 0, len(m.inquirers))
-		for _, to := range m.inquirers {
-			out = append(out, sim.Envelope{From: m.id, To: to, Payload: sim.Bit(m.decision)})
-		}
-		return out
+		return m.out.FanOut(m.id, m.inquirers, sim.Bit(m.decision))
 	default:
 		return nil
 	}
@@ -224,8 +206,5 @@ func (m *ManyCrashes) Deliver(round int, inbox []sim.Envelope) {
 
 // Halted implements sim.Protocol.
 func (m *ManyCrashes) Halted() bool { return m.halted }
-
-// PartAt labels a round with its Many-Crashes-Consensus part.
-func (m *ManyCrashes) PartAt(round int) string { return m.top.Schedule.ManyPart(round) }
 
 var _ sim.Protocol = (*ManyCrashes)(nil)

@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"lineartime/internal/expander"
 )
@@ -20,8 +22,9 @@ import (
 type Schedule struct {
 	// Little and Broadcast are the parameters of the little overlay G
 	// and of the broadcast graph H, G1 those of the inquiry family's
-	// first graph G_1.
-	Little, Broadcast, G1 expander.Params
+	// first graph G_1, and ManyOverlay those of Many-Crashes-Consensus's
+	// overlay on all n nodes.
+	Little, Broadcast, G1, ManyOverlay expander.Params
 
 	// AEA (Figure 1, Theorem 5): Part 1 floods until AEAFlood, Part 2
 	// probes until AEAProbe, Part 3 notifies related nodes until AEA.
@@ -101,8 +104,9 @@ func NewSchedule(n, t, degree int) Schedule {
 	// its Part 3 runs 1 + ⌈lg((1+3α)n/4)⌉ phases, α = t/n, but at least
 	// as many as it takes the inquiry degree to saturate at n−1, so the
 	// last phases reach every potential responder.
+	s.ManyOverlay = expander.ParamsOf(n, expander.Options{Degree: manyDegree(n, t, degree)})
 	s.ManyFlood = max(n-1, 1)
-	s.ManyProbe = s.ManyFlood + expander.ParamsOf(n, expander.Options{}).Gamma
+	s.ManyProbe = s.ManyFlood + s.ManyOverlay.Gamma
 	alpha := float64(t) / float64(n)
 	m := max(int((1+3*alpha)*float64(n)/4), 1)
 	inquiry := expander.NewInquiryFamily(n, 8, 0)
@@ -129,52 +133,174 @@ func NewSchedule(n, t, degree int) Schedule {
 	return s
 }
 
-// AEAPart labels round r of AEA with its part, "" outside AEA.
-func (s *Schedule) AEAPart(r int) string {
-	switch {
-	case r < 0 || r >= s.AEA:
-		return ""
-	case r < s.AEAFlood:
-		return "aea/flood"
-	case r < s.AEAProbe:
-		return "aea/probing"
-	default:
-		return "aea/notify"
+// Part is one span of an algorithm's round schedule, with the most
+// messages its non-faulty nodes send in it. The paper proves its
+// communication bounds part by part; Parts lists an algorithm's parts
+// in round order, each span starting where the one before it ends.
+type Part struct {
+	// Name labels the span's traffic in the per-part message counts; an
+	// unnamed span is counted in none.
+	Name string
+	// End is the first round after the span, counted from the
+	// algorithm's first round.
+	End int
+	// Bound caps the messages sent in the span: the paper's lemma where
+	// it gives one, otherwise senders × per-round out-degree × rounds,
+	// read off the code.
+	Bound int64
+}
+
+// Parts is an algorithm's schedule as consecutive parts. A name may own
+// several spans (gossip's blocks recur every phase); its bound is then
+// the sum of theirs.
+type Parts []Part
+
+// End returns the first round after the schedule.
+func (ps Parts) End() int {
+	if len(ps) == 0 {
+		return 0
+	}
+	return ps[len(ps)-1].End
+}
+
+// Label returns the name of the part round r falls in, "" past the end.
+func (ps Parts) Label(r int) string {
+	if i := sort.Search(len(ps), func(i int) bool { return ps[i].End > r }); i < len(ps) {
+		return ps[i].Name
+	}
+	return ""
+}
+
+// Bound returns the sum of the bounds of the spans named name: 0 for a
+// name no span has.
+func (ps Parts) Bound(name string) int64 {
+	var b int64
+	for _, p := range ps {
+		if p.Name == name {
+			b += p.Bound
+		}
+	}
+	return b
+}
+
+// Then returns ps followed by next, which starts at ps's end, with
+// prefix before each of next's names.
+func (ps Parts) Then(prefix string, next Parts) Parts {
+	out, base := slices.Clip(ps), ps.End()
+	for _, p := range next {
+		p.Name, p.End = prefix+p.Name, p.End+base
+		out = append(out, p)
+	}
+	return out
+}
+
+// inquiryDegrees returns the summed degrees of the inquiry graphs
+// G_1..G_phases on n nodes: what one node sends over one round of each.
+func inquiryDegrees(n, phases int) int64 {
+	family := expander.NewInquiryFamily(n, 8, 0)
+	var sum int64
+	for i := 1; i <= phases; i++ {
+		sum += int64(family.PhaseParams(i).Degree)
+	}
+	return sum
+}
+
+// AEAParts declares AEA's parts (Theorem 5). Each little node floods
+// its little neighbours at most once, L·d messages; probes at most its
+// d neighbours in each of the γ probing rounds, L·d·γ; and each of the
+// n − L non-little nodes hears from its one related little node (the
+// proof charges Part 3 n).
+func (s *Schedule) AEAParts() Parts {
+	l, d := int64(s.Little.N), int64(s.Little.Degree)
+	return Parts{
+		{"aea/flood", s.AEAFlood, l * d},
+		{"aea/probing", s.AEAProbe, l * d * int64(s.Little.Gamma)},
+		{"aea/notify", s.AEA, int64(s.Broadcast.N) - l},
 	}
 }
 
-// SCVPart labels round r of SCV with its part, "" outside SCV.
-func (s *Schedule) SCVPart(r int) string {
-	switch {
-	case r < 0 || r >= s.SCV:
-		return ""
-	case r < s.SCVBroadcast:
-		return "scv/broadcast"
-	default:
-		return "scv/inquiry"
+// SCVParts declares SCV's parts (Theorem 6). Part 1: each node forwards
+// the value over H at most once, n·∆ messages. Part 2: in each phase's
+// first round every undecided node asks its G_i neighbours, or in the
+// fallback phase the L little nodes, and each inquiry is answered at
+// most once, so at most 2n·(d_1 + … + d_k + L).
+func (s *Schedule) SCVParts() Parts {
+	n := int64(s.Broadcast.N)
+	asked := inquiryDegrees(s.Broadcast.N, s.SCVPhases) + int64(s.Little.N)
+	return Parts{
+		{"scv/broadcast", s.SCVBroadcast, n * int64(s.Broadcast.Degree)},
+		{"scv/inquiry", s.SCV, 2 * n * asked},
 	}
 }
 
-// FewPart labels round r of Few-Crashes-Consensus, or of the vector
-// bank, with its part.
-func (s *Schedule) FewPart(r int) string {
-	if r < s.AEA {
-		return s.AEAPart(r)
-	}
-	return s.SCVPart(r - s.AEA)
+// FewParts declares Few-Crashes-Consensus's parts (Theorem 7): AEA's,
+// then SCV's.
+func (s *Schedule) FewParts() Parts { return s.AEAParts().Then("", s.SCVParts()) }
+
+// VectorParts declares the vector bank's parts: Few-Crashes-Consensus's,
+// except that a little node floods again whenever its vector grows, so
+// Part 1 may cost L·d in every one of its rounds.
+func (s *Schedule) VectorParts() Parts {
+	ps := s.FewParts()
+	ps[0].Bound *= int64(s.AEAFlood)
+	return ps
 }
 
-// ManyPart labels round r of Many-Crashes-Consensus with its part.
-func (s *Schedule) ManyPart(r int) string {
-	switch {
-	case r < s.ManyFlood:
-		return "flood"
-	case r < s.ManyProbe:
-		return "probing"
-	case r < s.Many:
-		return "inquiry"
-	default:
-		return ""
+// ManyParts declares Many-Crashes-Consensus's parts (Theorem 8) over its
+// overlay of degree d on all n nodes: each node floods at most once,
+// n·d messages; probes at most d neighbours per probing round, n·d·γ;
+// and in Part 3 every inquiry over G_i is answered at most once,
+// 2n·(d_1 + … + d_k).
+func (s *Schedule) ManyParts() Parts {
+	n, d := int64(s.ManyOverlay.N), int64(s.ManyOverlay.Degree)
+	return Parts{
+		{"flood", s.ManyFlood, n * d},
+		{"probing", s.ManyProbe, n * d * int64(s.ManyOverlay.Gamma)},
+		{"inquiry", s.Many, 2 * n * inquiryDegrees(s.ManyOverlay.N, (s.Many-s.ManyProbe)/2)},
+	}
+}
+
+// GossipParts declares gossip's parts (Theorem 9), one span per block of
+// each phase. A Part 1 phase's inquiry block costs at most 2L·d_i: each
+// little node asks at most its G_i neighbours, and each inquiry is
+// answered at most once. A Part 2 phase pushes at most L·d_i. Every
+// probing block is γ rounds in which each little node probes at most
+// its d little neighbours, L·d·γ (Part 2's block also holds the silent
+// response slot).
+func (s *Schedule) GossipParts() Parts {
+	l, probing := int64(s.Little.N), int64(s.Little.N*s.Little.Degree*s.Little.Gamma)
+	family := expander.NewInquiryFamily(s.Broadcast.N, 8, 0)
+	var ps Parts
+	for phase := range 2 * s.GossipPhases {
+		start := phase * s.GossipPhaseLen
+		asked := l * int64(family.PhaseParams(phase%s.GossipPhases+1).Degree)
+		if phase < s.GossipPhases {
+			ps = append(ps, Part{"p1/inquiry", start + 2, 2 * asked}, Part{"p1/probing", start + s.GossipPhaseLen, probing})
+		} else {
+			ps = append(ps, Part{"p2/push", start + 1, asked}, Part{"p2/probing", start + s.GossipPhaseLen, probing})
+		}
+	}
+	return ps
+}
+
+// CheckpointParts declares checkpointing's parts (Theorem 10): gossip's,
+// then the vector bank's.
+func (s *Schedule) CheckpointParts() Parts {
+	return Parts{}.Then("gossip/", s.GossipParts()).Then("consensus/", s.VectorParts())
+}
+
+// SPParts declares the parts of §8's Linear-Consensus (Theorem 12), which
+// compiles AEA's flooding and probing and SCV's spreading slot by slot,
+// so they cost what AEA's Parts 1–2 and SCV's Part 1 cost; each of the
+// ring-pull sweep's sub-phases holds one inquiry and one response per
+// node.
+func (s *Schedule) SPParts() Parts {
+	aea, scv := s.AEAParts(), s.SCVParts()
+	return Parts{
+		{"flood(2d)", s.SPFlood, aea[0].Bound},
+		{"probing(2d)", s.SPProbe, aea[1].Bound},
+		{"spread(2Δ)", s.SPSpread, scv[0].Bound},
+		{"ring-pull", s.SP, 2 * int64(s.Broadcast.N) * int64((s.SP-s.SPSpread)/4)},
 	}
 }
 
@@ -186,33 +312,6 @@ func (s *Schedule) GossipAt(r int) (part, phase, off int) {
 		part, r = 2, r-half
 	}
 	return part, r / s.GossipPhaseLen, r % s.GossipPhaseLen
-}
-
-// GossipPart labels round r of gossip with its part and block.
-func (s *Schedule) GossipPart(r int) string {
-	if r >= s.Gossip {
-		return ""
-	}
-	part, _, off := s.GossipAt(r)
-	switch {
-	case part == 1 && off <= 1:
-		return "p1/inquiry"
-	case part == 1:
-		return "p1/probing"
-	case off == 0:
-		return "p2/push"
-	default:
-		return "p2/probing"
-	}
-}
-
-// CheckpointPart labels round r of checkpointing with its stage and the
-// stage's part.
-func (s *Schedule) CheckpointPart(r int) string {
-	if r < s.Gossip {
-		return "gossip/" + s.GossipPart(r)
-	}
-	return "consensus/" + s.FewPart(r-s.Gossip)
 }
 
 // SPAt returns the §8 segment of single-port round r — 1 flooding,
@@ -230,22 +329,5 @@ func (s *Schedule) SPAt(r int) (seg, off int) {
 		return 4, r - s.SPSpread
 	default:
 		return 5, 0
-	}
-}
-
-// SPPart labels single-port round r of Linear-Consensus with its
-// compiled segment.
-func (s *Schedule) SPPart(r int) string {
-	switch seg, _ := s.SPAt(r); seg {
-	case 1:
-		return "flood(2d)"
-	case 2:
-		return "probing(2d)"
-	case 3:
-		return "spread(2Δ)"
-	case 4:
-		return "ring-pull"
-	default:
-		return ""
 	}
 }

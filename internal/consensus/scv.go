@@ -197,7 +197,4 @@ func (s *SCV) QuietUntil(round int) int {
 // rounds that carry traffic are few and all different.
 func (s *SCV) RepeatUntil(round, _ int) int { return round }
 
-// PartAt labels a round with its SCV part.
-func (s *SCV) PartAt(round int) string { return s.top.Schedule.SCVPart(round - s.base) }
-
 var _ sim.Sleeper = (*SCV)(nil)

@@ -12,6 +12,7 @@ package consensus
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 
 	"lineartime/internal/expander"
@@ -30,8 +31,13 @@ type Topology struct {
 	Little *expander.Overlay
 	// Inquiry is the graph family G_i on all nodes (Lemma 5).
 	Inquiry *expander.InquiryFamily
-	// broadcast builds H on its first call and returns that result after.
-	broadcast func() (*expander.Overlay, error)
+
+	// h is H, or hErr the error building it gave, once the first call of
+	// Broadcast has built it from seed.
+	once sync.Once
+	h    *expander.Overlay
+	hErr error
+	seed uint64
 }
 
 // TopologyOptions tunes topology construction.
@@ -64,9 +70,7 @@ func NewTopology(n, t int, opts TopologyOptions) (*Topology, error) {
 		Schedule: NewSchedule(n, t, opts.Degree),
 		Little:   little,
 		Inquiry:  expander.NewInquiryFamily(n, 8, opts.Seed+3),
-		broadcast: sync.OnceValues(func() (*expander.Overlay, error) {
-			return newBroadcastGraph(n, opts.Seed+2)
-		}),
+		seed:     opts.Seed,
 	}, nil
 }
 
@@ -77,11 +81,14 @@ var newBroadcastGraph = expander.NewBroadcastGraph
 // by the first call — gossip never makes one — and safe from many nodes at
 // once. Whoever assembles a system that will consult H calls it first, so
 // that a failed build is that caller's error, not a machine's panic.
-func (tp *Topology) Broadcast() (*expander.Overlay, error) { return tp.broadcast() }
+func (tp *Topology) Broadcast() (*expander.Overlay, error) {
+	tp.once.Do(func() { tp.h, tp.hErr = newBroadcastGraph(tp.N, tp.seed+2) })
+	return tp.h, tp.hErr
+}
 
 // MustBroadcast is Broadcast for the machines, which return no errors.
 func (tp *Topology) MustBroadcast() *expander.Overlay {
-	h, err := tp.broadcast()
+	h, err := tp.Broadcast()
 	if err != nil {
 		panic("consensus: broadcast graph H unavailable: " + err.Error())
 	}
@@ -91,14 +98,17 @@ func (tp *Topology) MustBroadcast() *expander.Overlay {
 // IsLittle reports whether node id is a little node.
 func (tp *Topology) IsLittle(id int) bool { return id < tp.L }
 
-// RelatedOf returns the non-little nodes related to little node i:
-// all j ≥ L with j ≡ i (mod L). (§4.1 Part 3.)
-func (tp *Topology) RelatedOf(i int) []int {
-	var out []int
-	for j := tp.L + i; j < tp.N; j += tp.L {
-		out = append(out, j)
+// Related yields the nodes related to little node i when l of the n
+// nodes are little: every j ≥ l with j ≡ i (mod l) (§4.1 Part 3; Part 2
+// of AB-Consensus, §7).
+func Related(i, l, n int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for j := l + i; j < n; j += l {
+			if !yield(j) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // LittleOf returns the little node related to a non-little node j.

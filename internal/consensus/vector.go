@@ -52,6 +52,7 @@ type VectorFewCrashes struct {
 	decision *bitset.Set
 
 	inquirers []int
+	out       sim.Outbox
 	halted    bool
 }
 
@@ -86,13 +87,7 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			return nil
 		}
 		v.pending = false
-		nbrs := v.top.Little.Neighbors(v.id)
-		payload := VectorPayload{Set: v.snapshot()}
-		out := make([]sim.Envelope, 0, len(nbrs))
-		for _, to := range nbrs {
-			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
-		}
-		return out
+		return v.out.FanOut(v.id, v.top.Little.Neighbors(v.id), VectorPayload{Set: v.snapshot()})
 	case round < s.AEAProbe: // AEA Part 2: probing with vectors
 		if v.probing == nil {
 			return nil
@@ -101,35 +96,22 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 		if len(targets) == 0 {
 			return nil
 		}
-		payload := VectorProbe{Set: v.snapshot()}
-		out := make([]sim.Envelope, 0, len(targets))
-		for _, to := range targets {
-			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
-		}
-		return out
+		return v.out.FanOut(v.id, targets, VectorProbe{Set: v.snapshot()})
 	case round < s.AEA: // AEA Part 3: notify related nodes
 		if !v.top.IsLittle(v.id) || !v.decided {
 			return nil
 		}
-		related := v.top.RelatedOf(v.id)
-		payload := VectorPayload{Set: v.decision}
-		out := make([]sim.Envelope, 0, len(related))
-		for _, to := range related {
-			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
+		v.out.Reset(0)
+		for to := range Related(v.id, v.top.L, v.top.N) {
+			v.out.Add(v.id, to, VectorPayload{Set: v.decision})
 		}
-		return out
+		return v.out
 	case round < s.FewBroadcast: // SCV Part 1: broadcast over H
 		if !v.pending || !v.decided {
 			return nil
 		}
 		v.pending = false
-		nbrs := v.top.MustBroadcast().Neighbors(v.id)
-		payload := VectorPayload{Set: v.decision}
-		out := make([]sim.Envelope, 0, len(nbrs))
-		for _, to := range nbrs {
-			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
-		}
-		return out
+		return v.out.FanOut(v.id, v.top.MustBroadcast().Neighbors(v.id), VectorPayload{Set: v.decision})
 	case round < s.Few: // SCV Part 2: inquiry phases + fallback
 		off := round - s.FewBroadcast
 		phase := off / 2
@@ -138,42 +120,22 @@ func (v *VectorFewCrashes) Send(round int) []sim.Envelope {
 			if v.decided {
 				return nil
 			}
-			targets := v.inquiryTargets(phase)
-			out := make([]sim.Envelope, 0, len(targets))
-			for _, to := range targets {
-				out = append(out, sim.Envelope{From: v.id, To: to, Payload: sim.Inquiry{}})
+			if phase >= s.SCVPhases { // fallback: ask the little nodes
+				return sim.ToAll(v.id, v.top.L, sim.Inquiry{})
 			}
-			return out
+			overlay, err := v.top.Inquiry.Phase(phase + 1)
+			if err != nil {
+				panic("consensus: inquiry overlay unavailable: " + err.Error())
+			}
+			return v.out.FanOut(v.id, overlay.Neighbors(v.id), sim.Inquiry{})
 		}
 		if !v.decided || len(v.inquirers) == 0 {
 			return nil
 		}
-		payload := VectorPayload{Set: v.decision}
-		out := make([]sim.Envelope, 0, len(v.inquirers))
-		for _, to := range v.inquirers {
-			out = append(out, sim.Envelope{From: v.id, To: to, Payload: payload})
-		}
-		return out
+		return v.out.FanOut(v.id, v.inquirers, VectorPayload{Set: v.decision})
 	default:
 		return nil
 	}
-}
-
-func (v *VectorFewCrashes) inquiryTargets(phase int) []int {
-	if phase >= v.top.Schedule.SCVPhases {
-		targets := make([]int, 0, v.top.L)
-		for i := 0; i < v.top.L; i++ {
-			if i != v.id {
-				targets = append(targets, i)
-			}
-		}
-		return targets
-	}
-	overlay, err := v.top.Inquiry.Phase(phase + 1)
-	if err != nil {
-		panic("consensus: inquiry overlay unavailable: " + err.Error())
-	}
-	return overlay.Neighbors(v.id)
 }
 
 // absorb ORs a received vector into the candidate, reporting growth.
@@ -270,8 +232,5 @@ func (v *VectorFewCrashes) Deliver(round int, inbox []sim.Envelope) {
 
 // Halted implements sim.Protocol.
 func (v *VectorFewCrashes) Halted() bool { return v.halted }
-
-// PartAt labels a round with its part, as FewCrashes does.
-func (v *VectorFewCrashes) PartAt(round int) string { return v.top.Schedule.FewPart(round) }
 
 var _ sim.Protocol = (*VectorFewCrashes)(nil)

@@ -37,13 +37,7 @@ func (a *AllToAll) Send(round int) []sim.Envelope {
 	if round != 0 {
 		return nil
 	}
-	out := make([]sim.Envelope, 0, a.n-1)
-	for to := 0; to < a.n; to++ {
-		if to != a.id {
-			out = append(out, sim.Envelope{From: a.id, To: to, Payload: PairPayload{Node: a.id, Value: a.extant.Rumor(a.id)}})
-		}
-	}
-	return out
+	return sim.ToAll(a.id, a.n, PairPayload{Node: a.id, Value: a.extant.Rumor(a.id)})
 }
 
 // Deliver implements sim.Protocol.

@@ -81,7 +81,7 @@ func TestPhaseOpenerGateIsExact(t *testing.T) {
 					}
 				}
 				before := expander.Stats()
-				res, err := sim.Run(sim.Config{Protocols: ps, Fault: fault(seed), PartLabeler: ms[0].PartAt, MaxRounds: top.Schedule.Gossip + 5})
+				res, err := sim.Run(sim.Config{Protocols: ps, Fault: fault(seed), PartLabeler: top.Schedule.GossipParts().Label, MaxRounds: top.Schedule.Gossip + 5})
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", name, seed, err)
 				}

@@ -282,7 +282,3 @@ func (g *Gossip) RepeatUntil(round, last int) int {
 }
 
 var _ sim.Sleeper = (*Gossip)(nil)
-
-// PartAt maps a round to its gossip part and block, for the engine's
-// per-part message attribution.
-func (g *Gossip) PartAt(round int) string { return g.top.Schedule.GossipPart(round) }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -31,8 +32,9 @@ const (
 	// subroutines' almost-everywhere guarantee).
 	Deciders Guarantee = "deciders"
 	// Bounds: the run ended within its round budget (the schedule plus
-	// the slack), and its per-part message counts sum to at most its
-	// message count.
+	// the slack), its per-part message counts sum to at most its
+	// message count, and each part's count is within that part's bound
+	// in the stack's part table.
 	Bounds Guarantee = "bounds"
 )
 
@@ -60,15 +62,20 @@ func Check(sp Spec, rep *Report) []Violation {
 		add(Bounds, "no protocol stack runs %v/%s", sp.Problem, sp.Algorithm)
 		return vs
 	}
-	if budget := st.horizon(sp) + slackOf(sp); rep.Metrics.Rounds > budget {
+	parts := partsOf(sp, st)
+	if budget := parts.End() + slackOf(sp); rep.Metrics.Rounds > budget {
 		add(Bounds, "%d rounds, budget %d", rep.Metrics.Rounds, budget)
 	}
-	var parts int64
-	for _, m := range rep.Metrics.PerPart {
-		parts += m
+	var sum int64
+	for _, name := range slices.Sorted(maps.Keys(rep.Metrics.PerPart)) {
+		m := rep.Metrics.PerPart[name]
+		sum += m
+		if bound := parts.Bound(name); m > bound {
+			add(Bounds, "%d messages in part %q, bound %d", m, name, bound)
+		}
 	}
-	if parts > rep.Metrics.Messages {
-		add(Bounds, "per-part messages sum to %d of %d", parts, rep.Metrics.Messages)
+	if sum > rep.Metrics.Messages {
+		add(Bounds, "per-part messages sum to %d of %d", sum, rep.Metrics.Messages)
 	}
 
 	crashed := make([]bool, sp.N)

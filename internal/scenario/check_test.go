@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"lineartime/internal/sim"
@@ -252,6 +253,12 @@ func TestCheckCatchesDoctoredReports(t *testing.T) {
 		{"subroutine short", "aea/expander", nil, func(r *Report) { r.Subroutine.Deciders = 3*n/5 - 1 }, Deciders},
 		{"overrun", "scv/expander", nil, func(r *Report) { r.Metrics.Rounds += 100 }, Bounds},
 		{"per-part overcount", "consensus/many-crashes", nil, func(r *Report) { r.Metrics.PerPart["flood"] += r.Metrics.Messages }, Bounds},
+		// The sum still equals Messages: only aea/notify's bound, n − L,
+		// sees the probes booked there.
+		{"per-part misbooked", "consensus/few-crashes", nil, func(r *Report) {
+			r.Metrics.PerPart["aea/notify"] += r.Metrics.PerPart["aea/probing"]
+			delete(r.Metrics.PerPart, "aea/probing")
+		}, Bounds},
 	}
 	for _, c := range cases {
 		sp, rep := run(c.row, c.edit)
@@ -264,6 +271,55 @@ func TestCheckCatchesDoctoredReports(t *testing.T) {
 			if v.Guarantee != c.want {
 				t.Fatalf("%s: %v, want only %s violations", c.name, vs, c.want)
 			}
+		}
+	}
+}
+
+// notifyAll is a mutant little node of Few-Crashes-Consensus whose AEA
+// Part 3 notifies all n nodes rather than its related ones.
+type notifyAll struct {
+	sim.Protocol
+	id, n, notify int
+}
+
+func (m notifyAll) Send(round int) []sim.Envelope {
+	out := m.Protocol.Send(round)
+	if round != m.notify || len(out) == 0 {
+		return out
+	}
+	all := make([]sim.Envelope, 0, m.n-1)
+	for to := range m.n {
+		if to != m.id {
+			all = append(all, sim.Envelope{From: m.id, To: to, Payload: out[0].Payload})
+		}
+	}
+	return all
+}
+
+// TestCheckFlagsPartFanOut runs Few-Crashes-Consensus with AEA's Part 3
+// fanned out to every node — each decision still reaches the nodes
+// that read it, so every problem guarantee holds — and requires Check
+// to flag the part's bound, and nothing else.
+func TestCheckFlagsPartFanOut(t *testing.T) {
+	sp := MustLookup("consensus/few-crashes").Spec(30, 5, 0xfa7)
+	notify := sp.schedule().AEA - 1
+	rep, _, err := runSpec(sp, func(ps []sim.Protocol) []sim.Protocol {
+		out := make([]sim.Protocol, len(ps))
+		for i, p := range ps {
+			out[i] = notifyAll{p, i, sp.N, notify}
+		}
+		return out
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := Check(sp, rep)
+	if len(vs) == 0 {
+		t.Fatalf("Check passed a run with %d aea/notify messages", rep.Metrics.PerPart["aea/notify"])
+	}
+	for _, v := range vs {
+		if v.Guarantee != Bounds || !strings.Contains(v.Detail, `"aea/notify"`) {
+			t.Fatalf("%v, want only aea/notify's bound broken", vs)
 		}
 	}
 }

@@ -21,14 +21,16 @@ import (
 // send buffers cut from a pooled slab took it to 3,782 allocs / 0.30 MB.
 // Cutting the machines, their sets, inquirer lists and every snapshot
 // from the slab too, and reusing the overlay builds' pairing scratch,
-// took it to 58 allocs / 63,192 bytes. The run is measured 21 times
+// took it to 58 allocs / 63,192 bytes, and holding the lazy H in the
+// topology by value, with rounds labelled from a part table made once
+// per size, to 48 allocs / 63,040 bytes. The run is measured 21 times
 // and the median guarded (the fewest allocations under -race; see
 // runCosts). The ceilings are 1.25× the allocs and 1.15× the bytes (the
 // byte ceiling is skipped under -race, like TestRunWarmAllocs).
 func TestGossipRunAllocs(t *testing.T) {
 	const (
-		maxAllocs = 72
-		maxBytes  = 72_670
+		maxAllocs = 60
+		maxBytes  = 72_496
 	)
 	d, ok := Lookup("gossip/expander")
 	if !ok {

@@ -79,15 +79,19 @@ func TestOverlayCacheParityRegistry(t *testing.T) {
 // with only the send buffers in the slab. Cutting the machines from the
 // slab too — each one object, holding its AEA, SCV and probing
 // automaton by value — and sizing the crash schedule's event list once
-// took it to 41 allocs and 24,816 bytes. The run is measured 21 times
+// took it to 41 allocs and 24,816 bytes. Holding the lazy H in the
+// topology by value rather than in a sync.OnceValues closure, sending
+// AEA's Part 3 without collecting the related nodes into a slice, and
+// labelling rounds from a part table made once per size took it to 26
+// allocs and 24,616 bytes. The run is measured 21 times
 // and the median guarded, like TestGossipRunAllocs (runCosts: the
 // fewest allocations under -race, where the byte ceiling is skipped),
 // since a mean now mostly counts the pools' regrowths. The ceilings are
-// 1.25× the largest seen.
+// 1.25× the largest seen (26 allocs; 24,696 bytes under -race).
 func TestRunWarmAllocs(t *testing.T) {
 	const (
-		maxAllocs = 51
-		maxBytes  = 31_020
+		maxAllocs = 32
+		maxBytes  = 30_870
 	)
 	sp := serveColdSpec(t, 7)
 	// First sight, second sight, then one warm run to grow the pooled

@@ -137,12 +137,13 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	if wrap != nil {
 		ps = wrap(ps)
 	}
+	parts := partsOf(sp, st)
 	res, err := Execute(sim.Config{
 		Protocols:   ps,
-		PartLabeler: partLabelerOf(sys.ps),
+		PartLabeler: parts.label,
 		Fault:       fault,
 		Byzantine:   sys.byz,
-		MaxRounds:   st.horizon(sp) + slackOf(sp),
+		MaxRounds:   parts.End() + slackOf(sp),
 		SinglePort:  sp.Port == SinglePort,
 		Observer:    sp.Observer,
 		Tracer:      tr,
@@ -186,17 +187,44 @@ func newReport(sp Spec, m sim.Metrics, crashed *bitset.Set) *Report {
 	return rep
 }
 
-// partLabelerOf returns the schedule labeler shared by a run's
-// protocols, if they provide one (schedules are identical across
-// nodes, so the first protocol's labeler covers the system).
-func partLabelerOf(ps []sim.Protocol) func(int) string {
-	if len(ps) == 0 {
-		return nil
+// partTable is a stack's part table at one size, shared read-only by
+// its runs; label is Parts.Label, made once, or nil if no part is named.
+type partTable struct {
+	consensus.Parts
+	label func(round int) string
+}
+
+// partTables memoizes the part tables by stack and (n, t, degree), all
+// they depend on, so that a run neither recomputes nor allocates one.
+// It starts over once it holds 1,024.
+var partTables struct {
+	sync.Mutex
+	m map[partKey]*partTable
+}
+
+type partKey struct {
+	stackKey
+	n, t, degree int
+}
+
+// partsOf returns the part table of sp, whose row of the protocol table
+// is st.
+func partsOf(sp Spec, st stack) *partTable {
+	key := partKey{stackKey{sp.Problem, sp.Algorithm, sp.Port}, sp.N, sp.T, sp.Degree}
+	partTables.Lock()
+	defer partTables.Unlock()
+	if pt, ok := partTables.m[key]; ok {
+		return pt
 	}
-	if pl, ok := ps[0].(interface{ PartAt(round int) string }); ok {
-		return pl.PartAt
+	pt := &partTable{Parts: st.parts(sp)}
+	if slices.ContainsFunc(pt.Parts, func(p consensus.Part) bool { return p.Name != "" }) {
+		pt.label = pt.Label
 	}
-	return nil
+	if len(partTables.m) == 0 || len(partTables.m) >= 1024 {
+		partTables.m = make(map[partKey]*partTable)
+	}
+	partTables.m[key] = pt
+	return pt
 }
 
 // system is a materialized scenario: the protocol stack plus the hooks

@@ -298,8 +298,9 @@ func (p *slicedFlooding) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 // share one expander topology (identical by group key) and one
 // gossip.SlicedGossip machine, with per-lane fault layers.
 type slicedGossip struct {
-	top *consensus.Topology
-	sys *gossip.SlicedGossip
+	top   *consensus.Topology
+	sys   *gossip.SlicedGossip
+	parts consensus.Parts
 	// The finished run's extant sets, transposed once for the chunk at
 	// the first decode, and the one Set every lane's decode loads them
 	// into.
@@ -311,6 +312,8 @@ func (p *slicedGossip) open(shape Spec) (little int, err error) {
 	if p.top, err = shape.newTopology(); err != nil {
 		return 0, err
 	}
+	st, _ := stackOf(shape)
+	p.parts = partsOf(shape, st).Parts
 	return p.top.L, nil
 }
 
@@ -330,20 +333,22 @@ func (p *slicedGossip) build(_ Spec, lanes, maxDelay int) (_ sim.SlicedSystem, e
 // completeness rule.
 func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 	rep := newReport(sp, lr.Metrics, lr.Crashed)
-	// The scalar engine labels a round's traffic with the schedule
-	// part at the accounting point; rounds without traffic contribute
-	// nothing, and a run with no labeled traffic leaves PerPart nil
-	// (newReport copies only non-empty maps).
+	// The scalar engine labels a round's traffic with the name of its
+	// part; rounds without traffic contribute nothing, and a run with no
+	// labeled traffic leaves PerPart nil (newReport copies only
+	// non-empty maps). The rounds ascend, so one cursor walks the parts.
+	part := 0
 	for r, c := range lr.Metrics.PerRoundMessages {
-		if c == 0 {
+		for part < len(p.parts) && p.parts[part].End <= r {
+			part++
+		}
+		if c == 0 || part == len(p.parts) {
 			continue
 		}
-		if label := p.top.Schedule.GossipPart(r); label != "" {
-			if rep.Metrics.PerPart == nil {
-				rep.Metrics.PerPart = make(map[string]int64)
-			}
-			rep.Metrics.PerPart[label] += c
+		if rep.Metrics.PerPart == nil {
+			rep.Metrics.PerPart = make(map[string]int64)
 		}
+		rep.Metrics.PerPart[p.parts[part].Name] += c
 	}
 
 	if p.views == nil {

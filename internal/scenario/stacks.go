@@ -15,10 +15,13 @@ import (
 // about one (problem, algorithm, port model) cell of the evaluation
 // matrix.
 type stack struct {
-	// horizon is the run's schedule length, from the spec alone: it
-	// builds nothing, and a fault-free run of the built machines lasts
-	// exactly this long (early stopping may halt sooner).
-	horizon func(Spec) int
+	// parts is the run's part table, from the spec alone: it builds
+	// nothing, and a fault-free run of the built machines lasts exactly
+	// to its end (early stopping may halt sooner). The runner labels
+	// each round's traffic with the name of its part, and Check holds
+	// each name's count to its bound. A stack whose machines have no
+	// parts to tell apart declares one unnamed span.
+	parts func(Spec) consensus.Parts
 	// build materializes the protocol stack with its outcome decoder.
 	build func(Spec) (*system, error)
 	// sliced makes the stack's adapter to the bit-sliced engine; nil
@@ -35,7 +38,7 @@ type stackKey struct {
 // stacks is the protocol table.
 var stacks = map[stackKey]stack{
 	{Consensus, FewCrashes, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().Few },
+		parts: scheduled((*consensus.Schedule).FewParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newBroadcastTopology()
 			if err != nil {
@@ -54,7 +57,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Consensus, ManyCrashes, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().Many },
+		parts: scheduled((*consensus.Schedule).ManyParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := consensus.NewManyTopology(sp.N, sp.T, sp.topologyOptions())
 			if err != nil {
@@ -66,7 +69,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Consensus, Flooding, MultiPort}: {
-		horizon: func(sp Spec) int { return consensus.FloodingRounds(sp.T) },
+		parts: func(sp Spec) consensus.Parts { return span(consensus.FloodingRounds(sp.T)) },
 		build: func(sp Spec) (*system, error) {
 			return perNode(sp, 0, func(i int) *consensus.Flooding {
 				return consensus.NewFlooding(i, sp.N, sp.T, sp.BoolInputs[i])
@@ -75,7 +78,7 @@ var stacks = map[stackKey]stack{
 		sliced: func() slicedProblem { return &slicedFlooding{} },
 	},
 	{Consensus, SinglePortLinear, SinglePort}: {
-		horizon: func(sp Spec) int { return sp.schedule().SP },
+		parts: scheduled((*consensus.Schedule).SPParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newBroadcastTopology()
 			if err != nil {
@@ -87,7 +90,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Consensus, EarlyStopping, MultiPort}: {
-		horizon: func(sp Spec) int { return consensus.EarlyStoppingRounds(sp.T) },
+		parts: func(sp Spec) consensus.Parts { return span(consensus.EarlyStoppingRounds(sp.T)) },
 		build: func(sp Spec) (*system, error) {
 			return perNode(sp, 0, func(i int) *consensus.EarlyStopping {
 				return consensus.NewEarlyStopping(i, sp.N, sp.T, sp.BoolInputs[i])
@@ -95,7 +98,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Consensus, RotatingCoordinator, MultiPort}: {
-		horizon: func(sp Spec) int { return consensus.CoordinatorRounds(sp.N, sp.T) },
+		parts: func(sp Spec) consensus.Parts { return span(consensus.CoordinatorRounds(sp.N, sp.T)) },
 		build: func(sp Spec) (*system, error) {
 			return perNode(sp, 0, func(i int) *consensus.RotatingCoordinator {
 				return consensus.NewRotatingCoordinator(i, sp.N, sp.T, sp.BoolInputs[i])
@@ -103,7 +106,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Gossip, GossipExpander, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().Gossip },
+		parts: scheduled((*consensus.Schedule).GossipParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newTopology()
 			if err != nil {
@@ -120,7 +123,7 @@ var stacks = map[stackKey]stack{
 		sliced: func() slicedProblem { return &slicedGossip{} },
 	},
 	{Gossip, GossipExpander, SinglePort}: {
-		horizon: func(sp Spec) int { return sp.singlePortGossip() },
+		parts: func(sp Spec) consensus.Parts { return span(sp.singlePortGossip()) },
 		build: func(sp Spec) (*system, error) {
 			top, sched, err := sp.newGossipSchedule(sp.newTopology)
 			if err != nil {
@@ -132,7 +135,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Gossip, GossipAllToAll, MultiPort}: {
-		horizon: func(Spec) int { return gossip.AllToAllRounds },
+		parts: func(Spec) consensus.Parts { return span(gossip.AllToAllRounds) },
 		build: func(sp Spec) (*system, error) {
 			return perNode(sp, 0, func(i int) *gossip.AllToAll {
 				return gossip.NewAllToAll(i, sp.N, gossip.Rumor(sp.Rumors[i]))
@@ -140,7 +143,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Checkpointing, CheckpointExpander, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().Checkpoint },
+		parts: scheduled((*consensus.Schedule).CheckpointParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newBroadcastTopology()
 			if err != nil {
@@ -152,7 +155,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Checkpointing, CheckpointExpander, SinglePort}: {
-		horizon: func(sp Spec) int { return sp.singlePortGossip() + sp.schedule().SP },
+		parts: func(sp Spec) consensus.Parts { return span(sp.singlePortGossip() + sp.schedule().SP) },
 		build: func(sp Spec) (*system, error) {
 			top, sched, err := sp.newGossipSchedule(sp.newBroadcastTopology)
 			if err != nil {
@@ -164,7 +167,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{Checkpointing, CheckpointDirect, MultiPort}: {
-		horizon: func(sp Spec) int { return checkpoint.DirectRounds(sp.T) },
+		parts: func(sp Spec) consensus.Parts { return span(checkpoint.DirectRounds(sp.T)) },
 		build: func(sp Spec) (*system, error) {
 			return perNode(sp, 0, func(i int) *checkpoint.Direct {
 				return checkpoint.NewDirect(i, sp.N, sp.T)
@@ -172,15 +175,15 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{ByzantineConsensus, ABConsensus, MultiPort}: {
-		horizon: func(sp Spec) int { return byzantine.Rounds(sp.N, sp.T) },
-		build:   buildByzantine,
+		parts: func(sp Spec) consensus.Parts { return byzantine.Parts(sp.N, sp.T) },
+		build: buildByzantine,
 	},
 	{ByzantineConsensus, DolevStrongAll, MultiPort}: {
-		horizon: func(sp Spec) int { return byzantine.DolevStrongRounds(sp.T) },
-		build:   buildByzantine,
+		parts: func(sp Spec) consensus.Parts { return span(byzantine.DolevStrongRounds(sp.T)) },
+		build: buildByzantine,
 	},
 	{AlmostEverywhere, AEA, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().AEA },
+		parts: scheduled((*consensus.Schedule).AEAParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newTopology()
 			if err != nil {
@@ -192,7 +195,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{SpreadCommonValue, SCV, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().SCV },
+		parts: scheduled((*consensus.Schedule).SCVParts),
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newBroadcastTopology()
 			if err != nil {
@@ -204,7 +207,7 @@ var stacks = map[stackKey]stack{
 		},
 	},
 	{MajorityVote, Majority, MultiPort}: {
-		horizon: func(sp Spec) int { return sp.schedule().Checkpoint },
+		parts: func(sp Spec) consensus.Parts { return span(sp.schedule().Checkpoint) },
 		build: func(sp Spec) (*system, error) {
 			top, err := sp.newBroadcastTopology()
 			if err != nil {
@@ -222,6 +225,22 @@ func stackOf(sp Spec) (stack, bool) {
 	st, ok := stacks[stackKey{sp.Problem, sp.Algorithm, sp.Port}]
 	return st, ok
 }
+
+// horizon is the run's schedule length: the end of its part table.
+func (st stack) horizon(sp Spec) int { return partsOf(sp, st).End() }
+
+// scheduled makes a stack's parts function from a part declaration of
+// the spec's round plan.
+func scheduled(parts func(*consensus.Schedule) consensus.Parts) func(Spec) consensus.Parts {
+	return func(sp Spec) consensus.Parts {
+		s := sp.schedule()
+		return parts(&s)
+	}
+}
+
+// span is the part table of a stack whose machines have no parts to
+// tell apart: one unnamed span of the given length.
+func span(end int) consensus.Parts { return consensus.Parts{{End: end}} }
 
 // schedule is the round plan of the spec's t < n/5 overlays, computed
 // without building them.

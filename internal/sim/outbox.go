@@ -30,3 +30,15 @@ func (b *Outbox) FanOut(from NodeID, targets []NodeID, payload Payload) []Envelo
 	}
 	return *b
 }
+
+// ToAll returns a fresh buffer of payload addressed to every one of
+// nodes 0..n−1 but from, which need not be among them.
+func ToAll(from NodeID, n int, payload Payload) []Envelope {
+	out := make([]Envelope, 0, n)
+	for to := range n {
+		if to != from {
+			out = append(out, Envelope{From: from, To: to, Payload: payload})
+		}
+	}
+	return out
+}

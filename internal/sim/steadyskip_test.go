@@ -71,7 +71,7 @@ func runGossipWay(t *testing.T, top *consensus.Topology, way string, c gossipCas
 	}
 	spans := obs.NewSpanTracer()
 	cfg := sim.Config{Protocols: ps, Fault: fault(), MaxRounds: maxRounds, Tracer: spans,
-		PartLabeler: func(r int) string { return top.Schedule.GossipPart(r) }}
+		PartLabeler: top.Schedule.GossipParts().Label}
 	if way == "observed" {
 		cfg.Observer = &simtest.EventLog{}
 	}

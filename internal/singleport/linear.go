@@ -311,7 +311,3 @@ var (
 	_ sim.Protocol = (*LinearConsensus)(nil)
 	_ sim.Poller   = (*LinearConsensus)(nil)
 )
-
-// PartAt maps a single-port round to its compiled segment, for the
-// engine's per-part message attribution.
-func (l *LinearConsensus) PartAt(round int) string { return l.top.Schedule.SPPart(round) }
