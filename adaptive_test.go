@@ -24,7 +24,8 @@ func TestFewCrashesUnderAdaptiveAdversary(t *testing.T) {
 	ms := make([]*consensus.FewCrashes, n)
 	ps := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		ms[i] = consensus.NewFewCrashes(i, top, inputs[i])
+		ms[i] = new(consensus.FewCrashes)
+		ms[i].Init(i, top, inputs[i])
 		ps[i] = ms[i]
 	}
 	res, err := sim.Run(sim.Config{

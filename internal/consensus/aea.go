@@ -245,4 +245,7 @@ func (a *AEA) RepeatUntil(round, last int) int {
 	}
 }
 
+// Ignores implements sim.Sleeper: AEA reads every round it is delivered.
+func (a *AEA) Ignores(int) bool { return false }
+
 var _ sim.Sleeper = (*AEA)(nil)

@@ -21,7 +21,8 @@ func TestFewCrashesZeroT(t *testing.T) {
 	ms := make([]*FewCrashes, n)
 	ps := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		ms[i] = NewFewCrashes(i, top, inputs[i])
+		ms[i] = new(FewCrashes)
+		ms[i].Init(i, top, inputs[i])
 		ps[i] = ms[i]
 	}
 	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.Few + 4})
@@ -42,7 +43,8 @@ func TestFewCrashesMinimumN(t *testing.T) {
 	ms := make([]*FewCrashes, n)
 	ps := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		ms[i] = NewFewCrashes(i, top, inputs[i])
+		ms[i] = new(FewCrashes)
+		ms[i].Init(i, top, inputs[i])
 		ps[i] = ms[i]
 	}
 	res, err := sim.Run(sim.Config{Protocols: ps, MaxRounds: top.Schedule.Few + 4})

@@ -20,16 +20,9 @@ type FewCrashes struct {
 	halted  bool
 }
 
-// NewFewCrashes creates the machine for node id with the given input.
-func NewFewCrashes(id int, top *Topology, input bool) *FewCrashes {
-	f := new(FewCrashes)
-	f.Init(id, top, input)
-	return f
-}
-
-// Init makes f, in place, the machine NewFewCrashes creates: a system
-// of machines held in one array (a run arena) is then one allocation,
-// not three or four per node.
+// Init makes f, in place, the machine for node id with the given input:
+// a system of machines held in one array (a run arena) is then one
+// allocation, not three or four per node.
 func (f *FewCrashes) Init(id int, top *Topology, input bool) {
 	*f = FewCrashes{id: id, top: top}
 	f.aea.init(id, top, input, 0, false)
@@ -101,6 +94,13 @@ func (f *FewCrashes) RepeatUntil(round, last int) int {
 		return min(f.aea.RepeatUntil(round, last), h)
 	}
 	return round
+}
+
+// Ignores implements sim.Sleeper: SCV's answer once SCV runs (the
+// halting Deliver of the last round reads nothing either); AEA's rounds
+// are read.
+func (f *FewCrashes) Ignores(round int) bool {
+	return round >= f.aea.End() && f.scv.Ignores(round)
 }
 
 // outboxCaps returns the envelopes node id's AEA and SCV machines send

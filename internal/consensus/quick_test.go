@@ -172,7 +172,8 @@ func TestFewCrashesSafetyQuick(t *testing.T) {
 		}, n)
 		ps := make([]sim.Protocol, n)
 		for i := 0; i < n; i++ {
-			m := NewFewCrashes(i, top, c.inputs[i])
+			m := new(FewCrashes)
+			m.Init(i, top, c.inputs[i])
 			ms[i], ps[i] = m, m
 		}
 		res, err := sim.Run(sim.Config{

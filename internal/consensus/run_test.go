@@ -19,7 +19,8 @@ func runFew(t *testing.T, n, tt int, inputs []bool, adv sim.LinkFault, seed uint
 	ms := make([]*FewCrashes, n)
 	ps := make([]sim.Protocol, n)
 	for i := 0; i < n; i++ {
-		ms[i] = NewFewCrashes(i, top, inputs[i])
+		ms[i] = new(FewCrashes)
+		ms[i].Init(i, top, inputs[i])
 		ps[i] = ms[i]
 	}
 	res, err := sim.Run(sim.Config{

@@ -197,4 +197,20 @@ func (s *SCV) QuietUntil(round int) int {
 // rounds that carry traffic are few and all different.
 func (s *SCV) RepeatUntil(round, _ int) int { return round }
 
+// Ignores implements sim.Sleeper, from the branches Deliver takes: a
+// decided node reads nothing in Part 1 and in the response round of a
+// phase, an undecided one nothing in a phase's inquiry round, and no
+// node reads anything outside SCV's rounds.
+func (s *SCV) Ignores(round int) bool {
+	sc, r := &s.top.Schedule, round-s.base
+	switch {
+	case r < 0 || r >= sc.SCV:
+		return true
+	case r < sc.SCVBroadcast:
+		return s.decided
+	}
+	_, first := s.phaseAt(r)
+	return first != s.decided
+}
+
 var _ sim.Sleeper = (*SCV)(nil)

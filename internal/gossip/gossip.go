@@ -281,4 +281,8 @@ func (g *Gossip) RepeatUntil(round, last int) int {
 	return min(start+s.GossipPhaseLen, s.Gossip-1)
 }
 
+// Ignores implements sim.Sleeper: gossip reads every round it is
+// delivered.
+func (g *Gossip) Ignores(int) bool { return false }
+
 var _ sim.Sleeper = (*Gossip)(nil)

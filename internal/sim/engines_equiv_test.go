@@ -1005,7 +1005,10 @@ func TestRuntimeReuseMatchesReference(t *testing.T) {
 // QuietUntil honestly. A delivery may cut the nap short (a seeded
 // coin, so some deliveries are slept through), and every node halts in
 // its own round. Deliver folds the round into the accumulator: a
-// message fast-forwarded to the wrong round diverges the end state.
+// message fast-forwarded to the wrong round diverges the end state. In
+// deaf rounds (see deaf) Deliver reads nothing and says so (Ignores);
+// heard counts the non-empty inboxes it was handed there, which the
+// end-state comparison leaves out.
 type napNode struct {
 	id, n, haltAt int
 	single        bool
@@ -1013,8 +1016,14 @@ type napNode struct {
 	wake          int
 	acc           uint64
 	halted        bool
+	heard         int
 	out           []Envelope
 }
+
+// deaf reports whether node id ignores its round-r inbox: every node in
+// rounds ≡ 1 (mod 3) but, in rounds ≡ 4 (mod 9), node r mod n, so that
+// some rounds are ignored by every node and some by all but one.
+func deaf(id, n, r int) bool { return r%3 == 1 && (r%9 != 4 || id != r%n) }
 
 func newNapNode(id, n, horizon int, single bool, seed uint64) *napNode {
 	f := &napNode{
@@ -1049,6 +1058,12 @@ func (f *napNode) Send(round int) []Envelope {
 func (f *napNode) Poll(round int) (NodeID, bool) { return (f.id + 1 + round) % f.n, true }
 
 func (f *napNode) Deliver(round int, inbox []Envelope) {
+	if f.Ignores(round) {
+		if len(inbox) > 0 {
+			f.heard++
+		}
+		inbox = nil
+	}
 	for _, env := range inbox {
 		f.acc = f.acc*0x100000001b3 ^ uint64(env.From)<<17 ^ uint64(round)<<3 ^ uint64(env.Payload.SizeBits())
 	}
@@ -1065,6 +1080,8 @@ func (f *napNode) Halted() bool { return f.halted }
 func (f *napNode) QuietUntil(round int) int { return min(f.wake, f.haltAt) }
 
 func (f *napNode) RepeatUntil(round, _ int) int { return round }
+
+func (f *napNode) Ignores(round int) bool { return deaf(f.id, f.n, round) }
 
 // awakeNode hides a napNode's QuietUntil: one of them makes a run
 // ineligible for the fast-forward.
@@ -1153,10 +1170,13 @@ func napCases() []napCase {
 
 // TestQuietSkipMatchesReference pins the fast-forwarding run loop — on
 // a fresh state and on a reused Runtime — against the
-// reference engine, which knows nothing of Sleepers and executes every
-// round: same Result, same machine end states. Eligible shapes must
-// actually skip; ineligible ones (a non-Sleeper machine, an opaque
-// fault, a Byzantine set, single-port) must execute every round.
+// reference engine, which knows nothing of Sleepers, executes every
+// round and delivers every inbox: same Result, same machine end states.
+// Eligible shapes must actually skip, and hand the machines fewer of the
+// inboxes they ignore (the engine places none in a round every live
+// node ignores); ineligible ones (a non-Sleeper machine, an opaque
+// fault, a Byzantine set, single-port) must execute every round and
+// deliver every inbox.
 func TestQuietSkipMatchesReference(t *testing.T) {
 	rt := NewRuntime()
 	for _, c := range napCases() {
@@ -1194,6 +1214,9 @@ func TestQuietSkipMatchesReference(t *testing.T) {
 				if !c.skips && st.skipped != 0 {
 					t.Fatalf("seed %d: an ineligible run skipped %d of %d rounds", seed, st.skipped, st.simulated)
 				}
+				if got, want := heard(nodes), heard(refNodes); want == 0 || c.skips != (got < want) || got > want {
+					t.Fatalf("seed %d: %d ignored inboxes were delivered non-empty, %d by the reference", seed, got, want)
+				}
 
 				cfg, nodes = build()
 				res, err = rt.Run(cfg)
@@ -1204,6 +1227,15 @@ func TestQuietSkipMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// heard sums the non-empty inboxes a system of napNodes ignored.
+func heard(nodes []*napNode) int {
+	sum := 0
+	for _, nd := range nodes {
+		sum += nd.heard
+	}
+	return sum
 }
 
 // scriptNode sends one message to each listed target in the listed
@@ -1231,6 +1263,8 @@ func (s *scriptNode) Deliver(round int, inbox []Envelope) {
 func (s *scriptNode) Halted() bool { return s.halted }
 
 func (s *scriptNode) RepeatUntil(round, _ int) int { return round }
+
+func (s *scriptNode) Ignores(int) bool { return false }
 
 func (s *scriptNode) QuietUntil(round int) int {
 	w := s.haltAt

@@ -25,10 +25,12 @@ func (b *Outbox) Add(from, to NodeID, payload Payload) {
 // returns it.
 func (b *Outbox) FanOut(from NodeID, targets []NodeID, payload Payload) []Envelope {
 	b.Reset(len(targets))
-	for _, to := range targets {
-		b.Add(from, to, payload)
+	out := (*b)[:len(targets)]
+	for i, to := range targets {
+		out[i] = Envelope{From: from, To: to, Payload: payload}
 	}
-	return *b
+	*b = out
+	return out
 }
 
 // ToAll returns a fresh buffer of payload addressed to every one of

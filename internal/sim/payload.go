@@ -1,6 +1,9 @@
 package sim
 
-import "unsafe"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // The paper's crash-model algorithms use messages whose role is
 // determined by the round in which they are sent, so a single bit of
@@ -37,22 +40,74 @@ var (
 	_ Payload = Probe{}
 )
 
-// sizeRuns returns the size in bits of one sender's envelopes and, when
-// counts is non-nil, counts them per destination. A run of consecutive
-// envelopes that carry one boxed payload — what Outbox.FanOut produces,
-// and every run of one of the one-bit payloads above, whose equal values
-// share the runtime's static boxes — costs one SizeBits call.
-func sizeRuns(counts []int32, envs []Envelope) int64 {
-	var bits int64
-	for i := 0; i < len(envs); {
-		p := envs[i].Payload
-		b := int64(p.SizeBits())
-		for ; i < len(envs) && sameBox(envs[i].Payload, p); i++ {
-			if counts != nil {
-				counts[envs[i].To]++
-			}
-			bits += b
+// scan checks one sender's outbox and returns its size in bits, in one
+// walk: every envelope must carry the sender's id, a valid receiver
+// other than the sender and a payload, and a single-port sender sends at
+// most one. When counts is non-nil it also counts the envelopes per
+// destination. A run of consecutive envelopes that carry one boxed
+// payload — what Outbox.FanOut produces, and every run of one of the
+// one-bit payloads above, whose equal values share the runtime's static
+// boxes — costs one SizeBits call.
+func (s *state) scan(id NodeID, out []Envelope, counts []int32) (int64, error) {
+	if s.cfg.SinglePort && len(out) > 1 {
+		return 0, fmt.Errorf("sim: node %d sent %d messages in single-port round", id, len(out))
+	}
+	var bits, b int64
+	var box Payload
+	for i := range out {
+		env := &out[i]
+		switch {
+		case env.From != id:
+			return 0, fmt.Errorf("sim: node %d forged sender %d", id, env.From)
+		case env.To < 0 || env.To >= s.n:
+			return 0, fmt.Errorf("sim: node %d addressed invalid node %d", id, env.To)
+		case env.To == id:
+			return 0, fmt.Errorf("sim: node %d sent to itself", id)
+		case env.Payload == nil:
+			return 0, fmt.Errorf("sim: node %d sent nil payload", id)
 		}
+		if !sameBox(env.Payload, box) {
+			box = env.Payload
+			b = int64(box.SizeBits())
+		}
+		if counts != nil {
+			counts[env.To]++
+		}
+		bits += b
+	}
+	return bits, nil
+}
+
+// recount corrects what scan counted over out, which it sized as bits,
+// to what the node-level fault delivers, and returns deliver's size: a
+// crash's keep prefix uncounts the suffix, and any other result uncounts
+// out and counts deliver.
+func recount(counts []int32, out, deliver []Envelope, bits int64) int64 {
+	switch {
+	case len(deliver) == len(out) && (len(out) == 0 || &deliver[0] == &out[0]):
+		return bits
+	case len(deliver) < len(out) && (len(deliver) == 0 || &deliver[0] == &out[0]):
+		return bits - sizeRuns(counts, out[len(deliver):], -1)
+	}
+	sizeRuns(counts, out, -1)
+	return sizeRuns(counts, deliver, 1)
+}
+
+// sizeRuns returns the size in bits of envs, one SizeBits call per run of
+// one boxed payload, and adds step to counts[To] for each when counts is
+// non-nil.
+func sizeRuns(counts []int32, envs []Envelope, step int32) int64 {
+	var bits, b int64
+	var box Payload
+	for i := range envs {
+		if p := envs[i].Payload; !sameBox(p, box) {
+			box = p
+			b = int64(p.SizeBits())
+		}
+		if counts != nil {
+			counts[envs[i].To] += step
+		}
+		bits += b
 	}
 	return bits
 }

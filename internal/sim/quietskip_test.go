@@ -19,7 +19,8 @@ func fewCrashesSystem(top *consensus.Topology, seed uint64) ([]sim.Protocol, []*
 	ps := make([]sim.Protocol, top.N)
 	ms := make([]*consensus.FewCrashes, top.N)
 	for i := range ps {
-		ms[i] = consensus.NewFewCrashes(i, top, (seed>>(i%64))&1 == 1)
+		ms[i] = new(consensus.FewCrashes)
+		ms[i].Init(i, top, (seed>>(i%64))&1 == 1)
 		ps[i] = ms[i]
 	}
 	return ps, ms
@@ -35,14 +36,18 @@ type quietRun struct {
 
 // probe wraps a Few-Crashes or gossip machine, staying a Sleeper: it
 // marks the rounds the engine steps it in (when stepped is non-nil),
-// when haltAt ≥ 0 halts after its Deliver of round haltAt, and when
-// wake > 0 answers QuietUntil(wake) with "awake".
+// adds the length of each inbox it is handed to received and counts in
+// heard the non-empty ones it ignores (when received is non-nil), when
+// haltAt ≥ 0 halts after its Deliver of round haltAt, and when wake > 0
+// answers QuietUntil(wake) with "awake".
 type probe struct {
 	sim.Sleeper
-	haltAt  int
-	wake    int
-	halted  bool
-	stepped []bool
+	haltAt   int
+	wake     int
+	halted   bool
+	stepped  []bool
+	received []int
+	heard    *int
 }
 
 func (p *probe) Send(round int) []sim.Envelope {
@@ -53,6 +58,12 @@ func (p *probe) Send(round int) []sim.Envelope {
 }
 
 func (p *probe) Deliver(round int, inbox []sim.Envelope) {
+	if p.received != nil {
+		p.received[round] += len(inbox)
+		if len(inbox) > 0 && p.Sleeper.Ignores(round) {
+			*p.heard++
+		}
+	}
 	p.Sleeper.Deliver(round, inbox)
 	p.halted = p.haltAt >= 0 && round >= p.haltAt
 }
@@ -291,6 +302,70 @@ func TestQuietSkipAppliesCrashesInPassing(t *testing.T) {
 		}
 		if c.rounds > 0 && (res == nil || res.Metrics.Rounds != c.rounds) {
 			t.Fatalf("%s: run result %+v, want a run of %d rounds", c.name, res, c.rounds)
+		}
+	}
+}
+
+// TestUnreadRoundsAreNotPlaced: on the serve-cold shape (n = 256,
+// t = 50, 50 random crashes below round 64) a machine that promises to
+// ignore its inbox (Sleeper.Ignores) is handed none, while hidden behind
+// the auditor it is handed every inbox. With fault seed 7 the run's
+// largest round — SCV's Part 1 broadcast to nodes that have all decided
+// — then hands out no inbox at all; with fault seed 1000 one node is
+// still undecided there and reads its inbox. Hidden and visible runs end
+// in the same Result and the same decisions.
+func TestUnreadRoundsAreNotPlaced(t *testing.T) {
+	const n, tt = 256, 50
+	top, err := consensus.NewTopology(n, tt, consensus.TopologyOptions{Seed: 0x5eed0001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxRounds := top.Schedule.Few + 8
+	run := func(hide bool, faultSeed uint64) (*sim.Result, []int, int, []*consensus.FewCrashes) {
+		ps, ms := fewCrashesSystem(top, 0x5eed0001)
+		received, heard := make([]int, maxRounds), 0
+		for i, p := range ps {
+			ps[i] = &probe{Sleeper: p.(sim.Sleeper), haltAt: -1, received: received, heard: &heard}
+		}
+		if hide {
+			ps, _ = simtest.Hide(ps)
+		}
+		res, err := sim.Run(sim.Config{Protocols: ps, Fault: crash.NewRandom(n, tt, 64, faultSeed), MaxRounds: maxRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, received, heard, ms
+	}
+	for _, c := range []struct {
+		faultSeed uint64
+		unplaced  bool // the busiest round hands out no inbox
+	}{{7, true}, {1000, false}} {
+		want, all, allHeard, wantMs := run(true, c.faultSeed)
+		got, visible, heard, gotMs := run(false, c.faultSeed)
+		tag := fmt.Sprintf("fault seed %d", c.faultSeed)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: results diverged:\nevery inbox %+v\n    visible %+v", tag, want.Metrics, got.Metrics)
+		}
+		for i := range wantMs {
+			wv, wok := wantMs[i].Decision()
+			if gv, gok := gotMs[i].Decision(); wv != gv || wok != gok {
+				t.Fatalf("%s: node %d decided (%v, %v) visible, (%v, %v) with every inbox", tag, i, gv, gok, wv, wok)
+			}
+		}
+		if heard != 0 || allHeard == 0 {
+			t.Fatalf("%s: %d ignored inboxes handed out visible, %d hidden; want none visible", tag, heard, allHeard)
+		}
+		busiest := 0
+		for r, msgs := range got.Metrics.PerRoundMessages {
+			if msgs > got.Metrics.PerRoundMessages[busiest] {
+				busiest = r
+			}
+		}
+		t.Logf("%s: round %d: %d messages, %d delivered visible, %d hidden; %d ignored inboxes hidden",
+			tag, busiest, got.Metrics.PerRoundMessages[busiest], visible[busiest], all[busiest], allHeard)
+		if busiest < top.Schedule.AEA || all[busiest] == 0 || (visible[busiest] == 0) != c.unplaced {
+			t.Fatalf("%s: busiest round %d (SCV starts at %d): %d delivered visible, %d hidden; want none visible: %v",
+				tag, busiest, top.Schedule.AEA, visible[busiest], all[busiest], c.unplaced)
 		}
 	}
 }

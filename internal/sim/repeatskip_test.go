@@ -108,6 +108,8 @@ func (l *loopNode) RepeatUntil(round, last int) int {
 	return round
 }
 
+func (l *loopNode) Ignores(int) bool { return false }
+
 func buildLoops(n, horizon int, seed uint64) ([]Protocol, []*loopNode) {
 	ps := make([]Protocol, n)
 	ls := make([]*loopNode, n)

@@ -11,7 +11,9 @@ package sim
 // (see Protocol.Send); a link-filter round stages the survivors and the
 // delayed arrivals into flat, which becomes the round's one source.
 // place then prefix-sums the counts into offsets and copies the sources
-// into inbox, so each destination's segment is contiguous. Because the
+// into inbox, so each destination's segment is contiguous; a destination
+// marked unread (a dead node, or one that promised to ignore the round)
+// gets an empty segment and none of its envelopes. Because the
 // sources are recorded in increasing sender order and the copy is
 // stable, every segment is already sorted by sender — the
 // delivery-order guarantee of Protocol.Deliver holds with no per-node
@@ -51,25 +53,40 @@ func (s *scratch) stage(envs ...Envelope) {
 	}
 }
 
+// unread marks in counts a destination that will not read its inbox
+// this round: place gives it an empty segment and copies nothing for it.
+const unread = -1
+
 // place builds the per-destination inbox segments from the recorded
-// sources. Allocation-free once the inbox has grown to the run's peak
-// message volume.
+// sources, skipping the envelopes of destinations marked unread. It
+// copies nothing when no envelope has a reader, and is allocation-free
+// once the inbox has grown to the run's peak placed volume.
 func (s *scratch) place() {
 	off := int32(0)
 	for i, c := range s.counts {
 		s.offs[i] = off
-		off += c
+		off += max(c, 0)
 	}
 	s.offs[s.n] = off
+	if off == 0 {
+		return
+	}
 	s.inbox = growSlice(s.inbox, int(off))
-	// counts has served its purpose; reuse it as the scatter cursors.
+	// counts has served its purpose; reuse it as the scatter cursors,
+	// still unread where marked.
 	cur := s.counts
-	copy(cur, s.offs[:s.n])
+	for i, c := range cur {
+		if c != unread {
+			cur[i] = s.offs[i]
+		}
+	}
 	for _, src := range s.outs {
 		for i := range src {
 			to := src[i].To
-			s.inbox[cur[to]] = src[i]
-			cur[to]++
+			if c := cur[to]; c != unread {
+				s.inbox[c] = src[i]
+				cur[to] = c + 1
+			}
 		}
 	}
 }

@@ -25,7 +25,9 @@
 // index-addressed rings (ports.go), and the metrics arrays are sized up
 // front. A message has one form from outbox to inbox, the Envelope: a
 // filter-free round reads each sender's outbox in place and copies its
-// envelopes once, straight into the receivers' inbox segments, and a
+// envelopes once, straight into the inbox segments of the receivers
+// that will read them (not a dead one, nor one that promised to ignore
+// them, see Sleeper), and a
 // Runtime (arena.go) pools the whole engine state across runs, so
 // repeated runs — sweeps, replications, benchmarks — are steady-state
 // allocation-free end to end. See EXPERIMENTS.md for the benchmark
@@ -92,8 +94,9 @@ type Poller interface {
 
 // Sleeper is implemented by protocols that can tell when they next need
 // attention, which lets the run loop jump over rounds whose outcome it
-// already knows instead of polling every node every round. It makes two
-// promises, both re-asked after every executed round:
+// already knows instead of polling every node every round, and when
+// they will not read what they are delivered. It makes three promises;
+// the first two are re-asked after every executed round:
 //
 // QuietUntil(round) = w: if nothing is delivered to the node in rounds
 // [round, w), it sends nothing and does not halt in those rounds, and
@@ -115,6 +118,12 @@ type Poller interface {
 // and so is the same round of the next instance when the silent rounds
 // between the two only rearm the automaton.
 //
+// Ignores(round) = true, asked after the Sends of an executed round: the
+// node's Deliver(round, inbox) leaves it exactly as Deliver(round, nil)
+// would. In a run that may skip (below), a node that makes the promise
+// is delivered nil: the envelopes addressed to it are booked and
+// observed but never placed in an inbox.
+//
 // Only the sequential engine's run loop skips, and only when every
 // protocol is a Sleeper, the fault is a CrashPlan, the run is
 // multi-port with no Byzantine set, and no message is parked in the
@@ -131,6 +140,7 @@ type Sleeper interface {
 	Protocol
 	QuietUntil(round int) int
 	RepeatUntil(round, last int) int
+	Ignores(round int) bool
 }
 
 // Metrics aggregates the communication and time performance of a run,
@@ -315,7 +325,7 @@ type state struct {
 	label    string
 	labelSet bool
 	// perPart is the reusable backing map for Metrics.PerPart,
-	// installed lazily by ensureLabel.
+	// installed lazily by book.
 	perPart map[string]int64
 	// crashedNow is the reusable per-round crash list.
 	crashedNow []NodeID
@@ -625,20 +635,28 @@ func (s *state) round(r int) error {
 	// below restores the delivery-order guarantee.
 	arrivals := s.injectArrivals(r)
 
-	// Send phase. Collect each alive node's outbox, apply the
-	// node-level fault and book the surviving envelopes' traffic, in
-	// sender order. Without a link filter the survivors are recorded in
-	// place; with one, the filter's verdicts stage, drop or park each.
+	// Send phase. Collect each alive node's outbox, check and size it
+	// in one walk, apply the node-level fault and book the surviving
+	// envelopes' traffic, in sender order. Without a link filter the
+	// walk counts the outbox per destination and the survivors are
+	// recorded in place; with one, the filter's verdicts stage, drop or
+	// park each, and staging counts what it stages.
+	counts := sc.counts
+	if s.filter != nil {
+		counts = nil
+	}
 	crashedNow := s.crashedNow[:0]
 	for id := 0; id < s.n; id++ {
 		if !s.alive(id) {
 			continue
 		}
 		out := s.cfg.Protocols[id].Send(r)
-		if err := s.validateOutbox(id, out); err != nil {
+		bits, err := s.scan(id, out, counts)
+		if err != nil {
 			return err
 		}
 		deliver, crash := s.fault.FilterSend(r, id, out)
+		bits = recount(counts, out, deliver, bits)
 		if crash {
 			crashedNow = append(crashedNow, id)
 			if obs != nil {
@@ -650,16 +668,13 @@ func (s *state) round(r int) error {
 				obs.OnMessage(r, env)
 			}
 		}
+		s.book(r, id, len(deliver), bits)
 		if s.filter == nil {
-			s.book(r, id, deliver, sc.counts)
 			if len(deliver) > 0 {
 				sc.outs = append(sc.outs, deliver)
 			}
-		} else {
-			s.book(r, id, deliver, nil)
-			if err := s.stageFiltered(r, deliver); err != nil {
-				return err
-			}
+		} else if err := s.stageFiltered(r, deliver); err != nil {
+			return err
 		}
 	}
 	s.crashedNow = crashedNow
@@ -689,6 +704,7 @@ func (s *state) round(r int) error {
 			}
 		}
 	} else {
+		s.markUnread(r)
 		sc.place()
 	}
 
@@ -724,30 +740,29 @@ func (s *state) round(r int) error {
 	return nil
 }
 
-func (s *state) validateOutbox(id NodeID, out []Envelope) error {
-	if s.cfg.SinglePort && len(out) > 1 {
-		return fmt.Errorf("sim: node %d sent %d messages in single-port round", id, len(out))
-	}
-	for _, env := range out {
-		if env.From != id {
-			return fmt.Errorf("sim: node %d forged sender %d", id, env.From)
-		}
-		if env.To < 0 || env.To >= s.n {
-			return fmt.Errorf("sim: node %d addressed invalid node %d", id, env.To)
-		}
-		if env.To == id {
-			return fmt.Errorf("sim: node %d sent to itself", id)
-		}
-		if env.Payload == nil {
-			return fmt.Errorf("sim: node %d sent nil payload", id)
+// markUnread marks for place the receivers of round-r envelopes that
+// will not read them: a node that crashed or halted, which is delivered
+// nothing, and in a run that may skip (see Sleeper) a live node that
+// promised to ignore its inbox.
+func (s *state) markUnread(r int) {
+	counts := s.scratch.counts
+	for id, c := range counts {
+		if c > 0 && (!s.alive(id) || len(s.sleepers) > 0 && s.sleepers[id].Ignores(r)) {
+			counts[id] = unread
 		}
 	}
-	return nil
 }
 
-// ensureLabel computes the per-round part label once, on the round's
-// first non-empty outbox, and installs the reusable PerPart map.
-func (s *state) ensureLabel(r int) {
+// book counts one sender's msgs deliverable envelopes of the given size
+// into the metrics, the Byzantine split hoisted per sender. The round's
+// first non-empty outbox computes its part label and installs the
+// reusable PerPart map. The link-filter path books everything at send
+// time — a dropped or delayed message still cost its sender the
+// bandwidth.
+func (s *state) book(r int, from NodeID, msgs int, bits int64) {
+	if msgs == 0 {
+		return
+	}
 	if s.cfg.PartLabeler != nil && !s.labelSet {
 		s.label = s.cfg.PartLabeler(r)
 		s.labelSet = true
@@ -758,32 +773,14 @@ func (s *state) ensureLabel(r int) {
 			s.metrics.PerPart = s.perPart
 		}
 	}
-}
-
-// tally books one sender's deliverable traffic into the metrics; the
-// Byzantine split is hoisted per sender.
-func (s *state) tally(r int, from NodeID, msgs, bits int64) {
 	if s.byz[from] {
-		s.metrics.ByzMessages += msgs
+		s.metrics.ByzMessages += int64(msgs)
 		s.metrics.ByzBits += bits
 		return
 	}
-	s.metrics.Messages += msgs
+	s.metrics.Messages += int64(msgs)
 	s.metrics.Bits += bits
-	s.metrics.PerRoundMessages[r] += msgs
-}
-
-// book counts one sender's deliverable envelopes into the metrics, one
-// SizeBits call per run of one boxed payload, and per destination into
-// counts when it is non-nil. The link-filter path books everything at
-// send time with nil counts — a dropped or delayed message still cost
-// its sender the bandwidth — and counts only what stageFiltered stages.
-func (s *state) book(r int, from NodeID, deliver []Envelope, counts []int32) {
-	if len(deliver) == 0 {
-		return
-	}
-	s.ensureLabel(r)
-	s.tally(r, from, int64(len(deliver)), sizeRuns(counts, deliver))
+	s.metrics.PerRoundMessages[r] += int64(msgs)
 }
 
 // detach drops the state's references into caller-owned objects — the

@@ -87,31 +87,60 @@ func (*neverHalt) Send(int) []Envelope     { return nil }
 func (*neverHalt) Deliver(int, []Envelope) {}
 func (*neverHalt) Halted() bool            { return false }
 
+// sendLog is a fault that records every FilterSend call and, when keep
+// is not negative, crashes node 0 in round 0 keeping the first keep
+// envelopes.
+type sendLog struct {
+	keep  int
+	calls [][2]int
+}
+
+func (l *sendLog) FilterSend(round int, from NodeID, out []Envelope) ([]Envelope, bool) {
+	l.calls = append(l.calls, [2]int{round, from})
+	if round == 0 && from == 0 && l.keep >= 0 {
+		return out[:min(l.keep, len(out))], true
+	}
+	return out, false
+}
+
+// TestRunValidation pins the engine's rejection of an invalid outbox: the
+// exact error, also when the invalid envelope lies past the keep prefix
+// a crash would deliver, and no FilterSend call for that outbox.
 func TestRunValidation(t *testing.T) {
+	ok := Envelope{From: 0, To: 1, Payload: Bit(true)}
 	cases := []struct {
 		name string
-		env  Envelope
+		envs []Envelope
+		keep int
+		want string
 	}{
-		{"forged sender", Envelope{From: 5, To: 1, Payload: Bit(true)}},
-		{"invalid target", Envelope{From: 0, To: 99, Payload: Bit(true)}},
-		{"self send", Envelope{From: 0, To: 0, Payload: Bit(true)}},
-		{"nil payload", Envelope{From: 0, To: 1, Payload: nil}},
+		{"forged sender", []Envelope{{From: 5, To: 1, Payload: Bit(true)}}, -1, "sim: node 0 forged sender 5"},
+		{"invalid target", []Envelope{{From: 0, To: 99, Payload: Bit(true)}}, -1, "sim: node 0 addressed invalid node 99"},
+		{"negative target", []Envelope{ok, {From: 0, To: -1, Payload: Bit(true)}}, -1, "sim: node 0 addressed invalid node -1"},
+		{"self send", []Envelope{{From: 0, To: 0, Payload: Bit(true)}}, -1, "sim: node 0 sent to itself"},
+		{"nil payload", []Envelope{{From: 0, To: 1, Payload: nil}}, -1, "sim: node 0 sent nil payload"},
+		{"past the keep prefix", []Envelope{ok, ok, {From: 0, To: 2, Payload: nil}}, 1, "sim: node 0 sent nil payload"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ps := []Protocol{&fixedSender{env: c.env}, &neverHalt{}}
-			if _, err := Run(Config{Protocols: ps, MaxRounds: 3}); err == nil {
-				t.Fatal("invalid envelope accepted")
+			ps := []Protocol{&fixedSender{envs: c.envs}, &neverHalt{}, &neverHalt{}}
+			log := &sendLog{keep: c.keep}
+			_, err := Run(Config{Protocols: ps, Fault: log, MaxRounds: 3})
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("error %v, want %q", err, c.want)
+			}
+			if len(log.calls) > 0 {
+				t.Fatalf("FilterSend saw the invalid outbox: calls %v", log.calls)
 			}
 		})
 	}
 }
 
-type fixedSender struct{ env Envelope }
+type fixedSender struct{ envs []Envelope }
 
 func (f *fixedSender) Send(round int) []Envelope {
 	if round == 0 {
-		return []Envelope{f.env}
+		return f.envs
 	}
 	return nil
 }

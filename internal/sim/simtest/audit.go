@@ -14,8 +14,10 @@ import (
 
 // Auditor checks a machine's sim.Sleeper promises against what the
 // machine then does. It forwards Send, Deliver and Halted but has no
-// QuietUntil or RepeatUntil of its own, so a run over Auditors executes
-// every round; each round it asks the wrapped machine both questions
+// QuietUntil, RepeatUntil or Ignores of its own, so a run over Auditors
+// executes every round and hands every live machine its whole inbox (a
+// broken Ignores promise shows as a run that differs from the visible
+// one); each round it asks the wrapped machine the first two questions
 // and records a violation if the machine breaks an answer: inside a
 // promised quiet span in which nothing was delivered it sends a message
 // or halts, or inside a promised repeat span in which every inbox

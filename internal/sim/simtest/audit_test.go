@@ -68,6 +68,7 @@ func (e *echo) Send(round int) []sim.Envelope {
 func (e *echo) Deliver(round int, _ []sim.Envelope) { e.halted = round >= e.halt }
 func (e *echo) Halted() bool                        { return e.halted }
 func (e *echo) QuietUntil(round int) int            { return round }
+func (e *echo) Ignores(int) bool                    { return true }
 func (e *echo) RepeatUntil(round, _ int) int {
 	if round < e.flip {
 		return max(round, e.until)
@@ -95,6 +96,7 @@ func (r *rester) Send(round int) []sim.Envelope {
 
 func (r *rester) Deliver(int, []sim.Envelope) {}
 func (r *rester) Halted() bool                { return false }
+func (r *rester) Ignores(int) bool            { return true }
 func (r *rester) QuietUntil(round int) int {
 	if r.from <= round && round < r.to {
 		return r.to

@@ -116,9 +116,10 @@ func scriptedConfig(n, live int, rebox bool) (Config, []*scripted) {
 }
 
 // TestSizeBitsOncePerRunOfOneBox pins the run-length traffic
-// accounting. As a function, against a per-envelope count: the same
-// destination counts and bits for every keep prefix of every scripted
-// outbox, and one SizeBits call per run of one box — seven for a whole
+// accounting. As functions, against a per-envelope count: scan's sizes
+// and destination counts of every scripted outbox corrected by recount
+// for every keep prefix and every other suffix a fault may deliver, and
+// one SizeBits call per run of one box in scan — seven for a whole
 // outbox, where the per-envelope count makes ten. In the engine: a
 // system whose multicasts share boxes and the same system with every envelope reboxed — runs cut by another payload,
 // by an equal value boxed apart, by a crash's keep prefix mid-run, sent
@@ -128,28 +129,35 @@ func scriptedConfig(n, live int, rebox bool) (Config, []*scripted) {
 // the same inboxes.
 func TestSizeBitsOncePerRunOfOneBox(t *testing.T) {
 	const n, live = 12, 5
+	st := &state{n: n}
 	for id := 0; id < n; id++ {
 		for round := 0; round < live; round++ {
 			out, runs := multicastScript(n, id, round)
 			for keep := len(out); keep >= 0; keep -= 3 {
-				refCounts := make([]int32, n)
-				var refBits int64
-				for _, env := range out[:keep] {
-					refCounts[env.To]++
-					refBits += int64(env.Payload.SizeBits())
-				}
-				counts := make([]int32, n)
-				before := sizeCalls.Load()
-				bits := sizeRuns(counts, out[:keep])
-				calls := sizeCalls.Load() - before
-				if bits != refBits || !slices.Equal(counts, refCounts) {
-					t.Fatalf("node %d round %d keep %d: %d bits %v, per envelope %d bits %v", id, round, keep, bits, counts, refBits, refCounts)
-				}
-				if bits != sizeRuns(nil, out[:keep]) {
-					t.Fatalf("node %d round %d keep %d: the size depends on whether counts is set", id, round, keep)
-				}
-				if keep == len(out) && calls != int64(runs) {
-					t.Fatalf("node %d round %d: %d SizeBits calls for %d runs", id, round, calls, runs)
+				for _, deliver := range [][]Envelope{out[:keep], out[len(out)-keep:]} {
+					refCounts := make([]int32, n)
+					var refBits int64
+					for _, env := range deliver {
+						refCounts[env.To]++
+						refBits += int64(env.Payload.SizeBits())
+					}
+					counts := make([]int32, n)
+					before := sizeCalls.Load()
+					bits, err := st.scan(id, out, counts)
+					calls := sizeCalls.Load() - before
+					if err != nil {
+						t.Fatal(err)
+					}
+					if calls != int64(runs) {
+						t.Fatalf("node %d round %d: %d SizeBits calls for %d runs", id, round, calls, runs)
+					}
+					bits = recount(counts, out, deliver, bits)
+					if bits != refBits || !slices.Equal(counts, refCounts) {
+						t.Fatalf("node %d round %d keep %d: %d bits %v, per envelope %d bits %v", id, round, keep, bits, counts, refBits, refCounts)
+					}
+					if nilBits, _ := st.scan(id, out, nil); recount(nil, out, deliver, nilBits) != bits {
+						t.Fatalf("node %d round %d keep %d: the size depends on whether counts is set", id, round, keep)
+					}
 				}
 			}
 		}
@@ -218,7 +226,7 @@ func TestSizeBitsOncePerRunOfOneBox(t *testing.T) {
 	}
 }
 
-// TestOneBitPayloadsShareBoxes pins what sizeRuns's comment promises for
+// TestOneBitPayloadsShareBoxes pins what scan's comment promises for
 // the package's own payloads: equal one-bit values computed at run time
 // are one box, so a run of them is one SizeBits call.
 func TestOneBitPayloadsShareBoxes(t *testing.T) {

@@ -598,8 +598,8 @@ func (s *slicedState) tally(seg []SlicedMsg, exec uint64) {
 }
 
 // sanitizeSegment validates a node's freshly staged segment (the
-// scalar validateOutbox invariants) and confines every lane bit to the
-// lanes the node was allowed to send in.
+// invariants the scalar state.scan checks) and confines every lane bit
+// to the lanes the node was allowed to send in.
 func (s *slicedState) sanitizeSegment(node int, seg []SlicedMsg, am uint64) error {
 	for i := range seg {
 		m := &seg[i]

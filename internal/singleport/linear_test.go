@@ -211,7 +211,8 @@ func TestLinearMatchesMultiPortDecision(t *testing.T) {
 		multi := make([]sim.Protocol, n)
 		var multiRef *consensus.FewCrashes
 		for i := 0; i < n; i++ {
-			m := consensus.NewFewCrashes(i, top, inputs[i])
+			m := new(consensus.FewCrashes)
+			m.Init(i, top, inputs[i])
 			multi[i] = m
 			multiRef = m
 		}
