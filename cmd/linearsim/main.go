@@ -54,7 +54,7 @@ func run(args []string) error {
 		list     = fs.Bool("list", false, "list the registered scenarios and fault models, then exit")
 		faultArg = fs.String("fault", "", "fault model, kind[:key=value,...] (see -list); overrides -crashes")
 		jsonOut  = fs.Bool("json", false, "emit the run as the {key, report} JSON envelope linearsimd serves")
-		seeds    = fs.Int("seeds", 1, "run the scenario under this many consecutive seeds (starting at -seed) and print a summary; sliceable scenarios ride the bit-sliced engine 64 seeds per machine word")
+		seeds    = fs.Int("seeds", 1, "run the scenario under this many consecutive seeds (starting at -seed) and print a summary; flooding consensus under a declarative fault rides the bit-sliced engine 64 seeds per machine word, every other row runs scalar (gossip slices only seeds that share an overlay seed, and consecutive seeds never do)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -110,6 +110,44 @@ func (c *LaneCounter) Below(k int) uint64 {
 	return borrow
 }
 
+// HasVector reports whether this CPU runs the amd64 vector kernels —
+// MergeMasked here and the sliced engine's link-hash kernel in
+// internal/sim: AVX-512 F/DQ/VL with the OS saving ZMM state, and
+// BMI2. It is detected once at init and is false on other CPUs and
+// architectures, which run the portable Go loops; those loops are also
+// the oracle the kernels are tested against, and tests clear HasVector
+// to force them. Nothing else writes it.
+var HasVector = hasVector()
+
+// MergeMasked ORs src&eff into dst word by word (len(dst) must be at
+// least len(src)) and returns grew, the bits that merge set which dst
+// lacked, and full, the AND of the merged words (all ones for an empty
+// src). It is the sliced engine's set merge: src and dst are one set's
+// 64-lane planes, eff the lanes the merge applies in, and full the
+// lanes in which dst now holds every element.
+func MergeMasked(dst, src []uint64, eff uint64) (grew, full uint64) {
+	dst = dst[:len(src)]
+	if HasVector {
+		return mergeMaskedAVX512(dst, src, eff)
+	}
+	return mergeMaskedGo(dst, src, eff)
+}
+
+// mergeMaskedGo is MergeMasked's portable loop.
+func mergeMaskedGo(dst, src []uint64, eff uint64) (grew, full uint64) {
+	dst = dst[:len(src)]
+	full = ^uint64(0)
+	for u, w := range src {
+		w &= eff
+		d := dst[u]
+		grew |= w &^ d
+		d |= w
+		dst[u] = d
+		full &= d
+	}
+	return grew, full
+}
+
 // Transpose64 transposes a 64×64 bit matrix in place: bit c of row r
 // becomes bit r of row c. It is the bridge between the sliced engine's
 // two layouts — 64 lane words indexed by element become 64 element

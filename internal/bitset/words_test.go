@@ -2,6 +2,10 @@ package bitset
 
 import (
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -220,5 +224,150 @@ func BenchmarkLaneCounterAdd(b *testing.B) {
 		if i&0xFFFF == 0xFFFF {
 			ctr.Flush(&out)
 		}
+	}
+}
+
+// paths returns the MergeMasked paths this CPU can run — the portable
+// loop always, the vector kernel where HasVector was detected — and
+// each one's setting of HasVector; t's cleanup restores the detected
+// value.
+func paths(t *testing.T) []bool {
+	t.Helper()
+	detected := HasVector
+	t.Cleanup(func() { HasVector = detected })
+	if detected {
+		return []bool{false, true}
+	}
+	t.Log("no AVX-512 F/DQ/VL + BMI2: the vector kernel is not run")
+	return []bool{false}
+}
+
+// TestMergeMaskedMatchesGo is the differential test of the merge
+// kernel: on both paths, at lengths with and without a tail of fewer
+// than 8 words, and for eff empty, one lane, all lanes and random,
+// MergeMasked writes exactly the portable loop's words, returns its
+// grew and full, and writes nothing past len(src).
+func TestMergeMaskedMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, vector := range paths(t) {
+		HasVector = vector
+		for _, n := range []int{0, 1, 7, 8, 9, 60, 100, 192, 1000} {
+			for trial := 0; trial < 40; trial++ {
+				effs := []uint64{0, 1 << uint(rng.Intn(64)), ^uint64(0), rng.Uint64()}
+				eff := effs[trial%len(effs)]
+				src := make([]uint64, n)
+				dst := make([]uint64, n+3) // the last 3 words are a guard
+				for i := range src {
+					src[i] = rng.Uint64() & rng.Uint64()
+					switch trial % 3 {
+					case 0:
+						dst[i] = rng.Uint64() | rng.Uint64()
+					case 1:
+						dst[i] = ^uint64(0) // full unless eff adds nothing
+					}
+				}
+				for i := n; i < len(dst); i++ {
+					dst[i] = rng.Uint64()
+				}
+				want := append([]uint64(nil), dst...)
+				wantGrew, wantFull := mergeMaskedGo(want, src, eff)
+				got := append([]uint64(nil), dst...)
+				grew, full := MergeMasked(got, src, eff)
+				if grew != wantGrew || full != wantFull {
+					t.Fatalf("vector=%v n=%d eff=%#x: grew, full = %#x, %#x; want %#x, %#x", vector, n, eff, grew, full, wantGrew, wantFull)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("vector=%v n=%d eff=%#x: word %d = %#x, want %#x", vector, n, eff, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMergeMaskedFull pins full on hand-made planes: all ones only
+// when every merged word is all ones, tail included.
+func TestMergeMaskedFull(t *testing.T) {
+	for _, vector := range paths(t) {
+		HasVector = vector
+		for _, n := range []int{1, 7, 8, 13} {
+			src := make([]uint64, n)
+			dst := make([]uint64, n)
+			for i := range dst {
+				dst[i] = ^uint64(0)
+			}
+			dst[n-1] = 0xf0
+			src[n-1] = 0x0f
+			if grew, full := MergeMasked(dst, src, 0x3); grew != 0x3 || full != 0xf3 {
+				t.Fatalf("vector=%v n=%d: grew, full = %#x, %#x; want 0x3, 0xf3", vector, n, grew, full)
+			}
+			if grew, full := MergeMasked(dst, src, ^uint64(0)); grew != 0xc || full != 0xff {
+				t.Fatalf("vector=%v n=%d: grew, full = %#x, %#x; want 0xc, 0xff", vector, n, grew, full)
+			}
+		}
+		if grew, full := MergeMasked(nil, nil, ^uint64(0)); grew != 0 || full != ^uint64(0) {
+			t.Fatalf("vector=%v empty: grew, full = %#x, %#x; want 0, all ones", vector, grew, full)
+		}
+	}
+}
+
+func BenchmarkMergeMasked(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([]uint64, 192)
+	dst := make([]uint64, 192)
+	for i := range src {
+		src[i] = rng.Uint64()
+	}
+	detected := HasVector
+	defer func() { HasVector = detected }()
+	for _, vector := range []bool{false, true} {
+		if vector && !detected {
+			continue
+		}
+		HasVector = vector
+		b.Run(map[bool]string{false: "go", true: "vector"}[vector], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MergeMasked(dst, src, uint64(i)|1)
+			}
+		})
+	}
+}
+
+// TestVectorDetection logs which path this machine runs and checks the
+// CPUID/XGETBV detection against the kernel's own view: on Linux the
+// /proc/cpuinfo flags list AVX-512 only when the OS saves its state,
+// so HasVector must be set exactly when avx512f, avx512dq, avx512vl
+// and bmi2 are all listed. Off amd64 it is never set.
+func TestVectorDetection(t *testing.T) {
+	detected := HasVector
+	if detected {
+		t.Log("kernel path: vector (AVX-512 F/DQ/VL + BMI2)")
+	} else {
+		t.Logf("kernel path: portable Go loops (GOARCH=%s)", runtime.GOARCH)
+	}
+	if runtime.GOARCH != "amd64" {
+		if detected {
+			t.Fatal("HasVector set off amd64")
+		}
+		return
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo to cross-check against: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(val)
+			break
+		}
+	}
+	listed := len(flags) > 0
+	for _, f := range []string{"avx512f", "avx512dq", "avx512vl", "bmi2"} {
+		listed = listed && slices.Contains(flags, f)
+	}
+	if listed != detected {
+		t.Fatalf("HasVector = %v, but /proc/cpuinfo lists avx512f/dq/vl and bmi2: %v", detected, listed)
 	}
 }

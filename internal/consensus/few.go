@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"lineartime/internal/graph"
 	"lineartime/internal/sim"
 )
 
@@ -103,38 +104,61 @@ func (f *FewCrashes) Ignores(round int) bool {
 	return round >= f.aea.End() && f.scv.Ignores(round)
 }
 
-// outboxCaps returns the envelopes node id's AEA and SCV machines send
-// in their widest regular round: a little node floods and probes its
-// little neighbors and notifies its related nodes (other nodes send
-// nothing in AEA); SCV Part 1 forwards to the broadcast neighbors.
-// SCV Part 2's inquiries and replies may exceed that, and then grow
-// the buffer like any sim.Outbox.
-func (tp *Topology) outboxCaps(id int) (aea, scv int) {
-	if tp.IsLittle(id) {
-		related := (tp.N - id - 1) / tp.L
-		aea = max(tp.Little.G.Degree(id), related)
+// outboxPlan holds what the few-crashes machines' send-buffer caps
+// read, computed once per topology. Node id's AEA machine sends at
+// most aea and its SCV machine at most scv envelopes in their widest
+// regular round (caps): a little node floods and probes its little
+// neighbors and notifies its related nodes (other nodes send nothing
+// in AEA); SCV Part 1 forwards to the broadcast neighbors. SCV Part 2's
+// inquiries and replies may exceed that, and then grow the buffer like
+// any sim.Outbox.
+type outboxPlan struct {
+	little, h *graph.Graph
+	// Little node i has q related nodes if i ≤ r, else q−1: the
+	// (n−i−1)/l of §4.1 Part 3 without a division per node, where
+	// n−1 = q·l + r.
+	l, q, r int
+	total   int // the caps summed over all nodes
+}
+
+// outboxes returns the topology's outbox plan, computed by the first
+// call (the one that sizes the run's slab) and safe from many runs at
+// once.
+func (tp *Topology) outboxes() *outboxPlan {
+	tp.capsOnce.Do(func() {
+		p := &tp.caps
+		*p = outboxPlan{little: tp.Little.G, h: tp.MustBroadcast().G, l: tp.L, q: (tp.N - 1) / tp.L, r: (tp.N - 1) % tp.L}
+		for id := 0; id < tp.N; id++ {
+			aea, scv := p.caps(id)
+			p.total += aea + scv
+		}
+	})
+	return &tp.caps
+}
+
+// caps returns node id's AEA and SCV send-buffer caps.
+func (p *outboxPlan) caps(id int) (aea, scv int) {
+	if id < p.l {
+		related := p.q
+		if id > p.r {
+			related--
+		}
+		aea = max(p.little.Degree(id), related)
 	}
-	return aea, tp.MustBroadcast().G.Degree(id)
+	return aea, p.h.Degree(id)
 }
 
 // OutboxSlabLen returns the length of the envelope slab from which
 // CarveOutboxes can cut every machine of a Few-Crashes-Consensus
 // system its send buffers.
-func (tp *Topology) OutboxSlabLen() int {
-	total := 0
-	for id := 0; id < tp.N; id++ {
-		aea, scv := tp.outboxCaps(id)
-		total += aea + scv
-	}
-	return total
-}
+func (tp *Topology) OutboxSlabLen() int { return tp.outboxes().total }
 
 // CarveOutboxes makes the front of slab the machine's two send buffers
 // and returns the rest, so a whole system sends out of one allocation
 // (of OutboxSlabLen envelopes) its owner can recycle once the run's
 // outcome is read. Without it the buffers are allocated on first use.
 func (f *FewCrashes) CarveOutboxes(slab []sim.Envelope) []sim.Envelope {
-	aea, scv := f.top.outboxCaps(f.id)
+	aea, scv := f.top.outboxes().caps(f.id)
 	f.aea.out = slab[:0:aea]
 	f.scv.out = slab[aea : aea : aea+scv]
 	return slab[aea+scv:]

@@ -38,6 +38,10 @@ type Topology struct {
 	h    *expander.Overlay
 	hErr error
 	seed uint64
+
+	// caps is the few-crashes machines' outbox plan, computed once.
+	capsOnce sync.Once
+	caps     outboxPlan
 }
 
 // TopologyOptions tunes topology construction.

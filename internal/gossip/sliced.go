@@ -170,18 +170,7 @@ func (s *laneSets) merge(row int, m *sim.SlicedMsg, eff uint64) {
 		}
 		seen.lanes |= eff
 	}
-	src := s.snap[c*s.n:][:s.n]
-	dst := s.live[row*s.n:][:len(src)]
-	var grew uint64
-	full := ^uint64(0)
-	for u, w := range src {
-		w &= eff
-		d := dst[u]
-		grew |= w &^ d
-		d |= w
-		dst[u] = d
-		full &= d
-	}
+	grew, full := bitset.MergeMasked(s.live[row*s.n:][:s.n], s.snap[c*s.n:][:s.n], eff)
 	s.grown[row] |= grew
 	s.full[row] = full
 }

@@ -5,11 +5,13 @@ import (
 	"slices"
 	"testing"
 
+	"lineartime/internal/bitset"
 	"lineartime/internal/consensus"
 	"lineartime/internal/link"
 	"lineartime/internal/obs"
 	"lineartime/internal/rng"
 	"lineartime/internal/sim"
+	"lineartime/internal/sim/simtest"
 )
 
 // allocCrashPlan is a declarative crash schedule with a pre-built event
@@ -219,8 +221,11 @@ func laneOutcomes(t *testing.T, res *sim.SlicedResult) []sim.LaneResult {
 // the machine that skips re-sent snapshots and the reference that
 // merges every message in full hold identical extant and completion
 // planes at the start of every round, and produce identical lane
-// results. A skip that dropped a merge which would have changed a set
-// shows up as a diverging plane in the round it happened.
+// results; the reference runs the portable loops, the skipping machine
+// each path this CPU has (bitset.MergeMasked's vector kernel, the
+// vector lane kernels). A skip that dropped a merge which would have
+// changed a set shows up as a diverging plane in the round it
+// happened.
 func TestSlicedGossipSkippedMergesAreNoOps(t *testing.T) {
 	const n, tBound, lanes, maxDelay = 72, 12, 64, 2
 	top, err := consensus.NewTopology(n, tBound, consensus.TopologyOptions{Seed: 5})
@@ -241,24 +246,29 @@ func TestSlicedGossipSkippedMergesAreNoOps(t *testing.T) {
 		log.planes = append(log.planes, slices.Concat(g.ext.live, g.comp.live))
 		return log, laneOutcomes(t, res)
 	}
-	got, gotLanes := run(func(g *SlicedGossip) (sim.SlicedSystem, *roundLog) {
-		l := &roundLog{SlicedGossip: g, last: -1}
-		return l, l
-	})
+	paths := simtest.KernelPaths(t)
+	bitset.HasVector = false
 	want, wantLanes := run(func(g *SlicedGossip) (sim.SlicedSystem, *roundLog) {
 		u := &unskipped{roundLog{SlicedGossip: g, last: -1}}
 		return u, &u.roundLog
 	})
-	if len(got.planes) != len(want.planes) || len(got.planes) < top.Schedule.Gossip {
-		t.Fatalf("logged %d rounds, reference %d, schedule %d", len(got.planes), len(want.planes), top.Schedule.Gossip)
-	}
-	for r := range want.planes {
-		if !slices.Equal(got.planes[r], want.planes[r]) {
-			t.Fatalf("planes diverged from the unskipped reference at the start of round %d", r)
+	for _, vector := range paths {
+		bitset.HasVector = vector
+		got, gotLanes := run(func(g *SlicedGossip) (sim.SlicedSystem, *roundLog) {
+			l := &roundLog{SlicedGossip: g, last: -1}
+			return l, l
+		})
+		if len(got.planes) != len(want.planes) || len(got.planes) < top.Schedule.Gossip {
+			t.Fatalf("vector=%v: logged %d rounds, reference %d, schedule %d", vector, len(got.planes), len(want.planes), top.Schedule.Gossip)
 		}
-	}
-	if !reflect.DeepEqual(gotLanes, wantLanes) {
-		t.Fatal("lane results diverged from the unskipped reference")
+		for r := range want.planes {
+			if !slices.Equal(got.planes[r], want.planes[r]) {
+				t.Fatalf("vector=%v: planes diverged from the unskipped reference at the start of round %d", vector, r)
+			}
+		}
+		if !reflect.DeepEqual(gotLanes, wantLanes) {
+			t.Fatalf("vector=%v: lane results diverged from the unskipped reference", vector)
+		}
 	}
 }
 

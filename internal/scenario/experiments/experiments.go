@@ -27,11 +27,11 @@ type Point struct {
 	Run func() (string, error)
 	// RunN, when set, renders the point aggregated over the given
 	// number of seeds (seeds 1..N) instead of the single committed
-	// seed — the multi-seed sweep path (cmd/sweep -seeds). Points
-	// whose multi-seed batch contains a sliceable scenario ride the
-	// bit-sliced engine 64 seeds per machine word via
-	// scenario.RunSeeds. Nil means the point is single-seed only and
-	// -seeds falls back to Run.
+	// seed — the multi-seed sweep path (cmd/sweep -seeds), through
+	// scenario.RunSeeds: flooding consensus rides the bit-sliced engine
+	// 64 seeds per machine word, every other stack (gossip included:
+	// its seeds are its overlays') runs scalar. Nil means the point is
+	// single-seed only and -seeds falls back to Run.
 	RunN func(seeds int) (string, error)
 }
 

@@ -64,10 +64,13 @@ func keyOf(sp Spec) groupKey {
 }
 
 // RunSeeds runs one spec under many seeds — the multi-seed sweep and
-// benchmark path. Seeds that share the spec's shape ride the sliced
-// engine 64 to a machine word; the rest (non-sliceable specs, escaped
-// lanes) fall back to the scalar runner. reports[i] and errs[i] belong
-// to seeds[i]; exactly one of them is non-nil.
+// benchmark path — through ExecuteBatch. Only flooding consensus under
+// a declarative fault rides the sliced engine here, 64 seeds to a
+// machine word: its lanes may differ in seed. Gossip's overlays are the
+// seed's, so ExecuteBatch groups gossip lanes by seed and distinct
+// seeds are singleton groups that run scalar; every other stack (and
+// every escaped lane) is scalar too. reports[i] and errs[i] belong to
+// seeds[i]; exactly one of them is non-nil.
 func RunSeeds(sp Spec, seeds []uint64) ([]*Report, []error) {
 	specs := make([]Spec, len(seeds))
 	for i, seed := range seeds {

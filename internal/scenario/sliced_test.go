@@ -11,6 +11,7 @@ import (
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/obs"
+	"lineartime/internal/sim/simtest"
 )
 
 // sameOutcome pins a batch result against its scalar counterpart:
@@ -70,9 +71,11 @@ func TestExecuteBatchMatchesScalarAcrossRegistry(t *testing.T) {
 // TestRunSeedsMatchesScalarPerLane pins the genuinely sliced path at
 // full width: the flooding comparator under every sliceable fault
 // model, 64 seeds per model, each lane byte-identical to its scalar
-// run. The per-seed adversaries genuinely differ (random crashes,
-// omission patterns, delays), so the lanes diverge in crash sets,
-// message counts and rounds while staying pinned.
+// run, on the lane kernels' portable loops and (where the CPU has
+// them) their vector kernels. The per-seed adversaries genuinely
+// differ (random crashes, omission patterns, delays), so the lanes
+// diverge in crash sets, message counts and rounds while staying
+// pinned.
 func TestRunSeedsMatchesScalarPerLane(t *testing.T) {
 	const n, tt = 48, 8
 	faults := []FaultModel{
@@ -102,12 +105,20 @@ func TestRunSeedsMatchesScalarPerLane(t *testing.T) {
 			for i := range seeds {
 				seeds[i] = uint64(i + 1)
 			}
-			reports, errs := RunSeeds(sp, seeds)
+			paths := simtest.KernelPaths(t)
+			wantReps := make([]*Report, len(seeds))
+			wantErrs := make([]error, len(seeds))
 			for i, seed := range seeds {
 				lane := sp
 				lane.Seed = seed
-				wantRep, wantErr := Run(lane)
-				sameOutcome(t, fmt.Sprintf("seed %d", seed), wantRep, wantErr, reports[i], errs[i])
+				wantReps[i], wantErrs[i] = Run(lane)
+			}
+			for _, vector := range paths {
+				bitset.HasVector = vector
+				reports, errs := RunSeeds(sp, seeds)
+				for i, seed := range seeds {
+					sameOutcome(t, fmt.Sprintf("vector=%v seed %d", vector, seed), wantReps[i], wantErrs[i], reports[i], errs[i])
+				}
 			}
 		})
 	}
@@ -119,7 +130,8 @@ func TestRunSeedsMatchesScalarPerLane(t *testing.T) {
 // fault models cycling through the whole declarative template —
 // mixed-kind groups, so crash schedules, omission patterns, partitions
 // and delays ride one engine run together — each lane byte-identical
-// to its scalar run.
+// to its scalar run, on the lane kernels' and set merge's portable
+// loops and (where the CPU has them) their vector kernels.
 func TestGossipBatchMatchesScalarPerLane(t *testing.T) {
 	const n, tt = 60, 10
 	template := []FaultModel{
@@ -160,10 +172,18 @@ func TestGossipBatchMatchesScalarPerLane(t *testing.T) {
 					t.Fatalf("lane %d must share the row's sliced group", i)
 				}
 			}
-			reports, errs := ExecuteBatch(specs)
+			paths := simtest.KernelPaths(t)
+			wantReps := make([]*Report, len(specs))
+			wantErrs := make([]error, len(specs))
 			for i, sp := range specs {
-				wantRep, wantErr := Run(sp)
-				sameOutcome(t, fmt.Sprintf("lane %d (%v)", i, sp.Fault.Kind), wantRep, wantErr, reports[i], errs[i])
+				wantReps[i], wantErrs[i] = Run(sp)
+			}
+			for _, vector := range paths {
+				bitset.HasVector = vector
+				reports, errs := ExecuteBatch(specs)
+				for i, sp := range specs {
+					sameOutcome(t, fmt.Sprintf("vector=%v lane %d (%v)", vector, i, sp.Fault.Kind), wantReps[i], wantErrs[i], reports[i], errs[i])
+				}
 			}
 		})
 	}

@@ -750,7 +750,8 @@ func (o opaqueLink) MaxDelay() int                              { return o.f.Max
 // lanes whose filter declares nothing, must equal, lane for lane, the
 // same batch with every filter wrapped opaque (the per-lane FilterLink
 // loop with all of its validation), and both must equal the scalar
-// engine.
+// engine — on the kernels' portable loops and, where the CPU has it,
+// the vector kernel.
 func TestSlicedKernelLanesMatchOpaqueLanes(t *testing.T) {
 	const n, tBound, lanes = 48, 8, 64
 	horizon := tBound + 2
@@ -804,43 +805,47 @@ func TestSlicedKernelLanesMatchOpaqueLanes(t *testing.T) {
 		}
 		return w, res, rt.sl.kern.lanes
 	}
-	wk, kern, kernLanes := run(false)
 	wo, opaque, opaqueKernLanes := run(true)
+	t.Cleanup(func() { bitset.HasVector = vectorDetected })
+	for _, vector := range KernelPaths() {
+		bitset.HasVector = vector
+		wk, kern, kernLanes := run(false)
 
-	var declared uint64
-	for lane := 0; lane < lanes; lane++ {
-		if _, ok := laneFault(lane).(KernelFilter); ok {
-			declared |= uint64(1) << lane
-		}
-	}
-	if kernLanes != declared || bits.OnesCount64(declared) != 48 || opaqueKernLanes != 0 {
-		t.Fatalf("kernel lanes: mixed run %#x, opaque run %#x, declared %#x", kernLanes, opaqueKernLanes, declared)
-	}
-	if !reflect.DeepEqual(kern.Lanes, opaque.Lanes) || !reflect.DeepEqual(wk, wo) {
-		for lane := range kern.Lanes {
-			if !reflect.DeepEqual(kern.Lanes[lane], opaque.Lanes[lane]) {
-				t.Fatalf("lane %d (%T) diverged:\nkernel %+v\nopaque %+v", lane, laneFault(lane), kern.Lanes[lane], opaque.Lanes[lane])
+		var declared uint64
+		for lane := 0; lane < lanes; lane++ {
+			if _, ok := laneFault(lane).(KernelFilter); ok {
+				declared |= uint64(1) << lane
 			}
 		}
-		t.Fatal("system state diverged between the kernel and the opaque run")
-	}
+		if kernLanes != declared || bits.OnesCount64(declared) != 48 || opaqueKernLanes != 0 {
+			t.Fatalf("vector=%v kernel lanes: mixed run %#x, opaque run %#x, declared %#x", vector, kernLanes, opaqueKernLanes, declared)
+		}
+		if !reflect.DeepEqual(kern.Lanes, opaque.Lanes) || !reflect.DeepEqual(wk, wo) {
+			for lane := range kern.Lanes {
+				if !reflect.DeepEqual(kern.Lanes[lane], opaque.Lanes[lane]) {
+					t.Fatalf("vector=%v lane %d (%T) diverged:\nkernel %+v\nopaque %+v", vector, lane, laneFault(lane), kern.Lanes[lane], opaque.Lanes[lane])
+				}
+			}
+			t.Fatalf("vector=%v: system state diverged between the kernel and the opaque run", vector)
+		}
 
-	for lane := 0; lane < lanes; lane++ {
-		nodes := make([]*consFlood, n)
-		ps := make([]Protocol, n)
-		for i := range ps {
-			nodes[i] = &consFlood{id: i, n: n, t: tBound, candidate: inputs[i], pending: inputs[i]}
-			ps[i] = nodes[i]
+		for lane := 0; lane < lanes; lane++ {
+			nodes := make([]*consFlood, n)
+			ps := make([]Protocol, n)
+			for i := range ps {
+				nodes[i] = &consFlood{id: i, n: n, t: tBound, candidate: inputs[i], pending: inputs[i]}
+				ps[i] = nodes[i]
+			}
+			var fault LinkFault
+			if f := laneFault(lane); f != nil {
+				fault = f
+			}
+			want, err := Run(Config{Protocols: ps, Fault: fault, MaxRounds: maxRounds})
+			if err != nil {
+				t.Fatalf("lane %d: scalar run: %v", lane, err)
+			}
+			compareLane(t, fmt.Sprintf("lane %d", lane), want, &kern.Lanes[lane], nodes, wk, uint64(1)<<lane)
 		}
-		var fault LinkFault
-		if f := laneFault(lane); f != nil {
-			fault = f
-		}
-		want, err := Run(Config{Protocols: ps, Fault: fault, MaxRounds: maxRounds})
-		if err != nil {
-			t.Fatalf("lane %d: scalar run: %v", lane, err)
-		}
-		compareLane(t, fmt.Sprintf("lane %d", lane), want, &kern.Lanes[lane], nodes, wk, uint64(1)<<lane)
 	}
 }
 

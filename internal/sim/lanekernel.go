@@ -3,6 +3,8 @@ package sim
 import (
 	"math/bits"
 	"slices"
+
+	"lineartime/internal/bitset"
 )
 
 // Lane kernels: the word-wide form of the declarative link filters.
@@ -20,6 +22,14 @@ import (
 //   - delay: the same key, k = hash % (d+1) accumulated branch-free into
 //     per-k lane masks (k != 0 is a coin flip, so a branch mispredicts
 //     half the time).
+//
+// The omission, d = 1 and d = 2 lanes — every hashed lane the runner's
+// link faults declare but d ≥ 3 — sit in one hashTable. On CPUs with
+// AVX-512 and BMI2 (bitset.HasVector) one call of linkHashAVX512
+// (lanehash_amd64.s) finishes 8 of their hashes per instruction and
+// deposits the compact verdict masks back onto lane bits with PDEP;
+// hashTable.verdicts is the same computation one lane at a time, the
+// only path elsewhere and the kernel's test oracle.
 //
 // LinkHashKey/LinkHashFinish are the single definition of that hash:
 // internal/link's scalar FilterLink verdicts and the kernels both call
@@ -87,10 +97,47 @@ type KernelFilter interface {
 	LinkKernel() LinkKernel
 }
 
-// hashLane is one lane of a hashed kernel: its seed, its bit, and the
-// family's per-lane parameter (omission threshold, delay modulus).
+// hashLane is one d ≥ 3 delay lane: its seed, its bit, and its delay
+// modulus d+1.
 type hashLane struct {
 	seed, arg, bit uint64
+}
+
+// hashTable is the omission, d = 1 and d = 2 delay lanes in the layout
+// linkHashAVX512 reads: per family the seeds (and omission thresholds)
+// in ascending lane order, and the family's lane mask, whose i-th set
+// bit from the bottom is entry i's lane. The arrays hold MaxLanes
+// entries, a multiple of 8, so the kernel loads whole groups of 8 past
+// a family's count; the stale entries there yield verdict bits at or
+// above the mask's popcount, which PDEP discards. The portable loops
+// read each entry's lane bit from the *Bit arrays instead.
+type hashTable struct {
+	omitSeed, omitThr, omitBit [MaxLanes]uint64 // omission: drop iff h < threshold
+	oddSeed, oddBit            [MaxLanes]uint64 // d = 1: late by h & 1
+	mod3Seed, mod3Bit          [MaxLanes]uint64 // d = 2: late by h % 3
+	omitN, oddN, mod3N         int
+	omitLanes                  uint64
+	oddLanes                   uint64
+	mod3Lanes                  uint64
+}
+
+// verdicts is linkHashAVX512 one lane at a time: the lanes among the
+// table's that drop the message with link-hash key, and those that
+// delay it by 1 and by 2 rounds.
+func (t *hashTable) verdicts(key uint64) (drop, k1, k2 uint64) {
+	for i, seed := range t.omitSeed[:t.omitN] {
+		_, below := bits.Sub64(LinkHashFinish(seed^key), t.omitThr[i], 0)
+		drop |= t.omitBit[i] & -below
+	}
+	for i, seed := range t.oddSeed[:t.oddN] {
+		k1 |= t.oddBit[i] & -(LinkHashFinish(seed^key) & 1)
+	}
+	for i, seed := range t.mod3Seed[:t.mod3N] {
+		d := LinkHashFinish(seed^key) % 3
+		k1 |= t.mod3Bit[i] & -(d & 1)
+		k2 |= t.mod3Bit[i] & -(d >> 1)
+	}
+	return drop, k1, k2
 }
 
 // partLane is one partition lane: drop across cut during [start, end).
@@ -109,34 +156,46 @@ type cutMask struct {
 // laneKernels is the compiled form of a run's declared link filters.
 // All buffers are recycled across runs.
 type laneKernels struct {
-	lanes uint64 // lanes answered by a kernel
+	lanes  uint64 // lanes answered by a kernel
+	hashed uint64 // lanes whose verdict hashes the link
+	vector bool   // run linkHashAVX512, not hash.verdicts
 
 	parts  []partLane
-	open   []cutMask  // rebuilt by beginRound: open windows only
-	omit   []hashLane // arg = threshold
-	delay1 []hashLane // d == 1
-	delay2 []hashLane // d == 2
-	delayN []hashLane // d >= 3, arg = d+1
+	open   []cutMask // rebuilt by beginRound: open windows only
+	hash   hashTable
+	delayN []hashLane // d >= 3
 	lanesN uint64     // lanes of delayN
 }
 
+// reset empties the kernels and picks the hash path for the run.
 func (k *laneKernels) reset() {
-	k.lanes, k.lanesN = 0, 0
-	k.parts, k.open = k.parts[:0], k.open[:0]
-	k.omit, k.delay1, k.delay2, k.delayN = k.omit[:0], k.delay1[:0], k.delay2[:0], k.delayN[:0]
+	k.lanes, k.hashed, k.lanesN = 0, 0, 0
+	k.vector = bitset.HasVector
+	k.parts, k.open, k.delayN = k.parts[:0], k.open[:0], k.delayN[:0]
+	t := &k.hash
+	t.omitN, t.oddN, t.mod3N = 0, 0, 0
+	t.omitLanes, t.oddLanes, t.mod3Lanes = 0, 0, 0
 }
 
 // add compiles lane's declaration, whose filter bounds delays by
-// maxDelay. It reports false for a declaration the kernels cannot
-// honour; the lane then stays on the per-lane FilterLink loop. Lanes
-// whose declaration can never act (rate 0, d = 0, an empty window) are
-// answered by the kernels at no per-message cost.
+// maxDelay; lanes are added in ascending order, which keeps each hash
+// family's entries in its mask's bit order. It reports false for a
+// declaration the kernels cannot honour; the lane then stays on the
+// per-lane FilterLink loop. Lanes whose declaration can never act
+// (rate 0, d = 0, an empty window) are answered by the kernels at no
+// per-message cost.
 func (k *laneKernels) add(lane int, d LinkKernel, maxDelay int) bool {
 	bit := uint64(1) << lane
+	if k.lanes >= bit {
+		panic("sim: lane kernels compiled out of lane order")
+	}
+	t := &k.hash
 	switch d.Kind {
 	case KernelOmission:
 		if d.Threshold != 0 {
-			k.omit = append(k.omit, hashLane{seed: d.Seed, arg: d.Threshold, bit: bit})
+			t.omitSeed[t.omitN], t.omitThr[t.omitN], t.omitBit[t.omitN] = d.Seed, d.Threshold, bit
+			t.omitN++
+			t.omitLanes |= bit
 		}
 	case KernelDelay:
 		switch {
@@ -144,9 +203,13 @@ func (k *laneKernels) add(lane int, d LinkKernel, maxDelay int) bool {
 			return false
 		case d.Delay == 0:
 		case d.Delay == 1:
-			k.delay1 = append(k.delay1, hashLane{seed: d.Seed, bit: bit})
+			t.oddSeed[t.oddN], t.oddBit[t.oddN] = d.Seed, bit
+			t.oddN++
+			t.oddLanes |= bit
 		case d.Delay == 2:
-			k.delay2 = append(k.delay2, hashLane{seed: d.Seed, bit: bit})
+			t.mod3Seed[t.mod3N], t.mod3Bit[t.mod3N] = d.Seed, bit
+			t.mod3N++
+			t.mod3Lanes |= bit
 		default:
 			k.delayN = append(k.delayN, hashLane{seed: d.Seed, arg: uint64(d.Delay) + 1, bit: bit})
 			k.lanesN |= bit
@@ -159,6 +222,7 @@ func (k *laneKernels) add(lane int, d LinkKernel, maxDelay int) bool {
 		return false
 	}
 	k.lanes |= bit
+	k.hashed = t.omitLanes | t.oddLanes | t.mod3Lanes | k.lanesN
 	return true
 }
 
@@ -190,23 +254,17 @@ func (k *laneKernels) split(r int, from, to int32, in uint64, byK []uint64) (dro
 			drop |= c.open
 		}
 	}
-	if len(k.omit)+len(k.delay1)+len(k.delay2)+len(k.delayN) == 0 {
+	if k.hashed == 0 {
 		return drop & in, 0
 	}
 	key := LinkHashKey(r, NodeID(from), NodeID(to))
-	for _, l := range k.omit {
-		_, below := bits.Sub64(LinkHashFinish(l.seed^key), l.arg, 0)
-		drop |= l.bit & -below
+	var omit, k1, k2 uint64
+	if k.vector {
+		omit, k1, k2 = linkHashAVX512(&k.hash, key)
+	} else {
+		omit, k1, k2 = k.hash.verdicts(key)
 	}
-	var k1, k2 uint64
-	for _, l := range k.delay1 {
-		k1 |= l.bit & -(LinkHashFinish(l.seed^key) & 1)
-	}
-	for _, l := range k.delay2 {
-		d := LinkHashFinish(l.seed^key) % 3
-		k1 |= l.bit & -(d & 1)
-		k2 |= l.bit & -(d >> 1)
-	}
+	drop |= omit
 	k1 &= in
 	k2 &= in
 	late = k1 | k2

@@ -24,18 +24,25 @@ func kernelVerdict(lane int, drop uint64, byK []uint64) sim.Verdict {
 	return sim.Deliver
 }
 
-// checkKernels pins, for one message, every kernel lane's verdict
-// against that lane's own FilterLink — and that lanes outside `in`
-// appear in no mask.
+// checkKernels pins, for one message and on every kernel path this CPU
+// runs, every kernel lane's verdict against that lane's own FilterLink
+// — and that lanes outside `in` appear in no mask.
 func checkKernels(t *testing.T, filters []sim.LinkFilter, round int, from, to int32, in uint64) {
 	t.Helper()
-	kernel, drop, byK := sim.LaneKernelSplit(filters, round, from, to, in)
+	for _, vector := range sim.KernelPaths() {
+		checkKernelPath(t, filters, round, from, to, in, vector)
+	}
+}
+
+func checkKernelPath(t *testing.T, filters []sim.LinkFilter, round int, from, to int32, in uint64, vector bool) {
+	t.Helper()
+	kernel, drop, byK := sim.LaneKernelSplit(filters, round, from, to, in, vector)
 	outside := drop
 	for _, l := range byK {
 		outside |= l
 	}
 	if outside &^= in & kernel; outside != 0 {
-		t.Fatalf("round %d %d→%d: lanes %#x classified outside the message's kernel lanes", round, from, to, outside)
+		t.Fatalf("vector=%v round %d %d→%d: lanes %#x classified outside the message's kernel lanes", vector, round, from, to, outside)
 	}
 	for lane, f := range filters {
 		if f == nil {
@@ -49,8 +56,8 @@ func checkKernels(t *testing.T, filters []sim.LinkFilter, round int, from, to in
 		}
 		want := f.FilterLink(round, sim.Envelope{From: int(from), To: int(to), Payload: sim.Bit(true)})
 		if got := kernelVerdict(lane, drop, byK); got != want {
-			t.Fatalf("lane %d (%T %+v) round %d %d→%d: kernel verdict %d, FilterLink %d",
-				lane, f, f.(sim.KernelFilter).LinkKernel(), round, from, to, got, want)
+			t.Fatalf("vector=%v lane %d (%T %+v) round %d %d→%d: kernel verdict %d, FilterLink %d",
+				vector, lane, f, f.(sim.KernelFilter).LinkKernel(), round, from, to, got, want)
 		}
 	}
 }
@@ -161,5 +168,116 @@ func TestLinkHashSplit(t *testing.T) {
 	}
 	if bits.OnesCount64(sim.LinkHashKey(0, 0, 0)) != 0 {
 		t.Fatal("the key of the origin must be zero")
+	}
+}
+
+// invOdd is the inverse of the odd c modulo 2^64 (Newton's iteration).
+func invOdd(c uint64) uint64 {
+	x := c
+	for i := 0; i < 6; i++ {
+		x *= 2 - c*x
+	}
+	return x
+}
+
+// unshift inverts x ^= x >> s.
+func unshift(y uint64, s uint) uint64 {
+	x := y
+	for i := uint(0); i < 64/s+1; i++ {
+		x = y ^ x>>s
+	}
+	return x
+}
+
+// unfinish inverts LinkHashFinish, so a test can choose the hash a lane
+// sees: LinkHashFinish(unfinish(h)) == h.
+func unfinish(h uint64) uint64 {
+	x := unshift(h, 31)
+	x *= invOdd(0x94d049bb133111eb)
+	x = unshift(x, 27)
+	x *= invOdd(0xbf58476d1ce4e5b9)
+	return unshift(x, 30)
+}
+
+// TestHashKernelMatchesGo is the differential test of the link-hash
+// kernel: for 0 to 64 hashed lanes spread over omission, d = 1 and
+// d = 2 (so no family's count need be a multiple of 8), among
+// partition and d = 0 lanes, both paths return exactly the verdicts
+// each lane's hash gives. Thresholds include 0, 1, 2^64−1 and the rates
+// 1–5 %; some lanes' seeds are solved so that their hash is a chosen
+// value — a multiple of 3 or near 2^64 for d = 2, the threshold or
+// either side of it for omission.
+func TestHashKernelMatchesGo(t *testing.T) {
+	if len(sim.KernelPaths()) == 1 {
+		t.Log("no AVX-512 F/DQ/VL + BMI2: only the portable loops run")
+	}
+	r := rng.New(0x3a5)
+	thresholds := []uint64{0, 1, math.MaxUint64}
+	for pct := 1; pct <= 5; pct++ {
+		thresholds = append(thresholds, uint64(float64(pct)/100*(1<<64)))
+	}
+	mod3Targets := []uint64{0, 3, 6, 1 << 33 * 3, math.MaxUint64, math.MaxUint64 - 1, math.MaxUint64 - 2, math.MaxUint64 - 3, math.MaxUint64 / 3 * 3, 1<<32 - 1, 1 << 32, 1<<33 - 2}
+	for count := 0; count <= sim.MaxLanes; count++ {
+		for trial := 0; trial < 30; trial++ {
+			key := r.Uint64()
+			decls := make([]sim.LinkKernel, sim.MaxLanes)
+			hashed := r.Perm(sim.MaxLanes)[:count]
+			for _, lane := range hashed {
+				seed := r.Uint64()
+				switch r.Intn(3) {
+				case 0:
+					thr := thresholds[r.Intn(len(thresholds))]
+					if r.Intn(3) == 0 && thr > 0 && thr < math.MaxUint64 {
+						seed = unfinish(thr-1+uint64(r.Intn(3))) ^ key
+					}
+					decls[lane] = sim.LinkKernel{Kind: sim.KernelOmission, Seed: seed, Threshold: thr}
+				case 1:
+					decls[lane] = sim.LinkKernel{Kind: sim.KernelDelay, Seed: seed, Delay: 1}
+				default:
+					if r.Intn(2) == 0 {
+						seed = unfinish(mod3Targets[r.Intn(len(mod3Targets))]) ^ key
+					}
+					decls[lane] = sim.LinkKernel{Kind: sim.KernelDelay, Seed: seed, Delay: 2}
+				}
+			}
+			for lane := range decls {
+				if decls[lane].Kind == 0 && r.Intn(4) == 0 {
+					decls[lane] = sim.LinkKernel{Kind: sim.KernelPartition, Start: 0, End: 5, Cut: 3}
+					if r.Intn(2) == 0 {
+						decls[lane] = sim.LinkKernel{Kind: sim.KernelDelay, Seed: r.Uint64()}
+					}
+				}
+			}
+			var wantDrop, want1, want2 uint64
+			for lane, d := range decls {
+				h, b := sim.LinkHashFinish(d.Seed^key), uint64(1)<<lane
+				switch {
+				case d.Kind == sim.KernelOmission && h < d.Threshold:
+					wantDrop |= b
+				case d.Kind == sim.KernelDelay && d.Delay > 0 && h%uint64(d.Delay+1) == 1:
+					want1 |= b
+				case d.Kind == sim.KernelDelay && d.Delay > 0 && h%uint64(d.Delay+1) == 2:
+					want2 |= b
+				}
+			}
+			for _, vector := range sim.KernelPaths() {
+				drop, k1, k2 := sim.HashVerdicts(decls, key, vector)
+				if drop != wantDrop || k1 != want1 || k2 != want2 {
+					t.Fatalf("vector=%v, %d hashed lanes, key %#x: drop, k1, k2 = %#x, %#x, %#x; want %#x, %#x, %#x",
+						vector, count, key, drop, k1, k2, wantDrop, want1, want2)
+				}
+			}
+		}
+	}
+}
+
+// TestUnfinishInvertsLinkHash pins the test's inverse of the finisher.
+func TestUnfinishInvertsLinkHash(t *testing.T) {
+	r := rng.New(5)
+	for i := 0; i < 1000; i++ {
+		h := r.Uint64()
+		if got := sim.LinkHashFinish(unfinish(h)); got != h {
+			t.Fatalf("LinkHashFinish(unfinish(%#x)) = %#x", h, got)
+		}
 	}
 }

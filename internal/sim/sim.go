@@ -299,8 +299,13 @@ type state struct {
 	byz      []bool
 	crashed  *bitset.Set
 	haltedAt []int
-	metrics  Metrics
-	scratch  scratch
+	// live[id] is whether node id has neither crashed nor halted, and
+	// pending counts the live non-Byzantine nodes: the engine's
+	// per-round probes read these, kept by die.
+	live    []bool
+	pending int
+	metrics Metrics
+	scratch scratch
 	// simulated counts the rounds of the run so far; PerRoundMessages
 	// is trimmed to this length in result(). skipped is the part of it
 	// the run loop fast-forwarded over without stepping any node, and
@@ -377,6 +382,14 @@ func (st *state) reset(cfg Config) error {
 	if cfg.Byzantine != nil {
 		for id := 0; id < n; id++ {
 			st.byz[id] = cfg.Byzantine.Contains(id)
+		}
+	}
+	st.live = growSlice(st.live, n)
+	st.pending = 0
+	for id := range st.live {
+		st.live[id] = true
+		if !st.byz[id] {
+			st.pending++
 		}
 	}
 	if st.crashed == nil || st.crashed.Len() != n {
@@ -458,8 +471,14 @@ func (st *state) resetSleepers() {
 	})
 }
 
-func (s *state) alive(id NodeID) bool {
-	return !s.crashed.Contains(id) && s.haltedAt[id] < 0
+func (s *state) alive(id NodeID) bool { return s.live[id] }
+
+// die takes the live node id out of the run: it crashed or halted.
+func (s *state) die(id NodeID) {
+	s.live[id] = false
+	if !s.byz[id] {
+		s.pending--
+	}
 }
 
 func (s *state) run() (*Result, error) {
@@ -543,6 +562,7 @@ func (s *state) skipQuiet(r int) (next int, done bool) {
 			continue
 		}
 		s.crashed.Add(e.Node)
+		s.die(e.Node)
 		s.last = -1
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.OnCrash(e.Round, e.Node)
@@ -614,14 +634,7 @@ func (s *state) skipSteady(r int) int {
 // crashed. Byzantine nodes never gate completion — the paper measures
 // time until the non-faulty nodes halt (§2), and a malicious node
 // could otherwise hold the run open forever.
-func (s *state) allDone() bool {
-	for id := 0; id < s.n; id++ {
-		if s.alive(id) && !s.byz[id] {
-			return false
-		}
-	}
-	return true
-}
+func (s *state) allDone() bool { return s.pending == 0 }
 
 func (s *state) round(r int) error {
 	sc := &s.scratch
@@ -680,6 +693,7 @@ func (s *state) round(r int) error {
 	s.crashedNow = crashedNow
 	for _, id := range crashedNow {
 		s.crashed.Add(id)
+		s.die(id)
 	}
 	if msgs := s.metrics.PerRoundMessages[r]; s.label != "" && msgs > 0 {
 		// Once a round, not once a sender: the map assign showed.
@@ -698,7 +712,7 @@ func (s *state) round(r int) error {
 		// discarded — nothing will ever poll them out.
 		for _, src := range sc.outs {
 			for _, env := range src {
-				if !s.crashed.Contains(env.To) && s.haltedAt[env.To] < 0 {
+				if s.live[env.To] {
 					s.ports[env.To].push(s.n, env)
 				}
 			}
@@ -731,6 +745,7 @@ func (s *state) round(r int) error {
 		s.cfg.Protocols[id].Deliver(r, inbox)
 		if s.cfg.Protocols[id].Halted() {
 			s.haltedAt[id] = r
+			s.die(id)
 			if obs != nil {
 				obs.OnHalt(r, id)
 			}
