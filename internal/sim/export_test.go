@@ -17,13 +17,18 @@ func KernelPaths() []bool {
 	return []bool{false}
 }
 
-// compile is slicedState.reset's compilation of the declared kernels
-// among the per-lane filters, on the portable loops or (vector, where
-// detected) the vector kernel; it returns the run's largest delay
-// bound.
-func (k *laneKernels) compile(filters []LinkFilter, vector bool) (maxDelay int) {
+// LaneKernelSplit compiles the declared kernels among the per-lane
+// filters exactly as slicedState.reset does and classifies one message
+// with them — on the portable loops or (vector, where detected) the
+// vector kernel — for the external differential tests (they need
+// internal/link, which imports this package). It returns the lanes a
+// kernel answers for, and for those lanes the drop mask and the lanes
+// delayed by k in byK[k], k >= 1.
+func LaneKernelSplit(filters []LinkFilter, round int, from, to int32, in uint64, vector bool) (kernel, drop uint64, byK []uint64) {
+	var k laneKernels
 	k.reset()
 	k.vector = vector && vectorDetected
+	maxDelay := 0
 	for lane, f := range filters {
 		if f == nil {
 			continue
@@ -34,18 +39,6 @@ func (k *laneKernels) compile(filters []LinkFilter, vector bool) (maxDelay int) 
 			k.add(lane, kf.LinkKernel(), d)
 		}
 	}
-	return maxDelay
-}
-
-// LaneKernelSplit compiles the declared kernels among the per-lane
-// filters exactly as slicedState.reset does and classifies one message
-// with them, for the external differential tests (they need
-// internal/link, which imports this package). It returns the lanes a
-// kernel answers for, and for those lanes the drop mask and the lanes
-// delayed by k in byK[k], k >= 1.
-func LaneKernelSplit(filters []LinkFilter, round int, from, to int32, in uint64, vector bool) (kernel, drop uint64, byK []uint64) {
-	var k laneKernels
-	maxDelay := k.compile(filters, vector)
 	k.beginRound(round)
 	byK = make([]uint64, maxDelay+1)
 	drop, late := k.split(round, from, to, in, byK)
