@@ -323,3 +323,33 @@ func TestCheckFlagsPartFanOut(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCheck times Check alone on finished reports of three
+// repository benchmark shapes: serve-cold (few-crashes n=256 t=50 under
+// random crashes), serve-heavy (gossip/expander n=128 t=24) and one
+// omission lane of the batch-lanes call (gossip/expander n=192 t=36).
+// It prices filling the outcome flags from Check after every run.
+func BenchmarkCheck(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sp   Spec
+	}{
+		{"serve-cold", serveColdSpec(b, 7)},
+		{"serve-heavy", MustLookup("gossip/expander").Spec(128, 24, 0x4ea0_0001)},
+		{"batch-lanes-omission", linkFaultBatch(b, 0x6a55_1000, 1)[0]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rep, err := Run(c.sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if vs := Check(c.sp, rep); len(vs) > 0 {
+				b.Fatalf("%v", vs)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				Check(c.sp, rep)
+			}
+		})
+	}
+}

@@ -9,8 +9,9 @@ import (
 // message volumes. These calibrate how large the
 // experiment sweeps can go. The broadcaster protocol is deliberately
 // allocation-free (persistent outbox, reset between iterations) so the
-// numbers measure the engine, not the test harness; BENCH_sim.json
-// tracks BenchmarkEngine across PRs.
+// numbers measure the engine, not the test harness. They are the
+// engine's micro-benchmarks of record: run them with -benchmem, parent
+// and change alternating on one box.
 
 type broadcaster struct {
 	id, n, fanout, horizon int
@@ -61,9 +62,9 @@ func benchEngineRun(b *testing.B, n, fanout, horizon int, run func(Config) (*Res
 	}
 }
 
-// BenchmarkEngine is the headline engine benchmark tracked in
-// BENCH_sim.json: the multi-port sequential engine at n=1000, fanout 8,
-// 20 rounds. Per-iteration cost divided by the horizon gives ns/round.
+// BenchmarkEngine is the headline engine benchmark: the multi-port
+// sequential engine at n=1000, fanout 8, 20 rounds. Per-iteration cost
+// divided by the horizon gives ns/round.
 func BenchmarkEngine(b *testing.B) {
 	benchEngineRun(b, 1000, 8, 20, Run)
 }

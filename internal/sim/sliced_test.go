@@ -214,7 +214,7 @@ func TestRuntimeSlicedReuse(t *testing.T) {
 }
 
 // BenchmarkEngineSliced measures the sliced engine at full width
-// against the flooding workload (the benchjson engine/sliced family
+// against the flooding workload (benchjson's engine/sliced pair
 // measures the scenario-level path; this is the raw engine).
 func BenchmarkEngineSliced(b *testing.B) {
 	const n, tBound, lanes = 256, 8, 64
