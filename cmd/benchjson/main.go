@@ -1,8 +1,9 @@
 // Command benchjson is the bit-sliced engine's perf floor. It times
 // three batches two ways — each spec through the scalar scenario.Run,
-// then all of them as one scenario.ExecuteBatch call — prints one JSON
-// line per pair to stdout, and exits non-zero when a pair's speedup is
-// below its floor. It takes no flags and no arguments.
+// and all of them as one scenario.ExecuteBatch call — in alternating
+// slices, prints one JSON line per pair (its median slice) to stdout,
+// and exits non-zero when a pair's speedup is below its floor. It takes
+// no flags and no arguments.
 //
 // Usage:
 //
@@ -10,12 +11,14 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"lineartime/internal/scenario"
@@ -25,8 +28,13 @@ import (
 // lower cap.
 const floor = 8
 
-// armTime is how long each arm of a pair is timed.
-const armTime = time.Second
+// armTime is how long each arm of a pair is timed, in timeSlices
+// slices that alternate with the other arm's. The count is odd, so the
+// median slice is one slice.
+const (
+	armTime    = time.Second
+	timeSlices = 7
+)
 
 // point is one batch the gate times.
 type point struct {
@@ -89,7 +97,8 @@ func floodingSpecs(n, t, seeds int) []scenario.Spec {
 // sets, rounds and traffic. With links set the lanes cycle the three
 // link-fault families instead — omission at 1–5 %, delay up to 1 or 2
 // rounds, a partition window — the faulted sliced path: lane kernels,
-// the delay ring and its sender sort, merges of re-sent snapshots.
+// the delay ring and its sender-ordered arrivals, merges of re-sent
+// snapshots.
 func gossipSpecs(n, t, seeds int, links bool) []scenario.Spec {
 	base := scenario.MustLookup("gossip/expander").Spec(n, t, 1)
 	sps := make([]scenario.Spec, seeds)
@@ -112,7 +121,8 @@ func gossipSpecs(n, t, seeds int, links bool) []scenario.Spec {
 	return sps
 }
 
-// pair is one point's two timings, printed as one JSON line.
+// pair is one slice of a point: its two arms' mean times per call.
+// measure returns the median slice, printed as one JSON line.
 type pair struct {
 	Name     string  `json:"name"`
 	Lanes    int     `json:"lanes"`
@@ -122,10 +132,12 @@ type pair struct {
 	Cap      float64 `json:"cap,omitempty"`
 }
 
-// measure times pt's scalar arm (one scenario.Run per spec) and then
-// its sliced arm (one scenario.ExecuteBatch call over all of them),
-// each warmed once — the first call builds the overlays — and then
-// repeated for at least d.
+// measure times pt's scalar arm (one scenario.Run per spec) against its
+// sliced arm (one scenario.ExecuteBatch call over all of them) in
+// alternating slices of at least d/timeSlices each, after one slice that
+// warms both up (the first call builds the overlays), and returns the
+// slice of median speedup: adjacent timings, so drift between the arms
+// stays small, and a median, so no one disturbed slice decides.
 func measure(pt point, d time.Duration) (pair, error) {
 	sps := pt.specs
 	scalar := func() error {
@@ -140,25 +152,29 @@ func measure(pt point, d time.Duration) (pair, error) {
 		_, errs := scenario.ExecuteBatch(sps)
 		return errors.Join(errs...)
 	}
-	p := pair{Name: pt.name, Lanes: len(sps), Cap: pt.cap}
-	for _, arm := range []struct {
-		op func() error
-		ms *float64
-	}{{scalar, &p.ScalarMs}, {sliced, &p.SlicedMs}} {
-		if err := arm.op(); err != nil {
-			return pair{}, fmt.Errorf("%s: %w", pt.name, err)
-		}
-		runtime.GC()
-		ops, start := 0, time.Now()
-		for ops == 0 || time.Since(start) < d {
-			if err := arm.op(); err != nil {
-				return pair{}, fmt.Errorf("%s: %w", pt.name, err)
+	var ps [1 + timeSlices]pair
+	for i := range ps {
+		p := &ps[i]
+		for _, arm := range []struct {
+			op func() error
+			ms *float64
+		}{{scalar, &p.ScalarMs}, {sliced, &p.SlicedMs}} {
+			runtime.GC()
+			ops, start := 0, time.Now()
+			for ops == 0 || time.Since(start) < d/timeSlices {
+				if err := arm.op(); err != nil {
+					return pair{}, fmt.Errorf("%s: %w", pt.name, err)
+				}
+				ops++
 			}
-			ops++
+			*arm.ms = float64(time.Since(start)) / 1e6 / float64(ops)
 		}
-		*arm.ms = float64(time.Since(start)) / 1e6 / float64(ops)
+		p.Speedup = p.ScalarMs / p.SlicedMs
 	}
-	p.Speedup = p.ScalarMs / p.SlicedMs
+	timed := ps[1:]
+	slices.SortFunc(timed, func(a, b pair) int { return cmp.Compare(a.Speedup, b.Speedup) })
+	p := timed[timeSlices/2]
+	p.Name, p.Lanes, p.Cap = pt.name, len(sps), pt.cap
 	return p, nil
 }
 

@@ -35,12 +35,61 @@ type LaneCounter struct {
 }
 
 // Add increments the count of every lane set in mask by one.
-func (c *LaneCounter) Add(mask uint64) {
-	for p := 0; mask != 0 && p < laneCounterPlanes; p++ {
-		carry := c.planes[p] & mask
-		c.planes[p] ^= mask
-		mask = carry
+func (c *LaneCounter) Add(mask uint64) { c.addAt(0, mask) }
+
+// addAt adds w at plane p: each set lane of w gains 2^p.
+func (c *LaneCounter) addAt(p int, w uint64) {
+	for ; w != 0 && p < laneCounterPlanes; p++ {
+		carry := c.planes[p] & w
+		c.planes[p] ^= w
+		w = carry
 	}
+}
+
+// csa is a carry-save adder over 64 lanes: per lane, a+b+c = 2·hi + lo.
+func csa(a, b, c uint64) (hi, lo uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// AddWords increments the count of every lane by the number of words
+// of ws it is set in, as one Add per word would. It is a Harley–Seal
+// tree: each block of 16 words folds through carry-save adders into
+// local ones, twos, fours and eights planes and one plane-4 carry, so a
+// block costs 15 adders and one carry chain instead of 16; the local
+// planes spill into the counter at the end.
+func (c *LaneCounter) AddWords(ws []uint64) {
+	var ones, twos, fours, eights uint64
+	for ; len(ws) >= 16; ws = ws[16:] {
+		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
+		twosA, ones = csa(ones, ws[0], ws[1])
+		twosB, ones = csa(ones, ws[2], ws[3])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, ws[4], ws[5])
+		twosB, ones = csa(ones, ws[6], ws[7])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, ws[8], ws[9])
+		twosB, ones = csa(ones, ws[10], ws[11])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, ws[12], ws[13])
+		twosB, ones = csa(ones, ws[14], ws[15])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		sixteens, eights = csa(eights, eightsA, eightsB)
+		c.addAt(4, sixteens)
+	}
+	for _, w := range ws { // the tail, through half adders
+		w, ones = ones&w, ones^w
+		w, twos = twos&w, twos^w
+		w, fours = fours&w, fours^w
+		w, eights = eights&w, eights^w
+		c.addAt(4, w)
+	}
+	c.addAt(0, ones)
+	c.addAt(1, twos)
+	c.addAt(2, fours)
+	c.addAt(3, eights)
 }
 
 // AddN increments the count of every lane set in mask by k, as k calls

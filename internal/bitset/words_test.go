@@ -159,6 +159,64 @@ func TestLaneCounterAddNMatchesRepeatedAdd(t *testing.T) {
 	}
 }
 
+// TestLaneCounterAddWordsMatchesAdd: AddWords(ws) leaves exactly the
+// planes one Add per word leaves, at every length 0–300 (no 16-word
+// block, whole blocks, and every tail), on counters preloaded by Add
+// and AddN — one of them a few counts short of wrapping at 2^32 — and
+// over sparse, random and dense words, whose carries reach plane 5 and
+// beyond; Below and Flush then agree too.
+func TestLaneCounterAddWordsMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	word := func(density int) uint64 {
+		switch density {
+		case 0:
+			return rng.Uint64() & rng.Uint64() & rng.Uint64()
+		case 1:
+			return rng.Uint64()
+		default:
+			return ^(rng.Uint64() & rng.Uint64() & rng.Uint64())
+		}
+	}
+	ws := make([]uint64, 300)
+	for n := 0; n <= len(ws); n++ {
+		for density := 0; density < 3; density++ {
+			for i := range ws[:n] {
+				ws[i] = word(density)
+			}
+			var got, want LaneCounter
+			for _, c := range []*LaneCounter{&got, &want} {
+				c.Add(0xF0F0F0F0F0F0F0F0)
+				switch n % 3 {
+				case 1:
+					c.AddN(0x0123456789ABCDEF, 1000+n)
+				case 2:
+					c.AddN(^uint64(0), 1<<32-5) // wraps within this add
+				}
+			}
+			got.AddWords(ws[:n])
+			for _, w := range ws[:n] {
+				want.Add(w)
+			}
+			if got.planes != want.planes {
+				t.Fatalf("n=%d density %d: AddWords planes diverged from one Add per word", n, density)
+			}
+			if density == 2 && n%3 == 0 && n >= 48 && slices.Max(want.planes[5:]) == 0 {
+				t.Fatalf("n=%d: dense words never carried past plane 4", n)
+			}
+			b := rng.Intn(n + 2)
+			if got.Below(b) != want.Below(b) {
+				t.Fatalf("n=%d density %d: Below(%d) diverged", n, density, b)
+			}
+			var gotOut, wantOut [64]int64
+			got.Flush(&gotOut)
+			want.Flush(&wantOut)
+			if gotOut != wantOut || got.planes != want.planes {
+				t.Fatalf("n=%d density %d: flushed totals diverged", n, density)
+			}
+		}
+	}
+}
+
 // TestTranspose64 checks the bit map (bit c of row r lands at bit r of
 // row c) and that transposing twice is the identity, on random matrices
 // of varying density.
@@ -224,6 +282,36 @@ func BenchmarkLaneCounterAdd(b *testing.B) {
 		if i&0xFFFF == 0xFFFF {
 			ctr.Flush(&out)
 		}
+	}
+}
+
+// BenchmarkLaneCounterAddWords counts a 192-word column — an extant
+// snapshot of the batch-lanes shape — with one AddWords call, beside
+// the per-word Add loop it replaces.
+func BenchmarkLaneCounterAddWords(b *testing.B) {
+	ws := make([]uint64, 192)
+	for i := range ws {
+		ws[i] = 0x9E3779B97F4A7C15 * uint64(i+1)
+	}
+	for _, bc := range []struct {
+		name string
+		add  func(*LaneCounter)
+	}{
+		{"AddWords", func(c *LaneCounter) { c.AddWords(ws) }},
+		{"Add", func(c *LaneCounter) {
+			for _, w := range ws {
+				c.Add(w)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var ctr LaneCounter
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctr.Reset()
+				bc.add(&ctr)
+			}
+		})
 	}
 }
 

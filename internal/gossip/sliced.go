@@ -71,6 +71,9 @@ type SlicedGossip struct {
 
 	snapCtr  bitset.LaneCounter
 	probeCtr bitset.LaneCounter
+	// probeLanes collects a probing round's counted lane masks for one
+	// AddWords call; presized, so the steady state does not grow it.
+	probeLanes []uint64
 }
 
 // laneSets is one family of per-node sets — extant or completion — as
@@ -240,6 +243,9 @@ func NewSlicedGossip(top *consensus.Topology, lanes, maxDelay int) (*SlicedGossi
 	g.haltedW = make([]uint64, n)
 	g.inqFrom = make([][]inqEntry, n)
 	g.snapCnt = make([][64]int64, g.ringSize*L)
+	// A set message comes from a little node, at most one per receiver
+	// and send round, and arrives within ringSize rounds of its send.
+	g.probeLanes = make([]uint64, 0, g.ringSize*L)
 	g.Reset()
 	return g, nil
 }
@@ -320,9 +326,7 @@ func (g *SlicedGossip) snapshotExtant(slot, node int) {
 		return
 	}
 	g.snapCtr.Reset()
-	for _, w := range col {
-		g.snapCtr.Add(w)
-	}
+	g.snapCtr.AddWords(col)
 	cnt := &g.snapCnt[slot*g.L+node]
 	*cnt = [64]int64{}
 	g.snapCtr.Flush(cnt)
@@ -448,7 +452,7 @@ func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim
 		}
 	default: // probing rounds
 		if node < g.L {
-			g.probeCtr.Reset()
+			counted := g.probeLanes[:0]
 			for i := range inbox {
 				m := &inbox[i]
 				eff := m.Lanes & active
@@ -457,13 +461,16 @@ func (g *SlicedGossip) SlicedDeliver(round, node int, active uint64, inbox []sim
 				}
 				switch m.Tag & tagTypeMask {
 				case tagExtant:
-					g.probeCtr.Add(eff)
+					counted = append(counted, eff)
 					g.ext.merge(node, m, eff)
 				case tagCompletion:
-					g.probeCtr.Add(eff)
+					counted = append(counted, eff)
 					g.comp.merge(node, m, eff)
 				}
 			}
+			g.probeLanes = counted
+			g.probeCtr.Reset()
+			g.probeCtr.AddWords(counted)
 			g.prob.Observe(node, &g.probeCtr, active)
 			if off == g.sched.GossipPhaseLen-1 {
 				g.prob.FinishPhase(node, active, phase+1 < g.sched.GossipPhases || part == 1)

@@ -70,8 +70,8 @@ func (h allocDelayLink) MaxDelay() int { return h.d }
 // omission, delay and partition models, which it compiles into lane
 // kernels — must be allocation-free once the arena and the machine's
 // buffers have grown to the shape's peak: the kernels' lane arrays, the
-// sender sort's second buffer and the machine's version and
-// merged-lanes tables included.
+// delay ring's buckets, the machine's probe-count buffer and its
+// version and merged-lanes tables included.
 func TestRuntimeSlicedGossipSteadyStateAllocs(t *testing.T) {
 	const n, tBound, lanes, maxDelay = 96, 16, 64, 2
 	top, err := consensus.NewTopology(n, tBound, consensus.TopologyOptions{Seed: 1})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -151,37 +152,68 @@ func TestZeroDelayVerdicts(t *testing.T) {
 	}
 }
 
-// TestDelayRingUnit exercises the ring directly: modulo indexing,
-// slot recycling with capacity kept, and reset clearing in-flight
-// messages left by a completed run.
+// TestDelayRingUnit exercises the ring directly: take hands out a
+// round's arrivals as MaxDelay runs, oldest first, each in push order;
+// pushes of the round that took a bucket never land in it; recycled
+// buckets keep their capacity; and recycle clears messages left in
+// flight by a completed run.
 func TestDelayRingUnit(t *testing.T) {
-	ring := (*delayRing[Envelope])(nil).recycle(2) // 3 slots
-	if got := len(ring.slots); got != 3 {
-		t.Fatalf("ring of MaxDelay 2 has %d slots, want 3", got)
+	ring := (*delayRing[Envelope])(nil).recycle(2) // 3 arrival rounds × 2 delays
+	if got := len(ring.slots); got != 6 {
+		t.Fatalf("ring of MaxDelay 2 has %d buckets, want 6", got)
 	}
-	a := Envelope{From: 1}
-	b := Envelope{From: 2}
-	ring.push(4, a) // slot 1
-	ring.push(7, b) // slot 1 again, one lap later — coexists until round 4 is taken
-	got := ring.take(4)
-	if len(got) != 2 {
-		t.Fatalf("take(4) = %d messages, want 2 (both slot-1 residents)", len(got))
+	froms := func(run []Envelope) []NodeID {
+		var ids []NodeID
+		for _, e := range run {
+			ids = append(ids, e.From)
+		}
+		return ids
 	}
-	if more := ring.take(7); len(more) != 0 {
-		t.Fatalf("take(7) after recycling = %d messages, want 0", len(more))
+	// Round 2 sends delay-2 messages from 0 and 3; round 3 delay-1
+	// messages from 1 and 3 and delay-2 ones from 2. All but the last
+	// arrive at round 4.
+	ring.take(2)
+	ring.push(2, Envelope{From: 0})
+	ring.push(2, Envelope{From: 3})
+	ring.take(3)
+	ring.push(1, Envelope{From: 1})
+	ring.push(1, Envelope{From: 3})
+	ring.push(2, Envelope{From: 2}) // arrives at round 5
+	runs := ring.take(4)
+	if len(runs) != 2 || !reflect.DeepEqual(froms(runs[0]), []NodeID{0, 3}) || !reflect.DeepEqual(froms(runs[1]), []NodeID{1, 3}) {
+		t.Fatalf("take(4) runs %v %v, want [0 3] (sent at 2) then [1 3] (sent at 3)", froms(runs[0]), froms(runs[1]))
 	}
-	// The recycled slot keeps its capacity for reuse.
-	ring.push(10, a)
-	if again := ring.take(10); len(again) != 1 || again[0].From != 1 {
-		t.Fatalf("recycled slot take = %+v", again)
+	// Round 4's pushes (arrivals 5 and 6) leave its runs intact.
+	ring.push(1, Envelope{From: 4})
+	ring.push(2, Envelope{From: 5})
+	if !reflect.DeepEqual(froms(runs[0]), []NodeID{0, 3}) || !reflect.DeepEqual(froms(runs[1]), []NodeID{1, 3}) {
+		t.Fatalf("round 4's pushes overwrote its runs: %v %v", froms(runs[0]), froms(runs[1]))
 	}
-	ring.push(2, b)
+	runs = ring.take(5)
+	if !reflect.DeepEqual(froms(runs[0]), []NodeID{2}) || !reflect.DeepEqual(froms(runs[1]), []NodeID{4}) {
+		t.Fatalf("take(5) runs %v %v, want [2] then [4]", froms(runs[0]), froms(runs[1]))
+	}
+	// A recycled bucket keeps its capacity: round 4's buckets refill
+	// one lap later without growing.
+	c := cap(ring.slots[4%3*2+1])
+	ring.push(2, Envelope{From: 6}) // from round 5, arrives at 7 ≡ 4
+	if got := cap(ring.slots[4%3*2+1]); got != c || c < 2 {
+		t.Fatalf("recycled bucket capacity %d → %d", c, got)
+	}
 	if ring.recycle(2) != ring {
 		t.Fatal("recycle replaced a ring whose window already fits")
 	}
-	for r := 0; r < 3; r++ {
-		if left := ring.take(r); len(left) != 0 {
-			t.Fatalf("reset left %d messages in slot %d", len(left), r)
+	if !ring.empty() {
+		t.Fatal("recycle left messages in flight")
+	}
+	for r := 6; r < 9; r++ {
+		for _, run := range ring.take(r) {
+			if len(run) != 0 {
+				t.Fatalf("recycled ring delivered %v at round %d", froms(run), r)
+			}
 		}
+	}
+	if ring.recycle(3) == ring || ring.recycle(0) != nil {
+		t.Fatal("recycle kept a ring whose window does not fit, or made one for MaxDelay 0")
 	}
 }

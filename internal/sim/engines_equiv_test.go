@@ -849,6 +849,147 @@ func TestSlicedKernelLanesMatchOpaqueLanes(t *testing.T) {
 	}
 }
 
+// --- Delivery order under delays --------------------------------------
+//
+// orderNode and wordOrder are a scalar/sliced pair whose state is the
+// delivery order itself: in each of its first `sends` rounds every node
+// sends to every node a message naming its send round, and each node
+// folds the (From, send round) of its inbox, in order, into a
+// fingerprint. Inboxes must come sorted by sender and, within a sender,
+// by send round; delayed arrivals that are not interleaved by sender,
+// or a sender's delayed messages out of send-round order, change a
+// fingerprint.
+
+// sendRound is a message naming its send round. One bit, like the
+// sliced engine's stand-in payload, so hashLink's verdicts agree.
+type sendRound struct{ round int }
+
+func (sendRound) SizeBits() int { return 1 }
+
+func foldOrder(acc uint64, from, round int) uint64 {
+	return (acc ^ uint64(from)<<32 ^ uint64(round)) * 0x100000001b3
+}
+
+type orderNode struct {
+	id, n, sends, halt int
+	acc                uint64
+	halted             bool
+	out                []Envelope
+}
+
+func (o *orderNode) Send(round int) []Envelope {
+	o.out = o.out[:0]
+	for to := 0; round < o.sends && to < o.n; to++ {
+		if to != o.id {
+			o.out = append(o.out, Envelope{From: o.id, To: to, Payload: sendRound{round}})
+		}
+	}
+	return o.out
+}
+
+func (o *orderNode) Deliver(round int, inbox []Envelope) {
+	for _, env := range inbox {
+		o.acc = foldOrder(o.acc, env.From, env.Payload.(sendRound).round)
+	}
+	o.halted = round >= o.halt
+}
+
+func (o *orderNode) Halted() bool { return o.halted }
+
+// wordOrder is orderNode for the sliced engine, the send round in Tag
+// and one fingerprint per (node, lane).
+type wordOrder struct {
+	n, sends, halt int
+	acc            [][64]uint64
+	halted         []uint64
+}
+
+func (w *wordOrder) N() int { return w.n }
+
+func (w *wordOrder) SlicedSend(round, node int, active uint64, out []SlicedMsg) ([]SlicedMsg, uint64) {
+	for to := 0; round < w.sends && to < w.n; to++ {
+		if to != node {
+			out = append(out, SlicedMsg{From: int32(node), To: int32(to), Lanes: active, Tag: uint32(round)})
+		}
+	}
+	return out, 0
+}
+
+func (w *wordOrder) SlicedDeliver(round, node int, active uint64, inbox []SlicedMsg) uint64 {
+	for _, m := range inbox {
+		for l := m.Lanes & active; l != 0; l &= l - 1 {
+			lane := bits.TrailingZeros64(l)
+			w.acc[node][lane] = foldOrder(w.acc[node][lane], int(m.From), int(m.Tag))
+		}
+	}
+	if round >= w.halt {
+		w.halted[node] |= active
+	}
+	return 0
+}
+
+func (w *wordOrder) HaltedLanes(node int) uint64 { return w.halted[node] }
+
+// TestSlicedDeliveryOrderUnderDelays pins each lane's inbox order
+// under delays to the scalar engine's: kernel delay lanes and opaque
+// hashLink lanes with d = 1…3, each alone and with a crash schedule
+// (a crashed sender's delayed messages still arrive), beside
+// fault-free lanes, must leave every node the scalar run's fingerprint
+// and the scalar Result.
+func TestSlicedDeliveryOrderUnderDelays(t *testing.T) {
+	const n, sends, lanes = 12, 8, 64
+	halt := sends + 3 // every delayed message has arrived
+	laneFault := func(lane int) LinkFault {
+		seed := uint64(5000 + lane*71)
+		d := 1 + lane/8%3
+		crash := planCrash{events: laneCrashEvents(n, n/4, sends, seed)}
+		switch lane % 8 {
+		case 0:
+			return nil
+		case 1, 2:
+			return hashLink{d: d, seed: seed}
+		case 3, 4:
+			return declLink{k: LinkKernel{Kind: KernelDelay, Seed: seed, Delay: d}}
+		case 5:
+			return planCrashLink{planCrash: crash, link: hashLink{d: d, seed: seed}}
+		case 6:
+			return declCrashLink{planCrash: crash, declLink: declLink{k: LinkKernel{Kind: KernelDelay, Seed: seed, Delay: d}}}
+		default:
+			return crash
+		}
+	}
+	faults := make([]LinkFault, lanes)
+	for lane := range faults {
+		faults[lane] = laneFault(lane)
+	}
+	w := &wordOrder{n: n, sends: sends, halt: halt, acc: make([][64]uint64, n), halted: make([]uint64, n)}
+	sliced, err := RunSliced(SlicedConfig{System: w, Lanes: lanes, MaxRounds: halt + 2, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lane := 0; lane < lanes; lane++ {
+		nodes := make([]*orderNode, n)
+		ps := make([]Protocol, n)
+		for i := range ps {
+			nodes[i] = &orderNode{id: i, n: n, sends: sends, halt: halt}
+			ps[i] = nodes[i]
+		}
+		want, err := Run(Config{Protocols: ps, Fault: laneFault(lane), MaxRounds: halt + 2})
+		if err != nil {
+			t.Fatalf("lane %d: scalar run: %v", lane, err)
+		}
+		got := &sliced.Lanes[lane]
+		if got.Err != nil || got.Escaped || !reflect.DeepEqual(want.Metrics, got.Metrics) || !want.Crashed.Equal(got.Crashed) {
+			t.Fatalf("lane %d (%T): sliced %+v, scalar %+v", lane, laneFault(lane), got, want)
+		}
+		for i, nd := range nodes {
+			if nd.acc != w.acc[i][lane] {
+				t.Fatalf("lane %d (%T): node %d's delivery order diverged from the scalar engine's", lane, laneFault(lane), i)
+			}
+		}
+	}
+}
+
 type equivCase struct {
 	name       string
 	singlePort bool

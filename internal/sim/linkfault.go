@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // The link/fault-injection layer. The engine's fault surface used to be
 // a single crash-shaped hook (an Adversary whose FilterSend could only
@@ -23,9 +20,9 @@ import (
 // run the exact pre-refactor code path: no per-envelope interface
 // calls, no reordering, byte-identical transcripts. Link-level faults
 // additionally implement LinkFilter; delayed envelopes park in a
-// reusable ring (delayRing, one slot per future round, recycled like
-// the single-port rings of ports.go), so the hot path stays
-// allocation-free in steady state.
+// reusable ring (delayRing, one bucket per future round and delay,
+// recycled like the single-port rings of ports.go), so the hot path
+// stays allocation-free in steady state.
 //
 // Accounting: Metrics counts traffic at send time, after the node
 // level but before the link level — a message a correct node sends
@@ -89,25 +86,34 @@ func (NoFailures) FilterSend(_ int, _ NodeID, outbox []Envelope) ([]Envelope, bo
 var _ LinkFault = NoFailures{}
 
 // delayRing buffers in-flight delayed messages — Envelopes on the scalar
-// engines, word-wide SlicedMsgs on the sliced one: one reusable
-// slot per future round, indexed by arrival round modulo the window size
-// (MaxDelay+1). Slots keep their capacity across rounds, so after the
-// run's peak in-flight volume the ring never touches the allocator — the
-// same recycling discipline as the single-port rings in ports.go.
+// engine, word-wide SlicedMsgs on the sliced one — in one bucket per
+// (arrival round mod (D+1), delay k), D the run's MaxDelay. A bucket is
+// filled in one round (its arrival round minus k) by a send loop that
+// runs in sender order, so it is sorted by sender. Buckets keep their
+// capacity, so after the run's peak in-flight volume the ring never
+// touches the allocator — like the single-port rings in ports.go.
 type delayRing[T any] struct {
-	slots [][]T
+	d     int
+	slots [][]T // bucket (a mod (d+1))·d + k−1: arrival round a, delay k
+	at    []int // at[k]: the bucket this round's delay-k pushes fill
+	runs  [][]T // what take returns: one round's buckets, oldest first
 }
 
 // recycle returns the ring for a run whose filter delays by at most
-// maxDelay: nil when nothing can be delayed, d itself emptied — slot
+// maxDelay: nil when nothing can be delayed, d itself emptied — bucket
 // capacity kept; a previous run may have completed with messages still
 // in flight — when its window already fits, a fresh ring otherwise.
 func (d *delayRing[T]) recycle(maxDelay int) *delayRing[T] {
 	switch {
 	case maxDelay <= 0:
 		return nil
-	case d == nil || len(d.slots) != maxDelay+1:
-		return &delayRing[T]{slots: make([][]T, maxDelay+1)}
+	case d == nil || d.d != maxDelay:
+		return &delayRing[T]{
+			d:     maxDelay,
+			slots: make([][]T, (maxDelay+1)*maxDelay),
+			at:    make([]int, maxDelay+1),
+			runs:  make([][]T, maxDelay),
+		}
 	}
 	for i := range d.slots {
 		d.slots[i] = d.slots[i][:0]
@@ -125,46 +131,56 @@ func (d *delayRing[T]) empty() bool {
 	return true
 }
 
-// push parks a message for delivery at the given arrival round. The
-// arrival must lie within (round, round+MaxDelay] of the current round;
-// the engine validates the verdict before pushing.
-func (d *delayRing[T]) push(arrival int, m T) {
-	i := arrival % len(d.slots)
+// take returns the messages arriving at round r as D runs, oldest first
+// (sent at r−D … r−1), recycles their buckets and aims round r's pushes,
+// so push does no division. The engines call it atop every round they
+// execute; the runs stay valid through round r, whose pushes land in
+// other buckets.
+func (d *delayRing[T]) take(r int) [][]T {
+	w := d.d + 1
+	for k := 1; k <= d.d; k++ {
+		i := r%w*d.d + k - 1
+		d.runs[d.d-k] = d.slots[i]
+		d.slots[i] = d.slots[i][:0]
+		d.at[k] = (r+k)%w*d.d + k - 1
+	}
+	return d.runs
+}
+
+// push parks a message delayed by k rounds, 1 ≤ k ≤ MaxDelay, from the
+// round of the last take; the engine validates the verdict first.
+func (d *delayRing[T]) push(k int, m T) {
+	i := d.at[k]
 	d.slots[i] = append(d.slots[i], m)
 }
 
-// take returns the messages arriving at the given round and recycles
-// the slot. The returned slice is valid until the slot's round comes
-// up again, which is at least MaxDelay rounds away.
-func (d *delayRing[T]) take(round int) []T {
-	i := round % len(d.slots)
-	arrivals := d.slots[i]
-	d.slots[i] = arrivals[:0]
-	return arrivals
-}
-
-// scrub empties every slot and zeroes its storage, so an idle arena
+// scrub empties every bucket and zeroes its storage, so an idle arena
 // pins no payload.
 func (d *delayRing[T]) scrub() {
 	for i, slot := range d.slots {
 		clear(slot[:cap(slot)])
 		d.slots[i] = slot[:0]
 	}
+	clear(d.runs)
 }
 
-// injectArrivals stages the delayed messages arriving at round r and
-// returns how many there were. state.round calls it first thing after
-// beginRound, so arrivals precede the round's fresh sends in the
-// staged buffer; a positive count obliges the caller to re-sort the
-// buffer by sender before placing inboxes. Messages still in flight
-// when the run completes are lost, like messages to crashed nodes.
-func (s *state) injectArrivals(r int) int {
-	if s.ring == nil {
-		return 0
+// injectArrivals stages sender id's share of this round's delayed
+// arrivals — each run's prefix from id, oldest run first. The send loop
+// calls it for every id, dead ones too, ahead of id's fresh sends, so
+// the staged buffer is sorted by sender and then by send round, the
+// order Deliver promises, with no sort. Messages still in flight when
+// the run completes are lost, like messages to crashed nodes.
+func (s *state) injectArrivals(runs [][]Envelope, id NodeID) {
+	for i, run := range runs {
+		j := 0
+		for j < len(run) && run[j].From == id {
+			j++
+		}
+		if j > 0 {
+			s.scratch.stage(run[:j]...)
+			runs[i] = run[j:]
+		}
 	}
-	arrivals := s.ring.take(r)
-	s.scratch.stage(arrivals...)
-	return len(arrivals)
 }
 
 // stageFiltered routes one sender's fault-surviving envelopes through
@@ -189,17 +205,8 @@ func (s *state) stageFiltered(r int, deliver []Envelope) error {
 			if k > s.maxDelay {
 				return fmt.Errorf("sim: link fault delayed an envelope by %d rounds, beyond its MaxDelay of %d", k, s.maxDelay)
 			}
-			s.ring.push(r+k, deliver[i])
+			s.ring.push(k, deliver[i])
 		}
 	}
 	return nil
-}
-
-// sortStagedBySender restores the staged buffer's sender order after
-// delayed arrivals were injected ahead of the round's fresh sends. The
-// sort is stable, so messages from the same sender stay in
-// chronological (send-round) order — the tie-break the Deliver
-// contract promises. In-place symmerge; no allocation.
-func sortStagedBySender(flat []Envelope) {
-	slices.SortStableFunc(flat, func(a, b Envelope) int { return a.From - b.From })
 }

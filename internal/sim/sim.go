@@ -643,23 +643,28 @@ func (s *state) round(r int) error {
 	single := s.cfg.SinglePort
 	obs := s.cfg.Observer
 
-	// Delayed arrivals scheduled for this round enter the staged
-	// buffer ahead of the round's fresh sends; the stable sender sort
-	// below restores the delivery-order guarantee.
-	arrivals := s.injectArrivals(r)
+	// Delayed arrivals scheduled for this round, spliced into the
+	// staged buffer sender by sender below.
+	var arrivals [][]Envelope
+	if s.ring != nil {
+		arrivals = s.ring.take(r)
+	}
 
 	// Send phase. Collect each alive node's outbox, check and size it
 	// in one walk, apply the node-level fault and book the surviving
 	// envelopes' traffic, in sender order. Without a link filter the
 	// walk counts the outbox per destination and the survivors are
-	// recorded in place; with one, the filter's verdicts stage, drop or
-	// park each, and staging counts what it stages.
+	// recorded in place; with one, each sender's delayed arrivals are
+	// staged ahead of its own sends (a dead sender's too), the filter's
+	// verdicts stage, drop or park each of those, and staging counts what
+	// it stages.
 	counts := sc.counts
 	if s.filter != nil {
 		counts = nil
 	}
 	crashedNow := s.crashedNow[:0]
 	for id := 0; id < s.n; id++ {
+		s.injectArrivals(arrivals, id)
 		if !s.alive(id) {
 			continue
 		}
@@ -700,9 +705,6 @@ func (s *state) round(r int) error {
 		s.metrics.PerPart[s.label] += msgs
 	}
 	if s.filter != nil {
-		if arrivals > 0 {
-			sortStagedBySender(sc.flat)
-		}
 		sc.outs = append(sc.outs, sc.flat)
 	}
 

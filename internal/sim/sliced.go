@@ -252,7 +252,6 @@ type slicedState struct {
 	roundsDone [64]int
 
 	staged     []SlicedMsg
-	sorted     []SlicedMsg // sortBySender's second buffer
 	inbox      []SlicedMsg
 	counts     []int32
 	offs       []int32
@@ -435,18 +434,16 @@ func (s *slicedState) escape(m uint64) {
 }
 
 // round executes one lock-step round across all active lanes, phase
-// order exactly matching the scalar engine: delayed arrivals, sends
-// with node-level crash truncation and link-level verdicts, crash
-// application, sender-order restore, scatter, delivery, halt
-// detection, metrics flush.
+// order exactly matching the scalar engine: sends, each node's delayed
+// arrivals spliced ahead of its fresh segment, with node-level crash
+// truncation and link-level verdicts on that segment; crash
+// application, scatter, delivery, halt detection, metrics flush.
 func (s *slicedState) round(r int) error {
 	exec := s.active
 	s.staged = s.staged[:0]
-	arrivals := 0
+	var arrivals [][]SlicedMsg
 	if s.ring != nil {
-		arr := s.ring.take(r)
-		s.staged = append(s.staged, arr...)
-		arrivals = len(arr)
+		arrivals = s.ring.take(r)
 	}
 
 	// The crash events entering this round, sorted by node: consumed by
@@ -460,11 +457,23 @@ func (s *slicedState) round(r int) error {
 	s.crashedNow = s.crashedNow[:0]
 	s.kern.beginRound(r)
 
-	// Send phase: one SlicedSend per node with any alive lane, then the
-	// node's crash events truncate per-lane keep prefixes, traffic is
-	// tallied post-crash pre-filter (the scalar accounting point), and
-	// link verdicts split the staged words.
+	// Send phase: the node's delayed arrivals — each run's prefix from
+	// node, oldest run first, so the buffer stays sorted by sender and
+	// then by send round — then one SlicedSend per node with any alive
+	// lane; the node's crash events truncate per-lane keep prefixes of
+	// that fresh segment, its traffic is tallied post-crash pre-filter
+	// (the scalar accounting point), and link verdicts split its words.
 	for node := 0; node < s.n; node++ {
+		for i, run := range arrivals {
+			j := 0
+			for j < len(run) && int(run[j].From) == node {
+				j++
+			}
+			if j > 0 {
+				s.staged = append(s.staged, run[:j]...)
+				arrivals[i] = run[j:]
+			}
+		}
 		am := s.active &^ s.crashedL[node] &^ s.haltedL[node]
 		start := len(s.staged)
 		if am != 0 {
@@ -525,12 +534,6 @@ func (s *slicedState) round(r int) error {
 		}
 	}
 
-	if arrivals > 0 {
-		// Delayed arrivals were staged ahead of the round's fresh sends;
-		// the stable sender sort restores per-lane delivery order (same
-		// contract as sortStagedBySender).
-		s.sortBySender()
-	}
 	s.place()
 
 	// Deliver phase, in node order.
@@ -681,7 +684,7 @@ func (s *slicedState) filterSegment(r int, seg []SlicedMsg) error {
 			now &^= late
 			for k := 1; k <= s.maxDelay; k++ {
 				if l := s.delayLanes[k]; l != 0 {
-					s.ring.push(r+k, SlicedMsg{From: m.From, To: m.To, Lanes: l, Bits: m.Bits & l, Tag: m.Tag})
+					s.ring.push(k, SlicedMsg{From: m.From, To: m.To, Lanes: l, Bits: m.Bits & l, Tag: m.Tag})
 				}
 				s.delayLanes[k] = 0
 			}
@@ -690,33 +693,6 @@ func (s *slicedState) filterSegment(r int, seg []SlicedMsg) error {
 		m.Bits &= now
 	}
 	return nil
-}
-
-// sortBySender is a stable counting sort of the staged buffer on From,
-// into the arena's second buffer: O(messages + n) where a comparison
-// sort paid a log factor on every round with delayed arrivals. Messages
-// whose lane mask emptied are dropped on the way, as place would.
-func (s *slicedState) sortBySender() {
-	offs := s.offs[:s.n+1]
-	clear(offs)
-	for i := range s.staged {
-		if s.staged[i].Lanes != 0 {
-			offs[s.staged[i].From+1]++
-		}
-	}
-	for i := 0; i < s.n; i++ {
-		offs[i+1] += offs[i]
-	}
-	s.sorted = growSlice(s.sorted, int(offs[s.n]))
-	for i := range s.staged {
-		m := &s.staged[i]
-		if m.Lanes == 0 {
-			continue
-		}
-		s.sorted[offs[m.From]] = *m
-		offs[m.From]++
-	}
-	s.staged, s.sorted = s.sorted, s.staged
 }
 
 // place scatters the staged buffer into per-destination inbox segments
