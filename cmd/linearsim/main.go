@@ -131,8 +131,7 @@ func runSeedsSummary(kind string, sp scenario.Spec, seeds int) error {
 		rounds += float64(r.Metrics.Rounds)
 		msgs += float64(r.Metrics.Messages)
 		bits += float64(r.Metrics.Bits)
-		sp.Seed = list[i]
-		verdict, _ := scenario.Verdict(sp, r)
+		verdict, _ := scenario.Verdict(r)
 		counts[verdict]++
 	}
 	fmt.Printf("%-10s n=%d t=%d seeds=%d (%d..%d)\n", kind, sp.N, sp.T, seeds, list[0], list[len(list)-1])

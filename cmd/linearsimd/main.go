@@ -17,8 +17,7 @@
 //	DELETE /v1/campaigns/{id}  cancel a running campaign (checkpointed, resumable)
 //	GET    /healthz            liveness: the process serves HTTP (reports drain state)
 //	GET    /readyz             readiness: 503 during startup and shutdown drain
-//	GET    /statsz             cache / coalescer / queue / campaign counters (JSON)
-//	GET    /metrics            the same counters plus engine/request metrics, Prometheus text
+//	GET    /metrics            cache / coalescer / queue / campaign / engine / request metrics, Prometheus text
 //
 // Observability: -log-format json emits one structured line per request
 // (method, path, run key, cache verdict, status, duration); -pprof-addr

@@ -290,7 +290,7 @@ func (c *Controller) evaluate(ctx context.Context, batch []Candidate) []Result {
 		}
 		reps, errs := c.batchRun(ctx, sps)
 		for i := range batch {
-			out[i] = score(batch[i], sps[i], reps[i], errs[i])
+			out[i] = score(batch[i], reps[i], errs[i])
 		}
 		return out
 	}
@@ -308,22 +308,21 @@ func (c *Controller) evaluate(ctx context.Context, batch []Candidate) []Result {
 
 // evalOne runs one candidate and scores the outcome.
 func (c *Controller) evalOne(ctx context.Context, cand Candidate) Result {
-	sp := c.specFor(cand.fm)
-	rep, err := c.run(ctx, sp)
-	return score(cand, sp, rep, err)
+	rep, err := c.run(ctx, c.specFor(cand.fm))
+	return score(cand, rep, err)
 }
 
-// score turns one candidate's run of sp into a Result, judged by
+// score turns one candidate's run into a Result, judged by
 // scenario.Verdict. A run that exceeds its round budget is the liveness
 // violation the campaign is hunting, not an error.
-func score(cand Candidate, sp scenario.Spec, rep *scenario.Report, err error) Result {
+func score(cand Candidate, rep *scenario.Report, err error) Result {
 	res := Result{Fault: cand.Fault, Key: cand.Key, Level: cand.Level}
 	switch {
 	case err == nil:
 		res.Rounds = rep.Metrics.Rounds
 		res.Messages = rep.Metrics.Messages
 		res.Bits = rep.Metrics.Bits
-		verdict, violated := scenario.Verdict(sp, rep)
+		verdict, violated := scenario.Verdict(rep)
 		res.Verdict = verdict
 		if violated {
 			res.Outcome = OutcomeViolated

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 )
 
@@ -44,12 +45,13 @@ type Violation struct {
 	Detail    string
 }
 
-// Check judges a finished run of sp by its report: it recomputes every
+// Check judges a finished run of sp by its report: it computes every
 // verdict from the report's raw outcome fields — decisions, views, the
 // agreed set or tally, the crash list — and the spec's inputs, never
-// from the booleans the outcome precomputes, and returns the guarantees
-// the run broke. The one exception is majority voting's agreement, for
-// which the report keeps no per-node evidence: its flag is read, and the
+// from the outcome's flags, and returns the guarantees the run broke.
+// It is the one judge: Run and ExecuteBatch fill the flags from it. The
+// one exception is majority voting's agreement, for which the report
+// keeps no per-node evidence: its decoder's flag is read, and the
 // agreed tally is checked against the inputs. A report of a spec that
 // cannot run yields a Bounds violation.
 func Check(sp Spec, rep *Report) []Violation {
@@ -67,11 +69,17 @@ func Check(sp Spec, rep *Report) []Violation {
 		add(Bounds, "%d rounds, budget %d", rep.Metrics.Rounds, budget)
 	}
 	var sum int64
-	for _, name := range slices.Sorted(maps.Keys(rep.Metrics.PerPart)) {
-		m := rep.Metrics.PerPart[name]
+	overbooked := false
+	for name, m := range rep.Metrics.PerPart {
 		sum += m
-		if bound := parts.Bound(name); m > bound {
-			add(Bounds, "%d messages in part %q, bound %d", m, name, bound)
+		overbooked = overbooked || m > parts.Bound(name)
+	}
+	if overbooked {
+		// Sorted only now: a clean run pays for no name slice.
+		for _, name := range slices.Sorted(maps.Keys(rep.Metrics.PerPart)) {
+			if m, bound := rep.Metrics.PerPart[name], parts.Bound(name); m > bound {
+				add(Bounds, "%d messages in part %q, bound %d", m, name, bound)
+			}
 		}
 	}
 	if sum > rep.Metrics.Messages {
@@ -119,27 +127,50 @@ func Check(sp Spec, rep *Report) []Violation {
 			add(Validity, "survivor %d decided %d, nobody's input", invented, ds[invented])
 		}
 	case rep.Gossip != nil:
+		// Nodes with equal views may share one map, so each distinct map
+		// is judged once and its verdict reported for every survivor
+		// that reads it: a complete run costs one n-entry scan, not n.
+		type judged struct {
+			view           uintptr // the map's identity
+			missing, first int     // how many survivors' rumors it lacks; the first
+			bad            int     // its least key mapped to a wrong rumor, if corrupt
+			corrupt        bool
+		}
+		var buf [4]judged
+		seen := buf[:0]
 		for i, view := range rep.Gossip.Extant {
 			if crashed[i] {
 				continue
 			}
-			missing, first := 0, 0
-			for j := range sp.N {
-				if _, ok := view[j]; !ok && !crashed[j] {
-					if missing == 0 {
-						first = j
+			id := reflect.ValueOf(view).Pointer()
+			k := len(seen) - 1
+			for k >= 0 && seen[k].view != id {
+				k--
+			}
+			if k < 0 {
+				v := judged{view: id}
+				for j := range sp.N {
+					if _, ok := view[j]; !ok && !crashed[j] {
+						if v.missing == 0 {
+							v.first = j
+						}
+						v.missing++
 					}
-					missing++
 				}
-			}
-			if missing > 0 {
-				add(Completeness, "survivor %d's view lacks %d survivors' rumors, %d's first", i, missing, first)
-			}
-			for j, v := range view {
-				if j < 0 || j >= sp.N || v != sp.Rumors[j] {
-					add(Integrity, "survivor %d's view maps %d to %d", i, j, v)
-					break
+				for j, r := range view {
+					if (j < 0 || j >= sp.N || r != sp.Rumors[j]) && (!v.corrupt || j < v.bad) {
+						v.corrupt, v.bad = true, j
+					}
 				}
+				seen = append(seen, v)
+				k = len(seen) - 1
+			}
+			v := seen[k]
+			if v.missing > 0 {
+				add(Completeness, "survivor %d's view lacks %d survivors' rumors, %d's first", i, v.missing, v.first)
+			}
+			if v.corrupt {
+				add(Integrity, "survivor %d's view maps %d to %d", i, v.bad, view[v.bad])
 			}
 		}
 	case rep.Checkpoint != nil:
@@ -198,7 +229,7 @@ func Check(sp Spec, rep *Report) []Violation {
 			add(Completeness, "%d ballots for %d survivors", m.Ballots, survivors)
 		}
 	case rep.Subroutine != nil:
-		if d := rep.Subroutine.Deciders; 5*d < 3*sp.N {
+		if d := rep.Subroutine.Deciders; tooFewDeciders(d, sp.N) {
 			add(Deciders, "%d deciders of n=%d, want ≥ 3n/5", d, sp.N)
 		}
 	}
@@ -208,30 +239,62 @@ func Check(sp Spec, rep *Report) []Violation {
 	return vs
 }
 
-// Verdict renders Check's judgement of a finished run of sp as the one
-// line campaigns, sweeps and linearsim -seeds print, and reports whether
-// the run broke its problem's headline guarantee: agreement (an
-// undecided survivor breaks it too) and validity for consensus,
-// completeness for gossip, agreement for checkpointing, Byzantine
-// consensus and majority voting, and the 3n/5 deciders for the
-// subroutines. Checkpoint and ballot-set completeness, integrity and
-// the bounds are Check's alone; they never flip a verdict.
-func Verdict(sp Spec, rep *Report) (text string, violated bool) {
-	broke := make(map[Guarantee]bool)
+// judge fills the outcome flags of rep, a finished run of sp, from
+// Check: agreement (an undecided survivor breaks it too) and validity
+// for consensus, completeness for gossip, agreement for checkpointing
+// and Byzantine consensus. Majority's agreement is its decoder's, which
+// Check reads. Run and ExecuteBatch judge every report they decode once.
+func judge(sp Spec, rep *Report) {
+	agreed, valid, complete := true, true, true
 	for _, v := range Check(sp, rep) {
-		broke[v.Guarantee] = true
+		switch v.Guarantee {
+		case Agreement, Termination:
+			agreed = false
+		case Validity:
+			valid = false
+		case Completeness:
+			complete = false
+		}
 	}
-	agreed := !broke[Agreement] && !broke[Termination]
 	switch {
 	case rep.Consensus != nil:
-		return fmt.Sprintf("agreement=%v validity=%v", agreed, !broke[Validity]), !agreed || broke[Validity]
+		rep.Consensus.Agreement, rep.Consensus.Validity = agreed, valid
 	case rep.Gossip != nil:
-		return fmt.Sprintf("complete=%v", !broke[Completeness]), broke[Completeness]
-	case rep.Checkpoint != nil, rep.Byzantine != nil, rep.Majority != nil:
-		return fmt.Sprintf("agreement=%v", agreed), !agreed
+		rep.Gossip.Complete = complete
+	case rep.Checkpoint != nil:
+		rep.Checkpoint.Agreement = agreed
+	case rep.Byzantine != nil:
+		rep.Byzantine.Agreement = agreed
+	}
+}
+
+// Verdict renders a judged report's outcome flags as the one line
+// campaigns, sweeps and linearsim -seeds print, and reports whether the
+// run broke its problem's headline guarantee: the flags judge filled
+// from Check (majority's from its decoder), and the 3n/5 deciders for
+// the subroutines. Checkpoint and ballot-set completeness, integrity
+// and the bounds are Check's alone; they never flip a verdict.
+func Verdict(rep *Report) (text string, violated bool) {
+	switch {
+	case rep.Consensus != nil:
+		c := rep.Consensus
+		return fmt.Sprintf("agreement=%v validity=%v", c.Agreement, c.Validity), !c.Agreement || !c.Validity
+	case rep.Gossip != nil:
+		return fmt.Sprintf("complete=%v", rep.Gossip.Complete), !rep.Gossip.Complete
+	case rep.Checkpoint != nil:
+		return fmt.Sprintf("agreement=%v", rep.Checkpoint.Agreement), !rep.Checkpoint.Agreement
+	case rep.Byzantine != nil:
+		return fmt.Sprintf("agreement=%v", rep.Byzantine.Agreement), !rep.Byzantine.Agreement
+	case rep.Majority != nil:
+		return fmt.Sprintf("agreement=%v", rep.Majority.Agreement), !rep.Majority.Agreement
 	case rep.Subroutine != nil:
-		return fmt.Sprintf("deciders=%d all_decided=%v", rep.Subroutine.Deciders, rep.Subroutine.AllDecided), broke[Deciders]
+		d := rep.Subroutine.Deciders
+		return fmt.Sprintf("deciders=%d all_decided=%v", d, rep.Subroutine.AllDecided), tooFewDeciders(d, rep.N)
 	default:
 		return "-", false
 	}
 }
+
+// tooFewDeciders reports whether d deciders of n miss the subroutines'
+// 3n/5.
+func tooFewDeciders(d, n int) bool { return 5*d < 3*n }

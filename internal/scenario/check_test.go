@@ -1,9 +1,8 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
-	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -56,15 +55,18 @@ func allCrashedSpecs() []Spec {
 }
 
 // TestCheckNoSurvivorIsVacuous runs every crash-tolerant row with every
-// node crashed: with nobody left to decide, no survivor guarantee is
-// violated — in particular no checkpoint row reports a missing common
-// set. The subroutines' 3n/5 deciders are a count over all n nodes, so
-// crashing all of them breaks that one honestly.
+// node crashed, through ExecuteBatch: with nobody left to decide, no
+// survivor guarantee is violated — in particular no checkpoint row
+// reports a missing common set — and the verdict the judged flags give
+// holds. The subroutines' 3n/5 deciders are a count over all n nodes,
+// so crashing all of them breaks that one honestly.
 func TestCheckNoSurvivorIsVacuous(t *testing.T) {
-	for _, sp := range allCrashedSpecs() {
-		rep, err := Run(sp)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
+	sps := allCrashedSpecs()
+	reps, errs := ExecuteBatch(sps)
+	for i, sp := range sps {
+		rep := reps[i]
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", sp.Name, errs[i])
 		}
 		if len(rep.Crashed) != sp.N {
 			t.Fatalf("%s: %d of %d nodes crashed", sp.Name, len(rep.Crashed), sp.N)
@@ -74,77 +76,10 @@ func TestCheckNoSurvivorIsVacuous(t *testing.T) {
 				t.Errorf("%s: a run with no survivor judged %v", sp.Name, v)
 			}
 		}
-	}
-}
-
-// flagVerdict is the verdict the outcome booleans give — the reference
-// Verdict must reproduce, kept here so the two can be compared.
-func flagVerdict(rep *Report) (string, bool) {
-	switch {
-	case rep.Consensus != nil:
-		v := fmt.Sprintf("agreement=%v validity=%v", rep.Consensus.Agreement, rep.Consensus.Validity)
-		return v, !rep.Consensus.Agreement || !rep.Consensus.Validity
-	case rep.Gossip != nil:
-		return fmt.Sprintf("complete=%v", rep.Gossip.Complete), !rep.Gossip.Complete
-	case rep.Checkpoint != nil:
-		return fmt.Sprintf("agreement=%v", rep.Checkpoint.Agreement), !rep.Checkpoint.Agreement
-	case rep.Byzantine != nil:
-		return fmt.Sprintf("agreement=%v", rep.Byzantine.Agreement), !rep.Byzantine.Agreement
-	case rep.Majority != nil:
-		return fmt.Sprintf("agreement=%v", rep.Majority.Agreement), !rep.Majority.Agreement
-	case rep.Subroutine != nil:
-		v := fmt.Sprintf("deciders=%d all_decided=%v", rep.Subroutine.Deciders, rep.Subroutine.AllDecided)
-		return v, 5*rep.Subroutine.Deciders < 3*rep.N
-	default:
-		return "-", false
-	}
-}
-
-// TestVerdictMatchesOutcomeFlags requires Verdict, which reads only
-// Check, to render every run exactly as the outcome booleans do — text
-// and violated flag — over the Check suite's runs, every registry row
-// at three sizes, and the runs with no survivor. The checkpoint,
-// Byzantine, majority and subroutine rows are pinned by no golden
-// output; this is where their verdicts are.
-func TestVerdictMatchesOutcomeFlags(t *testing.T) {
-	seeds, sizes := 8, []int{96, 128, 192}
-	if testing.Short() || raceEnabled {
-		// The sizes add ≈ 20 s of the O(n³) Dolev–Strong comparator,
-		// and the race detector has nothing to find in a verdict.
-		seeds, sizes = 2, nil
-	}
-	sps := checkSpecs(seeds)
-	for _, n := range sizes {
-		for _, d := range All() {
-			tt := n / 6
-			if d.Problem == ByzantineConsensus {
-				tt = int(math.Sqrt(float64(n)) / 2) // the §7 range, t = O(√n)
-			}
-			sps = append(sps, d.Spec(n, tt, 1))
+		if text, violated := Verdict(rep); violated != (rep.Subroutine != nil) {
+			t.Errorf("%s: a run with no survivor rendered %q, violated=%v", sp.Name, text, violated)
 		}
 	}
-	sps = append(sps, allCrashedSpecs()...)
-	reps, errs := ExecuteBatch(sps)
-	judged, violated := 0, 0
-	for i, sp := range sps {
-		if errors.Is(errs[i], sim.ErrNoTermination) {
-			continue
-		}
-		if errs[i] != nil {
-			t.Fatalf("%s n=%d seed=%#x: %v", sp.Name, sp.N, sp.Seed, errs[i])
-		}
-		wantText, wantViolated := flagVerdict(reps[i])
-		text, v := Verdict(sp, reps[i])
-		if text != wantText || v != wantViolated {
-			t.Errorf("%s n=%d fault=%v seed=%#x: Verdict %q violated=%v, outcome flags %q violated=%v",
-				sp.Name, sp.N, sp.Fault.Kind, sp.Seed, text, v, wantText, wantViolated)
-		}
-		judged++
-		if v {
-			violated++
-		}
-	}
-	t.Logf("%d runs judged, %d violated", judged, violated)
 }
 
 // TestCheckRegistry runs every registry row × 8 seeds (2 under -short),
@@ -241,6 +176,8 @@ func TestCheckCatchesDoctoredReports(t *testing.T) {
 			}
 			r.Gossip.Extant[2] = view
 		}, Integrity},
+		{"gossip shared view lost rumor", "gossip/expander", nil, func(r *Report) { delete(r.Gossip.Extant[2], 9) }, Completeness},
+		{"gossip shared view invented rumor", "gossip/all-to-all", nil, func(r *Report) { r.Gossip.Extant[2][5]++ }, Integrity},
 		{"checkpoint split", "checkpoint/direct", nil, func(r *Report) { r.Checkpoint.ExtantSet = nil }, Agreement},
 		{"checkpoint lost survivor", "checkpoint/expander", crashOne, func(r *Report) {
 			r.Checkpoint.ExtantSet = slices.DeleteFunc(slices.Clone(r.Checkpoint.ExtantSet), func(i int) bool { return i == 11 })
@@ -262,6 +199,17 @@ func TestCheckCatchesDoctoredReports(t *testing.T) {
 	}
 	for _, c := range cases {
 		sp, rep := run(c.row, c.edit)
+		// An honest gossip run here is complete, so its survivors share
+		// one view map: the shared-view cases edit it in place.
+		var view uintptr
+		if rep.Gossip != nil {
+			view = reflect.ValueOf(rep.Gossip.Extant[2]).Pointer()
+			for i, v := range rep.Gossip.Extant {
+				if v != nil && reflect.ValueOf(v).Pointer() != view {
+					t.Fatalf("%s: survivor %d's view is not survivor 2's map", c.name, i)
+				}
+			}
+		}
 		c.doctor(rep)
 		vs := Check(sp, rep)
 		if len(vs) == 0 {
@@ -270,6 +218,27 @@ func TestCheckCatchesDoctoredReports(t *testing.T) {
 		for _, v := range vs {
 			if v.Guarantee != c.want {
 				t.Fatalf("%s: %v, want only %s violations", c.name, vs, c.want)
+			}
+		}
+		// A gossip doctor edits survivor 2's view: each survivor that
+		// reads the doctored map is flagged, in order, and nobody else —
+		// survivor 2 alone for a fresh map, everyone for the shared one.
+		if rep.Gossip == nil {
+			continue
+		}
+		var readers []int
+		view = reflect.ValueOf(rep.Gossip.Extant[2]).Pointer()
+		for i, v := range rep.Gossip.Extant {
+			if v != nil && reflect.ValueOf(v).Pointer() == view {
+				readers = append(readers, i)
+			}
+		}
+		if len(vs) != len(readers) {
+			t.Fatalf("%s: %d violations for the %d survivors reading the view: %v", c.name, len(vs), len(readers), vs)
+		}
+		for k, i := range readers {
+			if want := fmt.Sprintf("survivor %d's view ", i); !strings.HasPrefix(vs[k].Detail, want) {
+				t.Fatalf("%s: violation %d is %q, want survivor %d's", c.name, k, vs[k].Detail, i)
 			}
 		}
 	}
@@ -324,31 +293,60 @@ func TestCheckFlagsPartFanOut(t *testing.T) {
 	}
 }
 
-// BenchmarkCheck times Check alone on finished reports of three
-// repository benchmark shapes: serve-cold (few-crashes n=256 t=50 under
-// random crashes), serve-heavy (gossip/expander n=128 t=24) and one
-// omission lane of the batch-lanes call (gossip/expander n=192 t=36).
-// It prices filling the outcome flags from Check after every run.
+type checkShape struct {
+	name string
+	sp   Spec
+	rep  *Report
+}
+
+// checkShapes are finished reports of three repository benchmark
+// shapes, none of which breaks a guarantee: serve-cold (few-crashes
+// n=256 t=50 under random crashes), serve-heavy (gossip/expander n=128
+// t=24) and one omission lane of the batch-lanes call (gossip/expander
+// n=192 t=36).
+func checkShapes(tb testing.TB) []checkShape {
+	tb.Helper()
+	shapes := []checkShape{
+		{name: "serve-cold", sp: serveColdSpec(tb, 7)},
+		{name: "serve-heavy", sp: MustLookup("gossip/expander").Spec(128, 24, 0x4ea0_0001)},
+		{name: "batch-lanes-omission", sp: linkFaultBatch(tb, 0x6a55_1000, 1)[0]},
+	}
+	for i := range shapes {
+		c := &shapes[i]
+		rep, err := Run(c.sp)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if vs := Check(c.sp, rep); len(vs) > 0 {
+			tb.Fatalf("%s: %v", c.name, vs)
+		}
+		c.rep = rep
+	}
+	return shapes
+}
+
+// TestCheckAllocs bounds what judging a clean run costs every Run: on
+// each benchmark shape, Check allocates at most the crash mask and one
+// spill of its distinct-view list.
+func TestCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, c := range checkShapes(t) {
+		if a := testing.AllocsPerRun(20, func() { Check(c.sp, c.rep) }); a > 2 {
+			t.Errorf("%s: Check allocates %.0f objects on a clean run, want ≤ 2", c.name, a)
+		}
+	}
+}
+
+// BenchmarkCheck times Check alone on checkShapes' reports: what
+// judging adds to each Run.
 func BenchmarkCheck(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		sp   Spec
-	}{
-		{"serve-cold", serveColdSpec(b, 7)},
-		{"serve-heavy", MustLookup("gossip/expander").Spec(128, 24, 0x4ea0_0001)},
-		{"batch-lanes-omission", linkFaultBatch(b, 0x6a55_1000, 1)[0]},
-	} {
+	for _, c := range checkShapes(b) {
 		b.Run(c.name, func(b *testing.B) {
-			rep, err := Run(c.sp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if vs := Check(c.sp, rep); len(vs) > 0 {
-				b.Fatalf("%v", vs)
-			}
 			b.ReportAllocs()
 			for b.Loop() {
-				Check(c.sp, rep)
+				Check(c.sp, c.rep)
 			}
 		})
 	}

@@ -203,8 +203,9 @@ func TestSlicedChunkFallbacks(t *testing.T) {
 	}
 }
 
-// TestConsensusOutcomeEdges pins the one consensus decoder's agreement
-// and validity rules directly, on the cases the goldens never reach.
+// TestConsensusOutcomeEdges pins the consensus decode and the agreement
+// and validity flags judge fills from Check, on the cases the goldens
+// never reach.
 func TestConsensusOutcomeEdges(t *testing.T) {
 	const n = 4
 	set := func(ids ...int) *bitset.Set {
@@ -244,7 +245,12 @@ func TestConsensusOutcomeEdges(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := consensusOutcome(n, c.crashed, c.inputs, decide(c.values))
+			sp := MustLookup("consensus/flooding").Spec(n, 1, 1)
+			sp.BoolInputs = c.inputs
+			rep := &Report{Crashed: c.crashed.Elements()}
+			rep.Consensus = consensusOutcome(n, c.crashed, decide(c.values))
+			judge(sp, rep)
+			got := rep.Consensus
 			want := &ConsensusOutcome{Decisions: c.decisions, Agreement: c.agreement, Validity: c.validity}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("got %+v, want %+v", got, want)

@@ -374,7 +374,7 @@ func e8() Experiment {
 					if err != nil {
 						return "", err
 					}
-					_, violated := scenario.Verdict(sp, rep)
+					_, violated := scenario.Verdict(rep)
 					return fmt.Sprintf("| %d | %d | %s | %d | %d | %d | %v |",
 						p.n, t, p.s, rep.Metrics.Rounds, rep.Metrics.Messages,
 						t*t+p.n, !violated), nil
@@ -513,7 +513,7 @@ func e12() Experiment {
 					}
 					// Degradation is a result here, not an error: the
 					// paper's algorithms are designed for crashes.
-					verdict, _ := scenario.Verdict(sp, rep)
+					verdict, _ := scenario.Verdict(rep)
 					return fmt.Sprintf("| %s | %d | %d | %s | %d | %d | %s |",
 						name, n, t, faultLabel(d.Fault),
 						rep.Metrics.Rounds, rep.Metrics.Messages, verdict), nil
@@ -574,7 +574,7 @@ func e13() Experiment {
 						if err != nil {
 							return "", err
 						}
-						verdict, _ := scenario.Verdict(sp, rep)
+						verdict, _ := scenario.Verdict(rep)
 						return fmt.Sprintf("| %s | %d | %d | %s | %d | %d | %s |",
 							name, n, t, faultLabel(d.Fault),
 							rep.Metrics.Rounds, rep.Metrics.Messages, verdict), nil

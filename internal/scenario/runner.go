@@ -154,6 +154,7 @@ func runSpec(sp Spec, wrap func([]sim.Protocol) []sim.Protocol) (*Report, *sim.R
 	t1 := time.Now()
 	rep := newReport(sp, res.Metrics, res.Crashed)
 	sys.finish(res, rep)
+	judge(sp, rep)
 	if tr != nil {
 		tr.StageDuration(obs.StageDecode, time.Since(t1))
 	}
@@ -306,38 +307,18 @@ func (sp Spec) newBroadcastTopology() (*consensus.Topology, error) {
 
 // consensusOutcome decodes a finished consensus run into its outcome.
 // decision(i) is survivor i's decided value, ok=false while undecided.
-// Agreement: every survivor decided, and on one value. Validity: every
-// decided value is some node's input.
-func consensusOutcome(n int, crashed *bitset.Set, inputs []bool, decision func(i int) (value, ok bool)) *ConsensusOutcome {
-	out := &ConsensusOutcome{
-		Decisions: make([]int, n),
-		Agreement: true,
-		Validity:  true,
-	}
-	any0, any1 := slices.Contains(inputs, false), slices.Contains(inputs, true)
-	first := -1
-	for i := 0; i < n; i++ {
+func consensusOutcome(n int, crashed *bitset.Set, decision func(i int) (value, ok bool)) *ConsensusOutcome {
+	out := &ConsensusOutcome{Decisions: make([]int, n)}
+	for i := range n {
 		out.Decisions[i] = -1
 		if crashed.Contains(i) {
 			continue
 		}
-		v, ok := decision(i)
-		if !ok {
-			out.Agreement = false
-			continue
-		}
-		d := 0
-		if v {
-			d = 1
-		}
-		out.Decisions[i] = d
-		if first < 0 {
-			first = d
-		} else if first != d {
-			out.Agreement = false
-		}
-		if (d == 1 && !any1) || (d == 0 && !any0) {
-			out.Validity = false
+		if v, ok := decision(i); ok {
+			out.Decisions[i] = 0
+			if v {
+				out.Decisions[i] = 1
+			}
 		}
 	}
 	return out
@@ -347,20 +328,14 @@ func consensusOutcome(n int, crashed *bitset.Set, inputs []bool, decision func(i
 // surviving node i, view(i) returns the membership of i's extant set —
 // read before the next call, so the caller may reuse one set — and i's
 // rumor array, indexed by member, which must not change during the
-// call. The run is complete when every survivor's membership covers the
-// survivors, one word at a time. Nodes whose views are equal — same
-// members, same rumor values — get the same map: a complete run decodes
-// into one view, not n. Rumor arrays are compared whole, which an
+// call. Nodes whose views are equal — same members, same rumor values
+// — get the same map: a complete run decodes into one view, not n, and
+// Check judges each map once. Rumor arrays are compared whole, which an
 // extant set's array, zero outside its members, allows. A caller whose
 // rumor array does not depend on i says so with nodeIndependent, and
 // equal memberships are then equal views without comparing a value.
 func gossipOutcome[R ~uint64](n int, crashed *bitset.Set, view func(i int) (*bitset.Set, []R), nodeIndependent bool) *GossipOutcome {
-	out := &GossipOutcome{
-		Extant:   make([]map[int]uint64, n),
-		Complete: true,
-	}
-	survivors := crashed.Clone()
-	survivors.Complement()
+	out := &GossipOutcome{Extant: make([]map[int]uint64, n)}
 	// The distinct views so far, with the rumor array each was read from.
 	type distinctView struct {
 		members *bitset.Set
@@ -373,9 +348,6 @@ func gossipOutcome[R ~uint64](n int, crashed *bitset.Set, view func(i int) (*bit
 			continue
 		}
 		members, rumors := view(i)
-		if !survivors.SubsetOf(members) {
-			out.Complete = false
-		}
 		for _, v := range views {
 			if v.members.Equal(members) && (nodeIndependent || slices.Equal(v.rumors, rumors)) {
 				out.Extant[i] = v.view

@@ -230,8 +230,10 @@ type ConsensusOutcome struct {
 	// Decisions[i] is 0 or 1, or -1 for nodes that crashed or did not
 	// decide.
 	Decisions []int `json:"decisions"`
-	Agreement bool  `json:"agreement"`
-	Validity  bool  `json:"validity"`
+	// Agreement and Validity are Check's: every survivor decided, on
+	// one value, and every decided value is some node's input.
+	Agreement bool `json:"agreement"`
+	Validity  bool `json:"validity"`
 }
 
 // GossipOutcome summarizes a gossip run.
@@ -240,17 +242,19 @@ type GossipOutcome struct {
 	// for crashed nodes). The views are read-only: nodes that decided
 	// equal views may share one map.
 	Extant []map[int]uint64 `json:"extant"`
-	// Complete reports whether every surviving node's extant set
-	// contains every surviving node's rumor.
+	// Complete is Check's: every surviving node's extant set contains
+	// every surviving node's rumor.
 	Complete bool `json:"complete"`
 }
 
 // CheckpointOutcome summarizes a checkpointing run.
 type CheckpointOutcome struct {
-	// ExtantSet is the agreed set of node names (nil when agreement
-	// failed).
+	// ExtantSet is the agreed set of node names, nil unless every
+	// survivor decided one set.
 	ExtantSet []int `json:"extant_set"`
-	Agreement bool  `json:"agreement"`
+	// Agreement is Check's: the agreed set is present, or nobody
+	// survived.
+	Agreement bool `json:"agreement"`
 }
 
 // ByzantineOutcome summarizes an authenticated-Byzantine consensus
@@ -262,7 +266,8 @@ type ByzantineOutcome struct {
 	// have Decided[i] = false.
 	Decisions []uint64 `json:"decisions"`
 	Decided   []bool   `json:"decided"`
-	Agreement bool     `json:"agreement"`
+	// Agreement is Check's: every honest node decided, on one value.
+	Agreement bool `json:"agreement"`
 }
 
 // SubroutineOutcome summarizes an AEA or SCV run.
@@ -280,7 +285,7 @@ type MajorityOutcome struct {
 	YesWins  bool `json:"yes_wins"`
 	YesVotes int  `json:"yes_votes"`
 	Ballots  int  `json:"ballots"`
-	// Agreement reports whether all surviving nodes reached the same
-	// verdict and tally.
+	// Agreement is the decoder's, the one flag Check reads: all
+	// surviving nodes reached the same verdict and tally.
 	Agreement bool `json:"agreement"`
 }

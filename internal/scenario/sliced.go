@@ -265,6 +265,7 @@ func runSlicedChunk(rt *sim.Runtime, st stack, prob slicedProblem, sps []Spec, i
 			errs[i] = lr.Err
 		default:
 			reports[i] = prob.decode(sps[i], lane, lr)
+			judge(sps[i], reports[i])
 		}
 	}
 	if tr != nil {
@@ -290,7 +291,7 @@ func (p *slicedFlooding) build(shape Spec, lanes, _ int) (sim.SlicedSystem, erro
 func (p *slicedFlooding) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 	rep := newReport(sp, lr.Metrics, lr.Crashed)
 	bit := uint64(1) << lane
-	rep.Consensus = consensusOutcome(sp.N, lr.Crashed, sp.BoolInputs, func(i int) (bool, bool) {
+	rep.Consensus = consensusOutcome(sp.N, lr.Crashed, func(i int) (bool, bool) {
 		decided, value := p.sys.DecisionLanes(i)
 		return value&bit != 0, decided&bit != 0
 	})
@@ -332,8 +333,7 @@ func (p *slicedGossip) build(_ Spec, lanes, maxDelay int) (_ sim.SlicedSystem, e
 // recorded, reconstructed from the per-round series), the same extant
 // views (rumor values come from the lane's inputs — first-write-wins
 // makes every copy of node j's pair equal to j's own rumor, which is
-// what lets gossipOutcome match views on membership alone) and the same
-// completeness rule.
+// what lets gossipOutcome match views on membership alone).
 func (p *slicedGossip) decode(sp Spec, lane int, lr *sim.LaneResult) *Report {
 	rep := newReport(sp, lr.Metrics, lr.Crashed)
 	// The scalar engine labels a round's traffic with the name of its

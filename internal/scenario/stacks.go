@@ -277,7 +277,7 @@ func perNode[M sim.Protocol](sp Spec, little int, machine func(i int) M, decode 
 }
 
 func decodeConsensus[M interface{ Decision() (bool, bool) }](sp Spec, ms []M, res *sim.Result, rep *Report) {
-	rep.Consensus = consensusOutcome(sp.N, res.Crashed, sp.BoolInputs, func(i int) (bool, bool) { return ms[i].Decision() })
+	rep.Consensus = consensusOutcome(sp.N, res.Crashed, func(i int) (bool, bool) { return ms[i].Decision() })
 }
 
 func decodeGossip[M interface{ Extant() *gossip.ExtantSet }](sp Spec, ms []M, res *sim.Result, rep *Report) {
@@ -285,28 +285,24 @@ func decodeGossip[M interface{ Extant() *gossip.ExtantSet }](sp Spec, ms []M, re
 		func(i int) (*bitset.Set, []gossip.Rumor) { return ms[i].Extant().View() }, false)
 }
 
+// decodeCheckpoint emits the agreed set iff every survivor decided one
+// set; Check reads its absence as broken agreement.
 func decodeCheckpoint[M interface{ Decision() (*bitset.Set, bool) }](_ Spec, ms []M, res *sim.Result, rep *Report) {
-	out := &CheckpointOutcome{Agreement: true}
+	rep.Checkpoint = &CheckpointOutcome{}
 	var agreed *bitset.Set
 	for i, m := range ms {
 		if res.Crashed.Contains(i) {
 			continue
 		}
 		set, ok := m.Decision()
-		if !ok {
-			out.Agreement = false
-			continue
+		if !ok || agreed != nil && !agreed.Equal(set) {
+			return
 		}
-		if agreed == nil {
-			agreed = set
-		} else if !agreed.Equal(set) {
-			out.Agreement = false
-		}
+		agreed = set
 	}
-	if agreed != nil && out.Agreement {
-		out.ExtantSet = agreed.Elements()
+	if agreed != nil {
+		rep.Checkpoint.ExtantSet = agreed.Elements()
 	}
-	rep.Checkpoint = out
 }
 
 // decodeSubroutine decodes a finished AEA or SCV run: whether every
@@ -391,29 +387,18 @@ func buildByzantine(sp Spec) (*system, error) {
 		}
 	}
 	sys := &system{ps: ps, byz: byz}
-	sys.finish = func(res *sim.Result, rep *Report) {
+	sys.finish = func(_ *sim.Result, rep *Report) {
 		out := &ByzantineOutcome{
 			L:         cfg.L,
 			Decisions: make([]uint64, n),
 			Decided:   make([]bool, n),
-			Agreement: true,
 		}
-		var agreed *uint64
-		for i := 0; i < n; i++ {
-			if ds[i] == nil {
+		for i, d := range ds {
+			if d == nil {
 				continue
 			}
-			v, ok := ds[i].Decision()
-			if !ok {
-				out.Agreement = false
-				continue
-			}
-			out.Decisions[i] = v
-			out.Decided[i] = true
-			if agreed == nil {
-				agreed = &v
-			} else if *agreed != v {
-				out.Agreement = false
+			if v, ok := d.Decision(); ok {
+				out.Decisions[i], out.Decided[i] = v, true
 			}
 		}
 		rep.Byzantine = out

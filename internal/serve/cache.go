@@ -12,7 +12,8 @@
 //     worker pool over a bounded queue, rejecting overload instead of
 //     spawning unbounded goroutines.
 //   - Server (server.go) is the HTTP/JSON front wiring the three
-//     together: /v1/run, /v1/sweep, /v1/scenarios, /healthz, /statsz.
+//     together: /v1/run, /v1/sweep, /v1/scenarios, /v1/campaigns,
+//     /healthz, /readyz, /metrics.
 //
 // cmd/linearsimd hosts a Server; the repository benchmark (bench/)
 // drives one closed-loop.
@@ -42,16 +43,6 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-}
-
-// CacheStats is a point-in-time counter snapshot.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Capacity  int64 `json:"capacity_bytes"`
 }
 
 type cacheShard struct {

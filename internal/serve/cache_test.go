@@ -121,7 +121,12 @@ func TestCacheShardedBudget(t *testing.T) {
 	}
 }
 
-// stats snapshots c's counters, as /statsz reports them.
+// CacheStats is a point-in-time snapshot of a cache's counters.
+type CacheStats struct {
+	Hits, Misses, Evictions, Entries, Bytes, Capacity int64
+}
+
+// stats snapshots c's counters.
 func stats(c *Cache) CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
 		Entries: c.Entries(), Bytes: c.Bytes(), Capacity: c.Capacity()}

@@ -122,13 +122,9 @@ type jobStore struct {
 	resumed  int64
 }
 
-// JobsStats is the campaign section of GET /statsz.
+// JobsStats is what the campaign gauges read of the job store.
 type JobsStats struct {
-	Capacity int   `json:"capacity"`
-	Jobs     int   `json:"jobs"`
-	Running  int   `json:"running"`
-	Launched int64 `json:"launched"`
-	Resumed  int64 `json:"resumed"`
+	Capacity, Jobs, Running int
 }
 
 func newJobStore(maxJobs, conc int, run campaign.RunFunc) *jobStore {
@@ -397,16 +393,11 @@ func (s *Server) RestoreJobs(path string) error {
 	return nil
 }
 
-// JobsStats snapshots the campaign store counters.
+// jobsStats snapshots the campaign store counters.
 func (s *Server) jobsStats() JobsStats {
 	s.jobs.mu.Lock()
 	defer s.jobs.mu.Unlock()
-	st := JobsStats{
-		Capacity: s.jobs.max,
-		Jobs:     len(s.jobs.jobs),
-		Launched: s.jobs.launched,
-		Resumed:  s.jobs.resumed,
-	}
+	st := JobsStats{Capacity: s.jobs.max, Jobs: len(s.jobs.jobs)}
 	for _, j := range s.jobs.jobs {
 		j.mu.Lock()
 		if j.status == JobRunning {

@@ -42,8 +42,7 @@ type routeMetrics struct {
 // run Spec, the shared campaign meter, and the per-route request
 // handles. Component counters (cache, coalescer, queue, jobs) are
 // exported through CounterFunc/GaugeFunc closures over the atomics the
-// components already keep, so /statsz and /metrics read one source of
-// truth.
+// components already keep.
 type serveMetrics struct {
 	reg      *obs.Registry
 	tracer   *obs.EngineTracer

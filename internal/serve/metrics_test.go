@@ -239,64 +239,8 @@ func TestDrainStateObservable(t *testing.T) {
 	}
 }
 
-// TestStatszMatchesMetrics pins the single-source-of-truth property:
-// the /statsz JSON gauges are Value() lookups of the same registry that
-// renders /metrics, so the two surfaces agree after traffic.
-func TestStatszMatchesMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	req := RunRequest{Scenario: "consensus/few-crashes", N: 60, T: 10, Seed: 7}
-	readAll(t, postRun(t, ts.URL, req))
-	readAll(t, postRun(t, ts.URL, req))
-
-	st := s.Stats()
-	for _, check := range []struct {
-		name string
-		got  float64
-	}{
-		{"lineartime_cache_hits_total", float64(st.Cache.Hits)},
-		{"lineartime_cache_misses_total", float64(st.Cache.Misses)},
-		{"lineartime_cache_entries", float64(st.Cache.Entries)},
-		{"lineartime_overlay_cache_hits_total", float64(st.OverlayCache.Hits)},
-		{"lineartime_overlay_cache_misses_total", float64(st.OverlayCache.Misses)},
-		{"lineartime_overlay_cache_evictions_total", float64(st.OverlayCache.Evictions)},
-		{"lineartime_overlay_cache_entries", float64(st.OverlayCache.Entries)},
-		{"lineartime_overlay_cache_bytes", float64(st.OverlayCache.Bytes)},
-		{"lineartime_overlay_cache_capacity_bytes", float64(st.OverlayCache.Capacity)},
-		{"lineartime_coalesced_total", float64(st.Coalesced)},
-		{"lineartime_queue_completed_total", float64(st.Queue.Completed)},
-		{"lineartime_campaign_jobs_capacity", float64(st.Campaigns.Capacity)},
-	} {
-		if v, ok := s.metrics.reg.Value(check.name); !ok || v != check.got {
-			t.Errorf("%s: registry %v (present %v) != statsz %v", check.name, v, ok, check.got)
-		}
-	}
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
-		t.Fatalf("cache counters after miss+hit: %+v", st.Cache)
-	}
-	if st.OverlayCache.Misses == 0 || st.OverlayCache.Capacity <= 0 {
-		t.Fatalf("overlay cache counters after a run: %+v", st.OverlayCache)
-	}
-	// One engine run happened (the second request was a cache hit): its
-	// simulated rounds split into executed, quiet and repeated ones —
-	// statsz's skipped rounds are the quiet and the repeated — and a
-	// fault-free few-crashes run is mostly silence.
-	states := map[string]int64{
-		"executed": st.Engine.RoundsExecuted,
-		"quiet":    st.Engine.RoundsSkipped - st.Engine.RoundsRepeated,
-		"repeated": st.Engine.RoundsRepeated,
-	}
-	for state, got := range states {
-		if v, ok := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state}); !ok || int64(v) != got {
-			t.Errorf("lineartime_engine_rounds_total{state=%q}: registry %v (present %v) != statsz %d", state, v, ok, got)
-		}
-	}
-	if st.Engine.RoundsExecuted <= 0 || st.Engine.RoundsSkipped <= st.Engine.RoundsExecuted {
-		t.Fatalf("engine rounds after one few-crashes run: %+v", st.Engine)
-	}
-}
-
 // TestOverlayCacheObservable drives the two load shapes the overlay
-// cache separates and reads the verdict off /statsz. The cache is
+// cache separates and reads the verdict off its /metrics families. The cache is
 // process-wide, so the test uses seeds no other test does and judges
 // deltas.
 func TestOverlayCacheObservable(t *testing.T) {
@@ -312,13 +256,19 @@ func TestOverlayCacheObservable(t *testing.T) {
 		}
 	}
 
+	overlays := func() CacheStats {
+		v := func(family string) int64 { return int64(metric(t, s, "lineartime_overlay_cache_"+family)) }
+		return CacheStats{Hits: v("hits_total"), Misses: v("misses_total"), Evictions: v("evictions_total"),
+			Entries: v("entries"), Bytes: v("bytes"), Capacity: v("capacity_bytes")}
+	}
+
 	// Every result-cache key distinct, one recurring overlay set: the
 	// overlays are admitted at their second sight and hit from then on.
-	before := s.Stats().OverlayCache
+	before := overlays()
 	for fault := uint64(1); fault <= 4; fault++ {
 		run(0x0be5e17ab1e, fault)
 	}
-	recurring := s.Stats().OverlayCache
+	recurring := overlays()
 	if recurring.Hits <= before.Hits || recurring.Entries <= before.Entries {
 		t.Fatalf("recurring overlays not cached: %+v -> %+v", before, recurring)
 	}
@@ -330,7 +280,7 @@ func TestOverlayCacheObservable(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		run(0xf4e5400000+seed, 1)
 	}
-	fresh := s.Stats().OverlayCache
+	fresh := overlays()
 	if fresh.Entries != recurring.Entries || fresh.Bytes != recurring.Bytes {
 		t.Fatalf("fresh seeds retained overlays: %+v -> %+v", recurring, fresh)
 	}
@@ -341,21 +291,14 @@ func TestOverlayCacheObservable(t *testing.T) {
 	// The builds' time and rejected seeds sit next to the cache
 	// counters in /metrics: the fresh seeds' builds took time, and the
 	// rotations are a count, never negative.
-	value := func(name string) float64 {
-		v, ok := s.metrics.reg.Value(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return v
-	}
-	seconds := value("lineartime_overlay_build_seconds_total")
+	seconds := metric(t, s, "lineartime_overlay_build_seconds_total")
 	for seed := uint64(4); seed < 8; seed++ {
 		run(0xf4e5400000+seed, 1)
 	}
-	if after := value("lineartime_overlay_build_seconds_total"); after <= seconds {
+	if after := metric(t, s, "lineartime_overlay_build_seconds_total"); after <= seconds {
 		t.Fatalf("build seconds did not grow over fresh builds: %v -> %v", seconds, after)
 	}
-	if rotations := value("lineartime_overlay_seed_rotations_total"); rotations < 0 {
+	if rotations := metric(t, s, "lineartime_overlay_seed_rotations_total"); rotations < 0 {
 		t.Fatalf("seed rotations = %v", rotations)
 	}
 }

@@ -32,16 +32,6 @@ type workPool struct {
 	errored   atomic.Int64
 }
 
-// QueueStats is a point-in-time snapshot of the pool counters.
-type QueueStats struct {
-	Workers   int   `json:"workers"`
-	Depth     int   `json:"depth"`
-	Capacity  int   `json:"capacity"`
-	Rejected  int64 `json:"rejected"`
-	Completed int64 `json:"completed"`
-	Errored   int64 `json:"errored"`
-}
-
 type poolJob struct {
 	sp   scenario.Spec
 	done chan poolResult

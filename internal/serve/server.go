@@ -63,7 +63,7 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	// metrics is the obs registry plus every pre-registered handle;
-	// /metrics and /statsz both render from it.
+	// /metrics renders from it.
 	metrics   *serveMetrics
 	accessLog func(AccessRecord)
 	// ready gates /readyz: false during startup (until the owner calls
@@ -179,27 +179,6 @@ type ScenarioInfo struct {
 	About       string   `json:"about"`
 }
 
-// Stats is the body of GET /statsz.
-type Stats struct {
-	UptimeSeconds float64    `json:"uptime_seconds"`
-	Cache         CacheStats `json:"cache"`
-	OverlayCache  CacheStats `json:"overlay_cache"`
-	Coalesced     int64      `json:"coalesced"`
-	Queue         QueueStats `json:"queue"`
-	Engine        RoundStats `json:"engine"`
-	Campaigns     JobsStats  `json:"campaigns"`
-}
-
-// RoundStats splits the rounds the sequential engine simulated into
-// those it stepped node by node and those it fast-forwarded
-// (sim.Sleeper): RoundsSkipped counts the quiet and the repeated ones,
-// RoundsRepeated the repeated ones alone.
-type RoundStats struct {
-	RoundsExecuted int64 `json:"rounds_executed"`
-	RoundsSkipped  int64 `json:"rounds_skipped"`
-	RoundsRepeated int64 `json:"rounds_repeated"`
-}
-
 // ErrorBody is the structured error envelope of every non-2xx
 // response: a stable machine-readable code plus the human message.
 type ErrorBody struct {
@@ -234,7 +213,6 @@ func New(cfg Config) *Server {
 	s.route("DELETE /v1/campaigns/{id}", s.handleCampaignCancel)
 	s.route("GET /healthz", s.handleHealth)
 	s.route("GET /readyz", s.handleReady)
-	s.route("GET /statsz", s.handleStats)
 	s.route("GET /metrics", s.handleMetrics)
 	return s
 }
@@ -262,62 +240,6 @@ func (s *Server) BeginDrain() {
 func (s *Server) Close() {
 	s.jobs.drain()
 	s.pool.Close()
-}
-
-// Stats snapshots the server counters. The snapshot is generated from
-// the same obs registry that renders /metrics — every field is a
-// Value() lookup of the corresponding family — so the JSON gauge dump
-// and the Prometheus exposition cannot drift apart.
-func (s *Server) Stats() Stats {
-	iv := func(name string) int64 {
-		v, _ := s.metrics.reg.Value(name)
-		return int64(v)
-	}
-	fv := func(name string) float64 {
-		v, _ := s.metrics.reg.Value(name)
-		return v
-	}
-	roundsIn := func(state string) int64 {
-		v, _ := s.metrics.reg.Value("lineartime_engine_rounds_total", obs.L{Key: "state", Value: state})
-		return int64(v)
-	}
-	// Both caches export the same six families under their own stem.
-	cache := func(stem string) CacheStats {
-		return CacheStats{
-			Hits:      iv(stem + "hits_total"),
-			Misses:    iv(stem + "misses_total"),
-			Evictions: iv(stem + "evictions_total"),
-			Entries:   iv(stem + "entries"),
-			Bytes:     iv(stem + "bytes"),
-			Capacity:  iv(stem + "capacity_bytes"),
-		}
-	}
-	return Stats{
-		UptimeSeconds: fv("lineartime_uptime_seconds"),
-		Cache:         cache("lineartime_cache_"),
-		OverlayCache:  cache("lineartime_overlay_cache_"),
-		Coalesced:     iv("lineartime_coalesced_total"),
-		Queue: QueueStats{
-			Workers:   int(iv("lineartime_queue_workers")),
-			Depth:     int(iv("lineartime_queue_depth")),
-			Capacity:  int(iv("lineartime_queue_capacity")),
-			Rejected:  iv("lineartime_queue_rejected_total"),
-			Completed: iv("lineartime_queue_completed_total"),
-			Errored:   iv("lineartime_queue_errored_total"),
-		},
-		Engine: RoundStats{
-			RoundsExecuted: roundsIn("executed"),
-			RoundsSkipped:  roundsIn("quiet") + roundsIn("repeated"),
-			RoundsRepeated: roundsIn("repeated"),
-		},
-		Campaigns: JobsStats{
-			Capacity: int(iv("lineartime_campaign_jobs_capacity")),
-			Jobs:     int(iv("lineartime_campaign_jobs")),
-			Running:  int(iv("lineartime_campaign_jobs_running")),
-			Launched: iv("lineartime_campaign_jobs_launched_total"),
-			Resumed:  iv("lineartime_campaign_jobs_resumed_total"),
-		},
-	}
 }
 
 // apiError is an HTTP-mappable error: a status, a stable code, and the
@@ -571,8 +493,4 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, struct {
 		Status string `json:"status"`
 	}{"ready"})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Stats())
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lineartime/internal/obs"
 	"lineartime/internal/scenario"
 )
 
@@ -37,6 +38,16 @@ func postRun(t *testing.T, url string, req RunRequest) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// metric reads one family of s's registry, the one /metrics renders.
+func metric(t *testing.T, s *Server, name string, labels ...obs.L) float64 {
+	t.Helper()
+	v, ok := s.metrics.reg.Value(name, labels...)
+	if !ok {
+		t.Fatalf("%s %v not registered", name, labels)
+	}
+	return v
 }
 
 func readAll(t *testing.T, resp *http.Response) []byte {
@@ -121,9 +132,9 @@ func TestRunCacheHitByteIdentical(t *testing.T) {
 		t.Fatalf("report did not round-trip: %+v", env.Report)
 	}
 
-	st := s.Stats()
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Queue.Completed != 1 {
-		t.Fatalf("counters after miss+hit: %+v", st)
+	hits, misses := metric(t, s, "lineartime_cache_hits_total"), metric(t, s, "lineartime_cache_misses_total")
+	if completed := metric(t, s, "lineartime_queue_completed_total"); hits != 1 || misses != 1 || completed != 1 {
+		t.Fatalf("counters after miss+hit: %v hits, %v misses, %v completed", hits, misses, completed)
 	}
 }
 
@@ -173,9 +184,8 @@ func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 			t.Fatalf("client %d body diverged", i)
 		}
 	}
-	st := s.Stats()
-	if st.Coalesced != clients-1 {
-		t.Fatalf("coalesced = %d, want %d", st.Coalesced, clients-1)
+	if c := metric(t, s, "lineartime_coalesced_total"); c != clients-1 {
+		t.Fatalf("coalesced = %v, want %d", c, clients-1)
 	}
 }
 
@@ -222,8 +232,8 @@ func TestQueueBackpressure429(t *testing.T) {
 		}
 		readAll(t, resp)
 	}
-	if st := s.Stats(); st.Queue.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Queue.Rejected)
+	if r := metric(t, s, "lineartime_queue_rejected_total"); r != 1 {
+		t.Fatalf("rejected = %v, want 1", r)
 	}
 }
 
@@ -371,14 +381,14 @@ func TestSweepSharesTheRunCache(t *testing.T) {
 		}
 	}
 
-	before := s.Stats().Queue.Completed
+	before := metric(t, s, "lineartime_queue_completed_total")
 	resp, err = http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	readAll(t, resp)
-	if after := s.Stats().Queue.Completed; after != before {
-		t.Fatalf("repeated sweep ran %d engines, want 0", after-before)
+	if after := metric(t, s, "lineartime_queue_completed_total"); after != before {
+		t.Fatalf("repeated sweep ran %v engines, want 0", after-before)
 	}
 
 	// A sweep with no points is a validation error.
@@ -391,31 +401,55 @@ func TestSweepSharesTheRunCache(t *testing.T) {
 	}
 }
 
-// TestStatszShape decodes /statsz and sanity-checks the gauges.
-func TestStatszShape(t *testing.T) {
+// TestMetricsGaugeShape scrapes /metrics after a miss and a hit and
+// sanity-checks the component gauges and the engine's round split.
+func TestMetricsGaugeShape(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheBytes: 1 << 20, Workers: 1})
 	readAll(t, postRun(t, ts.URL, RunRequest{Scenario: "gossip/expander", N: 50, T: 10, Seed: 1}))
 	readAll(t, postRun(t, ts.URL, RunRequest{Scenario: "gossip/expander", N: 50, T: 10, Seed: 1}))
 
-	resp, err := http.Get(ts.URL + "/statsz")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Stats
-	if err := json.Unmarshal(readAll(t, resp), &st); err != nil {
-		t.Fatal(err)
+	// Each sample line is "name{labels} value".
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(readAll(t, resp)), "\n") {
+		if cut := strings.LastIndexByte(line, ' '); cut > 0 && !strings.HasPrefix(line, "#") {
+			var v float64
+			if _, err := fmt.Sscan(line[cut+1:], &v); err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			samples[line[:cut]] = v
+		}
 	}
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
-		t.Fatalf("cache stats = %+v", st.Cache)
+	value := func(name string) float64 {
+		t.Helper()
+		v, ok := samples[name]
+		if !ok {
+			t.Fatalf("/metrics has no sample %s", name)
+		}
+		return v
 	}
-	if st.Queue.Workers != 1 || st.Queue.Completed != 1 {
-		t.Fatalf("queue stats = %+v", st.Queue)
+	if value("lineartime_cache_hits_total") != 1 || value("lineartime_cache_misses_total") != 1 || value("lineartime_cache_entries") != 1 {
+		t.Fatalf("cache samples: %v hits, %v misses, %v entries", value("lineartime_cache_hits_total"),
+			value("lineartime_cache_misses_total"), value("lineartime_cache_entries"))
 	}
-	if st.Cache.Bytes <= 0 || st.Cache.Capacity != 1<<20 {
-		t.Fatalf("cache budget accounting = %+v", st.Cache)
+	if value("lineartime_queue_workers") != 1 || value("lineartime_queue_completed_total") != 1 {
+		t.Fatalf("queue samples: %v workers, %v completed", value("lineartime_queue_workers"), value("lineartime_queue_completed_total"))
 	}
-	if st.UptimeSeconds < 0 {
-		t.Fatalf("uptime = %v", st.UptimeSeconds)
+	if value("lineartime_cache_bytes") <= 0 || value("lineartime_cache_capacity_bytes") != 1<<20 {
+		t.Fatalf("cache budget: %v bytes of %v", value("lineartime_cache_bytes"), value("lineartime_cache_capacity_bytes"))
+	}
+	if value("lineartime_uptime_seconds") < 0 {
+		t.Fatalf("uptime = %v", value("lineartime_uptime_seconds"))
+	}
+	// One engine run: gossip machines sleep, so its simulated rounds
+	// are mostly quiet or repeated, not executed.
+	executed := value(`lineartime_engine_rounds_total{state="executed"}`)
+	skipped := value(`lineartime_engine_rounds_total{state="quiet"}`) + value(`lineartime_engine_rounds_total{state="repeated"}`)
+	if executed <= 0 || skipped <= executed {
+		t.Fatalf("engine rounds after one gossip run: %v executed, %v skipped", executed, skipped)
 	}
 }
 
